@@ -58,7 +58,7 @@ def main(argv=None) -> int:
     except BonusLabError as exc:
         _emit_error(args, exc)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _emit_error(args, exc)
         return 1
     if args.json:
@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--market", required=True)
     p.add_argument("--plan", required=True)
     p.add_argument("--profile", required=True)
-    p.add_argument("--resolution", default=None, metavar="D",
+    p.add_argument("--resolution", type=_resolution, default=None, metavar="D",
                    help="simplex grid denominator; omit for pure-only search")
     p.add_argument("--lambda", dest="lam", default="0", metavar="Q")
     p.set_defaults(handler=_cmd_check_eq)
@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-optimal", help="equilibrium among best-expectation profiles")
     p.add_argument("--market", required=True)
     p.add_argument("--plan", required=True)
-    p.add_argument("--resolution", default=None, metavar="D")
+    p.add_argument("--resolution", type=_resolution, default=None, metavar="D")
     p.set_defaults(handler=_cmd_check_optimal)
 
     p = sub.add_parser("build-linear", help="interval-gated linear plan for a market")
@@ -177,10 +177,14 @@ def _read_plan(args):
         return load_plan(fh.read())
 
 
-def _parse_resolution(value):
-    if value is None or value in ("pure", "pure-only"):
+def _resolution(text: str) -> int | None:
+    """--resolution: a grid denominator, or "pure"/"pure-only" for none."""
+    if text in ("pure", "pure-only"):
         return None
-    return int(value)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'pure', got {text!r}")
 
 
 def _combo_label(market: Market, combo) -> str:
@@ -262,16 +266,17 @@ def _cmd_replicate(args) -> dict:
     lam = as_rational(args.lam)
     market = two_bond_market()
     plan = WinnerTakeAllPlan(2)
-    at_zero = induce_game(market, plan, 0, tensor_cap=args.tensor_cap)
-    at_half = induce_game(market, plan, Fraction(1, 2), tensor_cap=args.tensor_cap)
+    at_zero = induce_game(market, plan, 0, tensor_cap=args.tensor_cap).payoffs
+    at_half = induce_game(market, plan, Fraction(1, 2), tensor_cap=args.tensor_cap).payoffs
     coefficients = {}
-    for combo, base in at_zero.payoffs.items():
-        mid = at_half.payoffs[combo]
+    for combo, base in at_zero.items():
+        mid = at_half[combo]
         coefficients[combo] = tuple(
             (b, 2 * (m - b)) for b, m in zip(base, mid)
         )
 
     at_lam = induce_game(market, plan, lam, tensor_cap=args.tensor_cap)
+    lam_table = at_lam.payoffs
     dominance = strict_dominance(at_lam)
     equilibrium = None
     if dominance.unique_profile is not None:
@@ -290,7 +295,7 @@ def _cmd_replicate(args) -> dict:
         _say(args, f"  ({_combo_label(market, combo)}):  {rendered}")
     _say(args)
     _say(args, f"at L = {format_rational(lam)}:")
-    for combo, values in at_lam.payoffs.items():
+    for combo, values in lam_table.items():
         _say(
             args,
             f"  ({_combo_label(market, combo)}):  "
@@ -327,7 +332,7 @@ def _cmd_replicate(args) -> dict:
             "lambda": format_rational(lam),
             "payoffs": {
                 _combo_label(market, combo): [format_rational(v) for v in values]
-                for combo, values in at_lam.payoffs.items()
+                for combo, values in lam_table.items()
             },
         },
         "dominance": {
@@ -349,7 +354,8 @@ def _cmd_induce(args) -> dict:
     market = _read_market(args)
     plan = _read_plan(args)
     g = induce_game(market, plan, as_rational(args.lam), tensor_cap=args.tensor_cap)
-    for combo, values in g.payoffs.items():
+    table = g.payoffs
+    for combo, values in table.items():
         _say(
             args,
             f"({_combo_label(market, combo)}):  " + ", ".join(_fmt(args, v) for v in values),
@@ -358,7 +364,7 @@ def _cmd_induce(args) -> dict:
         "lambda": format_rational(g.earnings_weight),
         "payoffs": {
             _combo_label(market, combo): [format_rational(v) for v in values]
-            for combo, values in g.payoffs.items()
+            for combo, values in table.items()
         },
     }
 
@@ -369,7 +375,7 @@ def _cmd_check_eq(args) -> dict:
     with open(args.profile) as fh:
         profile = profile_from_list(json.load(fh))
     g = induce_game(market, plan, as_rational(args.lam), tensor_cap=args.tensor_cap)
-    report = check_nash(g, profile, _parse_resolution(args.resolution))
+    report = check_nash(g, profile, args.resolution)
     _print_equilibrium(args, market, report)
     return _equilibrium_dict(market, report)
 
@@ -378,7 +384,7 @@ def _cmd_check_optimal(args) -> dict:
     market = _read_market(args)
     plan = _read_plan(args)
     report = check_optimal(
-        market, plan, _parse_resolution(args.resolution), tensor_cap=args.tensor_cap
+        market, plan, args.resolution, tensor_cap=args.tensor_cap
     )
     _say(args, f"verdict: {report.verdict.value}")
     _say(args, f"best expectation: {_fmt(args, report.mu_star)}")

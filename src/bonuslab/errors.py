@@ -14,6 +14,14 @@ class UnparsableNumber(BonusLabError):
     """A string could not be read as an exact rational."""
 
 
+class FloatRejected(BonusLabError, TypeError):
+    """A float, or another value that is not an exact rational, was given as a number."""
+
+
+class InvalidParameter(BonusLabError, ValueError):
+    """A parameter lies outside its domain: a scale bound, an earnings weight, a grid."""
+
+
 class NonUnitMass(BonusLabError):
     """Atom probabilities do not sum to exactly 1."""
 

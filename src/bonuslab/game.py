@@ -29,17 +29,23 @@ its interval; the output-gated linear plan when no atom's result spread
 exceeds twice its scale bound.  In each case the bonus term is the linear
 form at every reachable profile, hence affine in the deviator's expected
 result with positive slope.
+
+Payoff cells are computed on first read.  A pure-deviation verdict at one
+profile reads that profile and its unilateral deviations, at most
+1 + k(n-1) cells of the n^k tensor, so `Game.payoff` computes a cell when it
+is first asked for and keeps it on the game.  Only `Game.payoffs` (and through it `strict_dominance` and the
+CLI's tensor listings) materializes every cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
-from .errors import ArityMismatch, TensorCapExceeded
+from .errors import ArityMismatch, InvalidParameter, TensorCapExceeded
 from .market import Market, MixedAction, Profile, expectation, support_stats
 from .plans import BonusPlan, BoundedLinearPlan, ConstantPlan, MLinearPlan
 from .rational import as_rational
@@ -63,12 +69,17 @@ class OptimalityVerdict(str, Enum):
 
 @dataclass(frozen=True)
 class Game:
-    """Induced game: the payoff tensor over pure profiles, kept exact."""
+    """Induced game over pure profiles, kept exact and filled in on demand.
+
+    `cells` memoizes the payoff vectors computed so far, keyed by
+    action-index tuple; `payoff` adds one on first read.  Only `payoffs`
+    materializes the full n^k tensor.
+    """
 
     market: Market
     plan: BonusPlan
     earnings_weight: Fraction
-    payoffs: dict  # action-index tuple -> tuple of per-player payoffs
+    cells: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def players(self) -> int:
@@ -78,6 +89,40 @@ class Game:
     def actions(self) -> int:
         return self.market.n
 
+    def payoff(self, combo: tuple[int, ...]) -> tuple[Fraction, ...]:
+        """Exact payoffs at one pure profile, computed on first read."""
+        cached = self.cells.get(combo)
+        if cached is not None:
+            return cached
+        k, n = self.players, self.actions
+        if len(combo) != k or not all(0 <= a < n for a in combo):
+            raise ArityMismatch(f"{combo} is not a {k}-player profile over {n} actions")
+        rows = ((atom, tuple(atom.outcomes[a] for a in combo)) for atom in self.market.atoms)
+        value = self.cells[combo] = _cell(self.plan, self.earnings_weight, rows)
+        return value
+
+    @property
+    def payoffs(self) -> dict:
+        """The full tensor, action-index tuple -> payoffs, in product order."""
+        return {
+            combo: self.payoff(combo)
+            for combo in product(range(self.actions), repeat=self.players)
+        }
+
+
+def _cell(plan: BonusPlan, w: Fraction, rows) -> tuple[Fraction, ...]:
+    """Expected payoffs over (atom, result-vector) rows, one per atom."""
+    k = plan.players
+    totals = [ZERO] * k
+    for atom, results in rows:
+        shares = plan.evaluate(results)
+        for i in range(k):
+            term = (1 - w) * shares[i]
+            if w:
+                term += w * results[i]
+            totals[i] += atom.probability * term
+    return tuple(totals)
+
 
 def induce_game(
     market: Market,
@@ -85,32 +130,20 @@ def induce_game(
     earnings_weight=0,
     tensor_cap: int = DEFAULT_TENSOR_CAP,
 ) -> Game:
-    """Enumerate all n^k pure profiles and tabulate exact payoffs."""
+    """The game of a market and a plan; cells are computed as they are read."""
     w = as_rational(earnings_weight)
     if not ZERO <= w < 1:
-        raise ValueError(f"earnings weight must lie in [0, 1), got {w}")
+        raise InvalidParameter(f"earnings weight must lie in [0, 1), got {w}")
     k, n = plan.players, market.n
-    cells = n**k
-    if cells > tensor_cap:
-        raise TensorCapExceeded(f"{n}^{k} = {cells} profiles exceeds cap {tensor_cap}")
-    tensor: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-    for combo in product(range(n), repeat=k):
-        totals = [ZERO] * k
-        for atom in market.atoms:
-            results = tuple(atom.outcomes[a] for a in combo)
-            shares = plan.evaluate(results)
-            for i in range(k):
-                term = (1 - w) * shares[i]
-                if w:
-                    term += w * results[i]
-                totals[i] += atom.probability * term
-        tensor[combo] = tuple(totals)
-    return Game(market, plan, w, tensor)
+    profiles = n**k
+    if profiles > tensor_cap:
+        raise TensorCapExceeded(f"{n}^{k} = {profiles} profiles exceeds cap {tensor_cap}")
+    return Game(market, plan, w)
 
 
 def expected_payoffs(game: Game, profile: Profile) -> tuple[Fraction, ...]:
     """Exact expected payoff per player, portfolios evaluated pointwise."""
-    market, plan, w = game.market, game.plan, game.earnings_weight
+    market, plan = game.market, game.plan
     if profile.players != plan.players:
         raise ArityMismatch(
             f"{profile.players} strategies for a {plan.players}-player plan"
@@ -118,17 +151,12 @@ def expected_payoffs(game: Game, profile: Profile) -> tuple[Fraction, ...]:
     profile.check_arity(market)
     pure = tuple(s.pure_action for s in profile.strategies)
     if all(a is not None for a in pure):
-        return game.payoffs[pure]
-    totals = [ZERO] * plan.players
-    for atom in market.atoms:
-        results = tuple(s.value_at(atom) for s in profile.strategies)
-        shares = plan.evaluate(results)
-        for i in range(plan.players):
-            term = (1 - w) * shares[i]
-            if w:
-                term += w * results[i]
-            totals[i] += atom.probability * term
-    return tuple(totals)
+        return game.payoff(pure)
+    rows = (
+        (atom, tuple(s.value_at(atom) for s in profile.strategies))
+        for atom in market.atoms
+    )
+    return _cell(plan, game.earnings_weight, rows)
 
 
 def principal_value(market: Market, profile: Profile) -> Fraction:
@@ -140,7 +168,7 @@ def principal_value(market: Market, profile: Profile) -> Fraction:
 def simplex_grid(arity: int, denominator: int) -> Iterator[MixedAction]:
     """All weight vectors with the given denominator, lexicographically."""
     if denominator < 1:
-        raise ValueError("grid denominator must be >= 1")
+        raise InvalidParameter(f"grid denominator must be >= 1, got {denominator}")
 
     def compositions(total: int, slots: int):
         if slots == 1:
@@ -197,6 +225,8 @@ def best_response(
         raise ArityMismatch(f"player {player} out of range for {k}")
     if len(opponents) != k - 1:
         raise ArityMismatch(f"expected {k - 1} opponents, got {len(opponents)}")
+    if resolution is not None and resolution < 1:
+        raise InvalidParameter(f"grid denominator must be >= 1, got {resolution}")
     complete = pure_search_complete(game.market, game.plan)
     if complete:
         method = "pure-sufficient"
@@ -302,13 +332,14 @@ def strict_dominance(game: Game) -> DominanceReport:
     profiles (order-independent for strict dominance).
     """
     k, n = game.players, game.actions
+    table = game.payoffs
 
     def dominated(player: int, a: int, b: int, alive: list[tuple[int, ...]]) -> bool:
         others = [alive[j] for j in range(k) if j != player]
         for rest in product(*others):
             combo_a = rest[:player] + (a,) + rest[player:]
             combo_b = rest[:player] + (b,) + rest[player:]
-            if game.payoffs[combo_a][player] <= game.payoffs[combo_b][player]:
+            if table[combo_a][player] <= table[combo_b][player]:
                 return False
         return True
 

@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import (
     ArityMismatch,
     AtomCapExceeded,
+    BonusLabError,
     IncompleteMapping,
     NonPositiveProbability,
     NonSimplexWeights,
@@ -315,9 +316,11 @@ def market_from_dict(data: Mapping) -> Market:
     try:
         actions = data["actions"]
         atoms = [(atom["p"], atom["outcomes"]) for atom in data["atoms"]]
+        return build_market(actions, atoms)
+    except BonusLabError:
+        raise
     except (KeyError, TypeError) as exc:
         raise ArityMismatch(f"malformed market document: {exc}") from exc
-    return build_market(actions, atoms)
 
 
 def dump_market(market: Market) -> str:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
-from .errors import ArityMismatch, NonSimplexTable
+from .errors import ArityMismatch, BonusLabError, InvalidParameter, NonSimplexTable
 from .rational import as_rational, format_rational, rationals
 
 ZERO = Fraction(0)
@@ -114,11 +114,11 @@ class MLinearPlan(BonusPlan):
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.bound <= 0:
-            raise ValueError(f"scale bound must be positive, got {self.bound}")
+            raise InvalidParameter(f"scale bound must be positive, got {self.bound}")
         if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+            raise InvalidParameter(f"empty interval [{self.lo}, {self.hi}]")
         if self.hi - self.lo > 2 * self.bound:
-            raise ValueError(
+            raise InvalidParameter(
                 f"interval width {self.hi - self.lo} exceeds 2*bound = {2 * self.bound}; "
                 "shares would leave [0, 1]"
             )
@@ -146,7 +146,7 @@ class BoundedLinearPlan(BonusPlan):
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.bound <= 0:
-            raise ValueError(f"scale bound must be positive, got {self.bound}")
+            raise InvalidParameter(f"scale bound must be positive, got {self.bound}")
 
     kind = "bounded_linear"
 
@@ -309,10 +309,16 @@ def plan_to_dict(plan: BonusPlan) -> dict:
 
 def plan_from_dict(data: Mapping) -> BonusPlan:
     try:
-        kind = data["kind"]
-        players = int(data["players"])
+        return _plan_from_dict(data)
+    except BonusLabError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ArityMismatch(f"malformed plan document: {exc}") from exc
+
+
+def _plan_from_dict(data: Mapping) -> BonusPlan:
+    kind = data["kind"]
+    players = int(data["players"])
     if kind == "constant":
         return ConstantPlan(players)
     if kind == "wta":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import UnparsableNumber
+from .errors import FloatRejected, UnparsableNumber
 
 Rational = Fraction
 
@@ -21,13 +21,13 @@ RationalLike = "Fraction | int | str"
 def as_rational(value) -> Fraction:
     """Coerce an int, Fraction, or numeric string to Fraction.
 
-    Raises UnparsableNumber for malformed strings and TypeError for floats
-    and other unsupported types.
+    Raises UnparsableNumber for malformed strings and FloatRejected (a
+    TypeError) for floats and other unsupported types.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise TypeError("bool is not a rational value")
+        raise FloatRejected("bool is not a rational value")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -36,10 +36,10 @@ def as_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise UnparsableNumber(f"cannot parse {value!r} as a rational") from exc
     if isinstance(value, float):
-        raise TypeError(
+        raise FloatRejected(
             f"refusing float {value!r}: pass the exact string (e.g. '1.051') instead"
         )
-    raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+    raise FloatRejected(f"cannot interpret {type(value).__name__} as a rational")
 
 
 def format_rational(value: Fraction) -> str:

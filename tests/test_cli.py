@@ -212,3 +212,123 @@ def test_decimal_rendering(capsys, files):
     assert main(["--decimal", "find-m", "--market", market, "--grid", "4"]) == 0
     out = capsys.readouterr().out
     assert "~0.050000" in out
+
+
+# ---------------------------------------------------------------------
+# Malformed input: every rejection is exit 1 and a JSON error object
+# ---------------------------------------------------------------------
+
+WTA = {"players": 2, "kind": "wta"}
+MARKET = {
+    "actions": ["X1", "X2"],
+    "atoms": [{"p": "3/5", "outcomes": ["21/20", "1051/1000"]},
+              {"p": "2/5", "outcomes": ["21/20", "1"]}],
+}
+FLOAT_MARKET = {**MARKET, "atoms": [{"p": "1", "outcomes": [0.25, "1"]}]}
+NEGATIVE_MARKET = {**MARKET, "atoms": [{"p": "-3/5", "outcomes": ["1", "1"]},
+                                       {"p": "8/5", "outcomes": ["1", "2"]}]}
+FLAT_MARKET = {"actions": ["A", "B"], "atoms": [{"p": "1", "outcomes": ["0", "0"]}]}
+TIED_MARKET = {"actions": ["A", "B"], "atoms": [{"p": "1", "outcomes": ["1", "1"]}]}
+NO_INTERVAL = {"players": 2, "kind": "m_linear", "bound": "4"}
+BOUND_ZERO = {"players": 2, "kind": "bounded_linear", "bound": "0"}
+
+# (case, documents by placeholder, argv, exit code, error type under --json)
+REJECTED = [
+    ("replicate-lambda-one", {}, ["replicate-example", "--lambda", "1"], "InvalidParameter"),
+    ("replicate-lambda-text", {}, ["replicate-example", "--lambda", "x"], "UnparsableNumber"),
+    ("induce-float-in-market", {"M": FLOAT_MARKET, "P": WTA},
+     ["induce", "--market", "M", "--plan", "P"], "FloatRejected"),
+    ("induce-lambda-one", {"M": MARKET, "P": WTA},
+     ["induce", "--market", "M", "--plan", "P", "--lambda", "1"], "InvalidParameter"),
+    ("induce-tensor-cap", {"M": MARKET, "P": WTA},
+     ["--tensor-cap", "3", "induce", "--market", "M", "--plan", "P"], "TensorCapExceeded"),
+    ("check-eq-resolution-zero", {"M": MARKET, "P": WTA, "Q": [["1", "0"], ["1", "0"]]},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q", "--resolution", "0"],
+     "InvalidParameter"),
+    ("check-eq-float-profile", {"M": MARKET, "P": WTA, "Q": [[0.5, "1/2"], ["1", "0"]]},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q"], "FloatRejected"),
+    ("check-eq-profile-arity", {"M": MARKET, "P": WTA, "Q": [["1", "0", "0"]] * 2},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q"], "ArityMismatch"),
+    ("check-optimal-m-linear-without-interval", {"M": MARKET, "P": NO_INTERVAL},
+     ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
+    ("check-optimal-bound-zero", {"M": MARKET, "P": BOUND_ZERO},
+     ["check-optimal", "--market", "M", "--plan", "P"], "InvalidParameter"),
+    ("check-optimal-unknown-kind", {"M": MARKET, "P": {"players": 2, "kind": "median"}},
+     ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
+    ("check-optimal-plan-is-a-list", {"M": MARKET, "P": [1, 2]},
+     ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
+    ("check-optimal-market-actions-not-a-list", {"M": {"actions": 5, "atoms": []}, "P": WTA},
+     ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
+    ("check-optimal-null-probability",
+     {"M": {"actions": ["A"], "atoms": [{"p": None, "outcomes": ["1"]}]}, "P": WTA},
+     ["check-optimal", "--market", "M", "--plan", "P"], "FloatRejected"),
+    ("check-optimal-short-interval",
+     {"M": MARKET, "P": {**NO_INTERVAL, "interval": ["1"]}},
+     ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
+    ("build-linear-one-player", {"M": MARKET},
+     ["build-linear", "--market", "M", "--players", "1"], "ArityMismatch"),
+    ("build-linear-flat-market", {"M": FLAT_MARKET},
+     ["build-linear", "--market", "M", "--players", "2"], "DegenerateSupport"),
+    ("build-bounded-grid-zero", {"M": MARKET},
+     ["build-bounded", "--market", "M", "--players", "2", "--grid", "0"], "InvalidParameter"),
+    ("find-m-grid-zero", {"M": MARKET}, ["find-m", "--market", "M", "--grid", "0"],
+     "InvalidParameter"),
+    ("find-m-negative-probability", {"M": NEGATIVE_MARKET},
+     ["find-m", "--market", "M", "--grid", "4"], "NonPositiveProbability"),
+    ("find-m-tied-best", {"M": TIED_MARKET}, ["find-m", "--market", "M", "--grid", "4"],
+     "ExpectationNotUnique"),
+    ("find-m-missing-file", {}, ["find-m", "--market", "/no/such/market.json", "--grid", "4"],
+     "FileNotFoundError"),
+    ("probe-grid-text", {"P": WTA},
+     ["probe-universal", "--plan", "P", "--grid", "a:b:c", "--players", "2"],
+     "UnparsableNumber"),
+    ("probe-player-mismatch", {"P": WTA},
+     ["probe-universal", "--plan", "P", "--grid", "0:1:1", "--players", "3"], "BonusLabError"),
+    ("validate-plan-float-bound", {"P": {"players": 2, "kind": "bounded_linear", "bound": 0.5}},
+     ["validate-plan", "--plan", "P"], "FloatRejected"),
+    ("validate-plan-bad-range", {"P": WTA}, ["validate-plan", "--plan", "P", "--range", "x"],
+     "BonusLabError"),
+]
+
+USAGE = [
+    ("find-m-grid-text", {"M": MARKET}, ["find-m", "--market", "M", "--grid", "four"]),
+    ("check-eq-resolution-text", {"M": MARKET, "P": WTA, "Q": [["1", "0"], ["1", "0"]]},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q", "--resolution", "abc"]),
+    ("check-optimal-resolution-text", {"M": MARKET, "P": WTA},
+     ["check-optimal", "--market", "M", "--plan", "P", "--resolution", "1/2"]),
+    ("build-linear-without-players", {"M": MARKET}, ["build-linear", "--market", "M"]),
+]
+
+
+def _materialize(tmp_path, documents, argv):
+    paths = {}
+    for name, data in documents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths[name] = str(path)
+    return [paths.get(arg, arg) for arg in argv]
+
+
+@pytest.mark.parametrize(
+    "documents,argv,error_type", [case[1:] for case in REJECTED], ids=[c[0] for c in REJECTED]
+)
+def test_malformed_input_is_a_json_error(tmp_path, capsys, documents, argv, error_type):
+    code = main(["--json", *_materialize(tmp_path, documents, argv)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == error_type
+    assert isinstance(error["message"], str) and error["message"]
+
+
+@pytest.mark.parametrize(
+    "documents,argv", [case[1:] for case in USAGE], ids=[c[0] for c in USAGE]
+)
+def test_malformed_flags_are_usage_errors(tmp_path, capsys, documents, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", *_materialize(tmp_path, documents, argv)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err

@@ -4,11 +4,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bonuslab import (
     ArityMismatch,
+    BonusLabError,
     BoundedLinearPlan,
     ConstantPlan,
+    InvalidParameter,
     LoserTakeAllPlan,
     MixedAction,
     MLinearPlan,
@@ -19,6 +23,7 @@ from bonuslab import (
     Verdict,
     WinnerTakeAllPlan,
     best_response,
+    build_market,
     build_m_linear,
     check_nash,
     check_optimal,
@@ -265,3 +270,129 @@ def test_fixed_sum_on_random_markets(rng):
         game = induce_game(market, LoserTakeAllPlan(k), 0)
         for combo in product(range(market.n), repeat=k):
             assert sum(game.payoffs[combo]) == 1
+
+
+# ---------------------------------------------------------------------
+# Lazy cells: differential test against the eager tensor, and work done
+# ---------------------------------------------------------------------
+
+
+def eager_tensor(market, plan, w):
+    """Reference: every pure profile tabulated up front, atom by atom."""
+    tensor = {}
+    for combo in product(range(market.n), repeat=plan.players):
+        totals = [F(0)] * plan.players
+        for atom in market.atoms:
+            results = tuple(atom.outcomes[a] for a in combo)
+            shares = plan.evaluate(results)
+            for i in range(plan.players):
+                totals[i] += atom.probability * ((1 - w) * shares[i] + w * results[i])
+        tensor[combo] = tuple(totals)
+    return tensor
+
+
+def pointwise_payoffs(market, plan, w, profile):
+    """Reference: a mixed profile's payoffs, portfolios realized per atom."""
+    totals = [F(0)] * plan.players
+    for atom in market.atoms:
+        results = tuple(
+            sum(q * x for q, x in zip(s.weights, atom.outcomes)) for s in profile.strategies
+        )
+        shares = plan.evaluate(results)
+        for i in range(plan.players):
+            totals[i] += atom.probability * ((1 - w) * shares[i] + w * results[i])
+    return tuple(totals)
+
+
+outcome = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def markets(draw):
+    n = draw(st.integers(2, 3))
+    rows = draw(st.lists(st.lists(outcome, min_size=n, max_size=n), min_size=1, max_size=3))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(rows), max_size=len(rows)))
+    total = sum(weights)
+    atoms = [(F(wt, total), tuple(row)) for wt, row in zip(weights, rows)]
+    return build_market([f"A{i}" for i in range(n)], atoms)
+
+
+def every_kind(market, k):
+    """One plan of each kind; the gated and tabulated ones bite on this market."""
+    values = sorted({x for atom in market.atoms for x in atom.outcomes})
+    lo, hi = values[0], values[len(values) // 2]
+    first = market.atoms[0].outcomes
+    favoured = (F(1),) + (F(0),) * (k - 1)
+    return [
+        ConstantPlan(k),
+        WinnerTakeAllPlan(k),
+        LoserTakeAllPlan(k),
+        MLinearPlan(k, max(hi - lo, F(1)), lo, hi),
+        BoundedLinearPlan(k, F(3, 2)),
+        TabulatedPlan(k, {(first[0],) * k: favoured}, (F(1, k),) * k),
+    ]
+
+
+@st.composite
+def mixed_profiles(draw, n, k):
+    strategies = []
+    for _ in range(k):
+        raw = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+        strategies.append(MixedAction(tuple(F(r, sum(raw)) for r in raw)))
+    return Profile(tuple(strategies))
+
+
+@settings(max_examples=40, deadline=None)
+@given(markets(), st.integers(2, 3), st.data())
+def test_lazy_cells_match_the_eager_tensor(market, k, data):
+    for plan in every_kind(market, k):
+        for w in (F(0), F(1, 2)):
+            oracle = eager_tensor(market, plan, w)
+            game = induce_game(market, plan, w)
+            # read a few cells first, so the memo is partly filled out of order
+            for combo in data.draw(st.lists(st.sampled_from(list(oracle)), max_size=3)):
+                assert game.payoff(combo) == oracle[combo]
+            assert list(game.payoffs.items()) == list(oracle.items())
+            profile = data.draw(mixed_profiles(market.n, k))
+            assert expected_payoffs(game, profile) == pointwise_payoffs(
+                market, plan, w, profile
+            )
+
+
+def test_check_nash_reads_only_the_deviation_cells():
+    game = wta_game()
+    check_nash(game, Profile.pure((0, 0), 2))
+    assert sorted(game.cells) == [(0, 0), (0, 1), (1, 0)]
+
+
+def test_check_nash_at_five_players_reads_k_times_n_cells():
+    atoms = [
+        ("1/2", ("3", "1", "2", "0", "5/2", "1")),
+        ("1/4", ("1", "4", "0", "2", "1/2", "3")),
+        ("1/4", ("2", "0", "3", "1", "1", "-1")),
+    ]
+    market = build_market([f"A{i}" for i in range(6)], atoms)
+    plan = build_m_linear(market, 5)
+    game = induce_game(market, plan, 0)
+    best = max(range(6), key=market.expectation_of)
+    report = check_nash(game, Profile.pure((best,) * 5, 6))
+    assert report.verdict is Verdict.EQUILIBRIUM
+    assert len(game.cells) <= 1 + 5 * 5  # of the 6**5 = 7776 profiles
+
+
+def test_payoff_rejects_a_profile_outside_the_game():
+    game = wta_game()
+    for combo in ((0,), (0, 2), (-1, 0), (0, 0, 0)):
+        with pytest.raises(ArityMismatch):
+            game.payoff(combo)
+    assert game.cells == {}
+
+
+def test_weight_and_grid_errors_are_typed():
+    with pytest.raises(InvalidParameter):
+        induce_game(two_bond_market(), WinnerTakeAllPlan(2), 1)
+    with pytest.raises(InvalidParameter):
+        list(simplex_grid(2, 0))
+    with pytest.raises(InvalidParameter):
+        check_nash(wta_game(), Profile.pure((0, 0), 2), resolution=0)
+    assert issubclass(InvalidParameter, BonusLabError)
