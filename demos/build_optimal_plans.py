@@ -18,8 +18,8 @@ from bonuslab import (
     check_optimal,
     find_bounding_m,
     format_rational,
+    support_stats,
     two_bond_market,
-    support_bound,
 )
 
 
@@ -45,7 +45,7 @@ def show(market, players=2, grid=10):
 
 
 print("Two-bond market (support bound "
-      f"{format_rational(support_bound(two_bond_market()))}):")
+      f"{format_rational(support_stats(two_bond_market()).max_abs)}):")
 show(two_bond_market())
 
 print()
@@ -62,7 +62,7 @@ for atom in outliers.atoms:
         f"  p = {format_rational(atom.probability)}: "
         + ", ".join(format_rational(x) for x in atom.outcomes)
     )
-print(f"  support bound: {format_rational(support_bound(outliers))}")
+print(f"  support bound: {format_rational(support_stats(outliers).max_abs)}")
 show(outliers, grid=6)
 print(
     "\nBoth actions blow up on the same rare atom, so their *differences*"

@@ -14,7 +14,6 @@ from .construct import (
     build_bounded_linear,
     build_m_linear,
     find_bounding_m,
-    support_bound,
 )
 from .counterexamples import (
     Counterexample,
@@ -64,7 +63,6 @@ from .game import (
     expected_payoffs,
     induce_game,
     principal_value,
-    pure_search_complete,
     simplex_grid,
     strict_dominance,
 )
@@ -96,102 +94,12 @@ from .plans import (
     TabulatedPlan,
     WinnerTakeAllPlan,
     dump_plan,
-    evaluate,
     load_plan,
     plan_from_dict,
     plan_to_dict,
     validate_simplex,
     zero_sum_shares,
 )
-from .rational import Rational, as_rational, format_rational
+from .rational import as_rational, format_rational
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArityMismatch",
-    "Atom",
-    "AtomCapExceeded",
-    "BestResponse",
-    "BonusLabError",
-    "BonusPlan",
-    "BoundSearchResult",
-    "BoundedLinearPlan",
-    "ConstantPlan",
-    "Counterexample",
-    "CoordinateViolation",
-    "DegenerateSupport",
-    "Direction",
-    "DominanceReport",
-    "EquilibriumReport",
-    "ExpectationNotUnique",
-    "FloatRejected",
-    "Game",
-    "GridWitness",
-    "IncompleteMapping",
-    "InvalidParameter",
-    "LoserTakeAllPlan",
-    "MLinearPlan",
-    "Market",
-    "MixedAction",
-    "NonPositiveProbability",
-    "NonSimplexTable",
-    "NonSimplexWeights",
-    "NonUnitMass",
-    "OptimalityReport",
-    "OptimalityVerdict",
-    "PairViolation",
-    "Profile",
-    "Rational",
-    "SearchExhausted",
-    "SimplexReport",
-    "StaleViolation",
-    "SupportStats",
-    "TabulatedPlan",
-    "TensorCapExceeded",
-    "UniversalityReport",
-    "UnparsableNumber",
-    "Verdict",
-    "WinnerTakeAllPlan",
-    "as_rational",
-    "best_response",
-    "build_bounded_linear",
-    "build_m_linear",
-    "build_market",
-    "check_nash",
-    "check_optimal",
-    "coordinate_decrease_counterexample",
-    "coordinate_increase_counterexample",
-    "dump_market",
-    "dump_plan",
-    "evaluate",
-    "expectation",
-    "expected_payoffs",
-    "find_bounding_m",
-    "format_rational",
-    "four_point_shares_equal",
-    "induce_game",
-    "load_market",
-    "load_plan",
-    "market_from_dict",
-    "market_to_dict",
-    "pair_decrease_counterexample",
-    "pair_increase_counterexample",
-    "plan_from_dict",
-    "plan_to_dict",
-    "principal_value",
-    "probe_own_coordinate",
-    "probe_pairs",
-    "product_market",
-    "profile_from_list",
-    "profile_to_list",
-    "pure_search_complete",
-    "two_bond_market",
-    "simplex_grid",
-    "strict_dominance",
-    "support_bound",
-    "support_stats",
-    "universality_verdict",
-    "validate_counterexample",
-    "validate_simplex",
-    "zero_sum_shares",
-]

@@ -35,14 +35,10 @@ from .plans import BoundedLinearPlan, MLinearPlan
 ZERO = Fraction(0)
 
 
-def support_bound(market: Market) -> Fraction:
-    """Largest outcome magnitude over every atom and action."""
-    return support_stats(market).max_abs
-
-
 def build_m_linear(market: Market, players: int) -> MLinearPlan:
     """Interval-gated linear plan scaled by the support bound.
 
+    The bound is the largest outcome magnitude, `support_stats(m).max_abs`.
     The interval is the market's support interval, whose width never
     exceeds twice the bound, so active shares stay within [0, 2/k].
     """

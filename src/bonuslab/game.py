@@ -23,12 +23,13 @@ Verdict semantics (documented once here, relied on throughout):
 * A simplex-grid search that found no violation yields
   NO_VIOLATION_AT_RESOLUTION: portfolios off the grid were not examined.
 
-Pure sufficiency is established per plan *and* market: a constant plan
-always; the interval-gated linear plan when every market value lies inside
-its interval; the output-gated linear plan when no atom's result spread
-exceeds twice its scale bound.  In each case the bonus term is the linear
-form at every reachable profile, hence affine in the deviator's expected
-result with positive slope.
+Pure sufficiency is established per plan *and* market, by each plan kind's
+`pure_search_complete(market)` method: a constant plan always; the
+interval-gated linear plan when every market value lies inside its
+interval; the output-gated linear plan when no atom's result spread exceeds
+twice its scale bound; no other kind.  In each case the bonus term is the
+linear form at every reachable profile, hence affine in the deviator's
+expected result with positive slope.
 
 Payoff cells are computed on first read.  A pure-deviation verdict at one
 profile reads that profile and its unilateral deviations, at most
@@ -46,14 +47,13 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import ArityMismatch, InvalidParameter, TensorCapExceeded
-from .market import Market, MixedAction, Profile, expectation, support_stats
-from .plans import BonusPlan, BoundedLinearPlan, ConstantPlan, MLinearPlan
+from .market import Market, MixedAction, Profile, expectation
+from .plans import BonusPlan
 from .rational import as_rational
 
 DEFAULT_TENSOR_CAP = 200_000
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Verdict(str, Enum):
@@ -182,21 +182,6 @@ def simplex_grid(arity: int, denominator: int) -> Iterator[MixedAction]:
         yield MixedAction(tuple(Fraction(c, denominator) for c in combo))
 
 
-def pure_search_complete(market: Market, plan: BonusPlan) -> bool:
-    """True when scanning pure deviations provably covers all portfolios."""
-    if isinstance(plan, ConstantPlan):
-        return True
-    if isinstance(plan, MLinearPlan):
-        stats = support_stats(market)
-        return plan.lo <= stats.lo and stats.hi <= plan.hi
-    if isinstance(plan, BoundedLinearPlan):
-        spread = max(
-            max(atom.outcomes) - min(atom.outcomes) for atom in market.atoms
-        )
-        return spread <= 2 * plan.bound
-    return False
-
-
 @dataclass(frozen=True)
 class BestResponse:
     """The best deviation found for one player, and how it was searched."""
@@ -227,7 +212,7 @@ def best_response(
         raise ArityMismatch(f"expected {k - 1} opponents, got {len(opponents)}")
     if resolution is not None and resolution < 1:
         raise InvalidParameter(f"grid denominator must be >= 1, got {resolution}")
-    complete = pure_search_complete(game.market, game.plan)
+    complete = game.plan.pure_search_complete(game.market)
     if complete:
         method = "pure-sufficient"
     elif resolution is None:

@@ -28,18 +28,30 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import ArityMismatch, BonusLabError, InvalidParameter, NonSimplexTable
+from .errors import (
+    ArityMismatch,
+    BonusLabError,
+    FloatRejected,
+    InvalidParameter,
+    NonSimplexTable,
+)
+from .market import Market, support_stats
 from .rational import as_rational, format_rational, rationals
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class BonusPlan:
-    """Shared base: number of players and the allocation contract."""
+    """Shared base: number of players and the allocation contract.
+
+    Each kind also owns its document fields, its construction from a
+    document, the result vectors `validate_simplex` always probes, and its
+    pure-sufficiency rule.  The defaults here fit a kind with no parameters
+    and no sufficiency argument.
+    """
 
     players: int
 
@@ -48,6 +60,7 @@ class BonusPlan:
             raise ArityMismatch("a bonus plan needs at least 2 players")
 
     def evaluate(self, results: Sequence) -> tuple[Fraction, ...]:
+        """Allocate the bonus for one realized result vector."""
         r = rationals(results)
         if len(r) != self.players:
             raise ArityMismatch(
@@ -58,6 +71,23 @@ class BonusPlan:
     def _allocate(self, r: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         raise NotImplementedError
 
+    def pure_search_complete(self, market: Market) -> bool:
+        """True when scanning pure deviations provably covers all portfolios."""
+        return False
+
+    def probes(self) -> Iterable[tuple[Fraction, ...]]:
+        """Result vectors validate_simplex checks besides its random samples."""
+        return ()
+
+    def document_fields(self) -> dict:
+        """The kind's own document fields, after "players" and "kind"."""
+        return {}
+
+    @classmethod
+    def from_document(cls, players: int, data: Mapping) -> BonusPlan:
+        """The plan of this kind from a document whose player count is checked."""
+        return cls(players)
+
 
 @dataclass(frozen=True)
 class ConstantPlan(BonusPlan):
@@ -66,6 +96,9 @@ class ConstantPlan(BonusPlan):
     def _allocate(self, r):
         share = Fraction(1, self.players)
         return (share,) * self.players
+
+    def pure_search_complete(self, market: Market) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
@@ -90,31 +123,48 @@ class LoserTakeAllPlan(BonusPlan):
         return tuple(share if i in laggards else ZERO for i in range(self.players))
 
 
-def _linear_form(r: tuple[Fraction, ...], players: int, bound: Fraction):
-    """The unclamped linear shares: 1/k + (k*r_i - sum r) / (2k(k-1)M)."""
-    base = Fraction(1, players)
-    denom = 2 * players * (players - 1) * bound
-    total = sum(r)
-    return tuple(base + (players * v - total) / denom for v in r)
-
-
 @dataclass(frozen=True)
-class MLinearPlan(BonusPlan):
-    """Linear comparison plan gated by an interval.
-
-    Active exactly when every result lies in [lo, hi]; off the interval the
-    allocation is the equal split.  Requires hi - lo <= 2*bound so that the
-    active shares stay within [0, 2/k].
-    """
+class _LinearPlan(BonusPlan):
+    """The linear form with a positive scale bound; subclasses choose the gate."""
 
     bound: Fraction
-    lo: Fraction
-    hi: Fraction
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.bound <= 0:
             raise InvalidParameter(f"scale bound must be positive, got {self.bound}")
+
+    def _linear_form(self, r: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+        """The ungated shares: 1/k + (k*r_i - sum r) / (2k(k-1)M)."""
+        k = self.players
+        base = Fraction(1, k)
+        denom = 2 * k * (k - 1) * self.bound
+        total = sum(r)
+        return tuple(base + (k * v - total) / denom for v in r)
+
+    def _corners(self, lo: Fraction, hi: Fraction) -> Iterable[tuple[Fraction, ...]]:
+        """Every vector with coordinates in {lo, hi}, up to 1024 of them."""
+        return product((lo, hi), repeat=self.players) if 2**self.players <= 1024 else ()
+
+    def document_fields(self) -> dict:
+        return {"bound": format_rational(self.bound)}
+
+
+@dataclass(frozen=True)
+class MLinearPlan(_LinearPlan):
+    """Linear comparison plan gated by an interval.
+
+    Active exactly when every result lies in [lo, hi]; off the interval the
+    allocation is the equal split.  Requires hi - lo <= 2*bound so that the
+    active shares stay within [0, 2/k].  Pure-sufficient on a market whose
+    values all lie inside the interval.
+    """
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.lo > self.hi:
             raise InvalidParameter(f"empty interval [{self.lo}, {self.hi}]")
         if self.hi - self.lo > 2 * self.bound:
@@ -127,35 +177,56 @@ class MLinearPlan(BonusPlan):
 
     def _allocate(self, r):
         if all(self.lo <= v <= self.hi for v in r):
-            return _linear_form(r, self.players, self.bound)
+            return self._linear_form(r)
         return (Fraction(1, self.players),) * self.players
+
+    def pure_search_complete(self, market: Market) -> bool:
+        stats = support_stats(market)
+        return self.lo <= stats.lo and stats.hi <= self.hi
+
+    def probes(self):
+        return self._corners(self.lo, self.hi)
+
+    def document_fields(self) -> dict:
+        interval = [format_rational(self.lo), format_rational(self.hi)]
+        return {**super().document_fields(), "interval": interval}
+
+    @classmethod
+    def from_document(cls, players, data):
+        lo, hi = rationals(data["interval"])
+        return cls(players, as_rational(data["bound"]), lo, hi)
 
 
 @dataclass(frozen=True)
-class BoundedLinearPlan(BonusPlan):
+class BoundedLinearPlan(_LinearPlan):
     """Linear comparison plan gated by its own output range.
 
     Computes the linear shares and keeps them only if every one lies in
     [0, 2/k]; otherwise the whole allocation reverts to the equal split.
     The fallback is taken vector-wide (never per coordinate) so the shares
-    always sum to exactly 1.
+    always sum to exactly 1.  Pure-sufficient on a market where no atom's
+    result spread exceeds twice the bound.
     """
-
-    bound: Fraction
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.bound <= 0:
-            raise InvalidParameter(f"scale bound must be positive, got {self.bound}")
 
     kind = "bounded_linear"
 
     def _allocate(self, r):
-        shares = _linear_form(r, self.players, self.bound)
+        shares = self._linear_form(r)
         cap = Fraction(2, self.players)
         if all(ZERO <= s <= cap for s in shares):
             return shares
         return (Fraction(1, self.players),) * self.players
+
+    def pure_search_complete(self, market: Market) -> bool:
+        spread = max(max(atom.outcomes) - min(atom.outcomes) for atom in market.atoms)
+        return spread <= 2 * self.bound
+
+    def probes(self):
+        return self._corners(-self.bound, self.bound)
+
+    @classmethod
+    def from_document(cls, players, data):
+        return cls(players, as_rational(data["bound"]))
 
 
 @dataclass(frozen=True)
@@ -187,6 +258,27 @@ class TabulatedPlan(BonusPlan):
     def _allocate(self, r):
         return self.points.get(r, self.fallback)
 
+    def probes(self):
+        return self.points
+
+    def document_fields(self) -> dict:
+        points = [
+            {
+                "r": [format_rational(v) for v in key],
+                "shares": [format_rational(s) for s in shares],
+            }
+            for key, shares in sorted(self.points.items())
+        ]
+        return {"points": points, "fallback": [format_rational(s) for s in self.fallback]}
+
+    @classmethod
+    def from_document(cls, players, data):
+        points = {
+            rationals(entry["r"]): rationals(entry["shares"])
+            for entry in data.get("points", ())
+        }
+        return cls(players, points, rationals(data["fallback"]))
+
 
 def _checked_allocation(shares, players: int, where: str) -> tuple[Fraction, ...]:
     vec = rationals(shares)
@@ -197,12 +289,17 @@ def _checked_allocation(shares, players: int, where: str) -> tuple[Fraction, ...
     return vec
 
 
-PLAN_KINDS = ("constant", "wta", "lta", "m_linear", "bounded_linear", "tabulated")
-
-
-def evaluate(plan: BonusPlan, results: Sequence) -> tuple[Fraction, ...]:
-    """Allocate the bonus for one realized result vector."""
-    return plan.evaluate(results)
+_KINDS = {
+    cls.kind: cls
+    for cls in (
+        ConstantPlan,
+        WinnerTakeAllPlan,
+        LoserTakeAllPlan,
+        MLinearPlan,
+        BoundedLinearPlan,
+        TabulatedPlan,
+    )
+}
 
 
 def zero_sum_shares(plan: BonusPlan, results: Sequence) -> tuple[Fraction, ...]:
@@ -236,23 +333,16 @@ def validate_simplex(
     """Check the allocation contract on pseudo-random result vectors.
 
     Samples `count` vectors with coordinates in [lo, hi] from a seeded
-    generator (deterministic), and always also probes any tabulated points
-    and the corners of a declared interval.  Reports the first vector whose
-    allocation leaves the simplex, if any.
+    generator (deterministic), and always also probes the plan's own
+    `probes()`: tabulated points, the corners of a linear plan's interval or
+    bound.  Reports the first vector whose allocation leaves the simplex, if
+    any.
     """
+    if count < 1:
+        raise InvalidParameter(f"sample count must be >= 1, got {count}")
     lo, hi = as_rational(lo), as_rational(hi)
     rng = random.Random(seed)
-    probes: list[tuple[Fraction, ...]] = []
-    if isinstance(plan, TabulatedPlan):
-        probes.extend(plan.points)
-    corners: tuple[Fraction, ...] | None = None
-    if isinstance(plan, MLinearPlan):
-        corners = (plan.lo, plan.hi)
-    elif isinstance(plan, BoundedLinearPlan):
-        corners = (-plan.bound, plan.bound)
-    if corners is not None and 2**plan.players <= 1024:
-        probes.extend(product(corners, repeat=plan.players))
-
+    probes = list(plan.probes())
     for _ in range(count):
         probes.append(
             tuple(_random_rational(rng, lo, hi, max_denominator) for _ in range(plan.players))
@@ -289,54 +379,23 @@ def _random_rational(rng: random.Random, lo: Fraction, hi: Fraction, max_den: in
 
 
 def plan_to_dict(plan: BonusPlan) -> dict:
-    data: dict = {"players": plan.players, "kind": plan.kind}
-    if isinstance(plan, MLinearPlan):
-        data["bound"] = format_rational(plan.bound)
-        data["interval"] = [format_rational(plan.lo), format_rational(plan.hi)]
-    elif isinstance(plan, BoundedLinearPlan):
-        data["bound"] = format_rational(plan.bound)
-    elif isinstance(plan, TabulatedPlan):
-        data["points"] = [
-            {
-                "r": [format_rational(v) for v in key],
-                "shares": [format_rational(s) for s in shares],
-            }
-            for key, shares in sorted(plan.points.items())
-        ]
-        data["fallback"] = [format_rational(s) for s in plan.fallback]
-    return data
+    return {"players": plan.players, "kind": plan.kind, **plan.document_fields()}
 
 
 def plan_from_dict(data: Mapping) -> BonusPlan:
     try:
-        return _plan_from_dict(data)
+        kind, players = data["kind"], data["players"]
+        if isinstance(players, float):
+            raise FloatRejected(f"refusing float player count {players!r}")
+        if type(players) is not int:  # a bool is not a player count either
+            raise TypeError(f"player count must be an integer, got {players!r}")
+        if kind not in _KINDS:
+            raise ArityMismatch(f"unknown plan kind {kind!r}; expected one of {tuple(_KINDS)}")
+        return _KINDS[kind].from_document(players, data)
     except BonusLabError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ArityMismatch(f"malformed plan document: {exc}") from exc
-
-
-def _plan_from_dict(data: Mapping) -> BonusPlan:
-    kind = data["kind"]
-    players = int(data["players"])
-    if kind == "constant":
-        return ConstantPlan(players)
-    if kind == "wta":
-        return WinnerTakeAllPlan(players)
-    if kind == "lta":
-        return LoserTakeAllPlan(players)
-    if kind == "m_linear":
-        lo, hi = data["interval"]
-        return MLinearPlan(players, as_rational(data["bound"]), as_rational(lo), as_rational(hi))
-    if kind == "bounded_linear":
-        return BoundedLinearPlan(players, as_rational(data["bound"]))
-    if kind == "tabulated":
-        points = {
-            tuple(rationals(entry["r"])): rationals(entry["shares"])
-            for entry in data.get("points", ())
-        }
-        return TabulatedPlan(players, points, rationals(data["fallback"]))
-    raise ArityMismatch(f"unknown plan kind {kind!r}; expected one of {PLAN_KINDS}")
 
 
 def dump_plan(plan: BonusPlan) -> str:

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FloatRejected, UnparsableNumber
-
-Rational = Fraction
-
-RationalLike = "Fraction | int | str"
+from .errors import ArityMismatch, FloatRejected, UnparsableNumber
 
 
 def as_rational(value) -> Fraction:
@@ -63,5 +59,10 @@ def approx_decimal(value: Fraction, places: int = 6) -> str:
 
 
 def rationals(values) -> tuple[Fraction, ...]:
-    """Coerce an iterable of rational-likes to a tuple of Fractions."""
+    """Coerce an iterable of rational-likes to a tuple of Fractions.
+
+    A string is refused rather than read one character per number.
+    """
+    if isinstance(values, (str, bytes)):
+        raise ArityMismatch(f"expected a list of numbers, got the string {values!r}")
     return tuple(as_rational(v) for v in values)

@@ -229,6 +229,9 @@ NEGATIVE_MARKET = {**MARKET, "atoms": [{"p": "-3/5", "outcomes": ["1", "1"]},
                                        {"p": "8/5", "outcomes": ["1", "2"]}]}
 FLAT_MARKET = {"actions": ["A", "B"], "atoms": [{"p": "1", "outcomes": ["0", "0"]}]}
 TIED_MARKET = {"actions": ["A", "B"], "atoms": [{"p": "1", "outcomes": ["1", "1"]}]}
+STRING_MARKET = {**MARKET, "atoms": [{"p": "1", "outcomes": "12"}]}
+STRING_TABLE = {"players": 2, "kind": "tabulated", "fallback": ["1/2", "1/2"],
+                "points": [{"r": "01", "shares": ["1", "0"]}]}
 NO_INTERVAL = {"players": 2, "kind": "m_linear", "bound": "4"}
 BOUND_ZERO = {"players": 2, "kind": "bounded_linear", "bound": "0"}
 
@@ -262,6 +265,16 @@ REJECTED = [
     ("check-optimal-null-probability",
      {"M": {"actions": ["A"], "atoms": [{"p": None, "outcomes": ["1"]}]}, "P": WTA},
      ["check-optimal", "--market", "M", "--plan", "P"], "FloatRejected"),
+    ("check-optimal-outcomes-as-string", {"M": STRING_MARKET, "P": WTA},
+     ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
+    ("validate-plan-table-key-as-string", {"P": STRING_TABLE},
+     ["validate-plan", "--plan", "P"], "ArityMismatch"),
+    ("check-optimal-float-players", {"M": MARKET, "P": {**WTA, "players": 2.7}},
+     ["check-optimal", "--market", "M", "--plan", "P"], "FloatRejected"),
+    ("check-optimal-text-players", {"M": MARKET, "P": {**WTA, "players": "3"}},
+     ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
+    ("check-optimal-bool-players", {"M": MARKET, "P": {**WTA, "players": True}},
+     ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
     ("check-optimal-short-interval",
      {"M": MARKET, "P": {**NO_INTERVAL, "interval": ["1"]}},
      ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
@@ -286,6 +299,10 @@ REJECTED = [
      ["probe-universal", "--plan", "P", "--grid", "0:1:1", "--players", "3"], "BonusLabError"),
     ("validate-plan-float-bound", {"P": {"players": 2, "kind": "bounded_linear", "bound": 0.5}},
      ["validate-plan", "--plan", "P"], "FloatRejected"),
+    ("validate-plan-negative-samples", {"P": WTA},
+     ["validate-plan", "--plan", "P", "--samples", "-5"], "InvalidParameter"),
+    ("validate-plan-zero-samples", {"P": WTA},
+     ["validate-plan", "--plan", "P", "--samples", "0"], "InvalidParameter"),
     ("validate-plan-bad-range", {"P": WTA}, ["validate-plan", "--plan", "P", "--range", "x"],
      "BonusLabError"),
 ]

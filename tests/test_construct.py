@@ -13,8 +13,8 @@ from bonuslab import (
     build_market,
     check_optimal,
     find_bounding_m,
+    support_stats,
     two_bond_market,
-    support_bound,
 )
 from conftest import random_market
 
@@ -23,7 +23,7 @@ F = Fraction
 
 def test_support_bound():
     market = build_market(["A", "B"], [("1/2", ("-3", "1")), ("1/2", ("2", "0"))])
-    assert support_bound(market) == F(3)
+    assert support_stats(market).max_abs == F(3)
 
 
 def test_interval_plan_uses_support_interval_and_bound():
@@ -147,7 +147,7 @@ def test_certified_bound_can_be_far_below_the_support_bound():
             ("1/1000000", ("1000000", "9999999/10")),
         ],
     )
-    assert support_bound(market) == F(1000000)
+    assert support_stats(market).max_abs == F(1000000)
     result = find_bounding_m(market, 6)
     assert result.bound == F(1, 10)
     plan = build_bounded_linear(market, 2, 6)

@@ -31,7 +31,6 @@ from bonuslab import (
     expected_payoffs,
     induce_game,
     principal_value,
-    pure_search_complete,
     two_bond_market,
     simplex_grid,
     strict_dominance,
@@ -129,15 +128,13 @@ def test_simplex_grid_enumeration():
 
 def test_pure_search_completeness_is_market_conditional():
     market = two_bond_market()
-    assert pure_search_complete(market, ConstantPlan(2))
-    assert pure_search_complete(
-        market, MLinearPlan(2, F(1051, 1000), F(1), F(1051, 1000))
-    )
-    assert not pure_search_complete(market, MLinearPlan(2, F(2), F(1), F(103, 100)))
+    assert ConstantPlan(2).pure_search_complete(market)
+    assert MLinearPlan(2, F(1051, 1000), F(1), F(1051, 1000)).pure_search_complete(market)
+    assert not MLinearPlan(2, F(2), F(1), F(103, 100)).pure_search_complete(market)
     # the largest atom spread is 1/20, so 2*bound = 1/20 is just enough
-    assert pure_search_complete(market, BoundedLinearPlan(2, F(1, 40)))
-    assert not pure_search_complete(market, BoundedLinearPlan(2, F(1, 50)))
-    assert not pure_search_complete(market, WinnerTakeAllPlan(2))
+    assert BoundedLinearPlan(2, F(1, 40)).pure_search_complete(market)
+    assert not BoundedLinearPlan(2, F(1, 50)).pure_search_complete(market)
+    assert not WinnerTakeAllPlan(2).pure_search_complete(market)
 
 
 def test_best_response_prefers_risky_bond_at_half_weight():
@@ -254,7 +251,7 @@ def test_grid_only_stability_is_not_promoted_to_optimal():
     """Without a sufficiency argument the optimality verdict stays guarded."""
     market = two_bond_market()
     lookalike = TabulatedPlan(2, {}, ("1/2", "1/2"))
-    assert not pure_search_complete(market, lookalike)
+    assert not lookalike.pure_search_complete(market)
     report = check_optimal(market, lookalike, resolution=4)
     assert report.verdict is OptimalityVerdict.NOT_OPTIMAL_AMONG_CHECKED
     (_, nested), = report.checked

@@ -17,7 +17,6 @@ from bonuslab import (
     NonSimplexTable,
     TabulatedPlan,
     WinnerTakeAllPlan,
-    evaluate,
     load_plan,
     plan_from_dict,
     plan_to_dict,
@@ -29,21 +28,21 @@ F = Fraction
 
 
 def test_constant_splits_equally():
-    assert evaluate(ConstantPlan(3), ("5", "-1", "0")) == (F(1, 3),) * 3
+    assert ConstantPlan(3).evaluate(("5", "-1", "0")) == (F(1, 3),) * 3
 
 
 def test_winner_take_all():
     plan = WinnerTakeAllPlan(3)
-    assert evaluate(plan, ("1", "3", "2")) == (0, 1, 0)
+    assert plan.evaluate(("1", "3", "2")) == (0, 1, 0)
     # ties split the unit among the leaders
-    assert evaluate(plan, ("1", "3", "3")) == (0, F(1, 2), F(1, 2))
-    assert evaluate(plan, ("2", "2", "2")) == (F(1, 3),) * 3
+    assert plan.evaluate(("1", "3", "3")) == (0, F(1, 2), F(1, 2))
+    assert plan.evaluate(("2", "2", "2")) == (F(1, 3),) * 3
 
 
 def test_loser_take_all():
     plan = LoserTakeAllPlan(3)
-    assert evaluate(plan, ("1", "3", "2")) == (1, 0, 0)
-    assert evaluate(plan, ("1", "1", "2")) == (F(1, 2), F(1, 2), 0)
+    assert plan.evaluate(("1", "3", "2")) == (1, 0, 0)
+    assert plan.evaluate(("1", "1", "2")) == (F(1, 2), F(1, 2), 0)
 
 
 def test_m_linear_active_shares():
@@ -111,7 +110,7 @@ def test_tabulated_rejects_off_simplex_rows():
 
 def test_evaluate_checks_arity():
     with pytest.raises(ArityMismatch):
-        evaluate(WinnerTakeAllPlan(2), ("1", "2", "3"))
+        WinnerTakeAllPlan(2).evaluate(("1", "2", "3"))
 
 
 def test_plans_need_two_players():
@@ -217,17 +216,39 @@ def test_plan_serialization_round_trips():
 
 
 def test_plan_dict_shapes():
-    data = plan_to_dict(MLinearPlan(2, F(1051, 1000), F(1), F(1051, 1000)))
-    assert data == {
-        "players": 2,
-        "kind": "m_linear",
-        "bound": "1051/1000",
-        "interval": ["1", "1051/1000"],
-    }
-    table = plan_to_dict(TabulatedPlan(2, {("0", "1"): ("1/4", "3/4")}, ("1/2", "1/2")))
-    assert table["points"] == [{"r": ["0", "1"], "shares": ["1/4", "3/4"]}]
+    # exact key order: documents are hashed byte for byte downstream
+    shapes = [
+        (ConstantPlan(3), [("players", 3), ("kind", "constant")]),
+        (WinnerTakeAllPlan(2), [("players", 2), ("kind", "wta")]),
+        (LoserTakeAllPlan(4), [("players", 4), ("kind", "lta")]),
+        (
+            MLinearPlan(2, F(1051, 1000), F(1), F(1051, 1000)),
+            [
+                ("players", 2),
+                ("kind", "m_linear"),
+                ("bound", "1051/1000"),
+                ("interval", ["1", "1051/1000"]),
+            ],
+        ),
+        (
+            BoundedLinearPlan(2, F(1, 20)),
+            [("players", 2), ("kind", "bounded_linear"), ("bound", "1/20")],
+        ),
+        (
+            TabulatedPlan(2, {("0", "1"): ("1/4", "3/4")}, ("1/2", "1/2")),
+            [
+                ("players", 2),
+                ("kind", "tabulated"),
+                ("points", [{"r": ["0", "1"], "shares": ["1/4", "3/4"]}]),
+                ("fallback", ["1/2", "1/2"]),
+            ],
+        ),
+    ]
+    for plan, items in shapes:
+        assert list(plan_to_dict(plan).items()) == items
 
 
 def test_unknown_plan_kind_rejected():
     with pytest.raises(ArityMismatch):
         load_plan('{"kind": "mystery", "players": 2}')
+

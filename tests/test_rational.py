@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bonuslab import UnparsableNumber, as_rational, format_rational
+from bonuslab import ArityMismatch, UnparsableNumber, as_rational, format_rational
 from bonuslab.rational import approx_decimal, rationals
 
 
@@ -53,3 +53,10 @@ def test_rationals_coerces_sequences():
         Fraction(1),
         Fraction(3),
     )
+
+
+def test_rationals_refuses_strings():
+    # a string would otherwise be read one character per number
+    for text in ("12", b"12", ""):
+        with pytest.raises(ArityMismatch):
+            rationals(text)
