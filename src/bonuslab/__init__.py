@@ -38,6 +38,7 @@ from .errors import (
     DegenerateSupport,
     ExpectationNotUnique,
     FloatRejected,
+    GridCapExceeded,
     IncompleteMapping,
     InvalidParameter,
     NonPositiveProbability,

@@ -15,24 +15,32 @@ for every m' >= m,
 Both sides are step functions of m', constant between consecutive distinct
 magnitudes of the support, so scanning the magnitudes themselves is exact;
 the truncated drift is not monotone in m', hence the "from which onward"
-reading rather than a plain first-passage.  The returned bound is the
-largest threshold, raised to the value that empties every grid point's
-tail.  That floor is what makes verification decisive: with it, no atom's
-result spread exceeds twice the bound, the output gate of the built plan
-never closes, and the pure-deviation scan in game.check_nash is complete.
+reading rather than a plain first-passage.  One sweep down the sorted
+magnitudes finds the threshold: at the largest magnitude the drift is the
+full mean and the tail is empty, and each step down moves one magnitude's
+terms from the drift to the tail.  The sweep replaces a rescan of the whole
+distribution per magnitude.  It runs on the market's integer view: every
+difference is an integer over the grid denominator times the outcome
+denominator, every probability an integer over the probability
+denominator, so both tests compare integers and exactness is unchanged.
+
+The returned bound is the largest threshold, raised to the value that
+empties every grid point's tail.  That floor is what makes verification
+decisive: with it, no atom's result spread exceeds twice the bound, the
+output gate of the built plan never closes, and the pure-deviation scan in
+game.check_nash is complete.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DegenerateSupport, ExpectationNotUnique
 from .game import simplex_grid
-from .market import Market, MixedAction, support_stats
+from .market import IntegerView, Market, support_stats
 from .plans import BoundedLinearPlan, MLinearPlan
-
-ZERO = Fraction(0)
 
 
 def build_m_linear(market: Market, players: int) -> MLinearPlan:
@@ -83,44 +91,72 @@ def find_bounding_m(market: Market, grid_resolution: int) -> BoundSearchResult:
         )
     best = argmax[0]
 
+    view = market.integer_view
+    d = grid_resolution
+    length = d * view.scale  # a difference l of q - X* stands for l / length
     witnesses = []
-    bound = ZERO
+    bound = 0
     min_gap = None
-    for point in simplex_grid(market.n, grid_resolution):
-        if point.pure_action == best:
+    for point in simplex_grid(market.n, d):
+        counts = [w.numerator * (d // w.denominator) for w in point.weights]
+        if counts[best] == d:
             continue
-        witness = _witness_for(market, point, best)
-        witnesses.append(witness)
-        bound = max(bound, witness.threshold, witness.tail_empty_at)
-        min_gap = witness.gap if min_gap is None else min(min_gap, witness.gap)
+        gap, threshold, tail_empty_at = _witness_for(view, counts, best, d)
+        witnesses.append(
+            GridWitness(
+                point.weights,
+                Fraction(gap, length * view.mass),
+                Fraction(threshold, length),
+                Fraction(tail_empty_at, length),
+            )
+        )
+        bound = max(bound, threshold, tail_empty_at)
+        min_gap = gap if min_gap is None else min(min_gap, gap)
     assert min_gap is not None and min_gap > 0
-    return BoundSearchResult(bound, min_gap, grid_resolution, best, tuple(witnesses))
+    return BoundSearchResult(
+        Fraction(bound, length),
+        Fraction(min_gap, length * view.mass),
+        grid_resolution,
+        best,
+        tuple(witnesses),
+    )
 
 
-def _witness_for(market: Market, point: MixedAction, best: int) -> GridWitness:
-    """Exact distribution of q - X* and the suffix-stable threshold."""
-    dist: dict[Fraction, Fraction] = {}
-    for atom in market.atoms:
-        diff = point.value_at(atom) - atom.outcomes[best]
-        dist[diff] = dist.get(diff, ZERO) + atom.probability
-    gap = -sum((l * p for l, p in dist.items()), start=ZERO)
+def _witness_for(
+    view: IntegerView, counts: list[int], best: int, resolution: int
+) -> tuple[int, int, int]:
+    """Gap, suffix-stable threshold and largest |l| of q - X*, in integers.
 
-    magnitudes = sorted({abs(l) for l in dist if l != 0})
+    q has weights counts / resolution.  A difference l stands for
+    l / (resolution * view.scale), a probability p for p / view.mass, so
+    the gap is over their product.  One sweep down the magnitudes.
+    """
+    signed: dict[int, int] = {}  # magnitude -> sum of l * p over l = +-magnitude
+    mass: dict[int, int] = {}  # magnitude -> sum of p over l = +-magnitude
+    for p, values in zip(view.weights, view.values):
+        l = sum(map(mul, counts, values)) - resolution * values[best]
+        if l:
+            signed[abs(l)] = signed.get(abs(l), 0) + l * p
+            mass[abs(l)] = mass.get(abs(l), 0) + p
+    drift = sum(signed.values())
+    gap = -drift
     # q != X* pointwise is guaranteed: a zero-drift portfolio would tie the
     # unique best expectation, which the vertex exclusion rules out.
-    assert magnitudes and gap > 0
+    assert signed and gap > 0
 
-    half = gap / 2
+    magnitudes = sorted(signed, reverse=True)
+    tail = 0
     threshold = None
-    for m in reversed(magnitudes):
-        drift = sum((l * p for l, p in dist.items() if abs(l) <= m), start=ZERO)
-        tail = sum((abs(l) * p for l, p in dist.items() if abs(l) > m), start=ZERO)
-        if drift < -half and tail < half:
+    for m in magnitudes:
+        # drift < -gap/2 and tail < gap/2, doubled to stay in integers
+        if 2 * drift < -gap and 2 * tail < gap:
             threshold = m
         else:
             break
+        drift -= signed[m]
+        tail += m * mass[m]
     assert threshold is not None  # at the largest magnitude both tests pass
-    return GridWitness(point.weights, gap, threshold, magnitudes[-1])
+    return gap, threshold, magnitudes[0]
 
 
 def build_bounded_linear(

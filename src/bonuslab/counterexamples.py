@@ -32,8 +32,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from .errors import ArityMismatch, SearchExhausted, StaleViolation
-from .game import Verdict, check_nash, expected_payoffs, induce_game
+from .errors import ArityMismatch, GridCapExceeded, SearchExhausted, StaleViolation
+from .game import GRID_CAP, Verdict, check_nash, expected_payoffs, induce_game
 from .market import (
     DEFAULT_ATOM_CAP,
     Market,
@@ -148,13 +148,18 @@ def probe_own_coordinate(
     violations: some witness value strictly raises the player's share.
 
     Repeated-coordinate base points are skipped on purpose: the market
-    builders need one marginal value per player.
+    builders need one marginal value per player.  GridCapExceeded when the
+    |grid|^k candidate base points exceed game.GRID_CAP.
     """
     grid = sorted(set(rationals(points)))
     k = plan.players
     if len(grid) < k:
         raise ArityMismatch(
             f"need at least {k} distinct points for distinct-coordinate probing"
+        )
+    if len(grid) ** k > GRID_CAP:
+        raise GridCapExceeded(
+            f"{len(grid)}^{k} = {len(grid) ** k} base points exceeds cap {GRID_CAP}"
         )
     found = []
     for player in range(k):

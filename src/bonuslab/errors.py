@@ -54,6 +54,10 @@ class TensorCapExceeded(BonusLabError):
     """Inducing a game would create more pure profiles than the configured cap."""
 
 
+class GridCapExceeded(BonusLabError):
+    """A simplex grid or a probe grid would have more points than the cap allows."""
+
+
 class DegenerateSupport(BonusLabError):
     """Every outcome in the market is zero, so no scale for a linear plan exists."""
 

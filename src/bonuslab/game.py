@@ -34,8 +34,22 @@ expected result with positive slope.
 Payoff cells are computed on first read.  A pure-deviation verdict at one
 profile reads that profile and its unilateral deviations, at most
 1 + k(n-1) cells of the n^k tensor, so `Game.payoff` computes a cell when it
-is first asked for and keeps it on the game.  Only `Game.payoffs` (and through it `strict_dominance` and the
-CLI's tensor listings) materializes every cell.
+is first asked for and keeps it on the game.  Only `Game.payoffs` (and
+through it `strict_dominance` and the CLI's tensor listings) materializes
+every cell.
+
+Payoffs are computed in integers and are exact all the same.  A market's
+`integer_view`, built once, writes every outcome over one common
+denominator and every probability over another.  A portfolio whose weights
+are c_j / d then realizes the integer sum_j c_j * outcome-numerator_j over
+d times that denominator, and the plan's `kernel` for that scale returns
+integer share numerators, its gates compared as integers.  A cell sums
+probability times share numerator as integers and builds one `Fraction`
+per player at the end; the earnings-weight term w * E[own result] is added
+to the same numerator.  `best_response` realizes the opponents once and
+scores each grid portfolio by its payoff numerator over a denominator that
+all candidates share, so the search compares integers and builds one
+`Fraction`, for the winner.  `Fraction` stays at the interface.
 """
 
 from __future__ import annotations
@@ -43,15 +57,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, Sequence
+from itertools import combinations, product
+from math import comb, lcm
+from operator import mul, sub
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .errors import ArityMismatch, InvalidParameter, TensorCapExceeded
-from .market import Market, MixedAction, Profile, expectation
+from .errors import ArityMismatch, GridCapExceeded, InvalidParameter, TensorCapExceeded
+from .market import IntegerView, Market, MixedAction, Profile, expectation
 from .plans import BonusPlan
 from .rational import as_rational
 
 DEFAULT_TENSOR_CAP = 200_000
+GRID_CAP = DEFAULT_TENSOR_CAP  # simplex grid points, and probed base points
 
 ZERO = Fraction(0)
 
@@ -73,13 +90,15 @@ class Game:
 
     `cells` memoizes the payoff vectors computed so far, keyed by
     action-index tuple; `payoff` adds one on first read.  Only `payoffs`
-    materializes the full n^k tensor.
+    materializes the full n^k tensor.  `kernels` keeps the plan's kernel
+    per result scale.
     """
 
     market: Market
     plan: BonusPlan
     earnings_weight: Fraction
     cells: dict = field(default_factory=dict, compare=False, repr=False)
+    kernels: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def players(self) -> int:
@@ -97,8 +116,9 @@ class Game:
         k, n = self.players, self.actions
         if len(combo) != k or not all(0 <= a < n for a in combo):
             raise ArityMismatch(f"{combo} is not a {k}-player profile over {n} actions")
-        rows = ((atom, tuple(atom.outcomes[a] for a in combo)) for atom in self.market.atoms)
-        value = self.cells[combo] = _cell(self.plan, self.earnings_weight, rows)
+        view = self.market.integer_view
+        rows = [tuple(values[a] for a in combo) for values in view.values]
+        value = self.cells[combo] = _cell(self, rows, view.scale)
         return value
 
     @property
@@ -109,19 +129,66 @@ class Game:
             for combo in product(range(self.actions), repeat=self.players)
         }
 
+    def _scoring(self, scale: int) -> _Scoring:
+        """The plan's kernel at a result scale, with the payoff's integer weights."""
+        scoring = self.kernels.get(scale)
+        if scoring is None:
+            denominator, shares = self.plan.kernel(scale)
+            w = self.earnings_weight
+            scoring = self.kernels[scale] = _Scoring(
+                shares,
+                (w.denominator - w.numerator) * scale,
+                w.numerator * denominator,
+                w.denominator * self.market.integer_view.mass * denominator * scale,
+            )
+        return scoring
 
-def _cell(plan: BonusPlan, w: Fraction, rows) -> tuple[Fraction, ...]:
-    """Expected payoffs over (atom, result-vector) rows, one per atom."""
-    k = plan.players
-    totals = [ZERO] * k
-    for atom, results in rows:
-        shares = plan.evaluate(results)
-        for i in range(k):
-            term = (1 - w) * shares[i]
-            if w:
-                term += w * results[i]
-            totals[i] += atom.probability * term
-    return tuple(totals)
+
+class _Scoring(NamedTuple):
+    """Payoff = (bonus_weight * B + result_weight * R) / denominator.
+
+    B sums probability weight times share numerator over the atoms and R
+    sums probability weight times result; that is
+    (1 - w) * E[share] + w * E[own result], exactly.
+    """
+
+    shares: Callable[[tuple[int, ...]], Sequence[int]]
+    bonus_weight: int
+    result_weight: int
+    denominator: int
+
+
+def _cell(game: Game, rows: Sequence[tuple[int, ...]], scale: int) -> tuple[Fraction, ...]:
+    """Expected payoffs from one integer result vector per atom, over `scale`."""
+    scoring = game._scoring(scale)
+    k = game.players
+    bonus, result = [0] * k, [0] * k
+    for p, results in zip(game.market.integer_view.weights, rows):
+        for i, share in enumerate(scoring.shares(results)):
+            bonus[i] += p * share
+        if scoring.result_weight:
+            for i, x in enumerate(results):
+                result[i] += p * x
+    return tuple(
+        Fraction(scoring.bonus_weight * b + scoring.result_weight * r, scoring.denominator)
+        for b, r in zip(bonus, result)
+    )
+
+
+def _counts(strategy: MixedAction, unit: int) -> list[int]:
+    """The weights times `unit`, a multiple of every weight's denominator."""
+    return [w.numerator * (unit // w.denominator) for w in strategy.weights]
+
+
+def _realize(view: IntegerView, strategy: MixedAction, unit: int) -> list[int]:
+    """A portfolio's value at each atom, over view.scale * unit."""
+    counts = _counts(strategy, unit)
+    return [sum(map(mul, counts, values)) for values in view.values]
+
+
+def _unit(strategies: Sequence[MixedAction]) -> int:
+    """The least common denominator of the strategies' weights."""
+    return lcm(*(w.denominator for s in strategies for w in s.weights))
 
 
 def induce_game(
@@ -152,11 +219,9 @@ def expected_payoffs(game: Game, profile: Profile) -> tuple[Fraction, ...]:
     pure = tuple(s.pure_action for s in profile.strategies)
     if all(a is not None for a in pure):
         return game.payoff(pure)
-    rows = (
-        (atom, tuple(s.value_at(atom) for s in profile.strategies))
-        for atom in market.atoms
-    )
-    return _cell(plan, game.earnings_weight, rows)
+    view, unit = market.integer_view, _unit(profile.strategies)
+    columns = [_realize(view, s, unit) for s in profile.strategies]
+    return _cell(game, list(zip(*columns)), view.scale * unit)
 
 
 def principal_value(market: Market, profile: Profile) -> Fraction:
@@ -166,20 +231,29 @@ def principal_value(market: Market, profile: Profile) -> Fraction:
 
 
 def simplex_grid(arity: int, denominator: int) -> Iterator[MixedAction]:
-    """All weight vectors with the given denominator, lexicographically."""
+    """All weight vectors with the given denominator, lexicographically.
+
+    Raises GridCapExceeded, before yielding anything, when the grid's
+    C(denominator + arity - 1, arity - 1) points exceed GRID_CAP.
+    """
     if denominator < 1:
         raise InvalidParameter(f"grid denominator must be >= 1, got {denominator}")
-
-    def compositions(total: int, slots: int):
-        if slots == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for tail in compositions(total - head, slots - 1):
-                yield (head,) + tail
-
-    for combo in compositions(denominator, arity):
-        yield MixedAction(tuple(Fraction(c, denominator) for c in combo))
+    size = comb(denominator + arity - 1, arity - 1)
+    if size > GRID_CAP:
+        raise GridCapExceeded(
+            f"a {arity}-action grid of denominator {denominator} has {size} points; "
+            f"cap {GRID_CAP}"
+        )
+    # Stars and bars: arity - 1 bars among `slots` places leave runs of
+    # stars between them, one count per action, and bar positions in
+    # lexicographic order give the counts in lexicographic order.  The gap
+    # g between consecutive bars holds g - 1 stars, so its weight is
+    # by_gap[g]; the d + 1 weights are built once.
+    by_gap = (None, *(Fraction(c, denominator) for c in range(denominator + 1)))
+    slots = denominator + arity - 1
+    for bars in combinations(range(slots), arity - 1):
+        gaps = map(sub, (*bars, slots), (-1, *bars))
+        yield MixedAction._unchecked(tuple(map(by_gap.__getitem__, gaps)))
 
 
 @dataclass(frozen=True)
@@ -203,7 +277,9 @@ def best_response(
     Searches pure actions always; with a resolution d (and no sufficiency
     argument) also every portfolio with weights in denominators of d.
     Deterministic tie-break: earliest candidate wins — pure actions by
-    index, then grid points in lexicographic weight order.
+    index, then grid points in lexicographic weight order.  Pure actions
+    are valued by `expected_payoffs`, so against pure opponents they read
+    the game's memoized cells; grid points are scored in integers.
     """
     k, n = game.players, game.actions
     if not 0 <= player < k:
@@ -220,24 +296,55 @@ def best_response(
     else:
         method = f"grid(d={resolution})"
 
-    def candidates() -> Iterator[MixedAction]:
-        for a in range(n):
-            yield MixedAction.pure(a, n)
-        if not complete and resolution is not None:
-            for point in simplex_grid(n, resolution):
-                if point.pure_action is None:  # vertices already scanned
-                    yield point
-
     best: MixedAction | None = None
     best_value = ZERO
-    for cand in candidates():
+    for a in range(n):
         row = list(opponents)
-        row.insert(player, cand)
+        row.insert(player, MixedAction.pure(a, n))
         value = expected_payoffs(game, Profile(tuple(row)))[player]
         if best is None or value > best_value:
-            best, best_value = cand, value
-    assert best is not None
+            best, best_value = row[player], value
+    if not complete and resolution is not None:
+        best, best_value = _grid_search(game, player, opponents, resolution, best, best_value)
     return BestResponse(player, best, best_value, method)
+
+
+def _grid_search(
+    game: Game,
+    player: int,
+    opponents: Sequence[MixedAction],
+    resolution: int,
+    best: MixedAction,
+    best_value: Fraction,
+) -> tuple[MixedAction, Fraction]:
+    """The earliest grid point that strictly beats best_value, else the incumbent.
+
+    Opponents are realized once, over a scale every grid point shares; each
+    point's payoff numerator over the common denominator is then a sum of
+    integer products.  Vertices are skipped: the pure scan valued them.
+    """
+    view = game.market.integer_view
+    unit = lcm(_unit(opponents), resolution)
+    scoring = game._scoring(view.scale * unit)
+    shares = scoring.shares
+    others = zip(*(_realize(view, s, unit) for s in opponents))
+    atoms = list(zip(view.weights, view.values, others))
+    # the incumbent's numerator over the common denominator, as a ratio
+    incumbent = best_value * scoring.denominator
+    bar, bar_den = incumbent.numerator, incumbent.denominator
+    for point in simplex_grid(game.actions, resolution):
+        counts = _counts(point, unit)
+        if unit in counts:
+            continue
+        bonus = result = 0
+        for p, values, rest in atoms:
+            x = sum(map(mul, counts, values))
+            bonus += p * shares(rest[:player] + (x,) + rest[player:])[player]
+            result += p * x
+        score = scoring.bonus_weight * bonus + scoring.result_weight * result
+        if score * bar_den > bar:
+            best, bar, bar_den = point, score, 1
+    return best, Fraction(bar, bar_den * scoring.denominator)
 
 
 @dataclass(frozen=True)

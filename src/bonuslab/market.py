@@ -16,7 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -96,6 +98,38 @@ class Market:
     def expectations(self) -> tuple[Fraction, ...]:
         return tuple(self.expectation_of(i) for i in range(self.n))
 
+    @cached_property
+    def integer_view(self) -> IntegerView:
+        """The market over common denominators, built on first use and kept."""
+        scale = lcm(*(x.denominator for a in self.atoms for x in a.outcomes))
+        mass = lcm(*(a.probability.denominator for a in self.atoms))
+        return IntegerView(
+            scale,
+            mass,
+            tuple(_over(a.probability, mass) for a in self.atoms),
+            tuple(tuple(_over(x, scale) for x in a.outcomes) for a in self.atoms),
+        )
+
+
+@dataclass(frozen=True)
+class IntegerView:
+    """A market's numbers as integers over two common denominators.
+
+    Atom t has probability weights[t] / mass and action a's outcome there is
+    values[t][a] / scale, where scale and mass are the least common
+    denominators of the outcomes and of the probabilities.
+    """
+
+    scale: int
+    mass: int
+    weights: tuple[int, ...]
+    values: tuple[tuple[int, ...], ...]
+
+
+def _over(value: Fraction, denominator: int) -> int:
+    """The numerator of value written over a multiple of its denominator."""
+    return value.numerator * (denominator // value.denominator)
+
 
 @dataclass(frozen=True)
 class MixedAction:
@@ -118,7 +152,14 @@ class MixedAction:
     def pure(cls, action: int, arity: int) -> "MixedAction":
         if not 0 <= action < arity:
             raise ArityMismatch(f"action index {action} out of range for {arity}")
-        return cls(tuple(ONE if i == action else ZERO for i in range(arity)))
+        return cls._unchecked(tuple(ONE if i == action else ZERO for i in range(arity)))
+
+    @classmethod
+    def _unchecked(cls, weights: tuple[Fraction, ...]) -> "MixedAction":
+        """A portfolio from weights that are already exact simplex weights."""
+        action = object.__new__(cls)
+        object.__setattr__(action, "weights", weights)
+        return action
 
     @property
     def pure_action(self) -> int | None:

@@ -19,6 +19,12 @@ built-in kinds:
 The linear form for player i with scale bound M is
     1/k + sum_j (r_i - r_j) / (2 k (k-1) M)
 so a result one market-spread above the field earns at most 2/k.
+
+Each kind also compiles itself into an integer kernel (`BonusPlan.kernel`)
+for results that are integers over a fixed scale: the same allocation, as
+integer numerators over one denominator, with every gate an integer
+comparison.  The game layer computes payoffs through kernels; `evaluate` is
+the exact reference for one result vector.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from math import lcm
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -41,6 +48,18 @@ from .market import Market, support_stats
 from .rational import as_rational, format_rational, rationals
 
 ZERO = Fraction(0)
+
+
+class Kernel(NamedTuple):
+    """A plan compiled for integer results over one fixed scale.
+
+    `shares(v)` takes a tuple of one integer per player, the results times
+    the scale, and returns the allocation times `denominator`: integers
+    that sum to exactly `denominator`.
+    """
+
+    denominator: int
+    shares: Callable[[tuple[int, ...]], Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -71,6 +90,10 @@ class BonusPlan:
     def _allocate(self, r: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         raise NotImplementedError
 
+    def kernel(self, scale: int) -> Kernel:
+        """This plan for results given as integers over `scale`."""
+        raise NotImplementedError
+
     def pure_search_complete(self, market: Market) -> bool:
         """True when scanning pure deviations provably covers all portfolios."""
         return False
@@ -97,6 +120,10 @@ class ConstantPlan(BonusPlan):
         share = Fraction(1, self.players)
         return (share,) * self.players
 
+    def kernel(self, scale):
+        equal = (1,) * self.players
+        return Kernel(self.players, lambda v: equal)
+
     def pure_search_complete(self, market: Market) -> bool:
         return True
 
@@ -111,6 +138,9 @@ class WinnerTakeAllPlan(BonusPlan):
         share = Fraction(1, len(leaders))
         return tuple(share if i in leaders else ZERO for i in range(self.players))
 
+    def kernel(self, scale):
+        return _split_kernel(self.players, max)
+
 
 @dataclass(frozen=True)
 class LoserTakeAllPlan(BonusPlan):
@@ -121,6 +151,22 @@ class LoserTakeAllPlan(BonusPlan):
         laggards = [i for i, v in enumerate(r) if v == bottom]
         share = Fraction(1, len(laggards))
         return tuple(share if i in laggards else ZERO for i in range(self.players))
+
+    def kernel(self, scale):
+        return _split_kernel(self.players, min)
+
+
+def _split_kernel(players: int, pick) -> Kernel:
+    """Everything to the players whose result is pick(results), split equally."""
+    denominator = lcm(*range(1, players + 1))
+    split = [0] + [denominator // count for count in range(1, players + 1)]
+
+    def shares(v):
+        best = pick(v)
+        share = split[v.count(best)]
+        return [share if x == best else 0 for x in v]
+
+    return Kernel(denominator, shares)
 
 
 @dataclass(frozen=True)
@@ -141,6 +187,23 @@ class _LinearPlan(BonusPlan):
         denom = 2 * k * (k - 1) * self.bound
         total = sum(r)
         return tuple(base + (k * v - total) / denom for v in r)
+
+    def _linear_kernel(self, scale: int, gate) -> Kernel:
+        """The linear form over 2k(k-1)M·scale, kept where gate(v, shares) holds.
+
+        An equal share is `equal`; player i's linear numerator is
+        equal + (k·v_i - sum v)·(denominator of M).
+        """
+        k, bound = self.players, self.bound
+        equal = 2 * (k - 1) * bound.numerator * scale
+        fallback = [equal] * k
+
+        def shares(v):
+            total = sum(v)
+            linear = [equal + (k * x - total) * bound.denominator for x in v]
+            return linear if gate(v, linear) else fallback
+
+        return Kernel(k * equal, shares)
 
     def _corners(self, lo: Fraction, hi: Fraction) -> Iterable[tuple[Fraction, ...]]:
         """Every vector with coordinates in {lo, hi}, up to 1024 of them."""
@@ -180,6 +243,11 @@ class MLinearPlan(_LinearPlan):
             return self._linear_form(r)
         return (Fraction(1, self.players),) * self.players
 
+    def kernel(self, scale):
+        lo, hi = self.lo * scale, self.hi * scale
+        lo, hi = -(-lo.numerator // lo.denominator), hi.numerator // hi.denominator
+        return self._linear_kernel(scale, lambda v, shares: lo <= min(v) and max(v) <= hi)
+
     def pure_search_complete(self, market: Market) -> bool:
         stats = support_stats(market)
         return self.lo <= stats.lo and stats.hi <= self.hi
@@ -216,6 +284,12 @@ class BoundedLinearPlan(_LinearPlan):
         if all(ZERO <= s <= cap for s in shares):
             return shares
         return (Fraction(1, self.players),) * self.players
+
+    def kernel(self, scale):
+        cap = 4 * (self.players - 1) * self.bound.numerator * scale  # a share of 2/k
+        return self._linear_kernel(
+            scale, lambda v, shares: min(shares) >= 0 and max(shares) <= cap
+        )
 
     def pure_search_complete(self, market: Market) -> bool:
         spread = max(max(atom.outcomes) - min(atom.outcomes) for atom in market.atoms)
@@ -257,6 +331,22 @@ class TabulatedPlan(BonusPlan):
 
     def _allocate(self, r):
         return self.points.get(r, self.fallback)
+
+    def kernel(self, scale):
+        allocations = [self.fallback, *self.points.values()]
+        denominator = lcm(*(s.denominator for shares in allocations for s in shares))
+
+        def over(shares):
+            return [s.numerator * (denominator // s.denominator) for s in shares]
+
+        table = {}
+        for key, shares in self.points.items():
+            scaled = [x * scale for x in key]
+            # a key off the scale's lattice is never realized at this scale
+            if all(x.denominator == 1 for x in scaled):
+                table[tuple(x.numerator for x in scaled)] = over(shares)
+        fallback = over(self.fallback)
+        return Kernel(denominator, lambda v: table.get(v, fallback))
 
     def probes(self):
         return self.points

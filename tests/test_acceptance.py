@@ -9,8 +9,10 @@ Criteria 1 and 2 assert the published payoff table for the two-bond
 tournament, including its off-diagonal coefficient pairs.  Recomputing the
 game from its own definition (share plus earnings weight times *own*
 result) contradicts two of those published pairs, and the dominance claim
-fails at the largest listed weight; see the repository decision log for
-the derivation.  Those asserts are kept as published and fail honestly.
+fails at the largest listed weight.  The published table is derived
+instead from the opponent's expected result in
+tests/test_game.py::test_published_table_follows_from_the_opponent_result_variant.
+Those asserts are kept as published and fail honestly.
 """
 
 import random

@@ -286,6 +286,11 @@ REJECTED = [
      ["build-bounded", "--market", "M", "--players", "2", "--grid", "0"], "InvalidParameter"),
     ("find-m-grid-zero", {"M": MARKET}, ["find-m", "--market", "M", "--grid", "0"],
      "InvalidParameter"),
+    ("find-m-grid-cap", {"M": MARKET}, ["find-m", "--market", "M", "--grid", "300000"],
+     "GridCapExceeded"),
+    ("check-eq-resolution-cap", {"M": MARKET, "P": WTA, "Q": [["1", "0"], ["1", "0"]]},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q", "--resolution", "300000"],
+     "GridCapExceeded"),
     ("find-m-negative-probability", {"M": NEGATIVE_MARKET},
      ["find-m", "--market", "M", "--grid", "4"], "NonPositiveProbability"),
     ("find-m-tied-best", {"M": TIED_MARKET}, ["find-m", "--market", "M", "--grid", "4"],

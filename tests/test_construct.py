@@ -3,16 +3,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bonuslab import (
+    BoundSearchResult,
     DegenerateSupport,
     ExpectationNotUnique,
+    GridWitness,
     OptimalityVerdict,
     build_bounded_linear,
     build_m_linear,
     build_market,
     check_optimal,
     find_bounding_m,
+    simplex_grid,
     support_stats,
     two_bond_market,
 )
@@ -152,3 +157,80 @@ def test_certified_bound_can_be_far_below_the_support_bound():
     assert result.bound == F(1, 10)
     plan = build_bounded_linear(market, 2, 6)
     assert check_optimal(market, plan).verdict is OptimalityVerdict.OPTIMAL
+
+
+# ---------------------------------------------------------------------
+# The integer sweep against the per-magnitude rescan it replaced
+# ---------------------------------------------------------------------
+
+
+def rescan_witness(market, point, best):
+    """Oracle: the Fraction distribution of q - X*, rescanned per magnitude."""
+    dist = _difference_distribution(market, point.weights, best)
+    gap = -sum(l * p for l, p in dist.items())
+    magnitudes = sorted({abs(l) for l in dist if l != 0})
+    threshold = None
+    for m in reversed(magnitudes):
+        if not _passes_truncation_tests(dist, gap, m):
+            break
+        threshold = m
+    return GridWitness(point.weights, gap, threshold, magnitudes[-1])
+
+
+def rescan_bounding_m(market, resolution):
+    exps = market.expectations()
+    best = exps.index(max(exps))
+    witnesses = tuple(
+        rescan_witness(market, point, best)
+        for point in simplex_grid(market.n, resolution)
+        if point.pure_action != best
+    )
+    bound = max(max(w.threshold, w.tail_empty_at) for w in witnesses)
+    min_gap = min(w.gap for w in witnesses)
+    return BoundSearchResult(bound, min_gap, resolution, best, witnesses)
+
+
+value = st.fractions(min_value=-40, max_value=40, max_denominator=8)
+
+
+@st.composite
+def unique_best_markets(draw):
+    """Small markets with a unique best action, one in two with an outlier atom."""
+    n = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=6))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(rows), max_size=len(rows)))
+    probabilities = [F(w, sum(weights)) for w in weights]
+    if draw(st.booleans()):
+        rare = F(1, 1000 * draw(st.integers(1, 20)))
+        probabilities = [p * (1 - rare) for p in probabilities]
+        row = draw(st.lists(value, min_size=n, max_size=n))
+        spike = draw(st.integers(1000, 10**6)) * draw(st.sampled_from((-1, 1)))
+        row[draw(st.integers(0, n - 1))] = F(spike, draw(st.sampled_from((1, 2, 5, 8))))
+        rows.append(row)
+        probabilities.append(rare)
+    market = build_market([f"A{i}" for i in range(n)], zip(probabilities, map(tuple, rows)))
+    exps = market.expectations()
+    assume(exps.count(max(exps)) == 1)
+    return market
+
+
+@settings(max_examples=60, deadline=None)
+@given(unique_best_markets(), st.integers(1, 6))
+def test_sweep_matches_the_rescan(market, resolution):
+    """Identical witnesses, bound and min_gap, outlier markets included."""
+    assert find_bounding_m(market, resolution) == rescan_bounding_m(market, resolution)
+
+
+def test_a_tail_of_exactly_half_the_gap_fails_the_test():
+    """q - X* is -1 w.p. 6/7 and 2 w.p. 1/7: gap 4/7, and at m = 1 the tail
+    is 2/7, exactly half the gap, so the strict test fails there."""
+    market = build_market(["best", "A"], [("6/7", ("0", "-1")), ("1/7", ("0", "2"))])
+    (witness,) = find_bounding_m(market, 1).witnesses
+    assert (witness.gap, witness.threshold, witness.tail_empty_at) == (F(4, 7), F(2), F(2))
+    assert find_bounding_m(market, 1) == rescan_bounding_m(market, 1)
+
+
+def test_sweep_matches_the_rescan_on_seeded_outlier_markets(rng):
+    for _ in range(20):
+        market = random_market(rng, outlier=True)
+        assert find_bounding_m(market, 5) == rescan_bounding_m(market, 5)

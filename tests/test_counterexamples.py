@@ -10,6 +10,7 @@ from bonuslab import (
     ConstantPlan,
     CoordinateViolation,
     Direction,
+    GridCapExceeded,
     LoserTakeAllPlan,
     MixedAction,
     PairViolation,
@@ -82,6 +83,13 @@ def test_own_coordinate_probe_first_violations():
 def test_own_coordinate_probe_needs_enough_points():
     with pytest.raises(ArityMismatch):
         probe_own_coordinate(WinnerTakeAllPlan(3), ("1", "2"))
+
+
+def test_own_coordinate_probe_caps_its_base_points():
+    with pytest.raises(GridCapExceeded):  # 59^3 = 205 379 base points
+        probe_own_coordinate(WinnerTakeAllPlan(3), range(59))
+    with pytest.raises(GridCapExceeded):  # 9^6 = 531 441
+        universality_verdict(LoserTakeAllPlan(6), range(9))
 
 
 # ---------------------------------------------------------------------

@@ -12,6 +12,7 @@ from bonuslab import (
     BonusLabError,
     BoundedLinearPlan,
     ConstantPlan,
+    GridCapExceeded,
     InvalidParameter,
     LoserTakeAllPlan,
     MixedAction,
@@ -270,35 +271,60 @@ def test_fixed_sum_on_random_markets(rng):
 
 
 # ---------------------------------------------------------------------
-# Lazy cells: differential test against the eager tensor, and work done
+# Integer kernels and lazy cells: differential tests against Fraction
+# oracles (the evaluation the package did before its integer kernels),
+# and the work a verdict does
 # ---------------------------------------------------------------------
 
 
-def eager_tensor(market, plan, w):
-    """Reference: every pure profile tabulated up front, atom by atom."""
-    tensor = {}
-    for combo in product(range(market.n), repeat=plan.players):
-        totals = [F(0)] * plan.players
-        for atom in market.atoms:
-            results = tuple(atom.outcomes[a] for a in combo)
-            shares = plan.evaluate(results)
-            for i in range(plan.players):
-                totals[i] += atom.probability * ((1 - w) * shares[i] + w * results[i])
-        tensor[combo] = tuple(totals)
-    return tensor
-
-
-def pointwise_payoffs(market, plan, w, profile):
-    """Reference: a mixed profile's payoffs, portfolios realized per atom."""
+def fraction_cell(plan, w, rows):
+    """Oracle: expected payoffs over (atom, result-vector) rows, in Fractions."""
     totals = [F(0)] * plan.players
-    for atom in market.atoms:
-        results = tuple(
-            sum(q * x for q, x in zip(s.weights, atom.outcomes)) for s in profile.strategies
-        )
+    for atom, results in rows:
         shares = plan.evaluate(results)
         for i in range(plan.players):
             totals[i] += atom.probability * ((1 - w) * shares[i] + w * results[i])
     return tuple(totals)
+
+
+def eager_tensor(market, plan, w):
+    """Reference: every pure profile tabulated up front, atom by atom."""
+    return {
+        combo: fraction_cell(
+            plan, w, ((atom, tuple(atom.outcomes[a] for a in combo)) for atom in market.atoms)
+        )
+        for combo in product(range(market.n), repeat=plan.players)
+    }
+
+
+def pointwise_payoffs(market, plan, w, profile):
+    """Reference: a mixed profile's payoffs, portfolios realized per atom."""
+    rows = (
+        (atom, tuple(s.value_at(atom) for s in profile.strategies)) for atom in market.atoms
+    )
+    return fraction_cell(plan, w, rows)
+
+
+def oracle_best_response(market, plan, w, player, opponents, resolution):
+    """Oracle: every candidate valued in Fractions; the earliest strict best wins."""
+    n = market.n
+    candidates = [MixedAction.pure(a, n) for a in range(n)]
+    if resolution is not None and not plan.pure_search_complete(market):
+        # the grid's off-vertex points in lexicographic order, enumerated here
+        counts = product(range(resolution), repeat=n)
+        candidates += [
+            MixedAction(tuple(F(c, resolution) for c in combo))
+            for combo in counts
+            if sum(combo) == resolution
+        ]
+    best, best_value = None, None
+    for candidate in candidates:
+        row = list(opponents)
+        row.insert(player, candidate)
+        value = pointwise_payoffs(market, plan, w, Profile(tuple(row)))[player]
+        if best is None or value > best_value:
+            best, best_value = candidate, value
+    return best.weights, best_value
 
 
 outcome = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -356,6 +382,45 @@ def test_lazy_cells_match_the_eager_tensor(market, k, data):
             )
 
 
+@settings(max_examples=30, deadline=None)
+@given(markets(), st.integers(2, 3), st.integers(1, 6), st.data())
+def test_grid_best_response_matches_the_fraction_oracle(market, k, resolution, data):
+    """Same strategy and the same exact value, ties broken the same way."""
+    for plan in every_kind(market, k):
+        for w in (F(0), F(1, 2)):
+            game = induce_game(market, plan, w)
+            player = data.draw(st.integers(0, k - 1))
+            opponents = data.draw(mixed_profiles(market.n, k)).strategies[1:]
+            if data.draw(st.booleans()):  # pure opponents: cells are read
+                opponents = tuple(
+                    MixedAction.pure(data.draw(st.integers(0, market.n - 1)), market.n)
+                    for _ in opponents
+                )
+            br = best_response(game, player, opponents, resolution)
+            assert (br.strategy.weights, br.value) == oracle_best_response(
+                market, plan, w, player, opponents, resolution
+            )
+
+
+def test_grid_ties_keep_the_earliest_candidate():
+    market = two_bond_market()
+    # every portfolio ties under an equal split: the first pure action stays
+    flat = induce_game(market, TabulatedPlan(2, {}, ("1/2", "1/2")), 0)
+    br = best_response(flat, 0, (MixedAction.pure(0, 2),), resolution=6)
+    assert (br.strategy.pure_action, br.value) == (0, F(1, 2))
+    # against the safe bond every portfolio with risky weight in (0, 1] wins
+    # the high atom alone, as the pure risky bond does: it stays the best
+    wta = induce_game(market, WinnerTakeAllPlan(2), 0)
+    br = best_response(wta, 1, (MixedAction.pure(0, 2),), resolution=6)
+    assert (br.strategy.pure_action, br.value) == (1, F(3, 5))
+    # only a portfolio beats the opponent's sure 1 on both atoms; (1/6, 2/6,
+    # 3/6) does too, but (0, 1/2, 1/2) comes first in the grid's order
+    spread = build_market(["X1", "X2", "X3"], [("1/2", ("1", "3", "0")), ("1/2", ("1", "0", "3"))])
+    game = induce_game(spread, WinnerTakeAllPlan(2), 0)
+    br = best_response(game, 0, (MixedAction.pure(0, 3),), resolution=6)
+    assert (br.strategy.weights, br.value) == ((0, F(1, 2), F(1, 2)), F(1))
+
+
 def test_check_nash_reads_only_the_deviation_cells():
     game = wta_game()
     check_nash(game, Profile.pure((0, 0), 2))
@@ -385,6 +450,18 @@ def test_payoff_rejects_a_profile_outside_the_game():
     assert game.cells == {}
 
 
+def test_grid_cap_is_checked_before_the_first_point():
+    grid = simplex_grid(5, 100)  # C(104, 4) = 4 598 126 points
+    with pytest.raises(GridCapExceeded):
+        next(grid)
+    assert next(simplex_grid(2, 199_999)).weights == (0, 1)  # 200 000 points: at the cap
+    with pytest.raises(GridCapExceeded):
+        next(simplex_grid(2, 200_000))
+    with pytest.raises(GridCapExceeded):
+        check_nash(wta_game(), Profile.pure((0, 0), 2), resolution=200_000)
+    assert issubclass(GridCapExceeded, BonusLabError)
+
+
 def test_weight_and_grid_errors_are_typed():
     with pytest.raises(InvalidParameter):
         induce_game(two_bond_market(), WinnerTakeAllPlan(2), 1)
@@ -393,3 +470,42 @@ def test_weight_and_grid_errors_are_typed():
     with pytest.raises(InvalidParameter):
         check_nash(wta_game(), Profile.pure((0, 0), 2), resolution=0)
     assert issubclass(InvalidParameter, BonusLabError)
+
+
+# ---------------------------------------------------------------------
+# The published two-bond table and the opponent-result payoff variant
+# ---------------------------------------------------------------------
+
+
+def test_published_table_follows_from_the_opponent_result_variant():
+    """The published table is (1-L)*share + L*(opponent's expected result).
+
+    The model pays L times the player's own result, and two of the
+    published (constant, slope) pairs disagree with it; the acceptance
+    tests for criteria 1 and 2 keep asserting the table as printed.  Under
+    this variant all four pairs hold exactly, and since the opponent's term
+    does not depend on the player's own action, the risky bond's strict
+    dominance at L = 0 persists for every L < 1.
+    """
+    from test_acceptance import PUBLISHED_TABLE, symbolic_coefficients
+
+    market = two_bond_market()
+    expectations = market.expectations()
+    shares = wta_game().payoffs
+
+    def variant(combo, lam):  # player 1's payoff; the opponent plays combo[1]
+        return (1 - lam) * shares[combo][0] + lam * expectations[combo[1]]
+
+    derived = {}
+    for combo in shares:
+        constant = variant(combo, F(0))
+        slope = variant(combo, F(1)) - constant
+        assert variant(combo, F(1, 4)) == constant + slope / 4  # affine in L
+        derived[combo] = (constant, slope)
+    assert derived == PUBLISHED_TABLE
+    # the model agrees on the diagonal only
+    model = symbolic_coefficients()
+    assert [c for c in model if model[c] != PUBLISHED_TABLE[c]] == [(0, 1), (1, 0)]
+    for tenths in range(10):
+        lam = F(tenths, 10)
+        assert all(variant((1, b), lam) > variant((0, b), lam) for b in (0, 1))

@@ -147,6 +147,37 @@ def test_allocations_stay_on_simplex(r):
         assert sum(shares) == 1
 
 
+@st.composite
+def scaled_vectors(draw):
+    """A scale and integer results over it, dense around the plans' gates."""
+    scale = draw(st.integers(1, 12))
+    k = draw(st.integers(2, 4))
+    v = draw(st.lists(st.integers(-3 * scale, 3 * scale), min_size=k, max_size=k))
+    return scale, tuple(v)
+
+
+@settings(max_examples=300)
+@given(scaled_vectors())
+def test_kernels_match_evaluate(case):
+    """Each kind's integer kernel is its allocation, exactly, gates included."""
+    scale, v = case
+    k = len(v)
+    r = tuple(F(x, scale) for x in v)
+    first, last = (F(1),) + (F(0),) * (k - 1), (F(0),) * (k - 1) + (F(1),)
+    # off the scale's lattice unless v is 0, and with v's numerators at this scale
+    decoy = tuple(F(x, 10007 * scale) for x in v)
+    kinds = plans_for(k) + [
+        MLinearPlan(k, F(1), F(-1, 3), F(5, 4)),  # an interval off the integer lattice
+        BoundedLinearPlan(k, F(2, 7)),
+        TabulatedPlan(k, {r: last, decoy: first}, (F(1, 2), F(1, 2)) + first[2:]),
+    ]
+    for plan in kinds:
+        denominator, shares = plan.kernel(scale)
+        got = list(shares(v))
+        assert sum(got) == denominator
+        assert [F(x, denominator) for x in got] == list(plan.evaluate(r))
+
+
 @given(st.lists(results, min_size=2, max_size=4))
 def test_zero_sum_shares_sum_to_zero(r):
     for plan in plans_for(len(r)):
