@@ -14,8 +14,10 @@ Subcommands:
   validate-plan       allocation-contract fuzzing for a plan file
 
 Markets, plans, and profiles travel as JSON documents of exact rational
-strings (see the package README for the formats).  All numbers print as
-exact rationals; --decimal appends a 6-place approximation marked with "~".
+strings (see the package README for the formats).  Each command builds one
+report document: --json prints it, and the text output is rendered from it.
+All numbers print as exact rationals; --decimal appends a 6-place
+approximation marked with "~".
 Exit status: 0 on success, 1 on any validation or model error, 2 on usage
 errors.
 """
@@ -31,6 +33,7 @@ from . import construct, counterexamples, game as game_mod, market as market_mod
 from .errors import BonusLabError
 from .game import (
     EquilibriumReport,
+    Game,
     OptimalityReport,
     check_nash,
     check_optimal,
@@ -41,6 +44,7 @@ from .market import (
     Market,
     Profile,
     load_market,
+    market_from_dict,
     market_to_dict,
     profile_from_list,
     profile_to_list,
@@ -54,15 +58,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.handler(args)
-    except BonusLabError as exc:
-        _emit_error(args, exc)
-        return 1
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        document = args.handler(args)
+    except (BonusLabError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _emit_error(args, exc)
         return 1
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(document, indent=2))
+    else:
+        for line in args.text(document, args):
+            print(line)
     return 0
 
 
@@ -83,13 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replicate-example", help="two-bond market walkthrough")
     p.add_argument("--lambda", dest="lam", default="1/2", metavar="Q",
                    help="earnings weight in [0, 1), e.g. 1/2 (default)")
-    p.set_defaults(handler=_cmd_replicate)
+    p.set_defaults(handler=_cmd_replicate, text=_text_replicate)
 
     p = sub.add_parser("induce", help="payoff tensor for market + plan")
     p.add_argument("--market", required=True)
     p.add_argument("--plan", required=True)
     p.add_argument("--lambda", dest="lam", default="0", metavar="Q")
-    p.set_defaults(handler=_cmd_induce)
+    p.set_defaults(handler=_cmd_induce, text=_text_induce)
 
     p = sub.add_parser("check-eq", help="deviation search at a profile")
     p.add_argument("--market", required=True)
@@ -98,52 +102,55 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=_resolution, default=None, metavar="D",
                    help="simplex grid denominator; omit for pure-only search")
     p.add_argument("--lambda", dest="lam", default="0", metavar="Q")
-    p.set_defaults(handler=_cmd_check_eq)
+    p.set_defaults(handler=_cmd_check_eq, text=_text_check_eq)
 
     p = sub.add_parser("check-optimal", help="equilibrium among best-expectation profiles")
     p.add_argument("--market", required=True)
     p.add_argument("--plan", required=True)
     p.add_argument("--resolution", type=_resolution, default=None, metavar="D")
-    p.set_defaults(handler=_cmd_check_optimal)
+    p.set_defaults(handler=_cmd_check_optimal, text=_text_check_optimal)
 
     p = sub.add_parser("build-linear", help="interval-gated linear plan for a market")
     p.add_argument("--market", required=True)
     p.add_argument("--players", type=int, required=True)
     p.add_argument("--out", default=None, help="plan file to write (default stdout)")
-    p.set_defaults(handler=_cmd_build_linear)
+    p.set_defaults(handler=_cmd_build_linear, text=_text_plan)
 
     p = sub.add_parser("build-bounded", help="output-gated linear plan via grid certification")
     p.add_argument("--market", required=True)
     p.add_argument("--players", type=int, required=True)
     p.add_argument("--grid", type=int, required=True, metavar="D")
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_build_bounded)
+    p.set_defaults(handler=_cmd_build_bounded, text=_text_plan)
 
     p = sub.add_parser("find-m", help="grid certification for the scale bound")
     p.add_argument("--market", required=True)
     p.add_argument("--grid", type=int, required=True, metavar="D")
-    p.set_defaults(handler=_cmd_find_m)
+    p.set_defaults(handler=_cmd_find_m, text=_text_find_m)
 
     p = sub.add_parser("probe-universal", help="probe a plan and build a counterexample")
     p.add_argument("--plan", required=True)
     p.add_argument("--grid", required=True, metavar="LO:HI:STEP",
-                   help="value grid, rational endpoints and step, inclusive")
+                   help="value grid, rational endpoints and step, inclusive; "
+                   "a negative LO needs the = form, as in --grid=-1:1:1")
     p.add_argument("--players", type=int, required=True)
     p.add_argument("--max-iterations", type=int, default=64)
-    p.set_defaults(handler=_cmd_probe)
+    p.set_defaults(handler=_cmd_probe, text=_text_probe)
 
     p = sub.add_parser("validate-plan", help="fuzz a plan's allocation contract")
     p.add_argument("--plan", required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--range", default="-2:2", metavar="LO:HI")
-    p.set_defaults(handler=_cmd_validate_plan)
+    p.add_argument("--range", default="-2:2", metavar="LO:HI",
+                   help="sample interval (default -2:2); "
+                   "a negative LO needs the = form, as in --range=-1:1")
+    p.set_defaults(handler=_cmd_validate_plan, text=_text_validate_plan)
 
     return parser
 
 
 # ---------------------------------------------------------------------
-# Shared rendering
+# Shared helpers
 # ---------------------------------------------------------------------
 
 
@@ -155,16 +162,13 @@ def _emit_error(args, exc: Exception) -> None:
         print(f"error [{kind}]: {exc}", file=sys.stderr)
 
 
-def _fmt(args, value: Fraction) -> str:
-    text = format_rational(value)
-    if args.decimal and value.denominator != 1:
-        text += f" (~{approx_decimal(value)})"
+def _fmt(args, text: str) -> str:
+    """A rational string from a document, with its decimal under --decimal."""
+    if args.decimal:
+        value = Fraction(text)
+        if value.denominator != 1:
+            text += f" (~{approx_decimal(value)})"
     return text
-
-
-def _say(args, line: str = "") -> None:
-    if not args.json:
-        print(line)
 
 
 def _read_market(args) -> Market:
@@ -191,7 +195,17 @@ def _combo_label(market: Market, combo) -> str:
     return ",".join(market.actions[a] for a in combo)
 
 
-def _equilibrium_dict(market: Market, report: EquilibriumReport) -> dict:
+def _payoff_dict(market: Market, game: Game) -> dict:
+    return {
+        "lambda": format_rational(game.earnings_weight),
+        "payoffs": {
+            _combo_label(market, combo): [format_rational(v) for v in values]
+            for combo, values in game.payoffs.items()
+        },
+    }
+
+
+def _equilibrium_dict(report: EquilibriumReport) -> dict:
     return {
         "verdict": report.verdict.value,
         "method": report.method,
@@ -209,18 +223,6 @@ def _equilibrium_dict(market: Market, report: EquilibriumReport) -> dict:
     }
 
 
-def _print_equilibrium(args, market: Market, report: EquilibriumReport) -> None:
-    _say(args, f"verdict: {report.verdict.value}   (search: {report.method})")
-    _say(args, "payoffs: " + ", ".join(_fmt(args, v) for v in report.payoffs))
-    for br, gain in zip(report.deviations, report.gains):
-        weights = ", ".join(format_rational(w) for w in br.strategy.weights)
-        _say(
-            args,
-            f"  player {br.player + 1}: best deviation ({weights}) "
-            f"value {_fmt(args, br.value)} gain {_fmt(args, gain)}",
-        )
-
-
 def _optimality_dict(market: Market, report: OptimalityReport) -> dict:
     return {
         "verdict": report.verdict.value,
@@ -232,33 +234,15 @@ def _optimality_dict(market: Market, report: OptimalityReport) -> dict:
         "checked": [
             {
                 "profile": _combo_label(market, combo),
-                "report": _equilibrium_dict(market, rep),
+                "report": _equilibrium_dict(rep),
             }
             for combo, rep in report.checked
         ],
     }
 
 
-def _counterexample_dict(ce: counterexamples.Counterexample) -> dict:
-    return {
-        "market": market_to_dict(ce.market),
-        "profile": profile_to_list(ce.profile),
-        "player": ce.player,
-        "deviation": ce.deviation,
-        "deviation_action": ce.market.actions[ce.deviation],
-        "gain": format_rational(ce.gain),
-        "certificate": [
-            [label, format_rational(value)] for label, value in ce.certificate
-        ],
-        "params": {
-            key: format_rational(value) if isinstance(value, Fraction) else value
-            for key, value in ce.params.items()
-        },
-    }
-
-
 # ---------------------------------------------------------------------
-# Handlers
+# Handlers, each returning its report document, and their text renderers
 # ---------------------------------------------------------------------
 
 
@@ -268,15 +252,7 @@ def _cmd_replicate(args) -> dict:
     plan = WinnerTakeAllPlan(2)
     at_zero = induce_game(market, plan, 0, tensor_cap=args.tensor_cap).payoffs
     at_half = induce_game(market, plan, Fraction(1, 2), tensor_cap=args.tensor_cap).payoffs
-    coefficients = {}
-    for combo, base in at_zero.items():
-        mid = at_half[combo]
-        coefficients[combo] = tuple(
-            (b, 2 * (m - b)) for b, m in zip(base, mid)
-        )
-
     at_lam = induce_game(market, plan, lam, tensor_cap=args.tensor_cap)
-    lam_table = at_lam.payoffs
     dominance = strict_dominance(at_lam)
     equilibrium = None
     if dominance.unique_profile is not None:
@@ -284,57 +260,17 @@ def _cmd_replicate(args) -> dict:
             at_lam, Profile.pure(dominance.unique_profile, market.n), None
         )
 
-    _say(args, "two-bond market: X1 sure 21/20; X2 pays 1051/1000 w.p. 3/5, 1 w.p. 2/5")
-    _say(args, f"expectations: E[X1] = 21/20, E[X2] = {format_rational(market.expectation_of(1))}")
-    _say(args)
-    _say(args, "winner-take-all payoffs, symbolic in the earnings weight L:")
-    for combo, pair in coefficients.items():
-        rendered = ", ".join(
-            f"{format_rational(c)} + {format_rational(s)}*L" for c, s in pair
-        )
-        _say(args, f"  ({_combo_label(market, combo)}):  {rendered}")
-    _say(args)
-    _say(args, f"at L = {format_rational(lam)}:")
-    for combo, values in lam_table.items():
-        _say(
-            args,
-            f"  ({_combo_label(market, combo)}):  "
-            + ", ".join(_fmt(args, v) for v in values),
-        )
-    _say(args)
-    pairs = [
-        f"player {p + 1}: {market.actions[a]} > {market.actions[b]}"
-        for p, a, b in dominance.pairs
-    ]
-    _say(args, "strict dominance: " + ("; ".join(pairs) if pairs else "none"))
-    if dominance.unique_profile is not None:
-        label = _combo_label(market, dominance.unique_profile)
-        _say(args, f"iterated elimination leaves ({label})")
-        assert equilibrium is not None
-        _say(args, f"check at ({label}): {equilibrium.verdict.value}")
-    else:
-        survivors = [
-            "{" + ",".join(market.actions[a] for a in s) + "}"
-            for s in dominance.survivors
-        ]
-        _say(args, "surviving actions per player: " + ", ".join(survivors))
-
     return {
         "market": market_to_dict(market),
         "plan": plan_to_dict(plan),
-        "coefficients": {
+        "coefficients": {  # payoff = constant + slope * L, per player
             _combo_label(market, combo): [
-                [format_rational(c), format_rational(s)] for c, s in pair
+                [format_rational(b), format_rational(2 * (m - b))]
+                for b, m in zip(base, at_half[combo])
             ]
-            for combo, pair in coefficients.items()
+            for combo, base in at_zero.items()
         },
-        "at_lambda": {
-            "lambda": format_rational(lam),
-            "payoffs": {
-                _combo_label(market, combo): [format_rational(v) for v in values]
-                for combo, values in lam_table.items()
-            },
-        },
+        "at_lambda": _payoff_dict(market, at_lam),
         "dominance": {
             "pairs": [
                 {"player": p, "dominator": market.actions[a], "dominated": market.actions[b]}
@@ -343,30 +279,55 @@ def _cmd_replicate(args) -> dict:
             "unique_profile": None
             if dominance.unique_profile is None
             else [market.actions[a] for a in dominance.unique_profile],
+            "survivors": [[market.actions[a] for a in s] for s in dominance.survivors],
         },
         "equilibrium": None
         if equilibrium is None
-        else _equilibrium_dict(market, equilibrium),
+        else _equilibrium_dict(equilibrium),
     }
+
+
+def _text_replicate(doc, args):
+    market = market_from_dict(doc["market"])
+    yield "two-bond market: X1 sure 21/20; X2 pays 1051/1000 w.p. 3/5, 1 w.p. 2/5"
+    yield "expectations: " + ", ".join(
+        f"E[{label}] = {format_rational(e)}"
+        for label, e in zip(market.actions, market.expectations())
+    )
+    yield ""
+    yield "winner-take-all payoffs, symbolic in the earnings weight L:"
+    for label, pair in doc["coefficients"].items():
+        yield f"  ({label}):  " + ", ".join(f"{c} + {s}*L" for c, s in pair)
+    yield ""
+    yield f"at L = {doc['at_lambda']['lambda']}:"
+    for row in _text_induce(doc["at_lambda"], args):
+        yield "  " + row
+    yield ""
+    dominance = doc["dominance"]
+    pairs = [
+        f"player {d['player'] + 1}: {d['dominator']} > {d['dominated']}"
+        for d in dominance["pairs"]
+    ]
+    yield "strict dominance: " + ("; ".join(pairs) if pairs else "none")
+    if dominance["unique_profile"] is not None:
+        label = ",".join(dominance["unique_profile"])
+        yield f"iterated elimination leaves ({label})"
+        yield f"check at ({label}): {doc['equilibrium']['verdict']}"
+    else:
+        survivors = ["{" + ",".join(s) + "}" for s in dominance["survivors"]]
+        yield "surviving actions per player: " + ", ".join(survivors)
 
 
 def _cmd_induce(args) -> dict:
     market = _read_market(args)
     plan = _read_plan(args)
     g = induce_game(market, plan, as_rational(args.lam), tensor_cap=args.tensor_cap)
-    table = g.payoffs
-    for combo, values in table.items():
-        _say(
-            args,
-            f"({_combo_label(market, combo)}):  " + ", ".join(_fmt(args, v) for v in values),
-        )
-    return {
-        "lambda": format_rational(g.earnings_weight),
-        "payoffs": {
-            _combo_label(market, combo): [format_rational(v) for v in values]
-            for combo, values in table.items()
-        },
-    }
+    return _payoff_dict(market, g)
+
+
+def _text_induce(doc, args):
+    for label, values in doc["payoffs"].items():
+        yield f"({label}):  " + ", ".join(_fmt(args, v) for v in values)
 
 
 def _cmd_check_eq(args) -> dict:
@@ -375,9 +336,17 @@ def _cmd_check_eq(args) -> dict:
     with open(args.profile) as fh:
         profile = profile_from_list(json.load(fh))
     g = induce_game(market, plan, as_rational(args.lam), tensor_cap=args.tensor_cap)
-    report = check_nash(g, profile, args.resolution)
-    _print_equilibrium(args, market, report)
-    return _equilibrium_dict(market, report)
+    return _equilibrium_dict(check_nash(g, profile, args.resolution))
+
+
+def _text_check_eq(doc, args):
+    yield f"verdict: {doc['verdict']}   (search: {doc['method']})"
+    yield "payoffs: " + ", ".join(_fmt(args, v) for v in doc["payoffs"])
+    for dev in doc["deviations"]:
+        yield (
+            f"  player {dev['player'] + 1}: best deviation ({', '.join(dev['weights'])}) "
+            f"value {_fmt(args, dev['value'])} gain {_fmt(args, dev['gain'])}"
+        )
 
 
 def _cmd_check_optimal(args) -> dict:
@@ -386,29 +355,29 @@ def _cmd_check_optimal(args) -> dict:
     report = check_optimal(
         market, plan, args.resolution, tensor_cap=args.tensor_cap
     )
-    _say(args, f"verdict: {report.verdict.value}")
-    _say(args, f"best expectation: {_fmt(args, report.mu_star)}")
-    _say(
-        args,
-        "argmax actions: " + ", ".join(market.actions[a] for a in report.argmax_actions),
-    )
-    if report.witness is not None:
-        _say(args, f"equilibrium witness: ({_combo_label(market, report.witness)})")
-    else:
-        for combo, rep in report.checked:
-            _say(args, f"  ({_combo_label(market, combo)}): {rep.verdict.value}")
     return _optimality_dict(market, report)
 
 
+def _text_check_optimal(doc, args):
+    yield f"verdict: {doc['verdict']}"
+    yield f"best expectation: {_fmt(args, doc['best_expectation'])}"
+    yield "argmax actions: " + ", ".join(doc["argmax_actions"])
+    if doc["witness"] is not None:
+        yield f"equilibrium witness: ({','.join(doc['witness'])})"
+    else:
+        for checked in doc["checked"]:
+            yield f"  ({checked['profile']}): {checked['report']['verdict']}"
+
+
 def _write_plan(args, plan) -> dict:
-    text = plans.dump_plan(plan)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        _say(args, f"wrote {args.out}")
-    elif not args.json:
-        print(text)
+            fh.write(plans.dump_plan(plan) + "\n")
     return plan_to_dict(plan)
+
+
+def _text_plan(doc, args):
+    yield f"wrote {args.out}" if args.out else json.dumps(doc, indent=2)
 
 
 def _cmd_build_linear(args) -> dict:
@@ -426,10 +395,6 @@ def _cmd_build_bounded(args) -> dict:
 def _cmd_find_m(args) -> dict:
     market = _read_market(args)
     result = construct.find_bounding_m(market, args.grid)
-    _say(args, f"bound: {_fmt(args, result.bound)}")
-    _say(args, f"min expectation gap: {_fmt(args, result.min_gap)}")
-    _say(args, f"best action: {market.actions[result.best_action]}")
-    _say(args, f"witnesses: {len(result.witnesses)} grid portfolios")
     return {
         "bound": format_rational(result.bound),
         "min_gap": format_rational(result.min_gap),
@@ -447,17 +412,11 @@ def _cmd_find_m(args) -> dict:
     }
 
 
-def _describe_violation(violation) -> str:
-    moved = "lower" if violation.direction is counterexamples.Direction.DECREASE else "higher"
-    if isinstance(violation, counterexamples.PairViolation):
-        where = f"results ({format_rational(violation.x)}, {format_rational(violation.y)})"
-    else:
-        base = ", ".join(format_rational(b) for b in violation.base)
-        where = f"base ({base}) moving to {format_rational(violation.witness)}"
-    return (
-        f"player {violation.player + 1} is paid {format_rational(violation.deficit)} "
-        f"more for a {moved} own result at {where}"
-    )
+def _text_find_m(doc, args):
+    yield f"bound: {_fmt(args, doc['bound'])}"
+    yield f"min expectation gap: {_fmt(args, doc['min_gap'])}"
+    yield f"best action: {doc['best_action']}"
+    yield f"witnesses: {len(doc['witnesses'])} grid portfolios"
 
 
 def _parse_grid(text: str) -> list[Fraction]:
@@ -486,43 +445,38 @@ def _cmd_probe(args) -> dict:
     report = counterexamples.universality_verdict(
         plan, grid, max_iterations=args.max_iterations, atom_cap=args.atom_cap
     )
-    _say(args, f"verdict: {report.verdict}")
-    if report.counterexample is not None:
-        ce = report.counterexample
-        _say(args, "violation: " + _describe_violation(report.violation))
-        _say(
-            args,
-            f"player {ce.player + 1} deviates to {ce.market.actions[ce.deviation]} "
-            f"and gains {_fmt(args, ce.gain)}",
-        )
-        _say(args, "market:")
-        for atom in ce.market.atoms:
-            outcomes = ", ".join(format_rational(x) for x in atom.outcomes)
-            _say(args, f"  p = {format_rational(atom.probability)}: ({outcomes})")
-        _say(
-            args,
-            "expectations: "
-            + ", ".join(f"E[{l}] = {_fmt(args, v)}" for l, v in ce.certificate),
-        )
-    payload: dict = {"verdict": report.verdict}
+    document: dict = {"verdict": report.verdict}
     if report.violation is not None:
-        v = report.violation
-        payload["violation"] = {
-            "direction": v.direction.value,
-            "player": v.player,
-            "deficit": format_rational(v.deficit),
-            **(
-                {"x": format_rational(v.x), "y": format_rational(v.y)}
-                if isinstance(v, counterexamples.PairViolation)
-                else {
-                    "base": [format_rational(b) for b in v.base],
-                    "witness": format_rational(v.witness),
-                }
-            ),
-        }
+        document["violation"] = report.violation.to_document()
     if report.counterexample is not None:
-        payload["counterexample"] = _counterexample_dict(report.counterexample)
-    return payload
+        document["counterexample"] = report.counterexample.to_document()
+    return document
+
+
+def _text_probe(doc, args):
+    yield f"verdict: {doc['verdict']}"
+    if "counterexample" not in doc:
+        return
+    v, ce = doc["violation"], doc["counterexample"]
+    moved = "lower" if v["direction"] == counterexamples.Direction.DECREASE else "higher"
+    if "x" in v:  # a two-player pair violation
+        where = f"results ({v['x']}, {v['y']})"
+    else:
+        where = f"base ({', '.join(v['base'])}) moving to {v['witness']}"
+    yield (
+        f"violation: player {v['player'] + 1} is paid {v['deficit']} "
+        f"more for a {moved} own result at {where}"
+    )
+    yield (
+        f"player {ce['player'] + 1} deviates to {ce['deviation_action']} "
+        f"and gains {_fmt(args, ce['gain'])}"
+    )
+    yield "market:"
+    for atom in ce["market"]["atoms"]:
+        yield f"  p = {atom['p']}: ({', '.join(atom['outcomes'])})"
+    yield "expectations: " + ", ".join(
+        f"E[{label}] = {_fmt(args, value)}" for label, value in ce["certificate"]
+    )
 
 
 def _cmd_validate_plan(args) -> dict:
@@ -534,23 +488,26 @@ def _cmd_validate_plan(args) -> dict:
     report = plans.validate_simplex(
         plan, count=args.samples, seed=args.seed, lo=lo_text, hi=hi_text
     )
-    if report.ok:
-        _say(args, f"ok: {report.evaluations} evaluations stayed on the simplex")
-    else:
-        r, shares, reason = report.failure
-        _say(args, f"FAILED after {report.evaluations} evaluations: {reason}")
-        _say(args, f"  at r = ({', '.join(format_rational(v) for v in r)})")
-        if shares is not None:
-            _say(args, f"  shares = ({', '.join(format_rational(s) for s in shares)})")
-    payload: dict = {"ok": report.ok, "evaluations": report.evaluations}
+    document: dict = {"ok": report.ok, "evaluations": report.evaluations}
     if report.failure:
         r, shares, reason = report.failure
-        payload["failure"] = {
+        document["failure"] = {
             "r": [format_rational(v) for v in r],
             "shares": None if shares is None else [format_rational(s) for s in shares],
             "reason": reason,
         }
-    return payload
+    return document
+
+
+def _text_validate_plan(doc, args):
+    if doc["ok"]:
+        yield f"ok: {doc['evaluations']} evaluations stayed on the simplex"
+        return
+    failure = doc["failure"]
+    yield f"FAILED after {doc['evaluations']} evaluations: {failure['reason']}"
+    yield f"  at r = ({', '.join(failure['r'])})"
+    if failure["shares"] is not None:
+        yield f"  shares = ({', '.join(failure['shares'])})"
 
 
 if __name__ == "__main__":

@@ -6,23 +6,24 @@ magnitude; the output-gated plan scales by a bound found from the exact
 distributions of q - X* (portfolio minus best action) over a simplex grid.
 
 For each grid portfolio q the search records the expectation gap
-c_q = E[X*] - E[q] > 0 and the smallest truncation threshold m from which,
-for every m' >= m,
+c_q = E[X*] - E[q] > 0 and the smallest support magnitude m with
 
-    E[(q - X*) * 1{|q - X*| <= m'}]  <  -c_q / 2        (truncated drift)
-    sum over |l| > m' of |l| * Pr[q - X* = l]  <  c_q / 2   (tail mass)
+    tail(m) = sum over |l| > m of |l| * Pr[q - X* = l]  <  c_q / 2
 
-Both sides are step functions of m', constant between consecutive distinct
-magnitudes of the support, so scanning the magnitudes themselves is exact;
-the truncated drift is not monotone in m', hence the "from which onward"
-reading rather than a plain first-passage.  One sweep down the sorted
-magnitudes finds the threshold: at the largest magnitude the drift is the
-full mean and the tail is empty, and each step down moves one magnitude's
-terms from the drift to the tail.  The sweep replaces a rescan of the whole
-distribution per magnitude.  It runs on the market's integer view: every
-difference is an integer over the grid denominator times the outcome
-denominator, every probability an integer over the probability
-denominator, so both tests compare integers and exactness is unchanged.
+The tail only shrinks as m grows, so the test holds for every m' >= m, and
+it bounds the truncated drift as well:
+
+    E[(q - X*) * 1{|q - X*| <= m'}]  =  -c_q - sum over |l| > m' of l * Pr[l]
+                                     <=  -c_q + tail(m')  <  -c_q / 2
+
+The tail is a step function of m, constant between consecutive distinct
+magnitudes of the support, so scanning the magnitudes themselves is exact.
+One sweep down the sorted magnitudes finds the threshold: at the largest
+magnitude the tail is empty, and each step down adds one magnitude's terms
+to it.  It runs on the market's integer view: every difference is an
+integer over the grid denominator times the outcome denominator, every
+probability an integer over the probability denominator, so the test
+compares integers and exactness is unchanged.
 
 The returned bound is the largest threshold, raised to the value that
 empties every grid point's tail.  That floor is what makes verification
@@ -62,7 +63,7 @@ class GridWitness:
 
     weights: tuple[Fraction, ...]
     gap: Fraction  # E[X*] - E[q], strictly positive
-    threshold: Fraction  # least m from which both truncation tests hold onward
+    threshold: Fraction  # least support magnitude whose tail is below gap / 2
     tail_empty_at: Fraction  # largest |l| in the support of q - X*
 
 
@@ -125,37 +126,31 @@ def find_bounding_m(market: Market, grid_resolution: int) -> BoundSearchResult:
 def _witness_for(
     view: IntegerView, counts: list[int], best: int, resolution: int
 ) -> tuple[int, int, int]:
-    """Gap, suffix-stable threshold and largest |l| of q - X*, in integers.
+    """Gap, threshold and largest |l| of q - X*, in integers.
 
     q has weights counts / resolution.  A difference l stands for
     l / (resolution * view.scale), a probability p for p / view.mass, so
     the gap is over their product.  One sweep down the magnitudes.
     """
-    signed: dict[int, int] = {}  # magnitude -> sum of l * p over l = +-magnitude
     mass: dict[int, int] = {}  # magnitude -> sum of p over l = +-magnitude
+    gap = 0
     for p, values in zip(view.weights, view.values):
         l = sum(map(mul, counts, values)) - resolution * values[best]
         if l:
-            signed[abs(l)] = signed.get(abs(l), 0) + l * p
+            gap -= l * p
             mass[abs(l)] = mass.get(abs(l), 0) + p
-    drift = sum(signed.values())
-    gap = -drift
-    # q != X* pointwise is guaranteed: a zero-drift portfolio would tie the
+    # q != X* pointwise is guaranteed: a zero-gap portfolio would tie the
     # unique best expectation, which the vertex exclusion rules out.
-    assert signed and gap > 0
+    assert mass and gap > 0
 
-    magnitudes = sorted(signed, reverse=True)
+    magnitudes = sorted(mass, reverse=True)
     tail = 0
-    threshold = None
+    threshold = magnitudes[0]  # the tail is empty there
     for m in magnitudes:
-        # drift < -gap/2 and tail < gap/2, doubled to stay in integers
-        if 2 * drift < -gap and 2 * tail < gap:
-            threshold = m
-        else:
+        if 2 * tail >= gap:  # tail >= gap/2, doubled to stay in integers
             break
-        drift -= signed[m]
+        threshold = m
         tail += m * mass[m]
-    assert threshold is not None  # at the largest magnitude both tests pass
     return gap, threshold, magnitudes[0]
 
 

@@ -40,10 +40,12 @@ from .market import (
     MixedAction,
     Profile,
     build_market,
+    market_to_dict,
     product_market,
+    profile_to_list,
 )
 from .plans import BonusPlan
-from .rational import as_rational, rationals
+from .rational import as_rational, format_rational, rationals
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -64,6 +66,15 @@ class PairViolation:
     player: int
     deficit: Fraction
 
+    def to_document(self) -> dict:
+        return {
+            "direction": self.direction.value,
+            "player": self.player,
+            "deficit": format_rational(self.deficit),
+            "x": format_rational(self.x),
+            "y": format_rational(self.y),
+        }
+
 
 @dataclass(frozen=True)
 class CoordinateViolation:
@@ -74,6 +85,15 @@ class CoordinateViolation:
     base: tuple[Fraction, ...]
     witness: Fraction
     deficit: Fraction
+
+    def to_document(self) -> dict:
+        return {
+            "direction": self.direction.value,
+            "player": self.player,
+            "deficit": format_rational(self.deficit),
+            "base": [format_rational(b) for b in self.base],
+            "witness": format_rational(self.witness),
+        }
 
 
 @dataclass(frozen=True)
@@ -95,6 +115,24 @@ class Counterexample:
     certificate: tuple[tuple[str, Fraction], ...]
     params: dict
 
+    def to_document(self) -> dict:
+        """JSON form; the market is a market document, so it can be reloaded."""
+        return {
+            "market": market_to_dict(self.market),
+            "profile": profile_to_list(self.profile),
+            "player": self.player,
+            "deviation": self.deviation,
+            "deviation_action": self.market.actions[self.deviation],
+            "gain": format_rational(self.gain),
+            "certificate": [
+                [label, format_rational(value)] for label, value in self.certificate
+            ],
+            "params": {
+                key: format_rational(value) if isinstance(value, Fraction) else value
+                for key, value in self.params.items()
+            },
+        }
+
 
 # =====================================================================
 # Probes
@@ -108,26 +146,34 @@ def probe_pairs(plan: BonusPlan, points: Sequence) -> tuple[PairViolation, ...]:
     neither player may be paid more at (x, y)-type points than at the
     matching diagonal.  Every violation found is reported, in scan order
     (pairs ascending; per pair: player-1 decrease, player-2 decrease,
-    player-1 increase, player-2 increase).
+    player-1 increase, player-2 increase).  GridCapExceeded when the
+    C(|grid|, 2) pairs exceed game.GRID_CAP.
     """
+    return tuple(_pair_violations(plan, points))
+
+
+def _pair_violations(plan: BonusPlan, points: Sequence):
     if plan.players != 2:
         raise ArityMismatch("pair probing is for two-player plans")
     grid = sorted(set(rationals(points)))
-    found = []
+    pairs = len(grid) * (len(grid) - 1) // 2
+    if pairs > GRID_CAP:
+        raise GridCapExceeded(
+            f"C({len(grid)}, 2) = {pairs} point pairs exceeds cap {GRID_CAP}"
+        )
     for x, y in combinations(grid, 2):
         f_xx = plan.evaluate((x, x))
         f_yy = plan.evaluate((y, y))
         f_xy = plan.evaluate((x, y))
         f_yx = plan.evaluate((y, x))
         if f_yy[0] < f_xy[0]:
-            found.append(PairViolation(Direction.DECREASE, x, y, 0, f_xy[0] - f_yy[0]))
+            yield PairViolation(Direction.DECREASE, x, y, 0, f_xy[0] - f_yy[0])
         if f_yy[1] < f_yx[1]:
-            found.append(PairViolation(Direction.DECREASE, x, y, 1, f_yx[1] - f_yy[1]))
+            yield PairViolation(Direction.DECREASE, x, y, 1, f_yx[1] - f_yy[1])
         if f_xx[0] < f_yx[0]:
-            found.append(PairViolation(Direction.INCREASE, x, y, 0, f_yx[0] - f_xx[0]))
+            yield PairViolation(Direction.INCREASE, x, y, 0, f_yx[0] - f_xx[0])
         if f_xx[1] < f_xy[1]:
-            found.append(PairViolation(Direction.INCREASE, x, y, 1, f_xy[1] - f_xx[1]))
-    return tuple(found)
+            yield PairViolation(Direction.INCREASE, x, y, 1, f_xy[1] - f_xx[1])
 
 
 def four_point_shares_equal(plan: BonusPlan, x, y) -> bool:
@@ -151,6 +197,10 @@ def probe_own_coordinate(
     builders need one marginal value per player.  GridCapExceeded when the
     |grid|^k candidate base points exceed game.GRID_CAP.
     """
+    return tuple(_coordinate_violations(plan, points))
+
+
+def _coordinate_violations(plan: BonusPlan, points: Sequence):
     grid = sorted(set(rationals(points)))
     k = plan.players
     if len(grid) < k:
@@ -161,7 +211,6 @@ def probe_own_coordinate(
         raise GridCapExceeded(
             f"{len(grid)}^{k} = {len(grid) ** k} base points exceeds cap {GRID_CAP}"
         )
-    found = []
     for player in range(k):
         for base in product(grid, repeat=k):
             if len(set(base)) != k:
@@ -178,12 +227,9 @@ def probe_own_coordinate(
                         if witness < base[player]
                         else Direction.INCREASE
                     )
-                    found.append(
-                        CoordinateViolation(
-                            direction, player, base, witness, share - own_share
-                        )
+                    yield CoordinateViolation(
+                        direction, player, base, witness, share - own_share
                     )
-    return tuple(found)
 
 
 # =====================================================================
@@ -525,29 +571,29 @@ def universality_verdict(
 ) -> UniversalityReport:
     """Probe the plan on the grid and refute universality if possible.
 
+    The scan stops at the first violation, in the probes' scan order.
+
     Two players: pair probing; with no violations the plan is provably
     constant across each pair's four points (asserted by re-evaluation).
     Three or more: own-coordinate probing at distinct-coordinate points; no
     violations means every probed own-coordinate move was weakly losing.
     """
     if plan.players == 2:
-        violations = probe_pairs(plan, points)
-        if not violations:
+        violation = next(_pair_violations(plan, points), None)
+        if violation is None:
             grid = sorted(set(rationals(points)))
             for x, y in combinations(grid, 2):
                 assert four_point_shares_equal(plan, x, y)
             return UniversalityReport("constant-on-grid", None, None)
-        violation = violations[0]
         if violation.direction is Direction.DECREASE:
             ce = pair_decrease_counterexample(plan, violation)
         else:
             ce = pair_increase_counterexample(plan, violation, max_iterations)
         return UniversalityReport("counterexample", violation, ce)
 
-    violations = probe_own_coordinate(plan, points)
-    if not violations:
+    violation = next(_coordinate_violations(plan, points), None)
+    if violation is None:
         return UniversalityReport("constant-on-grid", None, None)
-    violation = violations[0]
     if violation.direction is Direction.DECREASE:
         ce = coordinate_decrease_counterexample(plan, violation, atom_cap)
     else:

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, JSON reports, file round-trips."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -302,6 +303,9 @@ REJECTED = [
      "UnparsableNumber"),
     ("probe-player-mismatch", {"P": WTA},
      ["probe-universal", "--plan", "P", "--grid", "0:1:1", "--players", "3"], "BonusLabError"),
+    ("probe-pair-cap", {"P": WTA},  # C(701, 2) = 245 350 point pairs
+     ["probe-universal", "--plan", "P", "--grid", "0:700:1", "--players", "2"],
+     "GridCapExceeded"),
     ("validate-plan-float-bound", {"P": {"players": 2, "kind": "bounded_linear", "bound": 0.5}},
      ["validate-plan", "--plan", "P"], "FloatRejected"),
     ("validate-plan-negative-samples", {"P": WTA},
@@ -354,3 +358,170 @@ def test_malformed_flags_are_usage_errors(tmp_path, capsys, documents, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage:" in captured.err
+
+
+# ---------------------------------------------------------------------
+# Text output, byte for byte
+# ---------------------------------------------------------------------
+
+LTA = {"players": 2, "kind": "lta"}
+CONSTANT = {"players": 2, "kind": "constant"}
+LINEAR = {"players": 2, "kind": "m_linear", "bound": "1051/1000", "interval": ["1", "1051/1000"]}
+PURE_X2 = [["0", "1"], ["0", "1"]]
+MIXED = [["1/2", "1/2"], ["1", "0"]]
+
+REPLICATE_HEAD = (
+    "two-bond market: X1 sure 21/20; X2 pays 1051/1000 w.p. 3/5, 1 w.p. 2/5\n"
+    "expectations: E[X1] = 21/20, E[X2] = 5153/5000\n"
+    "\n"
+    "winner-take-all payoffs, symbolic in the earnings weight L:\n"
+    "  (X1,X1):  1/2 + 11/20*L, 1/2 + 11/20*L\n"
+    "  (X1,X2):  2/5 + 13/20*L, 3/5 + 2153/5000*L\n"
+    "  (X2,X1):  3/5 + 2153/5000*L, 2/5 + 13/20*L\n"
+    "  (X2,X2):  1/2 + 2653/5000*L, 1/2 + 2653/5000*L\n"
+    "\n"
+)
+
+# (case, documents by placeholder, argv, stdout under --decimal).  The plain
+# stdout is the same text with every " (~decimal)" annotation removed.
+TEXT = [
+    ("replicate-half", {}, ["replicate-example", "--lambda", "1/2"],
+     REPLICATE_HEAD
+     + "at L = 1/2:\n"
+     "  (X1,X1):  31/40 (~0.775000), 31/40 (~0.775000)\n"
+     "  (X1,X2):  29/40 (~0.725000), 8153/10000 (~0.815300)\n"
+     "  (X2,X1):  8153/10000 (~0.815300), 29/40 (~0.725000)\n"
+     "  (X2,X2):  7653/10000 (~0.765300), 7653/10000 (~0.765300)\n"
+     "\n"
+     "strict dominance: player 1: X2 > X1; player 2: X2 > X1\n"
+     "iterated elimination leaves (X2,X2)\n"
+     "check at (X2,X2): equilibrium\n"),
+    ("replicate-no-dominance", {}, ["replicate-example", "--lambda", "500/597"],
+     REPLICATE_HEAD
+     + "at L = 500/597:\n"
+     "  (X1,X1):  1147/1194 (~0.960637), 1147/1194 (~0.960637)\n"
+     "  (X1,X2):  2819/2985 (~0.944389), 1147/1194 (~0.960637)\n"
+     "  (X2,X1):  1147/1194 (~0.960637), 2819/2985 (~0.944389)\n"
+     "  (X2,X2):  2819/2985 (~0.944389), 2819/2985 (~0.944389)\n"
+     "\n"
+     "strict dominance: none\n"
+     "surviving actions per player: {X1,X2}, {X1,X2}\n"),
+    ("induce", {"M": MARKET, "P": WTA},
+     ["induce", "--market", "M", "--plan", "P", "--lambda", "1/4"],
+     "(X1,X1):  51/80 (~0.637500), 51/80 (~0.637500)\n"
+     "(X1,X2):  9/16 (~0.562500), 14153/20000 (~0.707650)\n"
+     "(X2,X1):  14153/20000 (~0.707650), 9/16 (~0.562500)\n"
+     "(X2,X2):  12653/20000 (~0.632650), 12653/20000 (~0.632650)\n"),
+    ("check-eq-pure-only", {"M": MARKET, "P": WTA, "Q": PURE_X2},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q"],
+     "verdict: equilibrium   (search: pure-only)\n"
+     "payoffs: 1/2 (~0.500000), 1/2 (~0.500000)\n"
+     "  player 1: best deviation (0, 1) value 1/2 (~0.500000) gain 0\n"
+     "  player 2: best deviation (0, 1) value 1/2 (~0.500000) gain 0\n"),
+    ("check-eq-grid", {"M": MARKET, "P": WTA, "Q": PURE_X2},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q", "--resolution", "4"],
+     "verdict: no-violation-at-resolution   (search: grid(d=4))\n"
+     "payoffs: 1/2 (~0.500000), 1/2 (~0.500000)\n"
+     "  player 1: best deviation (0, 1) value 1/2 (~0.500000) gain 0\n"
+     "  player 2: best deviation (0, 1) value 1/2 (~0.500000) gain 0\n"),
+    ("check-eq-mixed-not-equilibrium", {"M": MARKET, "P": WTA, "Q": MIXED},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q", "--lambda", "1/3"],
+     "verdict: not-equilibrium   (search: pure-only)\n"
+     "payoffs: 22403/30000 (~0.746767), 37/60 (~0.616667)\n"
+     "  player 1: best deviation (0, 1) value 11153/15000 (~0.743533)"
+     " gain -97/30000 (~-0.003233)\n"
+     "  player 2: best deviation (0, 1) value 11153/15000 (~0.743533)"
+     " gain 1903/15000 (~0.126867)\n"),
+    ("check-optimal-witness", {"M": MARKET, "P": LINEAR},
+     ["check-optimal", "--market", "M", "--plan", "P"],
+     "verdict: optimal\n"
+     "best expectation: 21/20 (~1.050000)\n"
+     "argmax actions: X1\n"
+     "equilibrium witness: (X1,X1)\n"),
+    ("check-optimal-checked", {"M": MARKET, "P": WTA},
+     ["check-optimal", "--market", "M", "--plan", "P"],
+     "verdict: not-optimal-among-checked-profiles\n"
+     "best expectation: 21/20 (~1.050000)\n"
+     "argmax actions: X1\n"
+     "  (X1,X1): not-equilibrium\n"),
+    ("build-linear-stdout", {"M": MARKET}, ["build-linear", "--market", "M", "--players", "2"],
+     json.dumps(LINEAR, indent=2) + "\n"),
+    ("find-m", {"M": MARKET}, ["find-m", "--market", "M", "--grid", "4"],
+     "bound: 1/20 (~0.050000)\n"
+     "min expectation gap: 97/20000 (~0.004850)\n"
+     "best action: X1\n"
+     "witnesses: 4 grid portfolios\n"),
+    ("probe-wta", {"P": WTA},
+     ["probe-universal", "--plan", "P", "--grid", "0:1:1", "--players", "2"],
+     "verdict: counterexample\n"
+     "violation: player 1 is paid 1/2 more for a higher own result at results (0, 1)\n"
+     "player 1 deviates to X2 and gains 1/3 (~0.333333)\n"
+     "market:\n"
+     "  p = 5/6: (0, 1)\n"
+     "  p = 1/6: (6, 0)\n"
+     "expectations: E[X1] = 1, E[X2] = 5/6 (~0.833333)\n"),
+    ("probe-lta", {"P": LTA},
+     ["probe-universal", "--plan", "P", "--grid", "0:1:1/2", "--players", "2"],
+     "verdict: counterexample\n"
+     "violation: player 1 is paid 1/2 more for a lower own result at results (0, 1/2)\n"
+     "player 1 deviates to X2 and gains 1/2 (~0.500000)\n"
+     "market:\n"
+     "  p = 1: (1/2, 0)\n"
+     "expectations: E[X1] = 1/2 (~0.500000), E[X2] = 0\n"),
+    ("probe-constant", {"P": CONSTANT},
+     ["probe-universal", "--plan", "P", "--grid", "0:1:1", "--players", "2"],
+     "verdict: constant-on-grid\n"),
+    ("validate-plan", {"P": WTA}, ["validate-plan", "--plan", "P", "--samples", "100"],
+     "ok: 100 evaluations stayed on the simplex\n"),
+]
+
+
+def _without_decimals(text):
+    return re.sub(r" \(~-?\d+\.\d+\)", "", text)
+
+
+@pytest.mark.parametrize(
+    "documents,argv,decimal_out", [case[1:] for case in TEXT], ids=[c[0] for c in TEXT]
+)
+def test_text_output_is_exact(tmp_path, capsys, documents, argv, decimal_out):
+    argv = _materialize(tmp_path, documents, argv)
+    assert main(["--decimal", *argv]) == 0
+    assert capsys.readouterr().out == decimal_out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == _without_decimals(decimal_out)
+
+
+def test_probe_text_for_three_players_names_the_coordinate_violation(tmp_path, capsys):
+    argv = _materialize(
+        tmp_path,
+        {"P": {"players": 3, "kind": "wta"}},
+        ["probe-universal", "--plan", "P", "--grid", "0:2:1", "--players", "3"],
+    )
+    head = [
+        "verdict: counterexample",
+        "violation: player 1 is paid 1/2 more for a higher own result"
+        " at base (0, 1, 2) moving to 2",
+        "player 1 deviates to dev and gains 37210301/3221225472 (~0.011552)",
+        "market:",
+    ]
+    assert main(["--decimal", *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[:4] == head
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[:4] == [_without_decimals(h) for h in head]
+
+
+def test_build_linear_writes_the_plan_file(tmp_path, capsys):
+    argv = _materialize(tmp_path, {"M": MARKET}, ["build-linear", "--market", "M"])
+    out = tmp_path / "plan.json"
+    for mode in ([], ["--decimal"]):
+        assert main([*mode, *argv, "--players", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert out.read_text() == json.dumps(LINEAR, indent=2) + "\n"
+        out.unlink()
+
+
+def test_replicate_example_json_reports_survivors(capsys):
+    code, data = run_json(capsys, ["replicate-example", "--lambda", "500/597"])
+    assert code == 0
+    assert data["dominance"]["unique_profile"] is None
+    assert data["dominance"]["survivors"] == [["X1", "X2"], ["X1", "X2"]]

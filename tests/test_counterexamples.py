@@ -85,6 +85,30 @@ def test_own_coordinate_probe_needs_enough_points():
         probe_own_coordinate(WinnerTakeAllPlan(3), ("1", "2"))
 
 
+def test_pair_probe_caps_its_pairs():
+    with pytest.raises(GridCapExceeded):  # C(633, 2) = 200 028 pairs
+        probe_pairs(WinnerTakeAllPlan(2), range(633))
+    with pytest.raises(GridCapExceeded):
+        universality_verdict(ConstantPlan(2), range(633))
+
+
+@pytest.mark.parametrize(
+    "plan,points", [(WinnerTakeAllPlan(2), range(30)), (WinnerTakeAllPlan(3), range(6))]
+)
+def test_universality_verdict_stops_at_the_first_violation(monkeypatch, plan, points):
+    calls = []
+    evaluate = type(plan).evaluate
+    monkeypatch.setattr(
+        type(plan), "evaluate", lambda self, r: calls.append(r) or evaluate(self, r)
+    )
+    probe = probe_pairs if plan.players == 2 else probe_own_coordinate
+    first = probe(plan, points)[0]
+    full_scan = len(calls)
+    calls.clear()
+    assert universality_verdict(plan, points).violation == first
+    assert len(calls) < full_scan / 10
+
+
 def test_own_coordinate_probe_caps_its_base_points():
     with pytest.raises(GridCapExceeded):  # 59^3 = 205 379 base points
         probe_own_coordinate(WinnerTakeAllPlan(3), range(59))
