@@ -8,8 +8,8 @@ Subcommands:
   check-eq            deviation search at a profile
   check-optimal       is some best-expectation profile an equilibrium?
   build-linear        construct the interval-gated linear plan
-  build-bounded       construct the output-gated linear plan (grid-certified)
-  find-m              the grid certification behind build-bounded
+  build-bounded       construct the output-gated linear plan (vertex bound)
+  find-m              grid certification of the build-bounded bound
   probe-universal     probe a plan on a value grid; emit a counterexample
   validate-plan       allocation-contract fuzzing for a plan file
 
@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from . import construct, counterexamples, game as game_mod, market as market_mod, plans
-from .errors import BonusLabError
+from .errors import BonusLabError, GridCapExceeded
 from .game import (
     EquilibriumReport,
     Game,
@@ -116,10 +116,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="plan file to write (default stdout)")
     p.set_defaults(handler=_cmd_build_linear, text=_text_plan)
 
-    p = sub.add_parser("build-bounded", help="output-gated linear plan via grid certification")
+    p = sub.add_parser("build-bounded", help="output-gated linear plan, vertex bound")
     p.add_argument("--market", required=True)
     p.add_argument("--players", type=int, required=True)
-    p.add_argument("--grid", type=int, required=True, metavar="D")
+    p.add_argument("--grid", type=int, required=True, metavar="D",
+                   help="grid resolution; validated as in find-m, does not change the plan")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_build_bounded, text=_text_plan)
 
@@ -427,12 +428,10 @@ def _parse_grid(text: str) -> list[Fraction]:
     lo, hi, step = as_rational(lo_text), as_rational(hi_text), as_rational(step_text)
     if step <= 0 or hi < lo:
         raise BonusLabError(f"grid {text!r} is empty or has nonpositive step")
-    values = []
-    current = lo
-    while current <= hi:
-        values.append(current)
-        current += step
-    return values
+    size = (hi - lo) // step + 1
+    if size > game_mod.GRID_CAP:
+        raise GridCapExceeded(f"grid {text!r} has {size} points; cap {game_mod.GRID_CAP}")
+    return [lo + i * step for i in range(size)]
 
 
 def _cmd_probe(args) -> dict:

@@ -2,11 +2,17 @@
 
 Both builders target markets with a unique best-expectation action and
 earnings weight 0.  The interval-gated plan scales by the largest outcome
-magnitude; the output-gated plan scales by a bound found from the exact
-distributions of q - X* (portfolio minus best action) over a simplex grid.
+magnitude.  The output-gated plan scales by the largest pointwise
+difference |q - X*| between a portfolio q and the best action X*: at each
+atom q - X* is linear in q, so |q - X*| is convex and peaks at a vertex,
+and the bound is the largest |x_j - x*| over atoms and actions j.  With it
+no atom's result spread exceeds twice the bound, the built plan's output
+gate never closes, and the pure-deviation scan of game.check_nash is
+complete.
 
-For each grid portfolio q the search records the expectation gap
-c_q = E[X*] - E[q] > 0 and the smallest support magnitude m with
+find_bounding_m certifies the bound on a simplex grid of resolution d.
+Each portfolio q gets its gap c_q = E[X*] - E[q] > 0 and the smallest
+support magnitude m with
 
     tail(m) = sum over |l| > m of |l| * Pr[q - X* = l]  <  c_q / 2
 
@@ -16,20 +22,13 @@ it bounds the truncated drift as well:
     E[(q - X*) * 1{|q - X*| <= m'}]  =  -c_q - sum over |l| > m' of l * Pr[l]
                                      <=  -c_q + tail(m')  <  -c_q / 2
 
-The tail is a step function of m, constant between consecutive distinct
-magnitudes of the support, so scanning the magnitudes themselves is exact.
-One sweep down the sorted magnitudes finds the threshold: at the largest
-magnitude the tail is empty, and each step down adds one magnitude's terms
-to it.  It runs on the market's integer view: every difference is an
-integer over the grid denominator times the outcome denominator, every
-probability an integer over the probability denominator, so the test
-compares integers and exactness is unchanged.
-
-The returned bound is the largest threshold, raised to the value that
-empties every grid point's tail.  That floor is what makes verification
-decisive: with it, no atom's result spread exceeds twice the bound, the
-output gate of the built plan never closes, and the pure-deviation scan in
-game.check_nash is complete.
+The tail is constant between consecutive support magnitudes, so one sweep
+down them from the largest, where the tail is empty, finds m exactly.  It
+compares integers on the market's integer view (differences over d times
+the outcome denominator, probabilities over theirs).  No threshold exceeds
+its largest |l| and every vertex is a grid point, so the largest is the
+vertex bound; the gap is linear in q, so the least is (E[X*] - mu_2) / d,
+mu_2 the second-best expectation.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import DegenerateSupport, ExpectationNotUnique
-from .game import simplex_grid
+from .game import check_simplex_grid, simplex_grid
 from .market import IntegerView, Market, support_stats
 from .plans import BoundedLinearPlan, MLinearPlan
 
@@ -77,27 +76,13 @@ class BoundSearchResult:
 
 
 def find_bounding_m(market: Market, grid_resolution: int) -> BoundSearchResult:
-    """Certify a scale bound over the simplex grid of the given resolution.
-
-    Requires a unique best-expectation action (ExpectationNotUnique
-    otherwise).  Every grid portfolio except that action's vertex gets a
-    witness; see the module docstring for what is certified.
-    """
-    exps = market.expectations()
-    mu = max(exps)
-    argmax = [i for i, e in enumerate(exps) if e == mu]
-    if len(argmax) != 1:
-        raise ExpectationNotUnique(
-            f"actions {argmax} tie at expectation {mu}; relabeling needs a unique best"
-        )
-    best = argmax[0]
-
+    """Certify the vertex bound with one witness per grid portfolio except
+    the best action's vertex.  Errors as _vertex_bound."""
+    best, bound, min_gap = _vertex_bound(market, grid_resolution)
     view = market.integer_view
     d = grid_resolution
     length = d * view.scale  # a difference l of q - X* stands for l / length
     witnesses = []
-    bound = 0
-    min_gap = None
     for point in simplex_grid(market.n, d):
         counts = [w.numerator * (d // w.denominator) for w in point.weights]
         if counts[best] == d:
@@ -111,16 +96,28 @@ def find_bounding_m(market: Market, grid_resolution: int) -> BoundSearchResult:
                 Fraction(tail_empty_at, length),
             )
         )
-        bound = max(bound, threshold, tail_empty_at)
-        min_gap = gap if min_gap is None else min(min_gap, gap)
-    assert min_gap is not None and min_gap > 0
-    return BoundSearchResult(
-        Fraction(bound, length),
-        Fraction(min_gap, length * view.mass),
-        grid_resolution,
-        best,
-        tuple(witnesses),
-    )
+    return BoundSearchResult(bound, min_gap, grid_resolution, best, tuple(witnesses))
+
+
+def _vertex_bound(market: Market, grid_resolution: int) -> tuple[int, Fraction, Fraction]:
+    """Best action, scale bound and least grid gap, in closed form.  Raises
+    ExpectationNotUnique for a tied best, then check_simplex_grid's errors,
+    then DegenerateSupport for a one-action market."""
+    exps = market.expectations()
+    mu = max(exps)
+    argmax = [i for i, e in enumerate(exps) if e == mu]
+    if len(argmax) != 1:
+        raise ExpectationNotUnique(
+            f"actions {argmax} tie at expectation {mu}; relabeling needs a unique best"
+        )
+    best = argmax[0]
+    check_simplex_grid(market.n, grid_resolution)
+    if market.n == 1:
+        raise DegenerateSupport("no action other than the best to bound against")
+    view = market.integer_view
+    spread = max(abs(x - row[best]) for row in view.values for x in row)
+    runner_up = sorted(exps)[-2]
+    return best, Fraction(spread, view.scale), (mu - runner_up) / grid_resolution
 
 
 def _witness_for(
@@ -157,6 +154,7 @@ def _witness_for(
 def build_bounded_linear(
     market: Market, players: int, grid_resolution: int
 ) -> BoundedLinearPlan:
-    """Output-gated linear plan scaled by the certified bound."""
-    search = find_bounding_m(market, grid_resolution)
-    return BoundedLinearPlan(players, search.bound)
+    """Output-gated linear plan scaled by the vertex bound.  grid_resolution
+    is validated as in find_bounding_m but scans nothing and changes nothing."""
+    _, bound, _ = _vertex_bound(market, grid_resolution)
+    return BoundedLinearPlan(players, bound)

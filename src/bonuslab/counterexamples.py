@@ -573,17 +573,16 @@ def universality_verdict(
 
     The scan stops at the first violation, in the probes' scan order.
 
-    Two players: pair probing; with no violations the plan is provably
-    constant across each pair's four points (asserted by re-evaluation).
+    Two players: pair probing.  With no violation the plan is constant on
+    each pair's four points {x,y}^2 (four_point_shares_equal holds): the
+    four inequalities, with shares summing to 1, chain player 1's share as
+    f(x,x) >= f(y,x) >= f(y,y) >= f(x,y) >= f(x,x), so all four are equal.
     Three or more: own-coordinate probing at distinct-coordinate points; no
     violations means every probed own-coordinate move was weakly losing.
     """
     if plan.players == 2:
         violation = next(_pair_violations(plan, points), None)
         if violation is None:
-            grid = sorted(set(rationals(points)))
-            for x, y in combinations(grid, 2):
-                assert four_point_shares_equal(plan, x, y)
             return UniversalityReport("constant-on-grid", None, None)
         if violation.direction is Direction.DECREASE:
             ce = pair_decrease_counterexample(plan, violation)

@@ -230,12 +230,9 @@ def principal_value(market: Market, profile: Profile) -> Fraction:
     return sum((expectation(market, s) for s in profile.strategies), start=ZERO)
 
 
-def simplex_grid(arity: int, denominator: int) -> Iterator[MixedAction]:
-    """All weight vectors with the given denominator, lexicographically.
-
-    Raises GridCapExceeded, before yielding anything, when the grid's
-    C(denominator + arity - 1, arity - 1) points exceed GRID_CAP.
-    """
+def check_simplex_grid(arity: int, denominator: int) -> None:
+    """InvalidParameter for a denominator below 1; GridCapExceeded when the
+    grid's C(denominator + arity - 1, arity - 1) points exceed GRID_CAP."""
     if denominator < 1:
         raise InvalidParameter(f"grid denominator must be >= 1, got {denominator}")
     size = comb(denominator + arity - 1, arity - 1)
@@ -244,6 +241,12 @@ def simplex_grid(arity: int, denominator: int) -> Iterator[MixedAction]:
             f"a {arity}-action grid of denominator {denominator} has {size} points; "
             f"cap {GRID_CAP}"
         )
+
+
+def simplex_grid(arity: int, denominator: int) -> Iterator[MixedAction]:
+    """All weight vectors with the given denominator, lexicographically;
+    check_simplex_grid runs before anything is yielded."""
+    check_simplex_grid(arity, denominator)
     # Stars and bars: arity - 1 bars among `slots` places leave runs of
     # stars between them, one count per action, and bar positions in
     # lexicographic order give the counts in lexicographic order.  The gap

@@ -230,6 +230,7 @@ NEGATIVE_MARKET = {**MARKET, "atoms": [{"p": "-3/5", "outcomes": ["1", "1"]},
                                        {"p": "8/5", "outcomes": ["1", "2"]}]}
 FLAT_MARKET = {"actions": ["A", "B"], "atoms": [{"p": "1", "outcomes": ["0", "0"]}]}
 TIED_MARKET = {"actions": ["A", "B"], "atoms": [{"p": "1", "outcomes": ["1", "1"]}]}
+ONE_ACTION_MARKET = {"actions": ["A"], "atoms": [{"p": "1", "outcomes": ["1"]}]}
 STRING_MARKET = {**MARKET, "atoms": [{"p": "1", "outcomes": "12"}]}
 STRING_TABLE = {"players": 2, "kind": "tabulated", "fallback": ["1/2", "1/2"],
                 "points": [{"r": "01", "shares": ["1", "0"]}]}
@@ -298,6 +299,10 @@ REJECTED = [
      "ExpectationNotUnique"),
     ("find-m-missing-file", {}, ["find-m", "--market", "/no/such/market.json", "--grid", "4"],
      "FileNotFoundError"),
+    ("find-m-one-action", {"M": ONE_ACTION_MARKET}, ["find-m", "--market", "M", "--grid", "4"],
+     "DegenerateSupport"),
+    ("build-bounded-one-action", {"M": ONE_ACTION_MARKET},
+     ["build-bounded", "--market", "M", "--players", "2", "--grid", "4"], "DegenerateSupport"),
     ("probe-grid-text", {"P": WTA},
      ["probe-universal", "--plan", "P", "--grid", "a:b:c", "--players", "2"],
      "UnparsableNumber"),
@@ -305,6 +310,9 @@ REJECTED = [
      ["probe-universal", "--plan", "P", "--grid", "0:1:1", "--players", "3"], "BonusLabError"),
     ("probe-pair-cap", {"P": WTA},  # C(701, 2) = 245 350 point pairs
      ["probe-universal", "--plan", "P", "--grid", "0:700:1", "--players", "2"],
+     "GridCapExceeded"),
+    ("probe-grid-cap", {"P": WTA},  # 10 000 001 points, counted before any is built
+     ["probe-universal", "--plan", "P", "--grid", "0:10000000:1", "--players", "2"],
      "GridCapExceeded"),
     ("validate-plan-float-bound", {"P": {"players": 2, "kind": "bounded_linear", "bound": 0.5}},
      ["validate-plan", "--plan", "P"], "FloatRejected"),

@@ -10,7 +10,9 @@ from bonuslab import (
     BoundSearchResult,
     DegenerateSupport,
     ExpectationNotUnique,
+    GridCapExceeded,
     GridWitness,
+    InvalidParameter,
     OptimalityVerdict,
     build_bounded_linear,
     build_m_linear,
@@ -138,6 +140,19 @@ def test_bounded_plan_passes_optimality():
     assert report.verdict is OptimalityVerdict.OPTIMAL
 
 
+def test_grid_resolution_is_validated_but_does_not_change_the_bounded_plan():
+    market = two_bond_market()
+    plans = {build_bounded_linear(market, 2, d) for d in range(1, 7)}
+    assert plans == {build_bounded_linear(market, 2, 10)}
+    with pytest.raises(InvalidParameter):
+        build_bounded_linear(market, 2, 0)
+    with pytest.raises(GridCapExceeded):  # a 2-action grid of d has d + 1 points
+        build_bounded_linear(market, 2, 200_000)
+    tied = build_market(["A", "B"], [("1/2", ("1", "0")), ("1/2", ("0", "1"))])
+    with pytest.raises(ExpectationNotUnique):  # the tie is checked before the grid
+        build_bounded_linear(tied, 2, 0)
+
+
 def test_certified_bound_can_be_far_below_the_support_bound():
     """Outliers shared by both actions cancel in the differences.
 
@@ -218,7 +233,9 @@ def unique_best_markets(draw):
 @given(unique_best_markets(), st.integers(1, 6))
 def test_sweep_matches_the_rescan(market, resolution):
     """Identical witnesses, bound and min_gap, outlier markets included."""
-    assert find_bounding_m(market, resolution) == rescan_bounding_m(market, resolution)
+    oracle = rescan_bounding_m(market, resolution)
+    assert find_bounding_m(market, resolution) == oracle
+    assert build_bounded_linear(market, 2, resolution).bound == oracle.bound
 
 
 def test_a_tail_of_exactly_half_the_gap_fails_the_test():

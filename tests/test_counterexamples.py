@@ -1,7 +1,7 @@
 """Monotonicity probes and the markets that turn violations into refutations."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -272,6 +272,22 @@ def test_universality_verdict_constant():
     assert universality_verdict(ConstantPlan(3), ("0", "1", "2")).verdict == (
         "constant-on-grid"
     )
+
+
+@pytest.mark.parametrize(
+    "plan,grid",
+    [
+        (ConstantPlan(2), ("0", "1/2", "1")),
+        # the one tabulated point lies off the grid, so the grid sees the fallback
+        (TabulatedPlan(2, {("5/2", "7/2"): ("1", "0")}, ("1/3", "2/3")), range(8)),
+    ],
+)
+def test_constant_on_grid_means_equal_shares_on_every_pair(plan, grid):
+    """A two-player constant-on-grid verdict leaves the plan constant on each
+    {x,y}^2, as the universality_verdict docstring proves."""
+    assert universality_verdict(plan, grid).verdict == "constant-on-grid"
+    for x, y in combinations(sorted({F(x) for x in grid}), 2):
+        assert four_point_shares_equal(plan, x, y)
 
 
 def test_universality_verdict_interval_plan_beyond_its_interval():
