@@ -29,7 +29,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import construct, counterexamples, game as game_mod, market as market_mod, plans
+from . import construct, counterexamples, game as game_mod, plans
 from .errors import BonusLabError, GridCapExceeded
 from .game import (
     EquilibriumReport,
@@ -75,12 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument(
         "--decimal", action="store_true", help="append approximate decimals to text output"
-    )
-    parser.add_argument(
-        "--atom-cap", type=int, default=market_mod.DEFAULT_ATOM_CAP, metavar="N"
-    )
-    parser.add_argument(
-        "--tensor-cap", type=int, default=game_mod.DEFAULT_TENSOR_CAP, metavar="N"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -135,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="value grid, rational endpoints and step, inclusive; "
                    "a negative LO needs the = form, as in --grid=-1:1:1")
     p.add_argument("--players", type=int, required=True)
-    p.add_argument("--max-iterations", type=int, default=64)
     p.set_defaults(handler=_cmd_probe, text=_text_probe)
 
     p = sub.add_parser("validate-plan", help="fuzz a plan's allocation contract")
@@ -251,9 +244,9 @@ def _cmd_replicate(args) -> dict:
     lam = as_rational(args.lam)
     market = two_bond_market()
     plan = WinnerTakeAllPlan(2)
-    at_zero = induce_game(market, plan, 0, tensor_cap=args.tensor_cap).payoffs
-    at_half = induce_game(market, plan, Fraction(1, 2), tensor_cap=args.tensor_cap).payoffs
-    at_lam = induce_game(market, plan, lam, tensor_cap=args.tensor_cap)
+    at_zero = induce_game(market, plan, 0).payoffs
+    at_half = induce_game(market, plan, Fraction(1, 2)).payoffs
+    at_lam = induce_game(market, plan, lam)
     dominance = strict_dominance(at_lam)
     equilibrium = None
     if dominance.unique_profile is not None:
@@ -322,7 +315,7 @@ def _text_replicate(doc, args):
 def _cmd_induce(args) -> dict:
     market = _read_market(args)
     plan = _read_plan(args)
-    g = induce_game(market, plan, as_rational(args.lam), tensor_cap=args.tensor_cap)
+    g = induce_game(market, plan, as_rational(args.lam))
     return _payoff_dict(market, g)
 
 
@@ -336,7 +329,7 @@ def _cmd_check_eq(args) -> dict:
     plan = _read_plan(args)
     with open(args.profile) as fh:
         profile = profile_from_list(json.load(fh))
-    g = induce_game(market, plan, as_rational(args.lam), tensor_cap=args.tensor_cap)
+    g = induce_game(market, plan, as_rational(args.lam))
     return _equilibrium_dict(check_nash(g, profile, args.resolution))
 
 
@@ -353,10 +346,7 @@ def _text_check_eq(doc, args):
 def _cmd_check_optimal(args) -> dict:
     market = _read_market(args)
     plan = _read_plan(args)
-    report = check_optimal(
-        market, plan, args.resolution, tensor_cap=args.tensor_cap
-    )
-    return _optimality_dict(market, report)
+    return _optimality_dict(market, check_optimal(market, plan, args.resolution))
 
 
 def _text_check_optimal(doc, args):
@@ -441,9 +431,7 @@ def _cmd_probe(args) -> dict:
             f"plan is for {plan.players} players, --players says {args.players}"
         )
     grid = _parse_grid(args.grid)
-    report = counterexamples.universality_verdict(
-        plan, grid, max_iterations=args.max_iterations, atom_cap=args.atom_cap
-    )
+    report = counterexamples.universality_verdict(plan, grid)
     document: dict = {"verdict": report.verdict}
     if report.violation is not None:
         document["violation"] = report.violation.to_document()

@@ -35,7 +35,6 @@ from typing import Sequence
 from .errors import ArityMismatch, GridCapExceeded, SearchExhausted, StaleViolation
 from .game import GRID_CAP, Verdict, check_nash, expected_payoffs, induce_game
 from .market import (
-    DEFAULT_ATOM_CAP,
     Market,
     MixedAction,
     Profile,
@@ -49,6 +48,7 @@ from .rational import as_rational, format_rational, rationals
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+ESCALATIONS = 64  # rare-mass halvings, probability steps, escape doublings
 
 
 class Direction(str, Enum):
@@ -255,9 +255,7 @@ def pair_decrease_counterexample(plan: BonusPlan, violation: PairViolation) -> C
     return ce
 
 
-def pair_increase_counterexample(
-    plan: BonusPlan, violation: PairViolation, max_iterations: int = 64
-) -> Counterexample:
+def pair_increase_counterexample(plan: BonusPlan, violation: PairViolation) -> Counterexample:
     """Two-atom market refuting a two-player increase violation.
 
     Common case (probability p): the best action realizes x while the
@@ -271,7 +269,7 @@ def pair_increase_counterexample(
     _check_pair(plan, violation, Direction.INCREASE)
     x, y, player, deficit = violation.x, violation.y, violation.player, violation.deficit
     rare_mass = ONE - (1 + deficit / 2) / (1 + deficit)
-    for iteration in range(max_iterations):
+    for iteration in range(ESCALATIONS):
         p = ONE - rare_mass
         z = x + p * (y - x) / rare_mass + 1
         market = build_market(("X1", "X2"), [(p, (x, y)), (rare_mass, (z, x))])
@@ -299,9 +297,7 @@ def pair_increase_counterexample(
             validate_counterexample(plan, ce)
             return ce
         rare_mass = rare_mass / 2
-    raise SearchExhausted(
-        f"no positive gain after {max_iterations} rare-mass halvings"
-    )
+    raise SearchExhausted(f"no positive gain after {ESCALATIONS} rare-mass halvings")
 
 
 def _check_pair(plan: BonusPlan, violation: PairViolation, direction: Direction) -> None:
@@ -370,9 +366,7 @@ def tuple_probability(violation: CoordinateViolation) -> Fraction:
 
 
 def coordinate_decrease_counterexample(
-    plan: BonusPlan,
-    violation: CoordinateViolation,
-    atom_cap: int = DEFAULT_ATOM_CAP,
+    plan: BonusPlan, violation: CoordinateViolation
 ) -> Counterexample:
     """Product market where dropping one's result is rewarded with certainty.
 
@@ -390,7 +384,7 @@ def coordinate_decrease_counterexample(
     def dip(combo: tuple) -> Fraction:
         return witness if combo == base else combo[player]
 
-    market = product_market(_base_marginal(violation), k, [("dev", dip)], atom_cap)
+    market = product_market(_base_marginal(violation), k, [("dev", dip)])
     profile = Profile.pure(tuple(range(k)), market.n)
     gain = violation.deficit * tuple_probability(violation)
     certificate = tuple(
@@ -410,10 +404,7 @@ def coordinate_decrease_counterexample(
 
 
 def coordinate_increase_counterexample(
-    plan: BonusPlan,
-    violation: CoordinateViolation,
-    max_iterations: int = 64,
-    atom_cap: int = DEFAULT_ATOM_CAP,
+    plan: BonusPlan, violation: CoordinateViolation
 ) -> Counterexample:
     """Product market where chasing a higher result forfeits expectation.
 
@@ -438,14 +429,14 @@ def coordinate_increase_counterexample(
 
     p = None
     schedule_steps = None
-    for t in range(1, max_iterations + 1):
+    for t in range(1, ESCALATIONS + 1):
         candidate = ONE - Fraction(1, 2**t)
         if violation.deficit * candidate**k * pi_base > 1 - candidate**k:
             p, schedule_steps = candidate, t
             break
     if p is None:
         raise SearchExhausted(
-            f"guaranteed gain still negative after {max_iterations} probability steps"
+            f"guaranteed gain still negative after {ESCALATIONS} probability steps"
         )
 
     magnitude = max(max(abs(v) for v in base), abs(witness))
@@ -453,7 +444,7 @@ def coordinate_increase_counterexample(
     while escape <= magnitude:
         escape *= 2
 
-    for doubling in range(max_iterations):
+    for doubling in range(ESCALATIONS):
         high, low = escape, -escape
         marginal = [(v, p * q) for v, q in _base_marginal(violation)]
         marginal.append((high, ONE - p))
@@ -465,7 +456,7 @@ def coordinate_increase_counterexample(
                 return low
             return combo[player]
 
-        market = product_market(marginal, k, [("dev", chase)], atom_cap)
+        market = product_market(marginal, k, [("dev", chase)])
         common = market.expectation_of(0)
         deviant = market.expectation_of(k)
         if deviant < common:
@@ -503,7 +494,7 @@ def coordinate_increase_counterexample(
             return ce
         escape *= 2
     raise SearchExhausted(
-        f"deviation expectation still not below after {max_iterations} escape doublings"
+        f"deviation expectation still not below after {ESCALATIONS} escape doublings"
     )
 
 
@@ -563,12 +554,7 @@ class UniversalityReport:
     counterexample: Counterexample | None
 
 
-def universality_verdict(
-    plan: BonusPlan,
-    points: Sequence,
-    max_iterations: int = 64,
-    atom_cap: int = DEFAULT_ATOM_CAP,
-) -> UniversalityReport:
+def universality_verdict(plan: BonusPlan, points: Sequence) -> UniversalityReport:
     """Probe the plan on the grid and refute universality if possible.
 
     The scan stops at the first violation, in the probes' scan order.
@@ -587,14 +573,14 @@ def universality_verdict(
         if violation.direction is Direction.DECREASE:
             ce = pair_decrease_counterexample(plan, violation)
         else:
-            ce = pair_increase_counterexample(plan, violation, max_iterations)
+            ce = pair_increase_counterexample(plan, violation)
         return UniversalityReport("counterexample", violation, ce)
 
     violation = next(_coordinate_violations(plan, points), None)
     if violation is None:
         return UniversalityReport("constant-on-grid", None, None)
     if violation.direction is Direction.DECREASE:
-        ce = coordinate_decrease_counterexample(plan, violation, atom_cap)
+        ce = coordinate_decrease_counterexample(plan, violation)
     else:
-        ce = coordinate_increase_counterexample(plan, violation, max_iterations, atom_cap)
+        ce = coordinate_increase_counterexample(plan, violation)
     return UniversalityReport("counterexample", violation, ce)

@@ -39,7 +39,7 @@ class NonSimplexWeights(BonusLabError):
 
 
 class AtomCapExceeded(BonusLabError):
-    """A market construction would create more atoms than the configured cap."""
+    """A product market would have more atoms than market.ATOM_CAP."""
 
 
 class IncompleteMapping(BonusLabError):
@@ -51,7 +51,8 @@ class NonSimplexTable(BonusLabError):
 
 
 class TensorCapExceeded(BonusLabError):
-    """Inducing a game would create more pure profiles than the configured cap."""
+    """A full payoff tensor, or the best-expectation profiles that check_optimal
+    scans, would have more pure profiles than game.TENSOR_CAP."""
 
 
 class GridCapExceeded(BonusLabError):
@@ -71,4 +72,4 @@ class StaleViolation(BonusLabError):
 
 
 class SearchExhausted(BonusLabError):
-    """An escalation schedule hit its iteration cap before meeting its target."""
+    """An escalation schedule ran counterexamples.ESCALATIONS steps without meeting its target."""

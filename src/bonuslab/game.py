@@ -36,7 +36,10 @@ profile reads that profile and its unilateral deviations, at most
 1 + k(n-1) cells of the n^k tensor, so `Game.payoff` computes a cell when it
 is first asked for and keeps it on the game.  Only `Game.payoffs` (and
 through it `strict_dominance` and the CLI's tensor listings) materializes
-every cell.
+every cell, and it refuses a tensor over TENSOR_CAP pure profiles before
+computing any; `check_optimal` applies the same cap to the best-expectation
+profiles it scans.  A verdict read from a profile and its deviations is
+not refused for the size of the tensor.
 
 Payoffs are computed in integers and are exact all the same.  A market's
 `integer_view`, built once, writes every outcome over one common
@@ -67,8 +70,8 @@ from .market import IntegerView, Market, MixedAction, Profile, expectation
 from .plans import BonusPlan
 from .rational import as_rational
 
-DEFAULT_TENSOR_CAP = 200_000
-GRID_CAP = DEFAULT_TENSOR_CAP  # simplex grid points, and probed base points
+TENSOR_CAP = 200_000  # pure profiles enumerated: a full tensor, or check_optimal's scan
+GRID_CAP = TENSOR_CAP  # simplex grid points, and probed base points
 
 ZERO = Fraction(0)
 
@@ -123,7 +126,9 @@ class Game:
 
     @property
     def payoffs(self) -> dict:
-        """The full tensor, action-index tuple -> payoffs, in product order."""
+        """The full tensor, action-index tuple -> payoffs, in product order;
+        TensorCapExceeded before any cell when it exceeds TENSOR_CAP profiles."""
+        _check_profiles(self.actions, self.players)
         return {
             combo: self.payoff(combo)
             for combo in product(range(self.actions), repeat=self.players)
@@ -191,20 +196,19 @@ def _unit(strategies: Sequence[MixedAction]) -> int:
     return lcm(*(w.denominator for s in strategies for w in s.weights))
 
 
-def induce_game(
-    market: Market,
-    plan: BonusPlan,
-    earnings_weight=0,
-    tensor_cap: int = DEFAULT_TENSOR_CAP,
-) -> Game:
+def _check_profiles(n: int, k: int) -> None:
+    """TensorCapExceeded when n^k pure profiles exceed TENSOR_CAP."""
+    # n >= 2 gives n^b > TENSOR_CAP at b = its bit length, so n^k exceeds the
+    # cap exactly when n^min(k, b) does, and no huge power is built
+    if n ** min(k, TENSOR_CAP.bit_length()) > TENSOR_CAP:
+        raise TensorCapExceeded(f"{n}^{k} pure profiles exceed cap {TENSOR_CAP}")
+
+
+def induce_game(market: Market, plan: BonusPlan, earnings_weight=0) -> Game:
     """The game of a market and a plan; cells are computed as they are read."""
     w = as_rational(earnings_weight)
     if not ZERO <= w < 1:
         raise InvalidParameter(f"earnings weight must lie in [0, 1), got {w}")
-    k, n = plan.players, market.n
-    profiles = n**k
-    if profiles > tensor_cap:
-        raise TensorCapExceeded(f"{n}^{k} = {profiles} profiles exceeds cap {tensor_cap}")
     return Game(market, plan, w)
 
 
@@ -365,9 +369,6 @@ class EquilibriumReport:
     gains: tuple[Fraction, ...]
     method: str
 
-    def gain_for(self, player: int) -> Fraction:
-        return self.gains[player]
-
 
 def check_nash(
     game: Game, profile: Profile, resolution: int | None = None
@@ -501,21 +502,20 @@ class OptimalityReport:
 
 
 def check_optimal(
-    market: Market,
-    plan: BonusPlan,
-    resolution: int | None = None,
-    tensor_cap: int = DEFAULT_TENSOR_CAP,
+    market: Market, plan: BonusPlan, resolution: int | None = None
 ) -> OptimalityReport:
     """Check whether some maximal-expectation pure profile is an equilibrium.
 
     Runs at earnings weight 0 (the allocation game proper).  OPTIMAL
     requires a decisive EQUILIBRIUM verdict on a checked profile; a grid
-    search that merely found no violation is not promoted.
+    search that merely found no violation is not promoted.  The
+    |argmax|^k candidate profiles are capped at TENSOR_CAP.
     """
-    game = induce_game(market, plan, 0, tensor_cap)
+    game = induce_game(market, plan, 0)
     exps = market.expectations()
     mu = max(exps)
     argmax = tuple(i for i, e in enumerate(exps) if e == mu)
+    _check_profiles(len(argmax), plan.players)
     checked = []
     witness = None
     for combo in product(argmax, repeat=plan.players):

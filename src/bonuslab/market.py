@@ -32,7 +32,7 @@ from .errors import (
 )
 from .rational import as_rational, format_rational, rationals
 
-DEFAULT_ATOM_CAP = 100_000
+ATOM_CAP = 100_000  # atoms of a product market, checked before any is built
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -271,7 +271,6 @@ def product_market(
     marginal: Iterable[tuple],
     copies: int,
     extra_actions: Sequence[tuple[str, "Mapping | Callable"]] = (),
-    atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> Market:
     """Market of `copies` i.i.d. draws from a marginal, one action per copy.
 
@@ -282,7 +281,8 @@ def product_market(
         IncompleteMapping.
 
     The atoms are all value tuples in support^copies with product
-    probabilities; coordinate action j realizes component j.
+    probabilities; coordinate action j realizes component j.  More than
+    ATOM_CAP atoms raise AtomCapExceeded before any atom is built.
     """
     if copies < 1:
         raise ArityMismatch("need at least one copy")
@@ -298,10 +298,8 @@ def product_market(
         )
     support = sorted(merged)
     count = len(support) ** copies
-    if count > atom_cap:
-        raise AtomCapExceeded(
-            f"{len(support)}^{copies} = {count} atoms exceeds cap {atom_cap}"
-        )
+    if count > ATOM_CAP:
+        raise AtomCapExceeded(f"{len(support)}^{copies} = {count} atoms exceeds cap {ATOM_CAP}")
 
     rules = [(label, _total_rule(label, rule)) for label, rule in extra_actions]
     labels = tuple(f"X{j + 1}" for j in range(copies)) + tuple(l for l, _ in rules)

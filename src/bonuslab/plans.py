@@ -33,7 +33,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -423,23 +423,24 @@ def validate_simplex(
     """Check the allocation contract on pseudo-random result vectors.
 
     Samples `count` vectors with coordinates in [lo, hi] from a seeded
-    generator (deterministic), and always also probes the plan's own
-    `probes()`: tabulated points, the corners of a linear plan's interval or
-    bound.  Reports the first vector whose allocation leaves the simplex, if
-    any.
+    generator (deterministic), after the plan's own `probes()`: tabulated
+    points, the corners of a linear plan's interval or bound.  Samples are
+    drawn one at a time as they are checked.  Reports the first vector whose
+    allocation leaves the simplex, if any.
     """
     if count < 1:
         raise InvalidParameter(f"sample count must be >= 1, got {count}")
     lo, hi = as_rational(lo), as_rational(hi)
+    if lo > hi:
+        raise InvalidParameter(f"sample range {lo}:{hi} is inverted")
     rng = random.Random(seed)
-    probes = list(plan.probes())
-    for _ in range(count):
-        probes.append(
-            tuple(_random_rational(rng, lo, hi, max_denominator) for _ in range(plan.players))
-        )
+    samples = (
+        tuple(_random_rational(rng, lo, hi, max_denominator) for _ in range(plan.players))
+        for _ in range(count)
+    )
 
     checked = 0
-    for r in probes:
+    for r in chain(plan.probes(), samples):
         try:
             shares = plan.evaluate(r)
         except Exception as exc:  # a raising plan fails validation, with the reason

@@ -236,6 +236,13 @@ STRING_TABLE = {"players": 2, "kind": "tabulated", "fallback": ["1/2", "1/2"],
                 "points": [{"r": "01", "shares": ["1", "0"]}]}
 NO_INTERVAL = {"players": 2, "kind": "m_linear", "bound": "4"}
 BOUND_ZERO = {"players": 2, "kind": "bounded_linear", "bound": "0"}
+SIX_ACTION_MARKET = {
+    "actions": [f"A{i}" for i in range(6)],
+    "atoms": [{"p": "1/2", "outcomes": ["3", "1", "2", "0", "5/2", "1"]},
+              {"p": "1/4", "outcomes": ["1", "4", "0", "2", "1/2", "3"]},
+              {"p": "1/4", "outcomes": ["2", "0", "3", "1", "1", "-1"]}],
+}
+SEVEN_PLAYER_PLAN = {"players": 7, "kind": "m_linear", "bound": "4", "interval": ["-1", "4"]}
 
 # (case, documents by placeholder, argv, exit code, error type under --json)
 REJECTED = [
@@ -245,8 +252,8 @@ REJECTED = [
      ["induce", "--market", "M", "--plan", "P"], "FloatRejected"),
     ("induce-lambda-one", {"M": MARKET, "P": WTA},
      ["induce", "--market", "M", "--plan", "P", "--lambda", "1"], "InvalidParameter"),
-    ("induce-tensor-cap", {"M": MARKET, "P": WTA},
-     ["--tensor-cap", "3", "induce", "--market", "M", "--plan", "P"], "TensorCapExceeded"),
+    ("induce-tensor-cap", {"M": SIX_ACTION_MARKET, "P": SEVEN_PLAYER_PLAN},  # 6^7 profiles
+     ["induce", "--market", "M", "--plan", "P"], "TensorCapExceeded"),
     ("check-eq-resolution-zero", {"M": MARKET, "P": WTA, "Q": [["1", "0"], ["1", "0"]]},
      ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q", "--resolution", "0"],
      "InvalidParameter"),
@@ -322,6 +329,8 @@ REJECTED = [
      ["validate-plan", "--plan", "P", "--samples", "0"], "InvalidParameter"),
     ("validate-plan-bad-range", {"P": WTA}, ["validate-plan", "--plan", "P", "--range", "x"],
      "BonusLabError"),
+    ("validate-plan-inverted-range", {"P": WTA},
+     ["validate-plan", "--plan", "P", "--range=2:-2"], "InvalidParameter"),
 ]
 
 USAGE = [
@@ -332,6 +341,22 @@ USAGE = [
      ["check-optimal", "--market", "M", "--plan", "P", "--resolution", "1/2"]),
     ("build-linear-without-players", {"M": MARKET}, ["build-linear", "--market", "M"]),
 ]
+
+
+def test_check_optimal_is_not_refused_for_the_size_of_the_tensor(tmp_path, capsys):
+    argv = ["check-optimal", "--market", "M", "--plan", "P"]
+    documents = {"M": SIX_ACTION_MARKET, "P": SEVEN_PLAYER_PLAN}
+    assert main(["--json", *_materialize(tmp_path, documents, argv)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "optimal"
+
+
+def test_caps_are_not_flags(capsys):
+    for argv in (["--help"], ["probe-universal", "--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        usage = capsys.readouterr().out
+        for flag in ("--tensor-cap", "--atom-cap", "--max-iterations"):
+            assert flag not in usage
 
 
 def _materialize(tmp_path, documents, argv):

@@ -84,8 +84,17 @@ def test_earnings_weight_must_be_in_unit_interval():
 
 
 def test_tensor_cap():
+    """6^7 = 279 936 profiles: the full tensor is refused before any cell."""
+    market = six_action_market()
+    game = induce_game(market, build_m_linear(market, 7), 0)
     with pytest.raises(TensorCapExceeded):
-        induce_game(two_bond_market(), WinnerTakeAllPlan(2), 0, tensor_cap=3)
+        game.payoffs
+    with pytest.raises(TensorCapExceeded):
+        strict_dominance(game)
+    assert game.cells == {}
+    huge = induce_game(two_bond_market(), WinnerTakeAllPlan(20_000), 0)
+    with pytest.raises(TensorCapExceeded):  # 2^20000 is never built or printed
+        huge.payoffs
 
 
 def test_portfolio_payoff_is_computed_atomwise():
@@ -157,7 +166,7 @@ def test_check_nash_flags_profitable_deviation():
     report = check_nash(game, Profile.pure((0, 0), 2))
     assert report.verdict is Verdict.NOT_EQUILIBRIUM
     assert report.gains == (F(1, 10), F(1, 10))
-    assert report.gain_for(0) == F(1, 10)
+    assert report.gains[0] == F(1, 10)
 
 
 def test_check_nash_verdict_depends_on_search_method():
@@ -427,19 +436,44 @@ def test_check_nash_reads_only_the_deviation_cells():
     assert sorted(game.cells) == [(0, 0), (0, 1), (1, 0)]
 
 
-def test_check_nash_at_five_players_reads_k_times_n_cells():
+def six_action_market():
     atoms = [
         ("1/2", ("3", "1", "2", "0", "5/2", "1")),
         ("1/4", ("1", "4", "0", "2", "1/2", "3")),
         ("1/4", ("2", "0", "3", "1", "1", "-1")),
     ]
-    market = build_market([f"A{i}" for i in range(6)], atoms)
+    return build_market([f"A{i}" for i in range(6)], atoms)
+
+
+def test_check_nash_at_five_players_reads_k_times_n_cells():
+    market = six_action_market()
     plan = build_m_linear(market, 5)
     game = induce_game(market, plan, 0)
     best = max(range(6), key=market.expectation_of)
     report = check_nash(game, Profile.pure((best,) * 5, 6))
     assert report.verdict is Verdict.EQUILIBRIUM
     assert len(game.cells) <= 1 + 5 * 5  # of the 6**5 = 7776 profiles
+
+
+def test_check_optimal_is_not_refused_for_the_size_of_the_tensor():
+    """At k = 7 the tensor has 6^7 = 279 936 profiles, over the cap, but the
+    verdict reads one profile and its unilateral deviations."""
+    market = six_action_market()
+    plan = build_m_linear(market, 7)
+    report = check_optimal(market, plan)
+    assert report.verdict is OptimalityVerdict.OPTIMAL
+    ((combo, nash),) = report.checked
+    assert nash.method == "pure-sufficient"
+    game = induce_game(market, plan, 0)
+    check_nash(game, Profile.pure(combo, 6))
+    assert len(game.cells) <= 1 + 7 * 5
+
+
+def test_check_optimal_caps_the_best_expectation_profiles():
+    tied = build_market(["A", "B"], [("1", ("1", "1"))])
+    with pytest.raises(TensorCapExceeded):
+        check_optimal(tied, WinnerTakeAllPlan(18))  # 2^18 = 262 144 candidate profiles
+    assert check_optimal(tied, WinnerTakeAllPlan(17)).verdict is OptimalityVerdict.OPTIMAL
 
 
 def test_payoff_rejects_a_profile_outside_the_game():

@@ -170,6 +170,9 @@ def test_product_market_incomplete_mapping():
 
 
 def test_product_market_atom_cap():
-    marginal = [(Fraction(v), Fraction(1, 4)) for v in range(4)]
+    """317^2 = 100 489 atoms, over the cap: refused before any atom is built."""
+    marginal = [(Fraction(v), Fraction(1, 317)) for v in range(317)]
+    seen = []
     with pytest.raises(AtomCapExceeded):
-        product_market(marginal, 3, atom_cap=10)
+        product_market(marginal, 2, [("dev", lambda combo: seen.append(combo) or combo[0])])
+    assert seen == []

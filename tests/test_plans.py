@@ -12,6 +12,7 @@ from bonuslab import (
     BonusPlan,
     BoundedLinearPlan,
     ConstantPlan,
+    InvalidParameter,
     LoserTakeAllPlan,
     MLinearPlan,
     NonSimplexTable,
@@ -221,6 +222,12 @@ def test_validate_simplex_passes_builtins():
         report = validate_simplex(plan, count=200)
         assert report.ok, report.failure
         assert report.evaluations >= 200
+
+
+def test_validate_simplex_refuses_an_inverted_range():
+    with pytest.raises(InvalidParameter):
+        validate_simplex(WinnerTakeAllPlan(2), lo=2, hi=-2)
+    assert validate_simplex(WinnerTakeAllPlan(2), count=10, lo=1, hi=1).ok
 
 
 @dataclass(frozen=True)
