@@ -33,7 +33,14 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .errors import ArityMismatch, GridCapExceeded, SearchExhausted, StaleViolation
-from .game import GRID_CAP, Verdict, check_nash, expected_payoffs, induce_game
+from .game import (
+    GRID_CAP,
+    Verdict,
+    check_nash,
+    expected_payoffs,
+    induce_game,
+    _power_exceeds,
+)
 from .market import (
     Market,
     MixedAction,
@@ -161,19 +168,21 @@ def _pair_violations(plan: BonusPlan, points: Sequence):
         raise GridCapExceeded(
             f"C({len(grid)}, 2) = {pairs} point pairs exceeds cap {GRID_CAP}"
         )
-    for x, y in combinations(grid, 2):
-        f_xx = plan.evaluate((x, x))
-        f_yy = plan.evaluate((y, y))
-        f_xy = plan.evaluate((x, y))
-        f_yx = plan.evaluate((y, x))
-        if f_yy[0] < f_xy[0]:
-            yield PairViolation(Direction.DECREASE, x, y, 0, f_xy[0] - f_yy[0])
-        if f_yy[1] < f_yx[1]:
-            yield PairViolation(Direction.DECREASE, x, y, 1, f_yx[1] - f_yy[1])
-        if f_xx[0] < f_yx[0]:
-            yield PairViolation(Direction.INCREASE, x, y, 0, f_yx[0] - f_xx[0])
-        if f_xx[1] < f_xy[1]:
-            yield PairViolation(Direction.INCREASE, x, y, 1, f_xy[1] - f_xx[1])
+    (denominator, shares), ints = plan.kernel_for(grid)
+    diagonal = [shares((a, a)) for a in ints]
+    for (i, x), (j, y) in combinations(enumerate(grid), 2):
+        f_xx, f_yy = diagonal[i], diagonal[j]
+        f_xy = shares((ints[i], ints[j]))
+        f_yx = shares((ints[j], ints[i]))
+        for direction, player, paid, diagonal_share in (
+            (Direction.DECREASE, 0, f_xy, f_yy),
+            (Direction.DECREASE, 1, f_yx, f_yy),
+            (Direction.INCREASE, 0, f_yx, f_xx),
+            (Direction.INCREASE, 1, f_xy, f_xx),
+        ):
+            if paid[player] > diagonal_share[player]:
+                deficit = Fraction(paid[player] - diagonal_share[player], denominator)
+                yield PairViolation(direction, x, y, player, deficit)
 
 
 def four_point_shares_equal(plan: BonusPlan, x, y) -> bool:
@@ -207,20 +216,20 @@ def _coordinate_violations(plan: BonusPlan, points: Sequence):
         raise ArityMismatch(
             f"need at least {k} distinct points for distinct-coordinate probing"
         )
-    if len(grid) ** k > GRID_CAP:
-        raise GridCapExceeded(
-            f"{len(grid)}^{k} = {len(grid) ** k} base points exceeds cap {GRID_CAP}"
-        )
+    if _power_exceeds(len(grid), k, GRID_CAP):
+        raise GridCapExceeded(f"{len(grid)}^{k} base points exceed cap {GRID_CAP}")
+    (denominator, shares), ints = plan.kernel_for(grid)
+    value = dict(zip(ints, grid))
     for player in range(k):
-        for base in product(grid, repeat=k):
+        for base in product(ints, repeat=k):
             if len(set(base)) != k:
                 continue
-            own_share = plan.evaluate(base)[player]
-            for witness in grid:
+            own_share = shares(base)[player]
+            for witness in ints:
                 if witness == base[player]:
                     continue
                 bent = base[:player] + (witness,) + base[player + 1 :]
-                share = plan.evaluate(bent)[player]
+                share = shares(bent)[player]
                 if share > own_share:
                     direction = (
                         Direction.DECREASE
@@ -228,7 +237,11 @@ def _coordinate_violations(plan: BonusPlan, points: Sequence):
                         else Direction.INCREASE
                     )
                     yield CoordinateViolation(
-                        direction, player, base, witness, share - own_share
+                        direction,
+                        player,
+                        tuple(value[b] for b in base),
+                        value[witness],
+                        Fraction(share - own_share, denominator),
                     )
 
 

@@ -196,11 +196,16 @@ def _unit(strategies: Sequence[MixedAction]) -> int:
     return lcm(*(w.denominator for s in strategies for w in s.weights))
 
 
+def _power_exceeds(n: int, k: int, cap: int) -> bool:
+    """Whether n^k > cap, without building a huge n^k."""
+    # n >= 2 gives n^b > cap at b = the cap's bit length, so n^k exceeds the
+    # cap exactly when n^min(k, b) does
+    return n ** min(k, cap.bit_length()) > cap
+
+
 def _check_profiles(n: int, k: int) -> None:
     """TensorCapExceeded when n^k pure profiles exceed TENSOR_CAP."""
-    # n >= 2 gives n^b > TENSOR_CAP at b = its bit length, so n^k exceeds the
-    # cap exactly when n^min(k, b) does, and no huge power is built
-    if n ** min(k, TENSOR_CAP.bit_length()) > TENSOR_CAP:
+    if _power_exceeds(n, k, TENSOR_CAP):
         raise TensorCapExceeded(f"{n}^{k} pure profiles exceed cap {TENSOR_CAP}")
 
 

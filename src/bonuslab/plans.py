@@ -20,11 +20,11 @@ The linear form for player i with scale bound M is
     1/k + sum_j (r_i - r_j) / (2 k (k-1) M)
 so a result one market-spread above the field earns at most 2/k.
 
-Each kind also compiles itself into an integer kernel (`BonusPlan.kernel`)
-for results that are integers over a fixed scale: the same allocation, as
-integer numerators over one denominator, with every gate an integer
-comparison.  The game layer computes payoffs through kernels; `evaluate` is
-the exact reference for one result vector.
+A kind states its allocation once, as an integer kernel (`BonusPlan.kernel`)
+for results that are integers over a fixed scale: the allocation as integer
+numerators over one denominator, with every gate an integer comparison.
+Payoff cells, grid searches and probes run kernels; `evaluate` runs the
+kernel at one result vector's least common denominator.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -46,9 +46,6 @@ from .errors import (
 )
 from .market import Market, support_stats
 from .rational import as_rational, format_rational, rationals
-
-ZERO = Fraction(0)
-
 
 class Kernel(NamedTuple):
     """A plan compiled for integer results over one fixed scale.
@@ -66,10 +63,12 @@ class Kernel(NamedTuple):
 class BonusPlan:
     """Shared base: number of players and the allocation contract.
 
-    Each kind also owns its document fields, its construction from a
-    document, the result vectors `validate_simplex` always probes, and its
-    pure-sufficiency rule.  The defaults here fit a kind with no parameters
-    and no sufficiency argument.
+    A kind defines its allocation once, in `kernel`; `evaluate` runs that
+    kernel at the results' least common denominator.  Each kind also owns
+    its document fields, its construction from a document, the result
+    vectors `validate_simplex` always probes, and its pure-sufficiency rule.
+    The defaults here fit a kind with no parameters and no sufficiency
+    argument.
     """
 
     players: int
@@ -85,14 +84,18 @@ class BonusPlan:
             raise ArityMismatch(
                 f"{len(r)} results for a {self.players}-player plan"
             )
-        return self._allocate(r)
-
-    def _allocate(self, r: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        raise NotImplementedError
+        (denominator, shares), v = self.kernel_for(r)
+        return tuple(Fraction(s, denominator) for s in shares(v))
 
     def kernel(self, scale: int) -> Kernel:
         """This plan for results given as integers over `scale`."""
         raise NotImplementedError
+
+    def kernel_for(self, values: Sequence[Fraction]) -> tuple[Kernel, tuple[int, ...]]:
+        """The kernel at the values' least common denominator, and the values
+        as integers over it."""
+        scale = lcm(*(x.denominator for x in values))
+        return self.kernel(scale), _over(values, scale)
 
     def pure_search_complete(self, market: Market) -> bool:
         """True when scanning pure deviations provably covers all portfolios."""
@@ -116,10 +119,6 @@ class BonusPlan:
 class ConstantPlan(BonusPlan):
     kind = "constant"
 
-    def _allocate(self, r):
-        share = Fraction(1, self.players)
-        return (share,) * self.players
-
     def kernel(self, scale):
         equal = (1,) * self.players
         return Kernel(self.players, lambda v: equal)
@@ -132,12 +131,6 @@ class ConstantPlan(BonusPlan):
 class WinnerTakeAllPlan(BonusPlan):
     kind = "wta"
 
-    def _allocate(self, r):
-        top = max(r)
-        leaders = [i for i, v in enumerate(r) if v == top]
-        share = Fraction(1, len(leaders))
-        return tuple(share if i in leaders else ZERO for i in range(self.players))
-
     def kernel(self, scale):
         return _split_kernel(self.players, max)
 
@@ -145,12 +138,6 @@ class WinnerTakeAllPlan(BonusPlan):
 @dataclass(frozen=True)
 class LoserTakeAllPlan(BonusPlan):
     kind = "lta"
-
-    def _allocate(self, r):
-        bottom = min(r)
-        laggards = [i for i, v in enumerate(r) if v == bottom]
-        share = Fraction(1, len(laggards))
-        return tuple(share if i in laggards else ZERO for i in range(self.players))
 
     def kernel(self, scale):
         return _split_kernel(self.players, min)
@@ -179,14 +166,6 @@ class _LinearPlan(BonusPlan):
         super().__post_init__()
         if self.bound <= 0:
             raise InvalidParameter(f"scale bound must be positive, got {self.bound}")
-
-    def _linear_form(self, r: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        """The ungated shares: 1/k + (k*r_i - sum r) / (2k(k-1)M)."""
-        k = self.players
-        base = Fraction(1, k)
-        denom = 2 * k * (k - 1) * self.bound
-        total = sum(r)
-        return tuple(base + (k * v - total) / denom for v in r)
 
     def _linear_kernel(self, scale: int, gate) -> Kernel:
         """The linear form over 2k(k-1)M·scale, kept where gate(v, shares) holds.
@@ -238,11 +217,6 @@ class MLinearPlan(_LinearPlan):
 
     kind = "m_linear"
 
-    def _allocate(self, r):
-        if all(self.lo <= v <= self.hi for v in r):
-            return self._linear_form(r)
-        return (Fraction(1, self.players),) * self.players
-
     def kernel(self, scale):
         lo, hi = self.lo * scale, self.hi * scale
         lo, hi = -(-lo.numerator // lo.denominator), hi.numerator // hi.denominator
@@ -277,13 +251,6 @@ class BoundedLinearPlan(_LinearPlan):
     """
 
     kind = "bounded_linear"
-
-    def _allocate(self, r):
-        shares = self._linear_form(r)
-        cap = Fraction(2, self.players)
-        if all(ZERO <= s <= cap for s in shares):
-            return shares
-        return (Fraction(1, self.players),) * self.players
 
     def kernel(self, scale):
         cap = 4 * (self.players - 1) * self.bound.numerator * scale  # a share of 2/k
@@ -322,31 +289,29 @@ class TabulatedPlan(BonusPlan):
             if len(k) != self.players:
                 raise ArityMismatch(f"table key {key} is not a {self.players}-vector")
             frozen[k] = _checked_allocation(shares, self.players, f"table entry {key}")
+        fallback = _checked_allocation(self.fallback, self.players, "fallback")
         object.__setattr__(self, "points", frozen)
-        object.__setattr__(
-            self,
-            "fallback",
-            _checked_allocation(self.fallback, self.players, "fallback"),
-        )
-
-    def _allocate(self, r):
-        return self.points.get(r, self.fallback)
+        object.__setattr__(self, "fallback", fallback)
+        # the table in integers, built once: each key as reduced
+        # (numerator, denominator) pairs, shares over their common denominator
+        denominator = lcm(*(s.denominator for row in (fallback, *frozen.values()) for s in row))
+        table = {
+            tuple((x.numerator, x.denominator) for x in key): _over(row, denominator)
+            for key, row in frozen.items()
+        }
+        object.__setattr__(self, "_table", (denominator, table, _over(fallback, denominator)))
 
     def kernel(self, scale):
-        allocations = [self.fallback, *self.points.values()]
-        denominator = lcm(*(s.denominator for shares in allocations for s in shares))
+        denominator, table, fallback = self._table
 
-        def over(shares):
-            return [s.numerator * (denominator // s.denominator) for s in shares]
+        def shares(v):
+            key = []
+            for x in v:
+                g = gcd(x, scale)
+                key.append((x // g, scale // g))
+            return table.get(tuple(key), fallback)
 
-        table = {}
-        for key, shares in self.points.items():
-            scaled = [x * scale for x in key]
-            # a key off the scale's lattice is never realized at this scale
-            if all(x.denominator == 1 for x in scaled):
-                table[tuple(x.numerator for x in scaled)] = over(shares)
-        fallback = over(self.fallback)
-        return Kernel(denominator, lambda v: table.get(v, fallback))
+        return Kernel(denominator, shares)
 
     def probes(self):
         return self.points
@@ -368,6 +333,11 @@ class TabulatedPlan(BonusPlan):
             for entry in data.get("points", ())
         }
         return cls(players, points, rationals(data["fallback"]))
+
+
+def _over(vector: Sequence[Fraction], denominator: int) -> tuple[int, ...]:
+    """The numerators of `vector` over a common multiple of its denominators."""
+    return tuple(x.numerator * (denominator // x.denominator) for x in vector)
 
 
 def _checked_allocation(shares, players: int, where: str) -> tuple[Fraction, ...]:
@@ -421,6 +391,9 @@ def validate_simplex(
     max_denominator: int = 60,
 ) -> SimplexReport:
     """Check the allocation contract on pseudo-random result vectors.
+
+    Each vector is allocated by `evaluate`, which runs the plan's kernel:
+    the check covers the rule the games compute payoffs with.
 
     Samples `count` vectors with coordinates in [lo, hi] from a seeded
     generator (deterministic), after the plan's own `probes()`: tabulated

@@ -1,4 +1,5 @@
-"""Shared fixtures: a seeded market generator and the acceptance summary.
+"""Shared fixtures: a seeded market generator, a reference allocation rule
+and the acceptance summary.
 
 Tests marked ``@pytest.mark.criterion(n, "...")`` are tallied and reported
 as one PASS/FAIL line per criterion id at the end of the run.
@@ -11,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from bonuslab import Market, build_market
+from bonuslab import BonusPlan, Market, build_market
+from bonuslab.rational import rationals
 
 _DENOMINATORS = (1, 1, 1, 2, 2, 4, 5, 8)
 
@@ -64,6 +66,37 @@ def random_market(
         if sum(1 for e in market.expectations() if e == top) == 1:
             return market
     raise AssertionError("generator failed to produce a unique-argmax market")
+
+
+def fraction_allocation(plan: BonusPlan, results) -> tuple[Fraction, ...]:
+    """Reference: each built-in kind's allocation, in Fractions.
+
+    Written from the rules in the `bonuslab.plans` module docstring and kept
+    apart from the package's integer kernels, so a differential test against
+    it compares two independent statements of each rule.
+    """
+    r = rationals(results)
+    k = plan.players
+    assert len(r) == k
+    equal = (Fraction(1, k),) * k
+    if plan.kind == "constant":
+        return equal
+    if plan.kind in ("wta", "lta"):
+        pick = max(r) if plan.kind == "wta" else min(r)
+        share = Fraction(1, r.count(pick))
+        return tuple(share if v == pick else Fraction(0) for v in r)
+    if plan.kind == "tabulated":
+        return plan.points.get(r, plan.fallback)
+    linear = tuple(
+        Fraction(1, k) + (k * v - sum(r)) / (2 * k * (k - 1) * plan.bound) for v in r
+    )
+    if plan.kind == "m_linear":
+        active = all(plan.lo <= v <= plan.hi for v in r)
+    elif plan.kind == "bounded_linear":
+        active = all(0 <= s <= Fraction(2, k) for s in linear)
+    else:
+        raise AssertionError(f"no reference rule for plan kind {plan.kind!r}")
+    return linear if active else equal
 
 
 @pytest.fixture

@@ -321,6 +321,9 @@ REJECTED = [
     ("probe-grid-cap", {"P": WTA},  # 10 000 001 points, counted before any is built
      ["probe-universal", "--plan", "P", "--grid", "0:10000000:1", "--players", "2"],
      "GridCapExceeded"),
+    ("probe-coordinate-cap", {"P": {"players": 3000, "kind": "wta"}},  # 3001^3000 base points
+     ["probe-universal", "--plan", "P", "--grid", "0:3000:1", "--players", "3000"],
+     "GridCapExceeded"),
     ("validate-plan-float-bound", {"P": {"players": 2, "kind": "bounded_linear", "bound": 0.5}},
      ["validate-plan", "--plan", "P"], "FloatRejected"),
     ("validate-plan-negative-samples", {"P": WTA},

@@ -4,15 +4,19 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bonuslab import (
     ArityMismatch,
+    BoundedLinearPlan,
     ConstantPlan,
     CoordinateViolation,
     Direction,
     GridCapExceeded,
     LoserTakeAllPlan,
     MixedAction,
+    MLinearPlan,
     PairViolation,
     SearchExhausted,
     StaleViolation,
@@ -31,6 +35,8 @@ from bonuslab import (
     universality_verdict,
     validate_counterexample,
 )
+from bonuslab.plans import BonusPlan, Kernel
+from conftest import fraction_allocation
 
 F = Fraction
 
@@ -96,11 +102,20 @@ def test_pair_probe_caps_its_pairs():
     "plan,points", [(WinnerTakeAllPlan(2), range(30)), (WinnerTakeAllPlan(3), range(6))]
 )
 def test_universality_verdict_stops_at_the_first_violation(monkeypatch, plan, points):
+    """The verdict allocates < 1/10 of the full probe's result vectors.
+
+    `kernel_for` serves the probes' scans and every `evaluate`, so its
+    kernels count both the scan and the builder's own allocations; the
+    builder's games call `kernel` directly and are not counted.
+    """
     calls = []
-    evaluate = type(plan).evaluate
-    monkeypatch.setattr(
-        type(plan), "evaluate", lambda self, r: calls.append(r) or evaluate(self, r)
-    )
+    kernel_for = BonusPlan.kernel_for
+
+    def counted(self, values):
+        (denominator, shares), ints = kernel_for(self, values)
+        return Kernel(denominator, lambda v: calls.append(v) or shares(v)), ints
+
+    monkeypatch.setattr(BonusPlan, "kernel_for", counted)
     probe = probe_pairs if plan.players == 2 else probe_own_coordinate
     first = probe(plan, points)[0]
     full_scan = len(calls)
@@ -114,6 +129,94 @@ def test_own_coordinate_probe_caps_its_base_points():
         probe_own_coordinate(WinnerTakeAllPlan(3), range(59))
     with pytest.raises(GridCapExceeded):  # 9^6 = 531 441
         universality_verdict(LoserTakeAllPlan(6), range(9))
+
+
+# The probes' loops as they ran before the probes used integer kernels, on
+# the reference allocation rule: a differential oracle for the probes.
+
+
+def reference_pair_violations(plan, grid):
+    found = []
+    for x, y in combinations(grid, 2):
+        f_xx, f_yy, f_xy, f_yx = (
+            fraction_allocation(plan, r) for r in ((x, x), (y, y), (x, y), (y, x))
+        )
+        if f_yy[0] < f_xy[0]:
+            found.append(PairViolation(Direction.DECREASE, x, y, 0, f_xy[0] - f_yy[0]))
+        if f_yy[1] < f_yx[1]:
+            found.append(PairViolation(Direction.DECREASE, x, y, 1, f_yx[1] - f_yy[1]))
+        if f_xx[0] < f_yx[0]:
+            found.append(PairViolation(Direction.INCREASE, x, y, 0, f_yx[0] - f_xx[0]))
+        if f_xx[1] < f_xy[1]:
+            found.append(PairViolation(Direction.INCREASE, x, y, 1, f_xy[1] - f_xx[1]))
+    return tuple(found)
+
+
+def reference_coordinate_violations(plan, grid):
+    k = plan.players
+    found = []
+    for player in range(k):
+        for base in product(grid, repeat=k):
+            if len(set(base)) != k:
+                continue
+            own_share = fraction_allocation(plan, base)[player]
+            for witness in grid:
+                if witness == base[player]:
+                    continue
+                bent = base[:player] + (witness,) + base[player + 1 :]
+                share = fraction_allocation(plan, bent)[player]
+                if share > own_share:
+                    direction = (
+                        Direction.DECREASE if witness < base[player] else Direction.INCREASE
+                    )
+                    found.append(
+                        CoordinateViolation(direction, player, base, witness, share - own_share)
+                    )
+    return tuple(found)
+
+
+grid_points = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def probe_cases(draw):
+    """A plan of every kind and a grid of mixed denominators.
+
+    The m_linear interval [-1/3, 5/4] is off the lattice of every grid
+    without thirds or quarters; one table key holds a seventh, so it is off
+    every grid's lattice, and the other is drawn from the grid.
+    """
+    k = draw(st.sampled_from([2, 3]))
+    size = 8 if k == 2 else 5
+    grid = sorted(draw(st.lists(grid_points, min_size=k, max_size=size, unique=True)))
+    first, last = (F(1),) + (F(0),) * (k - 1), (F(0),) * (k - 1) + (F(1),)
+    on_grid = tuple(draw(st.sampled_from(grid)) for _ in range(k))
+    off_grid = (F(1, 7),) + on_grid[1:]
+    plan = draw(
+        st.sampled_from(
+            [
+                ConstantPlan(k),
+                WinnerTakeAllPlan(k),
+                LoserTakeAllPlan(k),
+                MLinearPlan(k, F(1), F(-1, 3), F(5, 4)),
+                BoundedLinearPlan(k, F(2, 7)),
+                TabulatedPlan(
+                    k, {on_grid: last, off_grid: first}, (F(1, 2), F(1, 2)) + first[2:]
+                ),
+            ]
+        )
+    )
+    return plan, grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(probe_cases())
+def test_probes_match_the_reference_scan(case):
+    """Same violations, same order, same exact deficits as the Fraction scan."""
+    plan, grid = case
+    if plan.players == 2:
+        assert probe_pairs(plan, grid) == reference_pair_violations(plan, grid)
+    assert probe_own_coordinate(plan, grid) == reference_coordinate_violations(plan, grid)
 
 
 # ---------------------------------------------------------------------

@@ -36,6 +36,7 @@ from bonuslab import (
     simplex_grid,
     strict_dominance,
 )
+from conftest import fraction_allocation
 
 F = Fraction
 
@@ -281,7 +282,8 @@ def test_fixed_sum_on_random_markets(rng):
 
 # ---------------------------------------------------------------------
 # Integer kernels and lazy cells: differential tests against Fraction
-# oracles (the evaluation the package did before its integer kernels),
+# oracles (the evaluation the package did before its integer kernels, on
+# the reference allocation rule `conftest.fraction_allocation`),
 # and the work a verdict does
 # ---------------------------------------------------------------------
 
@@ -290,7 +292,7 @@ def fraction_cell(plan, w, rows):
     """Oracle: expected payoffs over (atom, result-vector) rows, in Fractions."""
     totals = [F(0)] * plan.players
     for atom, results in rows:
-        shares = plan.evaluate(results)
+        shares = fraction_allocation(plan, results)
         for i in range(plan.players):
             totals[i] += atom.probability * ((1 - w) * shares[i] + w * results[i])
     return tuple(totals)

@@ -24,6 +24,8 @@ from bonuslab import (
     validate_simplex,
     zero_sum_shares,
 )
+from bonuslab.plans import Kernel
+from conftest import fraction_allocation
 
 F = Fraction
 
@@ -160,7 +162,8 @@ def scaled_vectors(draw):
 @settings(max_examples=300)
 @given(scaled_vectors())
 def test_kernels_match_evaluate(case):
-    """Each kind's integer kernel is its allocation, exactly, gates included."""
+    """Each kind's integer kernel, and `evaluate` on it, is the reference
+    Fraction allocation, exactly, gates included."""
     scale, v = case
     k = len(v)
     r = tuple(F(x, scale) for x in v)
@@ -176,7 +179,9 @@ def test_kernels_match_evaluate(case):
         denominator, shares = plan.kernel(scale)
         got = list(shares(v))
         assert sum(got) == denominator
-        assert [F(x, denominator) for x in got] == list(plan.evaluate(r))
+        expected = fraction_allocation(plan, r)
+        assert tuple(F(x, denominator) for x in got) == expected
+        assert plan.evaluate(r) == expected
 
 
 @given(st.lists(results, min_size=2, max_size=4))
@@ -230,12 +235,45 @@ def test_validate_simplex_refuses_an_inverted_range():
     assert validate_simplex(WinnerTakeAllPlan(2), count=10, lo=1, hi=1).ok
 
 
+def test_validate_simplex_on_a_thousand_point_table():
+    """The table is compiled to integers once per plan, not once per evaluation:
+    an O(table) build per call would make these 2 000 evaluations take seconds."""
+    keys = [(F(i, 7), F(j, 5)) for i in range(-20, 20) for j in range(-12, 13)]
+    rows = ((F(1, 4), F(3, 4)), (F(2, 3), F(1, 3)), (F(1), F(0)))
+    plan = TabulatedPlan(2, {key: rows[n % 3] for n, key in enumerate(keys)}, (F(1, 2),) * 2)
+    assert len(plan.points) == 1000
+    report = validate_simplex(plan, count=1000)
+    assert report.ok, report.failure
+    assert report.evaluations == 2000
+    for r in keys[::37] + [(F(1, 14), F(0)), (F(3), F(0)), (F(-2, 7), F(12, 5))]:
+        assert plan.evaluate(r) == fraction_allocation(plan, r)
+
+
+def test_table_keys_over_many_coprime_denominators():
+    """Keys are looked up one reduced coordinate at a time: a table whose keys
+    have a thousand coprime denominators needs no common denominator of them
+    all, which would run to thousands of bits."""
+    primes = [p for p in range(2, 8000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    rows = ((F(1, 4), F(3, 4)), (F(2, 3), F(1, 3)))
+    keys = [(F(1, p), F(-1, p)) for p in primes[:1000]]
+    plan = TabulatedPlan(2, {key: rows[n % 2] for n, key in enumerate(keys)}, (F(1, 2),) * 2)
+    assert validate_simplex(plan, count=1000).ok
+    last = primes[999]
+    denominator, shares = plan.kernel(6 * last)
+    assert [Fraction(s, denominator) for s in shares((6, -6))] == list(rows[1])
+    assert [Fraction(s, denominator) for s in shares((3 * last, -3 * last))] == list(rows[0])
+    assert [Fraction(s, denominator) for s in shares((6, -7))] == [F(1, 2)] * 2
+    for p, key in zip(primes, keys):
+        assert plan.evaluate(key) == fraction_allocation(plan, key)
+        assert plan.evaluate((F(2, p), F(-1, p))) == (F(1, 2),) * 2
+
+
 @dataclass(frozen=True)
 class _LeakyPlan(BonusPlan):
     kind = "leaky"
 
-    def _allocate(self, r):
-        return (F(2), F(-1))
+    def kernel(self, scale):
+        return Kernel(1, lambda v: (2, -1))
 
 
 def test_validate_simplex_reports_first_failure():
