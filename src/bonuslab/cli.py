@@ -25,6 +25,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -51,7 +52,7 @@ from .market import (
     two_bond_market,
 )
 from .plans import WinnerTakeAllPlan, load_plan, plan_to_dict
-from .rational import approx_decimal, as_rational, format_rational
+from .rational import approx_decimal, as_rational, format_rational, load_json
 
 
 def main(argv=None) -> int:
@@ -70,6 +71,7 @@ def main(argv=None) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bonuslab", description=__doc__.split("\n")[0])
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -328,7 +330,7 @@ def _cmd_check_eq(args) -> dict:
     market = _read_market(args)
     plan = _read_plan(args)
     with open(args.profile) as fh:
-        profile = profile_from_list(json.load(fh))
+        profile = profile_from_list(load_json(fh.read()))
     g = induce_game(market, plan, as_rational(args.lam))
     return _equilibrium_dict(check_nash(g, profile, args.resolution))
 

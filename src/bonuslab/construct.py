@@ -38,8 +38,8 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import DegenerateSupport, ExpectationNotUnique
-from .game import check_simplex_grid, simplex_grid
-from .market import IntegerView, Market, support_stats
+from .game import _compositions, check_simplex_grid
+from .market import Market, support_stats
 from .plans import BoundedLinearPlan, MLinearPlan
 
 
@@ -82,15 +82,19 @@ def find_bounding_m(market: Market, grid_resolution: int) -> BoundSearchResult:
     view = market.integer_view
     d = grid_resolution
     length = d * view.scale  # a difference l of q - X* stands for l / length
+    # a grid point's counts sum to d, so l = sum_j count_j * (x_j - x*)
+    atoms = [
+        (p, [x - values[best] for x in values]) for p, values in zip(view.weights, view.values)
+    ]
+    by_count = tuple(Fraction(c, d) for c in range(d + 1))
     witnesses = []
-    for point in simplex_grid(market.n, d):
-        counts = [w.numerator * (d // w.denominator) for w in point.weights]
+    for counts in _compositions(market.n, d):
         if counts[best] == d:
             continue
-        gap, threshold, tail_empty_at = _witness_for(view, counts, best, d)
+        gap, threshold, tail_empty_at = _witness_for(atoms, counts)
         witnesses.append(
             GridWitness(
-                point.weights,
+                tuple(map(by_count.__getitem__, counts)),
                 Fraction(gap, length * view.mass),
                 Fraction(threshold, length),
                 Fraction(tail_empty_at, length),
@@ -121,18 +125,19 @@ def _vertex_bound(market: Market, grid_resolution: int) -> tuple[int, Fraction, 
 
 
 def _witness_for(
-    view: IntegerView, counts: list[int], best: int, resolution: int
+    atoms: list[tuple[int, list[int]]], counts: tuple[int, ...]
 ) -> tuple[int, int, int]:
     """Gap, threshold and largest |l| of q - X*, in integers.
 
-    q has weights counts / resolution.  A difference l stands for
-    l / (resolution * view.scale), a probability p for p / view.mass, so
-    the gap is over their product.  One sweep down the magnitudes.
+    `atoms` pairs each probability weight p (over view.mass) with the atom's
+    differences x_j - x* (over view.scale); q has weights counts / d, so a
+    difference l stands for l / (d * view.scale) and the gap is over that
+    times view.mass.  One sweep down the magnitudes.
     """
     mass: dict[int, int] = {}  # magnitude -> sum of p over l = +-magnitude
     gap = 0
-    for p, values in zip(view.weights, view.values):
-        l = sum(map(mul, counts, values)) - resolution * values[best]
+    for p, differences in atoms:
+        l = sum(map(mul, counts, differences))
         if l:
             gap -= l * p
             mass[abs(l)] = mass.get(abs(l), 0) + p

@@ -31,6 +31,16 @@ twice its scale bound; no other kind.  In each case the bonus term is the
 linear form at every reachable profile, hence affine in the deviator's
 expected result with positive slope.
 
+Searches are shared under an anonymous plan, one whose kind declares
+`anonymous`: permuting the results permutes the shares (constant, wta,
+lta, m_linear, bounded_linear; not tabulated).  A player's opponents are
+the profile less its own strategy, so two players with equal strategies
+face the same multiset of opponent strategies.  At every atom the deviator
+then sees the same opponent results in another order, gets the same share
+and the same payoff, and so has the same candidates, exact values and
+tie-break.  `check_nash` searches once per distinct strategy and copies the
+result to the other players; a symmetric profile costs one search, not k.
+
 Payoff cells are computed on first read.  A pure-deviation verdict at one
 profile reads that profile and its unilateral deviations, at most
 1 + k(n-1) cells of the n^k tensor, so `Game.payoff` computes a cell when it
@@ -51,16 +61,18 @@ probability times share numerator as integers and builds one `Fraction`
 per player at the end; the earnings-weight term w * E[own result] is added
 to the same numerator.  `best_response` realizes the opponents once and
 scores each grid portfolio by its payoff numerator over a denominator that
-all candidates share, so the search compares integers and builds one
-`Fraction`, for the winner.  `Fraction` stays at the interface.
+all candidates share.  The grid is walked as integer counts (`_compositions`,
+the order `simplex_grid` yields), so the search compares integers and builds
+one `Fraction` and one `MixedAction`, for the winner.  `Fraction` stays at
+the interface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations_with_replacement, product
 from math import comb, lcm
 from operator import mul, sub
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -180,14 +192,10 @@ def _cell(game: Game, rows: Sequence[tuple[int, ...]], scale: int) -> tuple[Frac
     )
 
 
-def _counts(strategy: MixedAction, unit: int) -> list[int]:
-    """The weights times `unit`, a multiple of every weight's denominator."""
-    return [w.numerator * (unit // w.denominator) for w in strategy.weights]
-
-
 def _realize(view: IntegerView, strategy: MixedAction, unit: int) -> list[int]:
-    """A portfolio's value at each atom, over view.scale * unit."""
-    counts = _counts(strategy, unit)
+    """A portfolio's value at each atom, over view.scale * unit; `unit` is a
+    multiple of every weight's denominator."""
+    counts = [w.numerator * (unit // w.denominator) for w in strategy.weights]
     return [sum(map(mul, counts, values)) for values in view.values]
 
 
@@ -256,16 +264,20 @@ def simplex_grid(arity: int, denominator: int) -> Iterator[MixedAction]:
     """All weight vectors with the given denominator, lexicographically;
     check_simplex_grid runs before anything is yielded."""
     check_simplex_grid(arity, denominator)
-    # Stars and bars: arity - 1 bars among `slots` places leave runs of
-    # stars between them, one count per action, and bar positions in
-    # lexicographic order give the counts in lexicographic order.  The gap
-    # g between consecutive bars holds g - 1 stars, so its weight is
-    # by_gap[g]; the d + 1 weights are built once.
-    by_gap = (None, *(Fraction(c, denominator) for c in range(denominator + 1)))
-    slots = denominator + arity - 1
-    for bars in combinations(range(slots), arity - 1):
-        gaps = map(sub, (*bars, slots), (-1, *bars))
-        yield MixedAction._unchecked(tuple(map(by_gap.__getitem__, gaps)))
+    by_count = tuple(Fraction(c, denominator) for c in range(denominator + 1))
+    for counts in _compositions(arity, denominator):
+        yield MixedAction._unchecked(tuple(map(by_count.__getitem__, counts)))
+
+
+def _compositions(arity: int, total: int) -> Iterator[tuple[int, ...]]:
+    """Every tuple of `arity` counts >= 0 summing to `total`, lexicographically.
+
+    The partial sums are a nondecreasing sequence of arity - 1 cuts in
+    [0, total], and cuts in lexicographic order give the counts in
+    lexicographic order; each count is the distance between neighbouring cuts.
+    """
+    for cuts in combinations_with_replacement(range(total + 1), arity - 1):
+        yield tuple(map(sub, (*cuts, total), (0, *cuts)))
 
 
 @dataclass(frozen=True)
@@ -331,31 +343,40 @@ def _grid_search(
 ) -> tuple[MixedAction, Fraction]:
     """The earliest grid point that strictly beats best_value, else the incumbent.
 
-    Opponents are realized once, over a scale every grid point shares; each
-    point's payoff numerator over the common denominator is then a sum of
-    integer products.  Vertices are skipped: the pure scan valued them.
+    Opponents are realized once, over a scale every grid point shares, and
+    each atom's action values are scaled to it once, so a point's payoff
+    numerator over the common denominator is a sum of integer products of
+    its counts.  Vertices are skipped: the pure scan valued them.  Only the
+    winner becomes a MixedAction.
     """
+    check_simplex_grid(game.actions, resolution)
     view = game.market.integer_view
     unit = lcm(_unit(opponents), resolution)
+    step = unit // resolution
     scoring = game._scoring(view.scale * unit)
     shares = scoring.shares
     others = zip(*(_realize(view, s, unit) for s in opponents))
-    atoms = list(zip(view.weights, view.values, others))
+    atoms = [
+        (p, [v * step for v in values], rest[:player], rest[player:])
+        for p, values, rest in zip(view.weights, view.values, others)
+    ]
     # the incumbent's numerator over the common denominator, as a ratio
     incumbent = best_value * scoring.denominator
     bar, bar_den = incumbent.numerator, incumbent.denominator
-    for point in simplex_grid(game.actions, resolution):
-        counts = _counts(point, unit)
-        if unit in counts:
+    winner = None
+    for counts in _compositions(game.actions, resolution):
+        if resolution in counts:
             continue
         bonus = result = 0
-        for p, values, rest in atoms:
+        for p, values, before, after in atoms:
             x = sum(map(mul, counts, values))
-            bonus += p * shares(rest[:player] + (x,) + rest[player:])[player]
+            bonus += p * shares(before + (x,) + after)[player]
             result += p * x
         score = scoring.bonus_weight * bonus + scoring.result_weight * result
         if score * bar_den > bar:
-            best, bar, bar_den = point, score, 1
+            winner, bar, bar_den = counts, score, 1
+    if winner is not None:
+        best = MixedAction._unchecked(tuple(Fraction(c, resolution) for c in winner))
     return best, Fraction(bar, bar_den * scoring.denominator)
 
 
@@ -378,13 +399,24 @@ class EquilibriumReport:
 def check_nash(
     game: Game, profile: Profile, resolution: int | None = None
 ) -> EquilibriumReport:
-    """Verify a profile against unilateral deviations; see module docstring."""
+    """Verify a profile against unilateral deviations; see module docstring.
+
+    Under an anonymous plan, players with equal strategies face the same
+    opponents and share one search.
+    """
     payoffs = expected_payoffs(game, profile)
+    searched: dict[MixedAction, BestResponse] = {}
     deviations = []
     gains = []
-    for player in range(game.players):
-        others = [s for i, s in enumerate(profile.strategies) if i != player]
-        br = best_response(game, player, others, resolution)
+    for player, own in enumerate(profile.strategies):
+        br = searched.get(own)
+        if br is None:
+            others = [s for i, s in enumerate(profile.strategies) if i != player]
+            br = best_response(game, player, others, resolution)
+            if game.plan.anonymous:
+                searched[own] = br
+        else:
+            br = replace(br, player=player)
         deviations.append(br)
         gains.append(br.value - payoffs[player])
     method = deviations[0].method

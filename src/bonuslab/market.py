@@ -30,7 +30,7 @@ from .errors import (
     NonSimplexWeights,
     NonUnitMass,
 )
-from .rational import as_rational, format_rational, rationals
+from .rational import as_rational, format_rational, load_json, rationals
 
 ATOM_CAP = 100_000  # atoms of a product market, checked before any is built
 
@@ -367,7 +367,7 @@ def dump_market(market: Market) -> str:
 
 
 def load_market(text: str) -> Market:
-    return market_from_dict(json.loads(text))
+    return market_from_dict(load_json(text))
 
 
 def profile_to_list(profile: Profile) -> list[list[str]]:

@@ -45,7 +45,7 @@ from .errors import (
     NonSimplexTable,
 )
 from .market import Market, support_stats
-from .rational import as_rational, format_rational, rationals
+from .rational import as_rational, format_rational, load_json, rationals
 
 class Kernel(NamedTuple):
     """A plan compiled for integer results over one fixed scale.
@@ -66,12 +66,16 @@ class BonusPlan:
     A kind defines its allocation once, in `kernel`; `evaluate` runs that
     kernel at the results' least common denominator.  Each kind also owns
     its document fields, its construction from a document, the result
-    vectors `validate_simplex` always probes, and its pure-sufficiency rule.
-    The defaults here fit a kind with no parameters and no sufficiency
-    argument.
+    vectors `validate_simplex` always probes, its pure-sufficiency rule and
+    whether it is anonymous.  The defaults here fit a kind with no
+    parameters, no sufficiency argument and no symmetry.
     """
 
     players: int
+
+    # Anonymous: permuting the results permutes the shares the same way, so
+    # a player's payoff depends on the opponents' results only as a multiset.
+    anonymous = False
 
     def __post_init__(self) -> None:
         if self.players < 2:
@@ -118,6 +122,7 @@ class BonusPlan:
 @dataclass(frozen=True)
 class ConstantPlan(BonusPlan):
     kind = "constant"
+    anonymous = True
 
     def kernel(self, scale):
         equal = (1,) * self.players
@@ -130,6 +135,7 @@ class ConstantPlan(BonusPlan):
 @dataclass(frozen=True)
 class WinnerTakeAllPlan(BonusPlan):
     kind = "wta"
+    anonymous = True
 
     def kernel(self, scale):
         return _split_kernel(self.players, max)
@@ -138,6 +144,7 @@ class WinnerTakeAllPlan(BonusPlan):
 @dataclass(frozen=True)
 class LoserTakeAllPlan(BonusPlan):
     kind = "lta"
+    anonymous = True
 
     def kernel(self, scale):
         return _split_kernel(self.players, min)
@@ -158,9 +165,11 @@ def _split_kernel(players: int, pick) -> Kernel:
 
 @dataclass(frozen=True)
 class _LinearPlan(BonusPlan):
-    """The linear form with a positive scale bound; subclasses choose the gate."""
+    """The linear form with a positive scale bound; subclasses choose a gate
+    that is symmetric in the results."""
 
     bound: Fraction
+    anonymous = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -467,4 +476,4 @@ def dump_plan(plan: BonusPlan) -> str:
 
 
 def load_plan(text: str) -> BonusPlan:
-    return plan_from_dict(json.loads(text))
+    return plan_from_dict(load_json(text))

@@ -9,6 +9,7 @@ would silently change verdicts.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from .errors import ArityMismatch, FloatRejected, UnparsableNumber
@@ -66,3 +67,13 @@ def rationals(values) -> tuple[Fraction, ...]:
     if isinstance(values, (str, bytes)):
         raise ArityMismatch(f"expected a list of numbers, got the string {values!r}")
     return tuple(as_rational(v) for v in values)
+
+
+def load_json(text: str):
+    """A JSON document whose numbers with a fraction or exponent are refused
+    as written: FloatRejected quotes the literal before a float rounds it."""
+    return json.loads(text, parse_float=_reject_float_literal)
+
+
+def _reject_float_literal(literal: str):
+    raise FloatRejected(f'refusing float {literal}: pass the exact string "{literal}" instead')

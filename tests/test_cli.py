@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bonuslab import dump_market, dump_plan, two_bond_market, WinnerTakeAllPlan
-from bonuslab.cli import main
+from bonuslab.cli import _build_parser, main
 
 F = Fraction
 
@@ -360,6 +360,62 @@ def test_caps_are_not_flags(capsys):
         usage = capsys.readouterr().out
         for flag in ("--tensor-cap", "--atom-cap", "--max-iterations"):
             assert flag not in usage
+
+
+# float literals that a float would round or overflow, placed in a market
+# and in a plan document as raw JSON text
+FLOAT_LITERALS = ["1.0000000000000001", "1e400"]
+RAW_DOCUMENTS = [
+    ("market", '{"actions": ["A", "B"], "atoms": [{"p": "1", "outcomes": [%s, "1"]}]}',
+     ["find-m", "--market", "DOC", "--grid", "2"]),
+    ("plan", '{"players": 2, "kind": "bounded_linear", "bound": %s}',
+     ["validate-plan", "--plan", "DOC"]),
+]
+
+
+@pytest.mark.parametrize("literal", FLOAT_LITERALS)
+@pytest.mark.parametrize(
+    "template,argv", [case[1:] for case in RAW_DOCUMENTS], ids=[c[0] for c in RAW_DOCUMENTS]
+)
+def test_float_literals_are_quoted_as_written(tmp_path, capsys, template, argv, literal):
+    path = tmp_path / "doc.json"
+    path.write_text(template % literal)
+    code = main(["--json", *[str(path) if arg == "DOC" else arg for arg in argv]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "FloatRejected"
+    assert literal in error["message"]
+
+
+def test_one_parser_serves_every_request(capsys, files):
+    """The parser is built once per process; a usage error in between leaves
+    it as it was, and each output matches a run on a freshly built parser."""
+    _, market, plan, profile = files
+    requests = [
+        ["--json", "check-eq", "--market", market, "--plan", plan, "--profile", profile],
+        ["find-m", "--market", market, "--grid", "four"],
+        ["--decimal", "find-m", "--market", market, "--grid", "3"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    _build_parser.cache_clear()
+    shared = [run(argv) for argv in requests]
+    assert _build_parser() is _build_parser()
+    fresh = []
+    for argv in requests:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0]
 
 
 def _materialize(tmp_path, documents, argv):

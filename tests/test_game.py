@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from bonuslab import (
     simplex_grid,
     strict_dominance,
 )
+from bonuslab.game import _compositions
 from conftest import fraction_allocation
 
 F = Fraction
@@ -433,9 +435,65 @@ def test_grid_ties_keep_the_earliest_candidate():
 
 
 def test_check_nash_reads_only_the_deviation_cells():
+    """WTA is anonymous: both players play X1, so player 1 reuses player 0's
+    search and its deviation cell (0, 1) is never read."""
     game = wta_game()
-    check_nash(game, Profile.pure((0, 0), 2))
+    report = check_nash(game, Profile.pure((0, 0), 2))
+    assert sorted(game.cells) == [(0, 0), (1, 0)]
+    assert [br.player for br in report.deviations] == [0, 1]
+
+
+def test_check_nash_searches_every_player_under_a_tabulated_plan():
+    market = two_bond_market()
+    table = TabulatedPlan(2, {("21/20", "1"): ("0", "1")}, ("1/2", "1/2"))
+    game = induce_game(market, table, 0)
+    report = check_nash(game, Profile.pure((0, 0), 2))
     assert sorted(game.cells) == [(0, 0), (0, 1), (1, 0)]
+    # the table rewards player 1 alone for X2's low atom against X1: only
+    # player 1 gains by deviating, 2/5 * 1 + 3/5 * 1/2 - 1/2
+    assert report.gains == (F(0), F(1, 5))
+
+
+def test_compositions_follow_the_old_grid_order():
+    for arity in range(1, 5):
+        for d in range(0, 7):
+            expected = [c for c in product(range(d + 1), repeat=arity) if sum(c) == d]
+            got = list(_compositions(arity, d))
+            assert got == expected  # product order is lexicographic
+            assert len(got) == comb(d + arity - 1, arity - 1)
+            if d:
+                assert [p.weights for p in simplex_grid(arity, d)] == [
+                    tuple(F(c, d) for c in counts) for counts in expected
+                ]
+
+
+@st.composite
+def shared_profiles(draw, n, k):
+    """Profiles drawn from a pool of two strategies, so players often share
+    one; pure or mixed."""
+    if draw(st.booleans()):
+        pool = [MixedAction.pure(draw(st.integers(0, n - 1)), n) for _ in range(2)]
+    else:
+        pool = list(draw(mixed_profiles(n, 2)).strategies)
+    return Profile(tuple(draw(st.sampled_from(pool)) for _ in range(k)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(markets(), st.integers(2, 4), st.data())
+def test_check_nash_matches_one_best_response_per_player(market, k, data):
+    """A shared search reports what that player's own search reports."""
+    resolution = data.draw(st.sampled_from([None, 1, 2, 3, 4]))
+    for plan in every_kind(market, k):
+        for w in (F(0), F(1, 3)):
+            game = induce_game(market, plan, w)
+            profile = data.draw(shared_profiles(market.n, k))
+            report = check_nash(game, profile, resolution)
+            fresh = induce_game(market, plan, w)
+            for player in range(k):
+                others = profile.strategies[:player] + profile.strategies[player + 1 :]
+                br = best_response(fresh, player, others, resolution)
+                assert report.deviations[player] == br
+                assert report.gains[player] == br.value - report.payoffs[player]
 
 
 def six_action_market():

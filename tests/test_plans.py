@@ -208,6 +208,41 @@ def test_anonymous_plans_commute_with_permutations(case):
         assert plan.evaluate(permuted) == tuple(shares[sigma[i]] for i in range(k))
 
 
+@settings(max_examples=300)
+@given(scaled_vectors(), st.data())
+def test_anonymous_kinds_have_permutation_equivariant_kernels(case, data):
+    """check_nash shares one search between players with equal strategies
+    exactly when `anonymous` is set, so the flag must hold for the kernel and
+    for the reference rule, gates included; the tabulated kind makes no such
+    promise, and a table can break it."""
+    scale, v = case
+    k = len(v)
+    sigma = data.draw(st.permutations(range(k)))
+    permuted = tuple(v[sigma[i]] for i in range(k))
+    r = tuple(F(x, scale) for x in v)
+    first = (F(1),) + (F(0),) * (k - 1)
+    kinds = plans_for(k) + [
+        MLinearPlan(k, F(1), F(-1, 3), F(5, 4)),
+        BoundedLinearPlan(k, F(2, 7)),
+    ]
+    anonymous = [plan for plan in kinds if plan.anonymous]
+    assert {plan.kind for plan in anonymous} == {
+        "constant", "wta", "lta", "m_linear", "bounded_linear"
+    }
+    for plan in anonymous:
+        _, shares = plan.kernel(scale)
+        got = list(shares(v))
+        assert list(shares(permuted)) == [got[sigma[i]] for i in range(k)]
+        reference = fraction_allocation(plan, r)
+        assert fraction_allocation(plan, tuple(F(x, scale) for x in permuted)) == tuple(
+            reference[sigma[i]] for i in range(k)
+        )
+    table = TabulatedPlan(k, {r: first}, (F(1, k),) * k)
+    assert not table.anonymous
+    if permuted != v:
+        assert table.evaluate([F(x, scale) for x in permuted]) == (F(1, k),) * k
+
+
 @given(st.lists(results, min_size=2, max_size=4))
 def test_bounded_linear_agrees_with_interval_gate(r):
     # with interval width <= 2*bound the interval gate implies the range gate
