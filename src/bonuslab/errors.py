@@ -51,8 +51,9 @@ class NonSimplexTable(BonusLabError):
 
 
 class TensorCapExceeded(BonusLabError):
-    """A full payoff tensor, or the best-expectation profiles that check_optimal
-    scans, would have more pure profiles than game.TENSOR_CAP."""
+    """A full payoff tensor, the best-expectation profiles that check_optimal
+    scans, or the cells a strict-dominance relation may read would number
+    more than game.TENSOR_CAP."""
 
 
 class GridCapExceeded(BonusLabError):

@@ -41,15 +41,34 @@ and the same payoff, and so has the same candidates, exact values and
 tie-break.  `check_nash` searches once per distinct strategy and copies the
 result to the other players; a symmetric profile costs one search, not k.
 
+Strict dominance is shared the same way.  Under an anonymous plan a
+player's payoff is u(own action, multiset of opponent actions), the same
+function for every player, so `strict_dominance` computes one relation,
+player 0's, u(a, rest) = payoff((a,) + rest)[0] with rest running over
+the sorted (k-1)-profiles of surviving actions, and gives it to every
+player.  The survivors stay one set: all players start with every action,
+and if all players hold the same set at the start of a round, they face
+the same opponent multisets, find the same dominated actions and the same
+first dominators, and so hold the same set after it.  The pairs and the
+elimination trace are the ones the per-player relation over the tensor
+gives, in the same round, player, removed, dominator order.  In the same
+way `check_optimal` scans only the sorted best-expectation profiles: a
+profile's sorted permutation comes no later in product order and is an
+equilibrium exactly when it is, so the witness does not change.
+
 Payoff cells are computed on first read.  A pure-deviation verdict at one
 profile reads that profile and its unilateral deviations, at most
 1 + k(n-1) cells of the n^k tensor, so `Game.payoff` computes a cell when it
 is first asked for and keeps it on the game.  Only `Game.payoffs` (and
-through it `strict_dominance` and the CLI's tensor listings) materializes
-every cell, and it refuses a tensor over TENSOR_CAP pure profiles before
-computing any; `check_optimal` applies the same cap to the best-expectation
-profiles it scans.  A verdict read from a profile and its deviations is
-not refused for the size of the tensor.
+through it the CLI's tensor listings) materializes every cell, and it
+refuses a tensor over TENSOR_CAP pure profiles before computing any.  Every
+other enumeration is capped on its own size, before any cell: the shared
+dominance relation reads at most n * C(n+k-2, k-1) cells, `check_optimal`
+scans C(|argmax|+k-1, k) sorted profiles, and both are refused over
+TENSOR_CAP, with binomials too large to build never built; a dominance
+relation or a scan that is not shared is capped at its n^k, or |argmax|^k,
+profiles.  A verdict read from a profile and its deviations is not refused
+for the size of the tensor.
 
 Payoffs are computed in integers and are exact all the same.  A market's
 `integer_view`, built once, writes every outcome over one common
@@ -58,8 +77,9 @@ are c_j / d then realizes the integer sum_j c_j * outcome-numerator_j over
 d times that denominator, and the plan's `kernel` for that scale returns
 integer share numerators, its gates compared as integers.  A cell sums
 probability times share numerator as integers and builds one `Fraction`
-per player at the end; the earnings-weight term w * E[own result] is added
-to the same numerator.  `best_response` realizes the opponents once and
+per distinct payoff numerator at the end, shared by the players that
+have it; the earnings-weight term w * E[own result] is added to the same
+numerator.  `best_response` realizes the opponents once and
 scores each grid portfolio by its payoff numerator over a denominator that
 all candidates share.  The grid is walked as integer counts (`_compositions`,
 the order `simplex_grid` yields), so the search compares integers and builds
@@ -82,7 +102,7 @@ from .market import IntegerView, Market, MixedAction, Profile, expectation
 from .plans import BonusPlan
 from .rational import as_rational
 
-TENSOR_CAP = 200_000  # pure profiles enumerated: a full tensor, or check_optimal's scan
+TENSOR_CAP = 200_000  # a full tensor, check_optimal's scan, or the cells dominance may read
 GRID_CAP = TENSOR_CAP  # simplex grid points, and probed base points
 
 ZERO = Fraction(0)
@@ -186,10 +206,12 @@ def _cell(game: Game, rows: Sequence[tuple[int, ...]], scale: int) -> tuple[Frac
         if scoring.result_weight:
             for i, x in enumerate(results):
                 result[i] += p * x
-    return tuple(
-        Fraction(scoring.bonus_weight * b + scoring.result_weight * r, scoring.denominator)
-        for b, r in zip(bonus, result)
-    )
+    numerators = [
+        scoring.bonus_weight * b + scoring.result_weight * r for b, r in zip(bonus, result)
+    ]
+    # players with equal numerators share one Fraction: one gcd per value
+    fractions = {num: Fraction(num, scoring.denominator) for num in set(numerators)}
+    return tuple(map(fractions.__getitem__, numerators))
 
 
 def _realize(view: IntegerView, strategy: MixedAction, unit: int) -> list[int]:
@@ -209,6 +231,20 @@ def _power_exceeds(n: int, k: int, cap: int) -> bool:
     # n >= 2 gives n^b > cap at b = the cap's bit length, so n^k exceeds the
     # cap exactly when n^min(k, b) does
     return n ** min(k, cap.bit_length()) > cap
+
+
+def _multisets_exceed(n: int, size: int, cap: int) -> bool:
+    """Whether C(n + size - 1, size), the multisets of `size` items out of
+    n, exceeds cap, without building a huge binomial."""
+    # C(m, s) with m = n + size - 1 and s = min(size, n - 1) is built up as
+    # C(m - s + j, j) for j = 1..s; each step multiplies by (m - s + j) / j
+    # >= 2, since m - s >= s, so the loop stops within cap.bit_length() steps
+    s = min(size, n - 1)
+    count, j = 1, 0
+    while count <= cap and j < s:
+        j += 1
+        count = count * (n + size - 1 - s + j) // j
+    return count > cap
 
 
 def _check_profiles(n: int, k: int) -> None:
@@ -462,50 +498,60 @@ def strict_dominance(game: Game) -> DominanceReport:
 
     Each round removes, for every player simultaneously, every action
     strictly dominated by a surviving action against all surviving opponent
-    profiles (order-independent for strict dominance).
+    profiles (order-independent for strict dominance).  Under an anonymous
+    plan one relation, over sorted opponent profiles, serves every player;
+    see the module docstring.  TensorCapExceeded before any cell when the
+    cells the relation may read exceed TENSOR_CAP: n * C(n + k - 2, k - 1)
+    under an anonymous plan, the n^k tensor otherwise.
     """
     k, n = game.players, game.actions
-    table = game.payoffs
+    shared = game.plan.anonymous
+    if not shared:
+        _check_profiles(n, k)
+    elif _multisets_exceed(n, k - 1, TENSOR_CAP // n):
+        raise TensorCapExceeded(
+            f"{n} x C({n + k - 2}, {k - 1}) payoff cells exceed cap {TENSOR_CAP}"
+        )
 
-    def dominated(player: int, a: int, b: int, alive: list[tuple[int, ...]]) -> bool:
-        others = [alive[j] for j in range(k) if j != player]
-        for rest in product(*others):
-            combo_a = rest[:player] + (a,) + rest[player:]
-            combo_b = rest[:player] + (b,) + rest[player:]
-            if table[combo_a][player] <= table[combo_b][player]:
+    alive = [tuple(range(n))] * k  # surviving actions per player
+
+    def dominated(player: int, a: int, b: int) -> bool:
+        """Whether a beats b for the player against every surviving opponent
+        profile; under anonymity, against every sorted one."""
+        if shared:
+            opponents = combinations_with_replacement(alive[0], k - 1)
+        else:
+            opponents = product(*(alive[j] for j in range(k) if j != player))
+        for rest in opponents:
+            before, after = rest[:player], rest[player:]
+            if (
+                game.payoff(before + (a,) + after)[player]
+                <= game.payoff(before + (b,) + after)[player]
+            ):
                 return False
         return True
 
-    full = [tuple(range(n))] * k
-    pairs = tuple(
-        (p, a, b)
-        for p in range(k)
-        for a in range(n)
-        for b in range(n)
-        if a != b and dominated(p, a, b, full)
-    )
+    def relation(p: int) -> list[tuple[int, int]]:
+        """(dominator, dominated) among player p's surviving actions."""
+        return [(a, b) for a in alive[p] for b in alive[p] if a != b and dominated(p, a, b)]
 
-    alive = [tuple(range(n)) for _ in range(k)]
+    def player_relations() -> list[list[tuple[int, int]]]:
+        """Every player's relation; under anonymity player 0's serves all."""
+        return [relation(0)] * k if shared else [relation(p) for p in range(k)]
+
+    relations = player_relations()
+    pairs = tuple((p, a, b) for p, found in enumerate(relations) for a, b in found)
     trace: list[Elimination] = []
-    round_no = 0
-    while True:
+    round_no = 1
+    while any(relations):
+        for p, found in enumerate(relations):
+            first: dict[int, int] = {}  # dominated action -> its least dominator
+            for a, b in found:
+                first.setdefault(b, a)
+            trace.extend(Elimination(round_no, p, b, first[b]) for b in sorted(first))
+            alive[p] = tuple(x for x in alive[p] if x not in first)
         round_no += 1
-        removals: list[tuple[int, int, int]] = []
-        for p in range(k):
-            for b in alive[p]:
-                dominator = next(
-                    (a for a in alive[p] if a != b and dominated(p, a, b, alive)),
-                    None,
-                )
-                if dominator is not None:
-                    removals.append((p, b, dominator))
-        if not removals:
-            break
-        for p, b, a in removals:
-            trace.append(Elimination(round_no, p, b, a))
-        for p in range(k):
-            gone = {b for q, b, _ in removals if q == p}
-            alive[p] = tuple(x for x in alive[p] if x not in gone)
+        relations = player_relations()
 
     survivors = tuple(alive)
     unique = (
@@ -545,17 +591,29 @@ def check_optimal(
 
     Runs at earnings weight 0 (the allocation game proper).  OPTIMAL
     requires a decisive EQUILIBRIUM verdict on a checked profile; a grid
-    search that merely found no violation is not promoted.  The
-    |argmax|^k candidate profiles are capped at TENSOR_CAP.
+    search that merely found no violation is not promoted.  The candidates
+    are the |argmax|^k profiles in product order, or under an anonymous plan
+    only the C(|argmax| + k - 1, k) sorted ones, in the same order: sorted(t)
+    comes no later than t and is an equilibrium exactly when t is, so the
+    witness is the same.  The candidates are capped at TENSOR_CAP.
     """
     game = induce_game(market, plan, 0)
     exps = market.expectations()
     mu = max(exps)
     argmax = tuple(i for i, e in enumerate(exps) if e == mu)
-    _check_profiles(len(argmax), plan.players)
+    k = plan.players
+    if not plan.anonymous:
+        _check_profiles(len(argmax), k)
+        candidates = product(argmax, repeat=k)
+    elif _multisets_exceed(len(argmax), k, TENSOR_CAP):
+        raise TensorCapExceeded(
+            f"C({len(argmax) + k - 1}, {k}) sorted profiles exceed cap {TENSOR_CAP}"
+        )
+    else:
+        candidates = combinations_with_replacement(argmax, k)
     checked = []
     witness = None
-    for combo in product(argmax, repeat=plan.players):
+    for combo in candidates:
         report = check_nash(game, Profile.pure(combo, market.n), resolution)
         checked.append((combo, report))
         if report.verdict is Verdict.EQUILIBRIUM:

@@ -1,5 +1,5 @@
-"""Shared fixtures: a seeded market generator, a reference allocation rule
-and the acceptance summary.
+"""Shared fixtures: a seeded market generator, a reference allocation rule,
+a reference dominance relation and the acceptance summary.
 
 Tests marked ``@pytest.mark.criterion(n, "...")`` are tallied and reported
 as one PASS/FAIL line per criterion id at the end of the run.
@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from bonuslab import BonusPlan, Market, build_market
+from bonuslab import BonusPlan, DominanceReport, Market, build_market
+from bonuslab.game import Elimination
 from bonuslab.rational import rationals
 
 _DENOMINATORS = (1, 1, 1, 2, 2, 4, 5, 8)
@@ -97,6 +99,62 @@ def fraction_allocation(plan: BonusPlan, results) -> tuple[Fraction, ...]:
     else:
         raise AssertionError(f"no reference rule for plan kind {plan.kind!r}")
     return linear if active else equal
+
+
+def tensor_dominance(game) -> DominanceReport:
+    """Reference: strict dominance and iterated elimination read from the
+    full payoff tensor, one relation per player, for any plan.
+
+    The package computed dominance this way before anonymous plans shared
+    one relation over sorted opponent profiles; a differential test against
+    it checks the pairs, the elimination trace in order, and the survivors.
+    """
+    k, n = game.players, game.actions
+    table = game.payoffs
+
+    def dominated(player, a, b, alive):
+        others = [alive[j] for j in range(k) if j != player]
+        for rest in product(*others):
+            combo_a = rest[:player] + (a,) + rest[player:]
+            combo_b = rest[:player] + (b,) + rest[player:]
+            if table[combo_a][player] <= table[combo_b][player]:
+                return False
+        return True
+
+    full = [tuple(range(n))] * k
+    pairs = tuple(
+        (p, a, b)
+        for p in range(k)
+        for a in range(n)
+        for b in range(n)
+        if a != b and dominated(p, a, b, full)
+    )
+    alive = [tuple(range(n)) for _ in range(k)]
+    trace = []
+    round_no = 0
+    while True:
+        round_no += 1
+        removals = []
+        for p in range(k):
+            for b in alive[p]:
+                dominator = next(
+                    (a for a in alive[p] if a != b and dominated(p, a, b, alive)),
+                    None,
+                )
+                if dominator is not None:
+                    removals.append((p, b, dominator))
+        if not removals:
+            break
+        for p, b, a in removals:
+            trace.append(Elimination(round_no, p, b, a))
+        for p in range(k):
+            gone = {b for q, b, _ in removals if q == p}
+            alive[p] = tuple(x for x in alive[p] if x not in gone)
+    survivors = tuple(alive)
+    unique = (
+        tuple(s[0] for s in survivors) if all(len(s) == 1 for s in survivors) else None
+    )
+    return DominanceReport(pairs, tuple(trace), survivors, unique)
 
 
 @pytest.fixture

@@ -37,8 +37,8 @@ from bonuslab import (
     simplex_grid,
     strict_dominance,
 )
-from bonuslab.game import _compositions
-from conftest import fraction_allocation
+from bonuslab.game import _compositions, _multisets_exceed
+from conftest import fraction_allocation, tensor_dominance
 
 F = Fraction
 
@@ -92,8 +92,6 @@ def test_tensor_cap():
     game = induce_game(market, build_m_linear(market, 7), 0)
     with pytest.raises(TensorCapExceeded):
         game.payoffs
-    with pytest.raises(TensorCapExceeded):
-        strict_dominance(game)
     assert game.cells == {}
     huge = induce_game(two_bond_market(), WinnerTakeAllPlan(20_000), 0)
     with pytest.raises(TensorCapExceeded):  # 2^20000 is never built or printed
@@ -234,8 +232,9 @@ def test_iterated_elimination_uses_later_rounds():
     from bonuslab.game import Game
     from bonuslab import build_market
 
+    # the payoffs are not symmetric, so the carrier plan must not be anonymous
     carrier = build_market(["a", "b", "c"], [("1", ("0", "0", "0"))])
-    game = Game(carrier, ConstantPlan(2), F(0), payoffs)
+    game = Game(carrier, TabulatedPlan(2, {}, ("1/2", "1/2")), F(0), payoffs)
     report = strict_dominance(game)
     assert report.pairs == ((0, 1, 2),)  # only the round-1 fact holds full-game
     assert max(e.round for e in report.eliminations) >= 3
@@ -344,8 +343,8 @@ outcome = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
 @st.composite
-def markets(draw):
-    n = draw(st.integers(2, 3))
+def markets(draw, max_actions=3):
+    n = draw(st.integers(2, max_actions))
     rows = draw(st.lists(st.lists(outcome, min_size=n, max_size=n), min_size=1, max_size=3))
     weights = draw(st.lists(st.integers(1, 9), min_size=len(rows), max_size=len(rows)))
     total = sum(weights)
@@ -530,10 +529,101 @@ def test_check_optimal_is_not_refused_for_the_size_of_the_tensor():
 
 
 def test_check_optimal_caps_the_best_expectation_profiles():
+    """Under an anonymous plan the candidates are the sorted profiles."""
     tied = build_market(["A", "B"], [("1", ("1", "1"))])
+    # 2^18 = 262 144 profiles, but only 19 sorted ones
+    report = check_optimal(tied, WinnerTakeAllPlan(18))
+    assert report.verdict is OptimalityVerdict.OPTIMAL
+    assert report.witness == (0,) * 18
+    six = build_market([f"A{i}" for i in range(6)], [("1", ("1",) * 6)])
     with pytest.raises(TensorCapExceeded):
-        check_optimal(tied, WinnerTakeAllPlan(18))  # 2^18 = 262 144 candidate profiles
-    assert check_optimal(tied, WinnerTakeAllPlan(17)).verdict is OptimalityVerdict.OPTIMAL
+        check_optimal(six, WinnerTakeAllPlan(27))  # C(32, 5) = 201 376 sorted profiles
+    assert check_optimal(six, WinnerTakeAllPlan(26)).witness == (0,) * 26  # C(31, 5)
+
+
+def test_check_optimal_caps_every_profile_under_a_tabulated_plan():
+    tied = build_market(["A", "B"], [("1", ("1", "1"))])
+    for k, refused in ((18, True), (17, False)):  # 2^18 = 262 144 candidate profiles
+        plan = TabulatedPlan(k, {}, (F(1, k),) * k)
+        if refused:
+            with pytest.raises(TensorCapExceeded):
+                check_optimal(tied, plan)
+        else:
+            # no sufficiency argument: the pure-only verdict is decisive
+            assert check_optimal(tied, plan).witness == (0,) * k
+
+
+def test_check_optimal_scans_sorted_profiles_under_an_anonymous_plan():
+    """Sorted profiles come first in product order and share the verdict of
+    their permutations, so the witness is the one the full scan finds."""
+    tied = build_market(["A", "B", "C"], [("1/2", ("2", "0", "1")), ("1/2", ("0", "2", "1"))])
+    for plan in (WinnerTakeAllPlan(3), LoserTakeAllPlan(3), ConstantPlan(3)):
+        report = check_optimal(tied, plan)
+        checked = [combo for combo, _ in report.checked]
+        assert all(list(combo) == sorted(combo) for combo in checked)
+        game = induce_game(tied, plan, 0)
+        full_scan = next(
+            (
+                combo
+                for combo in product(range(3), repeat=3)
+                if check_nash(game, Profile.pure(combo, 3)).verdict is Verdict.EQUILIBRIUM
+            ),
+            None,
+        )
+        assert report.witness == full_scan
+
+
+def test_strict_dominance_runs_on_sorted_opponent_profiles():
+    """At k = 7 the tensor has 6^7 = 279 936 profiles, over the cap; one
+    relation over sorted opponent profiles reads at most 6 * C(11, 6) = 2 772."""
+    market = six_action_market()
+    game = induce_game(market, build_m_linear(market, 7), 0)
+    report = strict_dominance(game)
+    assert len(report.survivors) == 7 and len(set(report.survivors)) == 1
+    assert {p for p, _, _ in report.pairs} <= set(range(7))
+    assert len(game.cells) <= 6 * comb(11, 6)
+    assert all(list(combo[1:]) == sorted(combo[1:]) for combo in game.cells)
+
+
+def test_strict_dominance_caps_the_cells_it_may_read():
+    market = six_action_market()
+    # anonymous: 6 * C(23, 5) = 201 894 cells at k = 19, over the cap
+    game = induce_game(market, WinnerTakeAllPlan(19), 0)
+    with pytest.raises(TensorCapExceeded):
+        strict_dominance(game)
+    assert game.cells == {}
+    # tabulated: every player's relation over the 6^7 = 279 936 profiles
+    table = induce_game(market, TabulatedPlan(7, {}, (F(1, 7),) * 7), 0)
+    with pytest.raises(TensorCapExceeded):
+        strict_dominance(table)
+    assert table.cells == {}
+    small = induce_game(market, TabulatedPlan(6, {}, (F(1, 6),) * 6), 0)
+    assert strict_dominance(small).pairs == ()  # 6^6 = 46 656 profiles: at most
+
+
+def test_multiset_count_guard_matches_the_binomial():
+    for n in range(1, 8):
+        for size in range(0, 12):
+            count = comb(n + size - 1, size)
+            for cap in (0, 1, count - 1, count, count + 1, 200_000):
+                assert _multisets_exceed(n, size, cap) == (count > cap)
+    # huge counts are decided within a few steps, without the binomial
+    assert _multisets_exceed(2, 10**12, 200_000)
+    assert _multisets_exceed(10**12, 10**12, 200_000)
+    assert not _multisets_exceed(1, 10**12, 200_000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(markets(max_actions=4), st.integers(2, 4))
+def test_strict_dominance_matches_the_tensor_relation(market, k):
+    """Same pairs, the same eliminations in the same order, the same
+    survivors; the shared relation reads only sorted opponent profiles."""
+    for plan in every_kind(market, k):
+        for w in (F(0), F(1, 3)):
+            game = induce_game(market, plan, w)
+            assert strict_dominance(game) == tensor_dominance(induce_game(market, plan, w))
+            if plan.anonymous:
+                assert all(list(combo[1:]) == sorted(combo[1:]) for combo in game.cells)
 
 
 def test_payoff_rejects_a_profile_outside_the_game():
