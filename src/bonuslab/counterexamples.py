@@ -39,7 +39,6 @@ from .game import (
     check_nash,
     expected_payoffs,
     induce_game,
-    _power_exceeds,
 )
 from .market import (
     Market,
@@ -49,6 +48,7 @@ from .market import (
     market_to_dict,
     product_market,
     profile_to_list,
+    _power_exceeds,
 )
 from .plans import BonusPlan
 from .rational import as_rational, format_rational, rationals
@@ -400,9 +400,7 @@ def coordinate_decrease_counterexample(
     market = product_market(_base_marginal(violation), k, [("dev", dip)])
     profile = Profile.pure(tuple(range(k)), market.n)
     gain = violation.deficit * tuple_probability(violation)
-    certificate = tuple(
-        (market.actions[j], market.expectation_of(j)) for j in range(market.n)
-    )
+    certificate = tuple(zip(market.actions, market.expectations()))
     ce = Counterexample(
         market,
         profile,
@@ -485,9 +483,7 @@ def coordinate_increase_counterexample(
                 expected_payoffs(game, swapped)[player]
                 - expected_payoffs(game, profile)[player]
             )
-            certificate = tuple(
-                (market.actions[j], market.expectation_of(j)) for j in range(market.n)
-            )
+            certificate = tuple(zip(market.actions, market.expectations()))
             ce = Counterexample(
                 market,
                 profile,
@@ -526,9 +522,7 @@ def validate_counterexample(plan: BonusPlan, ce: Counterexample) -> None:
     for the player.
     """
     market = ce.market
-    expected_cert = tuple(
-        (market.actions[j], market.expectation_of(j)) for j in range(market.n)
-    )
+    expected_cert = tuple(zip(market.actions, market.expectations()))
     if ce.certificate != expected_cert:
         raise StaleViolation("certificate expectations do not match the market")
     exps = market.expectations()

@@ -62,13 +62,14 @@ profile reads that profile and its unilateral deviations, at most
 is first asked for and keeps it on the game.  Only `Game.payoffs` (and
 through it the CLI's tensor listings) materializes every cell, and it
 refuses a tensor over TENSOR_CAP pure profiles before computing any.  Every
-other enumeration is capped on its own size, before any cell: the shared
-dominance relation reads at most n * C(n+k-2, k-1) cells, `check_optimal`
-scans C(|argmax|+k-1, k) sorted profiles, and both are refused over
-TENSOR_CAP, with binomials too large to build never built; a dominance
-relation or a scan that is not shared is capped at its n^k, or |argmax|^k,
-profiles.  A verdict read from a profile and its deviations is not refused
-for the size of the tensor.
+other enumeration is capped on its own size, before any cell.  The shared
+dominance relation reads at most n * C(n+k-2, k-1) cells and each cell sums
+k shares per atom, so it is refused when cells times players exceed
+TENSOR_CAP.  `check_optimal` scans C(|argmax|+k-1, k) sorted profiles,
+refused over TENSOR_CAP.  Binomials too large to build are never built.  A
+dominance relation or a scan that is not shared is capped at its n^k, or
+|argmax|^k, profiles.  A verdict read from a profile and its deviations is
+not refused for the size of the tensor.
 
 Payoffs are computed in integers and are exact all the same.  A market's
 `integer_view`, built once, writes every outcome over one common
@@ -94,15 +95,23 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, lcm
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import ArityMismatch, GridCapExceeded, InvalidParameter, TensorCapExceeded
-from .market import IntegerView, Market, MixedAction, Profile, expectation
+from .market import (
+    IntegerView,
+    Market,
+    MixedAction,
+    Profile,
+    _power_exceeds,
+    check_arity,
+    expectation,
+)
 from .plans import BonusPlan
 from .rational import as_rational
 
-TENSOR_CAP = 200_000  # a full tensor, check_optimal's scan, or the cells dominance may read
+TENSOR_CAP = 200_000  # a full tensor, check_optimal's scan, or dominance's cells x players
 GRID_CAP = TENSOR_CAP  # simplex grid points, and probed base points
 
 ZERO = Fraction(0)
@@ -152,7 +161,7 @@ class Game:
         if len(combo) != k or not all(0 <= a < n for a in combo):
             raise ArityMismatch(f"{combo} is not a {k}-player profile over {n} actions")
         view = self.market.integer_view
-        rows = [tuple(values[a] for a in combo) for values in view.values]
+        rows = list(map(itemgetter(*combo), view.values))
         value = self.cells[combo] = _cell(self, rows, view.scale)
         return value
 
@@ -224,13 +233,6 @@ def _realize(view: IntegerView, strategy: MixedAction, unit: int) -> list[int]:
 def _unit(strategies: Sequence[MixedAction]) -> int:
     """The least common denominator of the strategies' weights."""
     return lcm(*(w.denominator for s in strategies for w in s.weights))
-
-
-def _power_exceeds(n: int, k: int, cap: int) -> bool:
-    """Whether n^k > cap, without building a huge n^k."""
-    # n >= 2 gives n^b > cap at b = the cap's bit length, so n^k exceeds the
-    # cap exactly when n^min(k, b) does
-    return n ** min(k, cap.bit_length()) > cap
 
 
 def _multisets_exceed(n: int, size: int, cap: int) -> bool:
@@ -337,15 +339,17 @@ def best_response(
     Searches pure actions always; with a resolution d (and no sufficiency
     argument) also every portfolio with weights in denominators of d.
     Deterministic tie-break: earliest candidate wins — pure actions by
-    index, then grid points in lexicographic weight order.  Pure actions
-    are valued by `expected_payoffs`, so against pure opponents they read
-    the game's memoized cells; grid points are scored in integers.
+    index, then grid points in lexicographic weight order.  Against pure
+    opponents a pure action is valued by the game's memoized cell, read
+    directly; against mixed ones by `expected_payoffs`.  Grid points are
+    scored in integers.
     """
     k, n = game.players, game.actions
     if not 0 <= player < k:
         raise ArityMismatch(f"player {player} out of range for {k}")
     if len(opponents) != k - 1:
         raise ArityMismatch(f"expected {k - 1} opponents, got {len(opponents)}")
+    check_arity(opponents, n)
     if resolution is not None and resolution < 1:
         raise InvalidParameter(f"grid denominator must be >= 1, got {resolution}")
     complete = game.plan.pure_search_complete(game.market)
@@ -356,14 +360,18 @@ def best_response(
     else:
         method = f"grid(d={resolution})"
 
-    best: MixedAction | None = None
-    best_value = ZERO
-    for a in range(n):
-        row = list(opponents)
-        row.insert(player, MixedAction.pure(a, n))
-        value = expected_payoffs(game, Profile(tuple(row)))[player]
-        if best is None or value > best_value:
-            best, best_value = row[player], value
+    pure = tuple(s.pure_action for s in opponents)
+    if None in pure:
+        values = []
+        for a in range(n):
+            row = list(opponents)
+            row.insert(player, MixedAction.pure(a, n))
+            values.append(expected_payoffs(game, Profile(tuple(row)))[player])
+    else:
+        before, after = pure[:player], pure[player:]
+        values = [game.payoff(before + (a,) + after)[player] for a in range(n)]
+    best_value = max(values)
+    best = MixedAction.pure(values.index(best_value), n)
     if not complete and resolution is not None:
         best, best_value = _grid_search(game, player, opponents, resolution, best, best_value)
     return BestResponse(player, best, best_value, method)
@@ -501,16 +509,18 @@ def strict_dominance(game: Game) -> DominanceReport:
     profiles (order-independent for strict dominance).  Under an anonymous
     plan one relation, over sorted opponent profiles, serves every player;
     see the module docstring.  TensorCapExceeded before any cell when the
-    cells the relation may read exceed TENSOR_CAP: n * C(n + k - 2, k - 1)
-    under an anonymous plan, the n^k tensor otherwise.
+    work exceeds TENSOR_CAP: under an anonymous plan the n * C(n + k - 2,
+    k - 1) cells the relation may read times the k players each cell sums,
+    otherwise the n^k tensor.
     """
     k, n = game.players, game.actions
     shared = game.plan.anonymous
     if not shared:
         _check_profiles(n, k)
-    elif _multisets_exceed(n, k - 1, TENSOR_CAP // n):
+    elif _multisets_exceed(n, k - 1, TENSOR_CAP // (n * k)):
         raise TensorCapExceeded(
-            f"{n} x C({n + k - 2}, {k - 1}) payoff cells exceed cap {TENSOR_CAP}"
+            f"{n} x C({n + k - 2}, {k - 1}) payoff cells x {k} players "
+            f"exceed cap {TENSOR_CAP}"
         )
 
     alive = [tuple(range(n))] * k  # surviving actions per player

@@ -9,6 +9,15 @@ lottery over pure plays.
 
 All numbers are fractions.Fraction; see rational.as_rational for what
 parses.
+
+Expectations are read from the market's `integer_view`, once per market:
+every outcome is an integer over one common denominator and every
+probability an integer over another, so action a's expectation is one
+integer sum, sum_t weight_t * value_t[a], over mass * scale, and
+`expectations()` keeps the tuple of them on the market.  A portfolio's
+expectation is linear in its weights: their sum against that tuple.
+`product_market` builds each atom's probability from integer weights over
+the marginal's common denominator, one `Fraction` per atom.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm
+from math import lcm, prod
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -91,12 +101,20 @@ class Market:
         return len(self.actions)
 
     def expectation_of(self, action: int) -> Fraction:
-        return sum(
-            (a.probability * a.outcomes[action] for a in self.atoms), start=ZERO
-        )
+        return self.expectations()[action]
 
     def expectations(self) -> tuple[Fraction, ...]:
-        return tuple(self.expectation_of(i) for i in range(self.n))
+        """Every action's expectation, computed on the integer view once."""
+        return self._expectations
+
+    @cached_property
+    def _expectations(self) -> tuple[Fraction, ...]:
+        view = self.integer_view
+        denominator = view.mass * view.scale
+        return tuple(
+            Fraction(sum(map(mul, view.weights, column)), denominator)
+            for column in zip(*view.values)
+        )
 
     @cached_property
     def integer_view(self) -> IntegerView:
@@ -195,11 +213,14 @@ class Profile:
         return cls(tuple(MixedAction.pure(a, arity) for a in actions))
 
     def check_arity(self, market: Market) -> None:
-        for s in self.strategies:
-            if len(s.weights) != market.n:
-                raise ArityMismatch(
-                    f"strategy over {len(s.weights)} actions on a market with {market.n}"
-                )
+        check_arity(self.strategies, market.n)
+
+
+def check_arity(strategies: Iterable[MixedAction], n: int) -> None:
+    """ArityMismatch unless every strategy has one weight per action."""
+    for s in strategies:
+        if len(s.weights) != n:
+            raise ArityMismatch(f"strategy over {len(s.weights)} actions on a market with {n}")
 
 
 @dataclass(frozen=True)
@@ -235,13 +256,8 @@ def build_market(actions: Sequence[str], atoms: Iterable[tuple]) -> Market:
 
 def expectation(market: Market, strategy: MixedAction) -> Fraction:
     """Expected value of a portfolio over the market."""
-    if len(strategy.weights) != market.n:
-        raise ArityMismatch(
-            f"strategy over {len(strategy.weights)} actions on a market with {market.n}"
-        )
-    return sum(
-        (a.probability * strategy.value_at(a) for a in market.atoms), start=ZERO
-    )
+    check_arity((strategy,), market.n)
+    return sum(map(mul, strategy.weights, market.expectations()), start=ZERO)
 
 
 def support_stats(market: Market) -> SupportStats:
@@ -281,8 +297,11 @@ def product_market(
         IncompleteMapping.
 
     The atoms are all value tuples in support^copies with product
-    probabilities; coordinate action j realizes component j.  More than
-    ATOM_CAP atoms raise AtomCapExceeded before any atom is built.
+    probabilities, in product order of the sorted support; coordinate
+    action j realizes component j.  More than ATOM_CAP atoms raise
+    AtomCapExceeded before any atom is built.  The merged marginal is held
+    as integer weights over `mass`, the lcm of its denominators, so an
+    atom's probability is the product of its weights over mass^copies.
     """
     if copies < 1:
         raise ArityMismatch("need at least one copy")
@@ -297,20 +316,28 @@ def product_market(
             f"marginal probabilities sum to {sum(merged.values())}, not 1"
         )
     support = sorted(merged)
-    count = len(support) ** copies
-    if count > ATOM_CAP:
-        raise AtomCapExceeded(f"{len(support)}^{copies} = {count} atoms exceeds cap {ATOM_CAP}")
+    if _power_exceeds(len(support), copies, ATOM_CAP):
+        raise AtomCapExceeded(f"{len(support)}^{copies} atoms exceed cap {ATOM_CAP}")
 
+    mass = lcm(*(p.denominator for p in merged.values()))
+    weights = [_over(merged[v], mass) for v in support]
+    total = mass**copies
     rules = [(label, _total_rule(label, rule)) for label, rule in extra_actions]
     labels = tuple(f"X{j + 1}" for j in range(copies)) + tuple(l for l, _ in rules)
     atoms = []
-    for combo in product(support, repeat=copies):
-        prob = ONE
-        for v in combo:
-            prob *= merged[v]
+    for indices in product(range(len(support)), repeat=copies):
+        combo = tuple(map(support.__getitem__, indices))
         extras = tuple(rule(combo) for _, rule in rules)
-        atoms.append(Atom(prob, tuple(combo) + extras))
+        probability = Fraction(prod(map(weights.__getitem__, indices)), total)
+        atoms.append(Atom(probability, combo + extras))
     return Market(labels, tuple(atoms))
+
+
+def _power_exceeds(n: int, k: int, cap: int) -> bool:
+    """Whether n^k > cap, without building a huge n^k."""
+    # n >= 2 gives n^b > cap at b = the cap's bit length, so n^k exceeds the
+    # cap exactly when n^min(k, b) does
+    return n ** min(k, cap.bit_length()) > cap
 
 
 def _total_rule(label: str, rule) -> Callable:

@@ -1,5 +1,6 @@
-"""Shared fixtures: a seeded market generator, a reference allocation rule,
-a reference dominance relation and the acceptance summary.
+"""Shared fixtures: seeded and hypothesis market generators, reference
+expectations, product markets, allocation rule and dominance relation, and
+the acceptance summary.
 
 Tests marked ``@pytest.mark.criterion(n, "...")`` are tallied and reported
 as one PASS/FAIL line per criterion id at the end of the run.
@@ -12,10 +13,16 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import Phase, settings
+from hypothesis import strategies as st
 
-from bonuslab import BonusPlan, DominanceReport, Market, build_market
+from bonuslab import BonusPlan, DominanceReport, Market, MixedAction, build_market
 from bonuslab.game import Elimination
-from bonuslab.rational import rationals
+from bonuslab.rational import as_rational, rationals
+
+# `tests/mutants.py` runs under this profile: a failing example is enough
+# to catch a mutant, so it is not shrunk
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 _DENOMINATORS = (1, 1, 1, 2, 2, 4, 5, 8)
 
@@ -68,6 +75,51 @@ def random_market(
         if sum(1 for e in market.expectations() if e == top) == 1:
             return market
     raise AssertionError("generator failed to produce a unique-argmax market")
+
+
+outcome = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def markets(draw, max_actions=3):
+    """A market of 2..max_actions actions and 1-3 atoms, small exact values."""
+    n = draw(st.integers(2, max_actions))
+    rows = draw(st.lists(st.lists(outcome, min_size=n, max_size=n), min_size=1, max_size=3))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(rows), max_size=len(rows)))
+    total = sum(weights)
+    atoms = [(Fraction(wt, total), tuple(row)) for wt, row in zip(weights, rows)]
+    return build_market([f"A{i}" for i in range(n)], atoms)
+
+
+def fraction_expectation(market: Market, strategy: MixedAction) -> Fraction:
+    """Reference: a portfolio's expectation, probability times realized value
+    summed atom by atom in Fractions.
+
+    The package computed every expectation this way before it read them from
+    the market's integer view; a differential test against it compares two
+    independent computations.
+    """
+    return sum(
+        (atom.probability * strategy.value_at(atom) for atom in market.atoms),
+        start=Fraction(0),
+    )
+
+
+def fraction_product_atoms(marginal, copies: int) -> list[tuple[Fraction, tuple]]:
+    """Reference: (probability, value tuple) of each atom of `copies` i.i.d.
+    draws, in product order of the sorted merged support, the probability a
+    product of Fraction marginal masses."""
+    merged: dict[Fraction, Fraction] = {}
+    for value, prob in marginal:
+        v = as_rational(value)
+        merged[v] = merged.get(v, Fraction(0)) + as_rational(prob)
+    atoms = []
+    for combo in product(sorted(merged), repeat=copies):
+        probability = Fraction(1)
+        for v in combo:
+            probability *= merged[v]
+        atoms.append((probability, combo))
+    return atoms
 
 
 def fraction_allocation(plan: BonusPlan, results) -> tuple[Fraction, ...]:

@@ -1,0 +1,167 @@
+"""Mutation gate: each fast path's differential tests must catch its mutants.
+
+Every row of MUTANTS names a source file, an exact snippet in it, the
+replacement that breaks the fast path, and the tests that must fail once
+the replacement is made.  For each row the script copies `src/` and
+`tests/` into a temporary directory, applies the one replacement there and
+runs only the named tests, hypothesis seeded so that a run is repeatable and
+without shrinking (the `mutants` profile in `tests/conftest.py`).  A mutant
+is caught when pytest reports failing tests.
+
+The named tests run once unmutated first and must pass.  The gate fails
+when they do not, when a mutant survives, when pytest ends for another
+reason (a usage or collection error is not a catch), and when a snippet
+does not occur exactly once in its file: a fast path that was rewritten
+needs its row rewritten too, never skipped.
+
+Run from the root of a checkout (standard library and pytest/hypothesis):
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the root of the checkout
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "expectation over scale, not mass * scale",
+        "src/bonuslab/market.py",
+        "denominator = view.mass * view.scale",
+        "denominator = view.scale",
+        ("tests/test_market.py::test_expectations_match_the_fraction_oracle",),
+    ),
+    Mutant(
+        "portfolio expectation with its weights reversed",
+        "src/bonuslab/market.py",
+        "map(mul, strategy.weights, market.expectations())",
+        "map(mul, strategy.weights[::-1], market.expectations())",
+        ("tests/test_market.py::test_expectations_match_the_fraction_oracle",),
+    ),
+    Mutant(
+        "product-market total mass, not mass**copies",
+        "src/bonuslab/market.py",
+        "total = mass**copies",
+        "total = mass",
+        ("tests/test_market.py::test_product_market_atoms_match_the_fraction_products",),
+    ),
+    Mutant(
+        "payoff rows gathered over a reversed combo",
+        "src/bonuslab/game.py",
+        "itemgetter(*combo)",
+        "itemgetter(*reversed(combo))",
+        ("tests/test_game.py::test_lazy_cells_match_the_eager_tensor",),
+    ),
+    Mutant(
+        "dominance cap without the players factor",
+        "src/bonuslab/game.py",
+        "TENSOR_CAP // (n * k)",
+        "TENSOR_CAP // n",
+        ("tests/test_game.py::test_strict_dominance_caps_cells_times_players",),
+    ),
+    Mutant(
+        "pure scan reads the cell with the opponents swapped round",
+        "src/bonuslab/game.py",
+        "before, after = pure[:player], pure[player:]",
+        "after, before = pure[:player], pure[player:]",
+        ("tests/test_game.py::test_grid_best_response_matches_the_fraction_oracle",),
+    ),
+    Mutant(
+        "pure scan keeps the last of tied actions",
+        "src/bonuslab/game.py",
+        "best = MixedAction.pure(values.index(best_value), n)",
+        "best = MixedAction.pure(n - 1 - values[::-1].index(best_value), n)",
+        ("tests/test_game.py::test_grid_ties_keep_the_earliest_candidate",),
+    ),
+    Mutant(
+        "WTA/LTA ties not split",
+        "src/bonuslab/plans.py",
+        "share = split[v.count(best)]",
+        "share = split[1]",
+        ("tests/test_plans.py::test_kernels_match_evaluate",),
+    ),
+    Mutant(
+        "grid compositions in reversed order",
+        "src/bonuslab/game.py",
+        "combinations_with_replacement(range(total + 1), arity - 1)",
+        "combinations_with_replacement(range(total, -1, -1), arity - 1)",
+        ("tests/test_game.py::test_compositions_follow_the_old_grid_order",),
+    ),
+)
+
+
+def stale_snippets(mutants=MUTANTS, root: Path = ROOT) -> dict[str, str]:
+    """Mutant name -> why its snippet does not occur exactly once."""
+    stale = {}
+    for m in mutants:
+        found = (root / m.path).read_text().count(m.snippet)
+        if found != 1:
+            stale[m.name] = f"snippet occurs {found} times in {m.path}: {m.snippet!r}"
+    return stale
+
+
+def run_tests(tests, mutant: Mutant | None = None) -> int:
+    """pytest's exit code for the tests in a fresh copy, mutated if given."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        if mutant is not None:
+            target = copy / mutant.path
+            target.write_text(target.read_text().replace(mutant.snippet, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        command = [
+            sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+            "--hypothesis-seed=0", "--hypothesis-profile=mutants", *tests,
+        ]
+        return subprocess.run(command, cwd=copy, env=env, capture_output=True).returncode
+
+
+def outcome(code: int) -> str:
+    """A mutated run's exit code as 'caught', 'SURVIVED' or 'ERROR ...'."""
+    if code == 1:
+        return "caught"
+    return "SURVIVED" if code == 0 else f"ERROR (pytest exit {code})"
+
+
+def main() -> int:
+    stale = stale_snippets()
+    for name, why in stale.items():
+        print(f"STALE    {name}: {why}")
+    # the named tests must pass unmutated, or every mutant would look caught
+    tests = sorted({t for m in MUTANTS for t in m.tests})
+    code = run_tests(tests)
+    print(f"{'passes' if code == 0 else 'FAILS':<8} unmutated: {len(tests)} tests")
+    failed = bool(stale) or code != 0
+    for m in MUTANTS:
+        if m.name in stale:
+            continue
+        start = time.perf_counter()
+        result = outcome(run_tests(m.tests, m))
+        print(f"{result:<8} {time.perf_counter() - start:5.1f}s  {m.name}  [{m.path}]")
+        failed |= result != "caught"
+    print("mutation gate:", "FAILED" if failed else f"all {len(MUTANTS)} mutants caught")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,5 +1,6 @@
 """Monotonicity probes and the markets that turn violations into refutations."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -361,6 +362,18 @@ def test_validate_rejects_tampered_certificates():
     )
     with pytest.raises(StaleViolation):
         validate_counterexample(plan, forged)
+    # the market keeps its expectations once computed; a certificate entry
+    # moved by 1/1000 must still differ from them, on a product market too
+    for plan, grid in ((plan, ("0", "1")), (WinnerTakeAllPlan(3), ("0", "1", "2"))):
+        ce = universality_verdict(plan, grid).counterexample
+        assert ce.market.expectations() == tuple(value for _, value in ce.certificate)
+        for j, (label, value) in enumerate(ce.certificate):
+            certificate = list(ce.certificate)
+            certificate[j] = (label, value + Fraction(1, 1000))
+            forged = replace(ce, certificate=tuple(certificate))
+            with pytest.raises(StaleViolation, match="certificate"):
+                validate_counterexample(plan, forged)
+        validate_counterexample(plan, ce)
 
 
 # ---------------------------------------------------------------------

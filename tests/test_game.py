@@ -37,8 +37,8 @@ from bonuslab import (
     simplex_grid,
     strict_dominance,
 )
-from bonuslab.game import _compositions, _multisets_exceed
-from conftest import fraction_allocation, tensor_dominance
+from bonuslab.game import TENSOR_CAP, _compositions, _multisets_exceed
+from conftest import fraction_allocation, markets, tensor_dominance
 
 F = Fraction
 
@@ -160,6 +160,16 @@ def test_best_response_checks_opponent_count():
     game = wta_game()
     with pytest.raises(ArityMismatch):
         best_response(game, 0, ())
+
+
+def test_best_response_checks_opponent_arity():
+    """A pure opponent over the wrong number of actions is refused, although
+    its action index would name a cell of the game."""
+    game = wta_game()
+    for opponent in (MixedAction.pure(0, 3), MixedAction(("1/2", "1/2", "0"))):
+        with pytest.raises(ArityMismatch):
+            best_response(game, 0, (opponent,))
+    assert game.cells == {}
 
 
 def test_check_nash_flags_profitable_deviation():
@@ -337,19 +347,6 @@ def oracle_best_response(market, plan, w, player, opponents, resolution):
         if best is None or value > best_value:
             best, best_value = candidate, value
     return best.weights, best_value
-
-
-outcome = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-
-
-@st.composite
-def markets(draw, max_actions=3):
-    n = draw(st.integers(2, max_actions))
-    rows = draw(st.lists(st.lists(outcome, min_size=n, max_size=n), min_size=1, max_size=3))
-    weights = draw(st.lists(st.integers(1, 9), min_size=len(rows), max_size=len(rows)))
-    total = sum(weights)
-    atoms = [(F(wt, total), tuple(row)) for wt, row in zip(weights, rows)]
-    return build_market([f"A{i}" for i in range(n)], atoms)
 
 
 def every_kind(market, k):
@@ -599,6 +596,23 @@ def test_strict_dominance_caps_the_cells_it_may_read():
     assert table.cells == {}
     small = induce_game(market, TabulatedPlan(6, {}, (F(1, 6),) * 6), 0)
     assert strict_dominance(small).pairs == ()  # 6^6 = 46 656 profiles: at most
+
+
+def test_strict_dominance_caps_cells_times_players():
+    """Each cell sums k shares per atom, so the shared relation is capped on
+    its 2 * C(k, k - 1) = 2k cells times k players on the two-bond market:
+    2 * 316^2 = 199 712 is allowed, 2 * 317^2 = 200 978 is refused."""
+    market = two_bond_market()
+    assert 2 * 316**2 <= TENSOR_CAP < 2 * 317**2
+    for k in (317, 20_000):
+        game = induce_game(market, WinnerTakeAllPlan(k), 0)
+        with pytest.raises(TensorCapExceeded, match=f"x {k} players"):
+            strict_dominance(game)
+        assert game.cells == {}
+    game = induce_game(market, WinnerTakeAllPlan(316), 0)
+    report = strict_dominance(game)
+    assert report.pairs == () and report.survivors == ((0, 1),) * 316
+    assert len(game.cells) <= 2 * 316
 
 
 def test_multiset_count_guard_matches_the_binomial():

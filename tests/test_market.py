@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bonuslab import (
     ArityMismatch,
@@ -23,9 +25,11 @@ from bonuslab import (
     product_market,
     profile_from_list,
     profile_to_list,
+    simplex_grid,
     two_bond_market,
     support_stats,
 )
+from conftest import fraction_expectation, fraction_product_atoms, markets
 
 
 def two_action_market():
@@ -176,3 +180,77 @@ def test_product_market_atom_cap():
     with pytest.raises(AtomCapExceeded):
         product_market(marginal, 2, [("dev", lambda combo: seen.append(combo) or combo[0])])
     assert seen == []
+
+
+def test_product_market_cap_on_huge_copy_counts():
+    """2^20 000 atoms: refused without building or printing the power."""
+    seen = []
+    with pytest.raises(AtomCapExceeded, match=r"2\^20000 atoms"):
+        product_market(
+            [("1", "1/2"), ("2", "1/2")],
+            20_000,
+            [("dev", lambda combo: seen.append(combo) or combo[0])],
+        )
+    assert seen == []
+
+
+# ---------------------------------------------------------------------
+# Integer expectations and product weights: differential tests against the
+# Fraction sums and products (`conftest.fraction_expectation`,
+# `conftest.fraction_product_atoms`)
+# ---------------------------------------------------------------------
+
+
+@st.composite
+def marginals(draw):
+    """(value, probability) pairs with repeated values, so mass merges."""
+    values = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    weights = draw(st.lists(st.integers(1, 7), min_size=len(values), max_size=len(values)))
+    scale = draw(st.sampled_from((1, 2, 3, 10)))
+    total = sum(weights)
+    return [(Fraction(v, scale), Fraction(w, total)) for v, w in zip(values, weights)]
+
+
+@st.composite
+def product_markets(draw):
+    marginal = draw(marginals())
+    copies = draw(st.integers(1, 3))
+    lift = draw(st.fractions(min_value=-2, max_value=2, max_denominator=5))
+    extras = [
+        ("top", lambda combo: max(combo) + lift),
+        ("spread", lambda combo: combo[-1] - combo[0]),
+    ][: draw(st.integers(0, 2))]
+    return product_market(marginal, copies, extras)
+
+
+def assert_expectations_match_the_oracle(market, resolution):
+    n = market.n
+    expected = tuple(fraction_expectation(market, MixedAction.pure(a, n)) for a in range(n))
+    assert market.expectations() == expected
+    assert market.expectations() is market.expectations()  # computed once
+    assert [market.expectation_of(a) for a in range(n)] == list(expected)
+    for q in simplex_grid(n, resolution):
+        assert expectation(market, q) == fraction_expectation(market, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(markets(max_actions=4), st.integers(1, 4))
+def test_expectations_match_the_fraction_oracle(market, resolution):
+    assert_expectations_match_the_oracle(market, resolution)
+
+
+@settings(max_examples=40, deadline=None)
+@given(product_markets(), st.integers(1, 3))
+def test_product_market_expectations_match_the_fraction_oracle(market, resolution):
+    assert_expectations_match_the_oracle(market, resolution)
+
+
+@settings(max_examples=60, deadline=None)
+@given(marginals(), st.integers(1, 3))
+def test_product_market_atoms_match_the_fraction_products(marginal, copies):
+    """The same atoms in the same order: integer weights over mass^copies
+    give the probabilities the Fraction products give."""
+    market = product_market(marginal, copies, [("sum", lambda combo: sum(combo))])
+    oracle = fraction_product_atoms(marginal, copies)
+    assert [(a.probability, a.outcomes[:copies]) for a in market.atoms] == oracle
+    assert all(a.outcomes[copies] == sum(a.outcomes[:copies]) for a in market.atoms)
