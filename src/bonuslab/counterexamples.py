@@ -19,9 +19,14 @@ Violation directions, shared by the two-player and many-player probes:
             (outside any gate the plan may have) keeps the expectation
             ordering while the common case collects the reward.
 
-Every builder re-evaluates its violation against the plan first
-(StaleViolation on mismatch) and self-validates the emitted counterexample
-before returning it.
+Every builder re-evaluates its violation against the plan first: one
+own-move deficit, evaluate(bent)[player] - evaluate(base)[player], backs
+the pair and the coordinate checks (StaleViolation on mismatch).  A builder
+then only designs its market.  The increase builders read their gains from
+the induced game (two pure cells at earnings weight 0); the decrease
+builders state theirs in closed form.  All four return through one path,
+which reads the certificate from the market's expectations and validates
+the counterexample end to end before returning it.
 """
 
 from __future__ import annotations
@@ -30,19 +35,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 from typing import Sequence
 
 from .errors import ArityMismatch, GridCapExceeded, SearchExhausted, StaleViolation
-from .game import (
-    GRID_CAP,
-    Verdict,
-    check_nash,
-    expected_payoffs,
-    induce_game,
-)
+from .game import GRID_CAP, Verdict, check_nash, induce_game
 from .market import (
     Market,
-    MixedAction,
     Profile,
     build_market,
     market_to_dict,
@@ -257,15 +256,8 @@ def pair_decrease_counterexample(plan: BonusPlan, violation: PairViolation) -> C
     x < y; dropping to the alternative is rewarded by exactly the deficit.
     """
     _check_pair(plan, violation, Direction.DECREASE)
-    x, y = violation.x, violation.y
-    market = build_market(("X1", "X2"), [(ONE, (y, x))])
-    profile = Profile.pure((0, 0), 2)
-    certificate = (("X1", y), ("X2", x))
-    ce = Counterexample(
-        market, profile, violation.player, 1, violation.deficit, certificate, {}
-    )
-    validate_counterexample(plan, ce)
-    return ce
+    market = build_market(("X1", "X2"), [(ONE, (violation.y, violation.x))])
+    return _certified(plan, market, (0, 0), violation.player, 1, violation.deficit, {})
 
 
 def pair_increase_counterexample(plan: BonusPlan, violation: PairViolation) -> Counterexample:
@@ -286,48 +278,50 @@ def pair_increase_counterexample(plan: BonusPlan, violation: PairViolation) -> C
         p = ONE - rare_mass
         z = x + p * (y - x) / rare_mass + 1
         market = build_market(("X1", "X2"), [(p, (x, y)), (rare_mass, (z, x))])
-        stay = plan.evaluate((x, x))[player] * p + plan.evaluate((z, z))[player] * rare_mass
-        if player == 0:
-            move = plan.evaluate((y, x))[0] * p + plan.evaluate((x, z))[0] * rare_mass
-        else:
-            move = plan.evaluate((x, y))[1] * p + plan.evaluate((z, x))[1] * rare_mass
-        gain = move - stay
+        gain = _switch_gain(plan, market, (0, 0), player, 1)
         if gain > 0:
-            profile = Profile.pure((0, 0), 2)
-            certificate = (
-                ("X1", p * x + rare_mass * z),
-                ("X2", p * y + rare_mass * x),
-            )
-            ce = Counterexample(
-                market,
-                profile,
-                player,
-                1,
-                gain,
-                certificate,
-                {"p": p, "z": z, "iterations": iteration},
-            )
-            validate_counterexample(plan, ce)
-            return ce
+            params = {"p": p, "z": z, "iterations": iteration}
+            return _certified(plan, market, (0, 0), player, 1, gain, params)
         rare_mass = rare_mass / 2
     raise SearchExhausted(f"no positive gain after {ESCALATIONS} rare-mass halvings")
 
 
 def _check_pair(plan: BonusPlan, violation: PairViolation, direction: Direction) -> None:
+    if plan.players != 2:
+        raise ArityMismatch("pair violations are for two-player plans")
+    x, y = violation.x, violation.y
+    # a decrease drops the player from (y, y) to x; an increase lifts it from (x, x) to y
+    if direction is Direction.DECREASE:
+        _check_own_move(plan, violation, direction, (y, y), x)
+    else:
+        _check_own_move(plan, violation, direction, (x, x), y)
+
+
+def _check_own_move(
+    plan: BonusPlan,
+    violation: PairViolation | CoordinateViolation,
+    direction: Direction,
+    base: tuple[Fraction, ...],
+    witness: Fraction,
+) -> None:
+    """StaleViolation unless moving the violation's player from its base
+    coordinate to witness, against fixed others, is a `direction` move that
+    raises its share by exactly the recorded deficit > 0."""
     if violation.direction is not direction:
         raise StaleViolation(
             f"expected a {direction.value} violation, got {violation.direction.value}"
         )
-    if not violation.x < violation.y:
-        raise StaleViolation(f"points must satisfy x < y, got {violation.x}, {violation.y}")
-    current = [
-        v
-        for v in probe_pairs(plan, (violation.x, violation.y))
-        if v.direction is direction and v.player == violation.player
-    ]
-    if not any(
-        v.deficit == violation.deficit for v in current
-    ):
+    player = violation.player
+    if not 0 <= player < len(base):
+        raise StaleViolation(f"player {player} is not one of {len(base)} players")
+    own = base[player]
+    if witness == own or (witness < own) != (direction is Direction.DECREASE):
+        raise StaleViolation(
+            f"moving {own} to {witness} is not a {direction.value} of the own result"
+        )
+    bent = base[:player] + (witness,) + base[player + 1 :]
+    deficit = plan.evaluate(bent)[player] - plan.evaluate(base)[player]
+    if deficit <= 0 or deficit != violation.deficit:
         raise StaleViolation(
             f"violation {violation} does not match the plan's current behavior"
         )
@@ -338,26 +332,15 @@ def _check_pair(plan: BonusPlan, violation: PairViolation, direction: Direction)
 # =====================================================================
 
 
-def _check_coordinate(plan: BonusPlan, violation: CoordinateViolation) -> None:
-    base, player, witness = violation.base, violation.player, violation.witness
+def _check_coordinate(
+    plan: BonusPlan, violation: CoordinateViolation, direction: Direction
+) -> None:
+    base = violation.base
     if len(base) != plan.players:
         raise ArityMismatch(f"base point {base} is not a {plan.players}-vector")
     if len(set(base)) != len(base):
         raise StaleViolation(f"base point {base} has repeated coordinates")
-    expected_direction = (
-        Direction.DECREASE if witness < base[player] else Direction.INCREASE
-    )
-    bent = base[:player] + (witness,) + base[player + 1 :]
-    deficit = plan.evaluate(bent)[player] - plan.evaluate(base)[player]
-    if (
-        violation.direction is not expected_direction
-        or witness == base[player]
-        or deficit <= 0
-        or deficit != violation.deficit
-    ):
-        raise StaleViolation(
-            f"violation {violation} does not match the plan's current behavior"
-        )
+    _check_own_move(plan, violation, direction, base, violation.witness)
 
 
 def _base_marginal(violation: CoordinateViolation) -> list[tuple[Fraction, Fraction]]:
@@ -372,10 +355,7 @@ def _base_marginal(violation: CoordinateViolation) -> list[tuple[Fraction, Fract
 def tuple_probability(violation: CoordinateViolation) -> Fraction:
     """Probability that k independent draws from the base marginal hit the base
     point coordinate-for-coordinate."""
-    prob = ONE
-    for _, p in _base_marginal(violation):
-        prob *= p
-    return prob
+    return prod(p for _, p in _base_marginal(violation))
 
 
 def coordinate_decrease_counterexample(
@@ -388,9 +368,7 @@ def coordinate_decrease_counterexample(
     tuple, where it realizes the lower witness — collecting the deficit
     there and losing expectation, never bonus, elsewhere.
     """
-    _check_coordinate(plan, violation)
-    if violation.direction is not Direction.DECREASE:
-        raise StaleViolation("expected a decrease violation")
+    _check_coordinate(plan, violation, Direction.DECREASE)
     base, player, witness = violation.base, violation.player, violation.witness
     k = plan.players
 
@@ -398,20 +376,11 @@ def coordinate_decrease_counterexample(
         return witness if combo == base else combo[player]
 
     market = product_market(_base_marginal(violation), k, [("dev", dip)])
-    profile = Profile.pure(tuple(range(k)), market.n)
-    gain = violation.deficit * tuple_probability(violation)
-    certificate = tuple(zip(market.actions, market.expectations()))
-    ce = Counterexample(
-        market,
-        profile,
-        player,
-        k,
-        gain,
-        certificate,
-        {"tuple_probability": tuple_probability(violation)},
+    pi_base = tuple_probability(violation)
+    params = {"tuple_probability": pi_base}
+    return _certified(
+        plan, market, tuple(range(k)), player, k, violation.deficit * pi_base, params
     )
-    validate_counterexample(plan, ce)
-    return ce
 
 
 def coordinate_increase_counterexample(
@@ -431,9 +400,7 @@ def coordinate_increase_counterexample(
     values double outward until the deviation's expectation drops strictly
     below the common one.  The reported gain is recomputed exactly.
     """
-    _check_coordinate(plan, violation)
-    if violation.direction is not Direction.INCREASE:
-        raise StaleViolation("expected an increase violation")
+    _check_coordinate(plan, violation, Direction.INCREASE)
     base, player, witness = violation.base, violation.player, violation.witness
     k = plan.players
     pi_base = tuple_probability(violation)
@@ -468,39 +435,17 @@ def coordinate_increase_counterexample(
             return combo[player]
 
         market = product_market(marginal, k, [("dev", chase)])
-        common = market.expectation_of(0)
-        deviant = market.expectation_of(k)
-        if deviant < common:
-            game = induce_game(market, plan, 0)
-            profile = Profile.pure(tuple(range(k)), market.n)
-            swapped = Profile(
-                tuple(
-                    MixedAction.pure(k if j == player else j, market.n)
-                    for j in range(k)
-                )
-            )
-            gain = (
-                expected_payoffs(game, swapped)[player]
-                - expected_payoffs(game, profile)[player]
-            )
-            certificate = tuple(zip(market.actions, market.expectations()))
-            ce = Counterexample(
-                market,
-                profile,
-                player,
-                k,
-                gain,
-                certificate,
-                {
-                    "p": p,
-                    "escape_high": high,
-                    "escape_low": low,
-                    "probability_steps": schedule_steps,
-                    "escape_doublings": doubling,
-                },
-            )
-            validate_counterexample(plan, ce)
-            return ce
+        if market.expectation_of(k) < market.expectation_of(0):
+            actions = tuple(range(k))
+            gain = _switch_gain(plan, market, actions, player, k)
+            params = {
+                "p": p,
+                "escape_high": high,
+                "escape_low": low,
+                "probability_steps": schedule_steps,
+                "escape_doublings": doubling,
+            }
+            return _certified(plan, market, actions, player, k, gain, params)
         escape *= 2
     raise SearchExhausted(
         f"deviation expectation still not below after {ESCALATIONS} escape doublings"
@@ -508,27 +453,61 @@ def coordinate_increase_counterexample(
 
 
 # =====================================================================
-# Validation and the one-call verdict
+# One path out of the builders, validation and the one-call verdict
 # =====================================================================
+
+
+def _switch_gain(
+    plan: BonusPlan, market: Market, actions: tuple[int, ...], player: int, deviation: int
+) -> Fraction:
+    """The player's exact gain from switching its action to the deviation,
+    read from two pure cells of the induced game at earnings weight 0."""
+    game = induce_game(market, plan, 0)
+    moved = actions[:player] + (deviation,) + actions[player + 1 :]
+    return game.payoff(moved)[player] - game.payoff(actions)[player]
+
+
+def _certified(
+    plan: BonusPlan,
+    market: Market,
+    actions: tuple[int, ...],
+    player: int,
+    deviation: int,
+    gain: Fraction,
+    params: dict,
+) -> Counterexample:
+    """The counterexample at the pure profile `actions`, its certificate read
+    from the market, validated before it is returned."""
+    certificate = tuple(zip(market.actions, market.expectations()))
+    profile = Profile.pure(actions, market.n)
+    ce = Counterexample(market, profile, player, deviation, gain, certificate, params)
+    validate_counterexample(plan, ce)
+    return ce
 
 
 def validate_counterexample(plan: BonusPlan, ce: Counterexample) -> None:
     """Re-derive every claim a counterexample makes; StaleViolation on failure.
 
-    Checks: certificate expectations match the market; the profile sits on
-    maximal-expectation actions and the deviation's expectation is strictly
-    lower; switching the player to the deviation action gains exactly
-    ce.gain > 0; and check_nash refutes the profile with at least that gain
-    for the player.
+    Checks: the profile has one strategy per player over the market's
+    actions, and the player and the deviation index them; certificate
+    expectations match the market; the profile sits on maximal-expectation
+    actions and the deviation's expectation is strictly lower; switching
+    the player to the deviation action gains exactly ce.gain > 0; and
+    check_nash refutes the profile with at least that gain for the player.
     """
-    market = ce.market
-    expected_cert = tuple(zip(market.actions, market.expectations()))
-    if ce.certificate != expected_cert:
-        raise StaleViolation("certificate expectations do not match the market")
+    market, k = ce.market, plan.players
+    if not (ce.profile.players == k and 0 <= ce.player < k and 0 <= ce.deviation < market.n):
+        raise StaleViolation(
+            f"player {ce.player} and deviation {ce.deviation} do not index"
+            f" a {k}-player profile over {market.n} actions"
+        )
+    ce.profile.check_arity(market)
     exps = market.expectations()
+    if ce.certificate != tuple(zip(market.actions, exps)):
+        raise StaleViolation("certificate expectations do not match the market")
     mu = max(exps)
-    profile_actions = [s.pure_action for s in ce.profile.strategies]
-    if any(a is None or exps[a] != mu for a in profile_actions):
+    actions = tuple(s.pure_action for s in ce.profile.strategies)
+    if any(a is None or exps[a] != mu for a in actions):
         raise StaleViolation("profile is not on maximal-expectation actions")
     if exps[ce.deviation] >= mu:
         raise StaleViolation("deviation action does not lose expectation")
@@ -536,14 +515,11 @@ def validate_counterexample(plan: BonusPlan, ce: Counterexample) -> None:
         raise StaleViolation(f"gain {ce.gain} is not positive")
 
     game = induce_game(market, plan, 0)
-    base = expected_payoffs(game, ce.profile)[ce.player]
-    swapped = list(ce.profile.strategies)
-    swapped[ce.player] = MixedAction.pure(ce.deviation, market.n)
-    moved = expected_payoffs(game, Profile(tuple(swapped)))[ce.player]
-    if moved - base != ce.gain:
-        raise StaleViolation(
-            f"recorded gain {ce.gain} differs from recomputed {moved - base}"
-        )
+    swapped = list(actions)
+    swapped[ce.player] = ce.deviation
+    recomputed = game.payoff(tuple(swapped))[ce.player] - game.payoff(actions)[ce.player]
+    if recomputed != ce.gain:
+        raise StaleViolation(f"recorded gain {ce.gain} differs from recomputed {recomputed}")
     report = check_nash(game, ce.profile, resolution=None)
     if report.verdict is not Verdict.NOT_EQUILIBRIUM:
         raise StaleViolation("check_nash does not refute the profile")
@@ -574,20 +550,14 @@ def universality_verdict(plan: BonusPlan, points: Sequence) -> UniversalityRepor
     violations means every probed own-coordinate move was weakly losing.
     """
     if plan.players == 2:
-        violation = next(_pair_violations(plan, points), None)
-        if violation is None:
-            return UniversalityReport("constant-on-grid", None, None)
-        if violation.direction is Direction.DECREASE:
-            ce = pair_decrease_counterexample(plan, violation)
-        else:
-            ce = pair_increase_counterexample(plan, violation)
-        return UniversalityReport("counterexample", violation, ce)
-
-    violation = next(_coordinate_violations(plan, points), None)
+        violations = _pair_violations
+        decrease, increase = pair_decrease_counterexample, pair_increase_counterexample
+    else:
+        violations = _coordinate_violations
+        decrease = coordinate_decrease_counterexample
+        increase = coordinate_increase_counterexample
+    violation = next(violations(plan, points), None)
     if violation is None:
         return UniversalityReport("constant-on-grid", None, None)
-    if violation.direction is Direction.DECREASE:
-        ce = coordinate_decrease_counterexample(plan, violation)
-    else:
-        ce = coordinate_increase_counterexample(plan, violation)
-    return UniversalityReport("counterexample", violation, ce)
+    build = decrease if violation.direction is Direction.DECREASE else increase
+    return UniversalityReport("counterexample", violation, build(plan, violation))

@@ -124,8 +124,8 @@ class Market:
         return IntegerView(
             scale,
             mass,
-            tuple(_over(a.probability, mass) for a in self.atoms),
-            tuple(tuple(_over(x, scale) for x in a.outcomes) for a in self.atoms),
+            _over((a.probability for a in self.atoms), mass),
+            tuple(_over(a.outcomes, scale) for a in self.atoms),
         )
 
 
@@ -144,9 +144,9 @@ class IntegerView:
     values: tuple[tuple[int, ...], ...]
 
 
-def _over(value: Fraction, denominator: int) -> int:
-    """The numerator of value written over a multiple of its denominator."""
-    return value.numerator * (denominator // value.denominator)
+def _over(vector: Iterable[Fraction], denominator: int) -> tuple[int, ...]:
+    """The numerators of `vector` over a common multiple of its denominators."""
+    return tuple(x.numerator * (denominator // x.denominator) for x in vector)
 
 
 @dataclass(frozen=True)
@@ -320,7 +320,7 @@ def product_market(
         raise AtomCapExceeded(f"{len(support)}^{copies} atoms exceed cap {ATOM_CAP}")
 
     mass = lcm(*(p.denominator for p in merged.values()))
-    weights = [_over(merged[v], mass) for v in support]
+    weights = _over(map(merged.__getitem__, support), mass)
     total = mass**copies
     rules = [(label, _total_rule(label, rule)) for label, rule in extra_actions]
     labels = tuple(f"X{j + 1}" for j in range(copies)) + tuple(l for l, _ in rules)

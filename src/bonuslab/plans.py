@@ -44,7 +44,7 @@ from .errors import (
     InvalidParameter,
     NonSimplexTable,
 )
-from .market import Market, support_stats
+from .market import Market, _over, support_stats
 from .rational import as_rational, format_rational, load_json, rationals
 
 class Kernel(NamedTuple):
@@ -344,11 +344,6 @@ class TabulatedPlan(BonusPlan):
         return cls(players, points, rationals(data["fallback"]))
 
 
-def _over(vector: Sequence[Fraction], denominator: int) -> tuple[int, ...]:
-    """The numerators of `vector` over a common multiple of its denominators."""
-    return tuple(x.numerator * (denominator // x.denominator) for x in vector)
-
-
 def _checked_allocation(shares, players: int, where: str) -> tuple[Fraction, ...]:
     vec = rationals(shares)
     if len(vec) != players:
@@ -381,6 +376,8 @@ def zero_sum_shares(plan: BonusPlan, results: Sequence) -> tuple[Fraction, ...]:
 # Simplex validation by deterministic sampling
 # ---------------------------------------------------------------------
 
+SAMPLE_DENOMINATOR = 60  # largest denominator of a sampled result
+
 
 @dataclass(frozen=True)
 class SimplexReport:
@@ -397,18 +394,18 @@ def validate_simplex(
     seed: int = 0,
     lo=-2,
     hi=2,
-    max_denominator: int = 60,
 ) -> SimplexReport:
     """Check the allocation contract on pseudo-random result vectors.
 
     Each vector is allocated by `evaluate`, which runs the plan's kernel:
     the check covers the rule the games compute payoffs with.
 
-    Samples `count` vectors with coordinates in [lo, hi] from a seeded
-    generator (deterministic), after the plan's own `probes()`: tabulated
-    points, the corners of a linear plan's interval or bound.  Samples are
-    drawn one at a time as they are checked.  Reports the first vector whose
-    allocation leaves the simplex, if any.
+    Samples `count` vectors with coordinates in [lo, hi] and denominators up
+    to SAMPLE_DENOMINATOR from a seeded generator (deterministic), after the
+    plan's own `probes()`: tabulated points, the corners of a linear plan's
+    interval or bound.  Samples are drawn one at a time as they are
+    checked.  Reports the first vector whose allocation leaves the simplex,
+    if any.
     """
     if count < 1:
         raise InvalidParameter(f"sample count must be >= 1, got {count}")
@@ -417,7 +414,7 @@ def validate_simplex(
         raise InvalidParameter(f"sample range {lo}:{hi} is inverted")
     rng = random.Random(seed)
     samples = (
-        tuple(_random_rational(rng, lo, hi, max_denominator) for _ in range(plan.players))
+        tuple(_random_rational(rng, lo, hi) for _ in range(plan.players))
         for _ in range(count)
     )
 
@@ -437,8 +434,8 @@ def validate_simplex(
     return SimplexReport(True, checked)
 
 
-def _random_rational(rng: random.Random, lo: Fraction, hi: Fraction, max_den: int) -> Fraction:
-    den = rng.randint(1, max_den)
+def _random_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+    den = rng.randint(1, SAMPLE_DENOMINATOR)
     lo_num = -(-lo.numerator * den // lo.denominator)  # ceil(lo * den)
     hi_num = hi.numerator * den // hi.denominator  # floor(hi * den)
     if lo_num > hi_num:

@@ -105,6 +105,40 @@ MUTANTS = (
         "combinations_with_replacement(range(total, -1, -1), arity - 1)",
         ("tests/test_game.py::test_compositions_follow_the_old_grid_order",),
     ),
+    Mutant(
+        "switch gain reads the unmoved profile for both cells",
+        "src/bonuslab/counterexamples.py",
+        "game.payoff(moved)[player]",
+        "game.payoff(actions)[player]",
+        (
+            "tests/test_counterexamples.py::test_increase_builder_on_winner_take_all",
+            "tests/test_counterexamples.py::test_coordinate_increase_builder_frozen_values",
+        ),
+    ),
+    Mutant(
+        "decrease stale check moves from the increase base",
+        "src/bonuslab/counterexamples.py",
+        "_check_own_move(plan, violation, direction, (y, y), x)",
+        "_check_own_move(plan, violation, direction, (x, x), x)",
+        ("tests/test_counterexamples.py::test_decrease_builder_rewards_the_drop_with_certainty",),
+    ),
+    Mutant(
+        "certificate read from reversed expectations",
+        "src/bonuslab/counterexamples.py",
+        "certificate = tuple(zip(market.actions, market.expectations()))",
+        "certificate = tuple(zip(market.actions, market.expectations()[::-1]))",
+        ("tests/test_counterexamples.py::test_decrease_builder_rewards_the_drop_with_certainty",),
+    ),
+    Mutant(
+        "validation without the player and deviation index check",
+        "src/bonuslab/counterexamples.py",
+        "if not (ce.profile.players == k and 0 <= ce.player < k and 0 <= ce.deviation < market.n):",
+        "if False:",
+        (
+            "tests/test_counterexamples.py::"
+            "test_validate_refuses_a_player_or_deviation_out_of_range",
+        ),
+    ),
 )
 
 

@@ -19,6 +19,7 @@ from bonuslab import (
     MixedAction,
     MLinearPlan,
     PairViolation,
+    Profile,
     SearchExhausted,
     StaleViolation,
     TabulatedPlan,
@@ -374,6 +375,56 @@ def test_validate_rejects_tampered_certificates():
             with pytest.raises(StaleViolation, match="certificate"):
                 validate_counterexample(plan, forged)
         validate_counterexample(plan, ce)
+
+
+@pytest.mark.parametrize(
+    "plan,grid", [(WinnerTakeAllPlan(2), ("0", "1", "2")), (WinnerTakeAllPlan(3), ("0", "1", "2"))]
+)
+def test_validate_refuses_a_player_or_deviation_out_of_range(plan, grid):
+    """A negative index would read from the end; one past the end used to
+    raise a bare IndexError."""
+    ce = universality_verdict(plan, grid).counterexample
+    k, n = plan.players, ce.market.n
+    for field, value in (
+        ("player", -1), ("player", k), ("player", n), ("deviation", -1), ("deviation", n)
+    ):
+        with pytest.raises(StaleViolation, match="index"):
+            validate_counterexample(plan, replace(ce, **{field: value}))
+    # strategies over n + 1 actions, pure on the missing one
+    wide = Profile.pure((n,) * k, n + 1)
+    with pytest.raises(ArityMismatch):
+        validate_counterexample(plan, replace(ce, profile=wide))
+    validate_counterexample(plan, ce)
+
+
+def test_stale_checks_refuse_a_player_outside_the_plan():
+    wta = WinnerTakeAllPlan(2)
+    increase = probe_pairs(wta, ("0", "1"))[0]
+    for player in (-1, 2):
+        with pytest.raises(StaleViolation, match="player"):
+            pair_increase_counterexample(wta, replace(increase, player=player))
+    for player in (-1, 3):
+        with pytest.raises(StaleViolation, match="player"):
+            coordinate_decrease_counterexample(
+                LoserTakeAllPlan(3), replace(lta_drop_violation(), player=player)
+            )
+
+
+def test_pair_stale_checks_read_the_own_move_from_the_diagonal():
+    """A decrease moves the player from (y, y) down to x, an increase from
+    (x, x) up to y; the deficit is the share gained by that one move."""
+    for plan in (WinnerTakeAllPlan(2), LoserTakeAllPlan(2)):
+        for v in probe_pairs(plan, ("0", "1", "2")):
+            ce = (
+                pair_decrease_counterexample(plan, v)
+                if v.direction is Direction.DECREASE
+                else pair_increase_counterexample(plan, v)
+            )
+            assert ce.player == v.player
+            with pytest.raises(StaleViolation):
+                pair_decrease_counterexample(plan, replace(v, deficit=v.deficit / 2))
+            with pytest.raises(StaleViolation):
+                pair_increase_counterexample(plan, replace(v, deficit=v.deficit / 2))
 
 
 # ---------------------------------------------------------------------
