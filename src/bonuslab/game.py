@@ -58,8 +58,9 @@ equilibrium exactly when it is, so the witness does not change.
 
 Payoff cells are computed on first read.  A pure-deviation verdict at one
 profile reads that profile and its unilateral deviations, at most
-1 + k(n-1) cells of the n^k tensor, so `Game.payoff` computes a cell when it
-is first asked for and keeps it on the game.  Only `Game.payoffs` (and
+1 + k(n-1) cells of the n^k tensor, so a cell is computed when it is first
+read, through `Game.payoff` or the integer reader behind it, and kept on
+the game.  Only `Game.payoffs` (and
 through it the CLI's tensor listings) materializes every cell, and it
 refuses a tensor over TENSOR_CAP pure profiles before computing any.  Every
 other enumeration is capped on its own size, before any cell.  The shared
@@ -76,16 +77,21 @@ Payoffs are computed in integers and are exact all the same.  A market's
 denominator and every probability over another.  A portfolio whose weights
 are c_j / d then realizes the integer sum_j c_j * outcome-numerator_j over
 d times that denominator, and the plan's `kernel` for that scale returns
-integer share numerators, its gates compared as integers.  A cell sums
-probability times share numerator as integers and builds one `Fraction`
-per distinct payoff numerator at the end, shared by the players that
-have it; the earnings-weight term w * E[own result] is added to the same
-numerator.  `best_response` realizes the opponents once and
-scores each grid portfolio by its payoff numerator over a denominator that
-all candidates share.  The grid is walked as integer counts (`_compositions`,
-the order `simplex_grid` yields), so the search compares integers and builds
-one `Fraction` and one `MixedAction`, for the winner.  `Fraction` stays at
-the interface.
+integer share numerators, its gates compared as integers.  A cell applies
+the kernel to every atom's result row and sums each player's column of
+shares, and of results when the earnings weight w is not 0, against the
+probability weights.  It holds integer payoff numerators over one
+denominator, the same for every cell of the game, so comparing two
+numerators compares the two payoffs: `strict_dominance` and the pure scan
+of `best_response` rank cells as integers and build no `Fraction` while
+they do.  `Game.payoff` is where a cell's `Fraction`s are built, one per
+distinct numerator, shared by the players that have it.  Against mixed
+opponents `best_response` realizes them once and scores each pure action
+as a cell over their scale; it scores each grid portfolio by its payoff
+numerator over a denominator that all candidates share.  The grid is
+walked as integer counts (`_compositions`, the order `simplex_grid`
+yields), so the search compares integers and builds one `Fraction` and
+one `MixedAction`, for the winner.  `Fraction` stays at the interface.
 """
 
 from __future__ import annotations
@@ -98,7 +104,13 @@ from math import comb, lcm
 from operator import itemgetter, mul, sub
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .errors import ArityMismatch, GridCapExceeded, InvalidParameter, TensorCapExceeded
+from .errors import (
+    ArityMismatch,
+    FloatRejected,
+    GridCapExceeded,
+    InvalidParameter,
+    TensorCapExceeded,
+)
 from .market import (
     IntegerView,
     Market,
@@ -132,10 +144,12 @@ class OptimalityVerdict(str, Enum):
 class Game:
     """Induced game over pure profiles, kept exact and filled in on demand.
 
-    `cells` memoizes the payoff vectors computed so far, keyed by
-    action-index tuple; `payoff` adds one on first read.  Only `payoffs`
-    materializes the full n^k tensor.  `kernels` keeps the plan's kernel
-    per result scale.
+    `cells` memoizes the payoffs computed so far, keyed by action-index
+    tuple: each a tuple of integer numerators over the game's one
+    denominator, `_scoring(integer_view.scale).denominator`, so rankings
+    compare them directly.  A cell is added on first read; `payoff` turns
+    one into `Fraction`s.  Only `payoffs` materializes the full n^k tensor.
+    `kernels` keeps the plan's kernel per result scale.
     """
 
     market: Market
@@ -154,6 +168,12 @@ class Game:
 
     def payoff(self, combo: tuple[int, ...]) -> tuple[Fraction, ...]:
         """Exact payoffs at one pure profile, computed on first read."""
+        scoring = self._scoring(self.market.integer_view.scale)
+        return _fractions(self._numerators(combo), scoring.denominator)
+
+    def _numerators(self, combo: tuple[int, ...]) -> tuple[int, ...]:
+        """The payoff numerators at one pure profile, over the game's
+        denominator; computed on first read and kept in `cells`."""
         cached = self.cells.get(combo)
         if cached is not None:
             return cached
@@ -204,22 +224,28 @@ class _Scoring(NamedTuple):
     denominator: int
 
 
-def _cell(game: Game, rows: Sequence[tuple[int, ...]], scale: int) -> tuple[Fraction, ...]:
-    """Expected payoffs from one integer result vector per atom, over `scale`."""
+def _cell(game: Game, rows: Sequence[tuple[int, ...]], scale: int) -> tuple[int, ...]:
+    """Expected payoff numerators from one integer result vector per atom,
+    over `scale`: each player's column of shares, then of results, summed
+    against the atoms' probability weights."""
     scoring = game._scoring(scale)
-    k = game.players
-    bonus, result = [0] * k, [0] * k
-    for p, results in zip(game.market.integer_view.weights, rows):
-        for i, share in enumerate(scoring.shares(results)):
-            bonus[i] += p * share
-        if scoring.result_weight:
-            for i, x in enumerate(results):
-                result[i] += p * x
-    numerators = [
-        scoring.bonus_weight * b + scoring.result_weight * r for b, r in zip(bonus, result)
+    weights = game.market.integer_view.weights
+    bonus = [
+        scoring.bonus_weight * sum(map(mul, weights, column))
+        for column in zip(*map(scoring.shares, rows))
     ]
-    # players with equal numerators share one Fraction: one gcd per value
-    fractions = {num: Fraction(num, scoring.denominator) for num in set(numerators)}
+    if not scoring.result_weight:
+        return tuple(bonus)
+    return tuple(
+        b + scoring.result_weight * sum(map(mul, weights, column))
+        for b, column in zip(bonus, zip(*rows))
+    )
+
+
+def _fractions(numerators: Sequence[int], denominator: int) -> tuple[Fraction, ...]:
+    """The payoffs of a cell; players with equal numerators share one
+    Fraction, so one gcd per distinct value."""
+    fractions = {num: Fraction(num, denominator) for num in set(numerators)}
     return tuple(map(fractions.__getitem__, numerators))
 
 
@@ -276,7 +302,8 @@ def expected_payoffs(game: Game, profile: Profile) -> tuple[Fraction, ...]:
         return game.payoff(pure)
     view, unit = market.integer_view, _unit(profile.strategies)
     columns = [_realize(view, s, unit) for s in profile.strategies]
-    return _cell(game, list(zip(*columns)), view.scale * unit)
+    scale = view.scale * unit
+    return _fractions(_cell(game, list(zip(*columns)), scale), game._scoring(scale).denominator)
 
 
 def principal_value(market: Market, profile: Profile) -> Fraction:
@@ -285,11 +312,19 @@ def principal_value(market: Market, profile: Profile) -> Fraction:
     return sum((expectation(market, s) for s in profile.strategies), start=ZERO)
 
 
+def _check_denominator(denominator) -> None:
+    """A grid denominator is an int >= 1: FloatRejected for a float,
+    InvalidParameter for any other value, a bool included."""
+    if isinstance(denominator, float):
+        raise FloatRejected(f"refusing float grid denominator {denominator!r}")
+    if type(denominator) is not int or denominator < 1:
+        raise InvalidParameter(f"grid denominator must be an int >= 1, got {denominator!r}")
+
+
 def check_simplex_grid(arity: int, denominator: int) -> None:
-    """InvalidParameter for a denominator below 1; GridCapExceeded when the
-    grid's C(denominator + arity - 1, arity - 1) points exceed GRID_CAP."""
-    if denominator < 1:
-        raise InvalidParameter(f"grid denominator must be >= 1, got {denominator}")
+    """_check_denominator's errors; GridCapExceeded when the grid's
+    C(denominator + arity - 1, arity - 1) points exceed GRID_CAP."""
+    _check_denominator(denominator)
     size = comb(denominator + arity - 1, arity - 1)
     if size > GRID_CAP:
         raise GridCapExceeded(
@@ -340,9 +375,10 @@ def best_response(
     argument) also every portfolio with weights in denominators of d.
     Deterministic tie-break: earliest candidate wins — pure actions by
     index, then grid points in lexicographic weight order.  Against pure
-    opponents a pure action is valued by the game's memoized cell, read
-    directly; against mixed ones by `expected_payoffs`.  Grid points are
-    scored in integers.
+    opponents a pure action is valued by the game's memoized numerators,
+    read directly; against mixed ones, realized once, by a cell over their
+    scale.  Pure actions and grid points are compared as integers; only
+    the best value becomes a Fraction.
     """
     k, n = game.players, game.actions
     if not 0 <= player < k:
@@ -350,8 +386,8 @@ def best_response(
     if len(opponents) != k - 1:
         raise ArityMismatch(f"expected {k - 1} opponents, got {len(opponents)}")
     check_arity(opponents, n)
-    if resolution is not None and resolution < 1:
-        raise InvalidParameter(f"grid denominator must be >= 1, got {resolution}")
+    if resolution is not None:
+        _check_denominator(resolution)
     complete = game.plan.pure_search_complete(game.market)
     if complete:
         method = "pure-sufficient"
@@ -360,18 +396,25 @@ def best_response(
     else:
         method = f"grid(d={resolution})"
 
+    view = game.market.integer_view
     pure = tuple(s.pure_action for s in opponents)
     if None in pure:
+        # the opponents realized once; each pure action is a cell over their scale
+        unit = _unit(opponents)
+        others = [_realize(view, s, unit) for s in opponents]
         values = []
         for a in range(n):
-            row = list(opponents)
-            row.insert(player, MixedAction.pure(a, n))
-            values.append(expected_payoffs(game, Profile(tuple(row)))[player])
+            own = [row[a] * unit for row in view.values]
+            columns = others[:player] + [own] + others[player:]
+            values.append(_cell(game, list(zip(*columns)), view.scale * unit)[player])
     else:
+        unit = 1
         before, after = pure[:player], pure[player:]
-        values = [game.payoff(before + (a,) + after)[player] for a in range(n)]
-    best_value = max(values)
-    best = MixedAction.pure(values.index(best_value), n)
+        values = [game._numerators(before + (a,) + after)[player] for a in range(n)]
+    # numerators over one denominator rank as the payoffs: the earliest largest wins
+    top = max(values)
+    best = MixedAction.pure(values.index(top), n)
+    best_value = Fraction(top, game._scoring(view.scale * unit).denominator)
     if not complete and resolution is not None:
         best, best_value = _grid_search(game, player, opponents, resolution, best, best_value)
     return BestResponse(player, best, best_value, method)
@@ -524,6 +567,7 @@ def strict_dominance(game: Game) -> DominanceReport:
         )
 
     alive = [tuple(range(n))] * k  # surviving actions per player
+    cell = game._numerators  # one denominator: numerators rank as payoffs
 
     def dominated(player: int, a: int, b: int) -> bool:
         """Whether a beats b for the player against every surviving opponent
@@ -535,8 +579,8 @@ def strict_dominance(game: Game) -> DominanceReport:
         for rest in opponents:
             before, after = rest[:player], rest[player:]
             if (
-                game.payoff(before + (a,) + after)[player]
-                <= game.payoff(before + (b,) + after)[player]
+                cell(before + (a,) + after)[player]
+                <= cell(before + (b,) + after)[player]
             ):
                 return False
         return True

@@ -16,6 +16,8 @@ probability an integer over another, so action a's expectation is one
 integer sum, sum_t weight_t * value_t[a], over mass * scale, and
 `expectations()` keeps the tuple of them on the market.  A portfolio's
 expectation is linear in its weights: their sum against that tuple.
+`support_stats` is kept the same way: the distinct outcome numerators of
+the view, sorted as integers, each made a `Fraction` once.
 `product_market` builds each atom's probability from integer weights over
 the marginal's common denominator, one `Fraction` per atom.
 """
@@ -115,6 +117,15 @@ class Market:
             Fraction(sum(map(mul, view.weights, column)), denominator)
             for column in zip(*view.values)
         )
+
+    @cached_property
+    def _support_stats(self) -> SupportStats:
+        view = self.integer_view
+        values = tuple(
+            Fraction(x, view.scale) for x in sorted({x for row in view.values for x in row})
+        )
+        lo, hi = values[0], values[-1]
+        return SupportStats(values, lo, hi, max(abs(lo), abs(hi)))
 
     @cached_property
     def integer_view(self) -> IntegerView:
@@ -261,10 +272,9 @@ def expectation(market: Market, strategy: MixedAction) -> Fraction:
 
 
 def support_stats(market: Market) -> SupportStats:
-    """Distinct outcome values, support interval, and max magnitude."""
-    values = sorted({x for a in market.atoms for x in a.outcomes})
-    lo, hi = values[0], values[-1]
-    return SupportStats(tuple(values), lo, hi, max(abs(lo), abs(hi)))
+    """Distinct outcome values, support interval, and max magnitude;
+    computed on the integer view once per market."""
+    return market._support_stats
 
 
 def two_bond_market() -> Market:

@@ -78,6 +78,10 @@ class BonusPlan:
     anonymous = False
 
     def __post_init__(self) -> None:
+        if isinstance(self.players, float):
+            raise FloatRejected(f"refusing float player count {self.players!r}")
+        if type(self.players) is not int:  # a bool is not a player count either
+            raise ArityMismatch(f"player count must be an integer, got {self.players!r}")
         if self.players < 2:
             raise ArityMismatch("a bonus plan needs at least 2 players")
 
@@ -115,7 +119,8 @@ class BonusPlan:
 
     @classmethod
     def from_document(cls, players: int, data: Mapping) -> BonusPlan:
-        """The plan of this kind from a document whose player count is checked."""
+        """The plan of this kind from a document; the constructor checks the
+        player count."""
         return cls(players)
 
 
@@ -182,13 +187,13 @@ class _LinearPlan(BonusPlan):
         An equal share is `equal`; player i's linear numerator is
         equal + (k·v_i - sum v)·(denominator of M).
         """
-        k, bound = self.players, self.bound
-        equal = 2 * (k - 1) * bound.numerator * scale
+        k, (numerator, denominator) = self.players, self.bound.as_integer_ratio()
+        equal = 2 * (k - 1) * numerator * scale
         fallback = [equal] * k
 
         def shares(v):
             total = sum(v)
-            linear = [equal + (k * x - total) * bound.denominator for x in v]
+            linear = [equal + (k * x - total) * denominator for x in v]
             return linear if gate(v, linear) else fallback
 
         return Kernel(k * equal, shares)
@@ -268,8 +273,10 @@ class BoundedLinearPlan(_LinearPlan):
         )
 
     def pure_search_complete(self, market: Market) -> bool:
-        spread = max(max(atom.outcomes) - min(atom.outcomes) for atom in market.atoms)
-        return spread <= 2 * self.bound
+        # the largest spread is over view.scale: spread / scale <= 2 * bound
+        view = market.integer_view
+        spread = max(max(values) - min(values) for values in view.values)
+        return spread * self.bound.denominator <= 2 * self.bound.numerator * view.scale
 
     def probes(self):
         return self._corners(-self.bound, self.bound)
@@ -455,10 +462,6 @@ def plan_to_dict(plan: BonusPlan) -> dict:
 def plan_from_dict(data: Mapping) -> BonusPlan:
     try:
         kind, players = data["kind"], data["players"]
-        if isinstance(players, float):
-            raise FloatRejected(f"refusing float player count {players!r}")
-        if type(players) is not int:  # a bool is not a player count either
-            raise TypeError(f"player count must be an integer, got {players!r}")
         if kind not in _KINDS:
             raise ArityMismatch(f"unknown plan kind {kind!r}; expected one of {tuple(_KINDS)}")
         return _KINDS[kind].from_document(players, data)

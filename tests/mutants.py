@@ -87,9 +87,44 @@ MUTANTS = (
     Mutant(
         "pure scan keeps the last of tied actions",
         "src/bonuslab/game.py",
-        "best = MixedAction.pure(values.index(best_value), n)",
-        "best = MixedAction.pure(n - 1 - values[::-1].index(best_value), n)",
+        "best = MixedAction.pure(values.index(top), n)",
+        "best = MixedAction.pure(n - 1 - values[::-1].index(top), n)",
         ("tests/test_game.py::test_grid_ties_keep_the_earliest_candidate",),
+    ),
+    Mutant(
+        "dominance compares numerators with < for <=",
+        "src/bonuslab/game.py",
+        "<= cell(before + (b,) + after)[player]",
+        "< cell(before + (b,) + after)[player]",
+        ("tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",),
+    ),
+    Mutant(
+        "column-wise cell drops the earnings term",
+        "src/bonuslab/game.py",
+        "b + scoring.result_weight * sum(map(mul, weights, column))",
+        "b",
+        ("tests/test_game.py::test_cells_hold_numerators_over_the_game_denominator",),
+    ),
+    Mutant(
+        "mixed-opponent scan scores the own action unscaled",
+        "src/bonuslab/game.py",
+        "own = [row[a] * unit for row in view.values]",
+        "own = [row[a] for row in view.values]",
+        ("tests/test_game.py::test_grid_best_response_matches_the_fraction_oracle",),
+    ),
+    Mutant(
+        "bounded-plan spread compared without the view's scale",
+        "src/bonuslab/plans.py",
+        "2 * self.bound.numerator * view.scale",
+        "2 * self.bound.numerator",
+        ("tests/test_plans.py::test_linear_sufficiency_matches_the_fraction_rule",),
+    ),
+    Mutant(
+        "support statistics from one atom's row only",
+        "src/bonuslab/market.py",
+        "for row in view.values for x in row",
+        "for row in view.values[:1] for x in row",
+        ("tests/test_market.py::test_support_stats_match_the_fraction_outcomes",),
     ),
     Mutant(
         "WTA/LTA ties not split",

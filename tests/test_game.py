@@ -13,6 +13,7 @@ from bonuslab import (
     BonusLabError,
     BoundedLinearPlan,
     ConstantPlan,
+    FloatRejected,
     GridCapExceeded,
     InvalidParameter,
     LoserTakeAllPlan,
@@ -25,12 +26,14 @@ from bonuslab import (
     Verdict,
     WinnerTakeAllPlan,
     best_response,
+    build_bounded_linear,
     build_market,
     build_m_linear,
     check_nash,
     check_optimal,
     expectation,
     expected_payoffs,
+    find_bounding_m,
     induce_game,
     principal_value,
     two_bond_market,
@@ -391,6 +394,22 @@ def test_lazy_cells_match_the_eager_tensor(market, k, data):
             )
 
 
+@settings(max_examples=40, deadline=None)
+@given(markets(), st.integers(2, 3))
+def test_cells_hold_numerators_over_the_game_denominator(market, k):
+    """Each memoized cell is a tuple of ints over one denominator per game,
+    and over it equals the Fraction oracle."""
+    for plan in every_kind(market, k):
+        for w in (F(0), F(1, 3)):
+            game = induce_game(market, plan, w)
+            game.payoffs  # fills every cell
+            denominator = game._scoring(market.integer_view.scale).denominator
+            for combo, numerators in game.cells.items():
+                assert all(type(x) is int for x in numerators)
+                rows = ((atom, tuple(atom.outcomes[a] for a in combo)) for atom in market.atoms)
+                assert tuple(F(x, denominator) for x in numerators) == fraction_cell(plan, w, rows)
+
+
 @settings(max_examples=30, deadline=None)
 @given(markets(), st.integers(2, 3), st.integers(1, 6), st.data())
 def test_grid_best_response_matches_the_fraction_oracle(market, k, resolution, data):
@@ -582,6 +601,29 @@ def test_strict_dominance_runs_on_sorted_opponent_profiles():
     assert all(list(combo[1:]) == sorted(combo[1:]) for combo in game.cells)
 
 
+def test_strict_dominance_builds_no_fraction(monkeypatch):
+    """The relation compares cell numerators; no Fraction is made, while
+    reading a payoff does make them through the same counted name."""
+    import bonuslab.game as game_module
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return F(*args)
+
+    market = six_action_market()
+    plans = every_kind(market, 3) + [build_m_linear(market, 3)]
+    games = [induce_game(market, plan, w) for plan in plans for w in (F(0), F(1, 3))]
+    monkeypatch.setattr(game_module, "Fraction", counting)
+    for game in games:
+        strict_dominance(game)
+        assert game.cells
+    assert built == []
+    games[0].payoff(next(iter(games[0].cells)))
+    assert built
+
+
 def test_strict_dominance_caps_the_cells_it_may_read():
     market = six_action_market()
     # anonymous: 6 * C(23, 5) = 201 894 cells at k = 19, over the cap
@@ -668,6 +710,21 @@ def test_weight_and_grid_errors_are_typed():
     with pytest.raises(InvalidParameter):
         check_nash(wta_game(), Profile.pure((0, 0), 2), resolution=0)
     assert issubclass(InvalidParameter, BonusLabError)
+    # a grid denominator is an int: a float is refused as one, and any
+    # other non-int, a bool included, is an invalid parameter
+    market = two_bond_market()
+    linear = induce_game(market, build_m_linear(market, 2), 0)  # pure-sufficient
+    for d, error in ((2.5, FloatRejected), (2.0, FloatRejected), (True, InvalidParameter),
+                     ("2", InvalidParameter), (F(2), InvalidParameter)):
+        with pytest.raises(error):
+            find_bounding_m(market, d)
+        with pytest.raises(error):
+            build_bounded_linear(market, 2, d)
+        with pytest.raises(error):
+            list(simplex_grid(2, d))
+        for game in (wta_game(), linear):
+            with pytest.raises(error):
+                check_nash(game, Profile.pure((0, 0), 2), d)
 
 
 # ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Markets: validation, expectations, portfolios, products, serialization."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from bonuslab import (
     two_bond_market,
     support_stats,
 )
-from conftest import fraction_expectation, fraction_product_atoms, markets
+from conftest import fraction_expectation, fraction_product_atoms, markets, random_market
 
 
 def two_action_market():
@@ -113,6 +114,20 @@ def test_support_stats():
     stats = support_stats(two_action_market())
     assert (stats.lo, stats.hi, stats.max_abs) == (Fraction(-1), Fraction(2), Fraction(2))
     assert set(stats.values) == {Fraction(-1), Fraction(0), Fraction(1), Fraction(2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_support_stats_match_the_fraction_outcomes(seed, outlier):
+    """Read from the integer view once per market: the same values, sorted,
+    as the atoms' Fraction outcomes give."""
+    market = random_market(random.Random(seed), outlier=outlier)
+    values = sorted({x for atom in market.atoms for x in atom.outcomes})
+    stats = support_stats(market)
+    assert stats.values == tuple(values)
+    assert (stats.lo, stats.hi) == (values[0], values[-1])
+    assert stats.max_abs == max(abs(x) for x in values)
+    assert support_stats(market) is stats
 
 
 def test_market_json_round_trip():

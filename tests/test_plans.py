@@ -1,5 +1,6 @@
 """Plan allocations: frozen values, the simplex contract, serialization."""
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -12,20 +13,23 @@ from bonuslab import (
     BonusPlan,
     BoundedLinearPlan,
     ConstantPlan,
+    FloatRejected,
     InvalidParameter,
     LoserTakeAllPlan,
     MLinearPlan,
     NonSimplexTable,
     TabulatedPlan,
     WinnerTakeAllPlan,
+    build_m_linear,
     load_plan,
     plan_from_dict,
     plan_to_dict,
+    two_bond_market,
     validate_simplex,
     zero_sum_shares,
 )
 from bonuslab.plans import Kernel
-from conftest import fraction_allocation
+from conftest import fraction_allocation, random_market
 
 F = Fraction
 
@@ -119,6 +123,23 @@ def test_evaluate_checks_arity():
 def test_plans_need_two_players():
     with pytest.raises(ArityMismatch):
         ConstantPlan(1)
+
+
+def test_player_counts_are_ints():
+    """Every constructor, and so every document, refuses a float count with
+    FloatRejected and any other non-int, a bool included, with ArityMismatch."""
+    for players, error in ((2.5, FloatRejected), (2.0, FloatRejected), ("3", ArityMismatch),
+                           (True, ArityMismatch), (None, ArityMismatch)):
+        with pytest.raises(error):
+            WinnerTakeAllPlan(players)
+        with pytest.raises(error):
+            MLinearPlan(players, F(2), F(-2), F(2))
+        with pytest.raises(error):
+            TabulatedPlan(players, {}, (F(1, 2), F(1, 2)))
+        with pytest.raises(error):
+            plan_from_dict({"players": players, "kind": "bounded_linear", "bound": "1"})
+    with pytest.raises(FloatRejected):
+        build_m_linear(two_bond_market(), 2.5)
 
 
 # ---------------------------------------------------------------------
@@ -363,3 +384,23 @@ def test_unknown_plan_kind_rejected():
     with pytest.raises(ArityMismatch):
         load_plan('{"kind": "mystery", "players": 2}')
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from((-1, 0, 1)))
+def test_linear_sufficiency_matches_the_fraction_rule(seed, outlier, nudge):
+    """Both linear kinds' pure_search_complete, read from the integer view,
+    against the rules on the Fraction outcomes, at and around the edges."""
+    market = random_market(random.Random(seed), outlier=outlier)
+    outcomes = [x for atom in market.atoms for x in atom.outcomes]
+    lo, hi = min(outcomes), max(outcomes)
+    step = F(nudge, 7)
+    for a, b in ((lo + step, hi), (lo, hi + step), (lo - step, hi - step)):
+        if a <= b:
+            plan = MLinearPlan(2, max(b - a, F(1)), a, b)
+            assert plan.pure_search_complete(market) == (a <= lo and hi <= b)
+    spread = max(max(atom.outcomes) - min(atom.outcomes) for atom in market.atoms)
+    for bound in (spread / 2, spread / 2 + step, F(1, 3), spread):
+        if bound > 0:
+            plan = BoundedLinearPlan(3, bound)
+            assert plan.pure_search_complete(market) == (spread <= 2 * bound)
