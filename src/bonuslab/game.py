@@ -85,13 +85,14 @@ denominator, the same for every cell of the game, so comparing two
 numerators compares the two payoffs: `strict_dominance` and the pure scan
 of `best_response` rank cells as integers and build no `Fraction` while
 they do.  `Game.payoff` is where a cell's `Fraction`s are built, one per
-distinct numerator, shared by the players that have it.  Against mixed
-opponents `best_response` realizes them once and scores each pure action
-as a cell over their scale; it scores each grid portfolio by its payoff
-numerator over a denominator that all candidates share.  The grid is
-walked as integer counts (`_compositions`, the order `simplex_grid`
-yields), so the search compares integers and builds one `Fraction` and
-one `MixedAction`, for the winner.  `Fraction` stays at the interface.
+distinct numerator, shared by the players that have it.  A deviation
+search other than a pure one against pure opponents is one scan: the
+opponents are realized once, and each candidate, a count vector over d
+(the pure actions are the vertices, then the grid's other points as
+`_compositions` walks them, the order `simplex_grid` yields), is scored
+by its payoff numerator over a denominator all candidates share.  The
+search compares integers and builds one `Fraction` and one `MixedAction`,
+for the winner.  `Fraction` stays at the interface.
 """
 
 from __future__ import annotations
@@ -99,10 +100,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from math import comb, lcm
 from operator import itemgetter, mul, sub
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -374,11 +375,11 @@ def best_response(
     Searches pure actions always; with a resolution d (and no sufficiency
     argument) also every portfolio with weights in denominators of d.
     Deterministic tie-break: earliest candidate wins — pure actions by
-    index, then grid points in lexicographic weight order.  Against pure
-    opponents a pure action is valued by the game's memoized numerators,
-    read directly; against mixed ones, realized once, by a cell over their
-    scale.  Pure actions and grid points are compared as integers; only
-    the best value becomes a Fraction.
+    index, then grid points in lexicographic weight order.  A pure-only or
+    pure-sufficient search against pure opponents reads the game's memoized
+    numerators; every other search is one `_deviation_scan` over count
+    vectors, pure actions as the grid's vertices.  Candidates are compared
+    as integers; only the best value becomes a Fraction.
     """
     k, n = game.players, game.actions
     if not 0 <= player < k:
@@ -396,50 +397,48 @@ def best_response(
     else:
         method = f"grid(d={resolution})"
 
-    view = game.market.integer_view
+    grid = not complete and resolution is not None
     pure = tuple(s.pure_action for s in opponents)
-    if None in pure:
-        # the opponents realized once; each pure action is a cell over their scale
-        unit = _unit(opponents)
-        others = [_realize(view, s, unit) for s in opponents]
-        values = []
-        for a in range(n):
-            own = [row[a] * unit for row in view.values]
-            columns = others[:player] + [own] + others[player:]
-            values.append(_cell(game, list(zip(*columns)), view.scale * unit)[player])
-    else:
-        unit = 1
+    if not grid and None not in pure:
+        # Cells, not the scorer: check_nash in validate_counterexample reads
+        # the cells its gain check computed.  Scoring these actions afresh
+        # cut bench/run.py's `wide` from about 1 400 to 805-1 136 tasks/s
+        # (2 vCPUs, Python 3.11.7; see CHANGES.md).
         before, after = pure[:player], pure[player:]
         values = [game._numerators(before + (a,) + after)[player] for a in range(n)]
-    # numerators over one denominator rank as the payoffs: the earliest largest wins
-    top = max(values)
-    best = MixedAction.pure(values.index(top), n)
-    best_value = Fraction(top, game._scoring(view.scale * unit).denominator)
-    if not complete and resolution is not None:
-        best, best_value = _grid_search(game, player, opponents, resolution, best, best_value)
-    return BestResponse(player, best, best_value, method)
+        # numerators over one denominator rank as the payoffs: the earliest largest wins
+        top = max(values)
+        best = MixedAction.pure(values.index(top), n)
+        denominator = game._scoring(game.market.integer_view.scale).denominator
+        return BestResponse(player, best, Fraction(top, denominator), method)
+    d = resolution if grid else 1
+    candidates = (tuple(d if i == a else 0 for i in range(n)) for a in range(n))
+    if grid:
+        check_simplex_grid(n, d)
+        candidates = chain(candidates, (c for c in _compositions(n, d) if d not in c))
+    counts, value = _deviation_scan(game, player, opponents, d, candidates)
+    best = MixedAction._unchecked(tuple(Fraction(c, d) for c in counts))
+    return BestResponse(player, best, value, method)
 
 
-def _grid_search(
+def _deviation_scan(
     game: Game,
     player: int,
     opponents: Sequence[MixedAction],
-    resolution: int,
-    best: MixedAction,
-    best_value: Fraction,
-) -> tuple[MixedAction, Fraction]:
-    """The earliest grid point that strictly beats best_value, else the incumbent.
+    d: int,
+    candidates: Iterable[tuple[int, ...]],
+) -> tuple[tuple[int, ...], Fraction]:
+    """The earliest candidate of strictly largest payoff, and its value.
 
-    Opponents are realized once, over a scale every grid point shares, and
-    each atom's action values are scaled to it once, so a point's payoff
-    numerator over the common denominator is a sum of integer products of
-    its counts.  Vertices are skipped: the pure scan valued them.  Only the
-    winner becomes a MixedAction.
+    A candidate is a count vector over d, the portfolio counts / d.  The
+    opponents are realized once, over a scale every candidate shares, and
+    each atom's action values are scaled to it once, so a candidate's
+    payoff numerator over the common denominator is a sum of integer
+    products of its counts.
     """
-    check_simplex_grid(game.actions, resolution)
     view = game.market.integer_view
-    unit = lcm(_unit(opponents), resolution)
-    step = unit // resolution
+    unit = lcm(_unit(opponents), d)
+    step = unit // d
     scoring = game._scoring(view.scale * unit)
     shares = scoring.shares
     others = zip(*(_realize(view, s, unit) for s in opponents))
@@ -447,24 +446,17 @@ def _grid_search(
         (p, [v * step for v in values], rest[:player], rest[player:])
         for p, values, rest in zip(view.weights, view.values, others)
     ]
-    # the incumbent's numerator over the common denominator, as a ratio
-    incumbent = best_value * scoring.denominator
-    bar, bar_den = incumbent.numerator, incumbent.denominator
-    winner = None
-    for counts in _compositions(game.actions, resolution):
-        if resolution in counts:
-            continue
+    winner = top = None
+    for counts in candidates:
         bonus = result = 0
         for p, values, before, after in atoms:
             x = sum(map(mul, counts, values))
             bonus += p * shares(before + (x,) + after)[player]
             result += p * x
         score = scoring.bonus_weight * bonus + scoring.result_weight * result
-        if score * bar_den > bar:
-            winner, bar, bar_den = counts, score, 1
-    if winner is not None:
-        best = MixedAction._unchecked(tuple(Fraction(c, resolution) for c in winner))
-    return best, Fraction(bar, bar_den * scoring.denominator)
+        if top is None or score > top:
+            winner, top = counts, score
+    return winner, Fraction(top, scoring.denominator)
 
 
 @dataclass(frozen=True)

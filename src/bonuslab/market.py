@@ -37,6 +37,7 @@ from .errors import (
     ArityMismatch,
     AtomCapExceeded,
     BonusLabError,
+    FloatRejected,
     IncompleteMapping,
     NonPositiveProbability,
     NonSimplexWeights,
@@ -79,6 +80,8 @@ class Market:
     def __post_init__(self) -> None:
         if not self.actions:
             raise ArityMismatch("market needs at least one action")
+        if not all(isinstance(label, str) for label in self.actions):
+            raise ArityMismatch(f"action labels must be strings, got {self.actions!r}")
         if len(set(self.actions)) != len(self.actions):
             raise ArityMismatch(f"duplicate action labels in {self.actions}")
         if not self.atoms:
@@ -258,7 +261,10 @@ def build_market(actions: Sequence[str], atoms: Iterable[tuple]) -> Market:
     """Build a validated market from (probability, outcomes) pairs.
 
     Probabilities and outcomes may be ints, Fractions, or exact strings.
+    A string of labels is refused rather than read one label per character.
     """
+    if isinstance(actions, (str, bytes)):
+        raise ArityMismatch(f"expected a list of action labels, got the string {actions!r}")
     built = tuple(
         Atom(as_rational(p), rationals(outcomes)) for p, outcomes in atoms
     )
@@ -313,6 +319,10 @@ def product_market(
     as integer weights over `mass`, the lcm of its denominators, so an
     atom's probability is the product of its weights over mass^copies.
     """
+    if isinstance(copies, float):
+        raise FloatRejected(f"refusing float copy count {copies!r}")
+    if type(copies) is not int:  # a bool is not a copy count either
+        raise ArityMismatch(f"copy count must be an integer, got {copies!r}")
     if copies < 1:
         raise ArityMismatch("need at least one copy")
     merged: dict[Fraction, Fraction] = {}

@@ -178,6 +178,7 @@ class _LinearPlan(BonusPlan):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        object.__setattr__(self, "bound", as_rational(self.bound))
         if self.bound <= 0:
             raise InvalidParameter(f"scale bound must be positive, got {self.bound}")
 
@@ -221,6 +222,8 @@ class MLinearPlan(_LinearPlan):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        object.__setattr__(self, "lo", as_rational(self.lo))
+        object.__setattr__(self, "hi", as_rational(self.hi))
         if self.lo > self.hi:
             raise InvalidParameter(f"empty interval [{self.lo}, {self.hi}]")
         if self.hi - self.lo > 2 * self.bound:
@@ -414,6 +417,10 @@ def validate_simplex(
     checked.  Reports the first vector whose allocation leaves the simplex,
     if any.
     """
+    if isinstance(count, float):
+        raise FloatRejected(f"refusing float sample count {count!r}")
+    if type(count) is not int:  # a bool is not a sample count either
+        raise InvalidParameter(f"sample count must be an integer, got {count!r}")
     if count < 1:
         raise InvalidParameter(f"sample count must be >= 1, got {count}")
     lo, hi = as_rational(lo), as_rational(hi)

@@ -106,11 +106,18 @@ MUTANTS = (
         ("tests/test_game.py::test_cells_hold_numerators_over_the_game_denominator",),
     ),
     Mutant(
-        "mixed-opponent scan scores the own action unscaled",
+        "deviation scan scores the own action unscaled",
         "src/bonuslab/game.py",
-        "own = [row[a] * unit for row in view.values]",
-        "own = [row[a] for row in view.values]",
+        "[v * step for v in values]",
+        "list(values)",
         ("tests/test_game.py::test_grid_best_response_matches_the_fraction_oracle",),
+    ),
+    Mutant(
+        "deviation scan keeps the last of tied candidates",
+        "src/bonuslab/game.py",
+        "score > top",
+        "score >= top",
+        ("tests/test_game.py::test_grid_ties_keep_the_earliest_candidate",),
     ),
     Mutant(
         "bounded-plan spread compared without the view's scale",

@@ -276,6 +276,10 @@ REJECTED = [
      ["check-optimal", "--market", "M", "--plan", "P"], "FloatRejected"),
     ("check-optimal-outcomes-as-string", {"M": STRING_MARKET, "P": WTA},
      ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
+    ("check-optimal-integer-labels", {"M": {**MARKET, "actions": [1, 2]}, "P": WTA},
+     ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
+    ("check-optimal-labels-as-string", {"M": {**MARKET, "actions": "X1"}, "P": WTA},
+     ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
     ("validate-plan-table-key-as-string", {"P": STRING_TABLE},
      ["validate-plan", "--plan", "P"], "ArityMismatch"),
     ("check-optimal-float-players", {"M": MARKET, "P": {**WTA, "players": 2.7}},

@@ -411,7 +411,7 @@ def test_cells_hold_numerators_over_the_game_denominator(market, k):
 
 
 @settings(max_examples=30, deadline=None)
-@given(markets(), st.integers(2, 3), st.integers(1, 6), st.data())
+@given(markets(), st.integers(2, 3), st.none() | st.integers(1, 6), st.data())
 def test_grid_best_response_matches_the_fraction_oracle(market, k, resolution, data):
     """Same strategy and the same exact value, ties broken the same way."""
     for plan in every_kind(market, k):
@@ -434,8 +434,9 @@ def test_grid_ties_keep_the_earliest_candidate():
     market = two_bond_market()
     # every portfolio ties under an equal split: the first pure action stays
     flat = induce_game(market, TabulatedPlan(2, {}, ("1/2", "1/2")), 0)
-    br = best_response(flat, 0, (MixedAction.pure(0, 2),), resolution=6)
-    assert (br.strategy.pure_action, br.value) == (0, F(1, 2))
+    for resolution in (None, 6):
+        br = best_response(flat, 0, (MixedAction.pure(0, 2),), resolution)
+        assert (br.strategy.pure_action, br.value) == (0, F(1, 2))
     # against the safe bond every portfolio with risky weight in (0, 1] wins
     # the high atom alone, as the pure risky bond does: it stays the best
     wta = induce_game(market, WinnerTakeAllPlan(2), 0)

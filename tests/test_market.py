@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bonuslab import (
     ArityMismatch,
     AtomCapExceeded,
+    FloatRejected,
     IncompleteMapping,
     MixedAction,
     NonPositiveProbability,
@@ -62,6 +63,27 @@ def test_outcome_rows_must_match_actions():
 def test_action_labels_must_be_distinct():
     with pytest.raises(ArityMismatch):
         build_market(["A", "A"], [("1", ("1", "2"))])
+
+
+def test_action_labels_are_strings():
+    """A non-string label would end in a TypeError when a profile is
+    labelled; a string of labels would build one action per character."""
+    for labels in ([1, 2], ["A", None], [b"A", b"B"]):
+        with pytest.raises(ArityMismatch):
+            build_market(labels, [("1", ("1", "2"))])
+    with pytest.raises(ArityMismatch):
+        build_market("AB", [("1", ("1", "2"))])
+    with pytest.raises(ArityMismatch):
+        product_market([("0", "1/2"), ("1", "1/2")], 2, [(3, lambda combo: combo[0])])
+
+
+def test_copy_counts_are_ints():
+    marginal = [("0", "1/2"), ("1", "1/2")]
+    for copies, error in ((2.5, FloatRejected), (2.0, FloatRejected), ("2", ArityMismatch),
+                          (True, ArityMismatch), (None, ArityMismatch)):
+        with pytest.raises(error):
+            product_market(marginal, copies)
+    assert product_market(marginal, 2).n == 2
 
 
 def test_portfolio_value_is_pointwise():

@@ -19,6 +19,7 @@ from bonuslab import (
     MLinearPlan,
     NonSimplexTable,
     TabulatedPlan,
+    UnparsableNumber,
     WinnerTakeAllPlan,
     build_m_linear,
     load_plan,
@@ -140,6 +141,32 @@ def test_player_counts_are_ints():
             plan_from_dict({"players": players, "kind": "bounded_linear", "bound": "1"})
     with pytest.raises(FloatRejected):
         build_m_linear(two_bond_market(), 2.5)
+
+
+def test_linear_parameters_are_exact():
+    """Bounds and interval ends go through as_rational: a float is refused
+    where evaluate would end in an AttributeError, a bool is refused, and an
+    exact string parses."""
+    for bad, error in ((0.1, FloatRejected), (True, FloatRejected), (None, FloatRejected),
+                       ("x", UnparsableNumber)):
+        with pytest.raises(error):
+            BoundedLinearPlan(2, bad)
+        with pytest.raises(error):
+            MLinearPlan(2, bad, F(0), F(1))
+        with pytest.raises(error):
+            MLinearPlan(2, F(2), bad, F(1))
+        with pytest.raises(error):
+            MLinearPlan(2, F(2), F(0), bad)
+    assert BoundedLinearPlan(2, "1/10") == BoundedLinearPlan(2, F(1, 10))
+    assert MLinearPlan(2, "2", 0, "1") == MLinearPlan(2, F(2), F(0), F(1))
+    assert BoundedLinearPlan(2, "1/10").evaluate(("0", "1/10")) == (F(1, 4), F(3, 4))
+
+
+def test_validate_simplex_sample_counts_are_ints():
+    for count, error in ((2.5, FloatRejected), (2.0, FloatRejected), ("2", InvalidParameter),
+                         (True, InvalidParameter), (None, InvalidParameter)):
+        with pytest.raises(error):
+            validate_simplex(WinnerTakeAllPlan(2), count)
 
 
 # ---------------------------------------------------------------------
