@@ -50,7 +50,7 @@ from .market import (
     _power_exceeds,
 )
 from .plans import BonusPlan
-from .rational import as_rational, format_rational, rationals
+from .rational import as_count, as_rational, format_rational, rationals
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -311,7 +311,7 @@ def _check_own_move(
         raise StaleViolation(
             f"expected a {direction.value} violation, got {violation.direction.value}"
         )
-    player = violation.player
+    player = as_count(violation.player, "player", None, StaleViolation)
     if not 0 <= player < len(base):
         raise StaleViolation(f"player {player} is not one of {len(base)} players")
     own = base[player]
@@ -496,6 +496,8 @@ def validate_counterexample(plan: BonusPlan, ce: Counterexample) -> None:
     check_nash refutes the profile with at least that gain for the player.
     """
     market, k = ce.market, plan.players
+    as_count(ce.player, "player", None, StaleViolation)
+    as_count(ce.deviation, "deviation", None, StaleViolation)
     if not (ce.profile.players == k and 0 <= ce.player < k and 0 <= ce.deviation < market.n):
         raise StaleViolation(
             f"player {ce.player} and deviation {ce.deviation} do not index"

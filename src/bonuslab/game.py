@@ -107,7 +107,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ArityMismatch,
-    FloatRejected,
     GridCapExceeded,
     InvalidParameter,
     TensorCapExceeded,
@@ -122,7 +121,7 @@ from .market import (
     expectation,
 )
 from .plans import BonusPlan
-from .rational import as_rational
+from .rational import as_count, as_rational
 
 TENSOR_CAP = 200_000  # a full tensor, check_optimal's scan, or dominance's cells x players
 GRID_CAP = TENSOR_CAP  # simplex grid points, and probed base points
@@ -169,6 +168,7 @@ class Game:
 
     def payoff(self, combo: tuple[int, ...]) -> tuple[Fraction, ...]:
         """Exact payoffs at one pure profile, computed on first read."""
+        combo = tuple(as_count(a, "action", None, ArityMismatch) for a in combo)
         scoring = self._scoring(self.market.integer_view.scale)
         return _fractions(self._numerators(combo), scoring.denominator)
 
@@ -313,19 +313,12 @@ def principal_value(market: Market, profile: Profile) -> Fraction:
     return sum((expectation(market, s) for s in profile.strategies), start=ZERO)
 
 
-def _check_denominator(denominator) -> None:
-    """A grid denominator is an int >= 1: FloatRejected for a float,
-    InvalidParameter for any other value, a bool included."""
-    if isinstance(denominator, float):
-        raise FloatRejected(f"refusing float grid denominator {denominator!r}")
-    if type(denominator) is not int or denominator < 1:
-        raise InvalidParameter(f"grid denominator must be an int >= 1, got {denominator!r}")
-
-
 def check_simplex_grid(arity: int, denominator: int) -> None:
-    """_check_denominator's errors; GridCapExceeded when the grid's
-    C(denominator + arity - 1, arity - 1) points exceed GRID_CAP."""
-    _check_denominator(denominator)
+    """ArityMismatch unless the arity is an int >= 1, InvalidParameter unless
+    the denominator is (FloatRejected for a float); GridCapExceeded when the
+    grid's C(denominator + arity - 1, arity - 1) points exceed GRID_CAP."""
+    as_count(arity, "grid arity", 1, ArityMismatch)
+    as_count(denominator, "grid denominator", 1, InvalidParameter)
     size = comb(denominator + arity - 1, arity - 1)
     if size > GRID_CAP:
         raise GridCapExceeded(
@@ -382,13 +375,13 @@ def best_response(
     as integers; only the best value becomes a Fraction.
     """
     k, n = game.players, game.actions
-    if not 0 <= player < k:
+    if not 0 <= as_count(player, "player", None, ArityMismatch) < k:
         raise ArityMismatch(f"player {player} out of range for {k}")
     if len(opponents) != k - 1:
         raise ArityMismatch(f"expected {k - 1} opponents, got {len(opponents)}")
     check_arity(opponents, n)
     if resolution is not None:
-        _check_denominator(resolution)
+        as_count(resolution, "grid denominator", 1, InvalidParameter)
     complete = game.plan.pure_search_complete(game.market)
     if complete:
         method = "pure-sufficient"
@@ -484,16 +477,17 @@ def check_nash(
     opponents and share one search.
     """
     payoffs = expected_payoffs(game, profile)
-    searched: dict[MixedAction, BestResponse] = {}
+    searched: dict = {}  # pure strategies by action index: hashing one hashes Fractions
     deviations = []
     gains = []
     for player, own in enumerate(profile.strategies):
-        br = searched.get(own)
+        key = own if (action := own.pure_action) is None else action
+        br = searched.get(key)
         if br is None:
             others = [s for i, s in enumerate(profile.strategies) if i != player]
             br = best_response(game, player, others, resolution)
             if game.plan.anonymous:
-                searched[own] = br
+                searched[key] = br
         else:
             br = replace(br, player=player)
         deviations.append(br)

@@ -37,13 +37,12 @@ from .errors import (
     ArityMismatch,
     AtomCapExceeded,
     BonusLabError,
-    FloatRejected,
     IncompleteMapping,
     NonPositiveProbability,
     NonSimplexWeights,
     NonUnitMass,
 )
-from .rational import as_rational, format_rational, load_json, rationals
+from .rational import as_count, as_rational, format_rational, load_json, rationals
 
 ATOM_CAP = 100_000  # atoms of a product market, checked before any is built
 
@@ -106,6 +105,8 @@ class Market:
         return len(self.actions)
 
     def expectation_of(self, action: int) -> Fraction:
+        if not 0 <= as_count(action, "action", None, ArityMismatch) < self.n:
+            raise ArityMismatch(f"action index {action} out of range for {self.n}")
         return self.expectations()[action]
 
     def expectations(self) -> tuple[Fraction, ...]:
@@ -182,7 +183,8 @@ class MixedAction:
 
     @classmethod
     def pure(cls, action: int, arity: int) -> "MixedAction":
-        if not 0 <= action < arity:
+        as_count(arity, "arity", None, ArityMismatch)
+        if not 0 <= as_count(action, "action", None, ArityMismatch) < arity:
             raise ArityMismatch(f"action index {action} out of range for {arity}")
         return cls._unchecked(tuple(ONE if i == action else ZERO for i in range(arity)))
 
@@ -319,12 +321,7 @@ def product_market(
     as integer weights over `mass`, the lcm of its denominators, so an
     atom's probability is the product of its weights over mass^copies.
     """
-    if isinstance(copies, float):
-        raise FloatRejected(f"refusing float copy count {copies!r}")
-    if type(copies) is not int:  # a bool is not a copy count either
-        raise ArityMismatch(f"copy count must be an integer, got {copies!r}")
-    if copies < 1:
-        raise ArityMismatch("need at least one copy")
+    as_count(copies, "copy count", 1, ArityMismatch)
     merged: dict[Fraction, Fraction] = {}
     for value, prob in marginal:
         v, p = as_rational(value), as_rational(prob)

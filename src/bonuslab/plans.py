@@ -40,12 +40,11 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from .errors import (
     ArityMismatch,
     BonusLabError,
-    FloatRejected,
     InvalidParameter,
     NonSimplexTable,
 )
 from .market import Market, _over, support_stats
-from .rational import as_rational, format_rational, load_json, rationals
+from .rational import as_count, as_rational, format_rational, load_json, rationals
 
 class Kernel(NamedTuple):
     """A plan compiled for integer results over one fixed scale.
@@ -78,12 +77,7 @@ class BonusPlan:
     anonymous = False
 
     def __post_init__(self) -> None:
-        if isinstance(self.players, float):
-            raise FloatRejected(f"refusing float player count {self.players!r}")
-        if type(self.players) is not int:  # a bool is not a player count either
-            raise ArityMismatch(f"player count must be an integer, got {self.players!r}")
-        if self.players < 2:
-            raise ArityMismatch("a bonus plan needs at least 2 players")
+        as_count(self.players, "player count", 2, ArityMismatch)
 
     def evaluate(self, results: Sequence) -> tuple[Fraction, ...]:
         """Allocate the bonus for one realized result vector."""
@@ -417,16 +411,11 @@ def validate_simplex(
     checked.  Reports the first vector whose allocation leaves the simplex,
     if any.
     """
-    if isinstance(count, float):
-        raise FloatRejected(f"refusing float sample count {count!r}")
-    if type(count) is not int:  # a bool is not a sample count either
-        raise InvalidParameter(f"sample count must be an integer, got {count!r}")
-    if count < 1:
-        raise InvalidParameter(f"sample count must be >= 1, got {count}")
+    as_count(count, "sample count", 1, InvalidParameter)
     lo, hi = as_rational(lo), as_rational(hi)
     if lo > hi:
         raise InvalidParameter(f"sample range {lo}:{hi} is inverted")
-    rng = random.Random(seed)
+    rng = random.Random(as_count(seed, "seed", None, InvalidParameter))
     samples = (
         tuple(_random_rational(rng, lo, hi) for _ in range(plan.players))
         for _ in range(count)

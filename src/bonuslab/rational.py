@@ -5,6 +5,9 @@ only lossy-free interchange form: "3/5", "1.051", "2", "1e-6" all parse
 exactly.  Floats are rejected everywhere — a float literal has already
 lost the decimal value it was written as, and exact comparisons downstream
 would silently change verdicts.
+
+`as_rational` reads a number; `as_count` checks an int argument (a count,
+an index, a grid denominator, a seed), refusing a float as FloatRejected.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import ArityMismatch, FloatRejected, UnparsableNumber
+from .errors import ArityMismatch, FloatRejected, InvalidParameter, UnparsableNumber
 
 
 def as_rational(value) -> Fraction:
@@ -39,6 +42,18 @@ def as_rational(value) -> Fraction:
     raise FloatRejected(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def as_count(value, name: str, minimum: int | None, error: type[Exception]) -> int:
+    """`value` if it is an int of at least `minimum` (None: no lower bound);
+    FloatRejected for a float, `error` for any other non-int (a bool too) or
+    for an int below the minimum."""
+    if isinstance(value, float):
+        raise FloatRejected(f"refusing float {name} {value!r}")
+    if type(value) is not int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an int{bound}, got {value!r}")
+    return value
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical string form: "a" for integers, reduced "a/b" otherwise."""
     if value.denominator == 1:
@@ -48,6 +63,7 @@ def format_rational(value: Fraction) -> str:
 
 def approx_decimal(value: Fraction, places: int = 6) -> str:
     """Decimal rendering to `places` digits, for display only (marked approximate)."""
+    as_count(places, "decimal places", 0, InvalidParameter)
     sign = "-" if value < 0 else ""
     scaled = abs(value) * 10**places
     units, remainder = divmod(scaled.numerator, scaled.denominator)

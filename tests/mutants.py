@@ -181,6 +181,48 @@ MUTANTS = (
             "test_validate_refuses_a_player_or_deviation_out_of_range",
         ),
     ),
+    Mutant(
+        "int check admits a bool",
+        "src/bonuslab/rational.py",
+        "type(value) is not int",
+        "not isinstance(value, int)",
+        ("tests/test_public_ints.py::test_int_parameters_refuse_non_ints",),
+    ),
+    Mutant(
+        "int check without its float branch",
+        "src/bonuslab/rational.py",
+        'if isinstance(value, float):\n        raise FloatRejected(f"refusing float {name}',
+        'if False:\n        raise FloatRejected(f"refusing float {name}',
+        ("tests/test_public_ints.py::test_int_parameters_refuse_non_ints",),
+    ),
+    Mutant(
+        "strict interval gate",
+        "src/bonuslab/plans.py",
+        "lo <= min(v) and max(v) <= hi",
+        "lo < min(v) and max(v) < hi",
+        ("tests/test_plans.py::test_kernels_match_evaluate",),
+    ),
+    Mutant(
+        "strict output gate",
+        "src/bonuslab/plans.py",
+        "min(shares) >= 0 and max(shares) <= cap",
+        "min(shares) > 0 and max(shares) < cap",
+        ("tests/test_plans.py::test_kernels_match_evaluate",),
+    ),
+    Mutant(
+        "kernel scale from the max, not the lcm, of the denominators",
+        "src/bonuslab/plans.py",
+        "scale = lcm(*(x.denominator for x in values))",
+        "scale = max(x.denominator for x in values)",
+        ("tests/test_plans.py::test_kernels_match_evaluate",),
+    ),
+    Mutant(
+        "pair probe without its cap",
+        "src/bonuslab/counterexamples.py",
+        "if pairs > GRID_CAP:",
+        "if False:",
+        ("tests/test_counterexamples.py::test_pair_probe_caps_its_pairs",),
+    ),
 )
 
 

@@ -712,20 +712,24 @@ def test_weight_and_grid_errors_are_typed():
         check_nash(wta_game(), Profile.pure((0, 0), 2), resolution=0)
     assert issubclass(InvalidParameter, BonusLabError)
     # a grid denominator is an int: a float is refused as one, and any
-    # other non-int, a bool included, is an invalid parameter
+    # other non-int, a bool included, is an invalid parameter.
+    # tests/test_public_ints.py sweeps 2.5, True, "2" and Fraction(2) over
+    # these calls on the winner-take-all game; a pure-sufficient search
+    # checks its resolution all the same
     market = two_bond_market()
-    linear = induce_game(market, build_m_linear(market, 2), 0)  # pure-sufficient
+    linear = induce_game(market, build_m_linear(market, 2), 0)
     for d, error in ((2.5, FloatRejected), (2.0, FloatRejected), (True, InvalidParameter),
                      ("2", InvalidParameter), (F(2), InvalidParameter)):
         with pytest.raises(error):
-            find_bounding_m(market, d)
-        with pytest.raises(error):
-            build_bounded_linear(market, 2, d)
-        with pytest.raises(error):
-            list(simplex_grid(2, d))
-        for game in (wta_game(), linear):
-            with pytest.raises(error):
-                check_nash(game, Profile.pure((0, 0), 2), d)
+            check_nash(linear, Profile.pure((0, 0), 2), d)
+    for call in (
+        lambda: find_bounding_m(market, 2.0),
+        lambda: build_bounded_linear(market, 2, 2.0),
+        lambda: list(simplex_grid(2, 2.0)),
+        lambda: check_nash(wta_game(), Profile.pure((0, 0), 2), 2.0),
+    ):
+        with pytest.raises(FloatRejected):
+            call()
 
 
 # ---------------------------------------------------------------------

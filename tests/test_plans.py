@@ -21,11 +21,9 @@ from bonuslab import (
     TabulatedPlan,
     UnparsableNumber,
     WinnerTakeAllPlan,
-    build_m_linear,
     load_plan,
     plan_from_dict,
     plan_to_dict,
-    two_bond_market,
     validate_simplex,
     zero_sum_shares,
 )
@@ -128,19 +126,20 @@ def test_plans_need_two_players():
 
 def test_player_counts_are_ints():
     """Every constructor, and so every document, refuses a float count with
-    FloatRejected and any other non-int, a bool included, with ArityMismatch."""
-    for players, error in ((2.5, FloatRejected), (2.0, FloatRejected), ("3", ArityMismatch),
-                           (True, ArityMismatch), (None, ArityMismatch)):
+    FloatRejected and any other non-int, a bool included, with ArityMismatch.
+    tests/test_public_ints.py sweeps 2.5, True, "2" and Fraction(2) over
+    every constructor and over build_m_linear."""
+    for players, error in ((2.0, FloatRejected), ("3", ArityMismatch), (None, ArityMismatch)):
         with pytest.raises(error):
             WinnerTakeAllPlan(players)
         with pytest.raises(error):
             MLinearPlan(players, F(2), F(-2), F(2))
         with pytest.raises(error):
             TabulatedPlan(players, {}, (F(1, 2), F(1, 2)))
+    for players, error in ((2.5, FloatRejected), (2.0, FloatRejected), ("3", ArityMismatch),
+                           (True, ArityMismatch), (None, ArityMismatch)):
         with pytest.raises(error):
             plan_from_dict({"players": players, "kind": "bounded_linear", "bound": "1"})
-    with pytest.raises(FloatRejected):
-        build_m_linear(two_bond_market(), 2.5)
 
 
 def test_linear_parameters_are_exact():
@@ -163,8 +162,8 @@ def test_linear_parameters_are_exact():
 
 
 def test_validate_simplex_sample_counts_are_ints():
-    for count, error in ((2.5, FloatRejected), (2.0, FloatRejected), ("2", InvalidParameter),
-                         (True, InvalidParameter), (None, InvalidParameter)):
+    # 2.5, True, "2" and Fraction(2): tests/test_public_ints.py
+    for count, error in ((2.0, FloatRejected), (None, InvalidParameter)):
         with pytest.raises(error):
             validate_simplex(WinnerTakeAllPlan(2), count)
 

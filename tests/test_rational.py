@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from bonuslab import ArityMismatch, UnparsableNumber, as_rational, format_rational
+from bonuslab import (
+    ArityMismatch,
+    FloatRejected,
+    InvalidParameter,
+    UnparsableNumber,
+    as_rational,
+    format_rational,
+)
 from bonuslab.rational import approx_decimal, rationals
 
 
@@ -45,6 +52,14 @@ def test_approx_decimal():
     assert approx_decimal(Fraction(21, 20)) == "1.050000"
     # huge values must not lose digits to float formatting
     assert approx_decimal(Fraction(10**30) + Fraction(1, 2)) == f"{10**30}.500000"
+
+
+def test_approx_decimal_places_are_ints_from_zero():
+    # below 0, 10**places would be a float
+    for places, error in ((-1, InvalidParameter), (2.5, FloatRejected), (True, InvalidParameter),
+                          ("2", InvalidParameter)):
+        with pytest.raises(error):
+            approx_decimal(Fraction(1, 3), places)
 
 
 def test_rationals_coerces_sequences():
