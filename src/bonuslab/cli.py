@@ -422,7 +422,7 @@ def _parse_grid(text: str) -> list[Fraction]:
         raise BonusLabError(f"grid {text!r} is empty or has nonpositive step")
     size = (hi - lo) // step + 1
     if size > game_mod.GRID_CAP:
-        raise GridCapExceeded(f"grid {text!r} has {size} points; cap {game_mod.GRID_CAP}")
+        raise GridCapExceeded(f"grid {text!r} has over {game_mod.GRID_CAP} points")
     return [lo + i * step for i in range(size)]
 
 

@@ -47,6 +47,7 @@ from .market import (
     market_to_dict,
     product_market,
     profile_to_list,
+    _multisets_exceed,
     _power_exceeds,
 )
 from .plans import BonusPlan
@@ -54,7 +55,7 @@ from .rational import as_count, as_rational, format_rational, rationals
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
-ESCALATIONS = 64  # rare-mass halvings, probability steps, escape doublings
+ESCALATIONS = 64  # the coordinate increase builder's probability steps and escape doublings
 
 
 class Direction(str, Enum):
@@ -162,11 +163,9 @@ def _pair_violations(plan: BonusPlan, points: Sequence):
     if plan.players != 2:
         raise ArityMismatch("pair probing is for two-player plans")
     grid = sorted(set(rationals(points)))
-    pairs = len(grid) * (len(grid) - 1) // 2
-    if pairs > GRID_CAP:
-        raise GridCapExceeded(
-            f"C({len(grid)}, 2) = {pairs} point pairs exceeds cap {GRID_CAP}"
-        )
+    # the pairs x < y of m points are the multisets of 2 out of m - 1
+    if pairs := _multisets_exceed(len(grid) - 1, 2, GRID_CAP):
+        raise GridCapExceeded(f"{pairs} point pairs exceed cap {GRID_CAP}")
     (denominator, shares), ints = plan.kernel_for(grid)
     diagonal = [shares((a, a)) for a in ints]
     for (i, x), (j, y) in combinations(enumerate(grid), 2):
@@ -215,8 +214,8 @@ def _coordinate_violations(plan: BonusPlan, points: Sequence):
         raise ArityMismatch(
             f"need at least {k} distinct points for distinct-coordinate probing"
         )
-    if _power_exceeds(len(grid), k, GRID_CAP):
-        raise GridCapExceeded(f"{len(grid)}^{k} base points exceed cap {GRID_CAP}")
+    if base_points := _power_exceeds(len(grid), k, GRID_CAP):
+        raise GridCapExceeded(f"{base_points} base points exceed cap {GRID_CAP}")
     (denominator, shares), ints = plan.kernel_for(grid)
     value = dict(zip(ints, grid))
     for player in range(k):
@@ -264,26 +263,25 @@ def pair_increase_counterexample(plan: BonusPlan, violation: PairViolation) -> C
     """Two-atom market refuting a two-player increase violation.
 
     Common case (probability p): the best action realizes x while the
-    deviation realizes y > x, collecting the deficit.  Rare case: the best
-    action realizes an escape value z far above the probed points, which
-    keeps its expectation strictly ahead.  Starting from
-    p = (1 + deficit/2) / (1 + deficit) — at which the deficit already
-    outweighs a worst-case rare loss of 1 — the rare mass is halved until
-    the plan's actual rare-case behavior leaves the exact gain positive.
+    deviation realizes y > x, collecting the deficit.  Rare case (mass
+    r = 1 - p): the best action realizes an escape value z far above the
+    probed points, which keeps its expectation strictly ahead.  At
+    r = (deficit/2) / (1 + deficit) the gain is positive for every plan on
+    the simplex: the common case pays exactly the deficit, the rare case
+    costs at most a share of 1, so the gain is at least
+    (1 - r) * deficit - r = deficit / 2.  A plan off the simplex can leave
+    it nonpositive, and validation then raises StaleViolation.  params
+    records "iterations": 0, as no escalation is needed.
     """
     _check_pair(plan, violation, Direction.INCREASE)
     x, y, player, deficit = violation.x, violation.y, violation.player, violation.deficit
-    rare_mass = ONE - (1 + deficit / 2) / (1 + deficit)
-    for iteration in range(ESCALATIONS):
-        p = ONE - rare_mass
-        z = x + p * (y - x) / rare_mass + 1
-        market = build_market(("X1", "X2"), [(p, (x, y)), (rare_mass, (z, x))])
-        gain = _switch_gain(plan, market, (0, 0), player, 1)
-        if gain > 0:
-            params = {"p": p, "z": z, "iterations": iteration}
-            return _certified(plan, market, (0, 0), player, 1, gain, params)
-        rare_mass = rare_mass / 2
-    raise SearchExhausted(f"no positive gain after {ESCALATIONS} rare-mass halvings")
+    rare_mass = HALF * deficit / (1 + deficit)
+    p = ONE - rare_mass
+    z = x + p * (y - x) / rare_mass + 1
+    market = build_market(("X1", "X2"), [(p, (x, y)), (rare_mass, (z, x))])
+    gain = _switch_gain(plan, market, (0, 0), player, 1)
+    params = {"p": p, "z": z, "iterations": 0}
+    return _certified(plan, market, (0, 0), player, 1, gain, params)
 
 
 def _check_pair(plan: BonusPlan, violation: PairViolation, direction: Direction) -> None:

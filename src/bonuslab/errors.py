@@ -57,7 +57,8 @@ class TensorCapExceeded(BonusLabError):
 
 
 class GridCapExceeded(BonusLabError):
-    """A simplex grid or a probe grid would have more points than the cap allows."""
+    """A simplex grid, a probe grid, or the pairs or base points probed on it
+    would number more than the cap allows; the message names their shape."""
 
 
 class DegenerateSupport(BonusLabError):
@@ -73,4 +74,4 @@ class StaleViolation(BonusLabError):
 
 
 class SearchExhausted(BonusLabError):
-    """An escalation schedule ran counterexamples.ESCALATIONS steps without meeting its target."""
+    """A coordinate increase builder's schedule ran ESCALATIONS steps in vain."""

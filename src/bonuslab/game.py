@@ -67,10 +67,13 @@ other enumeration is capped on its own size, before any cell.  The shared
 dominance relation reads at most n * C(n+k-2, k-1) cells and each cell sums
 k shares per atom, so it is refused when cells times players exceed
 TENSOR_CAP.  `check_optimal` scans C(|argmax|+k-1, k) sorted profiles,
-refused over TENSOR_CAP.  Binomials too large to build are never built.  A
-dominance relation or a scan that is not shared is capped at its n^k, or
-|argmax|^k, profiles.  A verdict read from a profile and its deviations is
-not refused for the size of the tensor.
+refused over TENSOR_CAP, and a simplex grid's C(d+n-1, n-1) points are
+refused over GRID_CAP.  A dominance relation or a scan that is not shared
+is capped at its n^k, or |argmax|^k, profiles.  `market._power_exceeds`
+and `_multisets_exceed` decide every cap: binomials and powers too large to
+build are never built, and a refusal names the shape, never the count.  A
+verdict read from a profile and its deviations is not refused for the size
+of the tensor.
 
 Payoffs are computed in integers and are exact all the same.  A market's
 `integer_view`, built once, writes every outcome over one common
@@ -101,7 +104,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, product
-from math import comb, lcm
+from math import lcm
 from operator import itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -116,6 +119,7 @@ from .market import (
     Market,
     MixedAction,
     Profile,
+    _multisets_exceed,
     _power_exceeds,
     check_arity,
     expectation,
@@ -190,7 +194,8 @@ class Game:
     def payoffs(self) -> dict:
         """The full tensor, action-index tuple -> payoffs, in product order;
         TensorCapExceeded before any cell when it exceeds TENSOR_CAP profiles."""
-        _check_profiles(self.actions, self.players)
+        if profiles := _power_exceeds(self.actions, self.players, TENSOR_CAP):
+            raise TensorCapExceeded(f"{profiles} pure profiles exceed cap {TENSOR_CAP}")
         return {
             combo: self.payoff(combo)
             for combo in product(range(self.actions), repeat=self.players)
@@ -262,26 +267,6 @@ def _unit(strategies: Sequence[MixedAction]) -> int:
     return lcm(*(w.denominator for s in strategies for w in s.weights))
 
 
-def _multisets_exceed(n: int, size: int, cap: int) -> bool:
-    """Whether C(n + size - 1, size), the multisets of `size` items out of
-    n, exceeds cap, without building a huge binomial."""
-    # C(m, s) with m = n + size - 1 and s = min(size, n - 1) is built up as
-    # C(m - s + j, j) for j = 1..s; each step multiplies by (m - s + j) / j
-    # >= 2, since m - s >= s, so the loop stops within cap.bit_length() steps
-    s = min(size, n - 1)
-    count, j = 1, 0
-    while count <= cap and j < s:
-        j += 1
-        count = count * (n + size - 1 - s + j) // j
-    return count > cap
-
-
-def _check_profiles(n: int, k: int) -> None:
-    """TensorCapExceeded when n^k pure profiles exceed TENSOR_CAP."""
-    if _power_exceeds(n, k, TENSOR_CAP):
-        raise TensorCapExceeded(f"{n}^{k} pure profiles exceed cap {TENSOR_CAP}")
-
-
 def induce_game(market: Market, plan: BonusPlan, earnings_weight=0) -> Game:
     """The game of a market and a plan; cells are computed as they are read."""
     w = as_rational(earnings_weight)
@@ -316,15 +301,12 @@ def principal_value(market: Market, profile: Profile) -> Fraction:
 def check_simplex_grid(arity: int, denominator: int) -> None:
     """ArityMismatch unless the arity is an int >= 1, InvalidParameter unless
     the denominator is (FloatRejected for a float); GridCapExceeded when the
-    grid's C(denominator + arity - 1, arity - 1) points exceed GRID_CAP."""
+    grid's points, the multisets of `denominator` units out of `arity`
+    actions, exceed GRID_CAP."""
     as_count(arity, "grid arity", 1, ArityMismatch)
     as_count(denominator, "grid denominator", 1, InvalidParameter)
-    size = comb(denominator + arity - 1, arity - 1)
-    if size > GRID_CAP:
-        raise GridCapExceeded(
-            f"a {arity}-action grid of denominator {denominator} has {size} points; "
-            f"cap {GRID_CAP}"
-        )
+    if points := _multisets_exceed(arity, denominator, GRID_CAP):
+        raise GridCapExceeded(f"{points} grid points over {arity} actions exceed cap {GRID_CAP}")
 
 
 def simplex_grid(arity: int, denominator: int) -> Iterator[MixedAction]:
@@ -544,13 +526,10 @@ def strict_dominance(game: Game) -> DominanceReport:
     """
     k, n = game.players, game.actions
     shared = game.plan.anonymous
-    if not shared:
-        _check_profiles(n, k)
-    elif _multisets_exceed(n, k - 1, TENSOR_CAP // (n * k)):
-        raise TensorCapExceeded(
-            f"{n} x C({n + k - 2}, {k - 1}) payoff cells x {k} players "
-            f"exceed cap {TENSOR_CAP}"
-        )
+    if not shared and (profiles := _power_exceeds(n, k, TENSOR_CAP)):
+        raise TensorCapExceeded(f"{profiles} pure profiles exceed cap {TENSOR_CAP}")
+    if shared and (cells := _multisets_exceed(n, k - 1, TENSOR_CAP // (n * k))):
+        raise TensorCapExceeded(f"{n} x {cells} cells x {k} players exceed cap {TENSOR_CAP}")
 
     alive = [tuple(range(n))] * k  # surviving actions per player
     cell = game._numerators  # one denominator: numerators rank as payoffs
@@ -642,15 +621,13 @@ def check_optimal(
     mu = max(exps)
     argmax = tuple(i for i, e in enumerate(exps) if e == mu)
     k = plan.players
-    if not plan.anonymous:
-        _check_profiles(len(argmax), k)
-        candidates = product(argmax, repeat=k)
-    elif _multisets_exceed(len(argmax), k, TENSOR_CAP):
-        raise TensorCapExceeded(
-            f"C({len(argmax) + k - 1}, {k}) sorted profiles exceed cap {TENSOR_CAP}"
-        )
-    else:
+    exceeds = _multisets_exceed if plan.anonymous else _power_exceeds
+    if profiles := exceeds(len(argmax), k, TENSOR_CAP):
+        raise TensorCapExceeded(f"{profiles} best-expectation profiles exceed cap {TENSOR_CAP}")
+    if plan.anonymous:
         candidates = combinations_with_replacement(argmax, k)
+    else:
+        candidates = product(argmax, repeat=k)
     checked = []
     witness = None
     for combo in candidates:

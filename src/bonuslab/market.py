@@ -57,10 +57,23 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Atom:
-    """One point of the probability space: its mass and one outcome per action."""
+    """One point of the probability space: its mass and one outcome per
+    action, each coerced by as_rational."""
 
     probability: Fraction
     outcomes: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "probability", as_rational(self.probability))
+        object.__setattr__(self, "outcomes", rationals(self.outcomes))
+
+    @classmethod
+    def _unchecked(cls, probability: Fraction, outcomes: tuple[Fraction, ...]) -> "Atom":
+        """An atom from numbers that are already Fractions."""
+        atom = object.__new__(cls)
+        object.__setattr__(atom, "probability", probability)
+        object.__setattr__(atom, "outcomes", outcomes)
+        return atom
 
 
 @dataclass(frozen=True)
@@ -267,10 +280,7 @@ def build_market(actions: Sequence[str], atoms: Iterable[tuple]) -> Market:
     """
     if isinstance(actions, (str, bytes)):
         raise ArityMismatch(f"expected a list of action labels, got the string {actions!r}")
-    built = tuple(
-        Atom(as_rational(p), rationals(outcomes)) for p, outcomes in atoms
-    )
-    return Market(tuple(actions), built)
+    return Market(tuple(actions), tuple(Atom(p, outcomes) for p, outcomes in atoms))
 
 
 def expectation(market: Market, strategy: MixedAction) -> Fraction:
@@ -333,8 +343,8 @@ def product_market(
             f"marginal probabilities sum to {sum(merged.values())}, not 1"
         )
     support = sorted(merged)
-    if _power_exceeds(len(support), copies, ATOM_CAP):
-        raise AtomCapExceeded(f"{len(support)}^{copies} atoms exceed cap {ATOM_CAP}")
+    if atoms := _power_exceeds(len(support), copies, ATOM_CAP):
+        raise AtomCapExceeded(f"{atoms} atoms exceed cap {ATOM_CAP}")
 
     mass = lcm(*(p.denominator for p in merged.values()))
     weights = _over(map(merged.__getitem__, support), mass)
@@ -346,15 +356,30 @@ def product_market(
         combo = tuple(map(support.__getitem__, indices))
         extras = tuple(rule(combo) for _, rule in rules)
         probability = Fraction(prod(map(weights.__getitem__, indices)), total)
-        atoms.append(Atom(probability, combo + extras))
+        atoms.append(Atom._unchecked(probability, combo + extras))
     return Market(labels, tuple(atoms))
 
 
-def _power_exceeds(n: int, k: int, cap: int) -> bool:
-    """Whether n^k > cap, without building a huge n^k."""
+def _power_exceeds(n: int, k: int, cap: int) -> str | None:
+    """The shape "n^k" when n^k > cap, else None; every cap message names
+    such a shape, and a huge count is never built."""
     # n >= 2 gives n^b > cap at b = the cap's bit length, so n^k exceeds the
     # cap exactly when n^min(k, b) does
-    return n ** min(k, cap.bit_length()) > cap
+    return f"{n}^{k}" if n ** min(k, cap.bit_length()) > cap else None
+
+
+def _multisets_exceed(n: int, size: int, cap: int) -> str | None:
+    """The shape "C(n + size - 1, s)", s = min(size, n - 1), when that count
+    of the multisets of `size` items out of n exceeds cap, else None."""
+    # C(m, s) with m = n + size - 1 is built up as C(m - s + j, j) for
+    # j = 1..s; each step multiplies by (m - s + j) / j >= 2, since
+    # m - s >= s, so the loop stops within cap.bit_length() steps
+    m, s = n + size - 1, min(size, n - 1)
+    count, j = 1, 0
+    while count <= cap and j < s:
+        j += 1
+        count = count * (m - s + j) // j
+    return f"C({m}, {s})" if count > cap else None
 
 
 def _total_rule(label: str, rule) -> Callable:

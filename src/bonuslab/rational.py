@@ -13,6 +13,7 @@ an index, a grid denominator, a seed), refusing a float as FloatRejected.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .errors import ArityMismatch, FloatRejected, InvalidParameter, UnparsableNumber
@@ -21,8 +22,9 @@ from .errors import ArityMismatch, FloatRejected, InvalidParameter, UnparsableNu
 def as_rational(value) -> Fraction:
     """Coerce an int, Fraction, or numeric string to Fraction.
 
-    Raises UnparsableNumber for malformed strings and FloatRejected (a
-    TypeError) for floats and other unsupported types.
+    Raises UnparsableNumber for malformed strings and for an exponent past
+    sys.get_int_max_str_digits() (0: no limit), FloatRejected (a TypeError)
+    for floats and other unsupported types.
     """
     if isinstance(value, Fraction):
         return value
@@ -31,8 +33,14 @@ def as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
         try:
-            return Fraction(value.strip())
+            # read the exponent before Fraction builds 10**exponent
+            if "e" in text or "E" in text:
+                limit = sys.get_int_max_str_digits()
+                if limit and abs(int(text.lower().partition("e")[2])) > limit:
+                    raise UnparsableNumber(f"the exponent of {value!r} exceeds {limit}")
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise UnparsableNumber(f"cannot parse {value!r} as a rational") from exc
     if isinstance(value, float):
@@ -82,13 +90,21 @@ def rationals(values) -> tuple[Fraction, ...]:
     """
     if isinstance(values, (str, bytes)):
         raise ArityMismatch(f"expected a list of numbers, got the string {values!r}")
-    return tuple(as_rational(v) for v in values)
+    return tuple(map(as_rational, values))
 
 
 def load_json(text: str):
     """A JSON document whose numbers with a fraction or exponent are refused
-    as written: FloatRejected quotes the literal before a float rounds it."""
-    return json.loads(text, parse_float=_reject_float_literal)
+    as written: FloatRejected quotes the literal before a float rounds it.
+    An integer past the int digit limit is UnparsableNumber."""
+    return json.loads(text, parse_float=_reject_float_literal, parse_int=_int_literal)
+
+
+def _int_literal(literal: str) -> int:
+    try:
+        return int(literal)
+    except ValueError as exc:
+        raise UnparsableNumber(f"a JSON integer of {len(literal)} digits is too long") from exc
 
 
 def _reject_float_literal(literal: str):

@@ -12,7 +12,9 @@ The named tests run once unmutated first and must pass.  The gate fails
 when they do not, when a mutant survives, when pytest ends for another
 reason (a usage or collection error is not a catch), and when a snippet
 does not occur exactly once in its file: a fast path that was rewritten
-needs its row rewritten too, never skipped.
+needs its row rewritten too, never skipped.  EQUIVALENTS lists the known
+equivalent mutants, each with the reason no test can catch it; their
+snippets are checked the same way, and they are not run.
 
 Run from the root of a checkout (standard library and pytest/hypothesis):
 
@@ -39,6 +41,14 @@ class Mutant(NamedTuple):
     snippet: str
     replacement: str
     tests: tuple[str, ...]
+
+
+class Equivalent(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    reason: str  # why no test can catch it
 
 
 MUTANTS = (
@@ -219,14 +229,131 @@ MUTANTS = (
     Mutant(
         "pair probe without its cap",
         "src/bonuslab/counterexamples.py",
-        "if pairs > GRID_CAP:",
-        "if False:",
+        "if pairs := _multisets_exceed(len(grid) - 1, 2, GRID_CAP):",
+        "if pairs := None:",
         ("tests/test_counterexamples.py::test_pair_probe_caps_its_pairs",),
+    ),
+    Mutant(
+        "off-lattice tabulated keys kept: the kernel matches numerators only",
+        "src/bonuslab/plans.py",
+        "return table.get(tuple(key), fallback)",
+        "return {tuple(n for n, _ in k): row for k, row in table.items()}"
+        ".get(tuple(n for n, _ in key), fallback)",
+        ("tests/test_plans.py::test_kernels_match_evaluate",),
+    ),
+    Mutant(
+        "tabulated plan marked anonymous, seen by check_nash",
+        "src/bonuslab/plans.py",
+        'kind = "tabulated"',
+        'kind = "tabulated"\n    anonymous = True',
+        ("tests/test_game.py::test_check_nash_searches_every_player_under_a_tabulated_plan",),
+    ),
+    Mutant(
+        "tabulated plan marked anonymous, seen by strict_dominance",
+        "src/bonuslab/plans.py",
+        'kind = "tabulated"',
+        'kind = "tabulated"\n    anonymous = True',
+        ("tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",),
+    ),
+    Mutant(
+        "shared search keeps the first player's label",
+        "src/bonuslab/game.py",
+        "br = replace(br, player=player)",
+        "pass",
+        ("tests/test_game.py::test_check_nash_matches_one_best_response_per_player",),
+    ),
+    Mutant(
+        "universality verdict scans every violation first",
+        "src/bonuslab/counterexamples.py",
+        "violation = next(violations(plan, points), None)",
+        "violation = next(iter(tuple(violations(plan, points))), None)",
+        (
+            "tests/test_counterexamples.py::"
+            "test_universality_verdict_stops_at_the_first_violation",
+        ),
+    ),
+    Mutant(
+        "multiset guard stops one step short",
+        "src/bonuslab/market.py",
+        "while count <= cap and j < s:",
+        "while count <= cap and j < s - 1:",
+        ("tests/test_game.py::test_multiset_count_guard_matches_the_binomial",),
+    ),
+    Mutant(
+        "grid cap counts n - 1 actions",
+        "src/bonuslab/game.py",
+        "_multisets_exceed(arity, denominator, GRID_CAP)",
+        "_multisets_exceed(arity - 1, denominator, GRID_CAP)",
+        ("tests/test_game.py::test_grid_cap_is_checked_before_the_first_point",),
+    ),
+    Mutant(
+        "power cap message formats the count",
+        "src/bonuslab/market.py",
+        'return f"{n}^{k}" if',
+        'return f"{n**k}" if',
+        ("tests/test_market.py::test_product_market_cap_on_huge_copy_counts",),
+    ),
+    Mutant(
+        "grid cap message formats the count",
+        "src/bonuslab/game.py",
+        'f"{points} grid points',
+        'f"{__import__(\'math\').comb(denominator + arity - 1, arity - 1)} grid points',
+        (
+            "tests/test_cli.py::"
+            "test_malformed_input_is_a_json_error[find-m-grid-cap-wide-market]",
+        ),
+    ),
+    Mutant(
+        "exponent read by Fraction unbounded",
+        "src/bonuslab/rational.py",
+        'if limit and abs(int(text.lower().partition("e")[2])) > limit:',
+        "if False:",
+        ("tests/test_rational.py::test_rejects_garbage_strings",),
+    ),
+    Mutant(
+        "JSON integers read without the digit-limit hook",
+        "src/bonuslab/rational.py",
+        ", parse_int=_int_literal)",
+        ")",
+        (
+            "tests/test_rational.py::test_json_integers_past_the_digit_limit_are_unparsable",
+            "tests/test_cli.py::"
+            "test_malformed_input_is_a_json_error[validate-plan-players-past-the-digit-limit]",
+        ),
+    ),
+    Mutant(
+        "atoms keep their numbers uncoerced",
+        "src/bonuslab/market.py",
+        'object.__setattr__(self, "probability", as_rational(self.probability))\n'
+        '        object.__setattr__(self, "outcomes", rationals(self.outcomes))',
+        "pass",
+        ("tests/test_market.py::test_atoms_coerce_their_numbers",),
+    ),
+)
+
+# Known equivalent mutants: they change no result, so no test can catch
+# them.  They are not run, but their snippets are kept current like the
+# rows above.
+EQUIVALENTS = (
+    Equivalent(
+        "power guard bounds the exponent one bit higher",
+        "src/bonuslab/market.py",
+        "n ** min(k, cap.bit_length())",
+        "n ** min(k, cap.bit_length() + 1)",
+        "any exponent bound b with 2^b > cap gives the same verdict for every n >= 1",
+    ),
+    Equivalent(
+        "threshold sweep starts from 0, not from the largest magnitude",
+        "src/bonuslab/construct.py",
+        "threshold = magnitudes[0]  # the tail is empty there",
+        "threshold = 0",
+        "the sweep's first step sets threshold = magnitudes[0] anyway: the tail is 0"
+        " there and the gap positive, so the start value is never read",
     ),
 )
 
 
-def stale_snippets(mutants=MUTANTS, root: Path = ROOT) -> dict[str, str]:
+def stale_snippets(mutants=MUTANTS + EQUIVALENTS, root: Path = ROOT) -> dict[str, str]:
     """Mutant name -> why its snippet does not occur exactly once."""
     stale = {}
     for m in mutants:

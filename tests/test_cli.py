@@ -243,6 +243,13 @@ SIX_ACTION_MARKET = {
               {"p": "1/4", "outcomes": ["2", "0", "3", "1", "1", "-1"]}],
 }
 SEVEN_PLAYER_PLAN = {"players": 7, "kind": "m_linear", "bound": "4", "interval": ["-1", "4"]}
+# one atom, 10 000 actions: a grid of denominator 10 000 has C(19999, 9999)
+# points, a count whose digits Python refuses to print
+WIDE_MARKET = {"actions": [f"A{i}" for i in range(10_000)],
+               "atoms": [{"p": "1", "outcomes": [str(i) for i in range(10_000)]}]}
+WIDE_PROFILE = [["1"] + ["0"] * 9_999] * 2
+# LO:HI:STEP = 0:Z:1/Z has Z^2 + 1 points, a count of 8 401 digits
+HUGE_Z = "1" + "0" * 4_200
 
 # (case, documents by placeholder, argv, exit code, error type under --json)
 REJECTED = [
@@ -338,6 +345,20 @@ REJECTED = [
      "BonusLabError"),
     ("validate-plan-inverted-range", {"P": WTA},
      ["validate-plan", "--plan", "P", "--range=2:-2"], "InvalidParameter"),
+    ("find-m-grid-cap-wide-market", {"M": WIDE_MARKET},
+     ["find-m", "--market", "M", "--grid", "10000"], "GridCapExceeded"),
+    ("check-eq-resolution-cap-wide-market", {"M": WIDE_MARKET, "P": WTA, "Q": WIDE_PROFILE},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q", "--resolution", "10000"],
+     "GridCapExceeded"),
+    ("probe-grid-cap-fine-step", {"P": WTA},
+     ["probe-universal", "--plan", "P", "--grid", f"0:{HUGE_Z}:1/{HUGE_Z}", "--players", "2"],
+     "GridCapExceeded"),
+    ("validate-plan-players-past-the-digit-limit",  # raw JSON text: 5 001 digits
+     {"P": '{"players": %s, "kind": "wta"}' % ("1" * 5_001)},
+     ["validate-plan", "--plan", "P"], "UnparsableNumber"),
+    ("check-optimal-exponent-past-the-digit-limit",
+     {"M": {"actions": ["A"], "atoms": [{"p": "1", "outcomes": ["1e100000000"]}]}, "P": WTA},
+     ["check-optimal", "--market", "M", "--plan", "P"], "UnparsableNumber"),
 ]
 
 USAGE = [
@@ -423,10 +444,11 @@ def test_one_parser_serves_every_request(capsys, files):
 
 
 def _materialize(tmp_path, documents, argv):
+    """Write each document, a string as raw JSON text, and put its path in argv."""
     paths = {}
     for name, data in documents.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
         paths[name] = str(path)
     return [paths.get(arg, arg) for arg in argv]
 

@@ -40,7 +40,8 @@ from bonuslab import (
     simplex_grid,
     strict_dominance,
 )
-from bonuslab.game import TENSOR_CAP, _compositions, _multisets_exceed
+from bonuslab.game import GRID_CAP, TENSOR_CAP, _compositions, check_simplex_grid
+from bonuslab.market import _multisets_exceed, _power_exceeds
 from conftest import fraction_allocation, markets, tensor_dominance
 
 F = Fraction
@@ -659,15 +660,28 @@ def test_strict_dominance_caps_cells_times_players():
 
 
 def test_multiset_count_guard_matches_the_binomial():
+    """Over the cap, the guard returns the binomial's shape, and the shape
+    names the count; at or under it, None."""
     for n in range(1, 8):
         for size in range(0, 12):
             count = comb(n + size - 1, size)
+            shape = f"C({n + size - 1}, {min(size, n - 1)})"
+            assert comb(n + size - 1, min(size, n - 1)) == count
             for cap in (0, 1, count - 1, count, count + 1, 200_000):
-                assert _multisets_exceed(n, size, cap) == (count > cap)
+                assert _multisets_exceed(n, size, cap) == (shape if count > cap else None)
     # huge counts are decided within a few steps, without the binomial
-    assert _multisets_exceed(2, 10**12, 200_000)
-    assert _multisets_exceed(10**12, 10**12, 200_000)
-    assert not _multisets_exceed(1, 10**12, 200_000)
+    assert _multisets_exceed(2, 10**12, 200_000) == f"C({10**12 + 1}, 1)"
+    assert _multisets_exceed(10**12, 10**12, 200_000) == f"C({2 * 10**12 - 1}, {10**12 - 1})"
+    assert _multisets_exceed(1, 10**12, 200_000) is None
+
+
+def test_power_guard_matches_the_power():
+    for n in range(1, 8):
+        for k in range(0, 12):
+            for cap in (0, 1, n**k - 1, n**k, n**k + 1, 200_000):
+                assert _power_exceeds(n, k, cap) == (f"{n}^{k}" if n**k > cap else None)
+    assert _power_exceeds(2, 10**12, 200_000) == f"2^{10**12}"
+    assert _power_exceeds(1, 10**12, 200_000) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -701,6 +715,13 @@ def test_grid_cap_is_checked_before_the_first_point():
     with pytest.raises(GridCapExceeded):
         check_nash(wta_game(), Profile.pure((0, 0), 2), resolution=200_000)
     assert issubclass(GridCapExceeded, BonusLabError)
+    # a 3-action grid of d has C(d + 2, 2) points: 199 396 at d = 630, 200 028 at 631
+    assert comb(632, 2) == 199_396 <= GRID_CAP < comb(633, 2) == 200_028
+    assert next(simplex_grid(3, 630)).weights == (0, 0, 1)
+    with pytest.raises(GridCapExceeded, match=r"C\(633, 2\) grid points"):
+        next(simplex_grid(3, 631))
+    with pytest.raises(GridCapExceeded, match=r"C\(599999, 299999\) grid points"):
+        check_simplex_grid(300_000, 300_000)  # by its shape, without the binomial
 
 
 def test_weight_and_grid_errors_are_typed():

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from bonuslab import (
     ArityMismatch,
+    Atom,
     AtomCapExceeded,
     FloatRejected,
     IncompleteMapping,
+    Market,
     MixedAction,
     NonPositiveProbability,
     NonSimplexWeights,
@@ -58,6 +60,19 @@ def test_probabilities_must_be_positive():
 def test_outcome_rows_must_match_actions():
     with pytest.raises(ArityMismatch):
         build_market(["A", "B"], [("1", ("1",))])
+
+
+def test_atoms_coerce_their_numbers():
+    """A float probability is refused even where the floats sum to exactly 1;
+    exact numbers are coerced, and a string of outcomes is refused rather
+    than read one outcome per character."""
+    with pytest.raises(FloatRejected):
+        Market(("a", "b"), (Atom(0.5, (1, 2)), Atom(0.5, (2, 1))))
+    atom = Atom(Fraction(1), ("1", 2))
+    assert atom == Atom(Fraction(1), (Fraction(1), Fraction(2)))
+    assert Market(("a", "b"), (atom,)).expectations() == (Fraction(1), Fraction(2))
+    with pytest.raises(ArityMismatch):
+        Atom(1, "12")
 
 
 def test_action_labels_must_be_distinct():

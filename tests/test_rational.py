@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from bonuslab import (
     as_rational,
     format_rational,
 )
-from bonuslab.rational import approx_decimal, rationals
+from bonuslab.rational import approx_decimal, load_json, rationals
 
 
 def test_parses_integers_and_fractions():
@@ -25,6 +26,9 @@ def test_decimal_strings_are_exact():
     assert as_rational("1.051") == Fraction(1051, 1000)
     assert as_rational("1e-6") == Fraction(1, 10**6)
     assert as_rational("-0.25") == Fraction(-1, 4)
+    limit = sys.get_int_max_str_digits()  # the bound on an exponent's magnitude
+    assert as_rational(f"1e{limit}") == 10**limit
+    assert as_rational(f"1e-{limit}") == Fraction(1, 10**limit)
 
 
 def test_rejects_floats():
@@ -35,9 +39,24 @@ def test_rejects_floats():
 
 
 def test_rejects_garbage_strings():
-    for bad in ("", "one", "1/0", "2:3", "1.2.3"):
+    # an exponent past the int digit limit is refused before 10**exponent is built
+    limit = sys.get_int_max_str_digits()
+    for bad in ("", "one", "1/0", "2:3", "1.2.3", f"1e{limit + 1}", f"2.5E-{limit + 1}",
+                "1e100000000"):
         with pytest.raises(UnparsableNumber):
             as_rational(bad)
+
+
+def test_a_zero_digit_limit_bounds_no_exponent(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert as_rational("1e5000") == 10**5000
+
+
+def test_json_integers_past_the_digit_limit_are_unparsable():
+    digits = sys.get_int_max_str_digits() + 1
+    assert load_json('{"players": 2}') == {"players": 2}
+    with pytest.raises(UnparsableNumber, match=f"{digits} digits"):
+        load_json('{"players": %s}' % ("1" * digits))
 
 
 def test_format_round_trips():
