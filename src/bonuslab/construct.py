@@ -25,20 +25,22 @@ it bounds the truncated drift as well:
 The tail is constant between consecutive support magnitudes, so one sweep
 down them from the largest, where the tail is empty, finds m exactly.  It
 compares integers on the market's integer view (differences over d times
-the outcome denominator, probabilities over theirs).  No threshold exceeds
-its largest |l| and every vertex is a grid point, so the largest is the
-vertex bound; the gap is linear in q, so the least is (E[X*] - mu_2) / d,
-mu_2 the second-best expectation.
+the outcome denominator, probabilities over theirs).  The grid points come
+from `game._walk` over the columns x_j - x*, which carries each atom's
+difference l as a prefix sum, so a point costs one add per atom.  No
+threshold exceeds its largest |l| and every vertex is a grid point, so the
+largest is the vertex bound; the gap is linear in q, so the least is
+(E[X*] - mu_2) / d, mu_2 the second-best expectation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from typing import Sequence
 
 from .errors import DegenerateSupport, ExpectationNotUnique
-from .game import _compositions, check_simplex_grid
+from .game import _walk, check_simplex_grid
 from .market import Market, support_stats
 from .plans import BoundedLinearPlan, MLinearPlan
 
@@ -82,20 +84,22 @@ def find_bounding_m(market: Market, grid_resolution: int) -> BoundSearchResult:
     view = market.integer_view
     d = grid_resolution
     length = d * view.scale  # a difference l of q - X* stands for l / length
-    # a grid point's counts sum to d, so l = sum_j count_j * (x_j - x*)
-    atoms = [
-        (p, [x - values[best] for x in values]) for p, values in zip(view.weights, view.values)
+    gap_denominator = length * view.mass
+    # a grid point's counts sum to d, so l = sum_j count_j * (x_j - x*) at
+    # each atom: the walk's dot products over the columns x_j - x*
+    columns = [
+        [values[j] - values[best] for values in view.values] for j in range(market.n)
     ]
     by_count = tuple(Fraction(c, d) for c in range(d + 1))
     witnesses = []
-    for counts in _compositions(market.n, d):
+    for counts, differences in _walk(columns, d):
         if counts[best] == d:
             continue
-        gap, threshold, tail_empty_at = _witness_for(atoms, counts)
+        gap, threshold, tail_empty_at = _witness_for(view.weights, differences)
         witnesses.append(
             GridWitness(
                 tuple(map(by_count.__getitem__, counts)),
-                Fraction(gap, length * view.mass),
+                Fraction(gap, gap_denominator),
                 Fraction(threshold, length),
                 Fraction(tail_empty_at, length),
             )
@@ -125,22 +129,22 @@ def _vertex_bound(market: Market, grid_resolution: int) -> tuple[int, Fraction, 
 
 
 def _witness_for(
-    atoms: list[tuple[int, list[int]]], counts: tuple[int, ...]
+    weights: Sequence[int], differences: Sequence[int]
 ) -> tuple[int, int, int]:
     """Gap, threshold and largest |l| of q - X*, in integers.
 
-    `atoms` pairs each probability weight p (over view.mass) with the atom's
-    differences x_j - x* (over view.scale); q has weights counts / d, so a
-    difference l stands for l / (d * view.scale) and the gap is over that
-    times view.mass.  One sweep down the magnitudes.
+    `weights` holds each atom's probability weight p (over view.mass) and
+    `differences` the value l of q - X* there, over d * view.scale for a
+    portfolio q of weights counts / d; the gap is over that times
+    view.mass.  One sweep down the magnitudes.
     """
     mass: dict[int, int] = {}  # magnitude -> sum of p over l = +-magnitude
     gap = 0
-    for p, differences in atoms:
-        l = sum(map(mul, counts, differences))
+    for p, l in zip(weights, differences):
         if l:
             gap -= l * p
-            mass[abs(l)] = mass.get(abs(l), 0) + p
+            magnitude = abs(l)
+            mass[magnitude] = mass.get(magnitude, 0) + p
     # q != X* pointwise is guaranteed: a zero-gap portfolio would tie the
     # unique best expectation, which the vertex exclusion rules out.
     assert mass and gap > 0

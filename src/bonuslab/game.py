@@ -91,11 +91,20 @@ they do.  `Game.payoff` is where a cell's `Fraction`s are built, one per
 distinct numerator, shared by the players that have it.  A deviation
 search other than a pure one against pure opponents is one scan: the
 opponents are realized once, and each candidate, a count vector over d
-(the pure actions are the vertices, then the grid's other points as
-`_compositions` walks them, the order `simplex_grid` yields), is scored
-by its payoff numerator over a denominator all candidates share.  The
-search compares integers and builds one `Fraction` and one `MixedAction`,
-for the winner.  `Fraction` stays at the interface.
+(the pure actions are the vertices, then the grid's other points in the
+order `simplex_grid` yields), is scored by its payoff numerator over a
+denominator all candidates share.  `_walk` yields the count vectors in
+lexicographic order, with every atom's result carried as a prefix sum, so
+a point costs one add per atom and no multiplication; it is a loop, not a
+recursion, so a d = 1 grid over any number of actions walks.  The plan's
+`response` at each atom, built once from the opponents' results there,
+maps the deviator's result to its share, without a kernel call for the wta
+kind.  The vertices are scored first, then, for d > 1, the walk's other
+points, and only a strictly larger score replaces the best, so pure
+actions win ties by index and grid points by order.  The search compares
+integers and builds one `Fraction` and one `MixedAction`, for the winner.
+`find_bounding_m` and `simplex_grid` walk the same way.  `Fraction` stays
+at the interface.
 """
 
 from __future__ import annotations
@@ -105,8 +114,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, product
 from math import lcm
-from operator import itemgetter, mul, sub
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from operator import add, itemgetter, mul, sub
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -124,7 +133,7 @@ from .market import (
     check_arity,
     expectation,
 )
-from .plans import BonusPlan
+from .plans import BonusPlan, Kernel
 from .rational import as_count, as_rational
 
 TENSOR_CAP = 200_000  # a full tensor, check_optimal's scan, or dominance's cells x players
@@ -205,13 +214,13 @@ class Game:
         """The plan's kernel at a result scale, with the payoff's integer weights."""
         scoring = self.kernels.get(scale)
         if scoring is None:
-            denominator, shares = self.plan.kernel(scale)
+            kernel = self.plan.kernel(scale)
             w = self.earnings_weight
             scoring = self.kernels[scale] = _Scoring(
-                shares,
+                kernel,
                 (w.denominator - w.numerator) * scale,
-                w.numerator * denominator,
-                w.denominator * self.market.integer_view.mass * denominator * scale,
+                w.numerator * kernel.denominator,
+                w.denominator * self.market.integer_view.mass * kernel.denominator * scale,
             )
         return scoring
 
@@ -224,7 +233,7 @@ class _Scoring(NamedTuple):
     (1 - w) * E[share] + w * E[own result], exactly.
     """
 
-    shares: Callable[[tuple[int, ...]], Sequence[int]]
+    kernel: Kernel
     bonus_weight: int
     result_weight: int
     denominator: int
@@ -238,7 +247,7 @@ def _cell(game: Game, rows: Sequence[tuple[int, ...]], scale: int) -> tuple[int,
     weights = game.market.integer_view.weights
     bonus = [
         scoring.bonus_weight * sum(map(mul, weights, column))
-        for column in zip(*map(scoring.shares, rows))
+        for column in zip(*map(scoring.kernel.shares, rows))
     ]
     if not scoring.result_weight:
         return tuple(bonus)
@@ -314,19 +323,56 @@ def simplex_grid(arity: int, denominator: int) -> Iterator[MixedAction]:
     check_simplex_grid runs before anything is yielded."""
     check_simplex_grid(arity, denominator)
     by_count = tuple(Fraction(c, denominator) for c in range(denominator + 1))
-    for counts in _compositions(arity, denominator):
+    for counts, _ in _walk(((),) * arity, denominator):
         yield MixedAction._unchecked(tuple(map(by_count.__getitem__, counts)))
 
 
-def _compositions(arity: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Every tuple of `arity` counts >= 0 summing to `total`, lexicographically.
+def _walk(
+    columns: Sequence[Sequence[int]], total: int
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Every count vector of len(columns) counts >= 0 summing to `total`, in
+    lexicographic order, with its dot product at each atom: the list of
+    sum over j of counts[j] * columns[j][t], one entry per atom t.
 
-    The partial sums are a nondecreasing sequence of arity - 1 cuts in
-    [0, total], and cuts in lexicographic order give the counts in
-    lexicographic order; each count is the distance between neighbouring cuts.
+    A column holds one action's value at every atom.  The last count is what
+    the others leave, so the dots are total * last + the sum over the other
+    counts c_j of c_j * (columns[j] - last): raising c_j by one adds column
+    j's differences, so a point costs one add per atom.  The next-to-last
+    count, the inner one, runs over what the outer counts before it leave;
+    then the outer counts step to their next value in lexicographic order,
+    which raises one of them by one and drops at most one after it to 0.
+    The walk is a loop, not a recursion, so any number of actions fits.
+    `starts` holds, for each outer count, the dots from just before it last
+    rose from 0: the dots to go back to when it drops.
     """
-    for cuts in combinations_with_replacement(range(total + 1), arity - 1):
-        yield tuple(map(sub, (*cuts, total), (0, *cuts)))
+    *heads, last = columns
+    steps = [list(map(sub, column, last)) for column in heads]
+    dots = [total * x for x in last]
+    if not steps:
+        yield (total,), dots
+        return
+    *outer, inner = steps
+    counts = [0] * len(outer)
+    starts = [dots] * len(outer)
+    deepest = -1  # the last nonzero outer count, -1 for none
+    left = total  # what the outer counts leave to the inner and the last
+    while True:
+        prefix, start = tuple(counts), dots
+        for c in range(left + 1):
+            yield (*prefix, c, left - c), dots
+            dots = list(map(add, dots, inner))
+        if left and outer:  # the last outer count rises
+            j, left = len(outer) - 1, left - 1
+        elif deepest > 0:  # the last nonzero one drops to 0, the one before rises
+            j, left, start = deepest - 1, counts[deepest] - 1, starts[deepest]
+            counts[deepest] = 0
+        else:
+            return
+        if not counts[j]:
+            starts[j] = start
+        counts[j] += 1
+        deepest = j
+        dots = list(map(add, start, outer[j]))
 
 
 @dataclass(frozen=True)
@@ -387,11 +433,9 @@ def best_response(
         denominator = game._scoring(game.market.integer_view.scale).denominator
         return BestResponse(player, best, Fraction(top, denominator), method)
     d = resolution if grid else 1
-    candidates = (tuple(d if i == a else 0 for i in range(n)) for a in range(n))
     if grid:
         check_simplex_grid(n, d)
-        candidates = chain(candidates, (c for c in _compositions(n, d) if d not in c))
-    counts, value = _deviation_scan(game, player, opponents, d, candidates)
+    counts, value = _deviation_scan(game, player, opponents, d)
     best = MixedAction._unchecked(tuple(Fraction(c, d) for c in counts))
     return BestResponse(player, best, value, method)
 
@@ -401,34 +445,41 @@ def _deviation_scan(
     player: int,
     opponents: Sequence[MixedAction],
     d: int,
-    candidates: Iterable[tuple[int, ...]],
 ) -> tuple[tuple[int, ...], Fraction]:
     """The earliest candidate of strictly largest payoff, and its value.
 
-    A candidate is a count vector over d, the portfolio counts / d.  The
-    opponents are realized once, over a scale every candidate shares, and
-    each atom's action values are scaled to it once, so a candidate's
-    payoff numerator over the common denominator is a sum of integer
-    products of its counts.
+    A candidate is a count vector over d, the portfolio counts / d: the
+    pure actions, as the vertices d * e_a in index order, then, for d > 1,
+    the grid's other points in `_walk` order.  The opponents are realized
+    once, over a scale every candidate shares, and each atom's action
+    values are scaled to it once, so `_walk` gives a candidate's result at
+    every atom as an integer.  The plan's `response` at each atom turns it
+    into the player's share, and the payoff numerator over the common
+    denominator sums them against the probability weights.
     """
     view = game.market.integer_view
     unit = lcm(_unit(opponents), d)
     step = unit // d
     scoring = game._scoring(view.scale * unit)
-    shares = scoring.shares
     others = zip(*(_realize(view, s, unit) for s in opponents))
-    atoms = [
-        (p, [v * step for v in values], rest[:player], rest[player:])
-        for p, values, rest in zip(view.weights, view.values, others)
-    ]
+    responses = [game.plan.response(scoring.kernel, player, rest) for rest in others]
+    weights = view.weights
+    columns = [[v * step for v in column] for column in zip(*view.values)]
+    n = len(columns)
+    points = (
+        ((0,) * a + (d,) + (0,) * (n - 1 - a), [d * v for v in column])
+        for a, column in enumerate(columns)
+    )
+    if d > 1:
+        points = chain(points, ((c, xs) for c, xs in _walk(columns, d) if d not in c))
     winner = top = None
-    for counts in candidates:
-        bonus = result = 0
-        for p, values, before, after in atoms:
-            x = sum(map(mul, counts, values))
-            bonus += p * shares(before + (x,) + after)[player]
-            result += p * x
-        score = scoring.bonus_weight * bonus + scoring.result_weight * result
+    for counts, results in points:
+        bonus = 0
+        for p, share, x in zip(weights, responses, results):
+            bonus += p * share(x)
+        score = scoring.bonus_weight * bonus
+        if scoring.result_weight:
+            score += scoring.result_weight * sum(map(mul, weights, results))
         if top is None or score > top:
             winner, top = counts, score
     return winner, Fraction(top, scoring.denominator)

@@ -369,8 +369,10 @@ def _power_exceeds(n: int, k: int, cap: int) -> str | None:
 
 
 def _multisets_exceed(n: int, size: int, cap: int) -> str | None:
-    """The shape "C(n + size - 1, s)", s = min(size, n - 1), when that count
-    of the multisets of `size` items out of n exceeds cap, else None."""
+    """The shape "C(size + n - 1, s)", s = min(size, n - 1), when that count
+    of the multisets of `size` items out of n exceeds cap, else None.  The
+    shape is written with n and size as given: their sum can be past the
+    digit limit of int-to-str when neither is."""
     # C(m, s) with m = n + size - 1 is built up as C(m - s + j, j) for
     # j = 1..s; each step multiplies by (m - s + j) / j >= 2, since
     # m - s >= s, so the loop stops within cap.bit_length() steps
@@ -379,7 +381,7 @@ def _multisets_exceed(n: int, size: int, cap: int) -> str | None:
     while count <= cap and j < s:
         j += 1
         count = count * (m - s + j) // j
-    return f"C({m}, {s})" if count > cap else None
+    return f"C({size} + {n} - 1, {s})" if count > cap else None
 
 
 def _total_rule(label: str, rule) -> Callable:

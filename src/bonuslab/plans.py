@@ -24,7 +24,10 @@ A kind states its allocation once, as an integer kernel (`BonusPlan.kernel`)
 for results that are integers over a fixed scale: the allocation as integer
 numerators over one denominator, with every gate an integer comparison.
 Payoff cells, grid searches and probes run kernels; `evaluate` runs the
-kernel at one result vector's least common denominator.
+kernel at one result vector's least common denominator.  A deviation
+search asks `BonusPlan.response` for one player's share at one atom, as a
+function of that player's result against fixed opponents: by default the
+kernel's entry, in closed form for the wta kind.
 """
 
 from __future__ import annotations
@@ -93,6 +96,22 @@ class BonusPlan:
         """This plan for results given as integers over `scale`."""
         raise NotImplementedError
 
+    def response(
+        self, kernel: Kernel, player: int, others: tuple[int, ...]
+    ) -> Callable[[int], int]:
+        """The player's share at one atom as a function of its own result.
+
+        `kernel` is this plan's kernel at some scale, and `others` holds the
+        other players' results at the atom, integers over that scale in
+        player order.  The function maps the player's result x to its share
+        numerator over the kernel's denominator: entry `player` of the
+        kernel's shares at `others` with x put in at `player`.  This default
+        runs the kernel on that vector.
+        """
+        shares = kernel.shares
+        before, after = others[:player], others[player:]
+        return lambda x: shares(before + (x,) + after)[player]
+
     def kernel_for(self, values: Sequence[Fraction]) -> tuple[Kernel, tuple[int, ...]]:
         """The kernel at the values' least common denominator, and the values
         as integers over it."""
@@ -138,6 +157,12 @@ class WinnerTakeAllPlan(BonusPlan):
 
     def kernel(self, scale):
         return _split_kernel(self.players, max)
+
+    def response(self, kernel, player, others):
+        full = kernel.denominator
+        top = max(others)
+        tie = full // (others.count(top) + 1)  # split with the opponents at the top
+        return lambda x: full if x > top else tie if x == top else 0
 
 
 @dataclass(frozen=True)

@@ -118,16 +118,30 @@ MUTANTS = (
     Mutant(
         "deviation scan scores the own action unscaled",
         "src/bonuslab/game.py",
-        "[v * step for v in values]",
-        "list(values)",
+        "columns = [[v * step for v in column] for column in zip(*view.values)]",
+        "columns = [list(column) for column in zip(*view.values)]",
         ("tests/test_game.py::test_grid_best_response_matches_the_fraction_oracle",),
     ),
     Mutant(
         "deviation scan keeps the last of tied candidates",
         "src/bonuslab/game.py",
-        "score > top",
-        "score >= top",
+        "if top is None or score > top:",
+        "if top is None or score >= top:",
         ("tests/test_game.py::test_grid_ties_keep_the_earliest_candidate",),
+    ),
+    Mutant(
+        "deviation scan walks the grid before the vertices: a vertex loses a tie",
+        "src/bonuslab/game.py",
+        "chain(points, ((c, xs) for c, xs in _walk(columns, d) if d not in c))",
+        "chain(((c, xs) for c, xs in _walk(columns, d) if d not in c), points)",
+        ("tests/test_game.py::test_grid_ties_keep_the_earliest_candidate",),
+    ),
+    Mutant(
+        "WTA response gives a tie to the player whole",
+        "src/bonuslab/plans.py",
+        "full if x > top else tie if x == top else 0",
+        "full if x >= top else 0",
+        ("tests/test_plans.py::test_responses_match_the_kernel",),
     ),
     Mutant(
         "bounded-plan spread compared without the view's scale",
@@ -153,8 +167,22 @@ MUTANTS = (
     Mutant(
         "grid compositions in reversed order",
         "src/bonuslab/game.py",
-        "combinations_with_replacement(range(total + 1), arity - 1)",
-        "combinations_with_replacement(range(total, -1, -1), arity - 1)",
+        "for c in range(left + 1):",
+        "for c in reversed(range(left + 1)):",
+        ("tests/test_game.py::test_compositions_follow_the_old_grid_order",),
+    ),
+    Mutant(
+        "prefix-sum step adds the wrong column",
+        "src/bonuslab/game.py",
+        "dots = list(map(add, start, outer[j]))",
+        "dots = list(map(add, start, outer[j - 1]))",
+        ("tests/test_game.py::test_compositions_follow_the_old_grid_order",),
+    ),
+    Mutant(
+        "walk drops a count back to the dots of its last value, not of 0",
+        "src/bonuslab/game.py",
+        "        if not counts[j]:\n            starts[j] = start\n",
+        "        starts[j] = start\n",
         ("tests/test_game.py::test_compositions_follow_the_old_grid_order",),
     ),
     Mutant(
@@ -341,6 +369,14 @@ EQUIVALENTS = (
         "n ** min(k, cap.bit_length())",
         "n ** min(k, cap.bit_length() + 1)",
         "any exponent bound b with 2^b > cap gives the same verdict for every n >= 1",
+    ),
+    Equivalent(
+        "deviation scan walks the vertices a second time",
+        "src/bonuslab/game.py",
+        "if d not in c))",
+        "))",
+        "the vertices are scored first, so a vertex met again in the walk scores at most"
+        " the best so far and the strict > keeps the winner",
     ),
     Equivalent(
         "threshold sweep starts from 0, not from the largest magnitude",

@@ -250,6 +250,9 @@ WIDE_MARKET = {"actions": [f"A{i}" for i in range(10_000)],
 WIDE_PROFILE = [["1"] + ["0"] * 9_999] * 2
 # LO:HI:STEP = 0:Z:1/Z has Z^2 + 1 points, a count of 8 401 digits
 HUGE_Z = "1" + "0" * 4_200
+# a grid denominator of 4 300 digits, the most int() reads; on a 2-action
+# market the grid's C(d + 1, 1) has 4 301
+NINES = "9" * 4_300
 
 # (case, documents by placeholder, argv, exit code, error type under --json)
 REJECTED = [
@@ -349,6 +352,12 @@ REJECTED = [
      ["find-m", "--market", "M", "--grid", "10000"], "GridCapExceeded"),
     ("check-eq-resolution-cap-wide-market", {"M": WIDE_MARKET, "P": WTA, "Q": WIDE_PROFILE},
      ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q", "--resolution", "10000"],
+     "GridCapExceeded"),
+    ("find-m-grid-past-the-digit-limit", {"M": MARKET},
+     ["find-m", "--market", "M", "--grid", NINES], "GridCapExceeded"),
+    ("check-eq-resolution-past-the-digit-limit",
+     {"M": MARKET, "P": WTA, "Q": [["1", "0"], ["1", "0"]]},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q", "--resolution", NINES],
      "GridCapExceeded"),
     ("probe-grid-cap-fine-step", {"P": WTA},
      ["probe-universal", "--plan", "P", "--grid", f"0:{HUGE_Z}:1/{HUGE_Z}", "--players", "2"],

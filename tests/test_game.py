@@ -1,5 +1,6 @@
 """Induced games: tensors, deviations, verdicts, dominance, optimality."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -40,7 +41,7 @@ from bonuslab import (
     simplex_grid,
     strict_dominance,
 )
-from bonuslab.game import GRID_CAP, TENSOR_CAP, _compositions, check_simplex_grid
+from bonuslab.game import GRID_CAP, TENSOR_CAP, _walk, check_simplex_grid
 from bonuslab.market import _multisets_exceed, _power_exceeds
 from conftest import fraction_allocation, markets, tensor_dominance
 
@@ -472,16 +473,46 @@ def test_check_nash_searches_every_player_under_a_tabulated_plan():
 
 
 def test_compositions_follow_the_old_grid_order():
-    for arity in range(1, 5):
-        for d in range(0, 7):
+    """The walk yields the count vectors in product order, the grid's old
+    order, each with its dot products against random integer columns,
+    computed here term by term."""
+    rng = random.Random(18)
+    for arity in range(1, 6):
+        for d in range(0, 8):
             expected = [c for c in product(range(d + 1), repeat=arity) if sum(c) == d]
-            got = list(_compositions(arity, d))
-            assert got == expected  # product order is lexicographic
+            atoms = rng.randint(0, 6)
+            columns = [[rng.randint(-50, 50) for _ in range(atoms)] for _ in range(arity)]
+            got = list(_walk(columns, d))
+            assert [counts for counts, _ in got] == expected  # product order is lexicographic
             assert len(got) == comb(d + arity - 1, arity - 1)
+            for counts, dots in got:
+                assert list(dots) == [
+                    sum(c * column[t] for c, column in zip(counts, columns))
+                    for t in range(atoms)
+                ]
             if d:
                 assert [p.weights for p in simplex_grid(arity, d)] == [
                     tuple(F(c, d) for c in counts) for counts in expected
                 ]
+
+
+def test_walks_go_past_the_recursion_limit():
+    """A d = 1 grid over 2 000 actions, more than the interpreter's default
+    recursion limit of 1 000: the witness sweep, simplex_grid and a search
+    against a mixed opponent all finish, with or without a grid."""
+    n = 2_000
+    market = build_market([f"A{i}" for i in range(n)], [("1", tuple(map(str, range(n))))])
+    result = find_bounding_m(market, 1)
+    assert (result.best_action, result.bound, result.min_gap) == (n - 1, n - 1, 1)
+    # lexicographic order puts the last action's vertex first
+    assert [w.weights.index(1) for w in result.witnesses] == list(range(n - 2, -1, -1))
+    assert [p.pure_action for p in simplex_grid(n, 1)] == list(range(n - 1, -1, -1))
+    # the opponent's portfolio holds (n - 1) / 2: the first action above it takes all
+    game = induce_game(market, WinnerTakeAllPlan(2), 0)
+    opponent = MixedAction((F(1, 2),) + (F(0),) * (n - 2) + (F(1, 2),))
+    for resolution in (None, 1):
+        br = best_response(game, 0, (opponent,), resolution)
+        assert (br.strategy.pure_action, br.value) == (n // 2, 1)
 
 
 @st.composite
@@ -665,14 +696,19 @@ def test_multiset_count_guard_matches_the_binomial():
     for n in range(1, 8):
         for size in range(0, 12):
             count = comb(n + size - 1, size)
-            shape = f"C({n + size - 1}, {min(size, n - 1)})"
+            shape = f"C({size} + {n} - 1, {min(size, n - 1)})"
             assert comb(n + size - 1, min(size, n - 1)) == count
             for cap in (0, 1, count - 1, count, count + 1, 200_000):
                 assert _multisets_exceed(n, size, cap) == (shape if count > cap else None)
     # huge counts are decided within a few steps, without the binomial
-    assert _multisets_exceed(2, 10**12, 200_000) == f"C({10**12 + 1}, 1)"
-    assert _multisets_exceed(10**12, 10**12, 200_000) == f"C({2 * 10**12 - 1}, {10**12 - 1})"
-    assert _multisets_exceed(1, 10**12, 200_000) is None
+    huge = 10**12
+    assert _multisets_exceed(2, huge, 200_000) == f"C({huge} + 2 - 1, 1)"
+    assert _multisets_exceed(huge, huge, 200_000) == f"C({huge} + {huge} - 1, {huge - 1})"
+    assert _multisets_exceed(1, huge, 200_000) is None
+    # written from the inputs: n + size - 1 has 4 301 digits, past the limit
+    # of int-to-str, while n and size are not
+    nines = 10**4300 - 1
+    assert _multisets_exceed(3, nines, 200_000) == f"C({nines} + 3 - 1, 2)"
 
 
 def test_power_guard_matches_the_power():
@@ -718,9 +754,9 @@ def test_grid_cap_is_checked_before_the_first_point():
     # a 3-action grid of d has C(d + 2, 2) points: 199 396 at d = 630, 200 028 at 631
     assert comb(632, 2) == 199_396 <= GRID_CAP < comb(633, 2) == 200_028
     assert next(simplex_grid(3, 630)).weights == (0, 0, 1)
-    with pytest.raises(GridCapExceeded, match=r"C\(633, 2\) grid points"):
+    with pytest.raises(GridCapExceeded, match=r"C\(631 \+ 3 - 1, 2\) grid points"):
         next(simplex_grid(3, 631))
-    with pytest.raises(GridCapExceeded, match=r"C\(599999, 299999\) grid points"):
+    with pytest.raises(GridCapExceeded, match=r"C\(300000 \+ 300000 - 1, 299999\) grid points"):
         check_simplex_grid(300_000, 300_000)  # by its shape, without the binomial
 
 

@@ -231,6 +231,44 @@ def test_kernels_match_evaluate(case):
         assert plan.evaluate(r) == expected
 
 
+def test_responses_match_the_kernel():
+    """Each kind's `response` is the player's entry of its kernel, the
+    tabulated default included: random opponents, results that tie them,
+    and the linear gates both open and closed."""
+    rng = random.Random(18)
+    gates = {"m_linear": set(), "bounded_linear": set()}  # seen open, closed
+    table_hits = 0
+    for _ in range(300):
+        k, scale = rng.randint(2, 4), rng.randint(1, 12)
+        player = rng.randrange(k)
+        spread = rng.choice((1, 3))  # narrow draws tie often and open the gates
+        others = tuple(rng.randint(-spread * scale, spread * scale) for _ in range(k - 1))
+        xs = {*others, *(o + 1 for o in others), *(o - 1 for o in others), 0, 4 * scale}
+        xs.add(rng.randint(-4 * scale, 4 * scale))
+        # the table holds the vector where the player ties the first opponent
+        row = others[:player] + (others[0],) + others[player:]
+        last = (F(0),) * (k - 1) + (F(1),)
+        kinds = plans_for(k) + [
+            MLinearPlan(k, F(1), F(-1, 3), F(5, 4)),
+            BoundedLinearPlan(k, F(2, 7)),
+            TabulatedPlan(k, {tuple(F(x, scale) for x in row): last}, (F(1, k),) * k),
+        ]
+        for plan in kinds:
+            kernel = plan.kernel(scale)
+            response = plan.response(kernel, player, others)
+            equal = [kernel.denominator // k] * k
+            for x in sorted(xs):
+                v = others[:player] + (x,) + others[player:]
+                shares = list(kernel.shares(v))
+                assert response(x) == shares[player], (plan, player, v)
+                if plan.kind in gates and len(set(v)) > 1:
+                    # unequal results: the linear form is not the equal split
+                    gates[plan.kind].add(shares != equal)
+                table_hits += plan.kind == "tabulated" and v == row
+    assert gates == {"m_linear": {True, False}, "bounded_linear": {True, False}}
+    assert table_hits
+
+
 @given(st.lists(results, min_size=2, max_size=4))
 def test_zero_sum_shares_sum_to_zero(r):
     for plan in plans_for(len(r)):
