@@ -51,7 +51,7 @@ from .market import (
     _power_exceeds,
 )
 from .plans import BonusPlan
-from .rational import as_count, as_rational, format_rational, rationals
+from .rational import as_count, as_rational, format_rational, int_text, rationals
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -311,7 +311,7 @@ def _check_own_move(
         )
     player = as_count(violation.player, "player", None, StaleViolation)
     if not 0 <= player < len(base):
-        raise StaleViolation(f"player {player} is not one of {len(base)} players")
+        raise StaleViolation(f"player {int_text(player)} is not one of {len(base)} players")
     own = base[player]
     if witness == own or (witness < own) != (direction is Direction.DECREASE):
         raise StaleViolation(
@@ -498,7 +498,7 @@ def validate_counterexample(plan: BonusPlan, ce: Counterexample) -> None:
     as_count(ce.deviation, "deviation", None, StaleViolation)
     if not (ce.profile.players == k and 0 <= ce.player < k and 0 <= ce.deviation < market.n):
         raise StaleViolation(
-            f"player {ce.player} and deviation {ce.deviation} do not index"
+            f"player {int_text(ce.player)} and deviation {int_text(ce.deviation)} do not index"
             f" a {k}-player profile over {market.n} actions"
         )
     ce.profile.check_arity(market)

@@ -134,7 +134,7 @@ from .market import (
     expectation,
 )
 from .plans import BonusPlan, Kernel
-from .rational import as_count, as_rational
+from .rational import as_count, as_rational, int_text
 
 TENSOR_CAP = 200_000  # a full tensor, check_optimal's scan, or dominance's cells x players
 GRID_CAP = TENSOR_CAP  # simplex grid points, and probed base points
@@ -193,7 +193,10 @@ class Game:
             return cached
         k, n = self.players, self.actions
         if len(combo) != k or not all(0 <= a < n for a in combo):
-            raise ArityMismatch(f"{combo} is not a {k}-player profile over {n} actions")
+            raise ArityMismatch(
+                f"({', '.join(map(int_text, combo))}) is not a {k}-player profile"
+                f" over {n} actions"
+            )
         view = self.market.integer_view
         rows = list(map(itemgetter(*combo), view.values))
         value = self.cells[combo] = _cell(self, rows, view.scale)
@@ -404,7 +407,7 @@ def best_response(
     """
     k, n = game.players, game.actions
     if not 0 <= as_count(player, "player", None, ArityMismatch) < k:
-        raise ArityMismatch(f"player {player} out of range for {k}")
+        raise ArityMismatch(f"player {int_text(player)} out of range for {k}")
     if len(opponents) != k - 1:
         raise ArityMismatch(f"expected {k - 1} opponents, got {len(opponents)}")
     check_arity(opponents, n)

@@ -7,19 +7,17 @@ realize identical outcomes, and a mixed action is a portfolio — its realized
 value at an atom is the weighted sum of the pure outcomes there, not a
 lottery over pure plays.
 
-All numbers are fractions.Fraction; see rational.as_rational for what
-parses.
+All numbers are fractions.Fraction; every atom is built through `Atom`,
+which coerces them (see rational.as_rational for what parses).
 
-Expectations are read from the market's `integer_view`, once per market:
-every outcome is an integer over one common denominator and every
-probability an integer over another, so action a's expectation is one
-integer sum, sum_t weight_t * value_t[a], over mass * scale, and
-`expectations()` keeps the tuple of them on the market.  A portfolio's
-expectation is linear in its weights: their sum against that tuple.
-`support_stats` is kept the same way: the distinct outcome numerators of
-the view, sorted as integers, each made a `Fraction` once.
-`product_market` builds each atom's probability from integer weights over
-the marginal's common denominator, one `Fraction` per atom.
+A market has one exact path, its `integer_view`, built with the market:
+outcomes are integers over one common denominator, probabilities over
+another, and `Market` checks its atoms on them.  Action a's expectation is
+one integer sum, sum_t weight_t * value_t[a], over mass * scale, kept in
+`expectations()`; a portfolio's is its weights' sum against that tuple.
+`support_stats` is kept the same way, from the view's distinct integers.
+`product_market` checks its marginal's mass on integer weights and builds
+each atom's probability from them.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from functools import cached_property
 from itertools import product
 from math import lcm, prod
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -42,7 +40,7 @@ from .errors import (
     NonSimplexWeights,
     NonUnitMass,
 )
-from .rational import as_count, as_rational, format_rational, load_json, rationals
+from .rational import as_count, as_rational, format_rational, int_text, load_json, rationals
 
 ATOM_CAP = 100_000  # atoms of a product market, checked before any is built
 
@@ -67,14 +65,6 @@ class Atom:
         object.__setattr__(self, "probability", as_rational(self.probability))
         object.__setattr__(self, "outcomes", rationals(self.outcomes))
 
-    @classmethod
-    def _unchecked(cls, probability: Fraction, outcomes: tuple[Fraction, ...]) -> "Atom":
-        """An atom from numbers that are already Fractions."""
-        atom = object.__new__(cls)
-        object.__setattr__(atom, "probability", probability)
-        object.__setattr__(atom, "outcomes", outcomes)
-        return atom
-
 
 @dataclass(frozen=True)
 class Market:
@@ -98,20 +88,17 @@ class Market:
             raise ArityMismatch(f"duplicate action labels in {self.actions}")
         if not self.atoms:
             raise NonUnitMass("market needs at least one atom")
+        view = self.integer_view
         n = len(self.actions)
-        total = ZERO
-        for atom in self.atoms:
-            if atom.probability <= 0:
+        for atom, weight in zip(self.atoms, view.weights):
+            if weight <= 0:
                 raise NonPositiveProbability(
                     f"atom probability {atom.probability} is not positive"
                 )
             if len(atom.outcomes) != n:
-                raise ArityMismatch(
-                    f"atom has {len(atom.outcomes)} outcomes, expected {n}"
-                )
-            total += atom.probability
-        if total != 1:
-            raise NonUnitMass(f"atom probabilities sum to {total}, not 1")
+                raise ArityMismatch(f"atom has {len(atom.outcomes)} outcomes, expected {n}")
+        if (total := sum(view.weights)) != view.mass:
+            raise NonUnitMass(f"atom probabilities sum to {Fraction(total, view.mass)}, not 1")
 
     @property
     def n(self) -> int:
@@ -119,7 +106,7 @@ class Market:
 
     def expectation_of(self, action: int) -> Fraction:
         if not 0 <= as_count(action, "action", None, ArityMismatch) < self.n:
-            raise ArityMismatch(f"action index {action} out of range for {self.n}")
+            raise ArityMismatch(f"action index {int_text(action)} out of range for {self.n}")
         return self.expectations()[action]
 
     def expectations(self) -> tuple[Fraction, ...]:
@@ -146,7 +133,7 @@ class Market:
 
     @cached_property
     def integer_view(self) -> IntegerView:
-        """The market over common denominators, built on first use and kept."""
+        """The market over common denominators; `Market` builds it and checks itself on it."""
         scale = lcm(*(x.denominator for a in self.atoms for x in a.outcomes))
         mass = lcm(*(a.probability.denominator for a in self.atoms))
         return IntegerView(
@@ -198,7 +185,9 @@ class MixedAction:
     def pure(cls, action: int, arity: int) -> "MixedAction":
         as_count(arity, "arity", None, ArityMismatch)
         if not 0 <= as_count(action, "action", None, ArityMismatch) < arity:
-            raise ArityMismatch(f"action index {action} out of range for {arity}")
+            raise ArityMismatch(
+                f"action index {int_text(action)} out of range for {int_text(arity)}"
+            )
         return cls._unchecked(tuple(ONE if i == action else ZERO for i in range(arity)))
 
     @classmethod
@@ -276,11 +265,23 @@ def build_market(actions: Sequence[str], atoms: Iterable[tuple]) -> Market:
     """Build a validated market from (probability, outcomes) pairs.
 
     Probabilities and outcomes may be ints, Fractions, or exact strings.
-    A string of labels is refused rather than read one label per character.
+    A string of labels is refused rather than read one label per character,
+    and an atom that is not a pair as ArityMismatch.
     """
     if isinstance(actions, (str, bytes)):
         raise ArityMismatch(f"expected a list of action labels, got the string {actions!r}")
-    return Market(tuple(actions), tuple(Atom(p, outcomes) for p, outcomes in atoms))
+    pairs = _pairs(atoms, "atom", "(probability, outcomes)")
+    return Market(tuple(actions), tuple(Atom(p, outcomes) for p, outcomes in pairs))
+
+
+def _pairs(items: Iterable, what: str, shape: str) -> Iterator[tuple]:
+    """Each item as a pair; ArityMismatch names the first that is not one."""
+    for i, item in enumerate(items):
+        try:
+            first, second = item
+        except (TypeError, ValueError) as exc:
+            raise ArityMismatch(f"{what} {i} is not a {shape} pair: {exc}") from exc
+        yield first, second
 
 
 def expectation(market: Market, strategy: MixedAction) -> Fraction:
@@ -322,7 +323,8 @@ def product_market(
     extra_actions: (label, rule) pairs, where rule maps each outcome tuple
         (one value per copy) to the extra action's outcome there.  A rule is
         a callable or a mapping keyed by tuples; a missing tuple raises
-        IncompleteMapping.
+        IncompleteMapping.  An entry of either list that is not a pair
+        raises ArityMismatch.
 
     The atoms are all value tuples in support^copies with product
     probabilities, in product order of the sorted support; coordinate
@@ -333,30 +335,29 @@ def product_market(
     """
     as_count(copies, "copy count", 1, ArityMismatch)
     merged: dict[Fraction, Fraction] = {}
-    for value, prob in marginal:
+    for value, prob in _pairs(marginal, "marginal entry", "(value, probability)"):
         v, p = as_rational(value), as_rational(prob)
         if p <= 0:
             raise NonPositiveProbability(f"marginal probability {p} is not positive")
         merged[v] = merged.get(v, ZERO) + p
-    if sum(merged.values()) != 1:
-        raise NonUnitMass(
-            f"marginal probabilities sum to {sum(merged.values())}, not 1"
-        )
     support = sorted(merged)
+    mass = lcm(*(p.denominator for p in merged.values()))
+    weights = _over(map(merged.__getitem__, support), mass)
+    if sum(weights) != mass:
+        raise NonUnitMass(f"marginal probabilities sum to {Fraction(sum(weights), mass)}, not 1")
     if atoms := _power_exceeds(len(support), copies, ATOM_CAP):
         raise AtomCapExceeded(f"{atoms} atoms exceed cap {ATOM_CAP}")
 
-    mass = lcm(*(p.denominator for p in merged.values()))
-    weights = _over(map(merged.__getitem__, support), mass)
     total = mass**copies
-    rules = [(label, _total_rule(label, rule)) for label, rule in extra_actions]
+    pairs = _pairs(extra_actions, "extra action", "(label, rule)")
+    rules = [(label, _total_rule(label, rule)) for label, rule in pairs]
     labels = tuple(f"X{j + 1}" for j in range(copies)) + tuple(l for l, _ in rules)
     atoms = []
     for indices in product(range(len(support)), repeat=copies):
         combo = tuple(map(support.__getitem__, indices))
         extras = tuple(rule(combo) for _, rule in rules)
         probability = Fraction(prod(map(weights.__getitem__, indices)), total)
-        atoms.append(Atom._unchecked(probability, combo + extras))
+        atoms.append(Atom(probability, combo + extras))
     return Market(labels, tuple(atoms))
 
 
@@ -365,7 +366,7 @@ def _power_exceeds(n: int, k: int, cap: int) -> str | None:
     such a shape, and a huge count is never built."""
     # n >= 2 gives n^b > cap at b = the cap's bit length, so n^k exceeds the
     # cap exactly when n^min(k, b) does
-    return f"{n}^{k}" if n ** min(k, cap.bit_length()) > cap else None
+    return f"{int_text(n)}^{int_text(k)}" if n ** min(k, cap.bit_length()) > cap else None
 
 
 def _multisets_exceed(n: int, size: int, cap: int) -> str | None:
@@ -381,25 +382,23 @@ def _multisets_exceed(n: int, size: int, cap: int) -> str | None:
     while count <= cap and j < s:
         j += 1
         count = count * (m - s + j) // j
-    return f"C({size} + {n} - 1, {s})" if count > cap else None
+    return f"C({int_text(size)} + {int_text(n)} - 1, {int_text(s)})" if count > cap else None
 
 
 def _total_rule(label: str, rule) -> Callable:
-    """Wrap a mapping/callable so gaps surface as IncompleteMapping."""
+    """The rule's value at a combo as given, for `Atom` to coerce; a
+    KeyError or a None there is IncompleteMapping.  Whether to call the
+    rule or to `get` from it is chosen once."""
+    read = rule if callable(rule) else rule.get
 
-    def lookup(combo: tuple) -> Fraction:
-        if callable(rule):
-            try:
-                value = rule(combo)
-            except KeyError as exc:
-                raise IncompleteMapping(
-                    f"extra action {label!r} has no value at {combo}"
-                ) from exc
-        else:
-            value = rule.get(combo)
+    def lookup(combo: tuple):
+        try:
+            value = read(combo)
+        except KeyError as exc:
+            raise IncompleteMapping(f"extra action {label!r} has no value at {combo}") from exc
         if value is None:
             raise IncompleteMapping(f"extra action {label!r} has no value at {combo}")
-        return as_rational(value)
+        return value
 
     return lookup
 

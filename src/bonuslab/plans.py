@@ -47,7 +47,7 @@ from .errors import (
     NonSimplexTable,
 )
 from .market import Market, _over, support_stats
-from .rational import as_count, as_rational, format_rational, load_json, rationals
+from .rational import as_count, as_rational, format_rational, int_text, load_json, rationals
 
 class Kernel(NamedTuple):
     """A plan compiled for integer results over one fixed scale.
@@ -325,7 +325,9 @@ class TabulatedPlan(BonusPlan):
         for key, shares in self.points.items():
             k = rationals(key)
             if len(k) != self.players:
-                raise ArityMismatch(f"table key {key} is not a {self.players}-vector")
+                raise ArityMismatch(
+                    f"table key {key} has length {len(k)}, not {int_text(self.players)}"
+                )
             frozen[k] = _checked_allocation(shares, self.players, f"table entry {key}")
         fallback = _checked_allocation(self.fallback, self.players, "fallback")
         object.__setattr__(self, "points", frozen)
@@ -376,7 +378,7 @@ class TabulatedPlan(BonusPlan):
 def _checked_allocation(shares, players: int, where: str) -> tuple[Fraction, ...]:
     vec = rationals(shares)
     if len(vec) != players:
-        raise NonSimplexTable(f"{where}: expected {players} shares, got {len(vec)}")
+        raise NonSimplexTable(f"{where}: expected {int_text(players)} shares, got {len(vec)}")
     if any(s < 0 or s > 1 for s in vec) or sum(vec) != 1:
         raise NonSimplexTable(f"{where}: {vec} is not on the simplex")
     return vec

@@ -8,6 +8,8 @@ would silently change verdicts.
 
 `as_rational` reads a number; `as_count` checks an int argument (a count,
 an index, a grid denominator, a seed), refusing a float as FloatRejected.
+`int_text` writes an int for a message, also one past the int-to-str digit
+limit.
 """
 
 from __future__ import annotations
@@ -58,8 +60,19 @@ def as_count(value, name: str, minimum: int | None, error: type[Exception]) -> i
         raise FloatRejected(f"refusing float {name} {value!r}")
     if type(value) is not int or (minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
-        raise error(f"{name} must be an int{bound}, got {value!r}")
+        got = int_text(value) if type(value) is int else repr(value)
+        raise error(f"{name} must be an int{bound}, got {got}")
     return value
+
+
+def int_text(value: int) -> str:
+    """`value` written out, within sys.get_int_max_str_digits() (0: no
+    limit); past it, its sign and the limit, so a message never fails."""
+    try:
+        return str(value)
+    except ValueError:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} int of over {sys.get_int_max_str_digits()} digits"
 
 
 def format_rational(value: Fraction) -> str:

@@ -1,6 +1,6 @@
 """Shared fixtures: seeded and hypothesis market generators, reference
-expectations, product markets, allocation rule and dominance relation, and
-the acceptance summary.
+market checks, integer views, expectations, product markets, allocation
+rule and dominance relation, and the acceptance summary.
 
 Tests marked ``@pytest.mark.criterion(n, "...")`` are tallied and reported
 as one PASS/FAIL line per criterion id at the end of the run.
@@ -11,13 +11,25 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
-from bonuslab import BonusPlan, DominanceReport, Market, MixedAction, build_market
+from bonuslab import (
+    ArityMismatch,
+    BonusPlan,
+    DominanceReport,
+    IncompleteMapping,
+    Market,
+    MixedAction,
+    NonPositiveProbability,
+    NonUnitMass,
+    build_market,
+)
 from bonuslab.game import Elimination
+from bonuslab.market import IntegerView
 from bonuslab.rational import as_rational, rationals
 
 # `tests/mutants.py` runs under this profile: a failing example is enough
@@ -105,20 +117,70 @@ def fraction_expectation(market: Market, strategy: MixedAction) -> Fraction:
     )
 
 
-def fraction_product_atoms(marginal, copies: int) -> list[tuple[Fraction, tuple]]:
-    """Reference: (probability, value tuple) of each atom of `copies` i.i.d.
+def fraction_market_check(actions, atoms) -> None:
+    """Reference: the checks `Market` made on its atoms in Fractions before
+    it made them on its integer view, with the same errors and messages.
+    In atom order, a probability <= 0, then a wrong outcome count; last, a
+    running Fraction sum of the probabilities other than 1."""
+    n, total = len(actions), Fraction(0)
+    for atom in atoms:
+        if atom.probability <= 0:
+            raise NonPositiveProbability(f"atom probability {atom.probability} is not positive")
+        if len(atom.outcomes) != n:
+            raise ArityMismatch(f"atom has {len(atom.outcomes)} outcomes, expected {n}")
+        total += atom.probability
+    if total != 1:
+        raise NonUnitMass(f"atom probabilities sum to {total}, not 1")
+
+
+def fraction_integer_view(atoms) -> IntegerView:
+    """Reference: the integer view by Fraction products, each number times
+    the lcm of its kind's denominators."""
+    scale = lcm(*(x.denominator for a in atoms for x in a.outcomes))
+    mass = lcm(*(a.probability.denominator for a in atoms))
+    return IntegerView(
+        scale,
+        mass,
+        tuple(int(a.probability * mass) for a in atoms),
+        tuple(tuple(int(x * scale) for x in a.outcomes) for a in atoms),
+    )
+
+
+def fraction_product_atoms(marginal, copies: int, rules=()) -> list[tuple[Fraction, tuple]]:
+    """Reference: (probability, outcomes) of each atom of `copies` i.i.d.
     draws, in product order of the sorted merged support, the probability a
-    product of Fraction marginal masses."""
+    product of Fraction marginal masses and the outcomes the draw's values
+    then each rule's value there.
+
+    It checks the marginal and reads the rules the way `product_market` did
+    in Fractions, with the same errors and messages: a probability <= 0,
+    then a merged mass other than 1; a rule's KeyError or None is
+    IncompleteMapping, and its value is coerced as soon as it is read."""
     merged: dict[Fraction, Fraction] = {}
     for value, prob in marginal:
-        v = as_rational(value)
-        merged[v] = merged.get(v, Fraction(0)) + as_rational(prob)
+        v, p = as_rational(value), as_rational(prob)
+        if p <= 0:
+            raise NonPositiveProbability(f"marginal probability {p} is not positive")
+        merged[v] = merged.get(v, Fraction(0)) + p
+    if sum(merged.values()) != 1:
+        raise NonUnitMass(f"marginal probabilities sum to {sum(merged.values())}, not 1")
+
+    def read(label, rule, combo):
+        try:
+            value = rule(combo) if callable(rule) else rule.get(combo)
+        except KeyError:
+            value = None
+        if value is None:
+            raise IncompleteMapping(f"extra action {label!r} has no value at {combo}")
+        return as_rational(value)
+
     atoms = []
     for combo in product(sorted(merged), repeat=copies):
+        extras = tuple(read(label, rule, combo) for label, rule in rules)
         probability = Fraction(1)
         for v in combo:
             probability *= merged[v]
-        atoms.append((probability, combo))
+        atoms.append((probability, combo + extras))
     return atoms
 
 

@@ -74,6 +74,27 @@ MUTANTS = (
         ("tests/test_market.py::test_product_market_atoms_match_the_fraction_products",),
     ),
     Mutant(
+        "market positivity check lets a zero weight through",
+        "src/bonuslab/market.py",
+        "if weight <= 0:",
+        "if weight < 0:",
+        ("tests/test_market.py::test_market_faults_keep_their_order",),
+    ),
+    Mutant(
+        "market mass compared with the outcome scale",
+        "src/bonuslab/market.py",
+        "(total := sum(view.weights)) != view.mass",
+        "(total := sum(view.weights)) != view.scale",
+        ("tests/test_market.py::test_market_checks_match_the_fraction_oracle",),
+    ),
+    Mutant(
+        "marginal mass check inverted",
+        "src/bonuslab/market.py",
+        "if sum(weights) != mass:",
+        "if sum(weights) == mass:",
+        ("tests/test_market.py::test_product_market_atoms_match_the_fraction_products",),
+    ),
+    Mutant(
         "payoff rows gathered over a reversed combo",
         "src/bonuslab/game.py",
         "itemgetter(*combo)",
@@ -317,8 +338,8 @@ MUTANTS = (
     Mutant(
         "power cap message formats the count",
         "src/bonuslab/market.py",
-        'return f"{n}^{k}" if',
-        'return f"{n**k}" if',
+        'return f"{int_text(n)}^{int_text(k)}"',
+        "return int_text(n**k)",
         ("tests/test_market.py::test_product_market_cap_on_huge_copy_counts",),
     ),
     Mutant(

@@ -251,7 +251,8 @@ WIDE_PROFILE = [["1"] + ["0"] * 9_999] * 2
 # LO:HI:STEP = 0:Z:1/Z has Z^2 + 1 points, a count of 8 401 digits
 HUGE_Z = "1" + "0" * 4_200
 # a grid denominator of 4 300 digits, the most int() reads; on a 2-action
-# market the grid's C(d + 1, 1) has 4 301
+# market the grid's C(d + 1, 1) has 4 301.  A library caller can pass an int
+# past that limit too: test_game.py::test_messages_write_ints_past_the_digit_limit
 NINES = "9" * 4_300
 
 # (case, documents by placeholder, argv, exit code, error type under --json)

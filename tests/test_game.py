@@ -1,6 +1,8 @@
 """Induced games: tensors, deviations, verdicts, dominance, optimality."""
 
 import random
+import re
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from bonuslab import (
     ArityMismatch,
+    AtomCapExceeded,
     BonusLabError,
     BoundedLinearPlan,
     ConstantPlan,
@@ -20,6 +23,7 @@ from bonuslab import (
     LoserTakeAllPlan,
     MixedAction,
     MLinearPlan,
+    NonSimplexTable,
     OptimalityVerdict,
     Profile,
     TabulatedPlan,
@@ -37,6 +41,7 @@ from bonuslab import (
     find_bounding_m,
     induce_game,
     principal_value,
+    product_market,
     two_bond_market,
     simplex_grid,
     strict_dominance,
@@ -718,6 +723,33 @@ def test_power_guard_matches_the_power():
                 assert _power_exceeds(n, k, cap) == (f"{n}^{k}" if n**k > cap else None)
     assert _power_exceeds(2, 10**12, 200_000) == f"2^{10**12}"
     assert _power_exceeds(1, 10**12, 200_000) is None
+
+
+def test_messages_write_ints_past_the_digit_limit():
+    """An int too long for int-to-str is written by its size, and the call
+    ends in its typed error, not in the ValueError of int-to-str."""
+    huge, limit = 10**5000, sys.get_int_max_str_digits()
+    over, negative = f"an int of over {limit} digits", f"a negative int of over {limit} digits"
+    assert _multisets_exceed(3, huge, 200_000) == f"C({over} + 3 - 1, 2)"
+    assert _power_exceeds(2, huge, 200_000) == f"2^{over}"
+    cases = [
+        (lambda: check_simplex_grid(2, huge), GridCapExceeded, f"C({over} + 2 - 1, 1)"),
+        (
+            lambda: product_market([("0", "1/2"), ("1", "1/2")], huge),
+            AtomCapExceeded, f"2^{over} atoms",
+        ),
+        (
+            lambda: induce_game(two_bond_market(), WinnerTakeAllPlan(huge)).payoffs,
+            TensorCapExceeded, f"2^{over} pure profiles",
+        ),
+        (lambda: WinnerTakeAllPlan(-huge), ArityMismatch, f"got {negative}"),
+        (lambda: list(simplex_grid(-huge, 2)), ArityMismatch, f"got {negative}"),
+        (lambda: TabulatedPlan(huge, {}, ("1",)), NonSimplexTable, f"expected {over} shares"),
+        (lambda: TabulatedPlan(huge, {(1,): (1,)}, ("1",)), ArityMismatch, f"1, not {over}"),
+    ]
+    for call, error, text in cases:
+        with pytest.raises(error, match=re.escape(text)):
+            call()
 
 
 @settings(max_examples=40, deadline=None)

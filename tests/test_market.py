@@ -2,7 +2,9 @@
 
 import json
 import random
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from bonuslab import (
     ArityMismatch,
     Atom,
     AtomCapExceeded,
+    BonusLabError,
     FloatRejected,
     IncompleteMapping,
     Market,
@@ -33,7 +36,15 @@ from bonuslab import (
     two_bond_market,
     support_stats,
 )
-from conftest import fraction_expectation, fraction_product_atoms, markets, random_market
+from conftest import (
+    fraction_expectation,
+    fraction_integer_view,
+    fraction_market_check,
+    fraction_product_atoms,
+    markets,
+    outcome,
+    random_market,
+)
 
 
 def two_action_market():
@@ -60,6 +71,23 @@ def test_probabilities_must_be_positive():
 def test_outcome_rows_must_match_actions():
     with pytest.raises(ArityMismatch):
         build_market(["A", "B"], [("1", ("1",))])
+
+
+def test_malformed_pairs_are_refused():
+    """An atom, a marginal entry or an extra action that is not a pair is
+    refused by its place, before anything is read from it."""
+    marginal = [("0", "1/2"), ("1", "1/2")]
+    cases = [
+        (lambda: build_market(["a"], [("1",)]), "atom 0 is not a (probability, outcomes) pair"),
+        (lambda: build_market(["a"], [("1", ("1",), "2")]), "atom 0 is not"),
+        (lambda: build_market(["a"], [5]), "atom 0 is not"),
+        (lambda: product_market([("1",)], 2), "marginal entry 0 is not a (value, probability)"),
+        (lambda: product_market(marginal + [7], 2), "marginal entry 2 is not"),
+        (lambda: product_market(marginal, 2, [("dev",)]), "extra action 0 is not a (label, rule)"),
+    ]
+    for call, text in cases:
+        with pytest.raises(ArityMismatch, match=re.escape(text)):
+            call()
 
 
 def test_atoms_coerce_their_numbers():
@@ -254,13 +282,16 @@ def test_product_market_cap_on_huge_copy_counts():
 
 
 @st.composite
-def marginals(draw):
-    """(value, probability) pairs with repeated values, so mass merges."""
+def marginals(draw, faulty=False):
+    """(value, probability) pairs with repeated values, so mass merges; if
+    `faulty`, a probability may be 0 or negative and the mass other than 1."""
     values = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
-    weights = draw(st.lists(st.integers(1, 7), min_size=len(values), max_size=len(values)))
+    low = -1 if faulty else 1
+    weights = draw(st.lists(st.integers(low, 7), min_size=len(values), max_size=len(values)))
     scale = draw(st.sampled_from((1, 2, 3, 10)))
-    total = sum(weights)
-    return [(Fraction(v, scale), Fraction(w, total)) for v, w in zip(values, weights)]
+    mass = draw(st.sampled_from((1, Fraction(1, 2), Fraction(9, 8)))) if faulty else 1
+    total = sum(map(abs, weights)) or 1
+    return [(Fraction(v, scale), Fraction(w, total) * mass) for v, w in zip(values, weights)]
 
 
 @st.composite
@@ -300,12 +331,111 @@ def test_product_market_expectations_match_the_fraction_oracle(market, resolutio
     assert_expectations_match_the_oracle(market, resolution)
 
 
-@settings(max_examples=60, deadline=None)
-@given(marginals(), st.integers(1, 3))
-def test_product_market_atoms_match_the_fraction_products(marginal, copies):
+def raised(call):
+    """The call's result, or the type and message of the BonusLabError it
+    raises."""
+    try:
+        return call()
+    except BonusLabError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def odd_rules(draw, marginal, copies):
+    """An extra action's rule that may fail where the last value is
+    positive: a float, a None, a KeyError, a mapping without those combos,
+    or a string, good or not; drawn in front of or behind a sum rule."""
+    kind = draw(st.sampled_from(("float", "None", "KeyError", "mapping", "string", "garbage")))
+    support = sorted({v for v, _ in marginal})
+
+    def key_error(combo):
+        if combo[-1] > 0:
+            raise KeyError(combo)
+        return combo[0]
+
+    rule = {
+        "float": lambda combo: 0.5 if combo[-1] > 0 else combo[0],
+        "None": lambda combo: None if combo[-1] > 0 else combo[0],
+        "KeyError": key_error,
+        "mapping": {c: c[0] for c in product(support, repeat=copies) if c[-1] <= 0},
+        "string": lambda combo: f"{combo[0]}/3",
+        "garbage": lambda combo: "x" if combo[-1] > 0 else combo[0],
+    }[kind]
+    rules = [("sum", lambda combo: sum(combo)), (kind, rule)]
+    return rules[:: draw(st.sampled_from((1, -1)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), marginals(faulty=True), st.integers(1, 3))
+def test_product_market_atoms_match_the_fraction_products(data, marginal, copies):
     """The same atoms in the same order: integer weights over mass^copies
-    give the probabilities the Fraction products give."""
-    market = product_market(marginal, copies, [("sum", lambda combo: sum(combo))])
-    oracle = fraction_product_atoms(marginal, copies)
-    assert [(a.probability, a.outcomes[:copies]) for a in market.atoms] == oracle
-    assert all(a.outcomes[copies] == sum(a.outcomes[:copies]) for a in market.atoms)
+    give the probabilities the Fraction products give, and each rule's
+    values follow the combo.  A marginal with a probability <= 0 or a mass
+    other than 1, and a rule with a gap or a value that is not a number,
+    raise the reference's error with its message."""
+    rules = data.draw(odd_rules(marginal, copies))
+    market = raised(lambda: product_market(marginal, copies, rules))
+    oracle = raised(lambda: fraction_product_atoms(marginal, copies, rules))
+    if isinstance(market, Market):
+        assert [(a.probability, a.outcomes) for a in market.atoms] == oracle
+    else:
+        assert market == oracle
+
+
+FAULTS = ("", "", "", "zero", "negative", "arity")
+
+
+@st.composite
+def atom_lists(draw):
+    """Labels and atoms whose probabilities sum to 1, to more or to less;
+    an atom may have a zero or negative probability or a wrong outcome
+    count, so a list may hold two faults, in either order."""
+    n = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 9), min_size=1, max_size=5))
+    total = max(1, sum(weights) + draw(st.sampled_from((0, 0, -1, 1))))
+    atoms = []
+    for w in weights:
+        fault = draw(st.sampled_from(FAULTS))
+        p = {"zero": 0, "negative": Fraction(-w, total)}.get(fault, Fraction(w, total))
+        arity = n + draw(st.sampled_from((-1, 1))) if fault == "arity" else n
+        atoms.append(Atom(p, tuple(draw(outcome) for _ in range(arity))))
+    return tuple(f"A{i}" for i in range(n)), tuple(atoms)
+
+
+def assert_market_matches_the_oracle(actions, atoms):
+    market = raised(lambda: Market(actions, atoms))
+    oracle = raised(lambda: fraction_market_check(actions, atoms))
+    if oracle is None:
+        assert market.integer_view == fraction_integer_view(atoms)
+    else:
+        assert market == oracle
+    return market
+
+
+@settings(max_examples=200, deadline=None)
+@given(atom_lists())
+def test_market_checks_match_the_fraction_oracle(case):
+    """Checked on the integer view: the error, message and precedence of
+    the Fraction checks, and the view they imply when there is none."""
+    assert_market_matches_the_oracle(*case)
+
+
+def test_market_faults_keep_their_order():
+    """Per atom in order, a probability <= 0 and then a wrong outcome count;
+    the mass last."""
+    half, short, zero, negative = (
+        Atom("1/2", ("1",)), Atom("1/2", ()), Atom(0, ("1",)), Atom("-1/2", ("1",))
+    )
+    cases = [
+        ((zero, half, half), NonPositiveProbability),
+        ((short, zero, half), ArityMismatch),
+        ((zero, short, half), NonPositiveProbability),
+        ((half, negative, short), NonPositiveProbability),
+        ((half, short, negative), ArityMismatch),
+        ((half, short), ArityMismatch),
+        ((half,), NonUnitMass),
+        ((half, half, half), NonUnitMass),
+    ]
+    for atoms, error in cases:
+        assert assert_market_matches_the_oracle(("A",), atoms)[0] is error
+    assert assert_market_matches_the_oracle(("A",), (half, half)).n == 1

@@ -216,6 +216,26 @@ def test_int_parameters_refuse_non_ints(row, value):
         row.call(value)
 
 
+# (callable, parameter) of the rows that take a negative int
+TAKES_NEGATIVE = {("validate_simplex", "seed")}
+
+# past the digit limit of int-to-str, so a message can only write it by
+# `rational.int_text`
+HUGE_NEGATIVE = -(10**5000)
+
+
+@pytest.mark.parametrize("value", (-1, HUGE_NEGATIVE), ids=("-1", "-10**5000"))
+@pytest.mark.parametrize("row", ROWS, ids=_row_id)
+def test_int_parameters_refuse_negative_ints(row, value):
+    """Every row refuses a negative int with its own error type, also one
+    too long to print; the rows in TAKES_NEGATIVE take one."""
+    if (row.callable, row.parameter) in TAKES_NEGATIVE:
+        row.call(value)
+    else:
+        with pytest.raises(row.error):
+            row.call(value)
+
+
 @pytest.mark.parametrize("row", ROWS, ids=_row_id)
 def test_each_row_makes_a_valid_call(row):
     row.call(row.valid)

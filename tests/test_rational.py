@@ -11,7 +11,7 @@ from bonuslab import (
     as_rational,
     format_rational,
 )
-from bonuslab.rational import approx_decimal, load_json, rationals
+from bonuslab.rational import approx_decimal, int_text, load_json, rationals
 
 
 def test_parses_integers_and_fractions():
@@ -94,3 +94,20 @@ def test_rationals_refuses_strings():
     for text in ("12", b"12", ""):
         with pytest.raises(ArityMismatch):
             rationals(text)
+
+
+def test_int_text_writes_an_int_within_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    nines = 10**limit - 1  # the longest int that int-to-str writes
+    assert [int_text(v) for v in (0, -12, nines)] == ["0", "-12", str(nines)]
+    assert int_text(nines + 1) == f"an int of over {limit} digits"
+    assert int_text(-nines - 1) == f"a negative int of over {limit} digits"
+
+
+def test_int_text_writes_every_int_under_no_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int_text(-(10**limit)) == "-1" + "0" * limit
+    finally:
+        sys.set_int_max_str_digits(limit)
