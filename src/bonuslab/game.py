@@ -77,9 +77,10 @@ of the tensor.
 
 Payoffs are computed in integers and are exact all the same.  A market's
 `integer_view`, built once, writes every outcome over one common
-denominator and every probability over another.  A portfolio whose weights
-are c_j / d then realizes the integer sum_j c_j * outcome-numerator_j over
-d times that denominator, and the plan's `kernel` for that scale returns
+denominator and every probability over another.  A portfolio keeps its
+weights as integer counts c_j over its unit d; scaled to a unit all the
+strategies share, they realize sum_j c_j * outcome-numerator_j over d times
+that denominator, and the plan's `kernel` for that scale returns
 integer share numerators, its gates compared as integers.  A cell applies
 the kernel to every atom's result row and sums each player's column of
 shares, and of results when the earnings weight w is not 0, against the
@@ -134,7 +135,7 @@ from .market import (
     expectation,
 )
 from .plans import BonusPlan, Kernel
-from .rational import as_count, as_rational, int_text
+from .rational import as_count, as_rational, int_text, rational_text
 
 TENSOR_CAP = 200_000  # a full tensor, check_optimal's scan, or dominance's cells x players
 GRID_CAP = TENSOR_CAP  # simplex grid points, and probed base points
@@ -269,21 +270,21 @@ def _fractions(numerators: Sequence[int], denominator: int) -> tuple[Fraction, .
 
 def _realize(view: IntegerView, strategy: MixedAction, unit: int) -> list[int]:
     """A portfolio's value at each atom, over view.scale * unit; `unit` is a
-    multiple of every weight's denominator."""
-    counts = [w.numerator * (unit // w.denominator) for w in strategy.weights]
+    multiple of the strategy's."""
+    counts = [c * (unit // strategy.unit) for c in strategy.counts]
     return [sum(map(mul, counts, values)) for values in view.values]
 
 
 def _unit(strategies: Sequence[MixedAction]) -> int:
-    """The least common denominator of the strategies' weights."""
-    return lcm(*(w.denominator for s in strategies for w in s.weights))
+    """The least common multiple of the strategies' units."""
+    return lcm(*(s.unit for s in strategies))
 
 
 def induce_game(market: Market, plan: BonusPlan, earnings_weight=0) -> Game:
     """The game of a market and a plan; cells are computed as they are read."""
     w = as_rational(earnings_weight)
     if not ZERO <= w < 1:
-        raise InvalidParameter(f"earnings weight must lie in [0, 1), got {w}")
+        raise InvalidParameter(f"earnings weight must lie in [0, 1), got {rational_text(w)}")
     return Game(market, plan, w)
 
 
@@ -327,7 +328,7 @@ def simplex_grid(arity: int, denominator: int) -> Iterator[MixedAction]:
     check_simplex_grid(arity, denominator)
     by_count = tuple(Fraction(c, denominator) for c in range(denominator + 1))
     for counts, _ in _walk(((),) * arity, denominator):
-        yield MixedAction._unchecked(tuple(map(by_count.__getitem__, counts)))
+        yield MixedAction(tuple(map(by_count.__getitem__, counts)))
 
 
 def _walk(
@@ -439,7 +440,7 @@ def best_response(
     if grid:
         check_simplex_grid(n, d)
     counts, value = _deviation_scan(game, player, opponents, d)
-    best = MixedAction._unchecked(tuple(Fraction(c, d) for c in counts))
+    best = MixedAction(tuple(Fraction(c, d) for c in counts))
     return BestResponse(player, best, value, method)
 
 
@@ -513,11 +514,11 @@ def check_nash(
     opponents and share one search.
     """
     payoffs = expected_payoffs(game, profile)
-    searched: dict = {}  # pure strategies by action index: hashing one hashes Fractions
+    searched: dict = {}  # by counts: they sum to their unit, so they name the strategy
     deviations = []
     gains = []
     for player, own in enumerate(profile.strategies):
-        key = own if (action := own.pure_action) is None else action
+        key = own.counts
         br = searched.get(key)
         if br is None:
             others = [s for i, s in enumerate(profile.strategies) if i != player]
@@ -682,10 +683,11 @@ def check_optimal(
         candidates = combinations_with_replacement(argmax, k)
     else:
         candidates = product(argmax, repeat=k)
+    vertices = {a: MixedAction.pure(a, market.n) for a in argmax}  # built once, not per profile
     checked = []
     witness = None
     for combo in candidates:
-        report = check_nash(game, Profile.pure(combo, market.n), resolution)
+        report = check_nash(game, Profile(tuple(map(vertices.__getitem__, combo))), resolution)
         checked.append((combo, report))
         if report.verdict is Verdict.EQUILIBRIUM:
             witness = combo

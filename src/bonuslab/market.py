@@ -8,14 +8,17 @@ value at an atom is the weighted sum of the pure outcomes there, not a
 lottery over pure plays.
 
 All numbers are fractions.Fraction; every atom is built through `Atom`,
-which coerces them (see rational.as_rational for what parses).
+which coerces them (see rational.as_rational for what parses), and every
+portfolio through `MixedAction`, which checks its weights once, on the
+integer counts it keeps.
 
 A market has one exact path, its `integer_view`, built with the market:
 outcomes are integers over one common denominator, probabilities over
 another, and `Market` checks its atoms on them.  Action a's expectation is
 one integer sum, sum_t weight_t * value_t[a], over mass * scale, kept in
 `expectations()`; a portfolio's is its weights' sum against that tuple.
-`support_stats` is kept the same way, from the view's distinct integers.
+`support_stats` is kept the same way, from the view's least and largest
+integers.
 `product_market` checks its marginal's mass on integer weights and builds
 each atom's probability from them.
 """
@@ -23,7 +26,7 @@ each atom's probability from them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -40,7 +43,15 @@ from .errors import (
     NonSimplexWeights,
     NonUnitMass,
 )
-from .rational import as_count, as_rational, format_rational, int_text, load_json, rationals
+from .rational import (
+    as_count,
+    as_rational,
+    format_rational,
+    int_text,
+    load_json,
+    rational_text,
+    rationals,
+)
 
 ATOM_CAP = 100_000  # atoms of a product market, checked before any is built
 
@@ -93,12 +104,13 @@ class Market:
         for atom, weight in zip(self.atoms, view.weights):
             if weight <= 0:
                 raise NonPositiveProbability(
-                    f"atom probability {atom.probability} is not positive"
+                    f"atom probability {rational_text(atom.probability)} is not positive"
                 )
             if len(atom.outcomes) != n:
                 raise ArityMismatch(f"atom has {len(atom.outcomes)} outcomes, expected {n}")
         if (total := sum(view.weights)) != view.mass:
-            raise NonUnitMass(f"atom probabilities sum to {Fraction(total, view.mass)}, not 1")
+            total_text = rational_text(Fraction(total, view.mass))
+            raise NonUnitMass(f"atom probabilities sum to {total_text}, not 1")
 
     @property
     def n(self) -> int:
@@ -125,11 +137,9 @@ class Market:
     @cached_property
     def _support_stats(self) -> SupportStats:
         view = self.integer_view
-        values = tuple(
-            Fraction(x, view.scale) for x in sorted({x for row in view.values for x in row})
-        )
-        lo, hi = values[0], values[-1]
-        return SupportStats(values, lo, hi, max(abs(lo), abs(hi)))
+        lo = Fraction(min(map(min, view.values)), view.scale)
+        hi = Fraction(max(map(max, view.values)), view.scale)
+        return SupportStats(lo, hi, max(abs(lo), abs(hi)))
 
     @cached_property
     def integer_view(self) -> IntegerView:
@@ -166,20 +176,36 @@ def _over(vector: Iterable[Fraction], denominator: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MixedAction:
-    """A portfolio over the market's actions: simplex weights, exact."""
+    """A portfolio over the market's actions: simplex weights, exact.
+
+    Checked once, on integers it keeps: weight i is counts[i] / unit, the
+    unit the weights' least common denominator; `pure_action` is the index
+    whose count is the whole unit, which leaves 0 to the others and makes
+    the unit 1, or None.  Equality, hash and repr read the weights only.
+    """
 
     weights: tuple[Fraction, ...]
+    counts: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    unit: int = field(init=False, compare=False, repr=False)
+    pure_action: int | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", rationals(self.weights))
         if not self.weights:
             raise NonSimplexWeights("empty weight vector")
-        if any(w < 0 or w > 1 for w in self.weights):
-            raise NonSimplexWeights(f"weights out of [0, 1]: {self.weights}")
-        if sum(self.weights) != 1:
+        ratios = [w.as_integer_ratio() for w in self.weights]
+        unit = lcm(*[d for _, d in ratios])
+        counts = tuple([c * (unit // d) for c, d in ratios])
+        if min(counts) < 0 or max(counts) > unit:
+            raise NonSimplexWeights(f"weights out of [0, 1]: {rational_text(self.weights)}")
+        if (total := sum(counts)) != unit:
+            total_text = rational_text(Fraction(total, unit))
             raise NonSimplexWeights(
-                f"weights sum to {sum(self.weights)}, not 1: {self.weights}"
+                f"weights sum to {total_text}, not 1: {rational_text(self.weights)}"
             )
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "pure_action", counts.index(1) if unit == 1 else None)
 
     @classmethod
     def pure(cls, action: int, arity: int) -> "MixedAction":
@@ -188,28 +214,7 @@ class MixedAction:
             raise ArityMismatch(
                 f"action index {int_text(action)} out of range for {int_text(arity)}"
             )
-        return cls._unchecked(tuple(ONE if i == action else ZERO for i in range(arity)))
-
-    @classmethod
-    def _unchecked(cls, weights: tuple[Fraction, ...]) -> "MixedAction":
-        """A portfolio from weights that are already exact simplex weights."""
-        action = object.__new__(cls)
-        object.__setattr__(action, "weights", weights)
-        return action
-
-    @property
-    def pure_action(self) -> int | None:
-        """The action index if this is a vertex of the simplex, else None."""
-        for i, w in enumerate(self.weights):
-            if w == 1:
-                return i
-        return None
-
-    def value_at(self, atom: Atom) -> Fraction:
-        """Realized portfolio value at one atom: sum_i w_i * outcome_i."""
-        return sum(
-            (w * x for w, x in zip(self.weights, atom.outcomes) if w), start=ZERO
-        )
+        return cls(tuple(ONE if i == action else ZERO for i in range(arity)))
 
 
 @dataclass(frozen=True)
@@ -245,12 +250,10 @@ def check_arity(strategies: Iterable[MixedAction], n: int) -> None:
 class SupportStats:
     """Summary of a market's outcome values.
 
-    values: every outcome value that occurs, sorted ascending.
-    lo/hi: the support interval endpoints.
+    lo/hi: the support interval endpoints, the least and the largest outcome.
     max_abs: the largest magnitude, i.e. max(|lo|, |hi|).
     """
 
-    values: tuple[Fraction, ...]
     lo: Fraction
     hi: Fraction
     max_abs: Fraction
@@ -338,13 +341,16 @@ def product_market(
     for value, prob in _pairs(marginal, "marginal entry", "(value, probability)"):
         v, p = as_rational(value), as_rational(prob)
         if p <= 0:
-            raise NonPositiveProbability(f"marginal probability {p} is not positive")
+            raise NonPositiveProbability(
+                f"marginal probability {rational_text(p)} is not positive"
+            )
         merged[v] = merged.get(v, ZERO) + p
     support = sorted(merged)
     mass = lcm(*(p.denominator for p in merged.values()))
     weights = _over(map(merged.__getitem__, support), mass)
     if sum(weights) != mass:
-        raise NonUnitMass(f"marginal probabilities sum to {Fraction(sum(weights), mass)}, not 1")
+        total_text = rational_text(Fraction(sum(weights), mass))
+        raise NonUnitMass(f"marginal probabilities sum to {total_text}, not 1")
     if atoms := _power_exceeds(len(support), copies, ATOM_CAP):
         raise AtomCapExceeded(f"{atoms} atoms exceed cap {ATOM_CAP}")
 
@@ -388,16 +394,24 @@ def _multisets_exceed(n: int, size: int, cap: int) -> str | None:
 def _total_rule(label: str, rule) -> Callable:
     """The rule's value at a combo as given, for `Atom` to coerce; a
     KeyError or a None there is IncompleteMapping.  Whether to call the
-    rule or to `get` from it is chosen once."""
-    read = rule if callable(rule) else rule.get
+    rule or to `get` from it is chosen once; a rule that is neither
+    callable nor a mapping is ArityMismatch."""
+    read = rule if callable(rule) else getattr(rule, "get", None)
+    if read is None:
+        raise ArityMismatch(
+            f"extra action {label!r} has a rule of type {type(rule).__name__},"
+            " neither callable nor a mapping"
+        )
+
+    missing = f"extra action {label!r} has no value at"
 
     def lookup(combo: tuple):
         try:
             value = read(combo)
         except KeyError as exc:
-            raise IncompleteMapping(f"extra action {label!r} has no value at {combo}") from exc
+            raise IncompleteMapping(f"{missing} {rational_text(combo)}") from exc
         if value is None:
-            raise IncompleteMapping(f"extra action {label!r} has no value at {combo}")
+            raise IncompleteMapping(f"{missing} {rational_text(combo)}")
         return value
 
     return lookup
@@ -451,5 +465,5 @@ def profile_from_list(rows: Sequence[Sequence]) -> Profile:
     for row in rows:
         if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
             raise NonSimplexWeights(f"weight vector expected, got {row!r}")
-        strategies.append(MixedAction(rationals(row)))
+        strategies.append(MixedAction(row))
     return Profile(tuple(strategies))

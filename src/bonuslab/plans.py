@@ -47,7 +47,15 @@ from .errors import (
     NonSimplexTable,
 )
 from .market import Market, _over, support_stats
-from .rational import as_count, as_rational, format_rational, int_text, load_json, rationals
+from .rational import (
+    as_count,
+    as_rational,
+    format_rational,
+    int_text,
+    load_json,
+    rational_text,
+    rationals,
+)
 
 class Kernel(NamedTuple):
     """A plan compiled for integer results over one fixed scale.
@@ -199,7 +207,9 @@ class _LinearPlan(BonusPlan):
         super().__post_init__()
         object.__setattr__(self, "bound", as_rational(self.bound))
         if self.bound <= 0:
-            raise InvalidParameter(f"scale bound must be positive, got {self.bound}")
+            raise InvalidParameter(
+                f"scale bound must be positive, got {rational_text(self.bound)}"
+            )
 
     def _linear_kernel(self, scale: int, gate) -> Kernel:
         """The linear form over 2k(k-1)M·scale, kept where gate(v, shares) holds.
@@ -244,11 +254,13 @@ class MLinearPlan(_LinearPlan):
         object.__setattr__(self, "lo", as_rational(self.lo))
         object.__setattr__(self, "hi", as_rational(self.hi))
         if self.lo > self.hi:
-            raise InvalidParameter(f"empty interval [{self.lo}, {self.hi}]")
+            raise InvalidParameter(
+                f"empty interval [{rational_text(self.lo)}, {rational_text(self.hi)}]"
+            )
         if self.hi - self.lo > 2 * self.bound:
             raise InvalidParameter(
-                f"interval width {self.hi - self.lo} exceeds 2*bound = {2 * self.bound}; "
-                "shares would leave [0, 1]"
+                f"interval width {rational_text(self.hi - self.lo)} exceeds"
+                f" 2*bound = {rational_text(2 * self.bound)}; shares would leave [0, 1]"
             )
 
     kind = "m_linear"
@@ -326,9 +338,11 @@ class TabulatedPlan(BonusPlan):
             k = rationals(key)
             if len(k) != self.players:
                 raise ArityMismatch(
-                    f"table key {key} has length {len(k)}, not {int_text(self.players)}"
+                    f"table key {rational_text(key)} has length {len(k)},"
+                    f" not {int_text(self.players)}"
                 )
-            frozen[k] = _checked_allocation(shares, self.players, f"table entry {key}")
+            where = f"table entry {rational_text(key)}"
+            frozen[k] = _checked_allocation(shares, self.players, where)
         fallback = _checked_allocation(self.fallback, self.players, "fallback")
         object.__setattr__(self, "points", frozen)
         object.__setattr__(self, "fallback", fallback)
@@ -380,7 +394,7 @@ def _checked_allocation(shares, players: int, where: str) -> tuple[Fraction, ...
     if len(vec) != players:
         raise NonSimplexTable(f"{where}: expected {int_text(players)} shares, got {len(vec)}")
     if any(s < 0 or s > 1 for s in vec) or sum(vec) != 1:
-        raise NonSimplexTable(f"{where}: {vec} is not on the simplex")
+        raise NonSimplexTable(f"{where}: {rational_text(vec)} is not on the simplex")
     return vec
 
 
@@ -441,7 +455,9 @@ def validate_simplex(
     as_count(count, "sample count", 1, InvalidParameter)
     lo, hi = as_rational(lo), as_rational(hi)
     if lo > hi:
-        raise InvalidParameter(f"sample range {lo}:{hi} is inverted")
+        raise InvalidParameter(
+            f"sample range {rational_text(lo)}:{rational_text(hi)} is inverted"
+        )
     rng = random.Random(as_count(seed, "seed", None, InvalidParameter))
     samples = (
         tuple(_random_rational(rng, lo, hi) for _ in range(plan.players))

@@ -8,8 +8,8 @@ would silently change verdicts.
 
 `as_rational` reads a number; `as_count` checks an int argument (a count,
 an index, a grid denominator, a seed), refusing a float as FloatRejected.
-`int_text` writes an int for a message, also one past the int-to-str digit
-limit.
+`int_text` writes an int for a message, and `rational_text` a number or a
+tuple of numbers, also one past the int-to-str digit limit.
 """
 
 from __future__ import annotations
@@ -73,6 +73,29 @@ def int_text(value: int) -> str:
     except ValueError:
         sign = "a negative" if value < 0 else "an"
         return f"{sign} int of over {sys.get_int_max_str_digits()} digits"
+
+
+def rational_text(value) -> str:
+    """`value`, a number or a tuple of numbers, written as str() writes it
+    within sys.get_int_max_str_digits() (0: no limit); past it, a number too
+    long is written as its sign and the limit, the way `int_text` writes an
+    int, so a message never fails."""
+    return _text(value, str)
+
+
+def _text(value, write) -> str:
+    """`write(value)`, or its fallback past the digit limit; a tuple's
+    numbers are written as repr(), as str() of a tuple writes them."""
+    try:
+        return write(value)
+    except ValueError:
+        if isinstance(value, tuple):
+            items = [_text(x, repr) for x in value]
+            return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+        if isinstance(value, int):
+            return int_text(value)
+        sign = "a negative" if value < 0 else "a"
+        return f"{sign} rational of over {sys.get_int_max_str_digits()} digits"
 
 
 def format_rational(value: Fraction) -> str:

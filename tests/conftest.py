@@ -1,6 +1,7 @@
 """Shared fixtures: seeded and hypothesis market generators, reference
-market checks, integer views, expectations, product markets, allocation
-rule and dominance relation, and the acceptance summary.
+market and portfolio checks, integer views, portfolio values and
+expectations, product markets, allocation rule and dominance relation, and
+the acceptance summary.
 
 Tests marked ``@pytest.mark.criterion(n, "...")`` are tallied and reported
 as one PASS/FAIL line per criterion id at the end of the run.
@@ -12,6 +13,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import Phase, settings
@@ -25,6 +27,7 @@ from bonuslab import (
     Market,
     MixedAction,
     NonPositiveProbability,
+    NonSimplexWeights,
     NonUnitMass,
     build_market,
 )
@@ -103,6 +106,12 @@ def markets(draw, max_actions=3):
     return build_market([f"A{i}" for i in range(n)], atoms)
 
 
+def fraction_value(strategy: MixedAction, atom) -> Fraction:
+    """Reference: a portfolio's realized value at one atom, the weighted sum
+    of the pure outcomes there, in Fractions."""
+    return sum(map(mul, strategy.weights, atom.outcomes), start=Fraction(0))
+
+
 def fraction_expectation(market: Market, strategy: MixedAction) -> Fraction:
     """Reference: a portfolio's expectation, probability times realized value
     summed atom by atom in Fractions.
@@ -112,9 +121,24 @@ def fraction_expectation(market: Market, strategy: MixedAction) -> Fraction:
     independent computations.
     """
     return sum(
-        (atom.probability * strategy.value_at(atom) for atom in market.atoms),
+        (atom.probability * fraction_value(strategy, atom) for atom in market.atoms),
         start=Fraction(0),
     )
+
+
+def fraction_mixed_check(weights) -> tuple[Fraction, ...]:
+    """Reference: the checks `MixedAction` made on its weights in Fractions
+    before it made them on integer counts, with the same errors and
+    messages: the coercion, an empty vector, a weight out of [0, 1], then a
+    Fraction sum other than 1.  Returns the coerced weights."""
+    weights = rationals(weights)
+    if not weights:
+        raise NonSimplexWeights("empty weight vector")
+    if any(w < 0 or w > 1 for w in weights):
+        raise NonSimplexWeights(f"weights out of [0, 1]: {weights}")
+    if sum(weights) != 1:
+        raise NonSimplexWeights(f"weights sum to {sum(weights)}, not 1: {weights}")
+    return weights
 
 
 def fraction_market_check(actions, atoms) -> None:

@@ -95,6 +95,41 @@ MUTANTS = (
         ("tests/test_market.py::test_product_market_atoms_match_the_fraction_products",),
     ),
     Mutant(
+        "portfolio check lets a negative count through",
+        "src/bonuslab/market.py",
+        "if min(counts) < 0 or max(counts) > unit:",
+        "if max(counts) > unit:",
+        ("tests/test_market.py::test_mixed_action_checks_match_the_fraction_oracle",),
+    ),
+    Mutant(
+        "portfolio check without its above-unit bound",
+        "src/bonuslab/market.py",
+        "if min(counts) < 0 or max(counts) > unit:",
+        "if min(counts) < 0:",
+        ("tests/test_market.py::test_mixed_action_checks_match_the_fraction_oracle",),
+    ),
+    Mutant(
+        "portfolio sum compared with unit + 1",
+        "src/bonuslab/market.py",
+        "(total := sum(counts)) != unit",
+        "(total := sum(counts)) != unit + 1",
+        ("tests/test_market.py::test_mixed_action_checks_match_the_fraction_oracle",),
+    ),
+    Mutant(
+        "pure action read as the first nonzero count",
+        "src/bonuslab/market.py",
+        "counts.index(1) if unit == 1 else None",
+        "next((i for i, c in enumerate(counts) if c), None)",
+        ("tests/test_market.py::test_mixed_action_checks_match_the_fraction_oracle",),
+    ),
+    Mutant(
+        "shared searches keyed without the last count",
+        "src/bonuslab/game.py",
+        "key = own.counts",
+        "key = own.counts[:-1]",
+        ("tests/test_game.py::test_check_nash_keys_each_distinct_strategy_apart",),
+    ),
+    Mutant(
         "payoff rows gathered over a reversed combo",
         "src/bonuslab/game.py",
         "itemgetter(*combo)",
@@ -174,8 +209,8 @@ MUTANTS = (
     Mutant(
         "support statistics from one atom's row only",
         "src/bonuslab/market.py",
-        "for row in view.values for x in row",
-        "for row in view.values[:1] for x in row",
+        "min(map(min, view.values))",
+        "min(view.values[0])",
         ("tests/test_market.py::test_support_stats_match_the_fraction_outcomes",),
     ),
     Mutant(
@@ -398,6 +433,14 @@ EQUIVALENTS = (
         "))",
         "the vertices are scored first, so a vertex met again in the walk scores at most"
         " the best so far and the strict > keeps the winner",
+    ),
+    Equivalent(
+        "pure action found by the count equal to the unit",
+        "src/bonuslab/market.py",
+        "counts.index(1) if unit == 1 else None",
+        "counts.index(unit) if unit in counts else None",
+        "counts are >= 0 and sum to the unit, so a count equal to the unit leaves 0 to the"
+        " others; the unit, the least common denominator, is then 1, and the count is the 1",
     ),
     Equivalent(
         "threshold sweep starts from 0, not from the largest magnitude",

@@ -254,6 +254,10 @@ HUGE_Z = "1" + "0" * 4_200
 # market the grid's C(d + 1, 1) has 4 301.  A library caller can pass an int
 # past that limit too: test_game.py::test_messages_write_ints_past_the_digit_limit
 NINES = "9" * 4_300
+# "1e4300" parses to 10**4300, one digit past the limit: a message must
+# write it without int-to-str (test_game.py::test_messages_write_rationals_past_the_digit_limit)
+TINY_ATOM_MARKET = {"actions": ["A"], "atoms": [{"p": "1e-4300", "outcomes": ["1"]},
+                                                {"p": "1", "outcomes": ["1"]}]}
 
 # (case, documents by placeholder, argv, exit code, error type under --json)
 REJECTED = [
@@ -366,6 +370,18 @@ REJECTED = [
     ("validate-plan-players-past-the-digit-limit",  # raw JSON text: 5 001 digits
      {"P": '{"players": %s, "kind": "wta"}' % ("1" * 5_001)},
      ["validate-plan", "--plan", "P"], "UnparsableNumber"),
+    ("induce-lambda-past-the-digit-limit", {"M": MARKET, "P": WTA},
+     ["induce", "--market", "M", "--plan", "P", "--lambda=-1e4300"], "InvalidParameter"),
+    ("validate-plan-range-past-the-digit-limit", {"P": WTA},
+     ["validate-plan", "--plan", "P", "--range=1e4300:0"], "InvalidParameter"),
+    ("check-optimal-mass-past-the-digit-limit", {"M": TINY_ATOM_MARKET, "P": WTA},
+     ["check-optimal", "--market", "M", "--plan", "P"], "NonUnitMass"),
+    ("check-eq-weights-past-the-digit-limit",
+     {"M": MARKET, "P": WTA, "Q": [["1e-4300", "1"], ["1", "0"]]},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q"], "NonSimplexWeights"),
+    ("validate-plan-bound-past-the-digit-limit",
+     {"P": {"players": 2, "kind": "bounded_linear", "bound": "-1e4300"}},
+     ["validate-plan", "--plan", "P"], "InvalidParameter"),
     ("check-optimal-exponent-past-the-digit-limit",
      {"M": {"actions": ["A"], "atoms": [{"p": "1", "outcomes": ["1e100000000"]}]}, "P": WTA},
      ["check-optimal", "--market", "M", "--plan", "P"], "UnparsableNumber"),

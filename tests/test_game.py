@@ -19,11 +19,15 @@ from bonuslab import (
     ConstantPlan,
     FloatRejected,
     GridCapExceeded,
+    IncompleteMapping,
     InvalidParameter,
     LoserTakeAllPlan,
     MixedAction,
     MLinearPlan,
+    NonPositiveProbability,
     NonSimplexTable,
+    NonSimplexWeights,
+    NonUnitMass,
     OptimalityVerdict,
     Profile,
     TabulatedPlan,
@@ -45,10 +49,11 @@ from bonuslab import (
     two_bond_market,
     simplex_grid,
     strict_dominance,
+    validate_simplex,
 )
 from bonuslab.game import GRID_CAP, TENSOR_CAP, _walk, check_simplex_grid
 from bonuslab.market import _multisets_exceed, _power_exceeds
-from conftest import fraction_allocation, markets, tensor_dominance
+from conftest import fraction_allocation, fraction_value, markets, tensor_dominance
 
 F = Fraction
 
@@ -332,7 +337,8 @@ def eager_tensor(market, plan, w):
 def pointwise_payoffs(market, plan, w, profile):
     """Reference: a mixed profile's payoffs, portfolios realized per atom."""
     rows = (
-        (atom, tuple(s.value_at(atom) for s in profile.strategies)) for atom in market.atoms
+        (atom, tuple(fraction_value(s, atom) for s in profile.strategies))
+        for atom in market.atoms
     )
     return fraction_cell(plan, w, rows)
 
@@ -475,6 +481,18 @@ def test_check_nash_searches_every_player_under_a_tabulated_plan():
     # the table rewards player 1 alone for X2's low atom against X1: only
     # player 1 gains by deviating, 2/5 * 1 + 3/5 * 1/2 - 1/2
     assert report.gains == (F(0), F(1, 5))
+
+
+def test_check_nash_keys_each_distinct_strategy_apart():
+    """Under an anonymous plan only equal strategies share a search:
+    (1/2, 1/2) and (1/3, 2/3) have the same first count, face different
+    opponents, and each gets its own best response."""
+    market, plan, w = two_bond_market(), WinnerTakeAllPlan(2), F(1, 3)
+    a, b = MixedAction(("1/2", "1/2")), MixedAction(("1/3", "2/3"))
+    report = check_nash(induce_game(market, plan, w), Profile((a, b)), 6)
+    fresh = induce_game(market, plan, w)
+    assert report.deviations == (best_response(fresh, 0, [b], 6), best_response(fresh, 1, [a], 6))
+    assert report.deviations[0].strategy != report.deviations[1].strategy
 
 
 def test_compositions_follow_the_old_grid_order():
@@ -746,6 +764,50 @@ def test_messages_write_ints_past_the_digit_limit():
         (lambda: list(simplex_grid(-huge, 2)), ArityMismatch, f"got {negative}"),
         (lambda: TabulatedPlan(huge, {}, ("1",)), NonSimplexTable, f"expected {over} shares"),
         (lambda: TabulatedPlan(huge, {(1,): (1,)}, ("1",)), ArityMismatch, f"1, not {over}"),
+    ]
+    for call, error, text in cases:
+        with pytest.raises(error, match=re.escape(text)):
+            call()
+
+
+def test_messages_write_rationals_past_the_digit_limit():
+    """A number from input too long for int-to-str, such as 10**limit from
+    "1e<limit>", is written by its sign and the digit limit, alone or in a
+    tuple, and the call ends in its typed error, not in the ValueError of
+    int-to-str."""
+    limit = sys.get_int_max_str_digits()
+    big, tiny, huge = f"1e{limit}", f"1e-{limit}", F(10**limit)
+    over, negative = f"a rational of over {limit} digits", f"a negative rational of over {limit}"
+    wta = WinnerTakeAllPlan(2)
+    cases = [
+        (lambda: MixedAction((f"-{big}", "1")), NonSimplexWeights,
+         f"weights out of [0, 1]: ({negative} digits, Fraction(1, 1))"),
+        (lambda: MixedAction((tiny, "1")), NonSimplexWeights,
+         f"weights sum to {over}, not 1: ({over}, Fraction(1, 1))"),
+        (lambda: build_market(["A"], [(f"-{big}", ["1"]), ("1", ["1"])]),
+         NonPositiveProbability, f"atom probability {negative}"),
+        (lambda: build_market(["A"], [(tiny, ["1"]), ("1", ["1"])]),
+         NonUnitMass, f"atom probabilities sum to {over}, not 1"),
+        (lambda: product_market([("0", f"-{big}")], 2),
+         NonPositiveProbability, f"marginal probability {negative}"),
+        (lambda: product_market([("0", tiny), ("1", "1")], 2),
+         NonUnitMass, f"marginal probabilities sum to {over}, not 1"),
+        (lambda: product_market([(big, "1")], 1, [("dev", {})]),
+         IncompleteMapping, f"extra action 'dev' has no value at ({over},)"),
+        (lambda: induce_game(two_bond_market(), wta, f"-{big}"),
+         InvalidParameter, f"got {negative}"),
+        (lambda: BoundedLinearPlan(2, f"-{big}"), InvalidParameter, f"got {negative}"),
+        (lambda: MLinearPlan(2, "1", big, "0"), InvalidParameter, f"empty interval [{over}, 0]"),
+        (lambda: MLinearPlan(2, "1", "0", big), InvalidParameter,
+         f"interval width {over} exceeds 2*bound = 2"),
+        (lambda: TabulatedPlan(2, {}, (big, "0")), NonSimplexTable,
+         f"fallback: ({over}, Fraction(0, 1)) is not on the simplex"),
+        (lambda: TabulatedPlan(2, {(huge, F(0)): ("2", "-1")}, ("1", "0")), NonSimplexTable,
+         f"table entry ({over}, Fraction(0, 1)): (Fraction(2, 1), Fraction(-1, 1))"),
+        (lambda: TabulatedPlan(2, {(huge,): ("1", "0")}, ("1", "0")), ArityMismatch,
+         f"table key ({over},) has length 1, not 2"),
+        (lambda: validate_simplex(wta, lo=big, hi=0), InvalidParameter,
+         f"sample range {over}:0 is inverted"),
     ]
     for call, error, text in cases:
         with pytest.raises(error, match=re.escape(text)):

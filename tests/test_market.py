@@ -5,11 +5,14 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bonuslab
 from bonuslab import (
     ArityMismatch,
     Atom,
@@ -23,9 +26,12 @@ from bonuslab import (
     NonSimplexWeights,
     NonUnitMass,
     Profile,
+    WinnerTakeAllPlan,
+    best_response,
     build_market,
     dump_market,
     expectation,
+    induce_game,
     load_market,
     market_from_dict,
     market_to_dict,
@@ -40,7 +46,9 @@ from conftest import (
     fraction_expectation,
     fraction_integer_view,
     fraction_market_check,
+    fraction_mixed_check,
     fraction_product_atoms,
+    fraction_value,
     markets,
     outcome,
     random_market,
@@ -84,6 +92,7 @@ def test_malformed_pairs_are_refused():
         (lambda: product_market([("1",)], 2), "marginal entry 0 is not a (value, probability)"),
         (lambda: product_market(marginal + [7], 2), "marginal entry 2 is not"),
         (lambda: product_market(marginal, 2, [("dev",)]), "extra action 0 is not a (label, rule)"),
+        (lambda: product_market(marginal, 2, [("dev", 3)]), "extra action 'dev' has a rule of"),
     ]
     for call, text in cases:
         with pytest.raises(ArityMismatch, match=re.escape(text)):
@@ -133,7 +142,7 @@ def test_portfolio_value_is_pointwise():
     """A half-and-half portfolio averages outcomes inside each atom."""
     market = two_action_market()
     q = MixedAction(("1/2", "1/2"))
-    values = [q.value_at(atom) for atom in market.atoms]
+    values = [fraction_value(q, atom) for atom in market.atoms]
     assert values == [Fraction(1), Fraction(0)]
     assert expectation(market, q) == Fraction(1, 4)
 
@@ -162,6 +171,82 @@ def test_pure_action_detection():
     assert MixedAction(("1/2", "1/2")).pure_action is None
 
 
+@st.composite
+def weight_vectors(draw):
+    """Weight vectors as a caller may pass them: empty or not, a weight
+    below 0 or above 1, a sum of 1, above or below, mixed denominators; a
+    weight may come as a Fraction, an int, a numeric string, a float or a
+    bool."""
+    n = draw(st.integers(0, 5))
+    unit = draw(st.sampled_from((1, 2, 3, 4, 6, 12)))
+    counts = draw(st.lists(st.integers(-1, unit + 1), min_size=n, max_size=n))
+    if counts and draw(st.booleans()):  # a sum of 1, or one step off it
+        counts[-1] = unit - sum(counts[:-1]) + draw(st.sampled_from((0, 0, 0, -1, 1)))
+    weights = []
+    for c in counts:
+        w = Fraction(c, unit)
+        form = draw(st.sampled_from(("fraction", "fraction", "int", "string", "float", "bool")))
+        weights.append(
+            {
+                "fraction": w,
+                "int": int(w) if w.denominator == 1 else w,
+                "string": str(w),
+                "float": float(w),
+                "bool": bool(c),
+            }[form]
+        )
+    return draw(st.sampled_from((tuple(weights), weights)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_vectors())
+def test_mixed_action_checks_match_the_fraction_oracle(weights):
+    """Checked on integer counts: the error and message of the Fraction
+    checks; an accepted vector keeps counts over its unit that give back its
+    weights, and the pure action the old scan of the weights found."""
+    action = raised(lambda: MixedAction(weights))
+    oracle = raised(lambda: fraction_mixed_check(weights))
+    if not isinstance(action, MixedAction):
+        assert action == oracle
+        return
+    assert action.weights == oracle
+    assert action.unit == lcm(*(w.denominator for w in oracle))
+    assert tuple(Fraction(c, action.unit) for c in action.counts) == oracle
+    assert action.pure_action == next((i for i, w in enumerate(oracle) if w == 1), None)
+
+
+def test_every_builder_gives_the_checked_portfolio():
+    """The pure, grid, best-response and document builders give what the
+    constructor gives for their weights: equal, hashed alike, written alike,
+    with the same counts, unit and pure action."""
+    market = two_action_market()
+    game = induce_game(market, WinnerTakeAllPlan(2), 0)
+    mixed = MixedAction(("1/3", "2/3"))
+    built = [MixedAction.pure(a, 3) for a in range(3)]
+    built += list(simplex_grid(3, 4))
+    built += [
+        best_response(game, 0, [opponent], resolution).strategy
+        for opponent in (MixedAction.pure(1, 2), mixed)
+        for resolution in (None, 1, 6)
+    ]
+    built += profile_from_list([["1/2", "1/2"], ["0", "1"]]).strategies
+    for strategy in built:
+        fresh = MixedAction(strategy.weights)
+        assert strategy == fresh and hash(strategy) == hash(fresh)
+        assert repr(strategy) == repr(fresh) == f"MixedAction(weights={fresh.weights!r})"
+        assert (strategy.counts, strategy.unit, strategy.pure_action) == (
+            fresh.counts, fresh.unit, fresh.pure_action
+        )
+
+
+def test_no_value_object_has_a_second_constructor():
+    """Every value object is built through its checked constructor: no
+    module of the package makes an instance with object.__new__."""
+    package = Path(bonuslab.__file__).parent
+    users = [p.name for p in sorted(package.glob("*.py")) if "object.__new__" in p.read_text()]
+    assert users == []
+
+
 def test_profile_arity_check():
     market = two_action_market()
     profile = Profile.pure((0, 1, 0), 2)
@@ -178,18 +263,16 @@ def test_profile_needs_two_players():
 def test_support_stats():
     stats = support_stats(two_action_market())
     assert (stats.lo, stats.hi, stats.max_abs) == (Fraction(-1), Fraction(2), Fraction(2))
-    assert set(stats.values) == {Fraction(-1), Fraction(0), Fraction(1), Fraction(2)}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_support_stats_match_the_fraction_outcomes(seed, outlier):
-    """Read from the integer view once per market: the same values, sorted,
-    as the atoms' Fraction outcomes give."""
+    """Read from the integer view once per market: the least and largest
+    values, and the largest magnitude, of the atoms' Fraction outcomes."""
     market = random_market(random.Random(seed), outlier=outlier)
     values = sorted({x for atom in market.atoms for x in atom.outcomes})
     stats = support_stats(market)
-    assert stats.values == tuple(values)
     assert (stats.lo, stats.hi) == (values[0], values[-1])
     assert stats.max_abs == max(abs(x) for x in values)
     assert support_stats(market) is stats

@@ -11,7 +11,7 @@ from bonuslab import (
     as_rational,
     format_rational,
 )
-from bonuslab.rational import approx_decimal, int_text, load_json, rationals
+from bonuslab.rational import approx_decimal, int_text, load_json, rational_text, rationals
 
 
 def test_parses_integers_and_fractions():
@@ -109,5 +109,42 @@ def test_int_text_writes_every_int_under_no_digit_limit():
     sys.set_int_max_str_digits(0)
     try:
         assert int_text(-(10**limit)) == "-1" + "0" * limit
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_rational_text_writes_a_number_or_a_tuple_within_the_digit_limit():
+    """As str() writes them: a Fraction as "a/b", a tuple with each number's
+    repr."""
+    limit = sys.get_int_max_str_digits()
+    longest = Fraction(-(10**limit - 1), 7)  # the longest numerator int-to-str writes
+    for value in (Fraction(3, 5), Fraction(-2), 0, -12, longest, (), (Fraction(1, 2),),
+                  (Fraction(1, 2), 3, Fraction(-1, 3)), ("1", "2"), (longest,)):
+        assert rational_text(value) == str(value)
+
+
+def test_rational_text_writes_a_number_past_the_digit_limit_by_its_sign():
+    limit = sys.get_int_max_str_digits()
+    over = f"a rational of over {limit} digits"
+    negative = f"a negative rational of over {limit} digits"
+    big, tiny = Fraction(10**limit), Fraction(1, 10**limit)
+    assert rational_text(big) == over
+    assert rational_text(tiny) == over
+    assert rational_text(-big) == negative
+    assert rational_text(-tiny) == negative
+    assert rational_text(10**limit) == int_text(10**limit)
+    assert rational_text((big,)) == f"({over},)"
+    assert rational_text((Fraction(1, 2), -tiny, 10**limit)) == (
+        f"(Fraction(1, 2), {negative}, an int of over {limit} digits)"
+    )
+
+
+def test_rational_text_writes_every_number_under_no_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    big = Fraction(-(10**limit), 3)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert rational_text(big) == f"-1{'0' * limit}/3"
+        assert rational_text((big,)) == f"(Fraction(-1{'0' * limit}, 3),)"
     finally:
         sys.set_int_max_str_digits(limit)
