@@ -49,6 +49,7 @@ from .errors import (
     StaleViolation,
     TensorCapExceeded,
     UnparsableNumber,
+    UnwritableNumber,
 )
 from .game import (
     BestResponse,
@@ -74,7 +75,6 @@ from .market import (
     Profile,
     SupportStats,
     build_market,
-    dump_market,
     expectation,
     load_market,
     market_from_dict,
@@ -94,7 +94,6 @@ from .plans import (
     SimplexReport,
     TabulatedPlan,
     WinnerTakeAllPlan,
-    dump_plan,
     load_plan,
     plan_from_dict,
     plan_to_dict,

@@ -30,7 +30,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import construct, counterexamples, game as game_mod, plans
+from . import construct, counterexamples, plans
 from .errors import BonusLabError, GridCapExceeded
 from .game import (
     EquilibriumReport,
@@ -42,6 +42,7 @@ from .game import (
     strict_dominance,
 )
 from .market import (
+    GRID_CAP,
     Market,
     Profile,
     load_market,
@@ -363,10 +364,11 @@ def _text_check_optimal(doc, args):
 
 
 def _write_plan(args, plan) -> dict:
+    document = plan_to_dict(plan)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(plans.dump_plan(plan) + "\n")
-    return plan_to_dict(plan)
+            fh.write(json.dumps(document, indent=2) + "\n")
+    return document
 
 
 def _text_plan(doc, args):
@@ -421,8 +423,8 @@ def _parse_grid(text: str) -> list[Fraction]:
     if step <= 0 or hi < lo:
         raise BonusLabError(f"grid {text!r} is empty or has nonpositive step")
     size = (hi - lo) // step + 1
-    if size > game_mod.GRID_CAP:
-        raise GridCapExceeded(f"grid {text!r} has over {game_mod.GRID_CAP} points")
+    if size > GRID_CAP:
+        raise GridCapExceeded(f"grid {text!r} has over {GRID_CAP} points")
     return [lo + i * step for i in range(size)]
 
 

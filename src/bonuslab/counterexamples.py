@@ -39,8 +39,9 @@ from math import prod
 from typing import Sequence
 
 from .errors import ArityMismatch, GridCapExceeded, SearchExhausted, StaleViolation
-from .game import GRID_CAP, Verdict, check_nash, induce_game
+from .game import Verdict, check_nash, induce_game
 from .market import (
+    GRID_CAP,
     Market,
     Profile,
     build_market,
@@ -51,7 +52,7 @@ from .market import (
     _power_exceeds,
 )
 from .plans import BonusPlan
-from .rational import as_count, as_rational, format_rational, int_text, rationals
+from .rational import as_count, as_rational, format_rational, rational_text, rationals
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -154,7 +155,7 @@ def probe_pairs(plan: BonusPlan, points: Sequence) -> tuple[PairViolation, ...]:
     matching diagonal.  Every violation found is reported, in scan order
     (pairs ascending; per pair: player-1 decrease, player-2 decrease,
     player-1 increase, player-2 increase).  GridCapExceeded when the
-    C(|grid|, 2) pairs exceed game.GRID_CAP.
+    C(|grid|, 2) pairs exceed market.GRID_CAP.
     """
     return tuple(_pair_violations(plan, points))
 
@@ -202,7 +203,7 @@ def probe_own_coordinate(
 
     Repeated-coordinate base points are skipped on purpose: the market
     builders need one marginal value per player.  GridCapExceeded when the
-    |grid|^k candidate base points exceed game.GRID_CAP.
+    |grid|^k candidate base points exceed market.GRID_CAP.
     """
     return tuple(_coordinate_violations(plan, points))
 
@@ -311,7 +312,7 @@ def _check_own_move(
         )
     player = as_count(violation.player, "player", None, StaleViolation)
     if not 0 <= player < len(base):
-        raise StaleViolation(f"player {int_text(player)} is not one of {len(base)} players")
+        raise StaleViolation(f"player {rational_text(player)} is not one of {len(base)} players")
     own = base[player]
     if witness == own or (witness < own) != (direction is Direction.DECREASE):
         raise StaleViolation(
@@ -498,8 +499,8 @@ def validate_counterexample(plan: BonusPlan, ce: Counterexample) -> None:
     as_count(ce.deviation, "deviation", None, StaleViolation)
     if not (ce.profile.players == k and 0 <= ce.player < k and 0 <= ce.deviation < market.n):
         raise StaleViolation(
-            f"player {int_text(ce.player)} and deviation {int_text(ce.deviation)} do not index"
-            f" a {k}-player profile over {market.n} actions"
+            f"player {rational_text(ce.player)} and deviation {rational_text(ce.deviation)}"
+            f" do not index a {k}-player profile over {market.n} actions"
         )
     ce.profile.check_arity(market)
     exps = market.expectations()

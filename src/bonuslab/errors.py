@@ -2,7 +2,10 @@
 
 Every error below derives from BonusLabError so callers (and the CLI) can
 catch model/validation failures in one place while letting genuine
-programming errors propagate.
+programming errors propagate.  An exponent or a JSON integer past the
+int-to-str digit limit is refused where it is read (UnparsableNumber), and
+a report number past it where the report would write it (UnwritableNumber);
+a message writes such a number by its sign and the limit.
 """
 
 
@@ -12,6 +15,10 @@ class BonusLabError(Exception):
 
 class UnparsableNumber(BonusLabError):
     """A string could not be read as an exact rational."""
+
+
+class UnwritableNumber(BonusLabError):
+    """A report number is too long to write exactly: past sys.get_int_max_str_digits()."""
 
 
 class FloatRejected(BonusLabError, TypeError):
@@ -58,7 +65,9 @@ class TensorCapExceeded(BonusLabError):
 
 class GridCapExceeded(BonusLabError):
     """A simplex grid, a probe grid, or the pairs or base points probed on it
-    would number more than the cap allows; the message names their shape."""
+    would number more than the cap allows, a simplex grid would yield more
+    than game.GRID_WEIGHT_CAP weights, or a pure portfolio would span more
+    than market.GRID_CAP actions; the message names their shape."""
 
 
 class DegenerateSupport(BonusLabError):

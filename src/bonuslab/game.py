@@ -68,8 +68,9 @@ dominance relation reads at most n * C(n+k-2, k-1) cells and each cell sums
 k shares per atom, so it is refused when cells times players exceed
 TENSOR_CAP.  `check_optimal` scans C(|argmax|+k-1, k) sorted profiles,
 refused over TENSOR_CAP, and a simplex grid's C(d+n-1, n-1) points are
-refused over GRID_CAP.  A dominance relation or a scan that is not shared
-is capped at its n^k, or |argmax|^k, profiles.  `market._power_exceeds`
+refused over GRID_CAP, and its points times n weights over
+GRID_WEIGHT_CAP.  A dominance relation or a scan that is not shared is
+capped at its n^k, or |argmax|^k, profiles.  `market._power_exceeds`
 and `_multisets_exceed` decide every cap: binomials and powers too large to
 build are never built, and a refusal names the shape, never the count.  A
 verdict read from a profile and its deviations is not refused for the size
@@ -125,6 +126,7 @@ from .errors import (
     TensorCapExceeded,
 )
 from .market import (
+    GRID_CAP,
     IntegerView,
     Market,
     MixedAction,
@@ -135,10 +137,10 @@ from .market import (
     expectation,
 )
 from .plans import BonusPlan, Kernel
-from .rational import as_count, as_rational, int_text, rational_text
+from .rational import as_count, as_rational, rational_text
 
 TENSOR_CAP = 200_000  # a full tensor, check_optimal's scan, or dominance's cells x players
-GRID_CAP = TENSOR_CAP  # simplex grid points, and probed base points
+GRID_WEIGHT_CAP = 4_000_000  # a simplex grid's points x arity: 2 000 actions at d = 1
 
 ZERO = Fraction(0)
 
@@ -163,7 +165,8 @@ class Game:
     denominator, `_scoring(integer_view.scale).denominator`, so rankings
     compare them directly.  A cell is added on first read; `payoff` turns
     one into `Fraction`s.  Only `payoffs` materializes the full n^k tensor.
-    `kernels` keeps the plan's kernel per result scale.
+    `kernels` keeps the plan's kernel per result scale.  The earnings
+    weight is coerced by as_rational and must lie in [0, 1).
     """
 
     market: Market
@@ -171,6 +174,12 @@ class Game:
     earnings_weight: Fraction
     cells: dict = field(default_factory=dict, compare=False, repr=False)
     kernels: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        w = as_rational(self.earnings_weight)
+        if not ZERO <= w < 1:
+            raise InvalidParameter(f"earnings weight must lie in [0, 1), got {rational_text(w)}")
+        object.__setattr__(self, "earnings_weight", w)
 
     @property
     def players(self) -> int:
@@ -195,7 +204,7 @@ class Game:
         k, n = self.players, self.actions
         if len(combo) != k or not all(0 <= a < n for a in combo):
             raise ArityMismatch(
-                f"({', '.join(map(int_text, combo))}) is not a {k}-player profile"
+                f"({', '.join(map(rational_text, combo))}) is not a {k}-player profile"
                 f" over {n} actions"
             )
         view = self.market.integer_view
@@ -282,10 +291,7 @@ def _unit(strategies: Sequence[MixedAction]) -> int:
 
 def induce_game(market: Market, plan: BonusPlan, earnings_weight=0) -> Game:
     """The game of a market and a plan; cells are computed as they are read."""
-    w = as_rational(earnings_weight)
-    if not ZERO <= w < 1:
-        raise InvalidParameter(f"earnings weight must lie in [0, 1), got {rational_text(w)}")
-    return Game(market, plan, w)
+    return Game(market, plan, earnings_weight)
 
 
 def expected_payoffs(game: Game, profile: Profile) -> tuple[Fraction, ...]:
@@ -315,11 +321,19 @@ def check_simplex_grid(arity: int, denominator: int) -> None:
     """ArityMismatch unless the arity is an int >= 1, InvalidParameter unless
     the denominator is (FloatRejected for a float); GridCapExceeded when the
     grid's points, the multisets of `denominator` units out of `arity`
-    actions, exceed GRID_CAP."""
+    actions, exceed GRID_CAP, or when their weights, points x arity, exceed
+    GRID_WEIGHT_CAP: points > cap // arity exactly when points x arity > cap."""
     as_count(arity, "grid arity", 1, ArityMismatch)
     as_count(denominator, "grid denominator", 1, InvalidParameter)
     if points := _multisets_exceed(arity, denominator, GRID_CAP):
-        raise GridCapExceeded(f"{points} grid points over {arity} actions exceed cap {GRID_CAP}")
+        raise GridCapExceeded(
+            f"{points} grid points over {rational_text(arity)} actions exceed cap {GRID_CAP}"
+        )
+    if points := _multisets_exceed(arity, denominator, GRID_WEIGHT_CAP // arity):
+        raise GridCapExceeded(
+            f"{points} grid portfolios x {rational_text(arity)} actions"
+            f" exceed cap {GRID_WEIGHT_CAP} weights"
+        )
 
 
 def simplex_grid(arity: int, denominator: int) -> Iterator[MixedAction]:
@@ -408,7 +422,7 @@ def best_response(
     """
     k, n = game.players, game.actions
     if not 0 <= as_count(player, "player", None, ArityMismatch) < k:
-        raise ArityMismatch(f"player {int_text(player)} out of range for {k}")
+        raise ArityMismatch(f"player {rational_text(player)} out of range for {k}")
     if len(opponents) != k - 1:
         raise ArityMismatch(f"expected {k - 1} opponents, got {len(opponents)}")
     check_arity(opponents, n)
@@ -427,8 +441,10 @@ def best_response(
     if not grid and None not in pure:
         # Cells, not the scorer: check_nash in validate_counterexample reads
         # the cells its gain check computed.  Scoring these actions afresh
-        # cut bench/run.py's `wide` from about 1 400 to 805-1 136 tasks/s
-        # (2 vCPUs, Python 3.11.7; see CHANGES.md).
+        # cut bench/run.py's `sweep` from a median of 1 779 to 1 616 tasks/s,
+        # p50 0.487 to 0.545 ms, slower in 5 of 5 alternating pairs; `wide`
+        # and `cli` moved within their spread (2 vCPUs, Python 3.11.7,
+        # --seed 0 --seconds 10; see CHANGES.md).
         before, after = pure[:player], pure[player:]
         values = [game._numerators(before + (a,) + after)[player] for a in range(n)]
         # numerators over one denominator rank as the payoffs: the earliest largest wins

@@ -25,7 +25,6 @@ each atom's probability from them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +37,7 @@ from .errors import (
     ArityMismatch,
     AtomCapExceeded,
     BonusLabError,
+    GridCapExceeded,
     IncompleteMapping,
     NonPositiveProbability,
     NonSimplexWeights,
@@ -47,13 +47,13 @@ from .rational import (
     as_count,
     as_rational,
     format_rational,
-    int_text,
     load_json,
     rational_text,
     rationals,
 )
 
 ATOM_CAP = 100_000  # atoms of a product market, checked before any is built
+GRID_CAP = 200_000  # simplex grid points, probed base points, a pure portfolio's actions
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -118,7 +118,7 @@ class Market:
 
     def expectation_of(self, action: int) -> Fraction:
         if not 0 <= as_count(action, "action", None, ArityMismatch) < self.n:
-            raise ArityMismatch(f"action index {int_text(action)} out of range for {self.n}")
+            raise ArityMismatch(f"action index {rational_text(action)} out of range for {self.n}")
         return self.expectations()[action]
 
     def expectations(self) -> tuple[Fraction, ...]:
@@ -209,10 +209,17 @@ class MixedAction:
 
     @classmethod
     def pure(cls, action: int, arity: int) -> "MixedAction":
+        """The vertex of `action`; GridCapExceeded before any weight is
+        built when the arity exceeds GRID_CAP, the actions of a d = 1 grid
+        at its cap."""
         as_count(arity, "arity", None, ArityMismatch)
         if not 0 <= as_count(action, "action", None, ArityMismatch) < arity:
             raise ArityMismatch(
-                f"action index {int_text(action)} out of range for {int_text(arity)}"
+                f"action index {rational_text(action)} out of range for {rational_text(arity)}"
+            )
+        if arity > GRID_CAP:
+            raise GridCapExceeded(
+                f"a portfolio over {rational_text(arity)} actions exceeds cap {GRID_CAP}"
             )
         return cls(tuple(ONE if i == action else ZERO for i in range(arity)))
 
@@ -372,7 +379,8 @@ def _power_exceeds(n: int, k: int, cap: int) -> str | None:
     such a shape, and a huge count is never built."""
     # n >= 2 gives n^b > cap at b = the cap's bit length, so n^k exceeds the
     # cap exactly when n^min(k, b) does
-    return f"{int_text(n)}^{int_text(k)}" if n ** min(k, cap.bit_length()) > cap else None
+    exceeds = n ** min(k, cap.bit_length()) > cap
+    return f"{rational_text(n)}^{rational_text(k)}" if exceeds else None
 
 
 def _multisets_exceed(n: int, size: int, cap: int) -> str | None:
@@ -388,7 +396,9 @@ def _multisets_exceed(n: int, size: int, cap: int) -> str | None:
     while count <= cap and j < s:
         j += 1
         count = count * (m - s + j) // j
-    return f"C({int_text(size)} + {int_text(n)} - 1, {int_text(s)})" if count > cap else None
+    if count <= cap:
+        return None
+    return f"C({rational_text(size)} + {rational_text(n)} - 1, {rational_text(s)})"
 
 
 def _total_rule(label: str, rule) -> Callable:
@@ -444,10 +454,6 @@ def market_from_dict(data: Mapping) -> Market:
         raise
     except (KeyError, TypeError) as exc:
         raise ArityMismatch(f"malformed market document: {exc}") from exc
-
-
-def dump_market(market: Market) -> str:
-    return json.dumps(market_to_dict(market), indent=2)
 
 
 def load_market(text: str) -> Market:

@@ -32,7 +32,6 @@ kernel's entry, in closed form for the wta kind.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,7 +50,6 @@ from .rational import (
     as_count,
     as_rational,
     format_rational,
-    int_text,
     load_json,
     rational_text,
     rationals,
@@ -339,7 +337,7 @@ class TabulatedPlan(BonusPlan):
             if len(k) != self.players:
                 raise ArityMismatch(
                     f"table key {rational_text(key)} has length {len(k)},"
-                    f" not {int_text(self.players)}"
+                    f" not {rational_text(self.players)}"
                 )
             where = f"table entry {rational_text(key)}"
             frozen[k] = _checked_allocation(shares, self.players, where)
@@ -392,7 +390,7 @@ class TabulatedPlan(BonusPlan):
 def _checked_allocation(shares, players: int, where: str) -> tuple[Fraction, ...]:
     vec = rationals(shares)
     if len(vec) != players:
-        raise NonSimplexTable(f"{where}: expected {int_text(players)} shares, got {len(vec)}")
+        raise NonSimplexTable(f"{where}: expected {rational_text(players)} shares, got {len(vec)}")
     if any(s < 0 or s > 1 for s in vec) or sum(vec) != 1:
         raise NonSimplexTable(f"{where}: {rational_text(vec)} is not on the simplex")
     return vec
@@ -508,10 +506,6 @@ def plan_from_dict(data: Mapping) -> BonusPlan:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ArityMismatch(f"malformed plan document: {exc}") from exc
-
-
-def dump_plan(plan: BonusPlan) -> str:
-    return json.dumps(plan_to_dict(plan), indent=2)
 
 
 def load_plan(text: str) -> BonusPlan:

@@ -8,8 +8,11 @@ would silently change verdicts.
 
 `as_rational` reads a number; `as_count` checks an int argument (a count,
 an index, a grid denominator, a seed), refusing a float as FloatRejected.
-`int_text` writes an int for a message, and `rational_text` a number or a
-tuple of numbers, also one past the int-to-str digit limit.
+
+A message writes a number with `rational_text`, which never fails: past
+the int-to-str digit limit it writes the number's sign and the limit.  A
+document writes one with `format_rational`, and `approx_decimal` its
+`--decimal` suffix; each writes the exact value or raises UnwritableNumber.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import ArityMismatch, FloatRejected, InvalidParameter, UnparsableNumber
+from .errors import ArityMismatch, FloatRejected, UnparsableNumber, UnwritableNumber
 
 
 def as_rational(value) -> Fraction:
@@ -60,26 +63,16 @@ def as_count(value, name: str, minimum: int | None, error: type[Exception]) -> i
         raise FloatRejected(f"refusing float {name} {value!r}")
     if type(value) is not int or (minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
-        got = int_text(value) if type(value) is int else repr(value)
+        got = rational_text(value) if type(value) is int else repr(value)
         raise error(f"{name} must be an int{bound}, got {got}")
     return value
-
-
-def int_text(value: int) -> str:
-    """`value` written out, within sys.get_int_max_str_digits() (0: no
-    limit); past it, its sign and the limit, so a message never fails."""
-    try:
-        return str(value)
-    except ValueError:
-        sign = "a negative" if value < 0 else "an"
-        return f"{sign} int of over {sys.get_int_max_str_digits()} digits"
 
 
 def rational_text(value) -> str:
     """`value`, a number or a tuple of numbers, written as str() writes it
     within sys.get_int_max_str_digits() (0: no limit); past it, a number too
-    long is written as its sign and the limit, the way `int_text` writes an
-    int, so a message never fails."""
+    long is written as its sign, its kind and the limit, so a message never
+    fails."""
     return _text(value, str)
 
 
@@ -92,31 +85,34 @@ def _text(value, write) -> str:
         if isinstance(value, tuple):
             items = [_text(x, repr) for x in value]
             return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+        limit = sys.get_int_max_str_digits()
         if isinstance(value, int):
-            return int_text(value)
-        sign = "a negative" if value < 0 else "a"
-        return f"{sign} rational of over {sys.get_int_max_str_digits()} digits"
+            return f"{'a negative' if value < 0 else 'an'} int of over {limit} digits"
+        return f"{'a negative' if value < 0 else 'a'} rational of over {limit} digits"
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical string form: "a" for integers, reduced "a/b" otherwise."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical string form: "a" for integers, reduced "a/b" otherwise;
+    UnwritableNumber past the digit limit."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise UnwritableNumber(f"a report cannot write {rational_text(value)} exactly") from exc
 
 
-def approx_decimal(value: Fraction, places: int = 6) -> str:
-    """Decimal rendering to `places` digits, for display only (marked approximate)."""
-    as_count(places, "decimal places", 0, InvalidParameter)
+def approx_decimal(value: Fraction) -> str:
+    """Decimal rendering to 6 places, rounded half away from zero, for
+    display only (marked approximate); UnwritableNumber, from
+    format_rational, when its integer part is past the digit limit."""
     sign = "-" if value < 0 else ""
-    scaled = abs(value) * 10**places
+    scaled = abs(value) * 10**6
     units, remainder = divmod(scaled.numerator, scaled.denominator)
-    if 2 * remainder >= scaled.denominator:  # round half away from zero
+    if 2 * remainder >= scaled.denominator:
         units += 1
-    if places == 0:
-        return f"{sign}{units}"
-    whole, frac = divmod(units, 10**places)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    whole, frac = divmod(units, 10**6)
+    return f"{sign}{format_rational(whole)}.{frac:06d}"
 
 
 def rationals(values) -> tuple[Fraction, ...]:

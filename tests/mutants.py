@@ -373,8 +373,8 @@ MUTANTS = (
     Mutant(
         "power cap message formats the count",
         "src/bonuslab/market.py",
-        'return f"{int_text(n)}^{int_text(k)}"',
-        "return int_text(n**k)",
+        'return f"{rational_text(n)}^{rational_text(k)}"',
+        "return rational_text(n**k)",
         ("tests/test_market.py::test_product_market_cap_on_huge_copy_counts",),
     ),
     Mutant(
@@ -404,6 +404,50 @@ MUTANTS = (
             "tests/test_cli.py::"
             "test_malformed_input_is_a_json_error[validate-plan-players-past-the-digit-limit]",
         ),
+    ),
+    Mutant(
+        "document writer abbreviates a number past the digit limit",
+        "src/bonuslab/rational.py",
+        'raise UnwritableNumber(f"a report cannot write {rational_text(value)} exactly") from exc',
+        "return rational_text(value)",
+        (
+            "tests/test_rational.py::"
+            "test_documents_write_the_longest_numbers_and_refuse_one_digit_more",
+            "tests/test_cli.py::"
+            "test_malformed_input_is_a_json_error[induce-report-past-the-digit-limit]",
+        ),
+    ),
+    Mutant(
+        "decimal suffix writes its integer part past the digit limit",
+        "src/bonuslab/rational.py",
+        'return f"{sign}{format_rational(whole)}.{frac:06d}"',
+        'return f"{sign}{rational_text(whole)}.{frac:06d}"',
+        (
+            "tests/test_rational.py::"
+            "test_documents_write_the_longest_numbers_and_refuse_one_digit_more",
+        ),
+    ),
+    Mutant(
+        "grid weight cap off by one",
+        "src/bonuslab/game.py",
+        "_multisets_exceed(arity, denominator, GRID_WEIGHT_CAP // arity)",
+        "_multisets_exceed(arity, denominator, GRID_WEIGHT_CAP // arity + 1)",
+        ("tests/test_game.py::test_grid_weight_cap_matches_points_times_arity",),
+    ),
+    Mutant(
+        "pure arity cap compared with >=",
+        "src/bonuslab/market.py",
+        "if arity > GRID_CAP:",
+        "if arity >= GRID_CAP:",
+        ("tests/test_public_ints.py::test_pure_arity_is_capped_before_any_weight",),
+    ),
+    Mutant(
+        "game without its earnings weight check",
+        "src/bonuslab/game.py",
+        "if not ZERO <= w < 1:\n            raise InvalidParameter("
+        'f"earnings weight must lie in [0, 1), got {rational_text(w)}")',
+        "pass",
+        ("tests/test_game.py::test_game_checks_its_own_earnings_weight",),
     ),
     Mutant(
         "atoms keep their numbers uncoerced",

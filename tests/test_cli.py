@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bonuslab import dump_market, dump_plan, two_bond_market, WinnerTakeAllPlan
+from bonuslab import market_to_dict, plan_to_dict, two_bond_market, WinnerTakeAllPlan
 from bonuslab.cli import _build_parser, main
 
 F = Fraction
@@ -15,9 +15,9 @@ F = Fraction
 @pytest.fixture
 def files(tmp_path):
     market = tmp_path / "market.json"
-    market.write_text(dump_market(two_bond_market()))
+    market.write_text(json.dumps(market_to_dict(two_bond_market()), indent=2))
     plan = tmp_path / "wta.json"
-    plan.write_text(dump_plan(WinnerTakeAllPlan(2)))
+    plan.write_text(json.dumps(plan_to_dict(WinnerTakeAllPlan(2)), indent=2))
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps([["0", "1"], ["0", "1"]]))
     return tmp_path, str(market), str(plan), str(profile)
@@ -382,6 +382,15 @@ REJECTED = [
     ("validate-plan-bound-past-the-digit-limit",
      {"P": {"players": 2, "kind": "bounded_linear", "bound": "-1e4300"}},
      ["validate-plan", "--plan", "P"], "InvalidParameter"),
+    # the earnings weight parses and lies in [0, 1), but a report number built
+    # from it is past the digit limit: the document refuses to write it
+    ("induce-report-past-the-digit-limit", {"M": MARKET, "P": WTA},
+     ["induce", "--market", "M", "--plan", "P", "--lambda=1e-4300"], "UnwritableNumber"),
+    ("induce-decimal-report-past-the-digit-limit", {"M": MARKET, "P": WTA},
+     ["--decimal", "induce", "--market", "M", "--plan", "P", "--lambda=1e-4299"],
+     "UnwritableNumber"),
+    ("replicate-report-past-the-digit-limit", {},
+     ["replicate-example", "--lambda=1e-4300"], "UnwritableNumber"),
     ("check-optimal-exponent-past-the-digit-limit",
      {"M": {"actions": ["A"], "atoms": [{"p": "1", "outcomes": ["1e100000000"]}]}, "P": WTA},
      ["check-optimal", "--market", "M", "--plan", "P"], "UnparsableNumber"),

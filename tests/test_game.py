@@ -18,6 +18,7 @@ from bonuslab import (
     BoundedLinearPlan,
     ConstantPlan,
     FloatRejected,
+    Game,
     GridCapExceeded,
     IncompleteMapping,
     InvalidParameter,
@@ -51,8 +52,8 @@ from bonuslab import (
     strict_dominance,
     validate_simplex,
 )
-from bonuslab.game import GRID_CAP, TENSOR_CAP, _walk, check_simplex_grid
-from bonuslab.market import _multisets_exceed, _power_exceeds
+from bonuslab.game import GRID_WEIGHT_CAP, TENSOR_CAP, _walk, check_simplex_grid
+from bonuslab.market import GRID_CAP, _multisets_exceed, _power_exceeds
 from conftest import fraction_allocation, fraction_value, markets, tensor_dominance
 
 F = Fraction
@@ -99,6 +100,23 @@ def test_earnings_weight_must_be_in_unit_interval():
     for bad in (1, "3/2", -1):
         with pytest.raises(ValueError):
             induce_game(market, WinnerTakeAllPlan(2), bad)
+
+
+def test_game_checks_its_own_earnings_weight():
+    """The constructor makes induce_game's check, with its message: a weight
+    outside [0, 1) is InvalidParameter, a float or a bool FloatRejected, and
+    a numeric string parses."""
+    market, wta = two_bond_market(), WinnerTakeAllPlan(2)
+    for bad, error in ((F(3, 2), InvalidParameter), (-1, InvalidParameter),
+                       (1, InvalidParameter), (0.5, FloatRejected), (True, FloatRejected)):
+        with pytest.raises(error):
+            Game(market, wta, bad)
+    with pytest.raises(InvalidParameter, match=re.escape("must lie in [0, 1), got 3/2")):
+        Game(market, wta, F(3, 2))
+    game = Game(market, wta, "1/2")
+    assert type(game.earnings_weight) is F and game.earnings_weight == F(1, 2)
+    assert game == induce_game(market, wta, F(1, 2))
+    assert game.payoff((0, 1)) == (F(29, 40), F(8153, 10000))
 
 
 def test_tensor_cap():
@@ -753,6 +771,10 @@ def test_messages_write_ints_past_the_digit_limit():
     cases = [
         (lambda: check_simplex_grid(2, huge), GridCapExceeded, f"C({over} + 2 - 1, 1)"),
         (
+            lambda: check_simplex_grid(huge, 1),
+            GridCapExceeded, f"C(1 + {over} - 1, 1) grid points over {over} actions",
+        ),
+        (
             lambda: product_market([("0", "1/2"), ("1", "1/2")], huge),
             AtomCapExceeded, f"2^{over} atoms",
         ),
@@ -852,6 +874,51 @@ def test_grid_cap_is_checked_before_the_first_point():
         next(simplex_grid(3, 631))
     with pytest.raises(GridCapExceeded, match=r"C\(300000 \+ 300000 - 1, 299999\) grid points"):
         check_simplex_grid(300_000, 300_000)  # by its shape, without the binomial
+
+
+def test_grid_weight_cap_matches_points_times_arity(monkeypatch):
+    """A grid is refused exactly when its points times its arity exceed
+    GRID_WEIGHT_CAP, before its first point; the message names the shape."""
+    for arity in range(1, 7):
+        for d in range(1, 7):
+            points = comb(d + arity - 1, arity - 1)
+            weights = points * arity
+            for cap in (weights - 1, weights, weights + arity - 1, weights + arity):
+                monkeypatch.setattr("bonuslab.game.GRID_WEIGHT_CAP", cap)
+                if weights <= cap:
+                    assert sum(1 for _ in simplex_grid(arity, d)) == points
+                    continue
+                s = min(d, arity - 1)
+                shape = f"C({d} + {arity} - 1, {s}) grid portfolios x {arity} actions"
+                with pytest.raises(GridCapExceeded, match=re.escape(
+                    f"{shape} exceed cap {cap} weights"
+                )):
+                    next(simplex_grid(arity, d))
+
+
+def test_a_wide_grid_is_refused_by_its_weights():
+    """A d = 1 grid over 200 000 actions has 200 000 points, at the point
+    cap, but 4 * 10**10 weights.  The widest grid that the tests walk, 2 000
+    actions at d = 1 (test_walks_go_past_the_recursion_limit), is at the
+    weight cap; one action more is refused before its first point, in the
+    witness sweep and in a grid search too."""
+    assert comb(200_000, 1) <= GRID_CAP and 2_000 * 2_000 == GRID_WEIGHT_CAP
+    with pytest.raises(GridCapExceeded, match=re.escape(
+        "C(1 + 200000 - 1, 1) grid portfolios x 200000 actions exceed cap 4000000 weights"
+    )):
+        next(simplex_grid(200_000, 1))
+    check_simplex_grid(2_000, 1)
+    n = 2_001
+    market = build_market([f"A{i}" for i in range(n)], [("1", tuple(map(str, range(n))))])
+    game = induce_game(market, WinnerTakeAllPlan(2), 0)
+    for call in (
+        lambda: next(simplex_grid(n, 1)),
+        lambda: find_bounding_m(market, 1),
+        lambda: best_response(game, 0, (MixedAction.pure(0, n),), 1),
+    ):
+        with pytest.raises(GridCapExceeded, match="2001 actions exceed cap 4000000 weights"):
+            call()
+    assert game.cells == {}
 
 
 def test_weight_and_grid_errors_are_typed():

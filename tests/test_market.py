@@ -29,7 +29,6 @@ from bonuslab import (
     WinnerTakeAllPlan,
     best_response,
     build_market,
-    dump_market,
     expectation,
     induce_game,
     load_market,
@@ -280,7 +279,7 @@ def test_support_stats_match_the_fraction_outcomes(seed, outlier):
 
 def test_market_json_round_trip():
     market = two_bond_market()
-    again = load_market(dump_market(market))
+    again = load_market(json.dumps(market_to_dict(market), indent=2))
     assert again == market
     data = market_to_dict(market)
     assert data["atoms"][0] == {"p": "3/5", "outcomes": ["21/20", "1051/1000"]}

@@ -15,6 +15,7 @@ the public surface cannot skip the check.
 
 import inspect
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
@@ -30,6 +31,7 @@ from bonuslab import (
     CoordinateViolation,
     Direction,
     FloatRejected,
+    GridCapExceeded,
     InvalidParameter,
     LoserTakeAllPlan,
     MixedAction,
@@ -55,6 +57,7 @@ from bonuslab import (
     validate_counterexample,
     validate_simplex,
 )
+from bonuslab.market import GRID_CAP
 
 F = Fraction
 
@@ -109,6 +112,7 @@ ROWS = (
     Row("Game.payoff", "combo", lambda v: GAME.payoff((0, v)), 1, ArityMismatch),
     Row("Market.expectation_of", "action", lambda v: MARKET.expectation_of(v), 1, ArityMismatch),
     Row("MixedAction.pure", "action", lambda v: MixedAction.pure(v, 2), 1, ArityMismatch),
+    # its cap on large arities: test_pure_arity_is_capped_before_any_weight
     Row("MixedAction.pure", "arity", lambda v: MixedAction.pure(0, v), 2, ArityMismatch),
     Row("Profile.pure", "actions", lambda v: Profile.pure((0, v), 2), 1, ArityMismatch),
     Row("Profile.pure", "arity", lambda v: Profile.pure((0, 0), v), 2, ArityMismatch),
@@ -216,11 +220,25 @@ def test_int_parameters_refuse_non_ints(row, value):
         row.call(value)
 
 
+def test_pure_arity_is_capped_before_any_weight():
+    """MixedAction.pure, and Profile.pure through it, build up to GRID_CAP
+    weights, the actions of a d = 1 grid at its point cap; a larger arity is
+    refused before any weight is built, one too long to print too."""
+    assert MixedAction.pure(GRID_CAP - 1, GRID_CAP).pure_action == GRID_CAP - 1
+    over = f"an int of over {sys.get_int_max_str_digits()} digits"
+    for arity, text in ((GRID_CAP + 1, str(GRID_CAP + 1)), (10**9, "1000000000"),
+                        (10**5000, over)):
+        for call in (lambda: MixedAction.pure(0, arity), lambda: Profile.pure((0, 1), arity)):
+            with pytest.raises(GridCapExceeded, match=f"a portfolio over {text} actions"
+                               f" exceeds cap {GRID_CAP}"):
+                call()
+
+
 # (callable, parameter) of the rows that take a negative int
 TAKES_NEGATIVE = {("validate_simplex", "seed")}
 
 # past the digit limit of int-to-str, so a message can only write it by
-# `rational.int_text`
+# `rational.rational_text`
 HUGE_NEGATIVE = -(10**5000)
 
 

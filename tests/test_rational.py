@@ -5,13 +5,12 @@ import pytest
 
 from bonuslab import (
     ArityMismatch,
-    FloatRejected,
-    InvalidParameter,
     UnparsableNumber,
+    UnwritableNumber,
     as_rational,
     format_rational,
 )
-from bonuslab.rational import approx_decimal, int_text, load_json, rational_text, rationals
+from bonuslab.rational import approx_decimal, load_json, rational_text, rationals
 
 
 def test_parses_integers_and_fractions():
@@ -67,18 +66,45 @@ def test_format_round_trips():
 def test_approx_decimal():
     assert approx_decimal(Fraction(1, 3)) == "0.333333"
     assert approx_decimal(Fraction(-1, 3)) == "-0.333333"
-    assert approx_decimal(Fraction(1, 2), places=0) == "1"
     assert approx_decimal(Fraction(21, 20)) == "1.050000"
     # huge values must not lose digits to float formatting
     assert approx_decimal(Fraction(10**30) + Fraction(1, 2)) == f"{10**30}.500000"
 
 
-def test_approx_decimal_places_are_ints_from_zero():
-    # below 0, 10**places would be a float
-    for places, error in ((-1, InvalidParameter), (2.5, FloatRejected), (True, InvalidParameter),
-                          ("2", InvalidParameter)):
-        with pytest.raises(error):
-            approx_decimal(Fraction(1, 3), places)
+def test_documents_write_the_longest_numbers_and_refuse_one_digit_more():
+    """A document writes a number exactly or not at all: one digit past the
+    int-to-str limit is UnwritableNumber, whose message names the limit and
+    not the number."""
+    limit = sys.get_int_max_str_digits()
+    nines = 10**limit - 1  # the longest int that int-to-str writes
+    assert format_rational(Fraction(-nines)) == f"-{nines}"
+    assert format_rational(Fraction(1, nines)) == f"1/{nines}"
+    assert format_rational(Fraction(nines, nines - 1)) == f"{nines}/{nines - 1}"
+    assert approx_decimal(Fraction(nines)) == f"{nines}.000000"
+    assert approx_decimal(Fraction(-nines) - Fraction(1, 4)) == f"-{nines}.250000"
+    assert approx_decimal(Fraction(1, 10**limit)) == "0.000000"  # only its integer part counts
+    for value in (Fraction(10**limit), Fraction(-(10**limit)), Fraction(1, 10**limit),
+                  Fraction(-nines, 10**limit)):
+        with pytest.raises(UnwritableNumber, match=f" of over {limit} digits") as exc:
+            format_rational(value)
+        assert len(str(exc.value)) < 100
+    # the last rounds up to 10**limit
+    for value in (Fraction(10**limit), Fraction(-(10**limit)), nines + Fraction(9_999_999, 10**7)):
+        with pytest.raises(UnwritableNumber, match=f" of over {limit} digits") as exc:
+            approx_decimal(value)
+        assert len(str(exc.value)) < 100
+
+
+def test_documents_write_every_number_under_no_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    big = 10**limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert format_rational(Fraction(-big)) == f"-1{'0' * limit}"
+        assert format_rational(Fraction(1, big)) == f"1/1{'0' * limit}"
+        assert approx_decimal(Fraction(big)) == f"1{'0' * limit}.000000"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_rationals_coerces_sequences():
@@ -96,19 +122,19 @@ def test_rationals_refuses_strings():
             rationals(text)
 
 
-def test_int_text_writes_an_int_within_the_digit_limit():
+def test_rational_text_writes_an_int_within_the_digit_limit():
     limit = sys.get_int_max_str_digits()
     nines = 10**limit - 1  # the longest int that int-to-str writes
-    assert [int_text(v) for v in (0, -12, nines)] == ["0", "-12", str(nines)]
-    assert int_text(nines + 1) == f"an int of over {limit} digits"
-    assert int_text(-nines - 1) == f"a negative int of over {limit} digits"
+    assert [rational_text(v) for v in (0, -12, nines)] == ["0", "-12", str(nines)]
+    assert rational_text(nines + 1) == f"an int of over {limit} digits"
+    assert rational_text(-nines - 1) == f"a negative int of over {limit} digits"
 
 
-def test_int_text_writes_every_int_under_no_digit_limit():
+def test_rational_text_writes_every_int_under_no_digit_limit():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        assert int_text(-(10**limit)) == "-1" + "0" * limit
+        assert rational_text(-(10**limit)) == "-1" + "0" * limit
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -132,7 +158,7 @@ def test_rational_text_writes_a_number_past_the_digit_limit_by_its_sign():
     assert rational_text(tiny) == over
     assert rational_text(-big) == negative
     assert rational_text(-tiny) == negative
-    assert rational_text(10**limit) == int_text(10**limit)
+    assert rational_text(10**limit) == f"an int of over {limit} digits"
     assert rational_text((big,)) == f"({over},)"
     assert rational_text((Fraction(1, 2), -tiny, 10**limit)) == (
         f"(Fraction(1, 2), {negative}, an int of over {limit} digits)"
