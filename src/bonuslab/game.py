@@ -439,8 +439,8 @@ def best_response(
     grid = not complete and resolution is not None
     pure = tuple(s.pure_action for s in opponents)
     if not grid and None not in pure:
-        # Cells, not the scorer: check_nash in validate_counterexample reads
-        # the cells its gain check computed.  Scoring these actions afresh
+        # Cells, not the scorer: the best response in validate_counterexample
+        # reads the cells its gain check computed.  Scoring these actions afresh
         # cut bench/run.py's `sweep` from a median of 1 779 to 1 616 tasks/s,
         # p50 0.487 to 0.545 ms, slower in 5 of 5 alternating pairs; `wide`
         # and `cli` moved within their spread (2 vCPUs, Python 3.11.7,
@@ -486,10 +486,8 @@ def _deviation_scan(
     weights = view.weights
     columns = [[v * step for v in column] for column in zip(*view.values)]
     n = len(columns)
-    points = (
-        ((0,) * a + (d,) + (0,) * (n - 1 - a), [d * v for v in column])
-        for a, column in enumerate(columns)
-    )
+    # a vertex is named by its action index: only the winner's counts are built
+    points = ((a, [d * v for v in column]) for a, column in enumerate(columns))
     if d > 1:
         points = chain(points, ((c, xs) for c, xs in _walk(columns, d) if d not in c))
     winner = top = None
@@ -502,6 +500,8 @@ def _deviation_scan(
             score += scoring.result_weight * sum(map(mul, weights, results))
         if top is None or score > top:
             winner, top = counts, score
+    if type(winner) is int:
+        winner = (0,) * winner + (d,) + (0,) * (n - 1 - winner)
     return winner, Fraction(top, scoring.denominator)
 
 

@@ -20,7 +20,7 @@ one integer sum, sum_t weight_t * value_t[a], over mass * scale, kept in
 `support_stats` is kept the same way, from the view's least and largest
 integers.
 `product_market` checks its marginal's mass on integer weights and builds
-each atom's probability from them.
+each atom's probability from them, one `Fraction` per distinct product.
 """
 
 from __future__ import annotations
@@ -143,14 +143,18 @@ class Market:
 
     @cached_property
     def integer_view(self) -> IntegerView:
-        """The market over common denominators; `Market` builds it and checks itself on it."""
-        scale = lcm(*(x.denominator for a in self.atoms for x in a.outcomes))
-        mass = lcm(*(a.probability.denominator for a in self.atoms))
+        """The market over common denominators; `Market` builds it and checks
+        itself on it.  Each number is read once, as its integer ratio, and
+        each lcm is taken over the distinct denominators."""
+        weights = [a.probability.as_integer_ratio() for a in self.atoms]
+        rows = [[x.as_integer_ratio() for x in a.outcomes] for a in self.atoms]
+        scale = lcm(*{d for row in rows for _, d in row})
+        mass = lcm(*{d for _, d in weights})
         return IntegerView(
             scale,
             mass,
-            _over((a.probability for a in self.atoms), mass),
-            tuple(_over(a.outcomes, scale) for a in self.atoms),
+            tuple([c * (mass // d) for c, d in weights]),
+            tuple([tuple([c * (scale // d) for c, d in row]) for row in rows]),
         )
 
 
@@ -365,11 +369,15 @@ def product_market(
     pairs = _pairs(extra_actions, "extra action", "(label, rule)")
     rules = [(label, _total_rule(label, rule)) for label, rule in pairs]
     labels = tuple(f"X{j + 1}" for j in range(copies)) + tuple(l for l, _ in rules)
+    probabilities: dict[int, Fraction] = {}  # one reduced Fraction per weight product
     atoms = []
     for indices in product(range(len(support)), repeat=copies):
         combo = tuple(map(support.__getitem__, indices))
         extras = tuple(rule(combo) for _, rule in rules)
-        probability = Fraction(prod(map(weights.__getitem__, indices)), total)
+        weight = prod(map(weights.__getitem__, indices))
+        probability = probabilities.get(weight)
+        if probability is None:
+            probability = probabilities[weight] = Fraction(weight, total)
         atoms.append(Atom(probability, combo + extras))
     return Market(labels, tuple(atoms))
 

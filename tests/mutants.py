@@ -450,6 +450,38 @@ MUTANTS = (
         ("tests/test_game.py::test_game_checks_its_own_earnings_weight",),
     ),
     Mutant(
+        "validation searches player 0, not the counterexample's player",
+        "src/bonuslab/counterexamples.py",
+        "if best_response(game, ce.player, others, None).value - payoff < ce.gain:",
+        "if best_response(game, 0, others, None).value - payoff < ce.gain:",
+        ("tests/test_counterexamples.py::test_validation_finds_the_gain_check_nash_finds",),
+    ),
+    Mutant(
+        "product-market probabilities keyed by the first index's weight",
+        "src/bonuslab/market.py",
+        "        probability = probabilities.get(weight)\n"
+        "        if probability is None:\n"
+        "            probability = probabilities[weight] = Fraction(weight, total)\n",
+        "        probability = probabilities.get(weights[indices[0]])\n"
+        "        if probability is None:\n"
+        "            probability = probabilities[weights[indices[0]]] = Fraction(weight, total)\n",
+        ("tests/test_market.py::test_product_market_atoms_match_the_fraction_products",),
+    ),
+    Mutant(
+        "integer view's scale over the probabilities' denominators",
+        "src/bonuslab/market.py",
+        "scale = lcm(*{d for row in rows for _, d in row})",
+        "scale = lcm(*{d for _, d in weights})",
+        ("tests/test_market.py::test_integer_view_matches_the_lcm_construction",),
+    ),
+    Mutant(
+        "deviation scan builds the winning vertex from the other end",
+        "src/bonuslab/game.py",
+        "winner = (0,) * winner + (d,) + (0,) * (n - 1 - winner)",
+        "winner = (0,) * (n - 1 - winner) + (d,) + (0,) * winner",
+        ("tests/test_game.py::test_walks_go_past_the_recursion_limit",),
+    ),
+    Mutant(
         "atoms keep their numbers uncoerced",
         "src/bonuslab/market.py",
         'object.__setattr__(self, "probability", as_rational(self.probability))\n'

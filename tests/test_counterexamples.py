@@ -1,5 +1,6 @@
 """Monotonicity probes and the markets that turn violations into refutations."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -24,11 +25,14 @@ from bonuslab import (
     StaleViolation,
     TabulatedPlan,
     WinnerTakeAllPlan,
+    best_response,
     build_m_linear,
+    check_nash,
     coordinate_decrease_counterexample,
     coordinate_increase_counterexample,
     expectation,
     four_point_shares_equal,
+    induce_game,
     pair_decrease_counterexample,
     pair_increase_counterexample,
     probe_own_coordinate,
@@ -37,6 +41,7 @@ from bonuslab import (
     universality_verdict,
     validate_counterexample,
 )
+import bonuslab.counterexamples as counterexamples
 from bonuslab.plans import BonusPlan, Kernel
 from conftest import fraction_allocation
 
@@ -494,3 +499,106 @@ def test_counterexamples_survive_revalidation():
         report = universality_verdict(plan, grid)
         assert report.verdict == "counterexample"
         validate_counterexample(plan, report.counterexample)
+
+
+def built(plan, violation):
+    """The counterexample the matching builder makes of a violation."""
+    pair = isinstance(violation, PairViolation)
+    if violation.direction is Direction.DECREASE:
+        build = pair_decrease_counterexample if pair else coordinate_decrease_counterexample
+    else:
+        build = pair_increase_counterexample if pair else coordinate_increase_counterexample
+    return build(plan, violation)
+
+
+def validation_cases():
+    """(plan, counterexample) pairs from every builder, for player 0 and
+    the others: the universality verdicts of WTA(3), LTA(3), m_linear and
+    bounded_linear on seeded random 3-point grids, with each player's first
+    own-coordinate violation there, and every pair violation of the
+    two-player kinds on a 4-point grid."""
+    rng = random.Random(22)
+    cases = []
+    for plan in (
+        WinnerTakeAllPlan(3),
+        LoserTakeAllPlan(3),
+        MLinearPlan(3, F(1), F(-1, 3), F(5, 4)),
+        BoundedLinearPlan(3, F(2, 7)),
+    ):
+        verdicts = 0
+        for _ in range(100):
+            grid = {F(x, rng.choice((1, 2, 3, 4))) for x in rng.sample(range(-6, 7), 3)}
+            if len(grid) < 3:
+                continue
+            report = universality_verdict(plan, sorted(grid))
+            if report.counterexample is None:
+                continue
+            cases.append((plan, report.counterexample))
+            firsts = {}
+            for v in probe_own_coordinate(plan, sorted(grid)):
+                firsts.setdefault(v.player, v)
+            cases.extend((plan, built(plan, v)) for v in firsts.values() if v.player)
+            verdicts += 1
+            if verdicts == 2:
+                break
+        assert verdicts == 2, plan
+    for plan in (
+        WinnerTakeAllPlan(2),
+        LoserTakeAllPlan(2),
+        MLinearPlan(2, F(1), F(-1, 3), F(5, 4)),
+        BoundedLinearPlan(2, F(2, 7)),
+    ):
+        cases.extend((plan, built(plan, v)) for v in probe_pairs(plan, ("-1", "0", "1/2", "2")))
+    return cases
+
+
+def test_validation_finds_the_gain_check_nash_finds(monkeypatch):
+    """Validation searches ce.player's best response alone; its gain over
+    the profile's payoff is check_nash's gain for that player, at least the
+    recorded one, and a gain recorded one millionth higher is refused."""
+    cases = validation_cases()
+    assert {ce.player for _, ce in cases} == {0, 1, 2}
+    assert {plan.kind for plan, _ in cases} == {"wta", "lta", "m_linear", "bounded_linear"}
+    searched = []
+
+    def recording(game, player, opponents, resolution):
+        searched.append(best_response(game, player, opponents, resolution))
+        return searched[-1]
+
+    monkeypatch.setattr(counterexamples, "best_response", recording)
+    for plan, ce in cases:
+        searched.clear()
+        validate_counterexample(plan, ce)
+        (br,) = searched
+        game = induce_game(ce.market, plan)
+        actions = tuple(s.pure_action for s in ce.profile.strategies)
+        gain = br.value - game.payoff(actions)[ce.player]
+        assert br.player == ce.player
+        assert gain == check_nash(game, ce.profile).gains[ce.player]
+        assert gain >= ce.gain > 0
+        with pytest.raises(StaleViolation):
+            validate_counterexample(plan, replace(ce, gain=ce.gain + F(1, 10**6)))
+
+
+def test_validation_computes_the_players_cells_only(monkeypatch):
+    """On the WTA(3) counterexample over (0, 1, 2) validation's own game
+    holds the profile and the player's three deviations, two of them read by
+    the gain check: 4 cells, where check_nash over all three players
+    computed 10."""
+    plan = WinnerTakeAllPlan(3)
+    ce = universality_verdict(plan, ("0", "1", "2")).counterexample
+    games = []
+
+    def capturing(market, plan, earnings_weight=0):
+        games.append(induce_game(market, plan, earnings_weight))
+        return games[-1]
+
+    monkeypatch.setattr(counterexamples, "induce_game", capturing)
+    validate_counterexample(plan, ce)
+    (game,) = games
+    actions = tuple(s.pure_action for s in ce.profile.strategies)
+    p = ce.player
+    assert len(game.cells) == 4
+    assert set(game.cells) == {
+        actions[:p] + (a,) + actions[p + 1 :] for a in range(ce.market.n)
+    }

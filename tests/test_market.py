@@ -41,6 +41,7 @@ from bonuslab import (
     two_bond_market,
     support_stats,
 )
+from bonuslab.market import IntegerView, _over
 from conftest import (
     fraction_expectation,
     fraction_integer_view,
@@ -482,6 +483,28 @@ def atom_lists(draw):
         arity = n + draw(st.sampled_from((-1, 1))) if fault == "arity" else n
         atoms.append(Atom(p, tuple(draw(outcome) for _ in range(arity))))
     return tuple(f"A{i}" for i in range(n)), tuple(atoms)
+
+
+def lcm_integer_view(atoms) -> IntegerView:
+    """Reference: the integer view as `Market` built it before it read each
+    number once: one lcm over every denominator of a kind, then each
+    numerator rescaled by `_over`."""
+    scale = lcm(*(x.denominator for a in atoms for x in a.outcomes))
+    mass = lcm(*(a.probability.denominator for a in atoms))
+    return IntegerView(
+        scale,
+        mass,
+        _over((a.probability for a in atoms), mass),
+        tuple(_over(a.outcomes, scale) for a in atoms),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(markets(max_actions=4), product_markets()))
+def test_integer_view_matches_the_lcm_construction(market):
+    """The same scale, mass, weights and values, on random markets and on
+    product markets."""
+    assert market.integer_view == lcm_integer_view(market.atoms)
 
 
 def assert_market_matches_the_oracle(actions, atoms):
