@@ -248,7 +248,7 @@ def _cmd_replicate(args) -> dict:
     market = two_bond_market()
     plan = WinnerTakeAllPlan(2)
     at_zero = induce_game(market, plan, 0).payoffs
-    at_half = induce_game(market, plan, Fraction(1, 2)).payoffs
+    exps = market.expectations()
     at_lam = induce_game(market, plan, lam)
     dominance = strict_dominance(at_lam)
     equilibrium = None
@@ -260,10 +260,10 @@ def _cmd_replicate(args) -> dict:
     return {
         "market": market_to_dict(market),
         "plan": plan_to_dict(plan),
-        "coefficients": {  # payoff = constant + slope * L, per player
+        "coefficients": {  # payoff = share + (E[own action] - share) * L, per player
             _combo_label(market, combo): [
-                [format_rational(b), format_rational(2 * (m - b))]
-                for b, m in zip(base, at_half[combo])
+                [format_rational(b), format_rational(exps[a] - b)]
+                for a, b in zip(combo, base)
             ]
             for combo, base in at_zero.items()
         },

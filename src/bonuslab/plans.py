@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -344,24 +344,16 @@ class TabulatedPlan(BonusPlan):
         fallback = _checked_allocation(self.fallback, self.players, "fallback")
         object.__setattr__(self, "points", frozen)
         object.__setattr__(self, "fallback", fallback)
-        # the table in integers, built once: each key as reduced
-        # (numerator, denominator) pairs, shares over their common denominator
+        # the shares in integers, built once over their common denominator
         denominator = lcm(*(s.denominator for row in (fallback, *frozen.values()) for s in row))
-        table = {
-            tuple((x.numerator, x.denominator) for x in key): _over(row, denominator)
-            for key, row in frozen.items()
-        }
+        table = {key: _over(row, denominator) for key, row in frozen.items()}
         object.__setattr__(self, "_table", (denominator, table, _over(fallback, denominator)))
 
     def kernel(self, scale):
         denominator, table, fallback = self._table
 
         def shares(v):
-            key = []
-            for x in v:
-                g = gcd(x, scale)
-                key.append((x // g, scale // g))
-            return table.get(tuple(key), fallback)
+            return table.get(tuple(Fraction(x, scale) for x in v), fallback)
 
         return Kernel(denominator, shares)
 

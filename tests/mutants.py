@@ -320,9 +320,9 @@ MUTANTS = (
     Mutant(
         "off-lattice tabulated keys kept: the kernel matches numerators only",
         "src/bonuslab/plans.py",
-        "return table.get(tuple(key), fallback)",
-        "return {tuple(n for n, _ in k): row for k, row in table.items()}"
-        ".get(tuple(n for n, _ in key), fallback)",
+        "return table.get(tuple(Fraction(x, scale) for x in v), fallback)",
+        "return {tuple(x.numerator for x in k): row for k, row in table.items()}"
+        ".get(tuple(Fraction(x, scale).numerator for x in v), fallback)",
         ("tests/test_plans.py::test_kernels_match_evaluate",),
     ),
     Mutant(
@@ -450,11 +450,11 @@ MUTANTS = (
         ("tests/test_game.py::test_game_checks_its_own_earnings_weight",),
     ),
     Mutant(
-        "validation searches player 0, not the counterexample's player",
+        "validation reads player 0's gain, not the counterexample's player's",
         "src/bonuslab/counterexamples.py",
-        "if best_response(game, ce.player, others, None).value - payoff < ce.gain:",
-        "if best_response(game, 0, others, None).value - payoff < ce.gain:",
-        ("tests/test_counterexamples.py::test_validation_finds_the_gain_check_nash_finds",),
+        "recomputed = game.payoff(tuple(swapped))[ce.player] - game.payoff(actions)[ce.player]",
+        "recomputed = game.payoff(tuple(swapped))[0] - game.payoff(actions)[0]",
+        ("tests/test_counterexamples.py::test_validation_matches_the_search_it_dropped",),
     ),
     Mutant(
         "product-market probabilities keyed by the first index's weight",

@@ -47,6 +47,41 @@ def test_replicate_example_json(capsys):
     assert data["equilibrium"]["verdict"] == "equilibrium"
 
 
+def test_replicate_example_document_at_the_tie(capsys):
+    """The whole report at L = 500/597, where each player's two actions pay
+    the same against either opponent action: every coefficient pair, each
+    slope E[own action] - share, and no dominance."""
+    code, data = run_json(capsys, ["replicate-example", "--lambda", "500/597"])
+    assert code == 0
+    assert data == {
+        "market": {
+            "actions": ["X1", "X2"],
+            "atoms": [
+                {"p": "3/5", "outcomes": ["21/20", "1051/1000"]},
+                {"p": "2/5", "outcomes": ["21/20", "1"]},
+            ],
+        },
+        "plan": {"players": 2, "kind": "wta"},
+        "coefficients": {
+            "X1,X1": [["1/2", "11/20"], ["1/2", "11/20"]],
+            "X1,X2": [["2/5", "13/20"], ["3/5", "2153/5000"]],
+            "X2,X1": [["3/5", "2153/5000"], ["2/5", "13/20"]],
+            "X2,X2": [["1/2", "2653/5000"], ["1/2", "2653/5000"]],
+        },
+        "at_lambda": {
+            "lambda": "500/597",
+            "payoffs": {
+                "X1,X1": ["1147/1194", "1147/1194"],
+                "X1,X2": ["2819/2985", "1147/1194"],
+                "X2,X1": ["1147/1194", "2819/2985"],
+                "X2,X2": ["2819/2985", "2819/2985"],
+            },
+        },
+        "dominance": {"pairs": [], "unique_profile": None, "survivors": [["X1", "X2"]] * 2},
+        "equilibrium": None,
+    }
+
+
 def test_replicate_example_past_threshold(capsys):
     code, data = run_json(capsys, ["replicate-example", "--lambda", "9/10"])
     assert code == 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bonuslab import (
     ArityMismatch,
+    BonusLabError,
     BoundedLinearPlan,
     ConstantPlan,
     CoordinateViolation,
@@ -40,9 +41,11 @@ from bonuslab import (
     two_bond_market,
     universality_verdict,
     validate_counterexample,
+    Verdict,
 )
 import bonuslab.counterexamples as counterexamples
 from bonuslab.plans import BonusPlan, Kernel
+from bonuslab.rational import as_count, rational_text
 from conftest import fraction_allocation
 
 F = Fraction
@@ -552,39 +555,119 @@ def validation_cases():
     return cases
 
 
-def test_validation_finds_the_gain_check_nash_finds(monkeypatch):
-    """Validation searches ce.player's best response alone; its gain over
-    the profile's payoff is check_nash's gain for that player, at least the
-    recorded one, and a gain recorded one millionth higher is refused."""
+def reference_validation(plan, ce):
+    """The reference validation: every check of validate_counterexample,
+    then ce.player's pure-only best response against the others must gain
+    at least ce.gain, a search the gain check already decides."""
+    market, k = ce.market, plan.players
+    as_count(ce.player, "player", None, StaleViolation)
+    as_count(ce.deviation, "deviation", None, StaleViolation)
+    if not (ce.profile.players == k and 0 <= ce.player < k and 0 <= ce.deviation < market.n):
+        raise StaleViolation(
+            f"player {rational_text(ce.player)} and deviation {rational_text(ce.deviation)}"
+            f" do not index a {k}-player profile over {market.n} actions"
+        )
+    ce.profile.check_arity(market)
+    exps = market.expectations()
+    if ce.certificate != tuple(zip(market.actions, exps)):
+        raise StaleViolation("certificate expectations do not match the market")
+    mu = max(exps)
+    actions = tuple(s.pure_action for s in ce.profile.strategies)
+    if any(a is None or exps[a] != mu for a in actions):
+        raise StaleViolation("profile is not on maximal-expectation actions")
+    if exps[ce.deviation] >= mu:
+        raise StaleViolation("deviation action does not lose expectation")
+    if ce.gain <= 0:
+        raise StaleViolation(f"gain {ce.gain} is not positive")
+    game = induce_game(market, plan, 0)
+    swapped = list(actions)
+    swapped[ce.player] = ce.deviation
+    payoff = game.payoff(actions)[ce.player]
+    recomputed = game.payoff(tuple(swapped))[ce.player] - payoff
+    if recomputed != ce.gain:
+        raise StaleViolation(f"recorded gain {ce.gain} differs from recomputed {recomputed}")
+    others = ce.profile.strategies[: ce.player] + ce.profile.strategies[ce.player + 1 :]
+    if best_response(game, ce.player, others, None).value - payoff < ce.gain:
+        raise StaleViolation("the player's best response gains less than recorded")
+
+
+def tampered(ce):
+    """Copies of a counterexample that break one claim each."""
+    n, k = ce.market.n, ce.profile.players
+    actions = [s.pure_action for s in ce.profile.strategies]
+    best = actions[ce.player]
+    yield replace(ce, gain=ce.gain + F(1, 10**6))
+    yield replace(ce, gain=ce.gain - F(1, 10**6))
+    yield replace(ce, gain=F(0))
+    for j, (label, value) in enumerate(ce.certificate):
+        certificate = list(ce.certificate)
+        certificate[j] = (label, value + F(1, 10**6))
+        yield replace(ce, certificate=tuple(certificate))
+    off = actions[: ce.player] + [ce.deviation] + actions[ce.player + 1 :]
+    yield replace(ce, profile=Profile.pure(tuple(off), n))
+    mixed = list(ce.profile.strategies)
+    mixed[ce.player] = MixedAction(
+        [F(1, 2) if a in (best, ce.deviation) else 0 for a in range(n)]
+    )
+    yield replace(ce, profile=Profile(tuple(mixed)))
+    yield replace(ce, deviation=best)
+    yield replace(ce, player=(ce.player + 1) % k)
+    for field, value in (("player", -1), ("player", k), ("deviation", -1), ("deviation", n)):
+        yield replace(ce, **{field: value})
+    yield replace(ce, profile=Profile.pure((n,) * k, n + 1))
+
+
+def outcome(validate, plan, ce):
+    """None on acceptance, else the refusal's type and message."""
+    try:
+        validate(plan, ce)
+    except BonusLabError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_validation_matches_the_search_it_dropped():
+    """Dropping the best-response search changes no outcome: on every
+    builder's counterexample and on copies tampered one claim at a time,
+    validation accepts, or refuses with the same type and message, exactly
+    as the reference validation with the search."""
+    refusals = set()
+    for plan, ce in validation_cases():
+        assert outcome(validate_counterexample, plan, ce) is None
+        assert outcome(reference_validation, plan, ce) is None
+        for forged in tampered(ce):
+            got = outcome(validate_counterexample, plan, forged)
+            assert got == outcome(reference_validation, plan, forged), forged
+            # another player may gain the same by the same switch, from a
+            # symmetric profile under an anonymous plan; every other copy is refused
+            if got is None:
+                assert forged.player != ce.player
+            else:
+                refusals.add(got[0])
+    assert refusals == {StaleViolation, ArityMismatch}
+
+
+def test_validation_finds_the_gain_check_nash_finds():
+    """Every counterexample validation accepts is a NOT_EQUILIBRIUM verdict
+    of check_nash, with at least the recorded gain for its player, and a
+    gain recorded one millionth higher is refused."""
     cases = validation_cases()
     assert {ce.player for _, ce in cases} == {0, 1, 2}
     assert {plan.kind for plan, _ in cases} == {"wta", "lta", "m_linear", "bounded_linear"}
-    searched = []
-
-    def recording(game, player, opponents, resolution):
-        searched.append(best_response(game, player, opponents, resolution))
-        return searched[-1]
-
-    monkeypatch.setattr(counterexamples, "best_response", recording)
     for plan, ce in cases:
-        searched.clear()
         validate_counterexample(plan, ce)
-        (br,) = searched
-        game = induce_game(ce.market, plan)
-        actions = tuple(s.pure_action for s in ce.profile.strategies)
-        gain = br.value - game.payoff(actions)[ce.player]
-        assert br.player == ce.player
-        assert gain == check_nash(game, ce.profile).gains[ce.player]
-        assert gain >= ce.gain > 0
-        with pytest.raises(StaleViolation):
+        report = check_nash(induce_game(ce.market, plan), ce.profile)
+        assert report.verdict is Verdict.NOT_EQUILIBRIUM
+        assert report.gains[ce.player] >= ce.gain > 0
+        with pytest.raises(StaleViolation, match="differs from recomputed"):
             validate_counterexample(plan, replace(ce, gain=ce.gain + F(1, 10**6)))
 
 
 def test_validation_computes_the_players_cells_only(monkeypatch):
     """On the WTA(3) counterexample over (0, 1, 2) validation's own game
-    holds the profile and the player's three deviations, two of them read by
-    the gain check: 4 cells, where check_nash over all three players
-    computed 10."""
+    holds the profile and the recorded deviation: 2 cells, where the
+    player's best-response search computed 4 and check_nash over all three
+    players 10."""
     plan = WinnerTakeAllPlan(3)
     ce = universality_verdict(plan, ("0", "1", "2")).counterexample
     games = []
@@ -598,7 +681,5 @@ def test_validation_computes_the_players_cells_only(monkeypatch):
     (game,) = games
     actions = tuple(s.pure_action for s in ce.profile.strategies)
     p = ce.player
-    assert len(game.cells) == 4
-    assert set(game.cells) == {
-        actions[:p] + (a,) + actions[p + 1 :] for a in range(ce.market.n)
-    }
+    assert len(game.cells) == 2
+    assert set(game.cells) == {actions, actions[:p] + (ce.deviation,) + actions[p + 1 :]}
