@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--market", required=True)
     p.add_argument("--plan", required=True)
     p.add_argument("--profile", required=True)
-    p.add_argument("--resolution", type=_resolution, default=None, metavar="D",
+    p.add_argument("--resolution", type=int, default=None, metavar="D",
                    help="simplex grid denominator; omit for pure-only search")
     p.add_argument("--lambda", dest="lam", default="0", metavar="Q")
     p.set_defaults(handler=_cmd_check_eq, text=_text_check_eq)
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-optimal", help="equilibrium among best-expectation profiles")
     p.add_argument("--market", required=True)
     p.add_argument("--plan", required=True)
-    p.add_argument("--resolution", type=_resolution, default=None, metavar="D")
+    p.add_argument("--resolution", type=int, default=None, metavar="D")
     p.set_defaults(handler=_cmd_check_optimal, text=_text_check_optimal)
 
     p = sub.add_parser("build-linear", help="interval-gated linear plan for a market")
@@ -176,16 +176,6 @@ def _read_market(args) -> Market:
 def _read_plan(args):
     with open(args.plan) as fh:
         return load_plan(fh.read())
-
-
-def _resolution(text: str) -> int | None:
-    """--resolution: a grid denominator, or "pure"/"pure-only" for none."""
-    if text in ("pure", "pure-only"):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'pure', got {text!r}")
 
 
 def _combo_label(market: Market, combo) -> str:

@@ -43,6 +43,7 @@ from .errors import DegenerateSupport, ExpectationNotUnique
 from .game import _walk, check_simplex_grid
 from .market import Market, support_stats
 from .plans import BoundedLinearPlan, MLinearPlan
+from .rational import rational_text
 
 
 def build_m_linear(market: Market, players: int) -> MLinearPlan:
@@ -116,7 +117,8 @@ def _vertex_bound(market: Market, grid_resolution: int) -> tuple[int, Fraction, 
     argmax = [i for i, e in enumerate(exps) if e == mu]
     if len(argmax) != 1:
         raise ExpectationNotUnique(
-            f"actions {argmax} tie at expectation {mu}; relabeling needs a unique best"
+            f"actions {argmax} tie at expectation {rational_text(mu)};"
+            " relabeling needs a unique best"
         )
     best = argmax[0]
     check_simplex_grid(market.n, grid_resolution)

@@ -316,13 +316,15 @@ def _check_own_move(
     own = base[player]
     if witness == own or (witness < own) != (direction is Direction.DECREASE):
         raise StaleViolation(
-            f"moving {own} to {witness} is not a {direction.value} of the own result"
+            f"moving {rational_text(own)} to {rational_text(witness)}"
+            f" is not a {direction.value} of the own result"
         )
     bent = base[:player] + (witness,) + base[player + 1 :]
     deficit = plan.evaluate(bent)[player] - plan.evaluate(base)[player]
     if deficit <= 0 or deficit != violation.deficit:
         raise StaleViolation(
-            f"violation {violation} does not match the plan's current behavior"
+            f"{violation.direction.value} violation of player {player} with deficit"
+            f" {rational_text(violation.deficit)} does not match the plan's current behavior"
         )
 
 
@@ -336,9 +338,9 @@ def _check_coordinate(
 ) -> None:
     base = violation.base
     if len(base) != plan.players:
-        raise ArityMismatch(f"base point {base} is not a {plan.players}-vector")
+        raise ArityMismatch(f"base point {rational_text(base)} is not a {plan.players}-vector")
     if len(set(base)) != len(base):
-        raise StaleViolation(f"base point {base} has repeated coordinates")
+        raise StaleViolation(f"base point {rational_text(base)} has repeated coordinates")
     _check_own_move(plan, violation, direction, base, violation.witness)
 
 
@@ -515,14 +517,17 @@ def validate_counterexample(plan: BonusPlan, ce: Counterexample) -> None:
     if exps[ce.deviation] >= mu:
         raise StaleViolation("deviation action does not lose expectation")
     if ce.gain <= 0:
-        raise StaleViolation(f"gain {ce.gain} is not positive")
+        raise StaleViolation(f"gain {rational_text(ce.gain)} is not positive")
 
     game = induce_game(market, plan, 0)
     swapped = list(actions)
     swapped[ce.player] = ce.deviation
     recomputed = game.payoff(tuple(swapped))[ce.player] - game.payoff(actions)[ce.player]
     if recomputed != ce.gain:
-        raise StaleViolation(f"recorded gain {ce.gain} differs from recomputed {recomputed}")
+        raise StaleViolation(
+            f"recorded gain {rational_text(ce.gain)}"
+            f" differs from recomputed {rational_text(recomputed)}"
+        )
 
 
 @dataclass(frozen=True)

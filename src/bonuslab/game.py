@@ -165,15 +165,16 @@ class Game:
     denominator, `_scoring(integer_view.scale).denominator`, so rankings
     compare them directly.  A cell is added on first read; `payoff` turns
     one into `Fraction`s.  Only `payoffs` materializes the full n^k tensor.
-    `kernels` keeps the plan's kernel per result scale.  The earnings
-    weight is coerced by as_rational and must lie in [0, 1).
+    `kernels` keeps the plan's kernel per result scale.  Both start empty,
+    so `replace` gives a game fresh memos.  The earnings weight is coerced
+    by as_rational and must lie in [0, 1).
     """
 
     market: Market
     plan: BonusPlan
     earnings_weight: Fraction
-    cells: dict = field(default_factory=dict, compare=False, repr=False)
-    kernels: dict = field(default_factory=dict, compare=False, repr=False)
+    cells: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         w = as_rational(self.earnings_weight)
@@ -439,12 +440,12 @@ def best_response(
     grid = not complete and resolution is not None
     pure = tuple(s.pure_action for s in opponents)
     if not grid and None not in pure:
-        # Cells, not the scorer: the best response in validate_counterexample
-        # reads the cells its gain check computed.  Scoring these actions afresh
-        # cut bench/run.py's `sweep` from a median of 1 779 to 1 616 tasks/s,
-        # p50 0.487 to 0.545 ms, slower in 5 of 5 alternating pairs; `wide`
-        # and `cli` moved within their spread (2 vCPUs, Python 3.11.7,
-        # --seed 0 --seconds 10; see CHANGES.md).
+        # Cells, not the scorer: the profile's own action is a cell that
+        # expected_payoffs has already computed, which a fresh scan would score
+        # again.  Scoring these actions afresh cut bench/run.py's `sweep` from a
+        # median of 1 779 to 1 624 tasks/s, p50 0.478 to 0.534 ms, slower in 5
+        # of 5 alternating pairs (2 vCPUs, Python 3.11.7, --seed 0 --seconds 10;
+        # see CHANGES.md).
         before, after = pure[:player], pure[player:]
         values = [game._numerators(before + (a,) + after)[player] for a in range(n)]
         # numerators over one denominator rank as the payoffs: the earliest largest wins

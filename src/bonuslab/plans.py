@@ -227,8 +227,8 @@ class _LinearPlan(BonusPlan):
         return Kernel(k * equal, shares)
 
     def _corners(self, lo: Fraction, hi: Fraction) -> Iterable[tuple[Fraction, ...]]:
-        """Every vector with coordinates in {lo, hi}, up to 1024 of them."""
-        return product((lo, hi), repeat=self.players) if 2**self.players <= 1024 else ()
+        """Every vector with coordinates in {lo, hi}; none past 10 players (1024 vectors)."""
+        return product((lo, hi), repeat=self.players) if self.players <= 10 else ()
 
     def document_fields(self) -> dict:
         return {"bound": format_rational(self.bound)}

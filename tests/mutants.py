@@ -489,6 +489,27 @@ MUTANTS = (
         "pass",
         ("tests/test_market.py::test_atoms_coerce_their_numbers",),
     ),
+    Mutant(
+        "a game's cell memo is a constructor field again",
+        "src/bonuslab/game.py",
+        "cells: dict = field(default_factory=dict, init=False, compare=False, repr=False)",
+        "cells: dict = field(default_factory=dict, compare=False, repr=False)",
+        ("tests/test_game.py::test_replace_starts_with_empty_memos",),
+    ),
+    Mutant(
+        "validation writes a non-positive gain with an f-string",
+        "src/bonuslab/counterexamples.py",
+        'f"gain {rational_text(ce.gain)} is not positive"',
+        'f"gain {ce.gain} is not positive"',
+        ("tests/test_counterexamples.py::test_refusals_write_numbers_past_the_digit_limit",),
+    ),
+    Mutant(
+        "linear plans probe their corners up to 11 players",
+        "src/bonuslab/plans.py",
+        "if self.players <= 10 else ()",
+        "if self.players <= 11 else ()",
+        ("tests/test_plans.py::test_linear_plans_probe_their_corners_up_to_ten_players",),
+    ),
 )
 
 # Known equivalent mutants: they change no result, so no test can catch

@@ -293,6 +293,9 @@ NINES = "9" * 4_300
 # write it without int-to-str (test_game.py::test_messages_write_rationals_past_the_digit_limit)
 TINY_ATOM_MARKET = {"actions": ["A"], "atoms": [{"p": "1e-4300", "outcomes": ["1"]},
                                                 {"p": "1", "outcomes": ["1"]}]}
+# a tie at expectation 10^-4300 / 2, whose denominator has 4 301 digits
+TINY_TIE_MARKET = {"actions": ["A", "B"], "atoms": [{"p": "1/2", "outcomes": ["1e-4300", "0"]},
+                                                    {"p": "1/2", "outcomes": ["0", "1e-4300"]}]}
 
 # (case, documents by placeholder, argv, exit code, error type under --json)
 REJECTED = [
@@ -395,6 +398,8 @@ REJECTED = [
      "GridCapExceeded"),
     ("find-m-grid-past-the-digit-limit", {"M": MARKET},
      ["find-m", "--market", "M", "--grid", NINES], "GridCapExceeded"),
+    ("find-m-tie-past-the-digit-limit", {"M": TINY_TIE_MARKET},
+     ["find-m", "--market", "M", "--grid", "2"], "ExpectationNotUnique"),
     ("check-eq-resolution-past-the-digit-limit",
      {"M": MARKET, "P": WTA, "Q": [["1", "0"], ["1", "0"]]},
      ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q", "--resolution", NINES],
@@ -435,6 +440,8 @@ USAGE = [
     ("find-m-grid-text", {"M": MARKET}, ["find-m", "--market", "M", "--grid", "four"]),
     ("check-eq-resolution-text", {"M": MARKET, "P": WTA, "Q": [["1", "0"], ["1", "0"]]},
      ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q", "--resolution", "abc"]),
+    ("check-eq-resolution-pure", {"M": MARKET, "P": WTA, "Q": [["1", "0"], ["1", "0"]]},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q", "--resolution", "pure"]),
     ("check-optimal-resolution-text", {"M": MARKET, "P": WTA},
      ["check-optimal", "--market", "M", "--plan", "P", "--resolution", "1/2"]),
     ("build-linear-without-players", {"M": MARKET}, ["build-linear", "--market", "M"]),

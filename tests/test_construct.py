@@ -1,5 +1,6 @@
 """Plan builders: the support-interval plan and the certified-bound plan."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -65,7 +66,7 @@ def test_bound_search_on_the_two_bond_market():
 
 def test_bound_search_requires_unique_best():
     tied = build_market(["A", "B"], [("1/2", ("1", "0")), ("1/2", ("0", "1"))])
-    with pytest.raises(ExpectationNotUnique):
+    with pytest.raises(ExpectationNotUnique, match=re.escape("[0, 1] tie at expectation 1/2;")):
         find_bounding_m(tied, 4)
 
 

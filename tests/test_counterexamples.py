@@ -1,6 +1,8 @@
 """Monotonicity probes and the markets that turn violations into refutations."""
 
 import random
+import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -683,3 +685,58 @@ def test_validation_computes_the_players_cells_only(monkeypatch):
     p = ce.player
     assert len(game.cells) == 2
     assert set(game.cells) == {actions, actions[:p] + (ce.deviation,) + actions[p + 1 :]}
+
+
+def test_refusals_write_numbers_past_the_digit_limit():
+    """A gain, deficit, coordinate or base point too long for int-to-str is
+    written by its sign and the digit limit, and the call ends in its typed
+    error, not in the ValueError of int-to-str."""
+    limit = sys.get_int_max_str_digits()
+    over = f"rational of over {limit} digits"
+    tiny, big = F(1, 10 ** (limit + 1)), F(10**limit)
+    wta, wta3 = WinnerTakeAllPlan(2), WinnerTakeAllPlan(3)
+    ce = universality_verdict(wta, ("0", "1")).counterexample
+    pair = probe_pairs(wta, ("0", "1"))[0]
+    coordinate = probe_own_coordinate(wta3, ("0", "1", "2"))[0]
+    cases = [
+        (lambda: validate_counterexample(wta, replace(ce, gain=-tiny)),
+         StaleViolation, f"gain a negative {over} is not positive"),
+        (lambda: validate_counterexample(wta, replace(ce, gain=ce.gain + tiny)),
+         StaleViolation, f"recorded gain a {over} differs from recomputed {ce.gain}"),
+        (lambda: pair_increase_counterexample(wta, replace(pair, deficit=tiny)),
+         StaleViolation, f"increase violation of player 0 with deficit a {over} does not match"),
+        (lambda: pair_increase_counterexample(wta, replace(pair, x=big, y=big)),
+         StaleViolation, f"moving a {over} to a {over} is not a increase"),
+        (lambda: coordinate_increase_counterexample(wta3, replace(coordinate, base=(big, F(0)))),
+         ArityMismatch, f"base point (a {over}, Fraction(0, 1)) is not a 3-vector"),
+        (lambda: coordinate_increase_counterexample(wta3, replace(coordinate, base=(big,) * 3)),
+         StaleViolation, f"base point (a {over}, a {over}, a {over}) has repeated coordinates"),
+    ]
+    for call, error, text in cases:
+        with pytest.raises(error, match=re.escape(text)):
+            call()
+
+
+def test_refusals_within_the_digit_limit_write_numbers_as_str():
+    """Within the limit a refusal writes its numbers as str() does."""
+    wta, wta3 = WinnerTakeAllPlan(2), WinnerTakeAllPlan(3)
+    ce = universality_verdict(wta, ("0", "1")).counterexample
+    pair = probe_pairs(wta, ("0", "1"))[0]
+    coordinate = probe_own_coordinate(wta3, ("0", "1", "2"))[0]
+    cases = [
+        (lambda: validate_counterexample(wta, replace(ce, gain=F(-1, 3))),
+         "gain -1/3 is not positive"),
+        (lambda: validate_counterexample(wta, replace(ce, gain=ce.gain + 1)),
+         f"recorded gain {ce.gain + 1} differs from recomputed {ce.gain}"),
+        (lambda: pair_increase_counterexample(wta, replace(pair, deficit=F(1, 7))),
+         "increase violation of player 0 with deficit 1/7 does not match the plan's current"
+         " behavior"),
+        (lambda: pair_increase_counterexample(wta, replace(pair, x=F(1, 2), y=F(1, 2))),
+         "moving 1/2 to 1/2 is not a increase of the own result"),
+        (lambda: coordinate_increase_counterexample(wta3, replace(coordinate, base=(F(1, 2),) * 3)),
+         "base point (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)) has repeated coordinates"),
+    ]
+    for call, text in cases:
+        with pytest.raises(BonusLabError) as exc:
+            call()
+        assert str(exc.value) == text

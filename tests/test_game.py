@@ -3,6 +3,7 @@
 import random
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -17,6 +18,7 @@ from bonuslab import (
     BonusLabError,
     BoundedLinearPlan,
     ConstantPlan,
+    ExpectationNotUnique,
     FloatRejected,
     Game,
     GridCapExceeded,
@@ -117,6 +119,39 @@ def test_game_checks_its_own_earnings_weight():
     assert type(game.earnings_weight) is F and game.earnings_weight == F(1, 2)
     assert game == induce_game(market, wta, F(1, 2))
     assert game.payoff((0, 1)) == (F(29, 40), F(8153, 10000))
+
+
+def test_a_game_is_built_from_its_market_plan_and_weight_alone():
+    """The memo stores are not constructor arguments."""
+    market, wta = two_bond_market(), WinnerTakeAllPlan(2)
+    with pytest.raises(TypeError):
+        Game(market, wta, 0, {})
+    with pytest.raises(TypeError):
+        Game(market, wta, 0, cells={})
+
+
+def test_replace_starts_with_empty_memos():
+    """A game copied with another weight, plan or market reads the payoffs
+    and gains of a fresh game, not the cells its source had filled."""
+    market, wta = two_bond_market(), WinnerTakeAllPlan(2)
+    other = build_market(["X1", "X2"], [("1/2", ("1", "3")), ("1/2", ("2", "0"))])
+    game = induce_game(market, wta)
+    for combo in product(range(2), repeat=2):
+        game.payoff(combo)
+    check_nash(game, Profile.pure((0, 0), 2))
+    for copy, fresh in (
+        (replace(game, earnings_weight=F(1, 2)), induce_game(market, wta, F(1, 2))),
+        (replace(game, plan=LoserTakeAllPlan(2)), induce_game(market, LoserTakeAllPlan(2))),
+        (replace(game, market=other), induce_game(other, wta)),
+    ):
+        assert not copy.cells and not copy.kernels
+        for combo in product(range(2), repeat=2):
+            assert copy.payoff(combo) == fresh.payoff(combo)
+            profile = Profile.pure(combo, 2)
+            assert check_nash(copy, profile).gains == check_nash(fresh, profile).gains
+    at_half = replace(game, earnings_weight=F(1, 2))
+    assert at_half.payoff((0, 1)) == (F(29, 40), F(8153, 10000))
+    assert check_nash(at_half, Profile.pure((0, 0), 2)).gains == (F(403, 10000),) * 2
 
 
 def test_tensor_cap():
@@ -277,7 +312,8 @@ def test_iterated_elimination_uses_later_rounds():
 
     # the payoffs are not symmetric, so the carrier plan must not be anonymous
     carrier = build_market(["a", "b", "c"], [("1", ("0", "0", "0"))])
-    game = Game(carrier, TabulatedPlan(2, {}, ("1/2", "1/2")), F(0), payoffs)
+    game = Game(carrier, TabulatedPlan(2, {}, ("1/2", "1/2")), F(0))
+    game.cells.update(payoffs)
     report = strict_dominance(game)
     assert report.pairs == ((0, 1, 2),)  # only the round-1 fact holds full-game
     assert max(e.round for e in report.eliminations) >= 3
@@ -830,6 +866,9 @@ def test_messages_write_rationals_past_the_digit_limit():
          f"table key ({over},) has length 1, not 2"),
         (lambda: validate_simplex(wta, lo=big, hi=0), InvalidParameter,
          f"sample range {over}:0 is inverted"),
+        (lambda: find_bounding_m(
+            build_market(["A", "B"], [("1/2", (tiny, "0")), ("1/2", ("0", tiny))]), 2
+        ), ExpectationNotUnique, f"actions [0, 1] tie at expectation {over};"),
     ]
     for call, error, text in cases:
         with pytest.raises(error, match=re.escape(text)):

@@ -3,6 +3,7 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,19 @@ def test_bounded_linear_fallback_is_vector_wide():
     # the leader's raw share would exceed 2/3, so everyone reverts to 1/3
     assert plan.evaluate(("10", "0", "0")) == (F(1, 3),) * 3
     assert sum(plan.evaluate(("10", "0", "0"))) == 1
+
+
+def test_linear_plans_probe_their_corners_up_to_ten_players():
+    """10 players probe all 1 024 vectors in {lo, hi}^10; 11 probe none."""
+    for plan, corner in (
+        (MLinearPlan(10, F(1), F(0), F(1)), (F(0), F(1))),
+        (BoundedLinearPlan(10, F(1, 2)), (F(-1, 2), F(1, 2))),
+    ):
+        probes = list(plan.probes())
+        assert len(probes) == 1024
+        assert set(probes) == set(product(corner, repeat=10))
+    assert list(MLinearPlan(11, F(1), F(0), F(1)).probes()) == []
+    assert list(BoundedLinearPlan(11, F(1, 2)).probes()) == []
 
 
 def test_tabulated_lookup_and_fallback():
