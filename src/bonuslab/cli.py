@@ -31,7 +31,7 @@ import sys
 from fractions import Fraction
 
 from . import construct, counterexamples, plans
-from .errors import BonusLabError, GridCapExceeded
+from .errors import ArityMismatch, BonusLabError, GridCapExceeded
 from .game import (
     EquilibriumReport,
     Game,
@@ -45,14 +45,13 @@ from .market import (
     GRID_CAP,
     Market,
     Profile,
-    load_market,
     market_from_dict,
     market_to_dict,
     profile_from_list,
     profile_to_list,
     two_bond_market,
 )
-from .plans import WinnerTakeAllPlan, load_plan, plan_to_dict
+from .plans import WinnerTakeAllPlan, plan_from_dict, plan_to_dict
 from .rational import approx_decimal, as_rational, format_rational, load_json
 
 
@@ -61,7 +60,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         document = args.handler(args)
-    except (BonusLabError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (BonusLabError, OSError) as exc:
         _emit_error(args, exc)
         return 1
     if args.json:
@@ -168,14 +167,15 @@ def _fmt(args, text: str) -> str:
     return text
 
 
-def _read_market(args) -> Market:
-    with open(args.market) as fh:
-        return load_market(fh.read())
-
-
-def _read_plan(args):
-    with open(args.plan) as fh:
-        return load_plan(fh.read())
+def _read(path: str, parse):
+    """parse() of the JSON document in the file at `path`; ArityMismatch for
+    a file that is not UTF-8 text, as for text that is not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ArityMismatch(f"{path!r} is not UTF-8 text: UnicodeDecodeError: {exc}") from exc
+    return parse(load_json(text))
 
 
 def _combo_label(market: Market, combo) -> str:
@@ -306,8 +306,8 @@ def _text_replicate(doc, args):
 
 
 def _cmd_induce(args) -> dict:
-    market = _read_market(args)
-    plan = _read_plan(args)
+    market = _read(args.market, market_from_dict)
+    plan = _read(args.plan, plan_from_dict)
     g = induce_game(market, plan, as_rational(args.lam))
     return _payoff_dict(market, g)
 
@@ -318,10 +318,9 @@ def _text_induce(doc, args):
 
 
 def _cmd_check_eq(args) -> dict:
-    market = _read_market(args)
-    plan = _read_plan(args)
-    with open(args.profile) as fh:
-        profile = profile_from_list(load_json(fh.read()))
+    market = _read(args.market, market_from_dict)
+    plan = _read(args.plan, plan_from_dict)
+    profile = _read(args.profile, profile_from_list)
     g = induce_game(market, plan, as_rational(args.lam))
     return _equilibrium_dict(check_nash(g, profile, args.resolution))
 
@@ -337,8 +336,8 @@ def _text_check_eq(doc, args):
 
 
 def _cmd_check_optimal(args) -> dict:
-    market = _read_market(args)
-    plan = _read_plan(args)
+    market = _read(args.market, market_from_dict)
+    plan = _read(args.plan, plan_from_dict)
     return _optimality_dict(market, check_optimal(market, plan, args.resolution))
 
 
@@ -366,19 +365,19 @@ def _text_plan(doc, args):
 
 
 def _cmd_build_linear(args) -> dict:
-    market = _read_market(args)
+    market = _read(args.market, market_from_dict)
     plan = construct.build_m_linear(market, args.players)
     return _write_plan(args, plan)
 
 
 def _cmd_build_bounded(args) -> dict:
-    market = _read_market(args)
+    market = _read(args.market, market_from_dict)
     plan = construct.build_bounded_linear(market, args.players, args.grid)
     return _write_plan(args, plan)
 
 
 def _cmd_find_m(args) -> dict:
-    market = _read_market(args)
+    market = _read(args.market, market_from_dict)
     result = construct.find_bounding_m(market, args.grid)
     return {
         "bound": format_rational(result.bound),
@@ -419,7 +418,7 @@ def _parse_grid(text: str) -> list[Fraction]:
 
 
 def _cmd_probe(args) -> dict:
-    plan = _read_plan(args)
+    plan = _read(args.plan, plan_from_dict)
     if plan.players != args.players:
         raise BonusLabError(
             f"plan is for {plan.players} players, --players says {args.players}"
@@ -461,7 +460,7 @@ def _text_probe(doc, args):
 
 
 def _cmd_validate_plan(args) -> dict:
-    plan = _read_plan(args)
+    plan = _read(args.plan, plan_from_dict)
     try:
         lo_text, hi_text = args.range.split(":")
     except ValueError as exc:

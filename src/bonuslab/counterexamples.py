@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations
 from math import prod
 from typing import Sequence
 
@@ -220,9 +220,7 @@ def _coordinate_violations(plan: BonusPlan, points: Sequence):
     (denominator, shares), ints = plan.kernel_for(grid)
     value = dict(zip(ints, grid))
     for player in range(k):
-        for base in product(ints, repeat=k):
-            if len(set(base)) != k:
-                continue
+        for base in permutations(ints, k):
             own_share = shares(base)[player]
             for witness in ints:
                 if witness == base[player]:

@@ -54,7 +54,8 @@ class IncompleteMapping(BonusLabError):
 
 
 class NonSimplexTable(BonusLabError):
-    """A tabulated plan entry is not a valid allocation (negative or sum != 1)."""
+    """A tabulated plan entry is not a valid allocation (negative or sum != 1),
+    or the table lists one result vector twice."""
 
 
 class TensorCapExceeded(BonusLabError):

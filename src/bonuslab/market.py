@@ -82,7 +82,8 @@ class Market:
     """Immutable finite market.  Validated on construction.
 
     Attributes:
-        actions: distinct labels, one per action.
+        actions: distinct labels, one per action, each text that UTF-8 can
+            encode (a lone surrogate cannot be printed or written).
         atoms: the probability space; probabilities are positive and sum to 1,
             and every atom has one outcome per action.
     """
@@ -95,6 +96,11 @@ class Market:
             raise ArityMismatch("market needs at least one action")
         if not all(isinstance(label, str) for label in self.actions):
             raise ArityMismatch(f"action labels must be strings, got {self.actions!r}")
+        for label in self.actions:
+            try:
+                label.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ArityMismatch(f"action label {label!r} is not UTF-8 text") from exc
         if len(set(self.actions)) != len(self.actions):
             raise ArityMismatch(f"duplicate action labels in {self.actions}")
         if not self.atoms:

@@ -183,11 +183,10 @@ class LoserTakeAllPlan(BonusPlan):
 def _split_kernel(players: int, pick) -> Kernel:
     """Everything to the players whose result is pick(results), split equally."""
     denominator = lcm(*range(1, players + 1))
-    split = [0] + [denominator // count for count in range(1, players + 1)]
 
     def shares(v):
         best = pick(v)
-        share = split[v.count(best)]
+        share = denominator // v.count(best)
         return [share if x == best else 0 for x in v]
 
     return Kernel(denominator, shares)
@@ -320,7 +319,8 @@ class BoundedLinearPlan(_LinearPlan):
 
 @dataclass(frozen=True)
 class TabulatedPlan(BonusPlan):
-    """Explicit table from result vectors to allocations, with a fallback."""
+    """Explicit table from result vectors to allocations, with a fallback;
+    each result vector is listed once."""
 
     points: Mapping[tuple[Fraction, ...], tuple[Fraction, ...]] = field(
         default_factory=dict
@@ -339,6 +339,8 @@ class TabulatedPlan(BonusPlan):
                     f"table key {rational_text(key)} has length {len(k)},"
                     f" not {rational_text(self.players)}"
                 )
+            if k in frozen:
+                raise _repeated_key(k)
             where = f"table entry {rational_text(key)}"
             frozen[k] = _checked_allocation(shares, self.players, where)
         fallback = _checked_allocation(self.fallback, self.players, "fallback")
@@ -372,11 +374,17 @@ class TabulatedPlan(BonusPlan):
 
     @classmethod
     def from_document(cls, players, data):
-        points = {
-            rationals(entry["r"]): rationals(entry["shares"])
-            for entry in data.get("points", ())
-        }
+        points = {}
+        for entry in data.get("points", ()):
+            r = rationals(entry["r"])
+            if r in points:
+                raise _repeated_key(r)
+            points[r] = rationals(entry["shares"])
         return cls(players, points, rationals(data["fallback"]))
+
+
+def _repeated_key(key: tuple[Fraction, ...]) -> NonSimplexTable:
+    return NonSimplexTable(f"table entry {rational_text(key)} is listed more than once")
 
 
 def _checked_allocation(shares, players: int, where: str) -> tuple[Fraction, ...]:

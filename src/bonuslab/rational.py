@@ -128,8 +128,12 @@ def rationals(values) -> tuple[Fraction, ...]:
 def load_json(text: str):
     """A JSON document whose numbers with a fraction or exponent are refused
     as written: FloatRejected quotes the literal before a float rounds it.
-    An integer past the int digit limit is UnparsableNumber."""
-    return json.loads(text, parse_float=_reject_float_literal, parse_int=_int_literal)
+    An integer past the int digit limit is UnparsableNumber; text that is
+    not JSON, or nests deeper than the decoder can follow, ArityMismatch."""
+    try:
+        return json.loads(text, parse_float=_reject_float_literal, parse_int=_int_literal)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ArityMismatch(f"not a JSON document: {type(exc).__name__}: {exc}") from exc
 
 
 def _int_literal(literal: str) -> int:

@@ -216,8 +216,8 @@ MUTANTS = (
     Mutant(
         "WTA/LTA ties not split",
         "src/bonuslab/plans.py",
-        "share = split[v.count(best)]",
-        "share = split[1]",
+        "share = denominator // v.count(best)",
+        "share = denominator",
         ("tests/test_plans.py::test_kernels_match_evaluate",),
     ),
     Mutant(
@@ -509,6 +509,34 @@ MUTANTS = (
         "if self.players <= 10 else ()",
         "if self.players <= 11 else ()",
         ("tests/test_plans.py::test_linear_plans_probe_their_corners_up_to_ten_players",),
+    ),
+    Mutant(
+        "coordinate probe scans every base tuple, repeated coordinates too",
+        "src/bonuslab/counterexamples.py",
+        "for base in permutations(ints, k):",
+        "for base in __import__('itertools').product(ints, repeat=k):",
+        ("tests/test_counterexamples.py::test_probes_match_the_reference_scan",),
+    ),
+    Mutant(
+        "JSON nested past the decoder's depth escapes as RecursionError",
+        "src/bonuslab/rational.py",
+        "except (json.JSONDecodeError, RecursionError) as exc:",
+        "except json.JSONDecodeError as exc:",
+        ("tests/test_rational.py::test_text_that_is_not_json_is_arity_mismatch",),
+    ),
+    Mutant(
+        "a tabulated plan keeps the last row for a repeated result vector",
+        "src/bonuslab/plans.py",
+        "if k in frozen:",
+        "if False:",
+        ("tests/test_plans.py::test_tabulated_lists_each_result_vector_once",),
+    ),
+    Mutant(
+        "an action label that UTF-8 cannot encode is let through",
+        "src/bonuslab/market.py",
+        'label.encode("utf-8")',
+        "label",
+        ("tests/test_market.py::test_action_labels_are_utf8_text",),
     ),
 )
 

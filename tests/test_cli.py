@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from bonuslab import market_to_dict, plan_to_dict, two_bond_market, WinnerTakeAllPlan
+from bonuslab import market_to_dict, plan_to_dict, plans, two_bond_market, WinnerTakeAllPlan
 from bonuslab.cli import _build_parser, main
+from bonuslab.plans import SimplexReport
 
 F = Fraction
 
@@ -220,6 +221,37 @@ def test_validate_plan(capsys, files):
     assert "range" in capsys.readouterr().err
 
 
+# validate-plan's failure report.  Every built-in kind meets the allocation
+# contract by construction, so the report is stood in for.
+FAILURES = [
+    ("off-simplex", SimplexReport(False, 3, ((F(1, 2), F(-1)), (F(3, 2), F(-1, 2)),
+                                             "share outside [0, 1]")),
+     {"ok": False, "evaluations": 3,
+      "failure": {"r": ["1/2", "-1"], "shares": ["3/2", "-1/2"], "reason": "share outside [0, 1]"}},
+     "FAILED after 3 evaluations: share outside [0, 1]\n"
+     "  at r = (1/2, -1)\n"
+     "  shares = (3/2, -1/2)\n"),
+    ("raised", SimplexReport(False, 0, ((F(0), F(2)), None, "ZeroDivisionError('x')")),
+     {"ok": False, "evaluations": 0,
+      "failure": {"r": ["0", "2"], "shares": None, "reason": "ZeroDivisionError('x')"}},
+     "FAILED after 0 evaluations: ZeroDivisionError('x')\n"
+     "  at r = (0, 2)\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "report,document,text", [case[1:] for case in FAILURES], ids=[c[0] for c in FAILURES]
+)
+def test_validate_plan_reports_a_failure(monkeypatch, capsys, files, report, document, text):
+    _, _, plan, _ = files
+    monkeypatch.setattr(plans, "validate_simplex", lambda *args, **kwargs: report)
+    code, data = run_json(capsys, ["validate-plan", "--plan", plan])
+    assert code == 0
+    assert data == document
+    assert main(["validate-plan", "--plan", plan]) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_missing_file_is_a_validation_error(capsys):
     assert main(["check-optimal", "--market", "/no/such/file.json",
                  "--plan", "/none.json"]) == 1
@@ -296,6 +328,15 @@ TINY_ATOM_MARKET = {"actions": ["A"], "atoms": [{"p": "1e-4300", "outcomes": ["1
 # a tie at expectation 10^-4300 / 2, whose denominator has 4 301 digits
 TINY_TIE_MARKET = {"actions": ["A", "B"], "atoms": [{"p": "1/2", "outcomes": ["1e-4300", "0"]},
                                                     {"p": "1/2", "outcomes": ["0", "1e-4300"]}]}
+# JSON text nested deeper than the decoder follows
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+# a lone surrogate is a str, written by json.dumps as the escape \ud800, that
+# no output can encode
+SURROGATE_MARKET = {"actions": ["\ud800", "b"], "atoms": [{"p": "1", "outcomes": ["2", "1"]}]}
+# one result vector, listed as ["1/2", "0"] and as ["0.5", "0"]
+REPEATED_TABLE = {"players": 2, "kind": "tabulated", "fallback": ["1/2", "1/2"],
+                  "points": [{"r": ["1/2", "0"], "shares": ["1", "0"]},
+                             {"r": ["0.5", "0"], "shares": ["0", "1"]}]}
 
 # (case, documents by placeholder, argv, exit code, error type under --json)
 REJECTED = [
@@ -431,6 +472,26 @@ REJECTED = [
      "UnwritableNumber"),
     ("replicate-report-past-the-digit-limit", {},
      ["replicate-example", "--lambda=1e-4300"], "UnwritableNumber"),
+    ("check-optimal-plan-not-json", {"M": MARKET, "P": "{not json"},
+     ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
+    ("find-m-market-nested-too-deep", {"M": DEEP_JSON},
+     ["find-m", "--market", "M", "--grid", "2"], "ArityMismatch"),
+    ("find-m-market-not-utf8", {"M": b'{"actions": ["\xff"]}'},
+     ["find-m", "--market", "M", "--grid", "2"], "ArityMismatch"),
+    ("find-m-label-not-utf8", {"M": SURROGATE_MARKET},
+     ["find-m", "--market", "M", "--grid", "2"], "ArityMismatch"),
+    ("find-m-no-actions", {"M": {"actions": [], "atoms": [{"p": "1", "outcomes": []}]}},
+     ["find-m", "--market", "M", "--grid", "2"], "ArityMismatch"),
+    ("find-m-no-atoms", {"M": {"actions": ["A", "B"], "atoms": []}},
+     ["find-m", "--market", "M", "--grid", "2"], "NonUnitMass"),
+    ("check-eq-profile-is-an-object", {"M": MARKET, "P": WTA, "Q": {"0": ["1", "0"]}},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q"], "NonSimplexWeights"),
+    ("check-eq-profile-entry-is-a-number", {"M": MARKET, "P": WTA, "Q": [1, ["1", "0"]]},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q"], "NonSimplexWeights"),
+    ("check-eq-profile-players", {"M": MARKET, "P": WTA, "Q": [["1", "0"]] * 3},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q"], "ArityMismatch"),
+    ("validate-plan-repeated-table-key", {"P": REPEATED_TABLE},
+     ["validate-plan", "--plan", "P"], "NonSimplexTable"),
     ("check-optimal-exponent-past-the-digit-limit",
      {"M": {"actions": ["A"], "atoms": [{"p": "1", "outcomes": ["1e100000000"]}]}, "P": WTA},
      ["check-optimal", "--market", "M", "--plan", "P"], "UnparsableNumber"),
@@ -521,11 +582,15 @@ def test_one_parser_serves_every_request(capsys, files):
 
 
 def _materialize(tmp_path, documents, argv):
-    """Write each document, a string as raw JSON text, and put its path in argv."""
+    """Write each document, a string as raw JSON text and bytes as they are,
+    and put its path in argv."""
     paths = {}
     for name, data in documents.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(data if isinstance(data, str) else json.dumps(data))
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(data if isinstance(data, str) else json.dumps(data))
         paths[name] = str(path)
     return [paths.get(arg, arg) for arg in argv]
 
@@ -541,6 +606,25 @@ def test_malformed_input_is_a_json_error(tmp_path, capsys, documents, argv, erro
     error = json.loads(captured.err)["error"]
     assert error["type"] == error_type
     assert isinstance(error["message"], str) and error["message"]
+
+
+# rejections checked in text mode too: a label or a decoder failure must
+# still end in one error line
+IN_TEXT = ("find-m-label-not-utf8", "find-m-market-nested-too-deep", "find-m-market-not-utf8")
+
+
+@pytest.mark.parametrize(
+    "documents,argv,error_type",
+    [case[1:] for case in REJECTED if case[0] in IN_TEXT],
+    ids=[c[0] for c in REJECTED if c[0] in IN_TEXT],
+)
+def test_malformed_input_is_a_text_error(tmp_path, capsys, documents, argv, error_type):
+    code = main(_materialize(tmp_path, documents, argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error [{error_type}]: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -272,6 +272,12 @@ def test_builders_reject_mismatched_violations():
         pair_increase_counterexample(wta, backwards)
 
 
+def test_pair_builders_are_for_two_player_plans():
+    decrease = PairViolation(Direction.DECREASE, F(0), F(1), 0, F(1, 2))
+    with pytest.raises(ArityMismatch, match="two-player"):
+        pair_decrease_counterexample(LoserTakeAllPlan(3), decrease)
+
+
 # ---------------------------------------------------------------------
 # Many-player builders
 # ---------------------------------------------------------------------

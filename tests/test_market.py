@@ -32,6 +32,7 @@ from bonuslab import (
     expectation,
     induce_game,
     load_market,
+    load_plan,
     market_from_dict,
     market_to_dict,
     product_market,
@@ -127,6 +128,21 @@ def test_action_labels_are_strings():
         build_market("AB", [("1", ("1", "2"))])
     with pytest.raises(ArityMismatch):
         product_market([("0", "1/2"), ("1", "1/2")], 2, [(3, lambda combo: combo[0])])
+
+
+def test_action_labels_are_utf8_text():
+    """A lone surrogate is a str that no output can encode: the market
+    refuses it, writing it by repr."""
+    with pytest.raises(ArityMismatch, match=re.escape("'\\ud800'")):
+        build_market(["\ud800", "b"], [("1", ("2", "1"))])
+
+
+def test_documents_that_are_not_json_are_bonuslab_errors():
+    for text in ("{", "[" * 100_000 + "]" * 100_000):
+        with pytest.raises(ArityMismatch):
+            load_market(text)
+        with pytest.raises(ArityMismatch):
+            load_plan(text)
 
 
 def test_copy_counts_are_ints():

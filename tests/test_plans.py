@@ -128,6 +128,22 @@ def test_tabulated_rejects_off_simplex_rows():
         TabulatedPlan(2, {}, ("2", "-1"))
 
 
+def test_tabulated_lists_each_result_vector_once():
+    """Two rows for one vector, written two ways, are refused: none may
+    silently overwrite the other."""
+    with pytest.raises(NonSimplexTable, match=r"\(Fraction\(1, 2\), Fraction\(0, 1\)\) is listed"):
+        TabulatedPlan(2, {("1/2", "0"): ("1", "0"), (F(1, 2), 0): ("0", "1")}, ("1/2", "1/2"))
+    document = {
+        "players": 2,
+        "kind": "tabulated",
+        "points": [{"r": ["1/2", "0"], "shares": ["1", "0"]},
+                   {"r": ["0.5", "0"], "shares": ["0", "1"]}],
+        "fallback": ["1/2", "1/2"],
+    }
+    with pytest.raises(NonSimplexTable, match="listed more than once"):
+        plan_from_dict(document)
+
+
 def test_evaluate_checks_arity():
     with pytest.raises(ArityMismatch):
         WinnerTakeAllPlan(2).evaluate(("1", "2", "3"))
@@ -416,6 +432,50 @@ def test_validate_simplex_reports_first_failure():
     r, shares, reason = report.failure
     assert shares == (F(2), F(-1))
     assert "outside" in reason
+
+
+@dataclass(frozen=True)
+class _RaisingPlan(BonusPlan):
+    kind = "raising"
+
+    def kernel(self, scale):
+        raise ZeroDivisionError("no kernel")
+
+
+@dataclass(frozen=True)
+class _ShortPlan(BonusPlan):
+    kind = "short"
+
+    def kernel(self, scale):
+        return Kernel(1, lambda v: (1,))
+
+
+@dataclass(frozen=True)
+class _OverfullPlan(BonusPlan):
+    kind = "overfull"
+
+    def kernel(self, scale):
+        return Kernel(2, lambda v: (1, 2))
+
+
+@pytest.mark.parametrize(
+    "plan,evaluations,shares,reason",
+    [
+        (_RaisingPlan(2), 0, None, "ZeroDivisionError('no kernel')"),
+        (_ShortPlan(2), 1, (F(1),), "wrong arity"),
+        (_OverfullPlan(2), 1, (F(1, 2), F(1)), "shares do not sum to 1"),
+    ],
+    ids=["raises", "wrong-arity", "sum-not-one"],
+)
+def test_validate_simplex_names_each_broken_contract(plan, evaluations, shares, reason):
+    """The first sampled vector fails: the report gives the evaluations
+    that returned, the shares (None when the plan raised) and the reason."""
+    report = validate_simplex(plan, count=5)
+    assert not report.ok
+    assert report.evaluations == evaluations
+    r, got, why = report.failure
+    assert len(r) == 2
+    assert (got, why) == (shares, reason)
 
 
 def test_plan_serialization_round_trips():

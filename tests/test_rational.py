@@ -58,6 +58,14 @@ def test_json_integers_past_the_digit_limit_are_unparsable():
         load_json('{"players": %s}' % ("1" * digits))
 
 
+def test_text_that_is_not_json_is_arity_mismatch():
+    """Text the decoder refuses, and a document nested deeper than it can
+    follow, end in a BonusLabError that keeps the decoder's exception name."""
+    for text, name in (("{", "JSONDecodeError"), ("[" * 100_000 + "]" * 100_000, "RecursionError")):
+        with pytest.raises(ArityMismatch, match=name):
+            load_json(text)
+
+
 def test_format_round_trips():
     for text in ("0", "7", "-3", "3/5", "-1051/1000"):
         assert format_rational(as_rational(text)) == text
