@@ -29,7 +29,10 @@ interval-gated linear plan when every market value lies inside its
 interval; the output-gated linear plan when no atom's result spread exceeds
 twice its scale bound; no other kind.  In each case the bonus term is the
 linear form at every reachable profile, hence affine in the deviator's
-expected result with positive slope.
+expected result with positive slope.  The same argument gives the pure
+cells in closed form: each of these kinds states its form as
+`linear_form(scale)`, and a game whose plan is pure-sufficient on its
+market computes every pure cell from the actions' expectations (below).
 
 Searches are shared under an anonymous plan, one whose kind declares
 `anonymous`: permuting the results permutes the shares (constant, wta,
@@ -85,7 +88,15 @@ that denominator, and the plan's `kernel` for that scale returns
 integer share numerators, its gates compared as integers.  A cell applies
 the kernel to every atom's result row and sums each player's column of
 shares, and of results when the earnings weight w is not 0, against the
-probability weights.  It holds integer payoff numerators over one
+probability weights.  A pure cell under a pure-sufficient plan with a
+linear form (equal, slope) skips the atoms: its gate is open at every atom,
+so each share is equal + slope * (k * v_i - sum v), and by linearity of
+expectation the summed shares are mass * equal + slope * (k * S[a_i] -
+sum_j S[a_j]), S the market's `expectation_sums`; the summed results are
+S[a_i].  These are the integers the atom rows give, so the cell costs
+O(k), not O(atoms * k), and every cell, verdict and memo key is as before.
+The game picks its way once, at its first cell; portfolios keep the atom
+rows.  A cell holds integer payoff numerators over one
 denominator, the same for every cell of the game, so comparing two
 numerators compares the two payoffs: `strict_dominance` and the pure scan
 of `best_response` rank cells as integers and build no `Fraction` while
@@ -114,10 +125,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations_with_replacement, product
 from math import lcm
 from operator import add, itemgetter, mul, sub
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -166,7 +178,9 @@ class Game:
     compare them directly.  A cell is added on first read; `payoff` turns
     one into `Fraction`s.  Only `payoffs` materializes the full n^k tensor.
     `kernels` keeps the plan's kernel per result scale.  Both start empty,
-    so `replace` gives a game fresh memos.  The earnings weight is coerced
+    so `replace` gives a game fresh memos; so do the plan's sufficiency on
+    the market and the way a pure cell is computed, each decided on first
+    use and kept on the game.  The earnings weight is coerced
     by as_rational and must lie in [0, 1).
     """
 
@@ -208,10 +222,45 @@ class Game:
                 f"({', '.join(map(rational_text, combo))}) is not a {k}-player profile"
                 f" over {n} actions"
             )
-        view = self.market.integer_view
-        rows = list(map(itemgetter(*combo), view.values))
-        value = self.cells[combo] = _cell(self, rows, view.scale)
+        value = self.cells[combo] = self._pure_cell(combo)
         return value
+
+    @cached_property
+    def _pure_sufficient(self) -> bool:
+        """The plan's `pure_search_complete(market)`, decided once per game."""
+        return self.plan.pure_search_complete(self.market)
+
+    @cached_property
+    def _pure_cell(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        """How this game computes a pure cell, chosen once, at its first cell.
+
+        When the plan is pure-sufficient on the market and states a linear
+        form (equal, slope), the gate is open at every atom of a pure
+        profile, so by linearity of expectation player i's summed share
+        numerators are mass * equal + slope * (k * S[a_i] - sum_j S[a_j]),
+        S the market's `expectation_sums`, and its summed results S[a_i]:
+        the cell costs O(k).  Otherwise the kernel runs on every atom's row.
+        """
+        view = self.market.integer_view
+        form = self.plan.linear_form(view.scale)
+        if form is None or not self._pure_sufficient:
+            values, scale = view.values, view.scale
+            return lambda combo: _cell(self, list(map(itemgetter(*combo), values)), scale)
+        equal, slope = form
+        k, sums = self.players, self.market.expectation_sums
+        scoring = self._scoring(view.scale)
+        bonus_weight, result_weight = scoring.bonus_weight, scoring.result_weight
+        mass_equal = view.mass * equal
+
+        def cell(combo):
+            own = [sums[a] for a in combo]
+            total = sum(own)
+            return tuple(
+                bonus_weight * (mass_equal + slope * (k * s - total)) + result_weight * s
+                for s in own
+            )
+
+        return cell
 
     @property
     def payoffs(self) -> dict:
@@ -429,7 +478,7 @@ def best_response(
     check_arity(opponents, n)
     if resolution is not None:
         as_count(resolution, "grid denominator", 1, InvalidParameter)
-    complete = game.plan.pure_search_complete(game.market)
+    complete = game._pure_sufficient
     if complete:
         method = "pure-sufficient"
     elif resolution is None:
@@ -441,10 +490,12 @@ def best_response(
     pure = tuple(s.pure_action for s in opponents)
     if not grid and None not in pure:
         # Cells, not the scorer: the profile's own action is a cell that
-        # expected_payoffs has already computed, which a fresh scan would score
-        # again.  Scoring these actions afresh cut bench/run.py's `sweep` from a
-        # median of 1 779 to 1 624 tasks/s, p50 0.478 to 0.534 ms, slower in 5
-        # of 5 alternating pairs (2 vCPUs, Python 3.11.7, --seed 0 --seconds 10;
+        # expected_payoffs has already computed, and under a pure-sufficient
+        # plan with a linear form a cell costs O(k), where the scan runs the
+        # plan's response at every atom for every action.  Scoring these
+        # actions with the scan cut bench/run.py's `sweep` from a median of
+        # 2 403 to 1 969 tasks/s, p50 0.383 to 0.467 ms, slower in 5 of 5
+        # alternating pairs (2 vCPUs, Python 3.11.7, --seed 0 --seconds 20;
         # see CHANGES.md).
         before, after = pure[:player], pure[player:]
         values = [game._numerators(before + (a,) + after)[player] for a in range(n)]

@@ -15,8 +15,9 @@ integer counts it keeps.
 A market has one exact path, its `integer_view`, built with the market:
 outcomes are integers over one common denominator, probabilities over
 another, and `Market` checks its atoms on them.  Action a's expectation is
-one integer sum, sum_t weight_t * value_t[a], over mass * scale, kept in
-`expectations()`; a portfolio's is its weights' sum against that tuple.
+one integer sum, sum_t weight_t * value_t[a], over mass * scale, kept once
+per market in `expectation_sums`; `expectations()` builds its `Fraction`s
+from those sums, and a portfolio's is its weights' sum against that tuple.
 `support_stats` is kept the same way, from the view's least and largest
 integers.
 `product_market` checks its marginal's mass on integer weights and builds
@@ -132,13 +133,17 @@ class Market:
         return self._expectations
 
     @cached_property
+    def expectation_sums(self) -> tuple[int, ...]:
+        """Each action's expectation over the integer view's mass * scale:
+        sum_t weights[t] * values[t][a], one integer per action."""
+        view = self.integer_view
+        return tuple(sum(map(mul, view.weights, column)) for column in zip(*view.values))
+
+    @cached_property
     def _expectations(self) -> tuple[Fraction, ...]:
         view = self.integer_view
         denominator = view.mass * view.scale
-        return tuple(
-            Fraction(sum(map(mul, view.weights, column)), denominator)
-            for column in zip(*view.values)
-        )
+        return tuple(Fraction(s, denominator) for s in self.expectation_sums)
 
     @cached_property
     def _support_stats(self) -> SupportStats:

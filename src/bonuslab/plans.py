@@ -28,6 +28,14 @@ kernel at one result vector's least common denominator.  A deviation
 search asks `BonusPlan.response` for one player's share at one atom, as a
 function of that player's result against fixed opponents: by default the
 kernel's entry, in closed form for the wta kind.
+
+A kind with a pure-sufficiency rule also states the linear form behind it,
+`BonusPlan.linear_form(scale)`: the pair (equal, slope) with player i's
+share numerator equal + slope * (k * v_i - sum v) wherever its gate is
+open.  The constant kind states (1, 0), and both linear kinds state
+(2(k-1) * num(M) * scale, den(M)) and build their kernels from it; wta,
+lta and tabulated state none.  A game reads the form to compute a pure
+cell from the actions' expectations (see `bonuslab.game`).
 """
 
 from __future__ import annotations
@@ -128,6 +136,14 @@ class BonusPlan:
         """True when scanning pure deviations provably covers all portfolios."""
         return False
 
+    def linear_form(self, scale: int) -> tuple[int, int] | None:
+        """The linear form behind the sufficiency rule, as (equal, slope):
+        `kernel(scale).shares(v)[i] == equal + slope * (k * v[i] - sum(v))`
+        wherever the kernel's gate is open, which on a market where
+        `pure_search_complete` holds is at every atom of a pure profile.
+        None for a kind without one."""
+        return None
+
     def probes(self) -> Iterable[tuple[Fraction, ...]]:
         """Result vectors validate_simplex checks besides its random samples."""
         return ()
@@ -154,6 +170,9 @@ class ConstantPlan(BonusPlan):
 
     def pure_search_complete(self, market: Market) -> bool:
         return True
+
+    def linear_form(self, scale):
+        return 1, 0
 
 
 @dataclass(frozen=True)
@@ -208,19 +227,25 @@ class _LinearPlan(BonusPlan):
                 f"scale bound must be positive, got {rational_text(self.bound)}"
             )
 
+    def linear_form(self, scale):
+        # over 2k(k-1)M·scale an equal share is 2(k-1)·num(M)·scale, and
+        # (r_i - r_j) / (2k(k-1)M) is den(M)·(v_i - v_j)
+        numerator, denominator = self.bound.as_integer_ratio()
+        return 2 * (self.players - 1) * numerator * scale, denominator
+
     def _linear_kernel(self, scale: int, gate) -> Kernel:
         """The linear form over 2k(k-1)M·scale, kept where gate(v, shares) holds.
 
         An equal share is `equal`; player i's linear numerator is
-        equal + (k·v_i - sum v)·(denominator of M).
+        equal + (k·v_i - sum v)·slope, (equal, slope) = `linear_form(scale)`.
         """
-        k, (numerator, denominator) = self.players, self.bound.as_integer_ratio()
-        equal = 2 * (k - 1) * numerator * scale
+        k = self.players
+        equal, slope = self.linear_form(scale)
         fallback = [equal] * k
 
         def shares(v):
             total = sum(v)
-            linear = [equal + (k * x - total) * denominator for x in v]
+            linear = [equal + (k * x - total) * slope for x in v]
             return linear if gate(v, linear) else fallback
 
         return Kernel(k * equal, shares)

@@ -69,22 +69,17 @@ def as_count(value, name: str, minimum: int | None, error: type[Exception]) -> i
 
 
 def rational_text(value) -> str:
-    """`value`, a number or a tuple of numbers, written as str() writes it
-    within sys.get_int_max_str_digits() (0: no limit); past it, a number too
-    long is written as its sign, its kind and the limit, so a message never
-    fails."""
-    return _text(value, str)
-
-
-def _text(value, write) -> str:
-    """`write(value)`, or its fallback past the digit limit; a tuple's
-    numbers are written as repr(), as str() of a tuple writes them."""
+    """`value`, a number or a tuple of numbers, written as str() writes a
+    number within sys.get_int_max_str_digits() (0: no limit), and a tuple
+    with each item written so: "(1/2, 0)", as documents spell the numbers.
+    Past the limit, a number too long is written as its sign, its kind and
+    the limit, so a message never fails."""
+    if isinstance(value, tuple):
+        items = [rational_text(x) for x in value]
+        return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
     try:
-        return write(value)
+        return str(value)
     except ValueError:
-        if isinstance(value, tuple):
-            items = [_text(x, repr) for x in value]
-            return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
         limit = sys.get_int_max_str_digits()
         if isinstance(value, int):
             return f"{'a negative' if value < 0 else 'an'} int of over {limit} digits"

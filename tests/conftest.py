@@ -126,6 +126,13 @@ def fraction_expectation(market: Market, strategy: MixedAction) -> Fraction:
     )
 
 
+def vector_text(vector: tuple) -> str:
+    """Reference: a message's tuple of numbers, each written by str(), as
+    documents spell them: "(1/2, 0)", "(1,)"."""
+    items = [str(x) for x in vector]
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
 def fraction_mixed_check(weights) -> tuple[Fraction, ...]:
     """Reference: the checks `MixedAction` made on its weights in Fractions
     before it made them on integer counts, with the same errors and
@@ -135,9 +142,11 @@ def fraction_mixed_check(weights) -> tuple[Fraction, ...]:
     if not weights:
         raise NonSimplexWeights("empty weight vector")
     if any(w < 0 or w > 1 for w in weights):
-        raise NonSimplexWeights(f"weights out of [0, 1]: {weights}")
+        raise NonSimplexWeights(f"weights out of [0, 1]: {vector_text(weights)}")
     if sum(weights) != 1:
-        raise NonSimplexWeights(f"weights sum to {sum(weights)}, not 1: {weights}")
+        raise NonSimplexWeights(
+            f"weights sum to {sum(weights)}, not 1: {vector_text(weights)}"
+        )
     return weights
 
 
@@ -195,7 +204,9 @@ def fraction_product_atoms(marginal, copies: int, rules=()) -> list[tuple[Fracti
         except KeyError:
             value = None
         if value is None:
-            raise IncompleteMapping(f"extra action {label!r} has no value at {combo}")
+            raise IncompleteMapping(
+                f"extra action {label!r} has no value at {vector_text(combo)}"
+            )
         return as_rational(value)
 
     atoms = []

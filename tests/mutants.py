@@ -532,6 +532,37 @@ MUTANTS = (
         ("tests/test_plans.py::test_tabulated_lists_each_result_vector_once",),
     ),
     Mutant(
+        "pure cells from the linear form without the sufficiency check",
+        "src/bonuslab/game.py",
+        "if form is None or not self._pure_sufficient:",
+        "if form is None:",
+        ("tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",),
+    ),
+    Mutant(
+        "pure cells from the linear form with the slope on (sum v - k v_i)",
+        "src/bonuslab/game.py",
+        "slope * (k * s - total)",
+        "slope * (total - k * s)",
+        ("tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",),
+    ),
+    Mutant(
+        "pure cells from the linear form drop the earnings term",
+        "src/bonuslab/game.py",
+        "bonus_weight * (mass_equal + slope * (k * s - total)) + result_weight * s",
+        "bonus_weight * (mass_equal + slope * (k * s - total))",
+        ("tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",),
+    ),
+    Mutant(
+        "the constant plan states the form (0, 1)",
+        "src/bonuslab/plans.py",
+        "return 1, 0",
+        "return 0, 1",
+        (
+            "tests/test_plans.py::test_linear_forms_match_the_kernel_where_the_gate_is_open",
+            "tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",
+        ),
+    ),
+    Mutant(
         "an action label that UTF-8 cannot encode is let through",
         "src/bonuslab/market.py",
         'label.encode("utf-8")',

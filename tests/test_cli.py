@@ -627,6 +627,18 @@ def test_malformed_input_is_a_text_error(tmp_path, capsys, documents, argv, erro
     assert captured.err.count("\n") == 1
 
 
+def test_a_repeated_table_key_is_written_as_the_document_writes_it(tmp_path, capsys):
+    """The refusal of a result vector listed twice, once as ["1/2", "0"] and
+    once as ["0.5", "0"], writes the vector as rationals, not Fraction reprs."""
+    argv = _materialize(tmp_path, {"P": REPEATED_TABLE}, ["validate-plan", "--plan", "P"])
+    assert main(["--json", *argv]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {
+        "type": "NonSimplexTable",
+        "message": "table entry (1/2, 0) is listed more than once",
+    }
+
+
 @pytest.mark.parametrize(
     "documents,argv", [case[1:] for case in USAGE], ids=[c[0] for c in USAGE]
 )

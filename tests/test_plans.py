@@ -131,7 +131,7 @@ def test_tabulated_rejects_off_simplex_rows():
 def test_tabulated_lists_each_result_vector_once():
     """Two rows for one vector, written two ways, are refused: none may
     silently overwrite the other."""
-    with pytest.raises(NonSimplexTable, match=r"\(Fraction\(1, 2\), Fraction\(0, 1\)\) is listed"):
+    with pytest.raises(NonSimplexTable, match=r"\(1/2, 0\) is listed"):
         TabulatedPlan(2, {("1/2", "0"): ("1", "0"), (F(1, 2), 0): ("0", "1")}, ("1/2", "1/2"))
     document = {
         "players": 2,
@@ -259,6 +259,40 @@ def test_kernels_match_evaluate(case):
         expected = fraction_allocation(plan, r)
         assert tuple(F(x, denominator) for x in got) == expected
         assert plan.evaluate(r) == expected
+
+
+def test_linear_forms_match_the_kernel_where_the_gate_is_open():
+    """The (equal, slope) a kind states is its kernel's shares at every
+    result vector its gate lets through: any vector for the constant kind,
+    one inside the interval for m_linear, one whose spread is within twice
+    the bound for bounded_linear.  wta, lta and tabulated state no form."""
+    rng = random.Random(27)
+    checked = {"constant": 0, "m_linear": 0, "bounded_linear": 0}
+    for _ in range(300):
+        k, scale = rng.randint(2, 5), rng.randint(1, 12)
+        bound = F(rng.randint(1, 12), rng.randint(1, 4))
+        lo = F(rng.randint(-12, 4), rng.randint(1, 4))
+        m_linear = MLinearPlan(k, bound, lo, lo + bound * F(rng.randint(0, 8), 4))
+        bounded = BoundedLinearPlan(k, bound)
+        base = rng.randint(-3 * scale, 3 * scale)
+        width = 2 * bound * scale  # the widest spread the output gate lets through
+        inside = range(-(-m_linear.lo * scale // 1), m_linear.hi * scale // 1 + 1)
+        cases = [
+            (ConstantPlan(k), [rng.randint(-3 * scale, 3 * scale) for _ in range(k)]),
+            (bounded, [base + rng.randint(0, width // 1) for _ in range(k)]),
+        ]
+        if inside:
+            cases.append((m_linear, [rng.choice(inside) for _ in range(k)]))
+        for plan, v in cases:
+            equal, slope = plan.linear_form(scale)
+            kernel = plan.kernel(scale)
+            assert kernel.denominator == k * equal
+            assert list(kernel.shares(tuple(v))) == [equal + slope * (k * x - sum(v)) for x in v]
+            checked[plan.kind] += 1
+        for plan in plans_for(k):
+            if plan.kind in ("wta", "lta", "tabulated"):
+                assert plan.linear_form(scale) is None
+    assert min(checked.values()) >= 250
 
 
 def test_responses_match_the_kernel():
