@@ -59,6 +59,17 @@ way `check_optimal` scans only the sorted best-expectation profiles: a
 profile's sorted permutation comes no later in product order and is an
 equilibrium exactly when it is, so the witness does not change.
 
+A game is separable when its plan states a linear form and is
+pure-sufficient on the market (`Game._separable`, decided once).  Then
+player i's payoff numerator at a pure profile is c * S[a_i] + g(the others'
+actions), S the market's `expectation_sums` and c = bonus_weight * slope *
+(k - 1) + result_weight (below), so u(a, rest) - u(b, rest) = c * (S[a] -
+S[b]) for every opponent profile rest.  Since c >= 0, one profile decides
+every pair: `strict_dominance` checks only the first surviving opponent
+profile in its order, at most n cells per round, and finds the same pairs,
+trace and survivors; with c = 0 (the constant plan at w = 0) no pair is
+strict.  Its caps are unchanged and still checked before any cell.
+
 Payoff cells are computed on first read.  A pure-deviation verdict at one
 profile reads that profile and its unilateral deviations, at most
 1 + k(n-1) cells of the n^k tensor, so a cell is computed when it is first
@@ -69,15 +80,15 @@ refuses a tensor over TENSOR_CAP pure profiles before computing any.  Every
 other enumeration is capped on its own size, before any cell.  The shared
 dominance relation reads at most n * C(n+k-2, k-1) cells and each cell sums
 k shares per atom, so it is refused when cells times players exceed
-TENSOR_CAP.  `check_optimal` scans C(|argmax|+k-1, k) sorted profiles,
-refused over TENSOR_CAP, and a simplex grid's C(d+n-1, n-1) points are
-refused over GRID_CAP, and its points times n weights over
-GRID_WEIGHT_CAP.  A dominance relation or a scan that is not shared is
-capped at its n^k, or |argmax|^k, profiles.  `market._power_exceeds`
-and `_multisets_exceed` decide every cap: binomials and powers too large to
-build are never built, and a refusal names the shape, never the count.  A
-verdict read from a profile and its deviations is not refused for the size
-of the tensor.
+TENSOR_CAP; a separable game reads at most n per round, under the same
+cap.  `check_optimal` scans C(|argmax|+k-1, k) sorted profiles, refused
+over TENSOR_CAP, and a simplex grid's C(d+n-1, n-1) points are refused
+over GRID_CAP, and its points times n weights over GRID_WEIGHT_CAP.  A
+dominance relation or a scan that is not shared is capped at its n^k, or
+|argmax|^k, profiles.  `market._power_exceeds` and `_multisets_exceed`
+decide every cap: binomials and powers too large to build are never built,
+and a refusal names the shape, never the count.  A verdict read from a
+profile and its deviations is not refused for the size of the tensor.
 
 Payoffs are computed in integers and are exact all the same.  A market's
 `integer_view`, built once, writes every outcome over one common
@@ -88,8 +99,8 @@ that denominator, and the plan's `kernel` for that scale returns
 integer share numerators, its gates compared as integers.  A cell applies
 the kernel to every atom's result row and sums each player's column of
 shares, and of results when the earnings weight w is not 0, against the
-probability weights.  A pure cell under a pure-sufficient plan with a
-linear form (equal, slope) skips the atoms: its gate is open at every atom,
+probability weights.  A pure cell of a separable game, with linear form
+(equal, slope), skips the atoms: its gate is open at every atom,
 so each share is equal + slope * (k * v_i - sum v), and by linearity of
 expectation the summed shares are mass * equal + slope * (k * S[a_i] -
 sum_j S[a_j]), S the market's `expectation_sums`; the summed results are
@@ -126,7 +137,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, islice, product
 from math import lcm
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -231,22 +242,33 @@ class Game:
         return self.plan.pure_search_complete(self.market)
 
     @cached_property
+    def _separable(self) -> bool:
+        """Whether the plan is pure-sufficient on the market with a linear
+        form, decided once per game.  Then the gate is open at every atom of
+        every pure profile, and player i's payoff numerator is
+        c * S[a_i] + g(the others' actions), S the market's
+        `expectation_sums` and c = bonus_weight * slope * (k - 1) +
+        result_weight >= 0.  Every kind that can be pure-sufficient states a
+        form, so the form check is a guard: `_pure_cell` never unpacks None.
+        """
+        form = self.plan.linear_form(self.market.integer_view.scale)
+        return form is not None and self._pure_sufficient
+
+    @cached_property
     def _pure_cell(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
         """How this game computes a pure cell, chosen once, at its first cell.
 
-        When the plan is pure-sufficient on the market and states a linear
-        form (equal, slope), the gate is open at every atom of a pure
-        profile, so by linearity of expectation player i's summed share
-        numerators are mass * equal + slope * (k * S[a_i] - sum_j S[a_j]),
-        S the market's `expectation_sums`, and its summed results S[a_i]:
-        the cell costs O(k).  Otherwise the kernel runs on every atom's row.
+        When the game is separable, by linearity of expectation player i's
+        summed share numerators are mass * equal + slope * (k * S[a_i] -
+        sum_j S[a_j]), (equal, slope) the plan's linear form and S the
+        market's `expectation_sums`, and its summed results S[a_i]: the cell
+        costs O(k).  Otherwise the kernel runs on every atom's row.
         """
         view = self.market.integer_view
-        form = self.plan.linear_form(view.scale)
-        if form is None or not self._pure_sufficient:
+        if not self._separable:
             values, scale = view.values, view.scale
             return lambda combo: _cell(self, list(map(itemgetter(*combo), values)), scale)
-        equal, slope = form
+        equal, slope = self.plan.linear_form(view.scale)
         k, sums = self.players, self.market.expectation_sums
         scoring = self._scoring(view.scale)
         bonus_weight, result_weight = scoring.bonus_weight, scoring.result_weight
@@ -642,9 +664,11 @@ def strict_dominance(game: Game) -> DominanceReport:
     strictly dominated by a surviving action against all surviving opponent
     profiles (order-independent for strict dominance).  Under an anonymous
     plan one relation, over sorted opponent profiles, serves every player;
-    see the module docstring.  TensorCapExceeded before any cell when the
-    work exceeds TENSOR_CAP: under an anonymous plan the n * C(n + k - 2,
-    k - 1) cells the relation may read times the k players each cell sums,
+    in a separable game the first surviving opponent profile decides each
+    pair, so a round reads at most n cells; see the module docstring.
+    TensorCapExceeded before any cell when the work exceeds TENSOR_CAP,
+    separable or not: under an anonymous plan the n * C(n + k - 2, k - 1)
+    cells the relation may read times the k players each cell sums,
     otherwise the n^k tensor.
     """
     k, n = game.players, game.actions
@@ -656,14 +680,18 @@ def strict_dominance(game: Game) -> DominanceReport:
 
     alive = [tuple(range(n))] * k  # surviving actions per player
     cell = game._numerators  # one denominator: numerators rank as payoffs
+    separable = game._separable
 
     def dominated(player: int, a: int, b: int) -> bool:
         """Whether a beats b for the player against every surviving opponent
-        profile; under anonymity, against every sorted one."""
+        profile; under anonymity, against every sorted one; in a separable
+        game, against the first, which decides for all."""
         if shared:
             opponents = combinations_with_replacement(alive[0], k - 1)
         else:
             opponents = product(*(alive[j] for j in range(k) if j != player))
+        if separable:
+            opponents = islice(opponents, 1)
         for rest in opponents:
             before, after = rest[:player], rest[player:]
             if (

@@ -532,11 +532,35 @@ MUTANTS = (
         ("tests/test_plans.py::test_tabulated_lists_each_result_vector_once",),
     ),
     Mutant(
-        "pure cells from the linear form without the sufficiency check",
+        "separable without the sufficiency check: a gate that misses the market",
         "src/bonuslab/game.py",
-        "if form is None or not self._pure_sufficient:",
-        "if form is None:",
+        "return form is not None and self._pure_sufficient",
+        "return form is not None",
         ("tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",),
+    ),
+    Mutant(
+        "separable for every anonymous kind, with or without a form",
+        "src/bonuslab/game.py",
+        "return form is not None and self._pure_sufficient",
+        "return self.plan.anonymous",
+        ("tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",),
+    ),
+    Mutant(
+        "dominance reads one opponent profile under every anonymous plan",
+        "src/bonuslab/game.py",
+        "separable = game._separable",
+        "separable = game.plan.anonymous",
+        ("tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",),
+    ),
+    Mutant(
+        "dominance scans every opponent profile in a separable game",
+        "src/bonuslab/game.py",
+        "            opponents = islice(opponents, 1)\n",
+        "            pass\n",
+        (
+            "tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",
+            "tests/test_game.py::test_strict_dominance_in_a_separable_game_reads_one_profile_per_pair",
+        ),
     ),
     Mutant(
         "pure cells from the linear form with the slope on (sum v - k v_i)",
@@ -597,6 +621,23 @@ EQUIVALENTS = (
         "counts.index(unit) if unit in counts else None",
         "counts are >= 0 and sum to the unit, so a count equal to the unit leaves 0 to the"
         " others; the unit, the least common denominator, is then 1, and the count is the 1",
+    ),
+    Equivalent(
+        "separable read from the sufficiency rule alone, without the form check",
+        "src/bonuslab/game.py",
+        "return form is not None and self._pure_sufficient",
+        "return self._pure_sufficient",
+        "the form check is a guard: only the constant, m_linear and bounded_linear kinds can"
+        " be pure-sufficient, and each of them states a linear form",
+    ),
+    Equivalent(
+        "dominance in a separable game reads the second opponent profile, not the first",
+        "src/bonuslab/game.py",
+        "opponents = islice(opponents, 1)",
+        "opponents = islice(opponents, 1, 2)",
+        "every opponent profile gives a pair the same difference, c * (S[a] - S[b]); every"
+        " kind with a form is anonymous, and a pair needs two surviving actions, so there"
+        " are at least two sorted opponent profiles and the second exists",
     ),
     Equivalent(
         "threshold sweep starts from 0, not from the largest magnitude",

@@ -54,7 +54,13 @@ from bonuslab import (
     strict_dominance,
     validate_simplex,
 )
-from bonuslab.game import GRID_WEIGHT_CAP, TENSOR_CAP, _walk, check_simplex_grid
+from bonuslab.game import (
+    GRID_WEIGHT_CAP,
+    TENSOR_CAP,
+    Elimination,
+    _walk,
+    check_simplex_grid,
+)
 from bonuslab.market import GRID_CAP, _multisets_exceed, _power_exceeds
 from conftest import fraction_allocation, fraction_value, markets, tensor_dominance
 
@@ -933,17 +939,64 @@ def test_messages_write_rationals_past_the_digit_limit():
             call()
 
 
+@st.composite
+def tied_markets(draw, max_actions=4):
+    """A market of 2..max_actions actions on 1-4 atoms with values in
+    {-2, ..., 2}: ties between actions' expectations, and whole columns,
+    are common."""
+    n = draw(st.integers(2, max_actions))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
+    atoms = [(F(wt, sum(weights)), tuple(map(F, r))) for wt, r in zip(weights, rows)]
+    return build_market([f"A{i}" for i in range(n)], atoms)
+
+
 @settings(max_examples=40, deadline=None)
-@given(markets(max_actions=4), st.integers(2, 4))
+@given(markets(max_actions=4) | tied_markets(), st.integers(2, 5))
 def test_strict_dominance_matches_the_tensor_relation(market, k):
     """Same pairs, the same eliminations in the same order, the same
-    survivors; the shared relation reads only sorted opponent profiles."""
-    for plan in every_kind(market, k):
+    survivors, for every kind and for each linear kind with a gate that
+    covers the market and one that does not; the shared relation reads only
+    sorted opponent profiles.  A separable game (a plan with a linear form,
+    pure-sufficient on the market) reads at most n cells a round, and the
+    constant plan at w = 0, whose payoffs no action moves, has no strict
+    pair."""
+    scale = market.integer_view.scale
+    for plan in every_kind(market, k) + plans_with_a_form(market, k):
+        separable = plan.linear_form(scale) is not None and plan.pure_search_complete(market)
         for w in (F(0), F(1, 3)):
             game = induce_game(market, plan, w)
-            assert strict_dominance(game) == tensor_dominance(induce_game(market, plan, w))
+            report = strict_dominance(game)
+            assert report == tensor_dominance(induce_game(market, plan, w))
             if plan.anonymous:
                 assert all(list(combo[1:]) == sorted(combo[1:]) for combo in game.cells)
+            if separable:
+                rounds = 1 + max((e.round for e in report.eliminations), default=0)
+                assert len(game.cells) <= market.n * rounds
+            if plan.kind == "constant" and w == 0:
+                assert report.pairs == ()
+                assert report.survivors == (tuple(range(market.n)),) * k
+
+
+def test_strict_dominance_in_a_separable_game_reads_one_profile_per_pair():
+    """m_linear at k = 7 covers `six_action_market()`, so the game is
+    separable: the first sorted opponent profile decides each pair, and the
+    relation reads the 6 cells (a, 0, ..., 0), not up to 6 * C(11, 6) =
+    2 772.  An action dominates exactly the actions of lower expectation;
+    A0 has the largest, so round 1 leaves (A0, ..., A0)."""
+    market = six_action_market()
+    game = induce_game(market, build_m_linear(market, 7), 0)
+    report = strict_dominance(game)
+    means = market.expectations()
+    assert report.pairs == tuple(
+        (p, a, b) for p in range(7) for a in range(6) for b in range(6) if means[a] > means[b]
+    )
+    assert report.eliminations == tuple(
+        Elimination(1, p, b, 0) for p in range(7) for b in range(1, 6)
+    )
+    assert report.unique_profile == (0,) * 7
+    assert len(game.cells) <= 6
 
 
 def test_payoff_rejects_a_profile_outside_the_game():
