@@ -16,23 +16,31 @@ Verdict semantics (documented once here, relied on throughout):
 * A strict-gain deviation found by any search is conclusive:
   NOT_EQUILIBRIUM, with the deviation and its exact gain attached.
 * EQUILIBRIUM is reported only when the search that found no violation was
-  decisive: either the plan admits a pure-sufficiency argument on this
-  market (payoff affine and increasing in the player's expected result, so
-  the pure scan is complete over all portfolios), or the caller asked for a
-  pure-only check (complete over pure deviations, which is the whole claim).
+  decisive: either the plan is pure-sufficient on this market (below), or
+  the caller asked for a pure-only check (complete over pure deviations,
+  which is the whole claim).
 * A simplex-grid search that found no violation yields
   NO_VIOLATION_AT_RESOLUTION: portfolios off the grid were not examined.
 
-Pure sufficiency is established per plan *and* market, by each plan kind's
-`pure_search_complete(market)` method: a constant plan always; the
-interval-gated linear plan when every market value lies inside its
-interval; the output-gated linear plan when no atom's result spread exceeds
-twice its scale bound; no other kind.  In each case the bonus term is the
-linear form at every reachable profile, hence affine in the deviator's
-expected result with positive slope.  The same argument gives the pure
-cells in closed form: each of these kinds states its form as
-`linear_form(scale)`, and a game whose plan is pure-sufficient on its
-market computes every pure cell from the actions' expectations (below).
+A plan is pure-sufficient on a market exactly when it states a linear form
+there: `BonusPlan.linear_form(market)`, read once per game as `Game._form`,
+is the pair (equal, slope) when the kind's gate is open at every atom of
+every pure profile, else None.  A portfolio's value at an atom lies between
+the actions' values there, so the gate stays open at every profile of
+portfolios too, and player i's share numerator is
+equal + slope * (k * v_i - sum v) at every atom.  By linearity of
+expectation its payoff numerator is c * E_i + g(the others' strategies),
+E_i its expected result and c = bonus_weight * slope * (k - 1) +
+result_weight >= 0: affine and nondecreasing in its own expectation.
+Three things follow.  No portfolio beats the best pure action, so the pure
+scan is complete (`best_response`'s method "pure-sufficient").  A pure
+cell sums the shares to mass * equal + slope * (k * S[a_i] - sum_j S[a_j])
+and the results to S[a_i], S the market's `expectation_sums`: the integers
+the atom rows give, in O(k), not O(atoms * k).  And u(a, rest) -
+u(b, rest) = c * (S[a] - S[b]) for every opponent profile rest, so
+`strict_dominance` decides each pair on the first surviving opponent
+profile, at most n cells a round, with the same pairs, trace and
+survivors; with c = 0 (the constant plan at w = 0) no pair is strict.
 
 Searches are shared under an anonymous plan, one whose kind declares
 `anonymous`: permuting the results permutes the shares (constant, wta,
@@ -59,17 +67,6 @@ way `check_optimal` scans only the sorted best-expectation profiles: a
 profile's sorted permutation comes no later in product order and is an
 equilibrium exactly when it is, so the witness does not change.
 
-A game is separable when its plan states a linear form and is
-pure-sufficient on the market (`Game._separable`, decided once).  Then
-player i's payoff numerator at a pure profile is c * S[a_i] + g(the others'
-actions), S the market's `expectation_sums` and c = bonus_weight * slope *
-(k - 1) + result_weight (below), so u(a, rest) - u(b, rest) = c * (S[a] -
-S[b]) for every opponent profile rest.  Since c >= 0, one profile decides
-every pair: `strict_dominance` checks only the first surviving opponent
-profile in its order, at most n cells per round, and finds the same pairs,
-trace and survivors; with c = 0 (the constant plan at w = 0) no pair is
-strict.  Its caps are unchanged and still checked before any cell.
-
 Payoff cells are computed on first read.  A pure-deviation verdict at one
 profile reads that profile and its unilateral deviations, at most
 1 + k(n-1) cells of the n^k tensor, so a cell is computed when it is first
@@ -80,12 +77,14 @@ refuses a tensor over TENSOR_CAP pure profiles before computing any.  Every
 other enumeration is capped on its own size, before any cell.  The shared
 dominance relation reads at most n * C(n+k-2, k-1) cells and each cell sums
 k shares per atom, so it is refused when cells times players exceed
-TENSOR_CAP; a separable game reads at most n per round, under the same
-cap.  `check_optimal` scans C(|argmax|+k-1, k) sorted profiles, refused
-over TENSOR_CAP, and a simplex grid's C(d+n-1, n-1) points are refused
-over GRID_CAP, and its points times n weights over GRID_WEIGHT_CAP.  A
-dominance relation or a scan that is not shared is capped at its n^k, or
-|argmax|^k, profiles.  `market._power_exceeds` and `_multisets_exceed`
+TENSOR_CAP.  Under a linear form it reads at most n cells a round,
+(a, m, ..., m) with m the least survivor, over at most n rounds, and each
+cell sums k numerators, so it is refused when n * n * k exceeds
+TENSOR_CAP.  `check_optimal` scans C(|argmax|+k-1, k) sorted profiles,
+refused over TENSOR_CAP, and a simplex grid's C(d+n-1, n-1) points are
+refused over GRID_CAP, and its points times n weights over
+GRID_WEIGHT_CAP.  A dominance relation or a scan that is not shared is
+capped at its n^k, or |argmax|^k, profiles.  `market._power_exceeds` and `_multisets_exceed`
 decide every cap: binomials and powers too large to build are never built,
 and a refusal names the shape, never the count.  A verdict read from a
 profile and its deviations is not refused for the size of the tensor.
@@ -99,17 +98,10 @@ that denominator, and the plan's `kernel` for that scale returns
 integer share numerators, its gates compared as integers.  A cell applies
 the kernel to every atom's result row and sums each player's column of
 shares, and of results when the earnings weight w is not 0, against the
-probability weights.  A pure cell of a separable game, with linear form
-(equal, slope), skips the atoms: its gate is open at every atom,
-so each share is equal + slope * (k * v_i - sum v), and by linearity of
-expectation the summed shares are mass * equal + slope * (k * S[a_i] -
-sum_j S[a_j]), S the market's `expectation_sums`; the summed results are
-S[a_i].  These are the integers the atom rows give, so the cell costs
-O(k), not O(atoms * k), and every cell, verdict and memo key is as before.
-The game picks its way once, at its first cell; portfolios keep the atom
-rows.  A cell holds integer payoff numerators over one
-denominator, the same for every cell of the game, so comparing two
-numerators compares the two payoffs: `strict_dominance` and the pure scan
+probability weights; under a linear form a pure cell skips the atoms
+(above), and portfolios keep the atom rows.  A cell holds integer payoff
+numerators over one denominator, the same for every cell of the game, so
+comparing two numerators compares the two payoffs: `strict_dominance` and the pure scan
 of `best_response` rank cells as integers and build no `Fraction` while
 they do.  `Game.payoff` is where a cell's `Fraction`s are built, one per
 distinct numerator, shared by the players that have it.  A deviation
@@ -189,7 +181,7 @@ class Game:
     compare them directly.  A cell is added on first read; `payoff` turns
     one into `Fraction`s.  Only `payoffs` materializes the full n^k tensor.
     `kernels` keeps the plan's kernel per result scale.  Both start empty,
-    so `replace` gives a game fresh memos; so do the plan's sufficiency on
+    so `replace` gives a game fresh memos; so do the plan's linear form on
     the market and the way a pure cell is computed, each decided on first
     use and kept on the game.  The earnings weight is coerced
     by as_rational and must lie in [0, 1).
@@ -237,38 +229,21 @@ class Game:
         return value
 
     @cached_property
-    def _pure_sufficient(self) -> bool:
-        """The plan's `pure_search_complete(market)`, decided once per game."""
-        return self.plan.pure_search_complete(self.market)
-
-    @cached_property
-    def _separable(self) -> bool:
-        """Whether the plan is pure-sufficient on the market with a linear
-        form, decided once per game.  Then the gate is open at every atom of
-        every pure profile, and player i's payoff numerator is
-        c * S[a_i] + g(the others' actions), S the market's
-        `expectation_sums` and c = bonus_weight * slope * (k - 1) +
-        result_weight >= 0.  Every kind that can be pure-sufficient states a
-        form, so the form check is a guard: `_pure_cell` never unpacks None.
-        """
-        form = self.plan.linear_form(self.market.integer_view.scale)
-        return form is not None and self._pure_sufficient
+    def _form(self) -> tuple[int, int] | None:
+        """The plan's `linear_form(market)`, decided once per game; not None
+        exactly when the plan is pure-sufficient on the market."""
+        return self.plan.linear_form(self.market)
 
     @cached_property
     def _pure_cell(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-        """How this game computes a pure cell, chosen once, at its first cell.
-
-        When the game is separable, by linearity of expectation player i's
-        summed share numerators are mass * equal + slope * (k * S[a_i] -
-        sum_j S[a_j]), (equal, slope) the plan's linear form and S the
-        market's `expectation_sums`, and its summed results S[a_i]: the cell
-        costs O(k).  Otherwise the kernel runs on every atom's row.
-        """
+        """How this game computes a pure cell, chosen once, at its first cell:
+        from the expectation sums under a linear form (see the module
+        docstring), else by the kernel on every atom's row."""
         view = self.market.integer_view
-        if not self._separable:
+        if self._form is None:
             values, scale = view.values, view.scale
             return lambda combo: _cell(self, list(map(itemgetter(*combo), values)), scale)
-        equal, slope = self.plan.linear_form(view.scale)
+        equal, slope = self._form
         k, sums = self.players, self.market.expectation_sums
         scoring = self._scoring(view.scale)
         bonus_weight, result_weight = scoring.bonus_weight, scoring.result_weight
@@ -500,7 +475,7 @@ def best_response(
     check_arity(opponents, n)
     if resolution is not None:
         as_count(resolution, "grid denominator", 1, InvalidParameter)
-    complete = game._pure_sufficient
+    complete = game._form is not None
     if complete:
         method = "pure-sufficient"
     elif resolution is None:
@@ -512,13 +487,12 @@ def best_response(
     pure = tuple(s.pure_action for s in opponents)
     if not grid and None not in pure:
         # Cells, not the scorer: the profile's own action is a cell that
-        # expected_payoffs has already computed, and under a pure-sufficient
-        # plan with a linear form a cell costs O(k), where the scan runs the
-        # plan's response at every atom for every action.  Scoring these
-        # actions with the scan cut bench/run.py's `sweep` from a median of
-        # 2 403 to 1 969 tasks/s, p50 0.383 to 0.467 ms, slower in 5 of 5
-        # alternating pairs (2 vCPUs, Python 3.11.7, --seed 0 --seconds 20;
-        # see CHANGES.md).
+        # expected_payoffs has already computed, and under a linear form a
+        # cell costs O(k), where the scan runs the plan's response at every
+        # atom for every action.  Scoring these actions with the scan cut
+        # bench/run.py's `sweep` from a median of 2 403 to 1 969 tasks/s, p50
+        # 0.383 to 0.467 ms, slower in 5 of 5 alternating pairs (2 vCPUs,
+        # Python 3.11.7, --seed 0 --seconds 20; see CHANGES.md).
         before, after = pure[:player], pure[player:]
         values = [game._numerators(before + (a,) + after)[player] for a in range(n)]
         # numerators over one denominator rank as the payoffs: the earliest largest wins
@@ -664,33 +638,39 @@ def strict_dominance(game: Game) -> DominanceReport:
     strictly dominated by a surviving action against all surviving opponent
     profiles (order-independent for strict dominance).  Under an anonymous
     plan one relation, over sorted opponent profiles, serves every player;
-    in a separable game the first surviving opponent profile decides each
-    pair, so a round reads at most n cells; see the module docstring.
-    TensorCapExceeded before any cell when the work exceeds TENSOR_CAP,
-    separable or not: under an anonymous plan the n * C(n + k - 2, k - 1)
-    cells the relation may read times the k players each cell sums,
+    under a linear form the first surviving opponent profile decides each
+    pair; see the module docstring.  TensorCapExceeded before any cell when
+    the work exceeds TENSOR_CAP: under a linear form n cells per round over
+    n rounds, times the k players each cell sums; else under an anonymous
+    plan the n * C(n + k - 2, k - 1) cells the relation may read, times k;
     otherwise the n^k tensor.
     """
     k, n = game.players, game.actions
     shared = game.plan.anonymous
-    if not shared and (profiles := _power_exceeds(n, k, TENSOR_CAP)):
+    linear = game._form is not None
+    if linear:
+        if n * n * k > TENSOR_CAP:
+            raise TensorCapExceeded(
+                f"{n} rounds x {n} cells x {rational_text(k)} players exceed cap {TENSOR_CAP}"
+            )
+    elif shared:
+        if cells := _multisets_exceed(n, k - 1, TENSOR_CAP // (n * k)):
+            raise TensorCapExceeded(f"{n} x {cells} cells x {k} players exceed cap {TENSOR_CAP}")
+    elif profiles := _power_exceeds(n, k, TENSOR_CAP):
         raise TensorCapExceeded(f"{profiles} pure profiles exceed cap {TENSOR_CAP}")
-    if shared and (cells := _multisets_exceed(n, k - 1, TENSOR_CAP // (n * k))):
-        raise TensorCapExceeded(f"{n} x {cells} cells x {k} players exceed cap {TENSOR_CAP}")
 
     alive = [tuple(range(n))] * k  # surviving actions per player
     cell = game._numerators  # one denominator: numerators rank as payoffs
-    separable = game._separable
 
     def dominated(player: int, a: int, b: int) -> bool:
         """Whether a beats b for the player against every surviving opponent
-        profile; under anonymity, against every sorted one; in a separable
-        game, against the first, which decides for all."""
+        profile; under anonymity, against every sorted one; under a linear
+        form, against the first, which decides for all."""
         if shared:
             opponents = combinations_with_replacement(alive[0], k - 1)
         else:
             opponents = product(*(alive[j] for j in range(k) if j != player))
-        if separable:
+        if linear:
             opponents = islice(opponents, 1)
         for rest in opponents:
             before, after = rest[:player], rest[player:]

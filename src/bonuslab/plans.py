@@ -29,13 +29,14 @@ search asks `BonusPlan.response` for one player's share at one atom, as a
 function of that player's result against fixed opponents: by default the
 kernel's entry, in closed form for the wta kind.
 
-A kind with a pure-sufficiency rule also states the linear form behind it,
-`BonusPlan.linear_form(scale)`: the pair (equal, slope) with player i's
-share numerator equal + slope * (k * v_i - sum v) wherever its gate is
-open.  The constant kind states (1, 0), and both linear kinds state
-(2(k-1) * num(M) * scale, den(M)) and build their kernels from it; wta,
-lta and tabulated state none.  A game reads the form to compute a pure
-cell from the actions' expectations (see `bonuslab.game`).
+A kind's pure-sufficiency rule is `BonusPlan.linear_form(market)`: the
+pair (equal, slope) over the market's `integer_view.scale`, with player
+i's share numerator equal + slope * (k * v_i - sum v), when the kind's gate
+is open at every atom of every pure profile on that market, and None
+otherwise.  The constant kind states (1, 0) on every market, and the two
+linear kinds state (2(k-1) * num(M) * scale, den(M)), the pair their
+kernels are built from; wta, lta and tabulated state none.
+`bonuslab.game` gives the argument that makes the form sufficient.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ class BonusPlan:
     A kind defines its allocation once, in `kernel`; `evaluate` runs that
     kernel at the results' least common denominator.  Each kind also owns
     its document fields, its construction from a document, the result
-    vectors `validate_simplex` always probes, its pure-sufficiency rule and
-    whether it is anonymous.  The defaults here fit a kind with no
-    parameters, no sufficiency argument and no symmetry.
+    vectors `validate_simplex` always probes, its pure-sufficiency rule (its
+    `linear_form` on a market) and whether it is anonymous.  The defaults
+    here fit a kind with no parameters, no sufficiency argument and no
+    symmetry.
     """
 
     players: int
@@ -132,16 +134,11 @@ class BonusPlan:
         scale = lcm(*(x.denominator for x in values))
         return self.kernel(scale), _over(values, scale)
 
-    def pure_search_complete(self, market: Market) -> bool:
-        """True when scanning pure deviations provably covers all portfolios."""
-        return False
-
-    def linear_form(self, scale: int) -> tuple[int, int] | None:
-        """The linear form behind the sufficiency rule, as (equal, slope):
-        `kernel(scale).shares(v)[i] == equal + slope * (k * v[i] - sum(v))`
-        wherever the kernel's gate is open, which on a market where
-        `pure_search_complete` holds is at every atom of a pure profile.
-        None for a kind without one."""
+    def linear_form(self, market: Market) -> tuple[int, int] | None:
+        """(equal, slope) with `kernel(scale).shares(v)[i] == equal + slope *
+        (k * v[i] - sum(v))` at every atom of every pure profile on the
+        market, scale its `integer_view.scale`; None when the kind's gate
+        may close there, or it has no such form."""
         return None
 
     def probes(self) -> Iterable[tuple[Fraction, ...]]:
@@ -168,10 +165,7 @@ class ConstantPlan(BonusPlan):
         equal = (1,) * self.players
         return Kernel(self.players, lambda v: equal)
 
-    def pure_search_complete(self, market: Market) -> bool:
-        return True
-
-    def linear_form(self, scale):
+    def linear_form(self, market):
         return 1, 0
 
 
@@ -227,20 +221,18 @@ class _LinearPlan(BonusPlan):
                 f"scale bound must be positive, got {rational_text(self.bound)}"
             )
 
-    def linear_form(self, scale):
-        # over 2k(k-1)M·scale an equal share is 2(k-1)·num(M)·scale, and
-        # (r_i - r_j) / (2k(k-1)M) is den(M)·(v_i - v_j)
+    def _scaled_form(self, scale: int) -> tuple[int, int]:
+        """(equal, slope) over 2k(k-1)M·scale: an equal share is
+        2(k-1)·num(M)·scale, and (r_i - r_j) / (2k(k-1)M) is den(M)·(v_i - v_j)."""
         numerator, denominator = self.bound.as_integer_ratio()
         return 2 * (self.players - 1) * numerator * scale, denominator
 
     def _linear_kernel(self, scale: int, gate) -> Kernel:
-        """The linear form over 2k(k-1)M·scale, kept where gate(v, shares) holds.
-
-        An equal share is `equal`; player i's linear numerator is
-        equal + (k·v_i - sum v)·slope, (equal, slope) = `linear_form(scale)`.
-        """
+        """Player i's share numerator equal + (k·v_i - sum v)·slope,
+        (equal, slope) = `_scaled_form(scale)`, kept where gate(v, shares)
+        holds; otherwise the equal split."""
         k = self.players
-        equal, slope = self.linear_form(scale)
+        equal, slope = self._scaled_form(scale)
         fallback = [equal] * k
 
         def shares(v):
@@ -292,9 +284,11 @@ class MLinearPlan(_LinearPlan):
         lo, hi = -(-lo.numerator // lo.denominator), hi.numerator // hi.denominator
         return self._linear_kernel(scale, lambda v, shares: lo <= min(v) and max(v) <= hi)
 
-    def pure_search_complete(self, market: Market) -> bool:
+    def linear_form(self, market):
         stats = support_stats(market)
-        return self.lo <= stats.lo and stats.hi <= self.hi
+        if self.lo <= stats.lo and stats.hi <= self.hi:
+            return self._scaled_form(market.integer_view.scale)
+        return None
 
     def probes(self):
         return self._corners(self.lo, self.hi)
@@ -328,11 +322,13 @@ class BoundedLinearPlan(_LinearPlan):
             scale, lambda v, shares: min(shares) >= 0 and max(shares) <= cap
         )
 
-    def pure_search_complete(self, market: Market) -> bool:
+    def linear_form(self, market):
         # the largest spread is over view.scale: spread / scale <= 2 * bound
         view = market.integer_view
         spread = max(max(values) - min(values) for values in view.values)
-        return spread * self.bound.denominator <= 2 * self.bound.numerator * view.scale
+        if spread * self.bound.denominator <= 2 * self.bound.numerator * view.scale:
+            return self._scaled_form(view.scale)
+        return None
 
     def probes(self):
         return self._corners(-self.bound, self.bound)

@@ -1,5 +1,5 @@
-"""Shared fixtures: seeded and hypothesis market generators, reference
-market and portfolio checks, integer views, portfolio values and
+"""Shared fixtures: seeded and hypothesis market generators, plans of every
+kind for a market, reference market and portfolio checks, integer views, portfolio values and
 expectations, product markets, allocation rule and dominance relation, and
 the acceptance summary.
 
@@ -22,13 +22,19 @@ from hypothesis import strategies as st
 from bonuslab import (
     ArityMismatch,
     BonusPlan,
+    BoundedLinearPlan,
+    ConstantPlan,
     DominanceReport,
     IncompleteMapping,
+    LoserTakeAllPlan,
     Market,
     MixedAction,
+    MLinearPlan,
     NonPositiveProbability,
     NonSimplexWeights,
     NonUnitMass,
+    TabulatedPlan,
+    WinnerTakeAllPlan,
     build_market,
 )
 from bonuslab.game import Elimination
@@ -104,6 +110,53 @@ def markets(draw, max_actions=3):
     total = sum(weights)
     atoms = [(Fraction(wt, total), tuple(row)) for wt, row in zip(weights, rows)]
     return build_market([f"A{i}" for i in range(n)], atoms)
+
+
+@st.composite
+def tied_markets(draw, max_actions=4):
+    """A market of 2..max_actions actions on 1-4 atoms with values in
+    {-2, ..., 2}: ties between actions' expectations, and whole columns,
+    are common."""
+    n = draw(st.integers(2, max_actions))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
+    atoms = [(Fraction(wt, sum(weights)), tuple(map(Fraction, r))) for wt, r in zip(weights, rows)]
+    return build_market([f"A{i}" for i in range(n)], atoms)
+
+
+def every_kind(market, k):
+    """One plan of each kind; the gated and tabulated ones bite on this market."""
+    values = sorted({x for atom in market.atoms for x in atom.outcomes})
+    lo, hi = values[0], values[len(values) // 2]
+    first = market.atoms[0].outcomes
+    favoured = (Fraction(1),) + (Fraction(0),) * (k - 1)
+    return [
+        ConstantPlan(k),
+        WinnerTakeAllPlan(k),
+        LoserTakeAllPlan(k),
+        MLinearPlan(k, max(hi - lo, Fraction(1)), lo, hi),
+        BoundedLinearPlan(k, Fraction(3, 2)),
+        TabulatedPlan(k, {(first[0],) * k: favoured}, (Fraction(1, k),) * k),
+    ]
+
+
+def plans_with_a_form(market, k):
+    """The constant plan, and each linear kind once with a gate that covers
+    the market and, where the market allows, once with one that does not."""
+    values = sorted({x for atom in market.atoms for x in atom.outcomes})
+    lo, hi = values[0], values[-1]
+    spread = max(max(atom.outcomes) - min(atom.outcomes) for atom in market.atoms)
+    plans = [
+        ConstantPlan(k),
+        MLinearPlan(k, max(hi - lo, Fraction(1)), lo, hi),
+        BoundedLinearPlan(k, max(spread / 2, Fraction(1, 2))),
+    ]
+    if len(values) > 1:  # the largest value falls outside the interval
+        plans.append(MLinearPlan(k, max(hi - lo, Fraction(1)), lo, values[-2]))
+    if spread:  # the widest atom closes the output gate
+        plans.append(BoundedLinearPlan(k, spread / 4))
+    return plans
 
 
 def fraction_value(strategy: MixedAction, atom) -> Fraction:

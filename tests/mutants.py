@@ -532,28 +532,56 @@ MUTANTS = (
         ("tests/test_plans.py::test_tabulated_lists_each_result_vector_once",),
     ),
     Mutant(
-        "separable without the sufficiency check: a gate that misses the market",
+        "a game takes a linear kind's form without its gate test on the market",
         "src/bonuslab/game.py",
-        "return form is not None and self._pure_sufficient",
-        "return form is not None",
+        "return self.plan.linear_form(self.market)",
+        "return (self.plan._scaled_form(self.market.integer_view.scale)"
+        " if hasattr(self.plan, '_scaled_form') else self.plan.linear_form(self.market))",
         ("tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",),
     ),
     Mutant(
-        "separable for every anonymous kind, with or without a form",
+        "pure cells from a form for every anonymous kind, with or without one",
         "src/bonuslab/game.py",
-        "return form is not None and self._pure_sufficient",
-        "return self.plan.anonymous",
+        "if self._form is None:",
+        "if not self.plan.anonymous:",
         ("tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",),
     ),
     Mutant(
         "dominance reads one opponent profile under every anonymous plan",
         "src/bonuslab/game.py",
-        "separable = game._separable",
-        "separable = game.plan.anonymous",
+        "linear = game._form is not None",
+        "linear = game.plan.anonymous",
         ("tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",),
     ),
     Mutant(
-        "dominance scans every opponent profile in a separable game",
+        "m_linear states its form on a market its interval does not cover",
+        "src/bonuslab/plans.py",
+        "if self.lo <= stats.lo and stats.hi <= self.hi:",
+        "if True:",
+        (
+            "tests/test_plans.py::test_linear_forms_match_the_kernel_where_the_gate_is_open",
+            "tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",
+        ),
+    ),
+    Mutant(
+        "bounded_linear states its form on a market with an atom spread past 2M",
+        "src/bonuslab/plans.py",
+        "if spread * self.bound.denominator <= 2 * self.bound.numerator * view.scale:",
+        "if True:",
+        (
+            "tests/test_plans.py::test_linear_forms_match_the_kernel_where_the_gate_is_open",
+            "tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",
+        ),
+    ),
+    Mutant(
+        "the linear-form dominance cap applied to every anonymous plan",
+        "src/bonuslab/game.py",
+        "    if linear:\n        if n * n * k > TENSOR_CAP:",
+        "    if shared:\n        if n * n * k > TENSOR_CAP:",
+        ("tests/test_game.py::test_strict_dominance_caps_the_cells_it_may_read",),
+    ),
+    Mutant(
+        "dominance scans every opponent profile under a linear form",
         "src/bonuslab/game.py",
         "            opponents = islice(opponents, 1)\n",
         "            pass\n",
@@ -623,15 +651,7 @@ EQUIVALENTS = (
         " others; the unit, the least common denominator, is then 1, and the count is the 1",
     ),
     Equivalent(
-        "separable read from the sufficiency rule alone, without the form check",
-        "src/bonuslab/game.py",
-        "return form is not None and self._pure_sufficient",
-        "return self._pure_sufficient",
-        "the form check is a guard: only the constant, m_linear and bounded_linear kinds can"
-        " be pure-sufficient, and each of them states a linear form",
-    ),
-    Equivalent(
-        "dominance in a separable game reads the second opponent profile, not the first",
+        "dominance under a linear form reads the second opponent profile, not the first",
         "src/bonuslab/game.py",
         "opponents = islice(opponents, 1)",
         "opponents = islice(opponents, 1, 2)",

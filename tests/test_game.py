@@ -62,7 +62,15 @@ from bonuslab.game import (
     check_simplex_grid,
 )
 from bonuslab.market import GRID_CAP, _multisets_exceed, _power_exceeds
-from conftest import fraction_allocation, fraction_value, markets, tensor_dominance
+from conftest import (
+    every_kind,
+    fraction_allocation,
+    fraction_value,
+    markets,
+    plans_with_a_form,
+    tensor_dominance,
+    tied_markets,
+)
 
 F = Fraction
 
@@ -213,13 +221,13 @@ def test_simplex_grid_enumeration():
 
 def test_pure_search_completeness_is_market_conditional():
     market = two_bond_market()
-    assert ConstantPlan(2).pure_search_complete(market)
-    assert MLinearPlan(2, F(1051, 1000), F(1), F(1051, 1000)).pure_search_complete(market)
-    assert not MLinearPlan(2, F(2), F(1), F(103, 100)).pure_search_complete(market)
+    assert ConstantPlan(2).linear_form(market) == (1, 0)
+    assert MLinearPlan(2, F(1051, 1000), F(1), F(1051, 1000)).linear_form(market) is not None
+    assert MLinearPlan(2, F(2), F(1), F(103, 100)).linear_form(market) is None
     # the largest atom spread is 1/20, so 2*bound = 1/20 is just enough
-    assert BoundedLinearPlan(2, F(1, 40)).pure_search_complete(market)
-    assert not BoundedLinearPlan(2, F(1, 50)).pure_search_complete(market)
-    assert not WinnerTakeAllPlan(2).pure_search_complete(market)
+    assert BoundedLinearPlan(2, F(1, 40)).linear_form(market) is not None
+    assert BoundedLinearPlan(2, F(1, 50)).linear_form(market) is None
+    assert WinnerTakeAllPlan(2).linear_form(market) is None
 
 
 def test_best_response_prefers_risky_bond_at_half_weight():
@@ -348,7 +356,7 @@ def test_grid_only_stability_is_not_promoted_to_optimal():
     """Without a sufficiency argument the optimality verdict stays guarded."""
     market = two_bond_market()
     lookalike = TabulatedPlan(2, {}, ("1/2", "1/2"))
-    assert not lookalike.pure_search_complete(market)
+    assert lookalike.linear_form(market) is None
     report = check_optimal(market, lookalike, resolution=4)
     assert report.verdict is OptimalityVerdict.NOT_OPTIMAL_AMONG_CHECKED
     (_, nested), = report.checked
@@ -407,7 +415,7 @@ def oracle_best_response(market, plan, w, player, opponents, resolution):
     """Oracle: every candidate valued in Fractions; the earliest strict best wins."""
     n = market.n
     candidates = [MixedAction.pure(a, n) for a in range(n)]
-    if resolution is not None and not plan.pure_search_complete(market):
+    if resolution is not None and plan.linear_form(market) is None:
         # the grid's off-vertex points in lexicographic order, enumerated here
         counts = product(range(resolution), repeat=n)
         candidates += [
@@ -423,22 +431,6 @@ def oracle_best_response(market, plan, w, player, opponents, resolution):
         if best is None or value > best_value:
             best, best_value = candidate, value
     return best.weights, best_value
-
-
-def every_kind(market, k):
-    """One plan of each kind; the gated and tabulated ones bite on this market."""
-    values = sorted({x for atom in market.atoms for x in atom.outcomes})
-    lo, hi = values[0], values[len(values) // 2]
-    first = market.atoms[0].outcomes
-    favoured = (F(1),) + (F(0),) * (k - 1)
-    return [
-        ConstantPlan(k),
-        WinnerTakeAllPlan(k),
-        LoserTakeAllPlan(k),
-        MLinearPlan(k, max(hi - lo, F(1)), lo, hi),
-        BoundedLinearPlan(k, F(3, 2)),
-        TabulatedPlan(k, {(first[0],) * k: favoured}, (F(1, k),) * k),
-    ]
 
 
 @st.composite
@@ -483,24 +475,6 @@ def test_cells_hold_numerators_over_the_game_denominator(market, k):
                 assert tuple(F(x, denominator) for x in numerators) == fraction_cell(plan, w, rows)
 
 
-def plans_with_a_form(market, k):
-    """The constant plan, and each linear kind once with a gate that covers
-    the market and, where the market allows, once with one that does not."""
-    values = sorted({x for atom in market.atoms for x in atom.outcomes})
-    lo, hi = values[0], values[-1]
-    spread = max(max(atom.outcomes) - min(atom.outcomes) for atom in market.atoms)
-    plans = [
-        ConstantPlan(k),
-        MLinearPlan(k, max(hi - lo, F(1)), lo, hi),
-        BoundedLinearPlan(k, max(spread / 2, F(1, 2))),
-    ]
-    if len(values) > 1:  # the largest value falls outside the interval
-        plans.append(MLinearPlan(k, max(hi - lo, F(1)), lo, values[-2]))
-    if spread:  # the widest atom closes the output gate
-        plans.append(BoundedLinearPlan(k, spread / 4))
-    return plans
-
-
 @settings(max_examples=30, deadline=None)
 @given(markets(), st.integers(2, 5))
 def test_pure_cells_from_the_linear_form_match_the_atom_rows(market, k):
@@ -519,7 +493,7 @@ def test_pure_cells_from_the_linear_form_match_the_atom_rows(market, k):
 
     covered = set()
     for plan in plans_with_a_form(market, k):
-        sufficient = plan.pure_search_complete(market)
+        sufficient = plan.linear_form(market) is not None
         covered.add(sufficient)
         for w in (F(0), F(1, 3), F(1, 2)):
             game = induce_game(market, plan, w)
@@ -800,6 +774,30 @@ def test_strict_dominance_builds_no_fraction(monkeypatch):
 
 def test_strict_dominance_caps_the_cells_it_may_read():
     market = six_action_market()
+    # anonymous: 6 * C(16, 5) = 26 208 cells times 12 players at k = 12, over
+    # the cap; under a linear form the relation reads 6 cells a round, over
+    # at most 6 rounds, so 6 * 6 * 12 = 432 numerators
+    game = induce_game(market, WinnerTakeAllPlan(12), 0)
+    with pytest.raises(TensorCapExceeded, match=re.escape(
+        "6 x C(11 + 6 - 1, 5) cells x 12 players exceed cap 200000"
+    )):
+        strict_dominance(game)
+    assert game.cells == {}
+    means = market.expectations()
+    for k in (12, 5_555):  # 36 * 5 555 = 199 980, at the cap
+        game = induce_game(market, build_m_linear(market, k), 0)
+        report = strict_dominance(game)
+        assert report.pairs == tuple(
+            (p, a, b) for p in range(k) for a in range(6) for b in range(6) if means[a] > means[b]
+        )
+        assert report.unique_profile == (0,) * k
+        assert len(game.cells) <= 6
+    game = induce_game(market, build_m_linear(market, 5_556), 0)
+    with pytest.raises(TensorCapExceeded, match=re.escape(
+        "6 rounds x 6 cells x 5556 players exceed cap 200000"
+    )):
+        strict_dominance(game)
+    assert game.cells == {}
     # anonymous: 6 * C(23, 5) = 201 894 cells at k = 19, over the cap
     game = induce_game(market, WinnerTakeAllPlan(19), 0)
     with pytest.raises(TensorCapExceeded):
@@ -939,39 +937,24 @@ def test_messages_write_rationals_past_the_digit_limit():
             call()
 
 
-@st.composite
-def tied_markets(draw, max_actions=4):
-    """A market of 2..max_actions actions on 1-4 atoms with values in
-    {-2, ..., 2}: ties between actions' expectations, and whole columns,
-    are common."""
-    n = draw(st.integers(2, max_actions))
-    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
-    rows = draw(st.lists(row, min_size=1, max_size=4))
-    weights = draw(st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))
-    atoms = [(F(wt, sum(weights)), tuple(map(F, r))) for wt, r in zip(weights, rows)]
-    return build_market([f"A{i}" for i in range(n)], atoms)
-
-
 @settings(max_examples=40, deadline=None)
 @given(markets(max_actions=4) | tied_markets(), st.integers(2, 5))
 def test_strict_dominance_matches_the_tensor_relation(market, k):
     """Same pairs, the same eliminations in the same order, the same
     survivors, for every kind and for each linear kind with a gate that
     covers the market and one that does not; the shared relation reads only
-    sorted opponent profiles.  A separable game (a plan with a linear form,
-    pure-sufficient on the market) reads at most n cells a round, and the
-    constant plan at w = 0, whose payoffs no action moves, has no strict
-    pair."""
-    scale = market.integer_view.scale
+    sorted opponent profiles.  A plan with a linear form on the market
+    reads at most n cells a round, and the constant plan at w = 0, whose
+    payoffs no action moves, has no strict pair."""
     for plan in every_kind(market, k) + plans_with_a_form(market, k):
-        separable = plan.linear_form(scale) is not None and plan.pure_search_complete(market)
+        linear = plan.linear_form(market) is not None
         for w in (F(0), F(1, 3)):
             game = induce_game(market, plan, w)
             report = strict_dominance(game)
             assert report == tensor_dominance(induce_game(market, plan, w))
             if plan.anonymous:
                 assert all(list(combo[1:]) == sorted(combo[1:]) for combo in game.cells)
-            if separable:
+            if linear:
                 rounds = 1 + max((e.round for e in report.eliminations), default=0)
                 assert len(game.cells) <= market.n * rounds
             if plan.kind == "constant" and w == 0:
@@ -980,10 +963,10 @@ def test_strict_dominance_matches_the_tensor_relation(market, k):
 
 
 def test_strict_dominance_in_a_separable_game_reads_one_profile_per_pair():
-    """m_linear at k = 7 covers `six_action_market()`, so the game is
-    separable: the first sorted opponent profile decides each pair, and the
-    relation reads the 6 cells (a, 0, ..., 0), not up to 6 * C(11, 6) =
-    2 772.  An action dominates exactly the actions of lower expectation;
+    """m_linear at k = 7 covers `six_action_market()`, so it states its
+    linear form there: the first sorted opponent profile decides each pair,
+    and the relation reads the 6 cells (a, 0, ..., 0), not up to
+    6 * C(11, 6) = 2 772.  An action dominates exactly the actions of lower expectation;
     A0 has the largest, so round 1 leaves (A0, ..., A0)."""
     market = six_action_market()
     game = induce_game(market, build_m_linear(market, 7), 0)

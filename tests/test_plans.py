@@ -29,7 +29,14 @@ from bonuslab import (
     zero_sum_shares,
 )
 from bonuslab.plans import Kernel
-from conftest import fraction_allocation, random_market
+from conftest import (
+    every_kind,
+    fraction_allocation,
+    markets,
+    plans_with_a_form,
+    random_market,
+    tied_markets,
+)
 
 F = Fraction
 
@@ -261,38 +268,37 @@ def test_kernels_match_evaluate(case):
         assert plan.evaluate(r) == expected
 
 
-def test_linear_forms_match_the_kernel_where_the_gate_is_open():
-    """The (equal, slope) a kind states is its kernel's shares at every
-    result vector its gate lets through: any vector for the constant kind,
-    one inside the interval for m_linear, one whose spread is within twice
-    the bound for bounded_linear.  wta, lta and tabulated state no form."""
-    rng = random.Random(27)
-    checked = {"constant": 0, "m_linear": 0, "bounded_linear": 0}
-    for _ in range(300):
-        k, scale = rng.randint(2, 5), rng.randint(1, 12)
-        bound = F(rng.randint(1, 12), rng.randint(1, 4))
-        lo = F(rng.randint(-12, 4), rng.randint(1, 4))
-        m_linear = MLinearPlan(k, bound, lo, lo + bound * F(rng.randint(0, 8), 4))
-        bounded = BoundedLinearPlan(k, bound)
-        base = rng.randint(-3 * scale, 3 * scale)
-        width = 2 * bound * scale  # the widest spread the output gate lets through
-        inside = range(-(-m_linear.lo * scale // 1), m_linear.hi * scale // 1 + 1)
-        cases = [
-            (ConstantPlan(k), [rng.randint(-3 * scale, 3 * scale) for _ in range(k)]),
-            (bounded, [base + rng.randint(0, width // 1) for _ in range(k)]),
+@settings(max_examples=40, deadline=None)
+@given(markets(max_actions=4) | tied_markets(), st.integers(2, 5))
+def test_linear_forms_match_the_kernel_where_the_gate_is_open(market, k):
+    """A form a kind states on a market is its kernel's shares at every atom
+    of every pure profile there, and its kernel's denominator is k * equal.
+    wta, lta and tabulated state none.  A linear kind states none only where
+    its gate closes: on a market where no atom gives every action the same
+    value, some pure row then leaves the pair its kernel is built from."""
+    view = market.integer_view
+    rows = {
+        tuple(map(values.__getitem__, combo))
+        for values in view.values
+        for combo in product(range(market.n), repeat=k)
+    }
+    level_atom = any(len(set(values)) == 1 for values in view.values)
+    for plan in every_kind(market, k) + plans_with_a_form(market, k):
+        form = plan.linear_form(market)
+        if plan.kind in ("wta", "lta", "tabulated"):
+            assert form is None
+            continue
+        equal, slope = form if form is not None else plan._scaled_form(view.scale)
+        kernel = plan.kernel(view.scale)
+        assert kernel.denominator == k * equal
+        leaves = [
+            v for v in rows
+            if list(kernel.shares(v)) != [equal + slope * (k * x - sum(v)) for x in v]
         ]
-        if inside:
-            cases.append((m_linear, [rng.choice(inside) for _ in range(k)]))
-        for plan, v in cases:
-            equal, slope = plan.linear_form(scale)
-            kernel = plan.kernel(scale)
-            assert kernel.denominator == k * equal
-            assert list(kernel.shares(tuple(v))) == [equal + slope * (k * x - sum(v)) for x in v]
-            checked[plan.kind] += 1
-        for plan in plans_for(k):
-            if plan.kind in ("wta", "lta", "tabulated"):
-                assert plan.linear_form(scale) is None
-    assert min(checked.values()) >= 250
+        if form is not None:
+            assert leaves == []
+        elif not level_atom:
+            assert leaves
 
 
 def test_responses_match_the_kernel():
@@ -561,7 +567,7 @@ def test_unknown_plan_kind_rejected():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from((-1, 0, 1)))
 def test_linear_sufficiency_matches_the_fraction_rule(seed, outlier, nudge):
-    """Both linear kinds' pure_search_complete, read from the integer view,
+    """Whether both linear kinds state a form, read from the integer view,
     against the rules on the Fraction outcomes, at and around the edges."""
     market = random_market(random.Random(seed), outlier=outlier)
     outcomes = [x for atom in market.atoms for x in atom.outcomes]
@@ -570,9 +576,9 @@ def test_linear_sufficiency_matches_the_fraction_rule(seed, outlier, nudge):
     for a, b in ((lo + step, hi), (lo, hi + step), (lo - step, hi - step)):
         if a <= b:
             plan = MLinearPlan(2, max(b - a, F(1)), a, b)
-            assert plan.pure_search_complete(market) == (a <= lo and hi <= b)
+            assert (plan.linear_form(market) is not None) == (a <= lo and hi <= b)
     spread = max(max(atom.outcomes) - min(atom.outcomes) for atom in market.atoms)
     for bound in (spread / 2, spread / 2 + step, F(1, 3), spread):
         if bound > 0:
             plan = BoundedLinearPlan(3, bound)
-            assert plan.pure_search_complete(market) == (spread <= 2 * bound)
+            assert (plan.linear_form(market) is not None) == (spread <= 2 * bound)

@@ -167,8 +167,6 @@ EXEMPT = {
     "OptimalityReport": "an output record of check_optimal; no function reads one back",
     "DominanceReport.dominates": "a membership query over the report's own pairs",
     "BonusPlan.kernel": "the internal integer path; evaluate and kernel_for pass it an int scale",
-    "BonusPlan.linear_form": "the internal integer path; a game passes it the int scale of its"
-    " market's integer view",
     "BonusPlan.response": "the internal integer path; the deviation scan passes it a player"
     " index it has checked and opponent results from the market's integer view",
 }
