@@ -30,14 +30,23 @@ from `game._walk` over the columns x_j - x*, which carries each atom's
 difference l as a prefix sum, so a point costs one add per atom.  No
 threshold exceeds its largest |l| and every vertex is a grid point, so the
 largest is the vertex bound; the gap is linear in q, so the least is
-(E[X*] - mu_2) / d, mu_2 the second-best expectation.
+(E[X*] - mu_2) / d, mu_2 the second-best expectation.  The best action,
+the tie and the runner-up are read off the market's integer
+`expectation_sums`; a `Fraction` is built only for a returned value or a
+message.
+
+A witness is a `GridWitness`, an immutable NamedTuple that equals the
+plain tuple (weights, gap, threshold, tail_empty_at).  The sweep builds a
+witness's `Fraction`s and nothing else around them.  When the widest
+magnitude alone covers half the gap, the threshold is that magnitude, and
+one `Fraction` fills both fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateSupport, ExpectationNotUnique
 from .game import _walk, check_simplex_grid
@@ -59,9 +68,8 @@ def build_m_linear(market: Market, players: int) -> MLinearPlan:
     return MLinearPlan(players, stats.max_abs, stats.lo, stats.hi)
 
 
-@dataclass(frozen=True)
-class GridWitness:
-    """Per-portfolio certificate from the bound search."""
+class GridWitness(NamedTuple):
+    """Per-portfolio certificate from the bound search, an immutable tuple."""
 
     weights: tuple[Fraction, ...]
     gap: Fraction  # E[X*] - E[q], strictly positive
@@ -96,13 +104,14 @@ def find_bounding_m(market: Market, grid_resolution: int) -> BoundSearchResult:
     for counts, differences in _walk(columns, d):
         if counts[best] == d:
             continue
-        gap, threshold, tail_empty_at = _witness_for(view.weights, differences)
+        gap, threshold, widest = _witness_for(view.weights, differences)
+        tail_empty_at = Fraction(widest, length)
         witnesses.append(
             GridWitness(
                 tuple(map(by_count.__getitem__, counts)),
                 Fraction(gap, gap_denominator),
-                Fraction(threshold, length),
-                Fraction(tail_empty_at, length),
+                tail_empty_at if threshold == widest else Fraction(threshold, length),
+                tail_empty_at,
             )
         )
     return BoundSearchResult(bound, min_gap, grid_resolution, best, tuple(witnesses))
@@ -112,22 +121,23 @@ def _vertex_bound(market: Market, grid_resolution: int) -> tuple[int, Fraction, 
     """Best action, scale bound and least grid gap, in closed form.  Raises
     ExpectationNotUnique for a tied best, then check_simplex_grid's errors,
     then DegenerateSupport for a one-action market."""
-    exps = market.expectations()
-    mu = max(exps)
-    argmax = [i for i, e in enumerate(exps) if e == mu]
+    view, sums = market.integer_view, market.expectation_sums
+    denominator = view.mass * view.scale  # of the expectation sums
+    top = max(sums)
+    argmax = [i for i, s in enumerate(sums) if s == top]
     if len(argmax) != 1:
         raise ExpectationNotUnique(
-            f"actions {argmax} tie at expectation {rational_text(mu)};"
+            f"actions {argmax} tie at expectation {rational_text(Fraction(top, denominator))};"
             " relabeling needs a unique best"
         )
     best = argmax[0]
     check_simplex_grid(market.n, grid_resolution)
     if market.n == 1:
         raise DegenerateSupport("no action other than the best to bound against")
-    view = market.integer_view
     spread = max(abs(x - row[best]) for row in view.values for x in row)
-    runner_up = sorted(exps)[-2]
-    return best, Fraction(spread, view.scale), (mu - runner_up) / grid_resolution
+    runner_up = sorted(sums)[-2]
+    min_gap = Fraction(top - runner_up, denominator * grid_resolution)
+    return best, Fraction(spread, view.scale), min_gap
 
 
 def _witness_for(
@@ -139,6 +149,11 @@ def _witness_for(
     `differences` the value l of q - X* there, over d * view.scale for a
     portfolio q of weights counts / d; the gap is over that times
     view.mass.  One sweep down the magnitudes.
+
+    The caller passes no q with gap <= 0: E[q] is a convex combination of
+    the actions' expectations, the best action's is the unique largest, and
+    the best vertex is excluded, so some other action has weight > 0 and
+    E[q] < E[X*].  So gap > 0, some l is not 0, and `mass` is not empty.
     """
     mass: dict[int, int] = {}  # magnitude -> sum of p over l = +-magnitude
     gap = 0
@@ -147,9 +162,6 @@ def _witness_for(
             gap -= l * p
             magnitude = abs(l)
             mass[magnitude] = mass.get(magnitude, 0) + p
-    # q != X* pointwise is guaranteed: a zero-gap portfolio would tie the
-    # unique best expectation, which the vertex exclusion rules out.
-    assert mass and gap > 0
 
     magnitudes = sorted(mass, reverse=True)
     tail = 0

@@ -748,9 +748,9 @@ def check_optimal(
     witness is the same.  The candidates are capped at TENSOR_CAP.
     """
     game = induce_game(market, plan, 0)
-    exps = market.expectations()
-    mu = max(exps)
-    argmax = tuple(i for i, e in enumerate(exps) if e == mu)
+    sums = market.expectation_sums  # ranked as integers, one Fraction for mu_star
+    top = max(sums)
+    argmax = tuple(i for i, s in enumerate(sums) if s == top)
     k = plan.players
     exceeds = _multisets_exceed if plan.anonymous else _power_exceeds
     if profiles := exceeds(len(argmax), k, TENSOR_CAP):
@@ -773,4 +773,6 @@ def check_optimal(
         if witness is not None
         else OptimalityVerdict.NOT_OPTIMAL_AMONG_CHECKED
     )
-    return OptimalityReport(verdict, mu, argmax, witness, tuple(checked))
+    view = market.integer_view
+    mu_star = Fraction(top, view.mass * view.scale)
+    return OptimalityReport(verdict, mu_star, argmax, witness, tuple(checked))

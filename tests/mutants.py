@@ -621,6 +621,27 @@ MUTANTS = (
         "label",
         ("tests/test_market.py::test_action_labels_are_utf8_text",),
     ),
+    Mutant(
+        "the widest magnitude's Fraction shared when the threshold lies below it",
+        "src/bonuslab/construct.py",
+        "tail_empty_at if threshold == widest else Fraction(threshold, length)",
+        "tail_empty_at",
+        ("tests/test_construct.py::test_sweep_matches_the_rescan",),
+    ),
+    Mutant(
+        "the vertex exclusion keyed on action 0's count, not the best action's",
+        "src/bonuslab/construct.py",
+        "if counts[best] == d:",
+        "if counts[0] == d:",
+        ("tests/test_construct.py::test_sweep_matches_the_rescan",),
+    ),
+    Mutant(
+        "a tail of exactly half the gap passes the truncation test",
+        "src/bonuslab/construct.py",
+        "if 2 * tail >= gap:",
+        "if 2 * tail > gap:",
+        ("tests/test_construct.py::test_a_tail_of_exactly_half_the_gap_fails_the_test",),
+    ),
 )
 
 # Known equivalent mutants: they change no result, so no test can catch

@@ -14,6 +14,7 @@ from bonuslab import (
     GridCapExceeded,
     GridWitness,
     InvalidParameter,
+    MixedAction,
     OptimalityVerdict,
     build_bounded_linear,
     build_m_linear,
@@ -211,9 +212,10 @@ value = st.fractions(min_value=-40, max_value=40, max_denominator=8)
 
 @st.composite
 def unique_best_markets(draw):
-    """Small markets with a unique best action, one in two with an outlier atom."""
-    n = draw(st.integers(2, 4))
-    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=6))
+    """Markets of the bench's deep shapes (2-5 actions, up to 8 atoms) with a
+    unique best action, one in two with an outlier atom."""
+    n = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=8))
     weights = draw(st.lists(st.integers(1, 9), min_size=len(rows), max_size=len(rows)))
     probabilities = [F(w, sum(weights)) for w in weights]
     if draw(st.booleans()):
@@ -231,12 +233,28 @@ def unique_best_markets(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(unique_best_markets(), st.integers(1, 6))
+@given(unique_best_markets(), st.integers(1, 8))
 def test_sweep_matches_the_rescan(market, resolution):
-    """Identical witnesses, bound and min_gap, outlier markets included."""
+    """Identical witnesses, bound and min_gap, outlier markets included; a
+    threshold at the widest magnitude is that magnitude's Fraction."""
     oracle = rescan_bounding_m(market, resolution)
-    assert find_bounding_m(market, resolution) == oracle
+    result = find_bounding_m(market, resolution)
+    assert result == oracle
+    for w in result.witnesses:
+        assert (w.threshold is w.tail_empty_at) == (w.threshold == w.tail_empty_at)
     assert build_bounded_linear(market, 2, resolution).bound == oracle.bound
+
+
+def test_a_witness_is_an_immutable_tuple_of_its_four_fields():
+    market = build_market(["best", "A"], [("6/7", ("0", "-1")), ("1/7", ("0", "2"))])
+    (witness,) = find_bounding_m(market, 1).witnesses
+    assert witness.weights == (F(0), F(1))
+    assert (witness.gap, witness.threshold, witness.tail_empty_at) == (F(4, 7), F(2), F(2))
+    assert witness == (witness.weights, witness.gap, witness.threshold, witness.tail_empty_at)
+    for name in GridWitness._fields:
+        with pytest.raises(AttributeError):
+            setattr(witness, name, F(0))
+    assert witness == rescan_witness(market, MixedAction.pure(1, 2), 0)
 
 
 def test_a_tail_of_exactly_half_the_gap_fails_the_test():

@@ -1,5 +1,6 @@
 """Markets: validation, expectations, portfolios, products, serialization."""
 
+import ast
 import json
 import random
 import re
@@ -261,6 +262,19 @@ def test_no_value_object_has_a_second_constructor():
     package = Path(bonuslab.__file__).parent
     users = [p.name for p in sorted(package.glob("*.py")) if "object.__new__" in p.read_text()]
     assert users == []
+
+
+def test_the_package_holds_no_assert():
+    """`python -O` drops assert statements, so no check of the package may be
+    one: no module under src/bonuslab parses to an Assert node."""
+    package = Path(bonuslab.__file__).parent
+    asserts = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text(), str(p)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 def test_profile_arity_check():
