@@ -30,10 +30,10 @@ from `game._walk` over the columns x_j - x*, which carries each atom's
 difference l as a prefix sum, so a point costs one add per atom.  No
 threshold exceeds its largest |l| and every vertex is a grid point, so the
 largest is the vertex bound; the gap is linear in q, so the least is
-(E[X*] - mu_2) / d, mu_2 the second-best expectation.  The best action,
-the tie and the runner-up are read off the market's integer
-`expectation_sums`; a `Fraction` is built only for a returned value or a
-message.
+(E[X*] - mu_2) / d, mu_2 the second-best expectation.  The best action
+and the tie are read off `Market.best_actions`, the runner-up off the
+integer `expectation_sums`; a `Fraction` is built only for a returned value
+or a message.
 
 A witness is a `GridWitness`, an immutable NamedTuple that equals the
 plain tuple (weights, gap, threshold, tail_empty_at).  The sweep builds a
@@ -121,21 +121,19 @@ def _vertex_bound(market: Market, grid_resolution: int) -> tuple[int, Fraction, 
     """Best action, scale bound and least grid gap, in closed form.  Raises
     ExpectationNotUnique for a tied best, then check_simplex_grid's errors,
     then DegenerateSupport for a one-action market."""
-    view, sums = market.integer_view, market.expectation_sums
+    view, sums, argmax = market.integer_view, market.expectation_sums, market.best_actions
     denominator = view.mass * view.scale  # of the expectation sums
-    top = max(sums)
-    argmax = [i for i, s in enumerate(sums) if s == top]
     if len(argmax) != 1:
+        mu = rational_text(Fraction(sums[argmax[0]], denominator))
         raise ExpectationNotUnique(
-            f"actions {argmax} tie at expectation {rational_text(Fraction(top, denominator))};"
-            " relabeling needs a unique best"
+            f"actions {list(argmax)} tie at expectation {mu}; relabeling needs a unique best"
         )
-    best = argmax[0]
+    (best,) = argmax
     check_simplex_grid(market.n, grid_resolution)
     if market.n == 1:
         raise DegenerateSupport("no action other than the best to bound against")
     spread = max(abs(x - row[best]) for row in view.values for x in row)
-    runner_up = sorted(sums)[-2]
+    runner_up, top = sorted(sums)[-2:]
     min_gap = Fraction(top - runner_up, denominator * grid_resolution)
     return best, Fraction(spread, view.scale), min_gap
 

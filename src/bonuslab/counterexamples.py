@@ -26,7 +26,9 @@ then only designs its market.  The increase builders read their gains from
 the induced game (two pure cells at earnings weight 0); the decrease
 builders state theirs in closed form.  All four return through one path,
 which reads the certificate from the market's expectations and validates
-the counterexample before returning it.
+the counterexample before returning it.  The increase builder's escape and
+validation ask the same question of `Market.best_actions`: the profile's
+actions are best and the deviation is not.
 """
 
 from __future__ import annotations
@@ -421,6 +423,7 @@ def coordinate_increase_counterexample(
     while escape <= magnitude:
         escape *= 2
 
+    actions = tuple(range(k))
     for doubling in range(ESCALATIONS):
         high, low = escape, -escape
         marginal = [(v, p * q) for v, q in _base_marginal(violation)]
@@ -434,8 +437,7 @@ def coordinate_increase_counterexample(
             return combo[player]
 
         market = product_market(marginal, k, [("dev", chase)])
-        if market.expectation_of(k) < market.expectation_of(0):
-            actions = tuple(range(k))
+        if market.best_actions == actions:  # the deviation k ranks below them
             gain = _switch_gain(plan, market, actions, player, k)
             params = {
                 "p": p,
@@ -489,8 +491,8 @@ def validate_counterexample(plan: BonusPlan, ce: Counterexample) -> None:
 
     Checks: the profile has one strategy per player over the market's
     actions, and the player and the deviation index them; certificate
-    expectations match the market; the profile sits on maximal-expectation
-    actions and the deviation's expectation is strictly lower; and
+    expectations match the market; the profile's actions lie in
+    `Market.best_actions` and the deviation does not; and
     switching the player to the deviation action gains exactly ce.gain > 0,
     read from two cells of a game induced here, not by the builders.  A
     strictly positive exact gain from a unilateral switch is the
@@ -505,14 +507,12 @@ def validate_counterexample(plan: BonusPlan, ce: Counterexample) -> None:
             f" do not index a {k}-player profile over {market.n} actions"
         )
     ce.profile.check_arity(market)
-    exps = market.expectations()
-    if ce.certificate != tuple(zip(market.actions, exps)):
+    if ce.certificate != tuple(zip(market.actions, market.expectations())):
         raise StaleViolation("certificate expectations do not match the market")
-    mu = max(exps)
     actions = tuple(s.pure_action for s in ce.profile.strategies)
-    if any(a is None or exps[a] != mu for a in actions):
+    if any(a not in market.best_actions for a in actions):  # nor is a mixed one's None
         raise StaleViolation("profile is not on maximal-expectation actions")
-    if exps[ce.deviation] >= mu:
+    if ce.deviation in market.best_actions:
         raise StaleViolation("deviation action does not lose expectation")
     if ce.gain <= 0:
         raise StaleViolation(f"gain {rational_text(ce.gain)} is not positive")

@@ -748,9 +748,7 @@ def check_optimal(
     witness is the same.  The candidates are capped at TENSOR_CAP.
     """
     game = induce_game(market, plan, 0)
-    sums = market.expectation_sums  # ranked as integers, one Fraction for mu_star
-    top = max(sums)
-    argmax = tuple(i for i, s in enumerate(sums) if s == top)
+    argmax = market.best_actions
     k = plan.players
     exceeds = _multisets_exceed if plan.anonymous else _power_exceeds
     if profiles := exceeds(len(argmax), k, TENSOR_CAP):
@@ -774,5 +772,5 @@ def check_optimal(
         else OptimalityVerdict.NOT_OPTIMAL_AMONG_CHECKED
     )
     view = market.integer_view
-    mu_star = Fraction(top, view.mass * view.scale)
+    mu_star = Fraction(market.expectation_sums[argmax[0]], view.mass * view.scale)
     return OptimalityReport(verdict, mu_star, argmax, witness, tuple(checked))

@@ -16,8 +16,12 @@ A market has one exact path, its `integer_view`, built with the market:
 outcomes are integers over one common denominator, probabilities over
 another, and `Market` checks its atoms on them.  Action a's expectation is
 one integer sum, sum_t weight_t * value_t[a], over mass * scale, kept once
-per market in `expectation_sums`; `expectations()` builds its `Fraction`s
-from those sums, and a portfolio's is its weights' sum against that tuple.
+per market in `expectation_sums`.  Those sums are the one ranking of
+expectations: `best_actions`, the indices of the largest in index order, is
+the set every best-action test reads, and no `Fraction` is compared to rank
+actions.  `expectations()` builds `Fraction`s from the sums for reports and
+certificates, and `expectation` gives a portfolio's as one `Fraction`, its
+counts' integer dot with the sums over unit * mass * scale.
 `support_stats` is kept the same way, from the view's least and largest
 integers.
 `product_market` checks its marginal's mass on integer weights and builds
@@ -123,11 +127,6 @@ class Market:
     def n(self) -> int:
         return len(self.actions)
 
-    def expectation_of(self, action: int) -> Fraction:
-        if not 0 <= as_count(action, "action", None, ArityMismatch) < self.n:
-            raise ArityMismatch(f"action index {rational_text(action)} out of range for {self.n}")
-        return self.expectations()[action]
-
     def expectations(self) -> tuple[Fraction, ...]:
         """Every action's expectation, computed on the integer view once."""
         return self._expectations
@@ -138,6 +137,13 @@ class Market:
         sum_t weights[t] * values[t][a], one integer per action."""
         view = self.integer_view
         return tuple(sum(map(mul, view.weights, column)) for column in zip(*view.values))
+
+    @cached_property
+    def best_actions(self) -> tuple[int, ...]:
+        """The actions of maximal expectation: the largest sums, in index order."""
+        sums = self.expectation_sums
+        top = max(sums)
+        return tuple(i for i, s in enumerate(sums) if s == top)
 
     @cached_property
     def _expectations(self) -> tuple[Fraction, ...]:
@@ -310,9 +316,11 @@ def _pairs(items: Iterable, what: str, shape: str) -> Iterator[tuple]:
 
 
 def expectation(market: Market, strategy: MixedAction) -> Fraction:
-    """Expected value of a portfolio over the market."""
+    """Expected value of a portfolio: its counts dotted with the expectation sums."""
     check_arity((strategy,), market.n)
-    return sum(map(mul, strategy.weights, market.expectations()), start=ZERO)
+    view = market.integer_view
+    dot = sum(map(mul, strategy.counts, market.expectation_sums))
+    return Fraction(dot, strategy.unit * view.mass * view.scale)
 
 
 def support_stats(market: Market) -> SupportStats:

@@ -64,6 +64,9 @@ from .rational import (
     rationals,
 )
 
+PLAYER_CAP = 20_000  # players of a plan, checked before any kernel is built
+
+
 class Kernel(NamedTuple):
     """A plan compiled for integer results over one fixed scale.
 
@@ -86,7 +89,8 @@ class BonusPlan:
     vectors `validate_simplex` always probes, its pure-sufficiency rule (its
     `linear_form` on a market) and whether it is anonymous.  The defaults
     here fit a kind with no parameters, no sufficiency argument and no
-    symmetry.
+    symmetry.  A plan has 2 to PLAYER_CAP players, checked before any
+    kernel is built.
     """
 
     players: int
@@ -97,6 +101,8 @@ class BonusPlan:
 
     def __post_init__(self) -> None:
         as_count(self.players, "player count", 2, ArityMismatch)
+        if self.players > PLAYER_CAP:
+            raise ArityMismatch(f"{rational_text(self.players)} players exceed cap {PLAYER_CAP}")
 
     def evaluate(self, results: Sequence) -> tuple[Fraction, ...]:
         """Allocate the bonus for one realized result vector."""
@@ -441,6 +447,7 @@ def zero_sum_shares(plan: BonusPlan, results: Sequence) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------
 
 SAMPLE_DENOMINATOR = 60  # largest denominator of a sampled result
+SAMPLE_CAP = 200_000  # sampled coordinates, count * players, checked before any sample
 
 
 @dataclass(frozen=True)
@@ -468,10 +475,16 @@ def validate_simplex(
     to SAMPLE_DENOMINATOR from a seeded generator (deterministic), after the
     plan's own `probes()`: tabulated points, the corners of a linear plan's
     interval or bound.  Samples are drawn one at a time as they are
-    checked.  Reports the first vector whose allocation leaves the simplex,
-    if any.
+    checked; more than SAMPLE_CAP sampled coordinates, count * players, are
+    refused before the first.  Reports the first vector whose allocation
+    leaves the simplex, if any.
     """
     as_count(count, "sample count", 1, InvalidParameter)
+    if count * plan.players > SAMPLE_CAP:
+        raise InvalidParameter(
+            f"{rational_text(count)} samples x {plan.players} players"
+            f" exceed cap {SAMPLE_CAP} sampled coordinates"
+        )
     lo, hi = as_rational(lo), as_rational(hi)
     if lo > hi:
         raise InvalidParameter(

@@ -60,10 +60,17 @@ MUTANTS = (
         ("tests/test_market.py::test_expectations_match_the_fraction_oracle",),
     ),
     Mutant(
-        "portfolio expectation with its weights reversed",
+        "portfolio expectation with its counts reversed",
         "src/bonuslab/market.py",
-        "map(mul, strategy.weights, market.expectations())",
-        "map(mul, strategy.weights[::-1], market.expectations())",
+        "map(mul, strategy.counts, market.expectation_sums)",
+        "map(mul, strategy.counts[::-1], market.expectation_sums)",
+        ("tests/test_market.py::test_expectations_match_the_fraction_oracle",),
+    ),
+    Mutant(
+        "best actions keep only the first largest sum",
+        "src/bonuslab/market.py",
+        "return tuple(i for i, s in enumerate(sums) if s == top)",
+        "return (sums.index(top),)",
         ("tests/test_market.py::test_expectations_match_the_fraction_oracle",),
     ),
     Mutant(
@@ -274,6 +281,34 @@ MUTANTS = (
             "tests/test_counterexamples.py::"
             "test_validate_refuses_a_player_or_deviation_out_of_range",
         ),
+    ),
+    Mutant(
+        "validation accepts a deviation among the best actions",
+        "src/bonuslab/counterexamples.py",
+        "if ce.deviation in market.best_actions:",
+        "if False:",
+        ("tests/test_counterexamples.py::test_validation_matches_the_search_it_dropped",),
+    ),
+    Mutant(
+        "the escape loop stops while the deviation still ties",
+        "src/bonuslab/counterexamples.py",
+        "if market.best_actions == actions:",
+        "if market.best_actions[:k] == actions:",
+        ("tests/test_counterexamples.py::test_coordinate_increase_escape_passes_a_tie",),
+    ),
+    Mutant(
+        "the player cap dropped",
+        "src/bonuslab/plans.py",
+        "if self.players > PLAYER_CAP:",
+        "if False:",
+        ("tests/test_plans.py::test_player_count_is_capped_in_the_constructor",),
+    ),
+    Mutant(
+        "the sample cap dropped",
+        "src/bonuslab/plans.py",
+        "if count * plan.players > SAMPLE_CAP:",
+        "if False:",
+        ("tests/test_plans.py::test_validate_simplex_caps_its_sampled_coordinates",),
     ),
     Mutant(
         "int check admits a bool",

@@ -212,7 +212,7 @@ def test_three_player_refutations():
     drop = CoordinateViolation(Direction.DECREASE, 0, (F(2), F(1), F(3)), F(0), F(1))
     ce = coordinate_decrease_counterexample(LoserTakeAllPlan(3), drop)
     assert len(ce.market.atoms) == 27
-    assert ce.market.expectation_of(0) == F(2)
+    assert ce.market.expectations()[0] == F(2)
     assert expectation(ce.market, MixedAction.pure(3, 4)) == F(31, 16)
     assert ce.gain == F(1, 32)
     game = induce_game(ce.market, LoserTakeAllPlan(3), 0)

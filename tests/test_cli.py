@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -328,6 +329,9 @@ TINY_ATOM_MARKET = {"actions": ["A"], "atoms": [{"p": "1e-4300", "outcomes": ["1
 # a tie at expectation 10^-4300 / 2, whose denominator has 4 301 digits
 TINY_TIE_MARKET = {"actions": ["A", "B"], "atoms": [{"p": "1/2", "outcomes": ["1e-4300", "0"]},
                                                     {"p": "1/2", "outcomes": ["0", "1e-4300"]}]}
+# a WTA plan of 10^4000 players, a count int() still reads, on a one-atom
+# market: it ended in an OverflowError traceback before the player cap
+HUGE_WTA = {"players": 10**4000, "kind": "wta"}
 # JSON text nested deeper than the decoder follows
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 # a lone surrogate is a str, written by json.dumps as the escape \ud800, that
@@ -492,6 +496,10 @@ REJECTED = [
      ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q"], "ArityMismatch"),
     ("validate-plan-repeated-table-key", {"P": REPEATED_TABLE},
      ["validate-plan", "--plan", "P"], "NonSimplexTable"),
+    ("check-optimal-players-past-the-cap", {"M": TIED_MARKET, "P": HUGE_WTA},
+     ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
+    ("validate-plan-samples-past-the-cap", {"P": WTA},
+     ["validate-plan", "--plan", "P", "--samples", "1000000000"], "InvalidParameter"),
     ("check-optimal-exponent-past-the-digit-limit",
      {"M": {"actions": ["A"], "atoms": [{"p": "1", "outcomes": ["1e100000000"]}]}, "P": WTA},
      ["check-optimal", "--market", "M", "--plan", "P"], "UnparsableNumber"),
@@ -606,6 +614,19 @@ def test_malformed_input_is_a_json_error(tmp_path, capsys, documents, argv, erro
     error = json.loads(captured.err)["error"]
     assert error["type"] == error_type
     assert isinstance(error["message"], str) and error["message"]
+
+
+@pytest.mark.parametrize("case", ["check-optimal-players-past-the-cap",
+                                  "validate-plan-samples-past-the-cap"])
+def test_cap_refusals_end_within_a_second(tmp_path, capsys, case):
+    """The player cap and the sample cap refuse before any work is done."""
+    ((documents, argv, error_type),) = [c[1:] for c in REJECTED if c[0] == case]
+    argv = _materialize(tmp_path, documents, argv)
+    start = time.perf_counter()
+    code = main(["--json", *argv])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == error_type
 
 
 # rejections checked in text mode too: a label or a decoder failure must

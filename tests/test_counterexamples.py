@@ -40,6 +40,7 @@ from bonuslab import (
     pair_increase_counterexample,
     probe_own_coordinate,
     probe_pairs,
+    product_market,
     two_bond_market,
     universality_verdict,
     validate_counterexample,
@@ -314,6 +315,25 @@ def test_coordinate_decrease_gain_recomputes_atomwise():
     assert gain == ce.gain
 
 
+def test_coordinate_increase_escape_passes_a_tie():
+    """At the first escape value, 16, this witness makes the deviation tie
+    the coordinate actions exactly; validation would refuse that market, so
+    the escape doubles once more."""
+    violation = CoordinateViolation(Direction.INCREASE, 0, (F(1), F(2)), F(3323, 225), F(1))
+    p, high = F(15, 16), F(16)
+
+    def chase(combo):
+        return violation.witness if combo == (1, 2) else (-high if high in combo else combo[0])
+
+    marginal = [(F(1), p / 2), (F(2), p / 2), (high, 1 - p)]
+    tied = product_market(marginal, 2, [("dev", chase)])
+    assert tied.best_actions == (0, 1, 2)
+    ce = coordinate_increase_counterexample(WinnerTakeAllPlan(2), violation)
+    assert (ce.params["p"], ce.params["escape_doublings"]) == (p, 1)
+    assert ce.market.best_actions == (0, 1)
+    assert ce.gain == F(163, 1024)
+
+
 def test_coordinate_increase_builder_frozen_values():
     plan = WinnerTakeAllPlan(3)
     violation = CoordinateViolation(
@@ -328,7 +348,7 @@ def test_coordinate_increase_builder_frozen_values():
         "escape_doublings": 0,
     }
     assert ce.gain == F(4584541, 201326592)
-    assert ce.market.expectation_of(0) == F(921, 512)
+    assert ce.market.expectations()[0] == F(921, 512)
     assert expectation(ce.market, MixedAction.pure(3, 4)) < F(921, 512)
     assert len(ce.market.atoms) == 4**3
 
@@ -619,6 +639,8 @@ def tampered(ce):
     )
     yield replace(ce, profile=Profile(tuple(mixed)))
     yield replace(ce, deviation=best)
+    # a best action other than the player's own ties the profile's expectation
+    yield from (replace(ce, deviation=a) for a in ce.market.best_actions if a != best)
     yield replace(ce, player=(ce.player + 1) % k)
     for field, value in (("player", -1), ("player", k), ("deviation", -1), ("deviation", n)):
         yield replace(ce, **{field: value})

@@ -3,6 +3,7 @@
 import random
 import re
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -48,6 +49,7 @@ from bonuslab import (
     find_bounding_m,
     induce_game,
     principal_value,
+    probe_own_coordinate,
     product_market,
     two_bond_market,
     simplex_grid,
@@ -62,6 +64,7 @@ from bonuslab.game import (
     check_simplex_grid,
 )
 from bonuslab.market import GRID_CAP, _multisets_exceed, _power_exceeds
+from bonuslab.plans import PLAYER_CAP
 from conftest import (
     every_kind,
     fraction_allocation,
@@ -672,7 +675,7 @@ def test_check_nash_at_five_players_reads_k_times_n_cells():
     market = six_action_market()
     plan = build_m_linear(market, 5)
     game = induce_game(market, plan, 0)
-    best = max(range(6), key=market.expectation_of)
+    best = max(range(6), key=market.expectations().__getitem__)
     report = check_nash(game, Profile.pure((best,) * 5, 6))
     assert report.verdict is Verdict.EQUILIBRIUM
     assert len(game.cells) <= 1 + 5 * 5  # of the 6**5 = 7776 profiles
@@ -878,16 +881,47 @@ def test_messages_write_ints_past_the_digit_limit():
         ),
         (
             lambda: induce_game(two_bond_market(), WinnerTakeAllPlan(huge)).payoffs,
-            TensorCapExceeded, f"2^{over} pure profiles",
+            ArityMismatch, f"{over} players exceed cap {PLAYER_CAP}",
         ),
         (lambda: WinnerTakeAllPlan(-huge), ArityMismatch, f"got {negative}"),
         (lambda: list(simplex_grid(-huge, 2)), ArityMismatch, f"got {negative}"),
-        (lambda: TabulatedPlan(huge, {}, ("1",)), NonSimplexTable, f"expected {over} shares"),
-        (lambda: TabulatedPlan(huge, {(1,): (1,)}, ("1",)), ArityMismatch, f"1, not {over}"),
+        (lambda: TabulatedPlan(huge, {}, ("1",)), ArityMismatch,
+         f"{over} players exceed cap {PLAYER_CAP}"),
+        (lambda: TabulatedPlan(huge, {(1,): (1,)}, ("1",)), ArityMismatch,
+         f"{over} players exceed cap {PLAYER_CAP}"),
     ]
     for call, error, text in cases:
         with pytest.raises(error, match=re.escape(text)):
             call()
+
+
+def test_a_plan_past_the_player_cap_ends_in_a_typed_error():
+    """On the two-bond market a plan of 10**5000 players ended in a bare
+    ValueError (expected_payoffs, best_response, strict_dominance,
+    probe_own_coordinate) or OverflowError (Game.payoff, check_optimal).
+    Each call now ends in the constructor's ArityMismatch within a second,
+    and so do the builders given that player count."""
+    market, huge = two_bond_market(), 10**5000
+    over = f"an int of over {sys.get_int_max_str_digits()} digits"
+
+    def game():
+        return induce_game(market, WinnerTakeAllPlan(huge), 0)
+
+    calls = [
+        lambda: expected_payoffs(game(), Profile.pure((0, 1), 2)),
+        lambda: best_response(game(), 0, [MixedAction.pure(0, 2)]),
+        lambda: strict_dominance(game()),
+        lambda: probe_own_coordinate(WinnerTakeAllPlan(huge), ("0", "1")),
+        lambda: game().payoff((0, 0)),
+        lambda: check_optimal(market, WinnerTakeAllPlan(huge)),
+        lambda: build_m_linear(market, huge),
+        lambda: build_bounded_linear(market, huge, 2),
+    ]
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(ArityMismatch, match=re.escape(f"{over} players exceed cap")):
+            call()
+        assert time.perf_counter() - start < 1
 
 
 def test_messages_write_rationals_past_the_digit_limit():

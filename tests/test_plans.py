@@ -1,6 +1,7 @@
 """Plan allocations: frozen values, the simplex contract, serialization."""
 
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -28,7 +29,7 @@ from bonuslab import (
     validate_simplex,
     zero_sum_shares,
 )
-from bonuslab.plans import Kernel
+from bonuslab.plans import PLAYER_CAP, SAMPLE_CAP, Kernel
 from conftest import (
     every_kind,
     fraction_allocation,
@@ -179,6 +180,29 @@ def test_player_counts_are_ints():
             plan_from_dict({"players": players, "kind": "bounded_linear", "bound": "1"})
 
 
+def test_player_count_is_capped_in_the_constructor():
+    """PLAYER_CAP players pass for every kind and one more is ArityMismatch,
+    from a constructor or a document, before any kernel is built."""
+    for players in (PLAYER_CAP, PLAYER_CAP + 1):
+        fallback = (F(1),) + (F(0),) * (players - 1)
+        calls = [
+            lambda: ConstantPlan(players),
+            lambda: WinnerTakeAllPlan(players),
+            lambda: LoserTakeAllPlan(players),
+            lambda: MLinearPlan(players, F(1), F(0), F(1)),
+            lambda: BoundedLinearPlan(players, F(1)),
+            lambda: TabulatedPlan(players, {}, fallback),
+            lambda: plan_from_dict({"players": players, "kind": "wta"}),
+        ]
+        for call in calls:
+            if players == PLAYER_CAP:
+                assert call().players == PLAYER_CAP
+            else:
+                with pytest.raises(ArityMismatch, match=f"^{players} players exceed cap"
+                                   f" {PLAYER_CAP}$"):
+                    call()
+
+
 def test_linear_parameters_are_exact():
     """Bounds and interval ends go through as_rational: a float is refused
     where evaluate would end in an AttributeError, a bool is refused, and an
@@ -203,6 +227,22 @@ def test_validate_simplex_sample_counts_are_ints():
     for count, error in ((2.0, FloatRejected), (None, InvalidParameter)):
         with pytest.raises(error):
             validate_simplex(WinnerTakeAllPlan(2), count)
+
+
+def test_validate_simplex_caps_its_sampled_coordinates():
+    """count * players coordinates up to SAMPLE_CAP are sampled; past it the
+    call is InvalidParameter, naming the shape, before any sample.  A plan
+    that fails its first vector shows that the cap let the call through."""
+    count = SAMPLE_CAP // 4
+    assert validate_simplex(_LeakyPlan(4), count=count).failure[2] == "wrong arity"
+    plan = WinnerTakeAllPlan(4)
+    for count, text in ((count + 1, f"{count + 1}"), (10**9, "1000000000"),
+                        (10**5000, "an int of over")):
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameter, match=f"^{text}.* samples x 4 players exceed cap"
+                           f" {SAMPLE_CAP} sampled coordinates$"):
+            validate_simplex(plan, count=count)
+        assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------

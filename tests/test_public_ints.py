@@ -110,7 +110,6 @@ ROWS = (
         lambda v: build_bounded_linear(MARKET, 2, v), 2, InvalidParameter,
     ),
     Row("Game.payoff", "combo", lambda v: GAME.payoff((0, v)), 1, ArityMismatch),
-    Row("Market.expectation_of", "action", lambda v: MARKET.expectation_of(v), 1, ArityMismatch),
     Row("MixedAction.pure", "action", lambda v: MixedAction.pure(v, 2), 1, ArityMismatch),
     # its cap on large arities: test_pure_arity_is_capped_before_any_weight
     Row("MixedAction.pure", "arity", lambda v: MixedAction.pure(0, v), 2, ArityMismatch),
