@@ -14,10 +14,12 @@ Subcommands:
   validate-plan       allocation-contract fuzzing for a plan file
 
 Markets, plans, and profiles travel as JSON documents of exact rational
-strings (see the package README for the formats).  Each command builds one
-report document: --json prints it, and the text output is rendered from it.
-All numbers print as exact rationals; --decimal appends a 6-place
-approximation marked with "~".
+strings (see the package README for the formats).  `main` reads a request's
+inputs before the command runs, in one order: --market, --plan, --profile,
+then --lambda, each one the command has; of several bad inputs the first is
+the one reported.  Each command builds one report document: --json prints
+it, and the text output is rendered from it.  All numbers print as exact
+rationals; --decimal appends a 6-place approximation marked with "~".
 Exit status: 0 on success, 1 on any validation or model error, 2 on usage
 errors.
 """
@@ -59,7 +61,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        document = args.handler(args)
+        inputs = {}
+        # the readers are looked up per call, so a wrapper put on the module
+        # attribute sees every read
+        for name, parse in (
+            ("market", market_from_dict), ("plan", plan_from_dict), ("profile", profile_from_list)
+        ):
+            if name in args:
+                inputs[name] = _read(getattr(args, name), parse)
+        if "lam" in args:
+            inputs["lam"] = as_rational(args.lam)
+        document = args.handler(args, **inputs)
     except (BonusLabError, OSError) as exc:
         _emit_error(args, exc)
         return 1
@@ -233,8 +245,7 @@ def _optimality_dict(market: Market, report: OptimalityReport) -> dict:
 # ---------------------------------------------------------------------
 
 
-def _cmd_replicate(args) -> dict:
-    lam = as_rational(args.lam)
+def _cmd_replicate(args, lam) -> dict:
     market = two_bond_market()
     plan = WinnerTakeAllPlan(2)
     at_zero = induce_game(market, plan, 0).payoffs
@@ -305,11 +316,8 @@ def _text_replicate(doc, args):
         yield "surviving actions per player: " + ", ".join(survivors)
 
 
-def _cmd_induce(args) -> dict:
-    market = _read(args.market, market_from_dict)
-    plan = _read(args.plan, plan_from_dict)
-    g = induce_game(market, plan, as_rational(args.lam))
-    return _payoff_dict(market, g)
+def _cmd_induce(args, market, plan, lam) -> dict:
+    return _payoff_dict(market, induce_game(market, plan, lam))
 
 
 def _text_induce(doc, args):
@@ -317,11 +325,8 @@ def _text_induce(doc, args):
         yield f"({label}):  " + ", ".join(_fmt(args, v) for v in values)
 
 
-def _cmd_check_eq(args) -> dict:
-    market = _read(args.market, market_from_dict)
-    plan = _read(args.plan, plan_from_dict)
-    profile = _read(args.profile, profile_from_list)
-    g = induce_game(market, plan, as_rational(args.lam))
+def _cmd_check_eq(args, market, plan, profile, lam) -> dict:
+    g = induce_game(market, plan, lam)
     return _equilibrium_dict(check_nash(g, profile, args.resolution))
 
 
@@ -335,9 +340,7 @@ def _text_check_eq(doc, args):
         )
 
 
-def _cmd_check_optimal(args) -> dict:
-    market = _read(args.market, market_from_dict)
-    plan = _read(args.plan, plan_from_dict)
+def _cmd_check_optimal(args, market, plan) -> dict:
     return _optimality_dict(market, check_optimal(market, plan, args.resolution))
 
 
@@ -364,20 +367,15 @@ def _text_plan(doc, args):
     yield f"wrote {args.out}" if args.out else json.dumps(doc, indent=2)
 
 
-def _cmd_build_linear(args) -> dict:
-    market = _read(args.market, market_from_dict)
-    plan = construct.build_m_linear(market, args.players)
-    return _write_plan(args, plan)
+def _cmd_build_linear(args, market) -> dict:
+    return _write_plan(args, construct.build_m_linear(market, args.players))
 
 
-def _cmd_build_bounded(args) -> dict:
-    market = _read(args.market, market_from_dict)
-    plan = construct.build_bounded_linear(market, args.players, args.grid)
-    return _write_plan(args, plan)
+def _cmd_build_bounded(args, market) -> dict:
+    return _write_plan(args, construct.build_bounded_linear(market, args.players, args.grid))
 
 
-def _cmd_find_m(args) -> dict:
-    market = _read(args.market, market_from_dict)
+def _cmd_find_m(args, market) -> dict:
     result = construct.find_bounding_m(market, args.grid)
     return {
         "bound": format_rational(result.bound),
@@ -417,8 +415,7 @@ def _parse_grid(text: str) -> list[Fraction]:
     return [lo + i * step for i in range(size)]
 
 
-def _cmd_probe(args) -> dict:
-    plan = _read(args.plan, plan_from_dict)
+def _cmd_probe(args, plan) -> dict:
     if plan.players != args.players:
         raise BonusLabError(
             f"plan is for {plan.players} players, --players says {args.players}"
@@ -459,8 +456,7 @@ def _text_probe(doc, args):
     )
 
 
-def _cmd_validate_plan(args) -> dict:
-    plan = _read(args.plan, plan_from_dict)
+def _cmd_validate_plan(args, plan) -> dict:
     try:
         lo_text, hi_text = args.range.split(":")
     except ValueError as exc:

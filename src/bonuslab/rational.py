@@ -11,6 +11,8 @@ an index, a grid denominator, a seed), refusing a float as FloatRejected.
 
 A message writes a number with `rational_text`, which never fails: past
 the int-to-str digit limit it writes the number's sign and the limit.  A
+refused count is written with `count_text`, by its digit count once it is
+long, so that the refusal of a huge input stays short.  A
 document writes one with `format_rational`, and `approx_decimal` its
 `--decimal` suffix; each writes the exact value or raises UnwritableNumber.
 """
@@ -84,6 +86,17 @@ def rational_text(value) -> str:
         if isinstance(value, int):
             return f"{'a negative' if value < 0 else 'an'} int of over {limit} digits"
         return f"{'a negative' if value < 0 else 'a'} rational of over {limit} digits"
+
+
+def count_text(n: int) -> str:
+    """A positive int count for a message: its digits when there are at most
+    20, else its size, as "an int of 4001 digits"; past the digit limit, as
+    `rational_text` writes it."""
+    try:
+        text = str(n)
+    except ValueError:
+        return rational_text(n)
+    return text if len(text) <= 20 else f"an int of {len(text)} digits"
 
 
 def format_rational(value: Fraction) -> str:

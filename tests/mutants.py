@@ -677,6 +677,20 @@ MUTANTS = (
         "if 2 * tail > gap:",
         ("tests/test_construct.py::test_a_tail_of_exactly_half_the_gap_fails_the_test",),
     ),
+    Mutant(
+        "main reads the plan before the market",
+        "src/bonuslab/cli.py",
+        '("market", market_from_dict), ("plan", plan_from_dict)',
+        '("plan", plan_from_dict), ("market", market_from_dict)',
+        ("tests/test_cli.py::test_inputs_are_read_market_plan_profile_then_options",),
+    ),
+    Mutant(
+        "a refused count written in full at any length",
+        "src/bonuslab/rational.py",
+        'return text if len(text) <= 20 else f"an int of {len(text)} digits"',
+        "return text",
+        ("tests/test_cli.py::test_a_refused_huge_count_is_written_by_its_size",),
+    ),
 )
 
 # Known equivalent mutants: they change no result, so no test can catch

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, JSON reports, file round-trips."""
 
 import json
+import random
 import re
 import time
 from fractions import Fraction
@@ -9,7 +10,9 @@ import pytest
 
 from bonuslab import market_to_dict, plan_to_dict, plans, two_bond_market, WinnerTakeAllPlan
 from bonuslab.cli import _build_parser, main
-from bonuslab.plans import SimplexReport
+from bonuslab.errors import BonusLabError
+from bonuslab.market import market_from_dict, profile_from_list
+from bonuslab.plans import SimplexReport, plan_from_dict
 
 F = Fraction
 
@@ -500,6 +503,8 @@ REJECTED = [
      ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
     ("validate-plan-samples-past-the-cap", {"P": WTA},
      ["validate-plan", "--plan", "P", "--samples", "1000000000"], "InvalidParameter"),
+    ("validate-plan-samples-of-4001-digits", {"P": WTA},
+     ["validate-plan", "--plan", "P", "--samples", str(10**4000)], "InvalidParameter"),
     ("check-optimal-exponent-past-the-digit-limit",
      {"M": {"actions": ["A"], "atoms": [{"p": "1", "outcomes": ["1e100000000"]}]}, "P": WTA},
      ["check-optimal", "--market", "M", "--plan", "P"], "UnparsableNumber"),
@@ -627,6 +632,101 @@ def test_cap_refusals_end_within_a_second(tmp_path, capsys, case):
     assert time.perf_counter() - start < 1
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"]["type"] == error_type
+
+
+HUGE_COUNTS = [
+    ("check-optimal-players-past-the-cap", "an int of 4001 digits players exceed cap 20000"),
+    ("validate-plan-samples-of-4001-digits",
+     "an int of 4001 digits samples x 2 players exceed cap 200000 sampled coordinates"),
+]
+
+
+@pytest.mark.parametrize("case,message", HUGE_COUNTS, ids=[c[0] for c in HUGE_COUNTS])
+def test_a_refused_huge_count_is_written_by_its_size(tmp_path, capsys, case, message):
+    """A count of 4 001 digits, from a document or a flag, is written by its
+    digit count: the error object stays short."""
+    ((documents, argv, _),) = [c[1:] for c in REJECTED if c[0] == case]
+    assert main(["--json", *_materialize(tmp_path, documents, argv)]) == 1
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"]["message"] == message
+    assert len(message) < 120 and len(err) < 512
+
+
+# Read order.  Each document below fails its reader with an error of its own;
+# each request also carries a bad option of its command.
+BAD_DOCUMENTS = {"M": {"actions": 5, "atoms": []}, "P": {"players": 2, "kind": "median"},
+                 "Q": [1, ["1", "0"]]}
+GOOD_DOCUMENTS = {"M": MARKET, "P": WTA, "Q": [["1", "0"], ["1", "0"]]}
+READERS = {"M": market_from_dict, "P": plan_from_dict, "Q": profile_from_list}
+READ_ORDER = [
+    ("induce", ["induce", "--market", "M", "--plan", "P", "--lambda", "x"]),
+    ("check-eq", ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q", "--lambda", "x"]),
+    ("check-optimal", ["check-optimal", "--market", "M", "--plan", "P", "--resolution", "0"]),
+    ("build-linear", ["build-linear", "--market", "M", "--players", "1"]),
+    ("build-bounded", ["build-bounded", "--market", "M", "--players", "2", "--grid", "0"]),
+    ("find-m", ["find-m", "--market", "M", "--grid", "0"]),
+    ("probe-universal", ["probe-universal", "--plan", "P", "--grid", "x", "--players", "3"]),
+    ("validate-plan", ["validate-plan", "--plan", "P", "--range", "x"]),
+]
+
+
+@pytest.mark.parametrize("argv", [c[1] for c in READ_ORDER], ids=[c[0] for c in READ_ORDER])
+def test_inputs_are_read_market_plan_profile_then_options(tmp_path, capsys, argv):
+    """Of several bad inputs the first in the order market, plan, profile,
+    then the command's options, is the one reported."""
+    names = [name for name in "MPQ" if name in argv]
+
+    def error(bad):
+        documents = {n: BAD_DOCUMENTS[n] if n in bad else GOOD_DOCUMENTS[n] for n in names}
+        assert main(["--json", *_materialize(tmp_path, documents, argv)]) == 1
+        return json.loads(capsys.readouterr().err)["error"]
+
+    refusals = {}
+    for name in names:
+        with pytest.raises(BonusLabError) as exc:
+            READERS[name](BAD_DOCUMENTS[name])
+        refusals[name] = {"type": type(exc.value).__name__, "message": str(exc.value)}
+    assert error(()) not in refusals.values()  # the option alone is refused
+    for i, first in enumerate(names):
+        assert error(names[i:]) == refusals[first]
+
+
+def _document_plans(rng):
+    """52 plan documents: every kind, 2 to 5 players, three bounds, random tables."""
+    def simplex(k):
+        weights = [rng.randint(0, 9) for _ in range(k)]
+        weights[rng.randrange(k)] += 1
+        return [str(F(w, sum(weights))) for w in weights]
+
+    documents = []
+    for k in range(2, 6):
+        documents += [{"players": k, "kind": kind} for kind in ("constant", "wta", "lta")]
+        for bound in ("1/3", "1", "7/2"):
+            documents.append({"players": k, "kind": "bounded_linear", "bound": bound})
+            lo = F(rng.randint(-6, 6), 4)
+            interval = [str(lo), str(lo + 2 * F(bound))]
+            documents.append({"players": k, "kind": "m_linear", "bound": bound,
+                              "interval": interval})
+        for size in range(4):
+            points = {tuple(str(F(rng.randint(-8, 8), rng.randint(1, 4))) for _ in range(k))
+                      for _ in range(size)}
+            documents.append({"players": k, "kind": "tabulated", "fallback": simplex(k),
+                              "points": [{"r": list(r), "shares": simplex(k)} for r in points]})
+    return documents
+
+
+def test_every_document_plan_meets_the_allocation_contract(tmp_path, capsys):
+    """Each kind's constructor enforces the contract, so validate-plan passes
+    every plan a document can describe: exit 0 and "ok": true."""
+    documents = _document_plans(random.Random(0))
+    assert len(documents) == 52
+    assert {doc["kind"] for doc in documents} == set(plans._KINDS)
+    for doc in documents:
+        argv = _materialize(tmp_path, {"P": doc}, ["validate-plan", "--plan", "P"])
+        for interval in ("-2:2", "-1e40:1e40", "0:0", "-1/7:3/11"):
+            code, data = run_json(capsys, [*argv, f"--range={interval}", "--samples", "100"])
+            assert code == 0
+            assert data["ok"] is True, (doc, interval, data)
 
 
 # rejections checked in text mode too: a label or a decoder failure must

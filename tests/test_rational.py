@@ -10,7 +10,7 @@ from bonuslab import (
     as_rational,
     format_rational,
 )
-from bonuslab.rational import approx_decimal, load_json, rational_text, rationals
+from bonuslab.rational import approx_decimal, count_text, load_json, rational_text, rationals
 
 
 def test_parses_integers_and_fractions():
@@ -190,3 +190,13 @@ def test_rational_text_writes_every_number_under_no_digit_limit():
         assert rational_text((big,)) == f"(-1{'0' * limit}/3,)"
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_count_text_writes_a_long_count_by_its_size():
+    """Up to 20 digits a count is written in full, past that by its digit
+    count, and past the digit limit as rational_text writes it."""
+    limit = sys.get_int_max_str_digits()
+    assert [count_text(v) for v in (20_001, 10**20 - 1)] == ["20001", "9" * 20]
+    assert count_text(10**20) == "an int of 21 digits"
+    assert count_text(10**4000) == "an int of 4001 digits"
+    assert count_text(10**limit) == f"an int of over {limit} digits"
