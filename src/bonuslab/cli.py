@@ -54,7 +54,7 @@ from .market import (
     two_bond_market,
 )
 from .plans import WinnerTakeAllPlan, plan_from_dict, plan_to_dict
-from .rational import approx_decimal, as_rational, format_rational, load_json
+from .rational import approx_decimal, as_rational, format_rational, load_json, rational_text
 
 
 def main(argv=None) -> int:
@@ -418,7 +418,8 @@ def _parse_grid(text: str) -> list[Fraction]:
 def _cmd_probe(args, plan) -> dict:
     if plan.players != args.players:
         raise BonusLabError(
-            f"plan is for {plan.players} players, --players says {args.players}"
+            f"plan is for {rational_text(plan.players)} players,"
+            f" --players says {rational_text(args.players)}"
         )
     grid = _parse_grid(args.grid)
     report = counterexamples.universality_verdict(plan, grid)

@@ -58,7 +58,6 @@ from .market import Market, _over, support_stats
 from .rational import (
     as_count,
     as_rational,
-    count_text,
     format_rational,
     load_json,
     rational_text,
@@ -103,7 +102,7 @@ class BonusPlan:
     def __post_init__(self) -> None:
         as_count(self.players, "player count", 2, ArityMismatch)
         if self.players > PLAYER_CAP:
-            raise ArityMismatch(f"{count_text(self.players)} players exceed cap {PLAYER_CAP}")
+            raise ArityMismatch(f"{rational_text(self.players)} players exceed cap {PLAYER_CAP}")
 
     def evaluate(self, results: Sequence) -> tuple[Fraction, ...]:
         """Allocate the bonus for one realized result vector."""
@@ -483,7 +482,7 @@ def validate_simplex(
     as_count(count, "sample count", 1, InvalidParameter)
     if count * plan.players > SAMPLE_CAP:
         raise InvalidParameter(
-            f"{count_text(count)} samples x {plan.players} players"
+            f"{rational_text(count)} samples x {plan.players} players"
             f" exceed cap {SAMPLE_CAP} sampled coordinates"
         )
     lo, hi = as_rational(lo), as_rational(hi)

@@ -9,12 +9,15 @@ would silently change verdicts.
 `as_rational` reads a number; `as_count` checks an int argument (a count,
 an index, a grid denominator, a seed), refusing a float as FloatRejected.
 
-A message writes a number with `rational_text`, which never fails: past
-the int-to-str digit limit it writes the number's sign and the limit.  A
-refused count is written with `count_text`, by its digit count once it is
-long, so that the refusal of a huge input stays short.  A
-document writes one with `format_rational`, and `approx_decimal` its
-`--decimal` suffix; each writes the exact value or raises UnwritableNumber.
+A message writes a number with `rational_text`, which never fails.  An
+int there is a count, an index, a size or a grid denominator: up to 20
+digits (every 64-bit integer) it is written in full, past that by its size
+("an int of 4001 digits"), so that the refusal of a huge input stays short.
+A rational is written exactly, however long.  Past the int-to-str digit
+limit either is written as its sign, its kind and the limit ("a negative
+rational of over 4300 digits").  A document writes a number with
+`format_rational`, and `approx_decimal` its `--decimal` suffix; each writes
+the exact value or raises UnwritableNumber.
 """
 
 from __future__ import annotations
@@ -71,32 +74,26 @@ def as_count(value, name: str, minimum: int | None, error: type[Exception]) -> i
 
 
 def rational_text(value) -> str:
-    """`value`, a number or a tuple of numbers, written as str() writes a
-    number within sys.get_int_max_str_digits() (0: no limit), and a tuple
-    with each item written so: "(1/2, 0)", as documents spell the numbers.
-    Past the limit, a number too long is written as its sign, its kind and
-    the limit, so a message never fails."""
+    """`value`, a number or a tuple of numbers, for a message: a Fraction as
+    str() writes it, an int so up to 20 digits and by its size past that,
+    and a tuple with each item written so: "(1/2, 0)", as documents spell
+    the numbers.  Past sys.get_int_max_str_digits() (0: no limit), a number
+    too long is written as its sign, its kind and the limit, so a message
+    never fails."""
     if isinstance(value, tuple):
         items = [rational_text(x) for x in value]
         return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
     try:
-        return str(value)
+        text = str(value)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if isinstance(value, int):
-            return f"{'a negative' if value < 0 else 'an'} int of over {limit} digits"
-        return f"{'a negative' if value < 0 else 'a'} rational of over {limit} digits"
-
-
-def count_text(n: int) -> str:
-    """A positive int count for a message: its digits when there are at most
-    20, else its size, as "an int of 4001 digits"; past the digit limit, as
-    `rational_text` writes it."""
-    try:
-        text = str(n)
-    except ValueError:
-        return rational_text(n)
-    return text if len(text) <= 20 else f"an int of {len(text)} digits"
+        size = f"over {sys.get_int_max_str_digits()}"
+    else:
+        size = len(text.lstrip("-"))
+        if not isinstance(value, int) or size <= 20:
+            return text
+    if isinstance(value, int):
+        return f"{'a negative' if value < 0 else 'an'} int of {size} digits"
+    return f"{'a negative' if value < 0 else 'a'} rational of {size} digits"
 
 
 def format_rational(value: Fraction) -> str:

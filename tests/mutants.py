@@ -687,9 +687,35 @@ MUTANTS = (
     Mutant(
         "a refused count written in full at any length",
         "src/bonuslab/rational.py",
-        'return text if len(text) <= 20 else f"an int of {len(text)} digits"',
-        "return text",
-        ("tests/test_cli.py::test_a_refused_huge_count_is_written_by_its_size",),
+        "if not isinstance(value, int) or size <= 20:",
+        "if True:",
+        (
+            "tests/test_rational.py::test_rational_text_writes_a_long_int_by_its_size",
+            "tests/test_cli.py::test_a_refused_huge_count_is_written_by_its_size",
+        ),
+    ),
+    Mutant(
+        "a tabulated plan's shares taken at any count",
+        "src/bonuslab/plans.py",
+        "if len(vec) != players:",
+        "if False:",
+        (
+            "tests/test_cli.py::"
+            "test_malformed_input_is_a_json_error[validate-plan-fallback-of-one-share]",
+            "tests/test_cli.py::"
+            "test_malformed_input_is_a_json_error[validate-plan-row-of-three-shares]",
+            "tests/test_cli.py::test_a_table_of_the_wrong_share_count_is_refused",
+        ),
+    ),
+    Mutant(
+        "a denominator with no point in the range draws above it",
+        "src/bonuslab/plans.py",
+        "return lo",
+        "return Fraction(lo_num, den)",
+        (
+            "tests/test_plans.py::"
+            "test_validate_simplex_draws_in_a_range_with_no_point_of_a_denominator",
+        ),
     ),
 )
 

@@ -340,6 +340,12 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
 # a lone surrogate is a str, written by json.dumps as the escape \ud800, that
 # no output can encode
 SURROGATE_MARKET = {"actions": ["\ud800", "b"], "atoms": [{"p": "1", "outcomes": ["2", "1"]}]}
+# a 2-player table whose fallback, or whose one row, has the wrong share count
+SHORT_FALLBACK = {"players": 2, "kind": "tabulated", "fallback": ["1"], "points": []}
+LONG_ROW = {"players": 2, "kind": "tabulated", "fallback": ["1/2", "1/2"],
+            "points": [{"r": ["0", "1"], "shares": ["1", "0", "0"]}]}
+# a count of 4 001 digits, which int() still reads
+HUGE = str(10**4000)
 # one result vector, listed as ["1/2", "0"] and as ["0.5", "0"]
 REPEATED_TABLE = {"players": 2, "kind": "tabulated", "fallback": ["1/2", "1/2"],
                   "points": [{"r": ["1/2", "0"], "shares": ["1", "0"]},
@@ -504,7 +510,19 @@ REJECTED = [
     ("validate-plan-samples-past-the-cap", {"P": WTA},
      ["validate-plan", "--plan", "P", "--samples", "1000000000"], "InvalidParameter"),
     ("validate-plan-samples-of-4001-digits", {"P": WTA},
-     ["validate-plan", "--plan", "P", "--samples", str(10**4000)], "InvalidParameter"),
+     ["validate-plan", "--plan", "P", "--samples", HUGE], "InvalidParameter"),
+    ("find-m-grid-of-4001-digits", {"M": MARKET},
+     ["find-m", "--market", "M", "--grid", HUGE], "GridCapExceeded"),
+    ("check-eq-resolution-of-4001-digits",
+     {"M": MARKET, "P": WTA, "Q": [["1", "0"], ["1", "0"]]},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q", "--resolution", HUGE],
+     "GridCapExceeded"),
+    ("probe-players-of-4001-digits", {"P": WTA},
+     ["probe-universal", "--plan", "P", "--grid", "0:2:1", "--players", HUGE], "BonusLabError"),
+    ("validate-plan-fallback-of-one-share", {"P": SHORT_FALLBACK},
+     ["validate-plan", "--plan", "P"], "NonSimplexTable"),
+    ("validate-plan-row-of-three-shares", {"P": LONG_ROW},
+     ["validate-plan", "--plan", "P"], "NonSimplexTable"),
     ("check-optimal-exponent-past-the-digit-limit",
      {"M": {"actions": ["A"], "atoms": [{"p": "1", "outcomes": ["1e100000000"]}]}, "P": WTA},
      ["check-optimal", "--market", "M", "--plan", "P"], "UnparsableNumber"),
@@ -638,6 +656,12 @@ HUGE_COUNTS = [
     ("check-optimal-players-past-the-cap", "an int of 4001 digits players exceed cap 20000"),
     ("validate-plan-samples-of-4001-digits",
      "an int of 4001 digits samples x 2 players exceed cap 200000 sampled coordinates"),
+    ("find-m-grid-of-4001-digits",
+     "C(an int of 4001 digits + 2 - 1, 1) grid points over 2 actions exceed cap 200000"),
+    ("check-eq-resolution-of-4001-digits",
+     "C(an int of 4001 digits + 2 - 1, 1) grid points over 2 actions exceed cap 200000"),
+    ("probe-players-of-4001-digits",
+     "plan is for 2 players, --players says an int of 4001 digits"),
 ]
 
 
@@ -650,6 +674,21 @@ def test_a_refused_huge_count_is_written_by_its_size(tmp_path, capsys, case, mes
     err = capsys.readouterr().err
     assert json.loads(err)["error"]["message"] == message
     assert len(message) < 120 and len(err) < 512
+
+
+SHARE_COUNTS = [
+    ("validate-plan-fallback-of-one-share", "fallback: expected 2 shares, got 1"),
+    ("validate-plan-row-of-three-shares", "table entry (0, 1): expected 2 shares, got 3"),
+]
+
+
+@pytest.mark.parametrize("case,message", SHARE_COUNTS, ids=[c[0] for c in SHARE_COUNTS])
+def test_a_table_of_the_wrong_share_count_is_refused(tmp_path, capsys, case, message):
+    """A tabulated plan's fallback and each row hold one share per player;
+    any other count is refused as the plan loads."""
+    ((documents, argv, _),) = [c[1:] for c in REJECTED if c[0] == case]
+    assert main(["--json", *_materialize(tmp_path, documents, argv)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == message
 
 
 # Read order.  Each document below fails its reader with an error of its own;

@@ -29,7 +29,7 @@ from bonuslab import (
     validate_simplex,
     zero_sum_shares,
 )
-from bonuslab.plans import PLAYER_CAP, SAMPLE_CAP, Kernel
+from bonuslab.plans import PLAYER_CAP, SAMPLE_CAP, Kernel, _random_rational
 from conftest import (
     every_kind,
     fraction_allocation,
@@ -463,6 +463,18 @@ def test_validate_simplex_refuses_an_inverted_range():
     with pytest.raises(InvalidParameter):
         validate_simplex(WinnerTakeAllPlan(2), lo=2, hi=-2)
     assert validate_simplex(WinnerTakeAllPlan(2), count=10, lo=1, hi=1).ok
+
+
+def test_validate_simplex_draws_in_a_range_with_no_point_of_a_denominator():
+    """A denominator with no multiple of 1/den in [lo, hi] draws lo: on
+    [1/7, 1/7] every denominator but the multiples of 7, on [1/7, 1/6] a
+    denominator such as 5.  Every draw lies in the range."""
+    for lo, hi in ((F(1, 7), F(1, 7)), (F(1, 7), F(1, 6))):
+        for seed in range(5):
+            rng = random.Random(seed)
+            assert all(lo <= _random_rational(rng, lo, hi) <= hi for _ in range(200))
+    report = validate_simplex(WinnerTakeAllPlan(2), count=100, lo="1/7", hi="1/7")
+    assert report.ok and report.evaluations == 100
 
 
 def test_validate_simplex_on_a_thousand_point_table():

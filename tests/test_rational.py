@@ -10,7 +10,7 @@ from bonuslab import (
     as_rational,
     format_rational,
 )
-from bonuslab.rational import approx_decimal, count_text, load_json, rational_text, rationals
+from bonuslab.rational import approx_decimal, load_json, rational_text, rationals
 
 
 def test_parses_integers_and_fractions():
@@ -133,7 +133,7 @@ def test_rationals_refuses_strings():
 def test_rational_text_writes_an_int_within_the_digit_limit():
     limit = sys.get_int_max_str_digits()
     nines = 10**limit - 1  # the longest int that int-to-str writes
-    assert [rational_text(v) for v in (0, -12, nines)] == ["0", "-12", str(nines)]
+    assert [rational_text(v) for v in (0, -12, nines)] == ["0", "-12", f"an int of {limit} digits"]
     assert rational_text(nines + 1) == f"an int of over {limit} digits"
     assert rational_text(-nines - 1) == f"a negative int of over {limit} digits"
 
@@ -142,7 +142,7 @@ def test_rational_text_writes_every_int_under_no_digit_limit():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        assert rational_text(-(10**limit)) == "-1" + "0" * limit
+        assert rational_text(-(10**limit)) == f"a negative int of {limit + 1} digits"
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -192,11 +192,17 @@ def test_rational_text_writes_every_number_under_no_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
-def test_count_text_writes_a_long_count_by_its_size():
-    """Up to 20 digits a count is written in full, past that by its digit
-    count, and past the digit limit as rational_text writes it."""
+def test_rational_text_writes_a_long_int_by_its_size():
+    """Up to 20 digits an int is written in full, past that by its digit
+    count, and past the digit limit by the limit; a rational stays exact at
+    any length within the limit, and a tuple is written item by item."""
     limit = sys.get_int_max_str_digits()
-    assert [count_text(v) for v in (20_001, 10**20 - 1)] == ["20001", "9" * 20]
-    assert count_text(10**20) == "an int of 21 digits"
-    assert count_text(10**4000) == "an int of 4001 digits"
-    assert count_text(10**limit) == f"an int of over {limit} digits"
+    assert [rational_text(v) for v in (20_001, 10**20 - 1)] == ["20001", "9" * 20]
+    assert rational_text(10**20) == "an int of 21 digits"
+    assert rational_text(-(10**20)) == "a negative int of 21 digits"
+    assert rational_text(10**4000) == "an int of 4001 digits"
+    assert rational_text(10**limit) == f"an int of over {limit} digits"
+    assert rational_text(Fraction(10**30, 7)) == f"{10**30}/7"
+    assert rational_text((-(10**20), Fraction(10**30, 7), 10**limit)) == (
+        f"(a negative int of 21 digits, {10**30}/7, an int of over {limit} digits)"
+    )
