@@ -54,7 +54,14 @@ from .market import (
     two_bond_market,
 )
 from .plans import WinnerTakeAllPlan, plan_from_dict, plan_to_dict
-from .rational import approx_decimal, as_rational, format_rational, load_json, rational_text
+from .rational import (
+    approx_decimal,
+    as_rational,
+    format_rational,
+    input_text,
+    load_json,
+    rational_text,
+)
 
 
 def main(argv=None) -> int:
@@ -186,7 +193,9 @@ def _read(path: str, parse):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        raise ArityMismatch(f"{path!r} is not UTF-8 text: UnicodeDecodeError: {exc}") from exc
+        raise ArityMismatch(
+            f"{input_text(path)} is not UTF-8 text: UnicodeDecodeError: {exc}"
+        ) from exc
     return parse(load_json(text))
 
 
@@ -405,13 +414,13 @@ def _parse_grid(text: str) -> list[Fraction]:
     try:
         lo_text, hi_text, step_text = text.split(":")
     except ValueError as exc:
-        raise BonusLabError(f"grid must be LO:HI:STEP, got {text!r}") from exc
+        raise BonusLabError(f"grid must be LO:HI:STEP, got {input_text(text)}") from exc
     lo, hi, step = as_rational(lo_text), as_rational(hi_text), as_rational(step_text)
     if step <= 0 or hi < lo:
-        raise BonusLabError(f"grid {text!r} is empty or has nonpositive step")
+        raise BonusLabError(f"grid {input_text(text)} is empty or has nonpositive step")
     size = (hi - lo) // step + 1
     if size > GRID_CAP:
-        raise GridCapExceeded(f"grid {text!r} has over {GRID_CAP} points")
+        raise GridCapExceeded(f"grid {input_text(text)} has over {GRID_CAP} points")
     return [lo + i * step for i in range(size)]
 
 
@@ -461,7 +470,7 @@ def _cmd_validate_plan(args, plan) -> dict:
     try:
         lo_text, hi_text = args.range.split(":")
     except ValueError as exc:
-        raise BonusLabError(f"--range must be LO:HI, got {args.range!r}") from exc
+        raise BonusLabError(f"--range must be LO:HI, got {input_text(args.range)}") from exc
     report = plans.validate_simplex(
         plan, count=args.samples, seed=args.seed, lo=lo_text, hi=hi_text
     )

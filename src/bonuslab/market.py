@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm, prod
+from math import prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -52,7 +52,9 @@ from .rational import (
     as_count,
     as_rational,
     format_rational,
+    input_text,
     load_json,
+    over_lcm,
     rational_text,
     rationals,
 )
@@ -100,14 +102,14 @@ class Market:
         if not self.actions:
             raise ArityMismatch("market needs at least one action")
         if not all(isinstance(label, str) for label in self.actions):
-            raise ArityMismatch(f"action labels must be strings, got {self.actions!r}")
+            raise ArityMismatch(f"action labels must be strings, got {input_text(self.actions)}")
         for label in self.actions:
             try:
                 label.encode("utf-8")
             except UnicodeEncodeError as exc:
-                raise ArityMismatch(f"action label {label!r} is not UTF-8 text") from exc
+                raise ArityMismatch(f"action label {input_text(label)} is not UTF-8 text") from exc
         if len(set(self.actions)) != len(self.actions):
-            raise ArityMismatch(f"duplicate action labels in {self.actions}")
+            raise ArityMismatch(f"duplicate action labels in {input_text(self.actions)}")
         if not self.atoms:
             raise NonUnitMass("market needs at least one atom")
         view = self.integer_view
@@ -160,19 +162,11 @@ class Market:
 
     @cached_property
     def integer_view(self) -> IntegerView:
-        """The market over common denominators; `Market` builds it and checks
-        itself on it.  Each number is read once, as its integer ratio, and
-        each lcm is taken over the distinct denominators."""
-        weights = [a.probability.as_integer_ratio() for a in self.atoms]
-        rows = [[x.as_integer_ratio() for x in a.outcomes] for a in self.atoms]
-        scale = lcm(*{d for row in rows for _, d in row})
-        mass = lcm(*{d for _, d in weights})
-        return IntegerView(
-            scale,
-            mass,
-            tuple([c * (mass // d) for c, d in weights]),
-            tuple([tuple([c * (scale // d) for c, d in row]) for row in rows]),
-        )
+        """The market over common denominators, each from `over_lcm`;
+        `Market` builds it and checks itself on it."""
+        mass, (weights,) = over_lcm([a.probability for a in self.atoms])
+        scale, values = over_lcm(*(a.outcomes for a in self.atoms))
+        return IntegerView(scale, mass, weights, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -188,11 +182,6 @@ class IntegerView:
     mass: int
     weights: tuple[int, ...]
     values: tuple[tuple[int, ...], ...]
-
-
-def _over(vector: Iterable[Fraction], denominator: int) -> tuple[int, ...]:
-    """The numerators of `vector` over a common multiple of its denominators."""
-    return tuple(x.numerator * (denominator // x.denominator) for x in vector)
 
 
 @dataclass(frozen=True)
@@ -214,9 +203,7 @@ class MixedAction:
         object.__setattr__(self, "weights", rationals(self.weights))
         if not self.weights:
             raise NonSimplexWeights("empty weight vector")
-        ratios = [w.as_integer_ratio() for w in self.weights]
-        unit = lcm(*[d for _, d in ratios])
-        counts = tuple([c * (unit // d) for c, d in ratios])
+        unit, (counts,) = over_lcm(self.weights)
         if min(counts) < 0 or max(counts) > unit:
             raise NonSimplexWeights(f"weights out of [0, 1]: {rational_text(self.weights)}")
         if (total := sum(counts)) != unit:
@@ -300,7 +287,7 @@ def build_market(actions: Sequence[str], atoms: Iterable[tuple]) -> Market:
     and an atom that is not a pair as ArityMismatch.
     """
     if isinstance(actions, (str, bytes)):
-        raise ArityMismatch(f"expected a list of action labels, got the string {actions!r}")
+        raise ArityMismatch(f"expected a list of action labels, got {input_text(actions)}")
     pairs = _pairs(atoms, "atom", "(probability, outcomes)")
     return Market(tuple(actions), tuple(Atom(p, outcomes) for p, outcomes in pairs))
 
@@ -376,8 +363,7 @@ def product_market(
             )
         merged[v] = merged.get(v, ZERO) + p
     support = sorted(merged)
-    mass = lcm(*(p.denominator for p in merged.values()))
-    weights = _over(map(merged.__getitem__, support), mass)
+    mass, (weights,) = over_lcm(map(merged.__getitem__, support))
     if sum(weights) != mass:
         total_text = rational_text(Fraction(sum(weights), mass))
         raise NonUnitMass(f"marginal probabilities sum to {total_text}, not 1")
@@ -436,11 +422,11 @@ def _total_rule(label: str, rule) -> Callable:
     read = rule if callable(rule) else getattr(rule, "get", None)
     if read is None:
         raise ArityMismatch(
-            f"extra action {label!r} has a rule of type {type(rule).__name__},"
+            f"extra action {input_text(label)} has a rule of type {type(rule).__name__},"
             " neither callable nor a mapping"
         )
 
-    missing = f"extra action {label!r} has no value at"
+    missing = f"extra action {input_text(label)} has no value at"
 
     def lookup(combo: tuple):
         try:
@@ -497,6 +483,6 @@ def profile_from_list(rows: Sequence[Sequence]) -> Profile:
     strategies = []
     for row in rows:
         if not isinstance(row, Sequence) or isinstance(row, (str, bytes)):
-            raise NonSimplexWeights(f"weight vector expected, got {row!r}")
+            raise NonSimplexWeights(f"weight vector expected, got {input_text(row)}")
         strategies.append(MixedAction(row))
     return Profile(tuple(strategies))

@@ -54,12 +54,14 @@ from .errors import (
     InvalidParameter,
     NonSimplexTable,
 )
-from .market import Market, _over, support_stats
+from .market import Market, support_stats
 from .rational import (
     as_count,
     as_rational,
     format_rational,
+    input_text,
     load_json,
+    over_lcm,
     rational_text,
     rationals,
 )
@@ -137,8 +139,8 @@ class BonusPlan:
     def kernel_for(self, values: Sequence[Fraction]) -> tuple[Kernel, tuple[int, ...]]:
         """The kernel at the values' least common denominator, and the values
         as integers over it."""
-        scale = lcm(*(x.denominator for x in values))
-        return self.kernel(scale), _over(values, scale)
+        scale, (ints,) = over_lcm(values)
+        return self.kernel(scale), ints
 
     def linear_form(self, market: Market) -> tuple[int, int] | None:
         """(equal, slope) with `kernel(scale).shares(v)[i] == equal + slope *
@@ -374,9 +376,9 @@ class TabulatedPlan(BonusPlan):
         object.__setattr__(self, "points", frozen)
         object.__setattr__(self, "fallback", fallback)
         # the shares in integers, built once over their common denominator
-        denominator = lcm(*(s.denominator for row in (fallback, *frozen.values()) for s in row))
-        table = {key: _over(row, denominator) for key, row in frozen.items()}
-        object.__setattr__(self, "_table", (denominator, table, _over(fallback, denominator)))
+        denominator, (fallback_ints, *rows) = over_lcm(fallback, *frozen.values())
+        table = dict(zip(frozen, rows))
+        object.__setattr__(self, "_table", (denominator, table, fallback_ints))
 
     def kernel(self, scale):
         denominator, table, fallback = self._table
@@ -534,7 +536,9 @@ def plan_from_dict(data: Mapping) -> BonusPlan:
     try:
         kind, players = data["kind"], data["players"]
         if kind not in _KINDS:
-            raise ArityMismatch(f"unknown plan kind {kind!r}; expected one of {tuple(_KINDS)}")
+            raise ArityMismatch(
+                f"unknown plan kind {input_text(kind)}; expected one of {tuple(_KINDS)}"
+            )
         return _KINDS[kind].from_document(players, data)
     except BonusLabError:
         raise

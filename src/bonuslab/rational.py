@@ -8,6 +8,8 @@ would silently change verdicts.
 
 `as_rational` reads a number; `as_count` checks an int argument (a count,
 an index, a grid denominator, a seed), refusing a float as FloatRejected.
+The exact paths run on integers, and `over_lcm` is their one conversion: it
+writes vectors of rationals over their least common denominator.
 
 A message writes a number with `rational_text`, which never fails.  An
 int there is a count, an index, a size or a grid denominator: up to 20
@@ -18,6 +20,12 @@ limit either is written as its sign, its kind and the limit ("a negative
 rational of over 4300 digits").  A document writes a number with
 `format_rational`, and `approx_decimal` its `--decimal` suffix; each writes
 the exact value or raises UnwritableNumber.
+
+A message quotes an input read from outside (a label, a plan kind, a
+string where a number or a list belongs) with `input_text`: its repr up to
+QUOTE_LIMIT characters, and past that its kind and size ("a string of
+100000 characters", "a list of 300 items"), so that a message stays short
+however long the input.
 """
 
 from __future__ import annotations
@@ -25,8 +33,11 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 
 from .errors import ArityMismatch, FloatRejected, UnparsableNumber, UnwritableNumber
+
+QUOTE_LIMIT = 100  # characters of an input's repr that a message quotes
 
 
 def as_rational(value) -> Fraction:
@@ -49,13 +60,13 @@ def as_rational(value) -> Fraction:
             if "e" in text or "E" in text:
                 limit = sys.get_int_max_str_digits()
                 if limit and abs(int(text.lower().partition("e")[2])) > limit:
-                    raise UnparsableNumber(f"the exponent of {value!r} exceeds {limit}")
+                    raise UnparsableNumber(f"the exponent of {input_text(value)} exceeds {limit}")
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise UnparsableNumber(f"cannot parse {value!r} as a rational") from exc
+            raise UnparsableNumber(f"cannot parse {input_text(value)} as a rational") from exc
     if isinstance(value, float):
         raise FloatRejected(
-            f"refusing float {value!r}: pass the exact string (e.g. '1.051') instead"
+            f"refusing float {input_text(value)}: pass the exact string (e.g. '1.051') instead"
         )
     raise FloatRejected(f"cannot interpret {type(value).__name__} as a rational")
 
@@ -65,10 +76,10 @@ def as_count(value, name: str, minimum: int | None, error: type[Exception]) -> i
     FloatRejected for a float, `error` for any other non-int (a bool too) or
     for an int below the minimum."""
     if isinstance(value, float):
-        raise FloatRejected(f"refusing float {name} {value!r}")
+        raise FloatRejected(f"refusing float {name} {input_text(value)}")
     if type(value) is not int or (minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
-        got = rational_text(value) if type(value) is int else repr(value)
+        got = rational_text(value) if type(value) is int else input_text(value)
         raise error(f"{name} must be an int{bound}, got {got}")
     return value
 
@@ -94,6 +105,31 @@ def rational_text(value) -> str:
     if isinstance(value, int):
         return f"{'a negative' if value < 0 else 'an'} int of {size} digits"
     return f"{'a negative' if value < 0 else 'a'} rational of {size} digits"
+
+
+def input_text(value) -> str:
+    """`value`, an input read from outside, for a message: its repr while
+    that has at most QUOTE_LIMIT characters escaped to ASCII, as a JSON
+    error object escapes it, else its kind and size."""
+    try:
+        if len(ascii(value)) <= QUOTE_LIMIT:
+            return repr(value)
+    except ValueError:  # an int past the int-to-str digit limit inside
+        pass
+    if isinstance(value, str):
+        return f"a string of {len(value)} characters"
+    if isinstance(value, (list, tuple, dict)):
+        return f"a {type(value).__name__} of {len(value)} items"
+    return f"a value of type {type(value).__name__}"
+
+
+def over_lcm(*vectors) -> tuple[int, list[tuple[int, ...]]]:
+    """(denominator, numerators): each vector of rationals as integers over
+    the least common denominator of them all.  Each number is read once, as
+    its integer ratio, and the lcm is taken over the distinct denominators."""
+    ratios = [[x.as_integer_ratio() for x in vector] for vector in vectors]
+    denominator = lcm(*{d for row in ratios for _, d in row})
+    return denominator, [tuple([n * (denominator // d) for n, d in row]) for row in ratios]
 
 
 def format_rational(value: Fraction) -> str:
@@ -126,7 +162,7 @@ def rationals(values) -> tuple[Fraction, ...]:
     A string is refused rather than read one character per number.
     """
     if isinstance(values, (str, bytes)):
-        raise ArityMismatch(f"expected a list of numbers, got the string {values!r}")
+        raise ArityMismatch(f"expected a list of numbers, got {input_text(values)}")
     return tuple(map(as_rational, values))
 
 

@@ -339,11 +339,14 @@ MUTANTS = (
         ("tests/test_plans.py::test_kernels_match_evaluate",),
     ),
     Mutant(
-        "kernel scale from the max, not the lcm, of the denominators",
-        "src/bonuslab/plans.py",
-        "scale = lcm(*(x.denominator for x in values))",
-        "scale = max(x.denominator for x in values)",
-        ("tests/test_plans.py::test_kernels_match_evaluate",),
+        "common denominator from the max, not the lcm, of the denominators",
+        "src/bonuslab/rational.py",
+        "denominator = lcm(*{d for row in ratios for _, d in row})",
+        "denominator = max(d for row in ratios for _, d in row)",
+        (
+            "tests/test_plans.py::test_kernels_match_evaluate",
+            "tests/test_rational.py::test_over_lcm_matches_the_fraction_oracle",
+        ),
     ),
     Mutant(
         "pair probe without its cap",
@@ -503,11 +506,25 @@ MUTANTS = (
         ("tests/test_market.py::test_product_market_atoms_match_the_fraction_products",),
     ),
     Mutant(
-        "integer view's scale over the probabilities' denominators",
-        "src/bonuslab/market.py",
-        "scale = lcm(*{d for row in rows for _, d in row})",
-        "scale = lcm(*{d for _, d in weights})",
-        ("tests/test_market.py::test_integer_view_matches_the_lcm_construction",),
+        "common denominator over the first vector's denominators only",
+        "src/bonuslab/rational.py",
+        "lcm(*{d for row in ratios for _, d in row})",
+        "lcm(*{d for _, d in ratios[0]})",
+        (
+            "tests/test_market.py::test_integer_view_matches_the_lcm_construction",
+            "tests/test_rational.py::test_over_lcm_matches_the_fraction_oracle",
+        ),
+    ),
+    Mutant(
+        "each vector over its own lcm, not the common one",
+        "src/bonuslab/rational.py",
+        "[n * (denominator // d) for n, d in row]",
+        "[n * (lcm(*{e for _, e in row}) // d) for n, d in row]",
+        (
+            "tests/test_plans.py::test_tabulated_lookup_and_fallback",
+            "tests/test_plans.py::test_validate_simplex_on_a_thousand_point_table",
+            "tests/test_market.py::test_integer_view_matches_the_lcm_construction",
+        ),
     ),
     Mutant(
         "deviation scan builds the winning vertex from the other end",

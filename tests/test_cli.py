@@ -346,6 +346,16 @@ LONG_ROW = {"players": 2, "kind": "tabulated", "fallback": ["1/2", "1/2"],
             "points": [{"r": ["0", "1"], "shares": ["1", "0", "0"]}]}
 # a count of 4 001 digits, which int() still reads
 HUGE = str(10**4000)
+# long inputs a message quotes, each written by its size: a plan's players
+# as a string and as a list, a plan kind, two equal labels, an outcome and a
+# profile row, each of 100 000 characters or items, on a one-atom market
+ONE_ATOM_MARKET = {"actions": ["A", "B"], "atoms": [{"p": "1", "outcomes": ["1", "0"]}]}
+LONG_TEXT = "9" * 100_000
+LONG_LABELS_MARKET = {**ONE_ATOM_MARKET, "actions": ["a" * 100_000] * 2}
+LONG_OUTCOME_MARKET = {**ONE_ATOM_MARKET,
+                       "atoms": [{"p": "1", "outcomes": ["x" * 100_000, "0"]}]}
+# LO:HI:STEP = 0:Z:1/Z with Z of 4 201 nines, a grid text of 8 407 characters
+NINES_Z = "9" * 4_201
 # one result vector, listed as ["1/2", "0"] and as ["0.5", "0"]
 REPEATED_TABLE = {"players": 2, "kind": "tabulated", "fallback": ["1/2", "1/2"],
                   "points": [{"r": ["1/2", "0"], "shares": ["1", "0"]},
@@ -523,6 +533,25 @@ REJECTED = [
      ["validate-plan", "--plan", "P"], "NonSimplexTable"),
     ("validate-plan-row-of-three-shares", {"P": LONG_ROW},
      ["validate-plan", "--plan", "P"], "NonSimplexTable"),
+    ("check-optimal-players-as-a-long-string",
+     {"M": ONE_ATOM_MARKET, "P": {**WTA, "players": LONG_TEXT}},
+     ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
+    ("check-optimal-players-as-a-long-list",
+     {"M": ONE_ATOM_MARKET, "P": {**WTA, "players": [9] * 100_000}},
+     ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
+    ("check-optimal-long-unknown-kind",
+     {"M": ONE_ATOM_MARKET, "P": {"players": 2, "kind": "k" * 100_000}},
+     ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
+    ("probe-grid-of-a-long-text", {"P": WTA},
+     ["probe-universal", "--plan", "P", "--grid", f"0:{NINES_Z}:1/{NINES_Z}", "--players", "2"],
+     "GridCapExceeded"),
+    ("find-m-long-equal-labels", {"M": LONG_LABELS_MARKET},
+     ["find-m", "--market", "M", "--grid", "2"], "ArityMismatch"),
+    ("find-m-long-outcome", {"M": LONG_OUTCOME_MARKET},
+     ["find-m", "--market", "M", "--grid", "2"], "UnparsableNumber"),
+    ("check-eq-profile-row-as-a-long-string",
+     {"M": ONE_ATOM_MARKET, "P": WTA, "Q": ["r" * 100_000, ["1", "0"]]},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q"], "NonSimplexWeights"),
     ("check-optimal-exponent-past-the-digit-limit",
      {"M": {"actions": ["A"], "atoms": [{"p": "1", "outcomes": ["1e100000000"]}]}, "P": WTA},
      ["check-optimal", "--market", "M", "--plan", "P"], "UnparsableNumber"),
@@ -689,6 +718,28 @@ def test_a_table_of_the_wrong_share_count_is_refused(tmp_path, capsys, case, mes
     ((documents, argv, _),) = [c[1:] for c in REJECTED if c[0] == case]
     assert main(["--json", *_materialize(tmp_path, documents, argv)]) == 1
     assert json.loads(capsys.readouterr().err)["error"]["message"] == message
+
+
+LONG_INPUTS = [
+    "check-optimal-players-as-a-long-string",
+    "check-optimal-players-as-a-long-list",
+    "check-optimal-long-unknown-kind",
+    "probe-grid-of-a-long-text",
+    "find-m-long-equal-labels",
+    "find-m-long-outcome",
+    "check-eq-profile-row-as-a-long-string",
+]
+
+
+@pytest.mark.parametrize("case", LONG_INPUTS)
+def test_a_long_quoted_input_is_written_by_its_size(tmp_path, capsys, case):
+    """A message quotes an input of 100 000 characters or items by its kind
+    and size, so the error object stays short."""
+    ((documents, argv, error_type),) = [c[1:] for c in REJECTED if c[0] == case]
+    assert main(["--json", *_materialize(tmp_path, documents, argv)]) == 1
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"]["type"] == error_type
+    assert len(err) < 512
 
 
 # Read order.  Each document below fails its reader with an error of its own;

@@ -43,7 +43,7 @@ from bonuslab import (
     two_bond_market,
     support_stats,
 )
-from bonuslab.market import IntegerView, _over
+from bonuslab.market import IntegerView
 from conftest import (
     fraction_expectation,
     fraction_integer_view,
@@ -515,16 +515,15 @@ def atom_lists(draw):
 
 
 def lcm_integer_view(atoms) -> IntegerView:
-    """Reference: the integer view as `Market` built it before it read each
-    number once: one lcm over every denominator of a kind, then each
-    numerator rescaled by `_over`."""
+    """Reference, in `Fraction` arithmetic: one lcm over every denominator
+    of a kind, then each number times it."""
     scale = lcm(*(x.denominator for a in atoms for x in a.outcomes))
     mass = lcm(*(a.probability.denominator for a in atoms))
     return IntegerView(
         scale,
         mass,
-        _over((a.probability for a in atoms), mass),
-        tuple(_over(a.outcomes, scale) for a in atoms),
+        tuple(int(a.probability * mass) for a in atoms),
+        tuple(tuple(int(x * scale) for x in a.outcomes) for a in atoms),
     )
 
 

@@ -1,7 +1,10 @@
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bonuslab import (
     ArityMismatch,
@@ -10,7 +13,15 @@ from bonuslab import (
     as_rational,
     format_rational,
 )
-from bonuslab.rational import approx_decimal, load_json, rational_text, rationals
+from bonuslab.rational import (
+    QUOTE_LIMIT,
+    approx_decimal,
+    input_text,
+    load_json,
+    over_lcm,
+    rational_text,
+    rationals,
+)
 
 
 def test_parses_integers_and_fractions():
@@ -206,3 +217,34 @@ def test_rational_text_writes_a_long_int_by_its_size():
     assert rational_text((-(10**20), Fraction(10**30, 7), 10**limit)) == (
         f"(a negative int of 21 digits, {10**30}/7, an int of over {limit} digits)"
     )
+
+
+def test_input_text_keeps_a_short_input_and_writes_a_long_one_by_its_size():
+    limit = sys.get_int_max_str_digits()
+    edge = "x" * (QUOTE_LIMIT - 2)  # a repr of QUOTE_LIMIT characters
+    for short in ("median", edge, [1, "2"], ("X1", "X1"), {"0": ["1"]}, 0.5, True, None):
+        assert input_text(short) == repr(short)
+    assert input_text(edge + "x") == f"a string of {QUOTE_LIMIT - 1} characters"
+    assert input_text("9" * 100_000) == "a string of 100000 characters"
+    assert input_text([9] * 100_000) == "a list of 100000 items"
+    assert input_text(("a" * 100_000,) * 2) == "a tuple of 2 items"
+    assert input_text({str(i): i for i in range(100)}) == "a dict of 100 items"
+    # measured as a JSON error object escapes it: 40 astral characters
+    assert input_text("\U0001f600" * 40) == "a string of 40 characters"
+    # an int past the int-to-str digit limit has no repr
+    assert input_text([10**limit, 1]) == "a list of 2 items"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.fractions(max_denominator=12), max_size=6), max_size=4))
+def test_over_lcm_matches_the_fraction_oracle(vectors):
+    """The denominator is the least one that writes every number as an
+    integer, and each numerator over it gives back its number."""
+    denominator, numerators = over_lcm(*vectors)
+    numbers = [x for vector in vectors for x in vector]
+    assert denominator == lcm(*(x.denominator for x in numbers))
+    for p in (2, 3, 5, 7, 11):  # the primes up to 12: no proper divisor writes them all
+        if denominator % p == 0:
+            assert any((x * (denominator // p)).denominator != 1 for x in numbers)
+    assert [[Fraction(n, denominator) for n in row] for row in numerators] == vectors
+    assert all(type(n) is int for row in numerators for n in row)
