@@ -18,10 +18,11 @@ strings (see the package README for the formats).  `main` reads a request's
 inputs before the command runs, in one order: --market, --plan, --profile,
 then --lambda, each one the command has; of several bad inputs the first is
 the one reported.  Each command builds one report document: --json prints
-it, and the text output is rendered from it.  All numbers print as exact
-rationals; --decimal appends a 6-place approximation marked with "~".
-Exit status: 0 on success, 1 on any validation or model error, 2 on usage
-errors.
+it, and the text output is rendered from it.  This module writes and renders
+every report document; the library's reports are plain data.  All numbers
+print as exact rationals; --decimal appends a 6-place approximation marked
+with "~".  Exit status: 0 on success, 1 on any validation or model error, 2
+on usage errors.
 """
 
 from __future__ import annotations
@@ -424,6 +425,37 @@ def _parse_grid(text: str) -> list[Fraction]:
     return [lo + i * step for i in range(size)]
 
 
+def _violation_dict(v) -> dict:
+    document = {
+        "direction": v.direction.value,
+        "player": v.player,
+        "deficit": format_rational(v.deficit),
+    }
+    if isinstance(v, counterexamples.PairViolation):  # read back as "x" in v
+        document.update(x=format_rational(v.x), y=format_rational(v.y))
+    else:
+        document.update(base=[format_rational(b) for b in v.base],
+                        witness=format_rational(v.witness))
+    return document
+
+
+def _counterexample_dict(ce) -> dict:
+    """The market is a market document, so it can be reloaded."""
+    return {
+        "market": market_to_dict(ce.market),
+        "profile": profile_to_list(ce.profile),
+        "player": ce.player,
+        "deviation": ce.deviation,
+        "deviation_action": ce.market.actions[ce.deviation],
+        "gain": format_rational(ce.gain),
+        "certificate": [[label, format_rational(value)] for label, value in ce.certificate],
+        "params": {
+            key: format_rational(value) if isinstance(value, Fraction) else value
+            for key, value in ce.params.items()
+        },
+    }
+
+
 def _cmd_probe(args, plan) -> dict:
     if plan.players != args.players:
         raise BonusLabError(
@@ -434,9 +466,9 @@ def _cmd_probe(args, plan) -> dict:
     report = counterexamples.universality_verdict(plan, grid)
     document: dict = {"verdict": report.verdict}
     if report.violation is not None:
-        document["violation"] = report.violation.to_document()
+        document["violation"] = _violation_dict(report.violation)
     if report.counterexample is not None:
-        document["counterexample"] = report.counterexample.to_document()
+        document["counterexample"] = _counterexample_dict(report.counterexample)
     return document
 
 

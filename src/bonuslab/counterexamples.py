@@ -47,14 +47,12 @@ from .market import (
     Market,
     Profile,
     build_market,
-    market_to_dict,
     product_market,
-    profile_to_list,
     _multisets_exceed,
     _power_exceeds,
 )
 from .plans import BonusPlan
-from .rational import as_count, as_rational, format_rational, rational_text, rationals
+from .rational import as_count, as_rational, rational_text, rationals
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -76,15 +74,6 @@ class PairViolation:
     player: int
     deficit: Fraction
 
-    def to_document(self) -> dict:
-        return {
-            "direction": self.direction.value,
-            "player": self.player,
-            "deficit": format_rational(self.deficit),
-            "x": format_rational(self.x),
-            "y": format_rational(self.y),
-        }
-
 
 @dataclass(frozen=True)
 class CoordinateViolation:
@@ -95,15 +84,6 @@ class CoordinateViolation:
     base: tuple[Fraction, ...]
     witness: Fraction
     deficit: Fraction
-
-    def to_document(self) -> dict:
-        return {
-            "direction": self.direction.value,
-            "player": self.player,
-            "deficit": format_rational(self.deficit),
-            "base": [format_rational(b) for b in self.base],
-            "witness": format_rational(self.witness),
-        }
 
 
 @dataclass(frozen=True)
@@ -124,24 +104,6 @@ class Counterexample:
     gain: Fraction
     certificate: tuple[tuple[str, Fraction], ...]
     params: dict
-
-    def to_document(self) -> dict:
-        """JSON form; the market is a market document, so it can be reloaded."""
-        return {
-            "market": market_to_dict(self.market),
-            "profile": profile_to_list(self.profile),
-            "player": self.player,
-            "deviation": self.deviation,
-            "deviation_action": self.market.actions[self.deviation],
-            "gain": format_rational(self.gain),
-            "certificate": [
-                [label, format_rational(value)] for label, value in self.certificate
-            ],
-            "params": {
-                key: format_rational(value) if isinstance(value, Fraction) else value
-                for key, value in self.params.items()
-            },
-        }
 
 
 # =====================================================================

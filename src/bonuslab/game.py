@@ -222,8 +222,7 @@ class Game:
         k, n = self.players, self.actions
         if len(combo) != k or not all(0 <= a < n for a in combo):
             raise ArityMismatch(
-                f"({', '.join(map(rational_text, combo))}) is not a {k}-player profile"
-                f" over {n} actions"
+                f"{rational_text(combo)} is not a {k}-player profile over {n} actions"
             )
         value = self.cells[combo] = self._pure_cell(combo)
         return value

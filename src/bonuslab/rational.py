@@ -15,11 +15,12 @@ A message writes a number with `rational_text`, which never fails.  An
 int there is a count, an index, a size or a grid denominator: up to 20
 digits (every 64-bit integer) it is written in full, past that by its size
 ("an int of 4001 digits"), so that the refusal of a huge input stays short.
-A rational is written exactly, however long.  Past the int-to-str digit
-limit either is written as its sign, its kind and the limit ("a negative
-rational of over 4300 digits").  A document writes a number with
-`format_rational`, and `approx_decimal` its `--decimal` suffix; each writes
-the exact value or raises UnwritableNumber.
+A vector (a tuple) is written item by item up to 20 items, past that by its
+length ("a tuple of 100000 items").  A rational is written exactly, however
+long.  Past the int-to-str digit limit either is written as its sign, its
+kind and the limit ("a negative rational of over 4300 digits").  A document
+writes a number with `format_rational`, and `approx_decimal` its
+`--decimal` suffix; each writes the exact value or raises UnwritableNumber.
 
 A message quotes an input read from outside (a label, a plan kind, a
 string where a number or a list belongs) with `input_text`: its repr up to
@@ -87,11 +88,14 @@ def as_count(value, name: str, minimum: int | None, error: type[Exception]) -> i
 def rational_text(value) -> str:
     """`value`, a number or a tuple of numbers, for a message: a Fraction as
     str() writes it, an int so up to 20 digits and by its size past that,
-    and a tuple with each item written so: "(1/2, 0)", as documents spell
-    the numbers.  Past sys.get_int_max_str_digits() (0: no limit), a number
-    too long is written as its sign, its kind and the limit, so a message
-    never fails."""
+    and a tuple of up to 20 items with each item written so: "(1/2, 0)", as
+    documents spell the numbers; a longer tuple by its length, as
+    input_text writes it.  Past sys.get_int_max_str_digits() (0: no limit),
+    a number too long is written as its sign, its kind and the limit, so a
+    message never fails."""
     if isinstance(value, tuple):
+        if len(value) > 20:
+            return f"a tuple of {len(value)} items"
         items = [rational_text(x) for x in value]
         return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
     try:

@@ -702,6 +702,34 @@ MUTANTS = (
         ("tests/test_cli.py::test_inputs_are_read_market_plan_profile_then_options",),
     ),
     Mutant(
+        "a counterexample's deviation action written from the player index",
+        "src/bonuslab/cli.py",
+        '"deviation_action": ce.market.actions[ce.deviation],',
+        '"deviation_action": ce.market.actions[ce.player],',
+        ("tests/test_cli.py::test_probe_universal_document_byte_for_byte",),
+    ),
+    Mutant(
+        "a pair violation written with x and y swapped",
+        "src/bonuslab/cli.py",
+        "document.update(x=format_rational(v.x), y=format_rational(v.y))",
+        "document.update(x=format_rational(v.y), y=format_rational(v.x))",
+        ("tests/test_cli.py::test_probe_universal_document_byte_for_byte",),
+    ),
+    Mutant(
+        "a coordinate violation's base written in reverse",
+        "src/bonuslab/cli.py",
+        "base=[format_rational(b) for b in v.base]",
+        "base=[format_rational(b) for b in v.base[::-1]]",
+        ("tests/test_cli.py::test_probe_universal_document_byte_for_byte",),
+    ),
+    Mutant(
+        "a counterexample's certificate written without its last action",
+        "src/bonuslab/cli.py",
+        "for label, value in ce.certificate]",
+        "for label, value in ce.certificate[:-1]]",
+        ("tests/test_cli.py::test_probe_universal_document_byte_for_byte",),
+    ),
+    Mutant(
         "a refused count written in full at any length",
         "src/bonuslab/rational.py",
         "if not isinstance(value, int) or size <= 20:",
@@ -709,6 +737,16 @@ MUTANTS = (
         (
             "tests/test_rational.py::test_rational_text_writes_a_long_int_by_its_size",
             "tests/test_cli.py::test_a_refused_huge_count_is_written_by_its_size",
+        ),
+    ),
+    Mutant(
+        "a long vector written item by item",
+        "src/bonuslab/rational.py",
+        "if len(value) > 20:",
+        "if False:",
+        (
+            "tests/test_rational.py::test_rational_text_writes_a_long_tuple_by_its_length",
+            "tests/test_cli.py::test_a_long_quoted_input_is_written_by_its_size",
         ),
     ),
     Mutant(

@@ -1,13 +1,17 @@
 """Command-line behavior: exit codes, JSON reports, file round-trips."""
 
+import ast
+import hashlib
 import json
 import random
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bonuslab
 from bonuslab import market_to_dict, plan_to_dict, plans, two_bond_market, WinnerTakeAllPlan
 from bonuslab.cli import _build_parser, main
 from bonuslab.errors import BonusLabError
@@ -337,6 +341,62 @@ TINY_TIE_MARKET = {"actions": ["A", "B"], "atoms": [{"p": "1/2", "outcomes": ["1
 HUGE_WTA = {"players": 10**4000, "kind": "wta"}
 # JSON text nested deeper than the decoder follows
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
+PAIR_INCREASE = {
+    "verdict": "counterexample",
+    "violation": {"direction": "increase", "player": 0, "deficit": "1/2", "x": "0", "y": "1"},
+    "counterexample": {
+        "market": {"actions": ["X1", "X2"], "atoms": [{"p": "5/6", "outcomes": ["0", "1"]},
+                                                      {"p": "1/6", "outcomes": ["6", "0"]}]},
+        "profile": [["1", "0"], ["1", "0"]],
+        "player": 0,
+        "deviation": 1,
+        "deviation_action": "X2",
+        "gain": "1/3",
+        "certificate": [["X1", "1"], ["X2", "5/6"]],
+        "params": {"p": "5/6", "z": "6", "iterations": 0},
+    },
+}
+PAIR_DECREASE = {
+    "verdict": "counterexample",
+    "violation": {"direction": "decrease", "player": 0, "deficit": "1/2", "x": "0", "y": "1/2"},
+    "counterexample": {
+        "market": {"actions": ["X1", "X2"], "atoms": [{"p": "1", "outcomes": ["1/2", "0"]}]},
+        "profile": [["1", "0"], ["1", "0"]],
+        "player": 0,
+        "deviation": 1,
+        "deviation_action": "X2",
+        "gain": "1/2",
+        "certificate": [["X1", "1/2"], ["X2", "0"]],
+        "params": {},
+    },
+}
+# (kind, players, grid, the document, or the sha256 of stdout for the two
+# coordinate violations: WTA(3) an increase on 64 atoms with escalation
+# params, LTA(3) a decrease on 27 atoms)
+PROBE_DOCUMENTS = [
+    ("wta", 2, "0:1:1", PAIR_INCREASE),
+    ("lta", 2, "0:1:1/2", PAIR_DECREASE),
+    ("wta", 3, "0:2:1", "09dcfa4471b5cca282c4520d806ca6198325828cae39c0396ac0c5d2df37da5b"),
+    ("lta", 3, "0:2:1", "aeb36fff15e3a974131e66e1177b91629cf4c52f6867fbd7101db44b5dde8afa"),
+]
+
+
+@pytest.mark.parametrize("kind,players,grid,expected", PROBE_DOCUMENTS,
+                         ids=[f"{c[0]}{c[1]}" for c in PROBE_DOCUMENTS])
+def test_probe_universal_document_byte_for_byte(tmp_path, capsys, kind, players, grid, expected):
+    """The --json probe-universal stdout, pinned for a pair and a coordinate
+    violation in each direction."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"players": players, "kind": kind}))
+    assert main(["--json", "probe-universal", "--plan", str(plan), "--grid", grid,
+                 "--players", str(players)]) == 0
+    out = capsys.readouterr().out
+    if isinstance(expected, dict):
+        assert out == json.dumps(expected, indent=2) + "\n"
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 # a lone surrogate is a str, written by json.dumps as the escape \ud800, that
 # no output can encode
 SURROGATE_MARKET = {"actions": ["\ud800", "b"], "atoms": [{"p": "1", "outcomes": ["2", "1"]}]}
@@ -356,6 +416,13 @@ LONG_OUTCOME_MARKET = {**ONE_ATOM_MARKET,
                        "atoms": [{"p": "1", "outcomes": ["x" * 100_000, "0"]}]}
 # LO:HI:STEP = 0:Z:1/Z with Z of 4 201 nines, a grid text of 8 407 characters
 NINES_Z = "9" * 4_201
+# long vectors a message writes, each written by its length: a table key of
+# 100 000 zeros, a profile row of 100 000 ones, a row out of [0, 1] of
+# 100 000 items, and a 20 000-player table whose fallback holds 20 000 ones
+LONG_KEY_TABLE = {"players": 2, "kind": "tabulated", "fallback": ["1/2", "1/2"],
+                  "points": [{"r": ["0"] * 100_000, "shares": ["1", "0"]}]}
+LONG_FALLBACK_TABLE = {"players": 20_000, "kind": "tabulated", "fallback": ["1"] * 20_000,
+                       "points": []}
 # one result vector, listed as ["1/2", "0"] and as ["0.5", "0"]
 REPEATED_TABLE = {"players": 2, "kind": "tabulated", "fallback": ["1/2", "1/2"],
                   "points": [{"r": ["1/2", "0"], "shares": ["1", "0"]},
@@ -552,6 +619,16 @@ REJECTED = [
     ("check-eq-profile-row-as-a-long-string",
      {"M": ONE_ATOM_MARKET, "P": WTA, "Q": ["r" * 100_000, ["1", "0"]]},
      ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q"], "NonSimplexWeights"),
+    ("validate-plan-long-table-key", {"P": LONG_KEY_TABLE},
+     ["validate-plan", "--plan", "P"], "ArityMismatch"),
+    ("check-eq-long-profile-row-off-the-sum",
+     {"M": ONE_ATOM_MARKET, "P": WTA, "Q": [["1"] * 100_000, ["1", "0"]]},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q"], "NonSimplexWeights"),
+    ("check-eq-long-profile-row-out-of-range",
+     {"M": ONE_ATOM_MARKET, "P": WTA, "Q": [["2", "-1"] + ["0"] * 99_998, ["1", "0"]]},
+     ["check-eq", "--market", "M", "--plan", "P", "--profile", "Q"], "NonSimplexWeights"),
+    ("validate-plan-long-fallback", {"P": LONG_FALLBACK_TABLE},
+     ["validate-plan", "--plan", "P"], "NonSimplexTable"),
     ("check-optimal-exponent-past-the-digit-limit",
      {"M": {"actions": ["A"], "atoms": [{"p": "1", "outcomes": ["1e100000000"]}]}, "P": WTA},
      ["check-optimal", "--market", "M", "--plan", "P"], "UnparsableNumber"),
@@ -728,18 +805,39 @@ LONG_INPUTS = [
     "find-m-long-equal-labels",
     "find-m-long-outcome",
     "check-eq-profile-row-as-a-long-string",
+    "validate-plan-long-table-key",
+    "check-eq-long-profile-row-off-the-sum",
+    "check-eq-long-profile-row-out-of-range",
+    "validate-plan-long-fallback",
 ]
 
 
 @pytest.mark.parametrize("case", LONG_INPUTS)
 def test_a_long_quoted_input_is_written_by_its_size(tmp_path, capsys, case):
     """A message quotes an input of 100 000 characters or items by its kind
-    and size, so the error object stays short."""
+    and size, and writes a vector of over 20 numbers by its length, so the
+    error object stays short."""
     ((documents, argv, error_type),) = [c[1:] for c in REJECTED if c[0] == case]
     assert main(["--json", *_materialize(tmp_path, documents, argv)]) == 1
     err = capsys.readouterr().err
     assert json.loads(err)["error"]["type"] == error_type
     assert len(err) < 512
+
+
+def test_only_the_writers_of_documents_import_format_rational():
+    """A report document is written where it is read back: in src/bonuslab
+    only rational, which defines it, market and plans, which write their
+    documents, cli, which writes every report, and the package's exports
+    import format_rational."""
+    package = Path(bonuslab.__file__).parent
+    importers = {
+        p.stem
+        for p in package.glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text(), str(p)))
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name == "format_rational" for alias in node.names)
+    }
+    assert importers <= {"rational", "market", "plans", "cli", "__init__"}
 
 
 # Read order.  Each document below fails its reader with an error of its own;

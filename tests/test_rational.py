@@ -219,6 +219,18 @@ def test_rational_text_writes_a_long_int_by_its_size():
     )
 
 
+def test_rational_text_writes_a_long_tuple_by_its_length():
+    """Up to 20 items a tuple is written item by item, past that by its
+    length, as input_text writes a long list; a nested tuple by the same
+    rule."""
+    assert rational_text((0,) * 20) == f"({', '.join(['0'] * 20)})"
+    assert rational_text((0,) * 21) == "a tuple of 21 items"
+    assert rational_text((1,) * 100_000) == "a tuple of 100000 items"
+    assert rational_text((Fraction(1, 2),)) == "(1/2,)"
+    assert rational_text((1, (Fraction(2, 3), 0))) == "(1, (2/3, 0))"
+    assert rational_text(((0,) * 21, 1)) == "(a tuple of 21 items, 1)"
+
+
 def test_input_text_keeps_a_short_input_and_writes_a_long_one_by_its_size():
     limit = sys.get_int_max_str_digits()
     edge = "x" * (QUOTE_LIMIT - 2)  # a repr of QUOTE_LIMIT characters
