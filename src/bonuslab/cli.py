@@ -22,7 +22,9 @@ it, and the text output is rendered from it.  This module writes and renders
 every report document; the library's reports are plain data.  All numbers
 print as exact rationals; --decimal appends a 6-place approximation marked
 with "~".  Exit status: 0 on success, 1 on any validation or model error, 2
-on usage errors.
+on usage errors, and PIPE_CLOSED (141, as a shell reports a process that
+SIGPIPE ends) when stdout is closed before the report is written: `main`
+then points stdout at os.devnull and returns quietly, with no traceback.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -65,6 +68,9 @@ from .rational import (
 )
 
 
+PIPE_CLOSED = 141  # 128 + SIGPIPE
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -83,11 +89,20 @@ def main(argv=None) -> int:
     except (BonusLabError, OSError) as exc:
         _emit_error(args, exc)
         return 1
-    if args.json:
-        print(json.dumps(document, indent=2))
-    else:
-        for line in args.text(document, args):
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(document, indent=2))
+        else:
+            for line in args.text(document, args):
+                print(line)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader has gone; with stdout on os.devnull the flush at exit
+        # cannot raise again ("Note on SIGPIPE" in the signal module's docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return PIPE_CLOSED
     return 0
 
 

@@ -29,6 +29,12 @@ which reads the certificate from the market's expectations and validates
 the counterexample before returning it.  The increase builder's escape and
 validation ask the same question of `Market.best_actions`: the profile's
 actions are best and the deviation is not.
+
+The two coordinate builders' deviation rules read support indices: each
+atom of the product market comes to the rule as its tuple of indices into
+the sorted support, one per player (`market._ByIndex`), and the base atom
+is named by the base point's indices.  No atom's `Fraction`s are built or
+compared; the market derives them only when a reader asks for its atoms.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .market import (
     Profile,
     build_market,
     product_market,
+    _ByIndex,
     _multisets_exceed,
     _power_exceeds,
 )
@@ -315,6 +322,16 @@ def _base_marginal(violation: CoordinateViolation) -> list[tuple[Fraction, Fract
     ]
 
 
+def _indexed_base(
+    marginal: list[tuple[Fraction, Fraction]], violation: CoordinateViolation
+) -> tuple[list[Fraction], tuple[int, ...]]:
+    """The sorted support that `product_market` indexes, the marginal's
+    values (they are distinct), and the base point as indices into it, one
+    per player: the index tuple of the base atom."""
+    support = sorted(v for v, _ in marginal)
+    return support, tuple(map(support.index, violation.base))
+
+
 def tuple_probability(violation: CoordinateViolation) -> Fraction:
     """Probability that k independent draws from the base marginal hit the base
     point coordinate-for-coordinate."""
@@ -332,13 +349,15 @@ def coordinate_decrease_counterexample(
     there and losing expectation, never bonus, elsewhere.
     """
     _check_coordinate(plan, violation, Direction.DECREASE)
-    base, player, witness = violation.base, violation.player, violation.witness
+    player, witness = violation.player, violation.witness
     k = plan.players
+    marginal = _base_marginal(violation)
+    support, base_ix = _indexed_base(marginal, violation)
 
-    def dip(combo: tuple) -> Fraction:
-        return witness if combo == base else combo[player]
+    def dip(ix: tuple) -> Fraction:
+        return witness if ix == base_ix else support[ix[player]]
 
-    market = product_market(_base_marginal(violation), k, [("dev", dip)])
+    market = product_market(marginal, k, [("dev", _ByIndex(dip))])
     pi_base = tuple_probability(violation)
     params = {"tuple_probability": pi_base}
     return _certified(
@@ -390,15 +409,17 @@ def coordinate_increase_counterexample(
         high, low = escape, -escape
         marginal = [(v, p * q) for v, q in _base_marginal(violation)]
         marginal.append((high, ONE - p))
+        support, base_ix = _indexed_base(marginal, violation)
+        top = len(support) - 1  # the high escape, above every base value
 
-        def chase(combo: tuple) -> Fraction:
-            if combo == base:
+        def chase(ix: tuple) -> Fraction:
+            if ix == base_ix:
                 return witness
-            if high in combo:
+            if top in ix:
                 return low
-            return combo[player]
+            return support[ix[player]]
 
-        market = product_market(marginal, k, [("dev", chase)])
+        market = product_market(marginal, k, [("dev", _ByIndex(chase))])
         if market.best_actions == actions:  # the deviation k ranks below them
             gain = _switch_gain(plan, market, actions, player, k)
             params = {

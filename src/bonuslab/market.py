@@ -7,25 +7,28 @@ realize identical outcomes, and a mixed action is a portfolio — its realized
 value at an atom is the weighted sum of the pure outcomes there, not a
 lottery over pure plays.
 
-All numbers are fractions.Fraction; every atom is built through `Atom`,
-which coerces them (see rational.as_rational for what parses), and every
-portfolio through `MixedAction`, which checks its weights once, on the
-integer counts it keeps.
+All numbers are fractions.Fraction at the surface, and `Atom` coerces them
+(see rational.as_rational for what parses); every portfolio is built
+through `MixedAction`, which checks its weights once, on the integer counts
+it keeps.
 
-A market has one exact path, its `integer_view`, built with the market:
+A market is kept as its `integer_view`, the one form `Market` checks:
 outcomes are integers over one common denominator, probabilities over
-another, and `Market` checks its atoms on them.  Action a's expectation is
-one integer sum, sum_t weight_t * value_t[a], over mass * scale, kept once
-per market in `expectation_sums`.  Those sums are the one ranking of
-expectations: `best_actions`, the indices of the largest in index order, is
-the set every best-action test reads, and no `Fraction` is compared to rank
-actions.  `expectations()` builds `Fraction`s from the sums for reports and
-certificates, and `expectation` gives a portfolio's as one `Fraction`, its
-counts' integer dot with the sums over unit * mass * scale.
-`support_stats` is kept the same way, from the view's least and largest
-integers.
-`product_market` checks its marginal's mass on integer weights and builds
-each atom's probability from them, one `Fraction` per distinct product.
+another, each the least.  `build_market` coerces its atoms and writes them
+so with `over_lcm`; `product_market` hands its view over directly.  The
+atoms are derived from the view on first read, one `Fraction` per distinct
+integer, so a verdict that never reads them never builds them, and
+`market_to_dict` writes a document from the same `Fraction`s, one string
+per distinct integer, with no `Atom`.  Action a's
+expectation is one integer sum, sum_t weight_t * value_t[a], over mass *
+scale, kept once per market in `expectation_sums`.  Those sums are the one
+ranking of expectations: `best_actions`, the indices of the largest in
+index order, is the set every best-action test reads, and no `Fraction` is
+compared to rank actions.  `expectations()` builds `Fraction`s from the
+sums for reports and certificates, and `expectation` gives a portfolio's as
+one `Fraction`, its counts' integer dot with the sums over unit * mass *
+scale.  `support_stats` is kept the same way, from the view's least and
+largest integers.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from math import prod
-from operator import mul
+from itertools import chain, product
+from math import gcd, prod
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -44,6 +47,7 @@ from .errors import (
     BonusLabError,
     GridCapExceeded,
     IncompleteMapping,
+    InvalidParameter,
     NonPositiveProbability,
     NonSimplexWeights,
     NonUnitMass,
@@ -85,18 +89,34 @@ class Atom:
 
 
 @dataclass(frozen=True)
+class IntegerView:
+    """A market's numbers as integers over two common denominators.
+
+    Atom t has probability weights[t] / mass and action a's outcome there is
+    values[t][a] / scale, where scale and mass are the least common
+    denominators of the outcomes and of the probabilities.
+    """
+
+    scale: int
+    mass: int
+    weights: tuple[int, ...]
+    values: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
 class Market:
-    """Immutable finite market.  Validated on construction.
+    """Immutable finite market.  Validated on construction, on its view.
 
     Attributes:
         actions: distinct labels, one per action, each text that UTF-8 can
             encode (a lone surrogate cannot be printed or written).
-        atoms: the probability space; probabilities are positive and sum to 1,
-            and every atom has one outcome per action.
+        integer_view: the probability space over least common denominators;
+            every weight is positive and they sum to the mass, and every
+            atom has one value per action.
     """
 
     actions: tuple[str, ...]
-    atoms: tuple[Atom, ...]
+    integer_view: IntegerView
 
     def __post_init__(self) -> None:
         if not self.actions:
@@ -110,17 +130,29 @@ class Market:
                 raise ArityMismatch(f"action label {input_text(label)} is not UTF-8 text") from exc
         if len(set(self.actions)) != len(self.actions):
             raise ArityMismatch(f"duplicate action labels in {input_text(self.actions)}")
-        if not self.atoms:
-            raise NonUnitMass("market needs at least one atom")
         view = self.integer_view
+        if not view.weights:
+            raise NonUnitMass("market needs at least one atom")
+        if len(view.values) != len(view.weights):
+            raise ArityMismatch(
+                f"{len(view.weights)} atom weights for {len(view.values)} outcome rows"
+            )
+        if (
+            min(view.scale, view.mass) < 1
+            or gcd(view.mass, *view.weights) != 1
+            or gcd(view.scale, *chain.from_iterable(view.values)) != 1
+        ):
+            raise InvalidParameter(
+                "an integer view's scale and mass must be the least common denominators"
+                " of its outcomes and probabilities"
+            )
         n = len(self.actions)
-        for atom, weight in zip(self.atoms, view.weights):
+        for weight, row in zip(view.weights, view.values):
             if weight <= 0:
-                raise NonPositiveProbability(
-                    f"atom probability {rational_text(atom.probability)} is not positive"
-                )
-            if len(atom.outcomes) != n:
-                raise ArityMismatch(f"atom has {len(atom.outcomes)} outcomes, expected {n}")
+                probability = rational_text(Fraction(weight, view.mass))
+                raise NonPositiveProbability(f"atom probability {probability} is not positive")
+            if len(row) != n:
+                raise ArityMismatch(f"atom has {len(row)} outcomes, expected {n}")
         if (total := sum(view.weights)) != view.mass:
             total_text = rational_text(Fraction(total, view.mass))
             raise NonUnitMass(f"atom probabilities sum to {total_text}, not 1")
@@ -128,6 +160,27 @@ class Market:
     @property
     def n(self) -> int:
         return len(self.actions)
+
+    @cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The probability space as `Atom`s, derived from the integer view
+        on first read, each `Fraction` shared by every atom that holds it."""
+        probability, outcome = self._fractions
+        view = self.integer_view
+        return tuple(
+            Atom(probability[w], tuple(map(outcome.__getitem__, row)))
+            for w, row in zip(view.weights, view.values)
+        )
+
+    @cached_property
+    def _fractions(self) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+        """One `Fraction` per distinct weight, over the mass, and per distinct
+        value, over the scale: what the atoms and a document read."""
+        view = self.integer_view
+        probability = {w: Fraction(w, view.mass) for w in dict.fromkeys(view.weights)}
+        values = dict.fromkeys(chain.from_iterable(view.values))
+        outcome = {x: Fraction(x, view.scale) for x in values}
+        return probability, outcome
 
     def expectations(self) -> tuple[Fraction, ...]:
         """Every action's expectation, computed on the integer view once."""
@@ -159,29 +212,6 @@ class Market:
         lo = Fraction(min(map(min, view.values)), view.scale)
         hi = Fraction(max(map(max, view.values)), view.scale)
         return SupportStats(lo, hi, max(abs(lo), abs(hi)))
-
-    @cached_property
-    def integer_view(self) -> IntegerView:
-        """The market over common denominators, each from `over_lcm`;
-        `Market` builds it and checks itself on it."""
-        mass, (weights,) = over_lcm([a.probability for a in self.atoms])
-        scale, values = over_lcm(*(a.outcomes for a in self.atoms))
-        return IntegerView(scale, mass, weights, tuple(values))
-
-
-@dataclass(frozen=True)
-class IntegerView:
-    """A market's numbers as integers over two common denominators.
-
-    Atom t has probability weights[t] / mass and action a's outcome there is
-    values[t][a] / scale, where scale and mass are the least common
-    denominators of the outcomes and of the probabilities.
-    """
-
-    scale: int
-    mass: int
-    weights: tuple[int, ...]
-    values: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -282,14 +312,19 @@ class SupportStats:
 def build_market(actions: Sequence[str], atoms: Iterable[tuple]) -> Market:
     """Build a validated market from (probability, outcomes) pairs.
 
-    Probabilities and outcomes may be ints, Fractions, or exact strings.
+    Probabilities and outcomes may be ints, Fractions, or exact strings;
+    each atom is coerced as `Atom` coerces it, and the market is checked on
+    the view `over_lcm` writes them in.
     A string of labels is refused rather than read one label per character,
     and an atom that is not a pair as ArityMismatch.
     """
     if isinstance(actions, (str, bytes)):
         raise ArityMismatch(f"expected a list of action labels, got {input_text(actions)}")
     pairs = _pairs(atoms, "atom", "(probability, outcomes)")
-    return Market(tuple(actions), tuple(Atom(p, outcomes) for p, outcomes in pairs))
+    coerced = [(as_rational(p), rationals(outcomes)) for p, outcomes in pairs]
+    mass, (weights,) = over_lcm([p for p, _ in coerced])
+    scale, values = over_lcm(*(outcomes for _, outcomes in coerced))
+    return Market(tuple(actions), IntegerView(scale, mass, weights, tuple(values)))
 
 
 def _pairs(items: Iterable, what: str, shape: str) -> Iterator[tuple]:
@@ -349,9 +384,16 @@ def product_market(
     The atoms are all value tuples in support^copies with product
     probabilities, in product order of the sorted support; coordinate
     action j realizes component j.  More than ATOM_CAP atoms raise
-    AtomCapExceeded before any atom is built.  The merged marginal is held
-    as integer weights over `mass`, the lcm of its denominators, so an
-    atom's probability is the product of its weights over mass^copies.
+    AtomCapExceeded before any atom is built.  At each atom in that order
+    every rule is read, then its values are coerced, so the first atom at
+    which a rule fails names the error.
+
+    The market's integer view is handed over as built, with no `Atom`.  The
+    merged marginal is held as integer weights over `mass`, the lcm of its
+    denominators; an atom's weight is the product of its draws' weights
+    over mass^copies, and its row the support's integers plus the rules'
+    values, over one scale.  Both are in lowest terms: a prime that divides
+    the mass misses some weight, and so the product of `copies` of it.
     """
     as_count(copies, "copy count", 1, ArityMismatch)
     merged: dict[Fraction, Fraction] = {}
@@ -370,21 +412,29 @@ def product_market(
     if atoms := _power_exceeds(len(support), copies, ATOM_CAP):
         raise AtomCapExceeded(f"{atoms} atoms exceed cap {ATOM_CAP}")
 
-    total = mass**copies
     pairs = _pairs(extra_actions, "extra action", "(label, rule)")
-    rules = [(label, _total_rule(label, rule)) for label, rule in pairs]
-    labels = tuple(f"X{j + 1}" for j in range(copies)) + tuple(l for l, _ in rules)
-    probabilities: dict[int, Fraction] = {}  # one reduced Fraction per weight product
-    atoms = []
-    for indices in product(range(len(support)), repeat=copies):
-        combo = tuple(map(support.__getitem__, indices))
-        extras = tuple(rule(combo) for _, rule in rules)
-        weight = prod(map(weights.__getitem__, indices))
-        probability = probabilities.get(weight)
-        if probability is None:
-            probability = probabilities[weight] = Fraction(weight, total)
-        atoms.append(Atom(probability, combo + extras))
-    return Market(labels, tuple(atoms))
+    rules = [(label, _index_rule(label, rule, support)) for label, rule in pairs]
+    draws = product(range(len(support)), repeat=copies)
+    extras = [rationals([read(ix) for _, read in rules]) for ix in draws]
+    scale, (ints, *extra_ints) = over_lcm(support, *extras)
+    labels = tuple(f"X{j + 1}" for j in range(copies)) + tuple(label for label, _ in rules)
+    view = IntegerView(
+        scale,
+        mass**copies,
+        tuple(map(prod, product(weights, repeat=copies))),
+        tuple(map(add, product(ints, repeat=copies), extra_ints)),
+    )
+    return Market(labels, view)
+
+
+@dataclass(frozen=True)
+class _ByIndex:
+    """An extra action's rule that `product_market` reads on each atom's
+    tuple of indices into the sorted support, one per copy, instead of on
+    its values: the counterexample builders name an atom without comparing
+    `Fraction`s."""
+
+    read: Callable[[tuple[int, ...]], object]
 
 
 def _power_exceeds(n: int, k: int, cap: int) -> str | None:
@@ -414,11 +464,14 @@ def _multisets_exceed(n: int, size: int, cap: int) -> str | None:
     return f"C({rational_text(size)} + {rational_text(n)} - 1, {rational_text(s)})"
 
 
-def _total_rule(label: str, rule) -> Callable:
-    """The rule's value at a combo as given, for `Atom` to coerce; a
-    KeyError or a None there is IncompleteMapping.  Whether to call the
-    rule or to `get` from it is chosen once; a rule that is neither
+def _index_rule(label: str, rule, support: list[Fraction]) -> Callable:
+    """The rule as read on a tuple of support indices: a `_ByIndex` rule as
+    it is, any other at the value tuple the indices name, its value as
+    given; a KeyError or a None there is IncompleteMapping.  Whether to call
+    the rule or to `get` from it is chosen once; a rule that is neither
     callable nor a mapping is ArityMismatch."""
+    if isinstance(rule, _ByIndex):
+        return rule.read
     read = rule if callable(rule) else getattr(rule, "get", None)
     if read is None:
         raise ArityMismatch(
@@ -428,7 +481,8 @@ def _total_rule(label: str, rule) -> Callable:
 
     missing = f"extra action {input_text(label)} has no value at"
 
-    def lookup(combo: tuple):
+    def lookup(ix: tuple):
+        combo = tuple(map(support.__getitem__, ix))
         try:
             value = read(combo)
         except KeyError as exc:
@@ -446,14 +500,17 @@ def _total_rule(label: str, rule) -> Callable:
 
 
 def market_to_dict(market: Market) -> dict:
+    """The market's document, written from its integer view: each distinct
+    number is formatted once, and no `Atom` is built."""
+    view = market.integer_view
+    probability, outcome = (
+        {x: format_rational(f) for x, f in fractions.items()} for fractions in market._fractions
+    )
     return {
         "actions": list(market.actions),
         "atoms": [
-            {
-                "p": format_rational(a.probability),
-                "outcomes": [format_rational(x) for x in a.outcomes],
-            }
-            for a in market.atoms
+            {"p": probability[w], "outcomes": [outcome[x] for x in row]}
+            for w, row in zip(view.weights, view.values)
         ],
     }
 

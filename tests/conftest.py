@@ -36,6 +36,8 @@ from bonuslab import (
     TabulatedPlan,
     WinnerTakeAllPlan,
     build_market,
+    market_from_dict,
+    market_to_dict,
 )
 from bonuslab.game import Elimination
 from bonuslab.market import IntegerView
@@ -230,6 +232,22 @@ def fraction_integer_view(atoms) -> IntegerView:
         tuple(int(a.probability * mass) for a in atoms),
         tuple(tuple(int(x * scale) for x in a.outcomes) for a in atoms),
     )
+
+
+def assert_rebuilds_from_its_atoms(market: Market) -> None:
+    """A market built on its integer view is the market `build_market`
+    makes of its own derived atoms: equal, with the same view and the same
+    document, and the document reads back as it.  The atoms are derived
+    once: a second read returns the same tuple."""
+    atoms = market.atoms
+    assert market.atoms is atoms
+    rebuilt = build_market(market.actions, [(a.probability, a.outcomes) for a in atoms])
+    assert rebuilt == market
+    assert rebuilt.integer_view == market.integer_view
+    assert rebuilt.atoms == atoms
+    document = market_to_dict(market)
+    assert market_to_dict(rebuilt) == document
+    assert market_from_dict(document) == market
 
 
 def fraction_product_atoms(marginal, copies: int, rules=()) -> list[tuple[Fraction, tuple]]:

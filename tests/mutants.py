@@ -76,8 +76,8 @@ MUTANTS = (
     Mutant(
         "product-market total mass, not mass**copies",
         "src/bonuslab/market.py",
-        "total = mass**copies",
-        "total = mass",
+        "        mass**copies,\n",
+        "        mass,\n",
         ("tests/test_market.py::test_product_market_atoms_match_the_fraction_products",),
     ),
     Mutant(
@@ -497,13 +497,36 @@ MUTANTS = (
     Mutant(
         "product-market probabilities keyed by the first index's weight",
         "src/bonuslab/market.py",
-        "        probability = probabilities.get(weight)\n"
-        "        if probability is None:\n"
-        "            probability = probabilities[weight] = Fraction(weight, total)\n",
-        "        probability = probabilities.get(weights[indices[0]])\n"
-        "        if probability is None:\n"
-        "            probability = probabilities[weights[indices[0]]] = Fraction(weight, total)\n",
+        "tuple(map(prod, product(weights, repeat=copies)))",
+        "tuple(draw[0] for draw in product(weights, repeat=copies))",
         ("tests/test_market.py::test_product_market_atoms_match_the_fraction_products",),
+    ),
+    Mutant(
+        "base_ix taken from the wrong player's index",
+        "src/bonuslab/counterexamples.py",
+        "return support, tuple(map(support.index, violation.base))",
+        "return support, tuple(map(support.index, violation.base[1:] + violation.base[:1]))",
+        (
+            "tests/test_counterexamples.py::test_coordinate_decrease_builder_frozen_values",
+            "tests/test_counterexamples.py::test_coordinate_increase_builder_frozen_values",
+        ),
+    ),
+    Mutant(
+        "the escape's index taken as the first support index, not the last",
+        "src/bonuslab/counterexamples.py",
+        "top = len(support) - 1",
+        "top = 0",
+        ("tests/test_counterexamples.py::test_coordinate_increase_builder_frozen_values",),
+    ),
+    Mutant(
+        "a derived atom's probability taken over view.scale instead of view.mass",
+        "src/bonuslab/market.py",
+        "Fraction(w, view.mass) for w in dict.fromkeys(view.weights)",
+        "Fraction(w, view.scale) for w in dict.fromkeys(view.weights)",
+        (
+            "tests/test_market.py::test_product_markets_rebuild_from_their_atoms",
+            "tests/test_market.py::test_product_market_atoms_match_the_fraction_products",
+        ),
     ),
     Mutant(
         "common denominator over the first vector's denominators only",

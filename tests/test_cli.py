@@ -1,10 +1,13 @@
 """Command-line behavior: exit codes, JSON reports, file round-trips."""
 
 import ast
+import errno
 import hashlib
 import json
+import os
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +16,7 @@ import pytest
 
 import bonuslab
 from bonuslab import market_to_dict, plan_to_dict, plans, two_bond_market, WinnerTakeAllPlan
-from bonuslab.cli import _build_parser, main
+from bonuslab.cli import PIPE_CLOSED, _build_parser, main
 from bonuslab.errors import BonusLabError
 from bonuslab.market import market_from_dict, profile_from_list
 from bonuslab.plans import SimplexReport, plan_from_dict
@@ -1125,3 +1128,46 @@ def test_replicate_example_json_reports_survivors(capsys):
     assert code == 0
     assert data["dominance"]["unique_profile"] is None
     assert data["dominance"]["survivors"] == [["X1", "X2"], ["X1", "X2"]]
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: `write`, or only `flush` when
+    `at_flush`, raises BrokenPipeError.  Its descriptor is `fd`."""
+
+    def __init__(self, fd: int, at_flush: bool) -> None:
+        self.fd, self.at_flush = fd, at_flush
+
+    def write(self, text: str) -> int:
+        if not self.at_flush:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return len(text)
+
+    def flush(self) -> None:
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("at_flush", [False, True], ids=["write", "flush"])
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_a_closed_stdout_ends_quietly(tmp_path, capsys, monkeypatch, mode, at_flush):
+    """The reader of stdout gone before the report is written, as in
+    `bonuslab --json probe-universal ... | head -c 10`: main returns
+    PIPE_CLOSED with nothing on stderr, and stdout's descriptor then points
+    at os.devnull, so the flush at interpreter exit cannot raise again."""
+    argv = _materialize(
+        tmp_path,
+        {"P": {"players": 3, "kind": "wta"}},
+        ["probe-universal", "--plan", "P", "--grid", "0:2:1", "--players", "3"],
+    )
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", ClosedPipe(write, at_flush))
+            assert main([*mode, *argv]) == PIPE_CLOSED == 141
+        assert capsys.readouterr() == ("", "")
+        assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+    finally:
+        os.close(write)

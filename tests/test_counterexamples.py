@@ -49,7 +49,7 @@ from bonuslab import (
 import bonuslab.counterexamples as counterexamples
 from bonuslab.plans import BonusPlan, Kernel
 from bonuslab.rational import as_count, rational_text
-from conftest import fraction_allocation
+from conftest import assert_rebuilds_from_its_atoms, fraction_allocation
 
 F = Fraction
 
@@ -517,6 +517,29 @@ def test_universality_verdict_three_player_winner_take_all():
     assert report.violation.base == (F(1), F(2), F(3))
     assert report.counterexample.params["probability_steps"] == 8
     assert report.counterexample.params["p"] == F(255, 256)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_coordinate_counterexample_markets_rebuild_from_their_atoms(data):
+    """The coordinate builders' markets, built on their integer views from
+    rules that read support indices, for random 3-player WTA, LTA and
+    tabulated probes: each is the market `build_market` makes of its own
+    derived atoms."""
+    grid = sorted(data.draw(st.lists(grid_points, min_size=3, max_size=4, unique=True)))
+    key = tuple(data.draw(st.permutations(grid))[:3])
+    plan = data.draw(
+        st.sampled_from(
+            [
+                WinnerTakeAllPlan(3),
+                LoserTakeAllPlan(3),
+                TabulatedPlan(3, {key: (F(1), F(0), F(0))}, (F(1, 3),) * 3),
+            ]
+        )
+    )
+    report = universality_verdict(plan, grid)
+    assert report.verdict == "counterexample"
+    assert_rebuilds_from_its_atoms(report.counterexample.market)
 
 
 def test_counterexamples_survive_revalidation():

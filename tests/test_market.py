@@ -21,6 +21,7 @@ from bonuslab import (
     BonusLabError,
     FloatRejected,
     IncompleteMapping,
+    InvalidParameter,
     Market,
     MixedAction,
     NonPositiveProbability,
@@ -45,6 +46,7 @@ from bonuslab import (
 )
 from bonuslab.market import IntegerView
 from conftest import (
+    assert_rebuilds_from_its_atoms,
     fraction_expectation,
     fraction_integer_view,
     fraction_market_check,
@@ -107,10 +109,12 @@ def test_atoms_coerce_their_numbers():
     exact numbers are coerced, and a string of outcomes is refused rather
     than read one outcome per character."""
     with pytest.raises(FloatRejected):
-        Market(("a", "b"), (Atom(0.5, (1, 2)), Atom(0.5, (2, 1))))
+        build_market(("a", "b"), [(0.5, (1, 2)), (0.5, (2, 1))])
     atom = Atom(Fraction(1), ("1", 2))
     assert atom == Atom(Fraction(1), (Fraction(1), Fraction(2)))
-    assert Market(("a", "b"), (atom,)).expectations() == (Fraction(1), Fraction(2))
+    market = build_market(("a", "b"), [(Fraction(1), ("1", 2))])
+    assert market.expectations() == (Fraction(1), Fraction(2))
+    assert market.atoms == (atom,)
     with pytest.raises(ArityMismatch):
         Atom(1, "12")
 
@@ -494,6 +498,64 @@ def test_product_market_atoms_match_the_fraction_products(data, marginal, copies
         assert market == oracle
 
 
+@settings(max_examples=150, deadline=None)
+@given(product_markets())
+def test_product_markets_rebuild_from_their_atoms(market):
+    """Built on its integer view, with no `Atom`: the market that
+    `build_market` makes of the atoms derived from it."""
+    assert_rebuilds_from_its_atoms(market)
+
+
+def test_the_first_failing_atom_names_the_rule_error():
+    """Two extra rules that fail at different atoms: the error is the one at
+    the earlier atom in product order, whichever rule is listed first.  At
+    one atom every rule is read before any value is coerced, so a gap there
+    comes before a float."""
+    marginal = [("0", "1/2"), ("1", "1/2")]
+    combos = list(product((Fraction(0), Fraction(1)), repeat=2))
+    early, late = combos[1], combos[2]
+
+    def floated(at):
+        return lambda combo: 0.5 if combo == at else combo[0]
+
+    def gapped(at):
+        return {combo: combo[0] for combo in combos if combo != at}
+
+    for rules in (
+        [("gap", gapped(late)), ("float", floated(early))],
+        [("float", floated(early)), ("gap", gapped(late))],
+        [("gap", gapped(early)), ("float", floated(late))],
+        [("float", floated(late)), ("gap", gapped(early))],
+    ):
+        error = raised(lambda: product_market(marginal, 2, rules))
+        assert error == raised(lambda: fraction_product_atoms(marginal, 2, rules))
+        assert error[0] in (FloatRejected, IncompleteMapping)
+    same_atom = [("float", floated(early)), ("gap", gapped(early))]
+    assert raised(lambda: product_market(marginal, 2, same_atom)) == (
+        IncompleteMapping, "extra action 'gap' has no value at (0, 1)"
+    )
+
+
+def test_a_view_off_its_least_denominators_is_refused():
+    """`Market` keeps the view it is given, so it checks that the scale and
+    the mass are the least common denominators, and that each atom has a
+    weight and a row: two views of one market would otherwise compare
+    unequal."""
+    good = IntegerView(2, 3, (1, 2), ((1, 0), (3, 2)))
+    assert Market(("a", "b"), good) == build_market(
+        ("a", "b"), [("1/3", ("1/2", "0")), ("2/3", ("3/2", "1"))]
+    )
+    for view in (
+        IntegerView(4, 3, (1, 2), ((2, 0), (6, 4))),
+        IntegerView(2, 6, (2, 4), ((1, 0), (3, 2))),
+        IntegerView(0, 3, (1, 2), ((1, 0), (3, 2))),
+    ):
+        with pytest.raises(InvalidParameter, match="least common denominators"):
+            Market(("a", "b"), view)
+    with pytest.raises(ArityMismatch, match="2 atom weights for 1 outcome rows"):
+        Market(("a", "b"), IntegerView(2, 3, (1, 2), ((1, 0),)))
+
+
 FAULTS = ("", "", "", "zero", "negative", "arity")
 
 
@@ -536,7 +598,7 @@ def test_integer_view_matches_the_lcm_construction(market):
 
 
 def assert_market_matches_the_oracle(actions, atoms):
-    market = raised(lambda: Market(actions, atoms))
+    market = raised(lambda: build_market(actions, [(a.probability, a.outcomes) for a in atoms]))
     oracle = raised(lambda: fraction_market_check(actions, atoms))
     if oracle is None:
         assert market.integer_view == fraction_integer_view(atoms)
