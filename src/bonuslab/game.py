@@ -51,6 +51,10 @@ then sees the same opponent results in another order, gets the same share
 and the same payoff, and so has the same candidates, exact values and
 tie-break.  `check_nash` searches once per distinct strategy and copies the
 result to the other players; a symmetric profile costs one search, not k.
+The tensor is shared by the same argument: `Game.payoffs` computes one cell
+per sorted profile, C(n + k - 1, k) of the n^k, and gives each profile that
+cell permuted, the player on action a the entry at a's rank in the sorted
+profile (players on one action get one payoff).
 
 Strict dominance is shared the same way.  Under an anonymous plan a
 player's payoff is u(own action, multiset of opponent actions), the same
@@ -261,13 +265,32 @@ class Game:
     @property
     def payoffs(self) -> dict:
         """The full tensor, action-index tuple -> payoffs, in product order;
-        TensorCapExceeded before any cell when it exceeds TENSOR_CAP profiles."""
+        TensorCapExceeded before any cell when it exceeds TENSOR_CAP profiles.
+
+        Under an anonymous plan one cell is computed per sorted profile, and
+        every other profile's cell is that cell permuted (see the module
+        docstring), sharing its `Fraction`s and kept in `cells` as well."""
         if profiles := _power_exceeds(self.actions, self.players, TENSOR_CAP):
             raise TensorCapExceeded(f"{profiles} pure profiles exceed cap {TENSOR_CAP}")
-        return {
-            combo: self.payoff(combo)
-            for combo in product(range(self.actions), repeat=self.players)
-        }
+        combos = product(range(self.actions), repeat=self.players)
+        if not self.plan.anonymous:
+            return {combo: self.payoff(combo) for combo in combos}
+        denominator = self._scoring(self.market.integer_view.scale).denominator
+        orbits = {}  # sorted profile -> its numerators and payoffs
+        tensor = {}
+        for combo in combos:
+            key = tuple(sorted(combo))
+            orbit = orbits.get(key)
+            if orbit is None:
+                numerators = self._numerators(key)
+                orbit = orbits[key] = numerators, _fractions(numerators, denominator)
+            # the player on action a sits at rank key.index(a) of the sorted
+            # profile, as every player on a does: they hold equal entries
+            ranks = tuple(map(key.index, combo))
+            numerators, fractions = orbit
+            self.cells[combo] = tuple(map(numerators.__getitem__, ranks))
+            tensor[combo] = tuple(map(fractions.__getitem__, ranks))
+        return tensor
 
     def _scoring(self, scale: int) -> _Scoring:
         """The plan's kernel at a result scale, with the payoff's integer weights."""

@@ -14,12 +14,15 @@ it keeps.
 
 A market is kept as its `integer_view`, the one form `Market` checks:
 outcomes are integers over one common denominator, probabilities over
-another, each the least.  `build_market` coerces its atoms and writes them
-so with `over_lcm`; `product_market` hands its view over directly.  The
+another, each the least.  `build_market` reads its atoms' numbers as
+integer ratios (`rational.integer_ratio`) and writes them so with
+`ratios_over_lcm`; `product_market` hands its view over directly.  The
 atoms are derived from the view on first read, one `Fraction` per distinct
-integer, so a verdict that never reads them never builds them, and
-`market_to_dict` writes a document from the same `Fraction`s, one string
-per distinct integer, with no `Atom`.  Action a's
+integer, so a verdict that never reads them never builds them.
+`market_to_dict` writes a document from the view itself, one string per
+distinct integer by `format_ratio`, with no `Atom` and no `Fraction`: a
+document in canonical form goes to the view and back with no `Fraction`
+either way.  Action a's
 expectation is one integer sum, sum_t weight_t * value_t[a], over mass *
 scale, kept once per market in `expectation_sums`.  Those sums are the one
 ranking of expectations: `best_actions`, the indices of the largest in
@@ -56,9 +59,13 @@ from .rational import (
     as_count,
     as_rational,
     format_rational,
+    format_ratio,
     input_text,
+    integer_ratio,
+    integer_ratios,
     load_json,
     over_lcm,
+    ratios_over_lcm,
     rational_text,
     rationals,
 )
@@ -164,23 +171,17 @@ class Market:
     @cached_property
     def atoms(self) -> tuple[Atom, ...]:
         """The probability space as `Atom`s, derived from the integer view
-        on first read, each `Fraction` shared by every atom that holds it."""
-        probability, outcome = self._fractions
-        view = self.integer_view
-        return tuple(
-            Atom(probability[w], tuple(map(outcome.__getitem__, row)))
-            for w, row in zip(view.weights, view.values)
-        )
-
-    @cached_property
-    def _fractions(self) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
-        """One `Fraction` per distinct weight, over the mass, and per distinct
-        value, over the scale: what the atoms and a document read."""
+        on first read: one `Fraction` per distinct weight, over the mass, and
+        per distinct value, over the scale, shared by every atom that holds
+        it."""
         view = self.integer_view
         probability = {w: Fraction(w, view.mass) for w in dict.fromkeys(view.weights)}
         values = dict.fromkeys(chain.from_iterable(view.values))
         outcome = {x: Fraction(x, view.scale) for x in values}
-        return probability, outcome
+        return tuple(
+            Atom(probability[w], tuple(map(outcome.__getitem__, row)))
+            for w, row in zip(view.weights, view.values)
+        )
 
     def expectations(self) -> tuple[Fraction, ...]:
         """Every action's expectation, computed on the integer view once."""
@@ -313,17 +314,22 @@ def build_market(actions: Sequence[str], atoms: Iterable[tuple]) -> Market:
     """Build a validated market from (probability, outcomes) pairs.
 
     Probabilities and outcomes may be ints, Fractions, or exact strings;
-    each atom is coerced as `Atom` coerces it, and the market is checked on
-    the view `over_lcm` writes them in.
+    each atom's probability, then its outcomes, are read by
+    `integer_ratio`, with the errors `Atom`'s coercion raises, and the
+    market is checked on the view `ratios_over_lcm` writes them in: no
+    `Fraction` is built for a string in canonical form.
     A string of labels is refused rather than read one label per character,
     and an atom that is not a pair as ArityMismatch.
     """
     if isinstance(actions, (str, bytes)):
         raise ArityMismatch(f"expected a list of action labels, got {input_text(actions)}")
     pairs = _pairs(atoms, "atom", "(probability, outcomes)")
-    coerced = [(as_rational(p), rationals(outcomes)) for p, outcomes in pairs]
-    mass, (weights,) = over_lcm([p for p, _ in coerced])
-    scale, values = over_lcm(*(outcomes for _, outcomes in coerced))
+    probabilities, outcomes = [], []
+    for p, row in pairs:
+        probabilities.append(integer_ratio(p))
+        outcomes.append(integer_ratios(row))
+    mass, (weights,) = ratios_over_lcm([probabilities])
+    scale, values = ratios_over_lcm(outcomes)
     return Market(tuple(actions), IntegerView(scale, mass, weights, tuple(values)))
 
 
@@ -501,11 +507,12 @@ def _index_rule(label: str, rule, support: list[Fraction]) -> Callable:
 
 def market_to_dict(market: Market) -> dict:
     """The market's document, written from its integer view: each distinct
-    number is formatted once, and no `Atom` is built."""
+    integer once, over its denominator by `format_ratio`, with no `Atom`
+    and no `Fraction`."""
     view = market.integer_view
-    probability, outcome = (
-        {x: format_rational(f) for x, f in fractions.items()} for fractions in market._fractions
-    )
+    probability = {w: format_ratio(w, view.mass) for w in dict.fromkeys(view.weights)}
+    values = dict.fromkeys(chain.from_iterable(view.values))
+    outcome = {x: format_ratio(x, view.scale) for x in values}
     return {
         "actions": list(market.actions),
         "atoms": [

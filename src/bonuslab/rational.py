@@ -6,21 +6,31 @@ exactly.  Floats are rejected everywhere — a float literal has already
 lost the decimal value it was written as, and exact comparisons downstream
 would silently change verdicts.
 
-`as_rational` reads a number; `as_count` checks an int argument (a count,
-an index, a grid denominator, a seed), refusing a float as FloatRejected.
-The exact paths run on integers, and `over_lcm` is their one conversion: it
-writes vectors of rationals over their least common denominator.
+`integer_ratio` is the one reader of numbers: it reads an int, a Fraction
+or a numeric string as (numerator, denominator) in lowest terms, a string
+in the canonical form `format_rational` writes ("-12", "7/8") by int() and
+one gcd, any other spelling by Fraction.  `as_rational` builds its Fraction
+from it, and `build_market` reads a market document's numbers through it
+(`integer_ratios`), so a canonical document reaches integers with no
+Fraction.  `as_count` checks an int argument (a count, an index, a grid
+denominator, a seed), refusing a float as FloatRejected.  The exact paths
+run on integers, and `over_lcm` is their one conversion: it writes vectors
+of rationals over their least common denominator, and `ratios_over_lcm`,
+its lcm step, vectors of integer ratios.
 
 A message writes a number with `rational_text`, which never fails.  An
-int there is a count, an index, a size or a grid denominator: up to 20
-digits (every 64-bit integer) it is written in full, past that by its size
-("an int of 4001 digits"), so that the refusal of a huge input stays short.
-A vector (a tuple) is written item by item up to 20 items, past that by its
-length ("a tuple of 100000 items").  A rational is written exactly, however
-long.  Past the int-to-str digit limit either is written as its sign, its
-kind and the limit ("a negative rational of over 4300 digits").  A document
-writes a number with `format_rational`, and `approx_decimal` its
-`--decimal` suffix; each writes the exact value or raises UnwritableNumber.
+int there is a count, an index, a size or a grid denominator.  An int or a
+rational whose numerator and denominator have up to 20 digits each (every
+64-bit integer) is written in full, past that by its size, the digits str()
+writes ("an int of 4001 digits", "a rational of 4001 digits"), so that the
+refusal of a huge input stays short.  A vector (a tuple) is written item by
+item up to 20 items, past that by its length ("a tuple of 100000 items").
+Past the int-to-str digit limit a number is written as its sign, its kind
+and the limit ("a negative rational of over 4300 digits").  A document
+writes a number with `format_rational`, an integer over a denominator with
+`format_ratio` (the same text, from the integers and one gcd), and
+`approx_decimal` its `--decimal` suffix; each writes the exact value or
+raises UnwritableNumber.
 
 A message quotes an input read from outside (a label, a plan kind, a
 string where a number or a list belongs) with `input_text`: its repr up to
@@ -34,7 +44,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ArityMismatch, FloatRejected, UnparsableNumber, UnwritableNumber
 
@@ -42,29 +52,50 @@ QUOTE_LIMIT = 100  # characters of an input's repr that a message quotes
 
 
 def as_rational(value) -> Fraction:
-    """Coerce an int, Fraction, or numeric string to Fraction.
-
-    Raises UnparsableNumber for malformed strings and for an exponent past
-    sys.get_int_max_str_digits() (0: no limit), FloatRejected (a TypeError)
-    for floats and other unsupported types.
-    """
+    """Coerce an int, Fraction, or numeric string to Fraction: a Fraction
+    as it is, an int as its Fraction, anything else built from its
+    `integer_ratio`, with the errors that raises."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise FloatRejected("bool is not a rational value")
-    if isinstance(value, int):
+    if type(value) is int:  # no gcd to take
         return Fraction(value)
+    return Fraction(*integer_ratio(value))
+
+
+def integer_ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an int, Fraction, or numeric string, in
+    lowest terms with denominator > 0: the one reader of numbers.
+
+    A string in the canonical form `format_rational` writes ("-12", "7/8",
+    with surrounding whitespace) is read by int() and one gcd; any other
+    spelling ("1.051", "1e-6", "+3", "1_000") by Fraction.  Raises
+    UnparsableNumber for malformed strings and for an exponent past
+    sys.get_int_max_str_digits() (0: no limit), FloatRejected (a TypeError)
+    for floats, bools and other unsupported types.
+    """
     if isinstance(value, str):
         text = value.strip()
         try:
+            num, slash, den = text.partition("/")
+            digits = num[1:] if num[:1] == "-" else num
+            if text.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+                numerator, denominator = int(num), int(den) if slash else 1
+                if not denominator:
+                    raise ZeroDivisionError(f"{text} has a zero denominator")
+                g = gcd(numerator, denominator)
+                return numerator // g, denominator // g
             # read the exponent before Fraction builds 10**exponent
             if "e" in text or "E" in text:
                 limit = sys.get_int_max_str_digits()
                 if limit and abs(int(text.lower().partition("e")[2])) > limit:
                     raise UnparsableNumber(f"the exponent of {input_text(value)} exceeds {limit}")
-            return Fraction(text)
+            return Fraction(text).as_integer_ratio()
         except (ValueError, ZeroDivisionError) as exc:
             raise UnparsableNumber(f"cannot parse {input_text(value)} as a rational") from exc
+    if isinstance(value, bool):
+        raise FloatRejected("bool is not a rational value")
+    if isinstance(value, (int, Fraction)):
+        return value.as_integer_ratio()
     if isinstance(value, float):
         raise FloatRejected(
             f"refusing float {input_text(value)}: pass the exact string (e.g. '1.051') instead"
@@ -86,8 +117,9 @@ def as_count(value, name: str, minimum: int | None, error: type[Exception]) -> i
 
 
 def rational_text(value) -> str:
-    """`value`, a number or a tuple of numbers, for a message: a Fraction as
-    str() writes it, an int so up to 20 digits and by its size past that,
+    """`value`, a number or a tuple of numbers, for a message: an int or a
+    Fraction as str() writes it while its numerator and denominator have up
+    to 20 digits each, and by its size, the digits str() writes, past that;
     and a tuple of up to 20 items with each item written so: "(1/2, 0)", as
     documents spell the numbers; a longer tuple by its length, as
     input_text writes it.  Past sys.get_int_max_str_digits() (0: no limit),
@@ -103,9 +135,12 @@ def rational_text(value) -> str:
     except ValueError:
         size = f"over {sys.get_int_max_str_digits()}"
     else:
-        size = len(text.lstrip("-"))
-        if not isinstance(value, int) or size <= 20:
+        if not isinstance(value, (int, Fraction)):
             return text
+        digits = text.lstrip("-").split("/")
+        if max(map(len, digits)) <= 20:
+            return text
+        size = sum(map(len, digits))
     if isinstance(value, int):
         return f"{'a negative' if value < 0 else 'an'} int of {size} digits"
     return f"{'a negative' if value < 0 else 'a'} rational of {size} digits"
@@ -130,8 +165,13 @@ def input_text(value) -> str:
 def over_lcm(*vectors) -> tuple[int, list[tuple[int, ...]]]:
     """(denominator, numerators): each vector of rationals as integers over
     the least common denominator of them all.  Each number is read once, as
-    its integer ratio, and the lcm is taken over the distinct denominators."""
-    ratios = [[x.as_integer_ratio() for x in vector] for vector in vectors]
+    its integer ratio."""
+    return ratios_over_lcm([[x.as_integer_ratio() for x in vector] for vector in vectors])
+
+
+def ratios_over_lcm(ratios: list) -> tuple[int, list[tuple[int, ...]]]:
+    """`over_lcm` of rows of integer ratios (n, d), d > 0: the lcm is taken
+    over the distinct denominators."""
     denominator = lcm(*{d for row in ratios for _, d in row})
     return denominator, [tuple([n * (denominator // d) for n, d in row]) for row in ratios]
 
@@ -145,6 +185,18 @@ def format_rational(value: Fraction) -> str:
         return f"{value.numerator}/{value.denominator}"
     except ValueError as exc:
         raise UnwritableNumber(f"a report cannot write {rational_text(value)} exactly") from exc
+
+
+def format_ratio(numerator: int, denominator: int) -> str:
+    """format_rational(Fraction(numerator, denominator)), denominator > 0,
+    written from the integers by one gcd, with no Fraction but on the way to
+    its UnwritableNumber."""
+    g = gcd(numerator, denominator)
+    numerator, denominator = numerator // g, denominator // g
+    try:
+        return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+    except ValueError:
+        return format_rational(Fraction(numerator, denominator))
 
 
 def approx_decimal(value: Fraction) -> str:
@@ -168,6 +220,14 @@ def rationals(values) -> tuple[Fraction, ...]:
     if isinstance(values, (str, bytes)):
         raise ArityMismatch(f"expected a list of numbers, got {input_text(values)}")
     return tuple(map(as_rational, values))
+
+
+def integer_ratios(values) -> list[tuple[int, int]]:
+    """Each of an iterable of rational-likes as its `integer_ratio`; a
+    string is refused as `rationals` refuses it."""
+    if isinstance(values, (str, bytes)):
+        raise ArityMismatch(f"expected a list of numbers, got {input_text(values)}")
+    return list(map(integer_ratio, values))
 
 
 def load_json(text: str):

@@ -753,12 +753,13 @@ MUTANTS = (
         ("tests/test_cli.py::test_probe_universal_document_byte_for_byte",),
     ),
     Mutant(
-        "a refused count written in full at any length",
+        "a refused number written in full at any length",
         "src/bonuslab/rational.py",
-        "if not isinstance(value, int) or size <= 20:",
+        "if max(map(len, digits)) <= 20:",
         "if True:",
         (
             "tests/test_rational.py::test_rational_text_writes_a_long_int_by_its_size",
+            "tests/test_rational.py::test_rational_text_writes_a_long_rational_by_its_size",
             "tests/test_cli.py::test_a_refused_huge_count_is_written_by_its_size",
         ),
     ),
@@ -783,6 +784,47 @@ MUTANTS = (
             "tests/test_cli.py::"
             "test_malformed_input_is_a_json_error[validate-plan-row-of-three-shares]",
             "tests/test_cli.py::test_a_table_of_the_wrong_share_count_is_refused",
+        ),
+    ),
+    Mutant(
+        "the canonical reader keeps an unreduced ratio",
+        "src/bonuslab/rational.py",
+        "return numerator // g, denominator // g",
+        "return numerator, denominator",
+        (
+            "tests/test_rational.py::"
+            "test_integer_ratio_reads_the_edge_cases_as_the_fraction_parser",
+            "tests/test_rational.py::test_integer_ratio_matches_the_fraction_parser",
+        ),
+    ),
+    Mutant(
+        "the document writer drops the gcd",
+        "src/bonuslab/rational.py",
+        "numerator, denominator = numerator // g, denominator // g",
+        "pass",
+        (
+            "tests/test_rational.py::test_format_ratio_writes_what_format_rational_writes",
+            "tests/test_market.py::test_documents_match_the_format_rational_oracle",
+        ),
+    ),
+    Mutant(
+        "the tensor shares orbits under a non-anonymous plan too",
+        "src/bonuslab/game.py",
+        "if not self.plan.anonymous:",
+        "if False:",
+        (
+            "tests/test_game.py::test_lazy_cells_match_the_eager_tensor",
+            "tests/test_cli.py::test_induce_document_byte_for_byte",
+        ),
+    ),
+    Mutant(
+        "a sorted cell's permutation applied inverted",
+        "src/bonuslab/game.py",
+        "ranks = tuple(map(key.index, combo))",
+        "ranks = tuple(map(combo.index, key))",
+        (
+            "tests/test_game.py::test_lazy_cells_match_the_eager_tensor",
+            "tests/test_cli.py::test_induce_document_byte_for_byte",
         ),
     ),
     Mutant(

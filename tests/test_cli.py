@@ -400,6 +400,44 @@ def test_probe_universal_document_byte_for_byte(tmp_path, capsys, kind, players,
         assert hashlib.sha256(out.encode()).hexdigest() == expected
 
 
+# a 3-action market whose induce tensors hold profiles of three distinct
+# actions; (plan, --lambda, the sha256 of --json induce stdout)
+THREE_ACTION_MARKET = {
+    "actions": ["A", "B", "C"],
+    "atoms": [{"p": "1/2", "outcomes": ["1", "3/2", "0"]},
+              {"p": "1/3", "outcomes": ["2", "1/4", "1"]},
+              {"p": "1/6", "outcomes": ["-1", "5", "3/2"]}],
+}
+INDUCE_DOCUMENTS = {
+    "wta3": ({"players": 3, "kind": "wta"}, "0",
+             "0df7ed82f9f0cc8b255820e16eb6aa38bfc92d71eb3965c03bce0b00118b93eb"),
+    "lta3": ({"players": 3, "kind": "lta"}, "0",
+             "1b703e390d39c48cd4e2f5b4695104c0d49b2f86c37434cfc4dda749e75d48d3"),
+    "tabulated3": ({"players": 3, "kind": "tabulated", "fallback": ["1/3", "1/3", "1/3"],
+                    "points": [{"r": ["1", "3/2", "0"], "shares": ["1/2", "1/2", "0"]},
+                               {"r": ["2", "1/4", "1"], "shares": ["1", "0", "0"]},
+                               {"r": ["0", "1", "1"], "shares": ["0", "1/4", "3/4"]}]}, "0",
+                   "8712b2c1f3841b416523d8a89779f93af72ac9dbf16b106a4a804106ae11dde4"),
+    "m_linear3": ({"players": 3, "kind": "m_linear", "bound": "4", "interval": ["-1", "5"]},
+                  "1/3", "09b4956e7472bbc1f8daf19d27494b07cb178fbfbb4133bbcba8584275c8e5b8"),
+}
+
+
+@pytest.mark.parametrize("plan,lam,expected", INDUCE_DOCUMENTS.values(), ids=INDUCE_DOCUMENTS)
+def test_induce_document_byte_for_byte(tmp_path, capsys, plan, lam, expected):
+    """The --json induce stdout, all 27 cells, pinned for the two anonymous
+    kinds that share one cell per sorted profile, a tabulated plan that does
+    not, and an m_linear plan at earnings weight 1/3."""
+    market, plan_file = tmp_path / "market.json", tmp_path / "plan.json"
+    market.write_text(json.dumps(THREE_ACTION_MARKET))
+    plan_file.write_text(json.dumps(plan))
+    assert main(["--json", "induce", "--market", str(market), "--plan", str(plan_file),
+                 "--lambda", lam]) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["payoffs"]) == 27
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 # a lone surrogate is a str, written by json.dumps as the escape \ud800, that
 # no output can encode
 SURROGATE_MARKET = {"actions": ["\ud800", "b"], "atoms": [{"p": "1", "outcomes": ["2", "1"]}]}
@@ -439,6 +477,8 @@ REJECTED = [
      ["induce", "--market", "M", "--plan", "P"], "FloatRejected"),
     ("induce-lambda-one", {"M": MARKET, "P": WTA},
      ["induce", "--market", "M", "--plan", "P", "--lambda", "1"], "InvalidParameter"),
+    ("induce-lambda-of-4001-digits", {"M": MARKET, "P": WTA},
+     ["induce", "--market", "M", "--plan", "P", "--lambda", "1e4000"], "InvalidParameter"),
     ("induce-tensor-cap", {"M": SIX_ACTION_MARKET, "P": SEVEN_PLAYER_PLAN},  # 6^7 profiles
      ["induce", "--market", "M", "--plan", "P"], "TensorCapExceeded"),
     ("check-eq-resolution-zero", {"M": MARKET, "P": WTA, "Q": [["1", "0"], ["1", "0"]]},
@@ -771,6 +811,8 @@ HUGE_COUNTS = [
      "C(an int of 4001 digits + 2 - 1, 1) grid points over 2 actions exceed cap 200000"),
     ("probe-players-of-4001-digits",
      "plan is for 2 players, --players says an int of 4001 digits"),
+    ("induce-lambda-of-4001-digits",
+     "earnings weight must lie in [0, 1), got a rational of 4001 digits"),
 ]
 
 

@@ -456,6 +456,11 @@ def test_lazy_cells_match_the_eager_tensor(market, k, data):
             for combo in data.draw(st.lists(st.sampled_from(list(oracle)), max_size=3)):
                 assert game.payoff(combo) == oracle[combo]
             assert list(game.payoffs.items()) == list(oracle.items())
+            # every cell is kept, as the oracle's numerators over the game's denominator
+            denominator = game._scoring(market.integer_view.scale).denominator
+            assert game.cells == {
+                combo: tuple(v * denominator for v in values) for combo, values in oracle.items()
+            }
             profile = data.draw(mixed_profiles(market.n, k))
             assert expected_payoffs(game, profile) == pointwise_payoffs(
                 market, plan, w, profile

@@ -32,6 +32,7 @@ from bonuslab import (
     best_response,
     build_market,
     expectation,
+    format_rational,
     induce_game,
     load_market,
     load_plan,
@@ -504,6 +505,55 @@ def test_product_markets_rebuild_from_their_atoms(market):
     """Built on its integer view, with no `Atom`: the market that
     `build_market` makes of the atoms derived from it."""
     assert_rebuilds_from_its_atoms(market)
+
+
+def format_rational_document(market: Market) -> dict:
+    """Reference: the document `format_rational` writes of the derived atoms."""
+    return {
+        "actions": list(market.actions),
+        "atoms": [
+            {"p": format_rational(a.probability),
+             "outcomes": [format_rational(x) for x in a.outcomes]}
+            for a in market.atoms
+        ],
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(markets(max_actions=4), product_markets()))
+def test_documents_match_the_format_rational_oracle(market):
+    """`market_to_dict` writes, from the integer view, the text
+    `format_rational` writes of each atom's numbers, and the document reads
+    back as the market, with its view."""
+    document = market_to_dict(market)
+    assert document == format_rational_document(market)
+    reloaded = market_from_dict(document)
+    assert reloaded == market
+    assert reloaded.integer_view == market.integer_view
+
+
+def test_a_canonical_document_reaches_its_view_and_back_with_no_fraction(monkeypatch):
+    """A document in canonical form is read into the integer view, and the
+    view written back to the same document, with no `Fraction` built either
+    way."""
+    document = {
+        "actions": ["A", "B", "C"],
+        "atoms": [{"p": "1/2", "outcomes": ["1", "-3/2", "0"]},
+                  {"p": "1/3", "outcomes": ["2", "1/4", "7/8"]},
+                  {"p": "1/6", "outcomes": ["-1", "5", "3/2"]}],
+    }
+    expected = build_market(document["actions"],
+                            [(atom["p"], atom["outcomes"]) for atom in document["atoms"]])
+
+    def refused(cls, *args, **kwargs):
+        raise AssertionError(f"a Fraction was built from {args}")
+
+    monkeypatch.setattr(Fraction, "__new__", refused)
+    market = market_from_dict(document)
+    written = market_to_dict(market)
+    monkeypatch.undo()
+    assert market == expected
+    assert written == document
 
 
 def test_the_first_failing_atom_names_the_rule_error():

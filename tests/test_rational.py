@@ -13,10 +13,13 @@ from bonuslab import (
     as_rational,
     format_rational,
 )
+from bonuslab.errors import FloatRejected
 from bonuslab.rational import (
     QUOTE_LIMIT,
     approx_decimal,
+    format_ratio,
     input_text,
+    integer_ratio,
     load_json,
     over_lcm,
     rational_text,
@@ -161,8 +164,7 @@ def test_rational_text_writes_every_int_under_no_digit_limit():
 def test_rational_text_writes_a_number_or_a_tuple_within_the_digit_limit():
     """A number as str() writes it, a Fraction as "a/b"; a tuple with each
     item written so, as documents spell numbers, not with Fraction reprs."""
-    limit = sys.get_int_max_str_digits()
-    longest = Fraction(-(10**limit - 1), 7)  # the longest numerator int-to-str writes
+    longest = Fraction(-(10**20 - 1), 10**20 - 3)  # the longest written in full
     for value in (Fraction(3, 5), Fraction(-2), 0, -12, longest):
         assert rational_text(value) == str(value)
     for value, text in (
@@ -197,25 +199,41 @@ def test_rational_text_writes_every_number_under_no_digit_limit():
     big = Fraction(-(10**limit), 3)
     sys.set_int_max_str_digits(0)
     try:
-        assert rational_text(big) == f"-1{'0' * limit}/3"
-        assert rational_text((big,)) == f"(-1{'0' * limit}/3,)"
+        assert rational_text(big) == f"a negative rational of {limit + 2} digits"
+        assert rational_text((big,)) == f"(a negative rational of {limit + 2} digits,)"
     finally:
         sys.set_int_max_str_digits(limit)
 
 
 def test_rational_text_writes_a_long_int_by_its_size():
     """Up to 20 digits an int is written in full, past that by its digit
-    count, and past the digit limit by the limit; a rational stays exact at
-    any length within the limit, and a tuple is written item by item."""
+    count, and past the digit limit by the limit; a tuple is written item by
+    item."""
     limit = sys.get_int_max_str_digits()
     assert [rational_text(v) for v in (20_001, 10**20 - 1)] == ["20001", "9" * 20]
     assert rational_text(10**20) == "an int of 21 digits"
     assert rational_text(-(10**20)) == "a negative int of 21 digits"
     assert rational_text(10**4000) == "an int of 4001 digits"
     assert rational_text(10**limit) == f"an int of over {limit} digits"
-    assert rational_text(Fraction(10**30, 7)) == f"{10**30}/7"
     assert rational_text((-(10**20), Fraction(10**30, 7), 10**limit)) == (
-        f"(a negative int of 21 digits, {10**30}/7, an int of over {limit} digits)"
+        f"(a negative int of 21 digits, a rational of 32 digits, an int of over {limit} digits)"
+    )
+
+
+def test_rational_text_writes_a_long_rational_by_its_size():
+    """A rational whose numerator or denominator has over 20 digits is
+    written by the digits str() writes, as a long int is: the refusal of an
+    earnings weight of 1e4000 stays short.  Up to 20 digits each it is
+    written in full."""
+    assert rational_text(Fraction(10**4000)) == "a rational of 4001 digits"
+    assert rational_text(Fraction(-(10**4000))) == "a negative rational of 4001 digits"
+    assert rational_text(Fraction(10**30, 7)) == "a rational of 32 digits"
+    assert rational_text(Fraction(-1, 10**20)) == "a negative rational of 22 digits"
+    assert rational_text(Fraction(10**20 - 1, 10**20 - 3)) == f"{10**20 - 1}/{10**20 - 3}"
+    assert rational_text(Fraction(-(10**20 - 1), 7)) == f"-{10**20 - 1}/7"
+    assert rational_text(Fraction(10**20, 7)) == "a rational of 22 digits"
+    assert rational_text((Fraction(1, 2), Fraction(10**4000))) == (
+        "(1/2, a rational of 4001 digits)"
     )
 
 
@@ -260,3 +278,102 @@ def test_over_lcm_matches_the_fraction_oracle(vectors):
             assert any((x * (denominator // p)).denominator != 1 for x in numbers)
     assert [[Fraction(n, denominator) for n in row] for row in numerators] == vectors
     assert all(type(n) is int for row in numerators for n in row)
+
+
+def parent_as_rational(value) -> Fraction:
+    """Reference: as_rational read every string by Fraction, after its
+    exponent check, with these errors and messages."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise FloatRejected("bool is not a rational value")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        text = value.strip()
+        try:
+            if "e" in text or "E" in text:
+                limit = sys.get_int_max_str_digits()
+                if limit and abs(int(text.lower().partition("e")[2])) > limit:
+                    raise UnparsableNumber(f"the exponent of {input_text(value)} exceeds {limit}")
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UnparsableNumber(f"cannot parse {input_text(value)} as a rational") from exc
+    if isinstance(value, float):
+        raise FloatRejected(
+            f"refusing float {input_text(value)}: pass the exact string (e.g. '1.051') instead"
+        )
+    raise FloatRejected(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def outcome_of(read, value):
+    """('ok', result) or ('error', type, message) of read(value)."""
+    try:
+        return "ok", read(value)
+    except Exception as exc:  # the type and the message are compared
+        return "error", type(exc), str(exc)
+
+
+def assert_reads_as_the_parent(value):
+    """integer_ratio gives Fraction's integer ratio of what the reference
+    accepts, and as_rational the same number; both refuse what it refuses,
+    with its error type and message."""
+    expected = outcome_of(parent_as_rational, value)
+    if expected[0] == "ok":
+        ratio = integer_ratio(value)
+        assert ratio == expected[1].as_integer_ratio()
+        assert all(type(x) is int for x in ratio)
+        if isinstance(value, str):
+            assert ratio == Fraction(value).as_integer_ratio()
+        assert as_rational(value) == expected[1]
+    else:
+        assert outcome_of(integer_ratio, value) == expected
+        assert outcome_of(as_rational, value) == expected
+
+
+def test_integer_ratio_reads_the_edge_cases_as_the_fraction_parser():
+    limit = sys.get_int_max_str_digits()
+    cases = [
+        "-0", "007", "0/5", "2/4", "-6/4", "5/0", "0/0", "-0/0", "1/-2", "-1/2", "+3", " 3/5 ",
+        "\t-12\n", "1 / 2", "1/2/3", "/2", "2/", "--1", "1_000", "1_000/3", "٣", "٣/٤", "²",
+        "1.051", "1e-6", "1E6", "-", "", " ", "1/ ", "inf", "nan",
+        "1" * limit, "-" + "9" * limit, "1" * (limit + 1), f"{'9' * limit}/7",
+        f"7/{'1' * limit}", f"7/{'1' * (limit + 1)}", f"1e{limit}", f"1e{limit + 1}",
+        0, -12, 10**30, Fraction(-6, 4), True, 0.5, None, b"1", [1],
+    ]
+    for value in cases:
+        assert_reads_as_the_parent(value)
+
+
+canonical_texts = st.builds(
+    lambda sign, n, slash, d, pad: f"{pad}{sign}{n}{slash}{d}{pad}",
+    st.sampled_from(("", "-", "+")),
+    st.integers(0, 10**30) | st.just("00"),
+    st.sampled_from(("", "/", " / ")),
+    st.sampled_from(("", "0", "1", "12", "007")) | st.integers(0, 10**25).map(str),
+    st.sampled_from(("", " ", "\t")),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(canonical_texts | st.text(alphabet="0123456789-+/._eE ٣²", max_size=10) | st.text())
+def test_integer_ratio_matches_the_fraction_parser(text):
+    assert_reads_as_the_parent(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+def test_format_ratio_writes_what_format_rational_writes(numerator, denominator):
+    assert format_ratio(numerator, denominator) == format_rational(Fraction(numerator, denominator))
+
+
+def test_format_ratio_refuses_what_format_rational_refuses():
+    limit = sys.get_int_max_str_digits()
+    for numerator, denominator in ((10**limit, 1), (-(10**limit) * 3, 3), (1, 10**limit)):
+        with pytest.raises(UnwritableNumber) as exc:
+            format_ratio(numerator, denominator)
+        with pytest.raises(UnwritableNumber) as expected:
+            format_rational(Fraction(numerator, denominator))
+        assert str(exc.value) == str(expected.value)
+    nines = 10**limit - 1
+    assert format_ratio(2 * nines, 2) == str(nines)
