@@ -23,24 +23,30 @@ Verdict semantics (documented once here, relied on throughout):
   NO_VIOLATION_AT_RESOLUTION: portfolios off the grid were not examined.
 
 A plan is pure-sufficient on a market exactly when it states a linear form
-there: `BonusPlan.linear_form(market)`, read once per game as `Game._form`,
-is the pair (equal, slope) when the kind's gate is open at every atom of
-every pure profile, else None.  A portfolio's value at an atom lies between
-the actions' values there, so the gate stays open at every profile of
-portfolios too, and player i's share numerator is
-equal + slope * (k * v_i - sum v) at every atom.  By linearity of
-expectation its payoff numerator is c * E_i + g(the others' strategies),
-E_i its expected result and c = bonus_weight * slope * (k - 1) +
-result_weight >= 0: affine and nondecreasing in its own expectation.
-Three things follow.  No portfolio beats the best pure action, so the pure
-scan is complete (`best_response`'s method "pure-sufficient").  A pure
-cell sums the shares to mass * equal + slope * (k * S[a_i] - sum_j S[a_j])
-and the results to S[a_i], S the market's `expectation_sums`: the integers
-the atom rows give, in O(k), not O(atoms * k).  And u(a, rest) -
-u(b, rest) = c * (S[a] - S[b]) for every opponent profile rest, so
-`strict_dominance` decides each pair on the first surviving opponent
-profile, at most n cells a round, with the same pairs, trace and
-survivors; with c = 0 (the constant plan at w = 0) no pair is strict.
+there: `BonusPlan.linear_form(market)` is the pair (equal, slope) when the
+kind's gate is open at every atom of every pure profile, else None.  A
+portfolio's value at an atom lies between the actions' values there, so
+the gate stays open at every profile of portfolios too, and player i's
+share numerator is equal + slope * (k * v_i - sum v) at every atom.  By
+linearity of expectation its payoff numerator is c * E_i + g(the others'
+strategies), E_i its expected result: affine and nondecreasing in its own
+expectation.  At a pure profile a, over the game's one denominator, this
+is the affine form
+
+    base + c * S[a_i] - d * (sum_j S[a_j] - S[a_i])
+
+with S the market's `expectation_sums`, d = bonus_weight * slope,
+c = d * (k - 1) + result_weight >= 0 and base = bonus_weight * mass * equal
+(the weights of `_Scoring`).  `Game._affine` holds (base, c, d), decided
+once per game, or None when the plan states no form.  Only c * S[a_i]
+depends on the player's own action, so three things follow.  No portfolio
+beats the best pure action: the pure scan is complete (`best_response`'s
+method "pure-sufficient"), and against pure opponents the earliest action
+of largest c * S[a] is the best response, one cell read.  A pure cell is
+the form itself, O(k), not O(atoms * k).  And a dominates b exactly when
+c * (S[a] - S[b]) > 0, against every opponent profile, so
+`strict_dominance` reads no cell; with c = 0 (the constant plan at w = 0)
+no pair is strict.
 
 Searches are shared under an anonymous plan, one whose kind declares
 `anonymous`: permuting the results permutes the shares (constant, wta,
@@ -49,22 +55,25 @@ the profile less its own strategy, so two players with equal strategies
 face the same multiset of opponent strategies.  At every atom the deviator
 then sees the same opponent results in another order, gets the same share
 and the same payoff, and so has the same candidates, exact values and
-tie-break.  `check_nash` searches once per distinct strategy and copies the
-result to the other players; a symmetric profile costs one search, not k.
+tie-break.  Their payoffs are equal too, by the same argument at the
+profile itself.  `check_nash` searches once per distinct strategy and
+copies the result and its gain to the other players; a symmetric profile
+costs one search, not k.
 The tensor is shared by the same argument: `Game.payoffs` computes one cell
 per sorted profile, C(n + k - 1, k) of the n^k, and gives each profile that
 cell permuted, the player on action a the entry at a's rank in the sorted
 profile (players on one action get one payoff).
 
-Strict dominance is shared the same way.  Under an anonymous plan a
-player's payoff is u(own action, multiset of opponent actions), the same
-function for every player, so `strict_dominance` computes one relation,
-player 0's, u(a, rest) = payoff((a,) + rest)[0] with rest running over
-the sorted (k-1)-profiles of surviving actions, and gives it to every
-player.  The survivors stay one set: all players start with every action,
-and if all players hold the same set at the start of a round, they face
-the same opponent multisets, find the same dominated actions and the same
-first dominators, and so hold the same set after it.  The pairs and the
+Strict dominance is shared the same way.  Under an anonymous plan with
+no affine form a player's payoff is u(own action, multiset of opponent
+actions), the same function for every player, so `strict_dominance`
+computes one relation, player 0's, u(a, rest) = payoff((a,) + rest)[0]
+with rest running over the sorted (k-1)-profiles of surviving actions,
+and gives it to every player.  The survivors stay one set: all players
+start with every action, and if all players hold the same set at the
+start of a round, they face the same opponent multisets, find the same
+dominated actions and the same first dominators, and so hold the same set
+after it.  The pairs and the
 elimination trace are the ones the per-player relation over the tensor
 gives, in the same round, player, removed, dominator order.  In the same
 way `check_optimal` scans only the sorted best-expectation profiles: a
@@ -81,10 +90,9 @@ refuses a tensor over TENSOR_CAP pure profiles before computing any.  Every
 other enumeration is capped on its own size, before any cell.  The shared
 dominance relation reads at most n * C(n+k-2, k-1) cells and each cell sums
 k shares per atom, so it is refused when cells times players exceed
-TENSOR_CAP.  Under a linear form it reads at most n cells a round,
-(a, m, ..., m) with m the least survivor, over at most n rounds, and each
-cell sums k numerators, so it is refused when n * n * k exceeds
-TENSOR_CAP.  `check_optimal` scans C(|argmax|+k-1, k) sorted profiles,
+TENSOR_CAP.  Under the affine form it reads no cell, and it is refused
+when the k * n^2 pairs its report may list exceed TENSOR_CAP.
+`check_optimal` scans C(|argmax|+k-1, k) sorted profiles,
 refused over TENSOR_CAP, and a simplex grid's C(d+n-1, n-1) points are
 refused over GRID_CAP, and its points times n weights over
 GRID_WEIGHT_CAP.  A dominance relation or a scan that is not shared is
@@ -129,11 +137,11 @@ at the interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations_with_replacement, islice, product
+from itertools import chain, combinations_with_replacement, product
 from math import lcm
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -185,9 +193,9 @@ class Game:
     compare them directly.  A cell is added on first read; `payoff` turns
     one into `Fraction`s.  Only `payoffs` materializes the full n^k tensor.
     `kernels` keeps the plan's kernel per result scale.  Both start empty,
-    so `replace` gives a game fresh memos; so do the plan's linear form on
-    the market and the way a pure cell is computed, each decided on first
-    use and kept on the game.  The earnings weight is coerced
+    so `replace` gives a game fresh memos; so do the affine form and the
+    way a pure cell is computed, each decided on first use and kept on the
+    game.  The earnings weight is coerced
     by as_rational and must lie in [0, 1).
     """
 
@@ -232,33 +240,40 @@ class Game:
         return value
 
     @cached_property
-    def _form(self) -> tuple[int, int] | None:
-        """The plan's `linear_form(market)`, decided once per game; not None
-        exactly when the plan is pure-sufficient on the market."""
-        return self.plan.linear_form(self.market)
+    def _affine(self) -> _Affine | None:
+        """The payoff's affine form (see the module docstring), decided once
+        per game from the plan's `linear_form(market)`; not None exactly when
+        the plan is pure-sufficient on the market."""
+        form = self.plan.linear_form(self.market)
+        if form is None:
+            return None
+        equal, slope = form
+        view = self.market.integer_view
+        scoring = self._scoring(view.scale)
+        d = scoring.bonus_weight * slope
+        return _Affine(
+            scoring.bonus_weight * view.mass * equal,
+            d * (self.players - 1) + scoring.result_weight,
+            d,
+        )
 
     @cached_property
     def _pure_cell(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
         """How this game computes a pure cell, chosen once, at its first cell:
-        from the expectation sums under a linear form (see the module
-        docstring), else by the kernel on every atom's row."""
-        view = self.market.integer_view
-        if self._form is None:
+        from the expectation sums by the affine form, else by the kernel on
+        every atom's row."""
+        affine = self._affine
+        if affine is None:
+            view = self.market.integer_view
             values, scale = view.values, view.scale
             return lambda combo: _cell(self, list(map(itemgetter(*combo), values)), scale)
-        equal, slope = self._form
-        k, sums = self.players, self.market.expectation_sums
-        scoring = self._scoring(view.scale)
-        bonus_weight, result_weight = scoring.bonus_weight, scoring.result_weight
-        mass_equal = view.mass * equal
+        base, c, d = affine
+        sums = self.market.expectation_sums
 
         def cell(combo):
             own = [sums[a] for a in combo]
             total = sum(own)
-            return tuple(
-                bonus_weight * (mass_equal + slope * (k * s - total)) + result_weight * s
-                for s in own
-            )
+            return tuple(base + c * s - d * (total - s) for s in own)
 
         return cell
 
@@ -319,6 +334,15 @@ class _Scoring(NamedTuple):
     bonus_weight: int
     result_weight: int
     denominator: int
+
+
+class _Affine(NamedTuple):
+    """The affine form's integers over the game's denominator; the module
+    docstring gives the pure cell they make."""
+
+    base: int
+    c: int
+    d: int
 
 
 def _cell(game: Game, rows: Sequence[tuple[int, ...]], scale: int) -> tuple[int, ...]:
@@ -485,9 +509,12 @@ def best_response(
     Deterministic tie-break: earliest candidate wins — pure actions by
     index, then grid points in lexicographic weight order.  A pure-only or
     pure-sufficient search against pure opponents reads the game's memoized
-    numerators; every other search is one `_deviation_scan` over count
-    vectors, pure actions as the grid's vertices.  Candidates are compared
-    as integers; only the best value becomes a Fraction.
+    numerators: under the affine form one cell, the action of the earliest
+    largest c * S[a] (`best_actions[0]`, or action 0 when c = 0), else the
+    n cells of the player's actions.  Every other search is one
+    `_deviation_scan` over count vectors, pure actions as the grid's
+    vertices.  Candidates are compared as integers; only the best value
+    becomes a Fraction.
     """
     k, n = game.players, game.actions
     if not 0 <= as_count(player, "player", None, ArityMismatch) < k:
@@ -497,15 +524,15 @@ def best_response(
     check_arity(opponents, n)
     if resolution is not None:
         as_count(resolution, "grid denominator", 1, InvalidParameter)
-    complete = game._form is not None
-    if complete:
+    affine = game._affine
+    if affine is not None:
         method = "pure-sufficient"
     elif resolution is None:
         method = "pure-only"
     else:
         method = f"grid(d={resolution})"
 
-    grid = not complete and resolution is not None
+    grid = affine is None and resolution is not None
     pure = tuple(s.pure_action for s in opponents)
     if not grid and None not in pure:
         # Cells, not the scorer: the profile's own action is a cell that
@@ -516,12 +543,16 @@ def best_response(
         # 0.383 to 0.467 ms, slower in 5 of 5 alternating pairs (2 vCPUs,
         # Python 3.11.7, --seed 0 --seconds 20; see CHANGES.md).
         before, after = pure[:player], pure[player:]
-        values = [game._numerators(before + (a,) + after)[player] for a in range(n)]
-        # numerators over one denominator rank as the payoffs: the earliest largest wins
-        top = max(values)
-        best = MixedAction.pure(values.index(top), n)
+        if affine is not None:
+            best = game.market.best_actions[0] if affine.c else 0
+            top = game._numerators(before + (best,) + after)[player]
+        else:
+            values = [game._numerators(before + (a,) + after)[player] for a in range(n)]
+            # numerators over one denominator rank as the payoffs: the earliest largest wins
+            top = max(values)
+            best = values.index(top)
         denominator = game._scoring(game.market.integer_view.scale).denominator
-        return BestResponse(player, best, Fraction(top, denominator), method)
+        return BestResponse(player, MixedAction.pure(best, n), Fraction(top, denominator), method)
     d = resolution if grid else 1
     if grid:
         check_simplex_grid(n, d)
@@ -597,7 +628,7 @@ def check_nash(
     """Verify a profile against unilateral deviations; see module docstring.
 
     Under an anonymous plan, players with equal strategies face the same
-    opponents and share one search.
+    opponents and have equal payoffs, so they share one search and its gain.
     """
     payoffs = expected_payoffs(game, profile)
     searched: dict = {}  # by counts: they sum to their unit, so they name the strategy
@@ -605,16 +636,18 @@ def check_nash(
     gains = []
     for player, own in enumerate(profile.strategies):
         key = own.counts
-        br = searched.get(key)
-        if br is None:
+        found = searched.get(key)
+        if found is None:
             others = [s for i, s in enumerate(profile.strategies) if i != player]
             br = best_response(game, player, others, resolution)
+            gain = br.value - payoffs[player]
             if game.plan.anonymous:
-                searched[key] = br
+                searched[key] = br, gain
         else:
-            br = replace(br, player=player)
+            shared, gain = found
+            br = BestResponse(player, shared.strategy, shared.value, shared.method)
         deviations.append(br)
-        gains.append(br.value - payoffs[player])
+        gains.append(gain)
     method = deviations[0].method
     if any(g > 0 for g in gains):
         verdict = Verdict.NOT_EQUILIBRIUM
@@ -658,19 +691,20 @@ def strict_dominance(game: Game) -> DominanceReport:
 
     Each round removes, for every player simultaneously, every action
     strictly dominated by a surviving action against all surviving opponent
-    profiles (order-independent for strict dominance).  Under an anonymous
-    plan one relation, over sorted opponent profiles, serves every player;
-    under a linear form the first surviving opponent profile decides each
-    pair; see the module docstring.  TensorCapExceeded before any cell when
-    the work exceeds TENSOR_CAP: under a linear form n cells per round over
-    n rounds, times the k players each cell sums; else under an anonymous
-    plan the n * C(n + k - 2, k - 1) cells the relation may read, times k;
-    otherwise the n^k tensor.
+    profiles (order-independent for strict dominance).  Under the affine
+    form a dominates b exactly when c * (S[a] - S[b]) > 0, for every player
+    against every opponent profile, so no cell is read.  Otherwise, under an
+    anonymous plan one relation, over sorted opponent profiles, serves every
+    player; see the module docstring.  TensorCapExceeded before any work
+    when it exceeds TENSOR_CAP: under the affine form the k * n^2 pairs the
+    report may list, n x n for each of the k players; else under an
+    anonymous plan the n * C(n + k - 2, k - 1) cells the relation may read,
+    times the k players each cell sums; otherwise the n^k tensor.
     """
     k, n = game.players, game.actions
     shared = game.plan.anonymous
-    linear = game._form is not None
-    if linear:
+    affine = game._affine
+    if affine is not None:
         if n * n * k > TENSOR_CAP:
             raise TensorCapExceeded(
                 f"{n} rounds x {n} cells x {rational_text(k)} players exceed cap {TENSOR_CAP}"
@@ -682,26 +716,32 @@ def strict_dominance(game: Game) -> DominanceReport:
         raise TensorCapExceeded(f"{profiles} pure profiles exceed cap {TENSOR_CAP}")
 
     alive = [tuple(range(n))] * k  # surviving actions per player
-    cell = game._numerators  # one denominator: numerators rank as payoffs
 
-    def dominated(player: int, a: int, b: int) -> bool:
-        """Whether a beats b for the player against every surviving opponent
-        profile; under anonymity, against every sorted one; under a linear
-        form, against the first, which decides for all."""
-        if shared:
-            opponents = combinations_with_replacement(alive[0], k - 1)
-        else:
-            opponents = product(*(alive[j] for j in range(k) if j != player))
-        if linear:
-            opponents = islice(opponents, 1)
-        for rest in opponents:
-            before, after = rest[:player], rest[player:]
-            if (
-                cell(before + (a,) + after)[player]
-                <= cell(before + (b,) + after)[player]
-            ):
-                return False
-        return True
+    if affine is not None:
+        c, sums = affine.c, game.market.expectation_sums
+
+        def dominated(player: int, a: int, b: int) -> bool:
+            """Whether a beats b: by the sign of c * (S[a] - S[b]) alone."""
+            return c * (sums[a] - sums[b]) > 0
+
+    else:
+        cell = game._numerators  # one denominator: numerators rank as payoffs
+
+        def dominated(player: int, a: int, b: int) -> bool:
+            """Whether a beats b for the player against every surviving
+            opponent profile; under anonymity, against every sorted one."""
+            if shared:
+                opponents = combinations_with_replacement(alive[0], k - 1)
+            else:
+                opponents = product(*(alive[j] for j in range(k) if j != player))
+            for rest in opponents:
+                before, after = rest[:player], rest[player:]
+                if (
+                    cell(before + (a,) + after)[player]
+                    <= cell(before + (b,) + after)[player]
+                ):
+                    return False
+            return True
 
     def relation(p: int) -> list[tuple[int, int]]:
         """(dominator, dominated) among player p's surviving actions."""

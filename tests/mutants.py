@@ -160,8 +160,8 @@ MUTANTS = (
     Mutant(
         "pure scan keeps the last of tied actions",
         "src/bonuslab/game.py",
-        "best = MixedAction.pure(values.index(top), n)",
-        "best = MixedAction.pure(n - 1 - values[::-1].index(top), n)",
+        "best = values.index(top)",
+        "best = n - 1 - values[::-1].index(top)",
         ("tests/test_game.py::test_grid_ties_keep_the_earliest_candidate",),
     ),
     Mutant(
@@ -380,8 +380,8 @@ MUTANTS = (
     Mutant(
         "shared search keeps the first player's label",
         "src/bonuslab/game.py",
-        "br = replace(br, player=player)",
-        "pass",
+        "br = BestResponse(player, shared.strategy, shared.value, shared.method)",
+        "br = shared",
         ("tests/test_game.py::test_check_nash_matches_one_best_response_per_player",),
     ),
     Mutant(
@@ -609,23 +609,30 @@ MUTANTS = (
     Mutant(
         "a game takes a linear kind's form without its gate test on the market",
         "src/bonuslab/game.py",
-        "return self.plan.linear_form(self.market)",
-        "return (self.plan._scaled_form(self.market.integer_view.scale)"
+        "form = self.plan.linear_form(self.market)",
+        "form = (self.plan._scaled_form(self.market.integer_view.scale)"
         " if hasattr(self.plan, '_scaled_form') else self.plan.linear_form(self.market))",
         ("tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",),
     ),
     Mutant(
         "pure cells from a form for every anonymous kind, with or without one",
         "src/bonuslab/game.py",
-        "if self._form is None:",
-        "if not self.plan.anonymous:",
+        "        if affine is None:\n            view = self.market.integer_view",
+        "        if not self.plan.anonymous:\n            view = self.market.integer_view",
         ("tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",),
     ),
     Mutant(
-        "dominance reads one opponent profile under every anonymous plan",
+        "dominance under a form by the sign of S[a] - S[b], without c",
         "src/bonuslab/game.py",
-        "linear = game._form is not None",
-        "linear = game.plan.anonymous",
+        "return c * (sums[a] - sums[b]) > 0",
+        "return sums[a] - sums[b] > 0",
+        ("tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",),
+    ),
+    Mutant(
+        "dominance under a form by >= in place of >",
+        "src/bonuslab/game.py",
+        "return c * (sums[a] - sums[b]) > 0",
+        "return c * (sums[a] - sums[b]) >= 0",
         ("tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",),
     ),
     Mutant(
@@ -651,33 +658,47 @@ MUTANTS = (
     Mutant(
         "the linear-form dominance cap applied to every anonymous plan",
         "src/bonuslab/game.py",
-        "    if linear:\n        if n * n * k > TENSOR_CAP:",
+        "    if affine is not None:\n        if n * n * k > TENSOR_CAP:",
         "    if shared:\n        if n * n * k > TENSOR_CAP:",
         ("tests/test_game.py::test_strict_dominance_caps_the_cells_it_may_read",),
     ),
     Mutant(
-        "dominance scans every opponent profile under a linear form",
+        "dominance under a form reads the cells, as without one",
         "src/bonuslab/game.py",
-        "            opponents = islice(opponents, 1)\n",
-        "            pass\n",
+        "    if affine is not None:\n        c, sums = affine.c, game.market.expectation_sums",
+        "    if False:\n        c, sums = affine.c, game.market.expectation_sums",
         (
             "tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",
-            "tests/test_game.py::test_strict_dominance_in_a_separable_game_reads_one_profile_per_pair",
+            "tests/test_game.py::test_strict_dominance_in_a_separable_game_reads_no_cell",
         ),
     ),
     Mutant(
-        "pure cells from the linear form with the slope on (sum v - k v_i)",
+        "pure cells from the affine form add the others' term, not subtract it",
         "src/bonuslab/game.py",
-        "slope * (k * s - total)",
-        "slope * (total - k * s)",
+        "base + c * s - d * (total - s)",
+        "base + c * s + d * (total - s)",
         ("tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",),
     ),
     Mutant(
-        "pure cells from the linear form drop the earnings term",
+        "the affine form's c without the result weight",
         "src/bonuslab/game.py",
-        "bonus_weight * (mass_equal + slope * (k * s - total)) + result_weight * s",
-        "bonus_weight * (mass_equal + slope * (k * s - total))",
+        "d * (self.players - 1) + scoring.result_weight,",
+        "d * (self.players - 1),",
         ("tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",),
+    ),
+    Mutant(
+        "the affine form's c without its (k - 1) factor",
+        "src/bonuslab/game.py",
+        "d * (self.players - 1) + scoring.result_weight,",
+        "d + scoring.result_weight,",
+        ("tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",),
+    ),
+    Mutant(
+        "pure best response under a form reads c = 0 as c > 0",
+        "src/bonuslab/game.py",
+        "best = game.market.best_actions[0] if affine.c else 0",
+        "best = game.market.best_actions[0]",
+        ("tests/test_game.py::test_pure_best_response_under_a_form_reads_one_cell",),
     ),
     Mutant(
         "the constant plan states the form (0, 1)",
@@ -865,15 +886,6 @@ EQUIVALENTS = (
         "counts.index(unit) if unit in counts else None",
         "counts are >= 0 and sum to the unit, so a count equal to the unit leaves 0 to the"
         " others; the unit, the least common denominator, is then 1, and the count is the 1",
-    ),
-    Equivalent(
-        "dominance under a linear form reads the second opponent profile, not the first",
-        "src/bonuslab/game.py",
-        "opponents = islice(opponents, 1)",
-        "opponents = islice(opponents, 1, 2)",
-        "every opponent profile gives a pair the same difference, c * (S[a] - S[b]); every"
-        " kind with a form is anonymous, and a pair needs two surviving actions, so there"
-        " are at least two sorted opponent profiles and the second exists",
     ),
     Equivalent(
         "threshold sweep starts from 0, not from the largest magnitude",

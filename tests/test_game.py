@@ -484,12 +484,13 @@ def test_cells_hold_numerators_over_the_game_denominator(market, k):
 
 
 @settings(max_examples=30, deadline=None)
-@given(markets(), st.integers(2, 5))
+@given(markets() | tied_markets(), st.integers(2, 5))
 def test_pure_cells_from_the_linear_form_match_the_atom_rows(market, k):
-    """Where a plan is pure-sufficient on the market, a pure cell comes from
-    the actions' expectation sums by the plan's linear form and runs no
-    kernel; elsewhere it runs the kernel atom by atom.  Either way each cell,
-    and the whole tensor, is `_cell` on the profile's atom rows."""
+    """Where a plan is pure-sufficient on the market, the game holds the
+    affine form and a pure cell comes from the actions' expectation sums by
+    it, running no kernel; elsewhere it runs the kernel atom by atom.
+    Either way each cell, and the whole tensor, is `_cell` on the profile's
+    atom rows."""
     import bonuslab.game as game_module
 
     view, atom_cell = market.integer_view, game_module._cell
@@ -505,6 +506,7 @@ def test_pure_cells_from_the_linear_form_match_the_atom_rows(market, k):
         covered.add(sufficient)
         for w in (F(0), F(1, 3), F(1, 2)):
             game = induce_game(market, plan, w)
+            assert (game._affine is not None) is sufficient
             denominator = game._scoring(view.scale).denominator
             expected = {
                 combo: atom_cell(game, [tuple(row[a] for a in combo) for row in view.values],
@@ -521,6 +523,34 @@ def test_pure_cells_from_the_linear_form_match_the_atom_rows(market, k):
                 combo: tuple(F(x, denominator) for x in cell) for combo, cell in expected.items()
             }
     assert True in covered
+
+
+@settings(max_examples=30, deadline=None)
+@given(markets() | tied_markets(), st.integers(2, 4), st.data())
+def test_pure_best_response_under_a_form_reads_one_cell(market, k, data):
+    """Against pure opponents under the affine form, the best response is
+    the scan's over all n actions, in strategy and value, and reads one
+    cell: the earliest action of largest expectation, or action 0 when no
+    action moves the payoff (c = 0, the constant plan at w = 0)."""
+    n = market.n
+    for plan in plans_with_a_form(market, k):
+        if plan.linear_form(market) is None:
+            continue
+        for w in (F(0), F(1, 3)):
+            game = induce_game(market, plan, w)
+            player = data.draw(st.integers(0, k - 1))
+            opponents = [MixedAction.pure(data.draw(st.integers(0, n - 1)), n)
+                         for _ in range(k - 1)]
+            br = best_response(game, player, opponents)
+            assert (br.strategy.weights, br.value) == oracle_best_response(
+                market, plan, w, player, opponents, None
+            )
+            assert br.method == "pure-sufficient"
+            assert len(game.cells) == 1
+    # every action pays 1/2: action 0 wins the tie, not the best expectation
+    market = build_market(["A", "B"], [("1", ("0", "1"))])
+    br = best_response(induce_game(market, ConstantPlan(2), 0), 0, [MixedAction.pure(1, 2)])
+    assert (br.strategy.pure_action, br.value) == (0, F(1, 2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -652,9 +682,10 @@ def shared_profiles(draw, n, k):
 @settings(max_examples=30, deadline=None)
 @given(markets(), st.integers(2, 4), st.data())
 def test_check_nash_matches_one_best_response_per_player(market, k, data):
-    """A shared search reports what that player's own search reports."""
+    """A shared search reports what that player's own search reports, and
+    its gain is that player's deviation value less its payoff."""
     resolution = data.draw(st.sampled_from([None, 1, 2, 3, 4]))
-    for plan in every_kind(market, k):
+    for plan in every_kind(market, k) + plans_with_a_form(market, k):
         for w in (F(0), F(1, 3)):
             game = induce_game(market, plan, w)
             profile = data.draw(shared_profiles(market.n, k))
@@ -746,20 +777,22 @@ def test_check_optimal_scans_sorted_profiles_under_an_anonymous_plan():
 
 
 def test_strict_dominance_runs_on_sorted_opponent_profiles():
-    """At k = 7 the tensor has 6^7 = 279 936 profiles, over the cap; one
-    relation over sorted opponent profiles reads at most 6 * C(11, 6) = 2 772."""
+    """At k = 7 the tensor has 6^7 = 279 936 profiles, over the cap; under
+    winner-take-all, which states no linear form, one relation over sorted
+    opponent profiles reads at most 6 * C(11, 6) = 2 772."""
     market = six_action_market()
-    game = induce_game(market, build_m_linear(market, 7), 0)
+    game = induce_game(market, WinnerTakeAllPlan(7), 0)
     report = strict_dominance(game)
     assert len(report.survivors) == 7 and len(set(report.survivors)) == 1
     assert {p for p, _, _ in report.pairs} <= set(range(7))
-    assert len(game.cells) <= 6 * comb(11, 6)
+    assert 0 < len(game.cells) <= 6 * comb(11, 6)
     assert all(list(combo[1:]) == sorted(combo[1:]) for combo in game.cells)
 
 
 def test_strict_dominance_builds_no_fraction(monkeypatch):
-    """The relation compares cell numerators; no Fraction is made, while
-    reading a payoff does make them through the same counted name."""
+    """The relation compares cell numerators, or under the affine form
+    expectation sums and reads no cell; no Fraction is made, while reading
+    a payoff does make them through the same counted name."""
     import bonuslab.game as game_module
 
     built = []
@@ -774,9 +807,9 @@ def test_strict_dominance_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(game_module, "Fraction", counting)
     for game in games:
         strict_dominance(game)
-        assert game.cells
+        assert bool(game.cells) is (game._affine is None)
     assert built == []
-    games[0].payoff(next(iter(games[0].cells)))
+    games[0].payoff((0, 0, 0))
     assert built
 
 
@@ -983,8 +1016,8 @@ def test_strict_dominance_matches_the_tensor_relation(market, k):
     survivors, for every kind and for each linear kind with a gate that
     covers the market and one that does not; the shared relation reads only
     sorted opponent profiles.  A plan with a linear form on the market
-    reads at most n cells a round, and the constant plan at w = 0, whose
-    payoffs no action moves, has no strict pair."""
+    decides by the affine form and reads no cell, and the constant plan at
+    w = 0, whose payoffs no action moves, has no strict pair."""
     for plan in every_kind(market, k) + plans_with_a_form(market, k):
         linear = plan.linear_form(market) is not None
         for w in (F(0), F(1, 3)):
@@ -994,19 +1027,18 @@ def test_strict_dominance_matches_the_tensor_relation(market, k):
             if plan.anonymous:
                 assert all(list(combo[1:]) == sorted(combo[1:]) for combo in game.cells)
             if linear:
-                rounds = 1 + max((e.round for e in report.eliminations), default=0)
-                assert len(game.cells) <= market.n * rounds
+                assert game.cells == {}
             if plan.kind == "constant" and w == 0:
                 assert report.pairs == ()
                 assert report.survivors == (tuple(range(market.n)),) * k
 
 
-def test_strict_dominance_in_a_separable_game_reads_one_profile_per_pair():
+def test_strict_dominance_in_a_separable_game_reads_no_cell():
     """m_linear at k = 7 covers `six_action_market()`, so it states its
-    linear form there: the first sorted opponent profile decides each pair,
-    and the relation reads the 6 cells (a, 0, ..., 0), not up to
-    6 * C(11, 6) = 2 772.  An action dominates exactly the actions of lower expectation;
-    A0 has the largest, so round 1 leaves (A0, ..., A0)."""
+    linear form there: the expectation sums decide each pair, and the
+    relation reads no cell, not up to 6 * C(11, 6) = 2 772.  An action
+    dominates exactly the actions of lower expectation; A0 has the largest,
+    so round 1 leaves (A0, ..., A0)."""
     market = six_action_market()
     game = induce_game(market, build_m_linear(market, 7), 0)
     report = strict_dominance(game)
@@ -1018,7 +1050,7 @@ def test_strict_dominance_in_a_separable_game_reads_one_profile_per_pair():
         Elimination(1, p, b, 0) for p in range(7) for b in range(1, 6)
     )
     assert report.unique_profile == (0,) * 7
-    assert len(game.cells) <= 6
+    assert game.cells == {}
 
 
 def test_payoff_rejects_a_profile_outside_the_game():
