@@ -39,7 +39,6 @@ from .errors import (
     ExpectationNotUnique,
     FloatRejected,
     GridCapExceeded,
-    IncompleteMapping,
     InvalidParameter,
     NonPositiveProbability,
     NonSimplexTable,

@@ -30,11 +30,15 @@ the counterexample before returning it.  The increase builder's escape and
 validation ask the same question of `Market.best_actions`: the profile's
 actions are best and the deviation is not.
 
-The two coordinate builders' deviation rules read support indices: each
-atom of the product market comes to the rule as its tuple of indices into
-the sorted support, one per player (`market._ByIndex`), and the base atom
-is named by the base point's indices.  No atom's `Fraction`s are built or
-compared; the market derives them only when a reader asks for its atoms.
+The two coordinate builders share one market design, `_coordinate_market`:
+k draws from a marginal, and a deviation action that realizes the witness
+on the base tuple and the violating player's draw elsewhere, except, for
+the increase builder, a low value wherever a draw is its high escape.  Its
+rule reads support indices, as every `product_market` rule does: each atom
+comes to it as its tuple of indices into the sorted support, one per
+player, and the base atom is named by the base point's indices.  No atom's
+`Fraction`s are built or compared; the market derives them only when a
+reader asks for its atoms.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from .market import (
     Profile,
     build_market,
     product_market,
-    _ByIndex,
     _multisets_exceed,
     _power_exceeds,
 )
@@ -322,14 +325,30 @@ def _base_marginal(violation: CoordinateViolation) -> list[tuple[Fraction, Fract
     ]
 
 
-def _indexed_base(
-    marginal: list[tuple[Fraction, Fraction]], violation: CoordinateViolation
-) -> tuple[list[Fraction], tuple[int, ...]]:
-    """The sorted support that `product_market` indexes, the marginal's
-    values (they are distinct), and the base point as indices into it, one
-    per player: the index tuple of the base atom."""
+def _coordinate_market(
+    violation: CoordinateViolation,
+    marginal: list[tuple[Fraction, Fraction]],
+    low: Fraction | None = None,
+) -> Market:
+    """The product market of k draws from the marginal, plus the deviation
+    action "dev": the witness on the base tuple, `low` (when given) wherever
+    a draw is the escape, the marginal's largest value, and the violating
+    player's draw elsewhere.  The marginal's values are distinct, so the
+    rule names the base atom by the base point's indices into the sorted
+    support, and the escape by the last index."""
+    player, witness = violation.player, violation.witness
     support = sorted(v for v, _ in marginal)
-    return support, tuple(map(support.index, violation.base))
+    base_ix = tuple(map(support.index, violation.base))
+    top = len(support) - 1
+
+    def deviation(ix: tuple[int, ...]) -> Fraction:
+        if ix == base_ix:
+            return witness
+        if low is not None and top in ix:
+            return low
+        return support[ix[player]]
+
+    return product_market(marginal, len(base_ix), [("dev", deviation)])
 
 
 def tuple_probability(violation: CoordinateViolation) -> Fraction:
@@ -349,19 +368,12 @@ def coordinate_decrease_counterexample(
     there and losing expectation, never bonus, elsewhere.
     """
     _check_coordinate(plan, violation, Direction.DECREASE)
-    player, witness = violation.player, violation.witness
     k = plan.players
-    marginal = _base_marginal(violation)
-    support, base_ix = _indexed_base(marginal, violation)
-
-    def dip(ix: tuple) -> Fraction:
-        return witness if ix == base_ix else support[ix[player]]
-
-    market = product_market(marginal, k, [("dev", _ByIndex(dip))])
+    market = _coordinate_market(violation, _base_marginal(violation))
     pi_base = tuple_probability(violation)
     params = {"tuple_probability": pi_base}
     return _certified(
-        plan, market, tuple(range(k)), player, k, violation.deficit * pi_base, params
+        plan, market, tuple(range(k)), violation.player, k, violation.deficit * pi_base, params
     )
 
 
@@ -405,21 +417,10 @@ def coordinate_increase_counterexample(
         escape *= 2
 
     actions = tuple(range(k))
+    scaled = [(v, p * q) for v, q in _base_marginal(violation)]
     for doubling in range(ESCALATIONS):
-        high, low = escape, -escape
-        marginal = [(v, p * q) for v, q in _base_marginal(violation)]
-        marginal.append((high, ONE - p))
-        support, base_ix = _indexed_base(marginal, violation)
-        top = len(support) - 1  # the high escape, above every base value
-
-        def chase(ix: tuple) -> Fraction:
-            if ix == base_ix:
-                return witness
-            if top in ix:
-                return low
-            return support[ix[player]]
-
-        market = product_market(marginal, k, [("dev", _ByIndex(chase))])
+        high, low = escape, -escape  # the high escape lies above every base value
+        market = _coordinate_market(violation, scaled + [(high, ONE - p)], low)
         if market.best_actions == actions:  # the deviation k ranks below them
             gain = _switch_gain(plan, market, actions, player, k)
             params = {

@@ -49,10 +49,6 @@ class AtomCapExceeded(BonusLabError):
     """A product market would have more atoms than market.ATOM_CAP."""
 
 
-class IncompleteMapping(BonusLabError):
-    """An extra action in a product market has no value for some outcome tuple."""
-
-
 class NonSimplexTable(BonusLabError):
     """A tabulated plan entry is not a valid allocation (negative or sum != 1),
     or the table lists one result vector twice."""

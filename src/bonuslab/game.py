@@ -707,7 +707,7 @@ def strict_dominance(game: Game) -> DominanceReport:
     if affine is not None:
         if n * n * k > TENSOR_CAP:
             raise TensorCapExceeded(
-                f"{n} rounds x {n} cells x {rational_text(k)} players exceed cap {TENSOR_CAP}"
+                f"{n} x {n} pairs x {rational_text(k)} players exceed cap {TENSOR_CAP}"
             )
     elif shared:
         if cells := _multisets_exceed(n, k - 1, TENSOR_CAP // (n * k)):

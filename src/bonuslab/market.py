@@ -49,7 +49,6 @@ from .errors import (
     AtomCapExceeded,
     BonusLabError,
     GridCapExceeded,
-    IncompleteMapping,
     InvalidParameter,
     NonPositiveProbability,
     NonSimplexWeights,
@@ -376,23 +375,26 @@ def two_bond_market() -> Market:
 def product_market(
     marginal: Iterable[tuple],
     copies: int,
-    extra_actions: Sequence[tuple[str, "Mapping | Callable"]] = (),
+    extra_actions: Sequence[tuple[str, Callable[[tuple[int, ...]], object]]] = (),
 ) -> Market:
     """Market of `copies` i.i.d. draws from a marginal, one action per copy.
 
     marginal: (value, probability) pairs; duplicate values merge their mass.
-    extra_actions: (label, rule) pairs, where rule maps each outcome tuple
-        (one value per copy) to the extra action's outcome there.  A rule is
-        a callable or a mapping keyed by tuples; a missing tuple raises
-        IncompleteMapping.  An entry of either list that is not a pair
-        raises ArityMismatch.
+    extra_actions: (label, rule) pairs.  A rule is a callable on an atom's
+        tuple of indices into the sorted, merged support, one index per
+        copy, and returns the extra action's outcome there, coerced by
+        `as_rational`; an exception the rule raises is not wrapped.
 
     The atoms are all value tuples in support^copies with product
     probabilities, in product order of the sorted support; coordinate
-    action j realizes component j.  More than ATOM_CAP atoms raise
-    AtomCapExceeded before any atom is built.  At each atom in that order
-    every rule is read, then its values are coerced, so the first atom at
-    which a rule fails names the error.
+    action j realizes component j.  Before any atom is read, the copy
+    count, then the marginal (each entry a pair, each probability positive,
+    then a mass of 1), then the atom cap (more than ATOM_CAP atoms raise
+    AtomCapExceeded), then each extra action in turn are checked: an entry
+    that is not a pair, or whose rule is not callable, raises
+    ArityMismatch.  At each atom in that order every rule is read, then its
+    values are coerced, so the first atom at which a rule fails names the
+    error.
 
     The market's integer view is handed over as built, with no `Atom`.  The
     merged marginal is held as integer weights over `mass`, the lcm of its
@@ -418,10 +420,16 @@ def product_market(
     if atoms := _power_exceeds(len(support), copies, ATOM_CAP):
         raise AtomCapExceeded(f"{atoms} atoms exceed cap {ATOM_CAP}")
 
-    pairs = _pairs(extra_actions, "extra action", "(label, rule)")
-    rules = [(label, _index_rule(label, rule, support)) for label, rule in pairs]
+    rules = []
+    for label, rule in _pairs(extra_actions, "extra action", "(label, rule)"):
+        if not callable(rule):
+            raise ArityMismatch(
+                f"extra action {input_text(label)} has a rule of type {type(rule).__name__},"
+                " not a callable"
+            )
+        rules.append((label, rule))
     draws = product(range(len(support)), repeat=copies)
-    extras = [rationals([read(ix) for _, read in rules]) for ix in draws]
+    extras = [rationals([rule(ix) for _, rule in rules]) for ix in draws]
     scale, (ints, *extra_ints) = over_lcm(support, *extras)
     labels = tuple(f"X{j + 1}" for j in range(copies)) + tuple(label for label, _ in rules)
     view = IntegerView(
@@ -431,16 +439,6 @@ def product_market(
         tuple(map(add, product(ints, repeat=copies), extra_ints)),
     )
     return Market(labels, view)
-
-
-@dataclass(frozen=True)
-class _ByIndex:
-    """An extra action's rule that `product_market` reads on each atom's
-    tuple of indices into the sorted support, one per copy, instead of on
-    its values: the counterexample builders name an atom without comparing
-    `Fraction`s."""
-
-    read: Callable[[tuple[int, ...]], object]
 
 
 def _power_exceeds(n: int, k: int, cap: int) -> str | None:
@@ -468,36 +466,6 @@ def _multisets_exceed(n: int, size: int, cap: int) -> str | None:
     if count <= cap:
         return None
     return f"C({rational_text(size)} + {rational_text(n)} - 1, {rational_text(s)})"
-
-
-def _index_rule(label: str, rule, support: list[Fraction]) -> Callable:
-    """The rule as read on a tuple of support indices: a `_ByIndex` rule as
-    it is, any other at the value tuple the indices name, its value as
-    given; a KeyError or a None there is IncompleteMapping.  Whether to call
-    the rule or to `get` from it is chosen once; a rule that is neither
-    callable nor a mapping is ArityMismatch."""
-    if isinstance(rule, _ByIndex):
-        return rule.read
-    read = rule if callable(rule) else getattr(rule, "get", None)
-    if read is None:
-        raise ArityMismatch(
-            f"extra action {input_text(label)} has a rule of type {type(rule).__name__},"
-            " neither callable nor a mapping"
-        )
-
-    missing = f"extra action {input_text(label)} has no value at"
-
-    def lookup(ix: tuple):
-        combo = tuple(map(support.__getitem__, ix))
-        try:
-            value = read(combo)
-        except KeyError as exc:
-            raise IncompleteMapping(f"{missing} {rational_text(combo)}") from exc
-        if value is None:
-            raise IncompleteMapping(f"{missing} {rational_text(combo)}")
-        return value
-
-    return lookup
 
 
 # =====================================================================

@@ -25,7 +25,6 @@ from bonuslab import (
     BoundedLinearPlan,
     ConstantPlan,
     DominanceReport,
-    IncompleteMapping,
     LoserTakeAllPlan,
     Market,
     MixedAction,
@@ -256,10 +255,10 @@ def fraction_product_atoms(marginal, copies: int, rules=()) -> list[tuple[Fracti
     product of Fraction marginal masses and the outcomes the draw's values
     then each rule's value there.
 
-    It checks the marginal and reads the rules the way `product_market` did
-    in Fractions, with the same errors and messages: a probability <= 0,
-    then a merged mass other than 1; a rule's KeyError or None is
-    IncompleteMapping, and its value is coerced as soon as it is read."""
+    It checks the marginal the way `product_market` did in Fractions, with
+    the same errors and messages: a probability <= 0, then a merged mass
+    other than 1.  Each rule is read on the draw's indices into the sorted
+    support, and its value is coerced as soon as it is read."""
     merged: dict[Fraction, Fraction] = {}
     for value, prob in marginal:
         v, p = as_rational(value), as_rational(prob)
@@ -269,20 +268,11 @@ def fraction_product_atoms(marginal, copies: int, rules=()) -> list[tuple[Fracti
     if sum(merged.values()) != 1:
         raise NonUnitMass(f"marginal probabilities sum to {sum(merged.values())}, not 1")
 
-    def read(label, rule, combo):
-        try:
-            value = rule(combo) if callable(rule) else rule.get(combo)
-        except KeyError:
-            value = None
-        if value is None:
-            raise IncompleteMapping(
-                f"extra action {label!r} has no value at {vector_text(combo)}"
-            )
-        return as_rational(value)
-
+    support = sorted(merged)
     atoms = []
-    for combo in product(sorted(merged), repeat=copies):
-        extras = tuple(read(label, rule, combo) for label, rule in rules)
+    for ix in product(range(len(support)), repeat=copies):
+        combo = tuple(support[i] for i in ix)
+        extras = tuple(as_rational(rule(ix)) for _, rule in rules)
         probability = Fraction(1)
         for v in combo:
             probability *= merged[v]

@@ -504,8 +504,8 @@ MUTANTS = (
     Mutant(
         "base_ix taken from the wrong player's index",
         "src/bonuslab/counterexamples.py",
-        "return support, tuple(map(support.index, violation.base))",
-        "return support, tuple(map(support.index, violation.base[1:] + violation.base[:1]))",
+        "base_ix = tuple(map(support.index, violation.base))",
+        "base_ix = tuple(map(support.index, violation.base[1:] + violation.base[:1]))",
         (
             "tests/test_counterexamples.py::test_coordinate_decrease_builder_frozen_values",
             "tests/test_counterexamples.py::test_coordinate_increase_builder_frozen_values",
@@ -517,6 +517,20 @@ MUTANTS = (
         "top = len(support) - 1",
         "top = 0",
         ("tests/test_counterexamples.py::test_coordinate_increase_builder_frozen_values",),
+    ),
+    Mutant(
+        "the escape branch taken without a low value",
+        "src/bonuslab/counterexamples.py",
+        "if low is not None and top in ix:",
+        "if top in ix:",
+        ("tests/test_counterexamples.py::test_coordinate_decrease_builder_frozen_values",),
+    ),
+    Mutant(
+        "a non-callable rule accepted",
+        "src/bonuslab/market.py",
+        "if not callable(rule):",
+        "if False:",
+        ("tests/test_market.py::test_malformed_pairs_are_refused",),
     ),
     Mutant(
         "a derived atom's probability taken over view.scale instead of view.mass",

@@ -381,6 +381,8 @@ PROBE_DOCUMENTS = [
     ("lta", 2, "0:1:1/2", PAIR_DECREASE),
     ("wta", 3, "0:2:1", "09dcfa4471b5cca282c4520d806ca6198325828cae39c0396ac0c5d2df37da5b"),
     ("lta", 3, "0:2:1", "aeb36fff15e3a974131e66e1177b91629cf4c52f6867fbd7101db44b5dde8afa"),
+    # the increase builder's market built a second time: one escape doubling
+    ("wta", 4, "0:3:1", "0cca02f307220d1c5ceb360b68c58a80aba2af717490b6d370a0cdb77e673a26"),
 ]
 
 

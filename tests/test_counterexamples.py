@@ -322,8 +322,10 @@ def test_coordinate_increase_escape_passes_a_tie():
     violation = CoordinateViolation(Direction.INCREASE, 0, (F(1), F(2)), F(3323, 225), F(1))
     p, high = F(15, 16), F(16)
 
-    def chase(combo):
-        return violation.witness if combo == (1, 2) else (-high if high in combo else combo[0])
+    support = (F(1), F(2), high)  # the base point is the draw (0, 1), the escape index 2
+
+    def chase(ix):
+        return violation.witness if ix == (0, 1) else (-high if 2 in ix else support[ix[0]])
 
     marginal = [(F(1), p / 2), (F(2), p / 2), (high, 1 - p)]
     tied = product_market(marginal, 2, [("dev", chase)])

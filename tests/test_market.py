@@ -20,7 +20,6 @@ from bonuslab import (
     AtomCapExceeded,
     BonusLabError,
     FloatRejected,
-    IncompleteMapping,
     InvalidParameter,
     Market,
     MixedAction,
@@ -28,6 +27,7 @@ from bonuslab import (
     NonSimplexWeights,
     NonUnitMass,
     Profile,
+    UnparsableNumber,
     WinnerTakeAllPlan,
     best_response,
     build_market,
@@ -89,7 +89,8 @@ def test_outcome_rows_must_match_actions():
 
 def test_malformed_pairs_are_refused():
     """An atom, a marginal entry or an extra action that is not a pair is
-    refused by its place, before anything is read from it."""
+    refused by its place, before anything is read from it, and so is a rule
+    that is not callable, a mapping too."""
     marginal = [("0", "1/2"), ("1", "1/2")]
     cases = [
         (lambda: build_market(["a"], [("1",)]), "atom 0 is not a (probability, outcomes) pair"),
@@ -99,6 +100,8 @@ def test_malformed_pairs_are_refused():
         (lambda: product_market(marginal + [7], 2), "marginal entry 2 is not"),
         (lambda: product_market(marginal, 2, [("dev",)]), "extra action 0 is not a (label, rule)"),
         (lambda: product_market(marginal, 2, [("dev", 3)]), "extra action 'dev' has a rule of"),
+        (lambda: product_market(marginal, 2, [("dev", {(0, 0): "1"})]),
+         "extra action 'dev' has a rule of type dict, not a callable"),
     ]
     for call, text in cases:
         with pytest.raises(ArityMismatch, match=re.escape(text)):
@@ -134,7 +137,7 @@ def test_action_labels_are_strings():
     with pytest.raises(ArityMismatch):
         build_market("AB", [("1", ("1", "2"))])
     with pytest.raises(ArityMismatch):
-        product_market([("0", "1/2"), ("1", "1/2")], 2, [(3, lambda combo: combo[0])])
+        product_market([("0", "1/2"), ("1", "1/2")], 2, [(3, lambda ix: ix[0])])
 
 
 def test_action_labels_are_utf8_text():
@@ -355,21 +358,21 @@ def test_product_market_merges_duplicate_marginal_values():
 
 
 def test_product_market_extra_actions():
-    marginal = [("0", "1/2"), ("1", "1/2")]
-    market = product_market(
-        marginal, 2, extra_actions=[("sum", lambda combo: sum(combo))]
-    )
+    """A rule reads each atom's indices into the sorted support, in product
+    order, and its value is the extra action's outcome there."""
+    marginal = [("3", "1/2"), ("1/2", "1/2")]
+    support = (Fraction(1, 2), Fraction(3))
+    seen = []
+
+    def total(ix):
+        seen.append(ix)
+        return sum(map(support.__getitem__, ix))
+
+    market = product_market(marginal, 2, extra_actions=[("sum", total)])
     assert market.actions == ("X1", "X2", "sum")
+    assert seen == [(0, 0), (0, 1), (1, 0), (1, 1)]
     for atom in market.atoms:
         assert atom.outcomes[2] == atom.outcomes[0] + atom.outcomes[1]
-
-
-def test_product_market_incomplete_mapping():
-    marginal = [("0", "1/2"), ("1", "1/2")]
-    with pytest.raises(IncompleteMapping):
-        product_market(
-            marginal, 2, extra_actions=[("partial", {(Fraction(0), Fraction(0)): Fraction(9)})]
-        )
 
 
 def test_product_market_atom_cap():
@@ -377,7 +380,7 @@ def test_product_market_atom_cap():
     marginal = [(Fraction(v), Fraction(1, 317)) for v in range(317)]
     seen = []
     with pytest.raises(AtomCapExceeded):
-        product_market(marginal, 2, [("dev", lambda combo: seen.append(combo) or combo[0])])
+        product_market(marginal, 2, [("dev", lambda ix: seen.append(ix) or ix[0])])
     assert seen == []
 
 
@@ -388,7 +391,7 @@ def test_product_market_cap_on_huge_copy_counts():
         product_market(
             [("1", "1/2"), ("2", "1/2")],
             20_000,
-            [("dev", lambda combo: seen.append(combo) or combo[0])],
+            [("dev", lambda ix: seen.append(ix) or ix[0])],
         )
     assert seen == []
 
@@ -418,9 +421,10 @@ def product_markets(draw):
     marginal = draw(marginals())
     copies = draw(st.integers(1, 3))
     lift = draw(st.fractions(min_value=-2, max_value=2, max_denominator=5))
+    support = sorted({v for v, _ in marginal})
     extras = [
-        ("top", lambda combo: max(combo) + lift),
-        ("spread", lambda combo: combo[-1] - combo[0]),
+        ("top", lambda ix: support[max(ix)] + lift),
+        ("spread", lambda ix: support[ix[-1]] - support[ix[0]]),
     ][: draw(st.integers(0, 2))]
     return product_market(marginal, copies, extras)
 
@@ -458,27 +462,23 @@ def raised(call):
 
 
 @st.composite
-def odd_rules(draw, marginal, copies):
-    """An extra action's rule that may fail where the last value is
-    positive: a float, a None, a KeyError, a mapping without those combos,
-    or a string, good or not; drawn in front of or behind a sum rule."""
-    kind = draw(st.sampled_from(("float", "None", "KeyError", "mapping", "string", "garbage")))
+def odd_rules(draw, marginal):
+    """An extra action's index rule that may fail where the last draw's
+    value is positive: a float or a None, both refused by coercion, or a
+    string, good or not; drawn in front of or behind a sum rule."""
+    kind = draw(st.sampled_from(("float", "None", "string", "garbage")))
     support = sorted({v for v, _ in marginal})
 
-    def key_error(combo):
-        if combo[-1] > 0:
-            raise KeyError(combo)
-        return combo[0]
+    def first_unless_last_positive(odd):
+        return lambda ix: odd if support[ix[-1]] > 0 else support[ix[0]]
 
     rule = {
-        "float": lambda combo: 0.5 if combo[-1] > 0 else combo[0],
-        "None": lambda combo: None if combo[-1] > 0 else combo[0],
-        "KeyError": key_error,
-        "mapping": {c: c[0] for c in product(support, repeat=copies) if c[-1] <= 0},
-        "string": lambda combo: f"{combo[0]}/3",
-        "garbage": lambda combo: "x" if combo[-1] > 0 else combo[0],
+        "float": first_unless_last_positive(0.5),
+        "None": first_unless_last_positive(None),
+        "string": lambda ix: f"{support[ix[0]]}/3",
+        "garbage": first_unless_last_positive("x"),
     }[kind]
-    rules = [("sum", lambda combo: sum(combo)), (kind, rule)]
+    rules = [("sum", lambda ix: sum(map(support.__getitem__, ix))), (kind, rule)]
     return rules[:: draw(st.sampled_from((1, -1)))]
 
 
@@ -487,10 +487,10 @@ def odd_rules(draw, marginal, copies):
 def test_product_market_atoms_match_the_fraction_products(data, marginal, copies):
     """The same atoms in the same order: integer weights over mass^copies
     give the probabilities the Fraction products give, and each rule's
-    values follow the combo.  A marginal with a probability <= 0 or a mass
-    other than 1, and a rule with a gap or a value that is not a number,
-    raise the reference's error with its message."""
-    rules = data.draw(odd_rules(marginal, copies))
+    values follow the draw.  A marginal with a probability <= 0 or a mass
+    other than 1, and a rule with a value that is not a number, a None
+    too, raise the reference's error with its message."""
+    rules = data.draw(odd_rules(marginal))
     market = raised(lambda: product_market(marginal, copies, rules))
     oracle = raised(lambda: fraction_product_atoms(marginal, copies, rules))
     if isinstance(market, Market):
@@ -557,33 +557,36 @@ def test_a_canonical_document_reaches_its_view_and_back_with_no_fraction(monkeyp
 
 
 def test_the_first_failing_atom_names_the_rule_error():
-    """Two extra rules that fail at different atoms: the error is the one at
-    the earlier atom in product order, whichever rule is listed first.  At
-    one atom every rule is read before any value is coerced, so a gap there
-    comes before a float."""
+    """Two extra rules that fail at different atoms, one with a float and
+    one with an unparsable string: the error is the one at the earlier atom
+    in product order, whichever rule is listed first.  At one atom every
+    rule is read before any value is coerced, so an exception a rule raises
+    there comes, unwrapped, before an earlier rule's float."""
     marginal = [("0", "1/2"), ("1", "1/2")]
-    combos = list(product((Fraction(0), Fraction(1)), repeat=2))
-    early, late = combos[1], combos[2]
+    draws = list(product(range(2), repeat=2))
+    early, late = draws[1], draws[2]
 
     def floated(at):
-        return lambda combo: 0.5 if combo == at else combo[0]
+        return lambda ix: 0.5 if ix == at else ix[0]
 
-    def gapped(at):
-        return {combo: combo[0] for combo in combos if combo != at}
+    def garbled(at):
+        return lambda ix: "x" if ix == at else ix[0]
 
     for rules in (
-        [("gap", gapped(late)), ("float", floated(early))],
-        [("float", floated(early)), ("gap", gapped(late))],
-        [("gap", gapped(early)), ("float", floated(late))],
-        [("float", floated(late)), ("gap", gapped(early))],
+        [("text", garbled(late)), ("float", floated(early))],
+        [("float", floated(early)), ("text", garbled(late))],
+        [("text", garbled(early)), ("float", floated(late))],
+        [("float", floated(late)), ("text", garbled(early))],
     ):
         error = raised(lambda: product_market(marginal, 2, rules))
         assert error == raised(lambda: fraction_product_atoms(marginal, 2, rules))
-        assert error[0] in (FloatRejected, IncompleteMapping)
-    same_atom = [("float", floated(early)), ("gap", gapped(early))]
-    assert raised(lambda: product_market(marginal, 2, same_atom)) == (
-        IncompleteMapping, "extra action 'gap' has no value at (0, 1)"
-    )
+        assert error[0] in (FloatRejected, UnparsableNumber)
+
+    def lookup(ix):
+        return {draw: 0 for draw in draws if draw != early}[ix]
+
+    with pytest.raises(KeyError):
+        product_market(marginal, 2, [("float", floated(early)), ("gap", lookup)])
 
 
 def test_a_view_off_its_least_denominators_is_refused():
