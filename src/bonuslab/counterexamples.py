@@ -377,6 +377,20 @@ def coordinate_decrease_counterexample(
     )
 
 
+def _probability_step(k: int, weighted_deficit: Fraction) -> tuple[Fraction, int]:
+    """The schedule's first p = 1 - 2^-t, and its t, at which the guaranteed
+    gain weighted_deficit * p^k - (1 - p^k) is positive; SearchExhausted
+    past ESCALATIONS steps.  With a / b = weighted_deficit + 1, the gain is
+    positive exactly when p^k * a / b > 1, that is when
+    (2^t - 1)^k * a > 2^(t k) * b: integers, and one Fraction, for the p
+    that passes."""
+    a, b = (weighted_deficit + 1).as_integer_ratio()
+    for t in range(1, ESCALATIONS + 1):
+        if (2**t - 1) ** k * a > 2 ** (t * k) * b:
+            return Fraction(2**t - 1, 2**t), t
+    raise SearchExhausted(f"guaranteed gain still negative after {ESCALATIONS} probability steps")
+
+
 def coordinate_increase_counterexample(
     plan: BonusPlan, violation: CoordinateViolation
 ) -> Counterexample:
@@ -390,7 +404,8 @@ def coordinate_increase_counterexample(
 
         deficit * p^k * (base tuple probability)  -  (1 - p^k)
 
-    turns positive (a rare-case bonus loss is at most 1); then the escape
+    turns positive (a rare-case bonus loss is at most 1), a test each step
+    makes by comparing integers (`_probability_step`); then the escape
     values double outward until the deviation's expectation drops strictly
     below the common one.  The reported gain is recomputed exactly.
     """
@@ -399,17 +414,7 @@ def coordinate_increase_counterexample(
     k = plan.players
     pi_base = tuple_probability(violation)
 
-    p = None
-    schedule_steps = None
-    for t in range(1, ESCALATIONS + 1):
-        candidate = ONE - Fraction(1, 2**t)
-        if violation.deficit * candidate**k * pi_base > 1 - candidate**k:
-            p, schedule_steps = candidate, t
-            break
-    if p is None:
-        raise SearchExhausted(
-            f"guaranteed gain still negative after {ESCALATIONS} probability steps"
-        )
+    p, schedule_steps = _probability_step(k, violation.deficit * pi_base)
 
     magnitude = max(max(abs(v) for v in base), abs(witness))
     escape = ONE

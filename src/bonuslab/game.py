@@ -107,12 +107,14 @@ denominator and every probability over another.  A portfolio keeps its
 weights as integer counts c_j over its unit d; scaled to a unit all the
 strategies share, they realize sum_j c_j * outcome-numerator_j over d times
 that denominator, and the plan's `kernel` for that scale returns
-integer share numerators, its gates compared as integers.  A cell applies
-the kernel to every atom's result row and sums each player's column of
-shares, and of results when the earnings weight w is not 0, against the
-probability weights; under a linear form a pure cell skips the atoms
-(above), and portfolios keep the atom rows.  A cell holds integer payoff
-numerators over one denominator, the same for every cell of the game, so
+integer share numerators, its gates compared as integers.  A cell hands
+every atom's result row to the plan's `share_sums`, which sums each
+player's shares against the probability weights (by default the kernel's
+shares at every atom, column by column; the wta and lta kinds count each
+atom's winners in one pass), and sums each player's column of results
+when the earnings weight w is not 0; under a linear form a pure cell
+skips the atoms (above), and portfolios keep the atom rows.  A cell holds
+integer payoff numerators over one denominator, the same for every cell of the game, so
 comparing two numerators compares the two payoffs: `strict_dominance` and the pure scan
 of `best_response` rank cells as integers and build no `Fraction` while
 they do.  `Game.payoff` is where a cell's `Fraction`s are built, one per
@@ -347,14 +349,13 @@ class _Affine(NamedTuple):
 
 def _cell(game: Game, rows: Sequence[tuple[int, ...]], scale: int) -> tuple[int, ...]:
     """Expected payoff numerators from one integer result vector per atom,
-    over `scale`: each player's column of shares, then of results, summed
-    against the atoms' probability weights."""
+    over `scale`: each player's shares summed against the atoms' probability
+    weights, by the plan's `share_sums`, then each player's column of
+    results."""
     scoring = game._scoring(scale)
     weights = game.market.integer_view.weights
-    bonus = [
-        scoring.bonus_weight * sum(map(mul, weights, column))
-        for column in zip(*map(scoring.kernel.shares, rows))
-    ]
+    sums = game.plan.share_sums(scoring.kernel, rows, weights)
+    bonus = [scoring.bonus_weight * s for s in sums]
     if not scoring.result_weight:
         return tuple(bonus)
     return tuple(

@@ -16,7 +16,8 @@ A market is kept as its `integer_view`, the one form `Market` checks:
 outcomes are integers over one common denominator, probabilities over
 another, each the least.  `build_market` reads its atoms' numbers as
 integer ratios (`rational.integer_ratio`) and writes them so with
-`ratios_over_lcm`; `product_market` hands its view over directly.  The
+`ratios_over_lcm`; `product_market` reads its rules' values the same way
+and hands its view over directly.  The
 atoms are derived from the view on first read, one `Fraction` per distinct
 integer, so a verdict that never reads them never builds them.
 `market_to_dict` writes a document from the view itself, one string per
@@ -382,8 +383,9 @@ def product_market(
     marginal: (value, probability) pairs; duplicate values merge their mass.
     extra_actions: (label, rule) pairs.  A rule is a callable on an atom's
         tuple of indices into the sorted, merged support, one index per
-        copy, and returns the extra action's outcome there, coerced by
-        `as_rational`; an exception the rule raises is not wrapped.
+        copy, and returns the extra action's outcome there, read by
+        `integer_ratio` with its errors, as `build_market` reads an
+        outcome; an exception the rule raises is not wrapped.
 
     The atoms are all value tuples in support^copies with product
     probabilities, in product order of the sorted support; coordinate
@@ -393,14 +395,15 @@ def product_market(
     AtomCapExceeded), then each extra action in turn are checked: an entry
     that is not a pair, or whose rule is not callable, raises
     ArityMismatch.  At each atom in that order every rule is read, then its
-    values are coerced, so the first atom at which a rule fails names the
-    error.
+    values are read as integer ratios, so the first atom at which a rule
+    fails names the error.
 
     The market's integer view is handed over as built, with no `Atom`.  The
     merged marginal is held as integer weights over `mass`, the lcm of its
     denominators; an atom's weight is the product of its draws' weights
     over mass^copies, and its row the support's integers plus the rules'
-    values, over one scale.  Both are in lowest terms: a prime that divides
+    values, over one scale that `ratios_over_lcm` takes, as `build_market`
+    does.  Both are in lowest terms: a prime that divides
     the mass misses some weight, and so the product of `copies` of it.
     """
     as_count(copies, "copy count", 1, ArityMismatch)
@@ -429,8 +432,9 @@ def product_market(
             )
         rules.append((label, rule))
     draws = product(range(len(support)), repeat=copies)
-    extras = [rationals([rule(ix) for _, rule in rules]) for ix in draws]
-    scale, (ints, *extra_ints) = over_lcm(support, *extras)
+    extras = [integer_ratios([rule(ix) for _, rule in rules]) for ix in draws]
+    support_ratios = [v.as_integer_ratio() for v in support]
+    scale, (ints, *extra_ints) = ratios_over_lcm([support_ratios, *extras])
     labels = tuple(f"X{j + 1}" for j in range(copies)) + tuple(label for label, _ in rules)
     view = IntegerView(
         scale,

@@ -27,7 +27,11 @@ Payoff cells, grid searches and probes run kernels; `evaluate` runs the
 kernel at one result vector's least common denominator.  A deviation
 search asks `BonusPlan.response` for one player's share at one atom, as a
 function of that player's result against fixed opponents: by default the
-kernel's entry, in closed form for the wta kind.
+kernel's entry, in closed form for the wta kind.  A payoff cell asks
+`BonusPlan.share_sums` for each player's share numerators summed against
+the atoms' probability weights: by default the kernel's shares at every
+atom, summed column by column; the wta and lta kinds count each atom's
+winners in one pass and build no share row.
 
 A kind's pure-sufficiency rule is `BonusPlan.linear_form(market)`: the
 pair (equal, slope) over the market's `integer_view.scale`, with player
@@ -46,6 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
 from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -87,7 +92,9 @@ class BonusPlan:
 
     A kind defines its allocation once, in `kernel`; `evaluate` runs that
     kernel at the results' least common denominator.  Each kind also owns
-    its document fields, its construction from a document, the result
+    its share at one atom as a function of one player's result (`response`),
+    its share numerators summed over a market's atoms (`share_sums`), its
+    document fields, its construction from a document, the result
     vectors `validate_simplex` always probes, its pure-sufficiency rule (its
     `linear_form` on a market) and whether it is anonymous.  The defaults
     here fit a kind with no parameters, no sufficiency argument and no
@@ -135,6 +142,19 @@ class BonusPlan:
         shares = kernel.shares
         before, after = others[:player], others[player:]
         return lambda x: shares(before + (x,) + after)[player]
+
+    def share_sums(
+        self, kernel: Kernel, rows: Sequence[tuple[int, ...]], weights: Sequence[int]
+    ) -> list[int]:
+        """Each player's share numerators summed against the atoms' weights.
+
+        `kernel` is this plan's kernel at some scale, `rows` holds one result
+        vector per atom, integers over that scale, and `weights` the atoms'
+        probability weights, one per row.  Entry i is the sum over the atoms
+        of weight times entry i of the kernel's shares there.  This default
+        runs the kernel at every atom and sums each player's column.
+        """
+        return [sum(map(mul, weights, column)) for column in zip(*map(kernel.shares, rows))]
 
     def kernel_for(self, values: Sequence[Fraction]) -> tuple[Kernel, tuple[int, ...]]:
         """The kernel at the values' least common denominator, and the values
@@ -191,6 +211,9 @@ class WinnerTakeAllPlan(BonusPlan):
         tie = full // (others.count(top) + 1)  # split with the opponents at the top
         return lambda x: full if x > top else tie if x == top else 0
 
+    def share_sums(self, kernel, rows, weights):
+        return _split_sums(self.players, kernel.denominator, rows, weights, max)
+
 
 @dataclass(frozen=True)
 class LoserTakeAllPlan(BonusPlan):
@@ -199,6 +222,9 @@ class LoserTakeAllPlan(BonusPlan):
 
     def kernel(self, scale):
         return _split_kernel(self.players, min)
+
+    def share_sums(self, kernel, rows, weights):
+        return _split_sums(self.players, kernel.denominator, rows, weights, min)
 
 
 def _split_kernel(players: int, pick) -> Kernel:
@@ -211,6 +237,24 @@ def _split_kernel(players: int, pick) -> Kernel:
         return [share if x == best else 0 for x in v]
 
     return Kernel(denominator, shares)
+
+
+def _split_sums(players: int, denominator: int, rows, weights, pick) -> list[int]:
+    """`_split_kernel`'s shares summed against the weights, one pass over the
+    atoms with no share row: a lone pick(v) gets p * denominator, and each
+    of `count` tied ones p * (denominator // count)."""
+    sums = [0] * players
+    for v, p in zip(rows, weights):
+        best = pick(v)
+        count = v.count(best)
+        if count == 1:
+            sums[v.index(best)] += p * denominator
+        else:
+            tied = p * (denominator // count)
+            for i, x in enumerate(v):
+                if x == best:
+                    sums[i] += tied
+    return sums
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,41 @@ MUTANTS = (
         ("tests/test_plans.py::test_kernels_match_evaluate",),
     ),
     Mutant(
+        "WTA/LTA share sums give a tie the whole share",
+        "src/bonuslab/plans.py",
+        "tied = p * (denominator // count)",
+        "tied = p * denominator",
+        ("tests/test_plans.py::test_share_sums_match_the_kernel",),
+    ),
+    Mutant(
+        "WTA/LTA share sums credit a lone winner at index 0",
+        "src/bonuslab/plans.py",
+        "sums[v.index(best)] += p * denominator",
+        "sums[0] += p * denominator",
+        ("tests/test_plans.py::test_share_sums_match_the_kernel",),
+    ),
+    Mutant(
+        "LTA share sums pick the largest result",
+        "src/bonuslab/plans.py",
+        "_split_sums(self.players, kernel.denominator, rows, weights, min)",
+        "_split_sums(self.players, kernel.denominator, rows, weights, max)",
+        ("tests/test_plans.py::test_share_sums_match_the_kernel",),
+    ),
+    Mutant(
+        "probability schedule passes a zero guaranteed gain",
+        "src/bonuslab/counterexamples.py",
+        "(2**t - 1) ** k * a > 2 ** (t * k) * b",
+        "(2**t - 1) ** k * a >= 2 ** (t * k) * b",
+        ("tests/test_counterexamples.py::test_integer_schedule_passes_over_a_zero_gain",),
+    ),
+    Mutant(
+        "probability schedule compares against k * 2^t, not 2^(t k)",
+        "src/bonuslab/counterexamples.py",
+        "2 ** (t * k) * b",
+        "2 ** t * k * b",
+        ("tests/test_counterexamples.py::test_integer_schedule_matches_the_fraction_schedule",),
+    ),
+    Mutant(
         "grid compositions in reversed order",
         "src/bonuslab/game.py",
         "for c in range(left + 1):",

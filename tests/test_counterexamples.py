@@ -387,6 +387,51 @@ def test_increase_schedule_can_exhaust():
         coordinate_increase_counterexample(plan, violation)
 
 
+def _fraction_schedule(k, deficit, pi_base):
+    """The schedule's (p, t) by the guaranteed gain in `Fraction`s, as the
+    increase builder once computed it: the oracle; None when exhausted."""
+    for t in range(1, counterexamples.ESCALATIONS + 1):
+        p = 1 - F(1, 2**t)
+        if deficit * p**k * pi_base > 1 - p**k:
+            return p, t
+    return None
+
+
+def _integer_schedule(k, deficit, pi_base):
+    try:
+        return counterexamples._probability_step(k, deficit * pi_base)
+    except SearchExhausted:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(3, 6),
+    st.fractions(min_value=F(1, 2**60), max_value=4, max_denominator=2**64),
+    st.fractions(min_value=F(1, 2**30), max_value=1, max_denominator=2**32),
+)
+def test_integer_schedule_matches_the_fraction_schedule(k, deficit, pi_base):
+    """The increase builder's integer test picks the schedule's (p, t) that
+    the Fraction gain picks, for random deficits and base probabilities."""
+    assert _integer_schedule(k, deficit, pi_base) == _fraction_schedule(k, deficit, pi_base)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_integer_schedule_passes_over_a_zero_gain(k):
+    """Where the guaranteed gain is exactly 0 at step t, the schedule steps
+    on to t + 1, as the Fraction gain does; and a deficit too small for any
+    step exhausts it."""
+    for t in range(1, 6):
+        weighted = F(2 ** (t * k), (2**t - 1) ** k) - 1  # p^k * (weighted + 1) == 1
+        for pi_base in (F(1), F(1, 8), F(3, 64)):
+            deficit = weighted / pi_base
+            found = _integer_schedule(k, deficit, pi_base)
+            assert found == _fraction_schedule(k, deficit, pi_base)
+            assert found == (1 - F(1, 2 ** (t + 1)), t + 1)
+    assert _integer_schedule(k, F(1, 2**80), F(1, 3)) is None
+    assert _fraction_schedule(k, F(1, 2**80), F(1, 3)) is None
+
+
 def test_validate_rejects_tampered_certificates():
     plan = WinnerTakeAllPlan(2)
     ce = pair_increase_counterexample(plan, probe_pairs(plan, ("0", "1"))[0])

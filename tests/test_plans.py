@@ -23,6 +23,8 @@ from bonuslab import (
     TabulatedPlan,
     UnparsableNumber,
     WinnerTakeAllPlan,
+    build_market,
+    induce_game,
     load_plan,
     plan_from_dict,
     plan_to_dict,
@@ -377,6 +379,82 @@ def test_responses_match_the_kernel():
                 table_hits += plan.kind == "tabulated" and v == row
     assert gates == {"m_linear": {True, False}, "bounded_linear": {True, False}}
     assert table_hits
+
+
+@dataclass(frozen=True)
+class _FirstLeaderPlan(BonusPlan):
+    """A kind that states only its kernel, so `share_sums` runs the default:
+    everything to the first player of largest result."""
+
+    kind = "first-leader"
+
+    def kernel(self, scale):
+        def shares(v):
+            first = v.index(max(v))
+            return [self.players if i == first else 0 for i in range(len(v))]
+
+        return Kernel(self.players, shares)
+
+
+@st.composite
+def share_rows(draw):
+    """k, a scale, result rows over it and weights >= 1, one per row: rows
+    tied at every player, two-way at the top, two-way at the bottom, and
+    free ones, negative results among them."""
+    k = draw(st.integers(2, 7))
+    scale = draw(st.integers(1, 6))
+    rows = []
+    shapes = ("free", "level", "top", "bottom")
+    for shape in draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=6)):
+        v = draw(st.lists(st.integers(-3 * scale, 3 * scale), min_size=k, max_size=k))
+        if shape == "level":
+            v = [v[0]] * k
+        elif shape != "free":
+            i, j = draw(st.permutations(range(k)))[:2]
+            v[i] = v[j] = max(v) if shape == "top" else min(v)
+        rows.append(tuple(v))
+    weights = draw(st.lists(st.integers(1, 50), min_size=len(rows), max_size=len(rows)))
+    return k, scale, rows, weights
+
+
+@settings(max_examples=300)
+@given(share_rows())
+def test_share_sums_match_the_kernel(case):
+    """Each kind's `share_sums` is its kernel's shares summed against the
+    weights row by row: the one-pass wta and lta sums, and the default for
+    every other kind and for a kind that states only its kernel."""
+    k, scale, rows, weights = case
+    for plan in plans_for(k) + [_FirstLeaderPlan(k)]:
+        kernel = plan.kernel(scale)
+        expected = [0] * k
+        for v, p in zip(rows, weights):
+            for i, share in enumerate(kernel.shares(v)):
+                expected[i] += p * share
+        assert list(plan.share_sums(kernel, rows, weights)) == expected, plan
+
+
+@pytest.mark.parametrize(
+    "kind,lone", [(WinnerTakeAllPlan, "1"), (LoserTakeAllPlan, "-1")], ids=["wta", "lta"]
+)
+def test_split_share_sums_at_the_player_cap(kind, lone):
+    """At PLAYER_CAP players on a 2-atom market: at one atom every player
+    ties, at the other one player, the only one on action B, stands alone
+    at the top (wta) or the bottom (lta)."""
+    plan = kind(PLAYER_CAP)
+    market = build_market(("A", "B"), [("1/4", ("0", "0")), ("3/4", ("0", lone))])
+    winner = PLAYER_CAP // 3
+    combo = (0,) * winner + (1,) + (0,) * (PLAYER_CAP - winner - 1)
+    view = market.integer_view
+    rows = [tuple(values[a] for a in combo) for values in view.values]
+    kernel = plan.kernel(view.scale)
+    got = plan.share_sums(kernel, rows, view.weights)
+    tied = kernel.denominator // PLAYER_CAP  # the weight of the level atom is 1
+    assert got == [tied + 3 * kernel.denominator if i == winner else tied
+                   for i in range(PLAYER_CAP)]
+    assert got == BonusPlan.share_sums(plan, kernel, rows, view.weights)
+    payoffs = induce_game(market, plan).payoff(combo)
+    assert payoffs == tuple(F(1, 4 * PLAYER_CAP) + (F(3, 4) if i == winner else 0)
+                            for i in range(PLAYER_CAP))
 
 
 @given(st.lists(results, min_size=2, max_size=4))

@@ -168,6 +168,8 @@ EXEMPT = {
     "BonusPlan.kernel": "the internal integer path; evaluate and kernel_for pass it an int scale",
     "BonusPlan.response": "the internal integer path; the deviation scan passes it a player"
     " index it has checked and opponent results from the market's integer view",
+    "BonusPlan.share_sums": "the internal integer path; a payoff cell passes it the market's"
+    " integer probability weights and result rows",
 }
 
 NON_INTS = (2.5, True, "2", F(2))
