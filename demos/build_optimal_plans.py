@@ -57,10 +57,10 @@ outliers = build_market(
         ("1/1000000", ("1000000", "9999999/10")),
     ],
 )
-for atom in outliers.atoms:
+for probability, row in outliers.atoms:
     print(
-        f"  p = {format_rational(atom.probability)}: "
-        + ", ".join(format_rational(x) for x in atom.outcomes)
+        f"  p = {format_rational(probability)}: "
+        + ", ".join(format_rational(x) for x in row)
     )
 print(f"  support bound: {format_rational(support_stats(outliers).max_abs)}")
 show(outliers, grid=6)

@@ -30,9 +30,9 @@ def describe(name, plan, grid):
     print(f"  violation: player {v.player + 1} is paid "
           f"{format_rational(v.deficit)} more for a {moved} own result")
     print("  counterexample market:")
-    for atom in ce.market.atoms[:4]:
-        row = ", ".join(format_rational(x) for x in atom.outcomes)
-        print(f"    p = {format_rational(atom.probability)}: ({row})")
+    for probability, outcomes in ce.market.atoms[:4]:
+        row = ", ".join(format_rational(x) for x in outcomes)
+        print(f"    p = {format_rational(probability)}: ({row})")
     if len(ce.market.atoms) > 4:
         print(f"    ... {len(ce.market.atoms) - 4} more atoms")
     spoiler = ce.market.actions[ce.deviation]

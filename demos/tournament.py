@@ -26,12 +26,12 @@ market = two_bond_market()
 plan = WinnerTakeAllPlan(2)
 
 print("The market:")
-for atom in market.atoms:
+for probability, row in market.atoms:
     outcomes = ", ".join(
         f"{label} = {format_rational(x)}"
-        for label, x in zip(market.actions, atom.outcomes)
+        for label, x in zip(market.actions, row)
     )
-    print(f"  with probability {format_rational(atom.probability)}: {outcomes}")
+    print(f"  with probability {format_rational(probability)}: {outcomes}")
 print(
     "Expectations:",
     ", ".join(

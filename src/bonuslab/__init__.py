@@ -68,7 +68,6 @@ from .game import (
     strict_dominance,
 )
 from .market import (
-    Atom,
     Market,
     MixedAction,
     Profile,

@@ -21,14 +21,17 @@ Violation directions, shared by the two-player and many-player probes:
 
 Every builder re-evaluates its violation against the plan first: one
 own-move deficit, evaluate(bent)[player] - evaluate(base)[player], backs
-the pair and the coordinate checks (StaleViolation on mismatch).  A builder
-then only designs its market.  The increase builders read their gains from
-the induced game (two pure cells at earnings weight 0); the decrease
-builders state theirs in closed form.  All four return through one path,
-which reads the certificate from the market's expectations and validates
-the counterexample before returning it.  The increase builder's escape and
-validation ask the same question of `Market.best_actions`: the profile's
-actions are best and the deviation is not.
+the pair and the coordinate checks (StaleViolation on mismatch), and the
+builder computes with it.  The decrease builders state their gains in
+closed form, the increase builders none.  All four return through one
+path, which reads the certificate from the market's expectations and makes
+`validate_counterexample`'s checks on the one game it induces (two pure
+cells at earnings weight 0), recording the recomputed gain where none is
+stated.  The increase builder's escape and validation ask the same question
+of `Market.best_actions`: the profile's actions are best and the deviation
+is not.  A recorded deficit, gain or certificate value is an int or a
+Fraction, compared and never parsed: a float is FloatRejected even where it
+equals the exact value.
 
 The two coordinate builders share one market design, `_coordinate_market`:
 k draws from a marginal, and a deviation action that realizes the witness
@@ -43,14 +46,14 @@ reader asks for its atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
 from typing import Sequence
 
-from .errors import ArityMismatch, GridCapExceeded, SearchExhausted, StaleViolation
+from .errors import ArityMismatch, FloatRejected, GridCapExceeded, SearchExhausted, StaleViolation
 from .game import induce_game
 from .market import (
     GRID_CAP,
@@ -62,7 +65,7 @@ from .market import (
     _power_exceeds,
 )
 from .plans import BonusPlan
-from .rational import as_count, as_rational, rational_text, rationals
+from .rational import as_count, as_rational, input_text, rational_text, rationals
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -227,9 +230,9 @@ def pair_decrease_counterexample(plan: BonusPlan, violation: PairViolation) -> C
     With certainty the best action realizes y and the alternative realizes
     x < y; dropping to the alternative is rewarded by exactly the deficit.
     """
-    _check_pair(plan, violation, Direction.DECREASE)
+    deficit = _check_pair(plan, violation, Direction.DECREASE)
     market = build_market(("X1", "X2"), [(ONE, (violation.y, violation.x))])
-    return _certified(plan, market, (0, 0), violation.player, 1, violation.deficit, {})
+    return _certified(plan, market, (0, 0), violation.player, 1, deficit, {})
 
 
 def pair_increase_counterexample(plan: BonusPlan, violation: PairViolation) -> Counterexample:
@@ -246,26 +249,24 @@ def pair_increase_counterexample(plan: BonusPlan, violation: PairViolation) -> C
     it nonpositive, and validation then raises StaleViolation.  params
     records "iterations": 0, as no escalation is needed.
     """
-    _check_pair(plan, violation, Direction.INCREASE)
-    x, y, player, deficit = violation.x, violation.y, violation.player, violation.deficit
+    deficit = _check_pair(plan, violation, Direction.INCREASE)
+    x, y = violation.x, violation.y
     rare_mass = HALF * deficit / (1 + deficit)
     p = ONE - rare_mass
     z = x + p * (y - x) / rare_mass + 1
     market = build_market(("X1", "X2"), [(p, (x, y)), (rare_mass, (z, x))])
-    gain = _switch_gain(plan, market, (0, 0), player, 1)
     params = {"p": p, "z": z, "iterations": 0}
-    return _certified(plan, market, (0, 0), player, 1, gain, params)
+    return _certified(plan, market, (0, 0), violation.player, 1, None, params)
 
 
-def _check_pair(plan: BonusPlan, violation: PairViolation, direction: Direction) -> None:
+def _check_pair(plan: BonusPlan, violation: PairViolation, direction: Direction) -> Fraction:
     if plan.players != 2:
         raise ArityMismatch("pair violations are for two-player plans")
     x, y = violation.x, violation.y
     # a decrease drops the player from (y, y) to x; an increase lifts it from (x, x) to y
     if direction is Direction.DECREASE:
-        _check_own_move(plan, violation, direction, (y, y), x)
-    else:
-        _check_own_move(plan, violation, direction, (x, x), y)
+        return _check_own_move(plan, violation, direction, (y, y), x)
+    return _check_own_move(plan, violation, direction, (x, x), y)
 
 
 def _check_own_move(
@@ -274,15 +275,16 @@ def _check_own_move(
     direction: Direction,
     base: tuple[Fraction, ...],
     witness: Fraction,
-) -> None:
-    """StaleViolation unless moving the violation's player from its base
-    coordinate to witness, against fixed others, is a `direction` move that
-    raises its share by exactly the recorded deficit > 0."""
+) -> Fraction:
+    """The deficit: StaleViolation unless moving the violation's player from
+    its base coordinate to witness, against fixed others, is a `direction`
+    move that raises its share by exactly the recorded deficit > 0."""
     if violation.direction is not direction:
         raise StaleViolation(
             f"expected a {direction.value} violation, got {violation.direction.value}"
         )
     player = as_count(violation.player, "player", None, StaleViolation)
+    recorded = _exact(violation.deficit, "deficit")
     if not 0 <= player < len(base):
         raise StaleViolation(f"player {rational_text(player)} is not one of {len(base)} players")
     own = base[player]
@@ -293,11 +295,22 @@ def _check_own_move(
         )
     bent = base[:player] + (witness,) + base[player + 1 :]
     deficit = plan.evaluate(bent)[player] - plan.evaluate(base)[player]
-    if deficit <= 0 or deficit != violation.deficit:
+    if deficit <= 0 or deficit != recorded:
         raise StaleViolation(
             f"{violation.direction.value} violation of player {player} with deficit"
-            f" {rational_text(violation.deficit)} does not match the plan's current behavior"
+            f" {rational_text(recorded)} does not match the plan's current behavior"
         )
+    return deficit
+
+
+def _exact(value, name: str):
+    """`value` if it is an int or a Fraction; FloatRejected for a float,
+    StaleViolation for any other value, a bool or a string too."""
+    if isinstance(value, float):
+        raise FloatRejected(f"refusing float {name} {input_text(value)}")
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise StaleViolation(f"{name} {input_text(value)} is not an int or a Fraction")
+    return value
 
 
 # =====================================================================
@@ -307,13 +320,13 @@ def _check_own_move(
 
 def _check_coordinate(
     plan: BonusPlan, violation: CoordinateViolation, direction: Direction
-) -> None:
+) -> Fraction:
     base = violation.base
     if len(base) != plan.players:
         raise ArityMismatch(f"base point {rational_text(base)} is not a {plan.players}-vector")
     if len(set(base)) != len(base):
         raise StaleViolation(f"base point {rational_text(base)} has repeated coordinates")
-    _check_own_move(plan, violation, direction, base, violation.witness)
+    return _check_own_move(plan, violation, direction, base, violation.witness)
 
 
 def _base_marginal(violation: CoordinateViolation) -> list[tuple[Fraction, Fraction]]:
@@ -367,14 +380,12 @@ def coordinate_decrease_counterexample(
     tuple, where it realizes the lower witness — collecting the deficit
     there and losing expectation, never bonus, elsewhere.
     """
-    _check_coordinate(plan, violation, Direction.DECREASE)
+    deficit = _check_coordinate(plan, violation, Direction.DECREASE)
     k = plan.players
     market = _coordinate_market(violation, _base_marginal(violation))
     pi_base = tuple_probability(violation)
-    params = {"tuple_probability": pi_base}
-    return _certified(
-        plan, market, tuple(range(k)), violation.player, k, violation.deficit * pi_base, params
-    )
+    gain, params = deficit * pi_base, {"tuple_probability": pi_base}
+    return _certified(plan, market, tuple(range(k)), violation.player, k, gain, params)
 
 
 def _probability_step(k: int, weighted_deficit: Fraction) -> tuple[Fraction, int]:
@@ -409,12 +420,12 @@ def coordinate_increase_counterexample(
     values double outward until the deviation's expectation drops strictly
     below the common one.  The reported gain is recomputed exactly.
     """
-    _check_coordinate(plan, violation, Direction.INCREASE)
+    deficit = _check_coordinate(plan, violation, Direction.INCREASE)
     base, player, witness = violation.base, violation.player, violation.witness
     k = plan.players
     pi_base = tuple_probability(violation)
 
-    p, schedule_steps = _probability_step(k, violation.deficit * pi_base)
+    p, schedule_steps = _probability_step(k, deficit * pi_base)
 
     magnitude = max(max(abs(v) for v in base), abs(witness))
     escape = ONE
@@ -427,7 +438,6 @@ def coordinate_increase_counterexample(
         high, low = escape, -escape  # the high escape lies above every base value
         market = _coordinate_market(violation, scaled + [(high, ONE - p)], low)
         if market.best_actions == actions:  # the deviation k ranks below them
-            gain = _switch_gain(plan, market, actions, player, k)
             params = {
                 "p": p,
                 "escape_high": high,
@@ -435,7 +445,7 @@ def coordinate_increase_counterexample(
                 "probability_steps": schedule_steps,
                 "escape_doublings": doubling,
             }
-            return _certified(plan, market, actions, player, k, gain, params)
+            return _certified(plan, market, actions, player, k, None, params)
         escape *= 2
     raise SearchExhausted(
         f"deviation expectation still not below after {ESCALATIONS} escape doublings"
@@ -447,32 +457,23 @@ def coordinate_increase_counterexample(
 # =====================================================================
 
 
-def _switch_gain(
-    plan: BonusPlan, market: Market, actions: tuple[int, ...], player: int, deviation: int
-) -> Fraction:
-    """The player's exact gain from switching its action to the deviation,
-    read from two pure cells of the induced game at earnings weight 0."""
-    game = induce_game(market, plan, 0)
-    moved = actions[:player] + (deviation,) + actions[player + 1 :]
-    return game.payoff(moved)[player] - game.payoff(actions)[player]
-
-
 def _certified(
     plan: BonusPlan,
     market: Market,
     actions: tuple[int, ...],
     player: int,
     deviation: int,
-    gain: Fraction,
+    gain: Fraction | None,
     params: dict,
 ) -> Counterexample:
     """The counterexample at the pure profile `actions`, its certificate read
-    from the market, validated before it is returned."""
+    from the market, checked by `_recomputed_gain` before it is returned: a
+    stated gain as it is, None as the gain recomputed there."""
     certificate = tuple(zip(market.actions, market.expectations()))
     profile = Profile.pure(actions, market.n)
     ce = Counterexample(market, profile, player, deviation, gain, certificate, params)
-    validate_counterexample(plan, ce)
-    return ce
+    recomputed = _recomputed_gain(plan, ce)
+    return ce if gain is not None else replace(ce, gain=recomputed)
 
 
 def validate_counterexample(plan: BonusPlan, ce: Counterexample) -> None:
@@ -481,12 +482,19 @@ def validate_counterexample(plan: BonusPlan, ce: Counterexample) -> None:
     Checks: the profile has one strategy per player over the market's
     actions, and the player and the deviation index them; certificate
     expectations match the market; the profile's actions lie in
-    `Market.best_actions` and the deviation does not; and
-    switching the player to the deviation action gains exactly ce.gain > 0,
-    read from two cells of a game induced here, not by the builders.  A
-    strictly positive exact gain from a unilateral switch is the
-    refutation.
+    `Market.best_actions` and the deviation does not; and switching the
+    player to the deviation action gains exactly ce.gain > 0, read from two
+    cells of a game induced here, not by the builders.  A strictly positive
+    exact gain from a unilateral switch is the refutation.  The gain and the
+    certificate values are ints or Fractions: a float is FloatRejected.
     """
+    _exact(ce.gain, "gain")
+    _recomputed_gain(plan, ce)
+
+
+def _recomputed_gain(plan: BonusPlan, ce: Counterexample) -> Fraction:
+    """The switch's exact gain, read from two cells of a game induced here,
+    once every claim holds; a gain of None claims only that it is positive."""
     market, k = ce.market, plan.players
     as_count(ce.player, "player", None, StaleViolation)
     as_count(ce.deviation, "deviation", None, StaleViolation)
@@ -498,23 +506,27 @@ def validate_counterexample(plan: BonusPlan, ce: Counterexample) -> None:
     ce.profile.check_arity(market)
     if ce.certificate != tuple(zip(market.actions, market.expectations())):
         raise StaleViolation("certificate expectations do not match the market")
+    for _, value in ce.certificate:
+        _exact(value, "certificate value")
     actions = tuple(s.pure_action for s in ce.profile.strategies)
     if any(a not in market.best_actions for a in actions):  # nor is a mixed one's None
         raise StaleViolation("profile is not on maximal-expectation actions")
     if ce.deviation in market.best_actions:
         raise StaleViolation("deviation action does not lose expectation")
-    if ce.gain <= 0:
-        raise StaleViolation(f"gain {rational_text(ce.gain)} is not positive")
 
     game = induce_game(market, plan, 0)
     swapped = list(actions)
     swapped[ce.player] = ce.deviation
     recomputed = game.payoff(tuple(swapped))[ce.player] - game.payoff(actions)[ce.player]
-    if recomputed != ce.gain:
+    gain = recomputed if ce.gain is None else ce.gain
+    if gain <= 0:
+        raise StaleViolation(f"gain {rational_text(gain)} is not positive")
+    if recomputed != gain:
         raise StaleViolation(
-            f"recorded gain {rational_text(ce.gain)}"
+            f"recorded gain {rational_text(gain)}"
             f" differs from recomputed {rational_text(recomputed)}"
         )
+    return recomputed
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ class InvalidParameter(BonusLabError, ValueError):
 
 
 class NonUnitMass(BonusLabError):
-    """Atom probabilities do not sum to exactly 1."""
+    """The atoms' probabilities do not sum to exactly 1."""
 
 
 class NonPositiveProbability(BonusLabError):

@@ -7,23 +7,23 @@ realize identical outcomes, and a mixed action is a portfolio — its realized
 value at an atom is the weighted sum of the pure outcomes there, not a
 lottery over pure plays.
 
-All numbers are fractions.Fraction at the surface, and `Atom` coerces them
-(see rational.as_rational for what parses); every portfolio is built
-through `MixedAction`, which checks its weights once, on the integer counts
-it keeps.
+All numbers are fractions.Fraction at the surface, read by
+rational.integer_ratio (see rational.as_rational for what parses); every
+portfolio is built through `MixedAction`, which checks its weights once, on
+the integer counts it keeps.
 
 A market is kept as its `integer_view`, the one form `Market` checks:
 outcomes are integers over one common denominator, probabilities over
 another, each the least.  `build_market` reads its atoms' numbers as
 integer ratios (`rational.integer_ratio`) and writes them so with
 `ratios_over_lcm`; `product_market` reads its rules' values the same way
-and hands its view over directly.  The
-atoms are derived from the view on first read, one `Fraction` per distinct
-integer, so a verdict that never reads them never builds them.
-`market_to_dict` writes a document from the view itself, one string per
-distinct integer by `format_ratio`, with no `Atom` and no `Fraction`: a
-document in canonical form goes to the view and back with no `Fraction`
-either way.  Action a's
+and hands its view over directly.  A market's `atoms`, the (probability,
+outcomes) pairs `build_market` reads, are derived from the view on first
+read, one `Fraction` per distinct integer, so a verdict that never reads
+them never builds them.  `market_to_dict`
+writes a document from the view itself, one string per distinct integer by
+`format_ratio`, with no `Fraction`: a document in canonical form goes to
+the view and back with no `Fraction` either way.  Action a's
 expectation is one integer sum, sum_t weight_t * value_t[a], over mass *
 scale, kept once per market in `expectation_sums`.  Those sums are the one
 ranking of expectations: `best_actions`, the indices of the largest in
@@ -83,23 +83,10 @@ ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
-class Atom:
-    """One point of the probability space: its mass and one outcome per
-    action, each coerced by as_rational."""
-
-    probability: Fraction
-    outcomes: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probability", as_rational(self.probability))
-        object.__setattr__(self, "outcomes", rationals(self.outcomes))
-
-
-@dataclass(frozen=True)
 class IntegerView:
     """A market's numbers as integers over two common denominators.
 
-    Atom t has probability weights[t] / mass and action a's outcome there is
+    The t-th atom has probability weights[t] / mass and action a's outcome is
     values[t][a] / scale, where scale and mass are the least common
     denominators of the outcomes and of the probabilities.
     """
@@ -169,17 +156,17 @@ class Market:
         return len(self.actions)
 
     @cached_property
-    def atoms(self) -> tuple[Atom, ...]:
-        """The probability space as `Atom`s, derived from the integer view
-        on first read: one `Fraction` per distinct weight, over the mass, and
-        per distinct value, over the scale, shared by every atom that holds
-        it."""
+    def atoms(self) -> tuple[tuple[Fraction, tuple[Fraction, ...]], ...]:
+        """The probability space as the (probability, outcomes) pairs
+        `build_market` reads, derived from the integer view on first read:
+        one `Fraction` per distinct weight, over the mass, and per distinct
+        value, over the scale, shared by every atom that holds it."""
         view = self.integer_view
         probability = {w: Fraction(w, view.mass) for w in dict.fromkeys(view.weights)}
         values = dict.fromkeys(chain.from_iterable(view.values))
         outcome = {x: Fraction(x, view.scale) for x in values}
         return tuple(
-            Atom(probability[w], tuple(map(outcome.__getitem__, row)))
+            (probability[w], tuple(map(outcome.__getitem__, row)))
             for w, row in zip(view.weights, view.values)
         )
 
@@ -315,9 +302,9 @@ def build_market(actions: Sequence[str], atoms: Iterable[tuple]) -> Market:
 
     Probabilities and outcomes may be ints, Fractions, or exact strings;
     each atom's probability, then its outcomes, are read by
-    `integer_ratio`, with the errors `Atom`'s coercion raises, and the
-    market is checked on the view `ratios_over_lcm` writes them in: no
-    `Fraction` is built for a string in canonical form.
+    `integer_ratio`, with the errors `as_rational` raises, and the market is
+    checked on the view `ratios_over_lcm` writes them in: no `Fraction` is
+    built for a string in canonical form.
     A string of labels is refused rather than read one label per character,
     and an atom that is not a pair as ArityMismatch.
     """
@@ -398,13 +385,13 @@ def product_market(
     values are read as integer ratios, so the first atom at which a rule
     fails names the error.
 
-    The market's integer view is handed over as built, with no `Atom`.  The
-    merged marginal is held as integer weights over `mass`, the lcm of its
-    denominators; an atom's weight is the product of its draws' weights
-    over mass^copies, and its row the support's integers plus the rules'
-    values, over one scale that `ratios_over_lcm` takes, as `build_market`
-    does.  Both are in lowest terms: a prime that divides
-    the mass misses some weight, and so the product of `copies` of it.
+    The market's integer view is handed over as built, and no atom is
+    derived from it.  The merged marginal is held as integer weights over
+    `mass`, the lcm of its denominators; an atom's weight is the product of
+    its draws' weights over mass^copies, and its row the support's integers
+    plus the rules' values, over one scale that `ratios_over_lcm` takes, as
+    `build_market` does.  Both are in lowest terms: a prime that divides the
+    mass misses some weight, and so the product of `copies` of it.
     """
     as_count(copies, "copy count", 1, ArityMismatch)
     merged: dict[Fraction, Fraction] = {}
@@ -479,8 +466,8 @@ def _multisets_exceed(n: int, size: int, cap: int) -> str | None:
 
 def market_to_dict(market: Market) -> dict:
     """The market's document, written from its integer view: each distinct
-    integer once, over its denominator by `format_ratio`, with no `Atom`
-    and no `Fraction`."""
+    integer once, over its denominator by `format_ratio`, with no
+    `Fraction`."""
     view = market.integer_view
     probability = {w: format_ratio(w, view.mass) for w in dict.fromkeys(view.weights)}
     values = dict.fromkeys(chain.from_iterable(view.values))

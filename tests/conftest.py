@@ -128,9 +128,9 @@ def tied_markets(draw, max_actions=4):
 
 def every_kind(market, k):
     """One plan of each kind; the gated and tabulated ones bite on this market."""
-    values = sorted({x for atom in market.atoms for x in atom.outcomes})
+    values = sorted({x for _, row in market.atoms for x in row})
     lo, hi = values[0], values[len(values) // 2]
-    first = market.atoms[0].outcomes
+    first = market.atoms[0][1]
     favoured = (Fraction(1),) + (Fraction(0),) * (k - 1)
     return [
         ConstantPlan(k),
@@ -145,9 +145,9 @@ def every_kind(market, k):
 def plans_with_a_form(market, k):
     """The constant plan, and each linear kind once with a gate that covers
     the market and, where the market allows, once with one that does not."""
-    values = sorted({x for atom in market.atoms for x in atom.outcomes})
+    values = sorted({x for _, row in market.atoms for x in row})
     lo, hi = values[0], values[-1]
-    spread = max(max(atom.outcomes) - min(atom.outcomes) for atom in market.atoms)
+    spread = max(max(row) - min(row) for _, row in market.atoms)
     plans = [
         ConstantPlan(k),
         MLinearPlan(k, max(hi - lo, Fraction(1)), lo, hi),
@@ -160,10 +160,10 @@ def plans_with_a_form(market, k):
     return plans
 
 
-def fraction_value(strategy: MixedAction, atom) -> Fraction:
+def fraction_value(strategy: MixedAction, outcomes) -> Fraction:
     """Reference: a portfolio's realized value at one atom, the weighted sum
-    of the pure outcomes there, in Fractions."""
-    return sum(map(mul, strategy.weights, atom.outcomes), start=Fraction(0))
+    of the atom's pure outcomes, in Fractions."""
+    return sum(map(mul, strategy.weights, outcomes), start=Fraction(0))
 
 
 def fraction_expectation(market: Market, strategy: MixedAction) -> Fraction:
@@ -175,7 +175,7 @@ def fraction_expectation(market: Market, strategy: MixedAction) -> Fraction:
     independent computations.
     """
     return sum(
-        (atom.probability * fraction_value(strategy, atom) for atom in market.atoms),
+        (p * fraction_value(strategy, outcomes) for p, outcomes in market.atoms),
         start=Fraction(0),
     )
 
@@ -210,12 +210,12 @@ def fraction_market_check(actions, atoms) -> None:
     In atom order, a probability <= 0, then a wrong outcome count; last, a
     running Fraction sum of the probabilities other than 1."""
     n, total = len(actions), Fraction(0)
-    for atom in atoms:
-        if atom.probability <= 0:
-            raise NonPositiveProbability(f"atom probability {atom.probability} is not positive")
-        if len(atom.outcomes) != n:
-            raise ArityMismatch(f"atom has {len(atom.outcomes)} outcomes, expected {n}")
-        total += atom.probability
+    for p, outcomes in atoms:
+        if p <= 0:
+            raise NonPositiveProbability(f"atom probability {p} is not positive")
+        if len(outcomes) != n:
+            raise ArityMismatch(f"atom has {len(outcomes)} outcomes, expected {n}")
+        total += p
     if total != 1:
         raise NonUnitMass(f"atom probabilities sum to {total}, not 1")
 
@@ -223,13 +223,13 @@ def fraction_market_check(actions, atoms) -> None:
 def fraction_integer_view(atoms) -> IntegerView:
     """Reference: the integer view by Fraction products, each number times
     the lcm of its kind's denominators."""
-    scale = lcm(*(x.denominator for a in atoms for x in a.outcomes))
-    mass = lcm(*(a.probability.denominator for a in atoms))
+    scale = lcm(*(x.denominator for _, outcomes in atoms for x in outcomes))
+    mass = lcm(*(p.denominator for p, _ in atoms))
     return IntegerView(
         scale,
         mass,
-        tuple(int(a.probability * mass) for a in atoms),
-        tuple(tuple(int(x * scale) for x in a.outcomes) for a in atoms),
+        tuple(int(p * mass) for p, _ in atoms),
+        tuple(tuple(int(x * scale) for x in outcomes) for _, outcomes in atoms),
     )
 
 
@@ -240,7 +240,7 @@ def assert_rebuilds_from_its_atoms(market: Market) -> None:
     once: a second read returns the same tuple."""
     atoms = market.atoms
     assert market.atoms is atoms
-    rebuilt = build_market(market.actions, [(a.probability, a.outcomes) for a in atoms])
+    rebuilt = build_market(market.actions, atoms)
     assert rebuilt == market
     assert rebuilt.integer_view == market.integer_view
     assert rebuilt.atoms == atoms

@@ -284,13 +284,47 @@ MUTANTS = (
         ("tests/test_game.py::test_compositions_follow_the_old_grid_order",),
     ),
     Mutant(
-        "switch gain reads the unmoved profile for both cells",
+        "the checks take the recomputed gain over a stated one",
         "src/bonuslab/counterexamples.py",
-        "game.payoff(moved)[player]",
-        "game.payoff(actions)[player]",
+        "gain = recomputed if ce.gain is None else ce.gain",
+        "gain = recomputed",
+        ("tests/test_counterexamples.py::test_a_stated_gain_is_checked_not_replaced",),
+    ),
+    Mutant(
+        "a nonpositive recomputed gain accepted when no gain is stated",
+        "src/bonuslab/counterexamples.py",
+        "if gain <= 0:",
+        "if ce.gain is not None and gain <= 0:",
         (
-            "tests/test_counterexamples.py::test_increase_builder_on_winner_take_all",
-            "tests/test_counterexamples.py::test_coordinate_increase_builder_frozen_values",
+            "tests/test_counterexamples.py::"
+            "test_pair_increase_builder_refuses_a_nonpositive_recomputed_gain",
+        ),
+    ),
+    Mutant(
+        "a deficit compared without being read as a rational",
+        "src/bonuslab/counterexamples.py",
+        'recorded = _exact(violation.deficit, "deficit")',
+        "recorded = violation.deficit",
+        ("tests/test_counterexamples.py::test_builders_refuse_a_deficit_that_is_not_exact",),
+    ),
+    Mutant(
+        "validation compares a gain without reading it as a rational",
+        "src/bonuslab/counterexamples.py",
+        '    _exact(ce.gain, "gain")\n',
+        "",
+        (
+            "tests/test_counterexamples.py::"
+            "test_a_verdict_refuses_floats_that_equal_its_exact_values",
+        ),
+    ),
+    Mutant(
+        "validation compares certificate values without reading them as rationals",
+        "src/bonuslab/counterexamples.py",
+        '_exact(value, "certificate value")',
+        "pass",
+        (
+            "tests/test_counterexamples.py::"
+            "test_a_verdict_refuses_floats_that_equal_its_exact_values",
         ),
     ),
     Mutant(
@@ -606,14 +640,6 @@ MUTANTS = (
         ("tests/test_game.py::test_walks_go_past_the_recursion_limit",),
     ),
     Mutant(
-        "atoms keep their numbers uncoerced",
-        "src/bonuslab/market.py",
-        'object.__setattr__(self, "probability", as_rational(self.probability))\n'
-        '        object.__setattr__(self, "outcomes", rationals(self.outcomes))',
-        "pass",
-        ("tests/test_market.py::test_atoms_coerce_their_numbers",),
-    ),
-    Mutant(
         "a game's cell memo is a constructor field again",
         "src/bonuslab/game.py",
         "cells: dict = field(default_factory=dict, init=False, compare=False, repr=False)",
@@ -623,8 +649,8 @@ MUTANTS = (
     Mutant(
         "validation writes a non-positive gain with an f-string",
         "src/bonuslab/counterexamples.py",
-        'f"gain {rational_text(ce.gain)} is not positive"',
-        'f"gain {ce.gain} is not positive"',
+        'f"gain {rational_text(gain)} is not positive"',
+        'f"gain {gain} is not positive"',
         ("tests/test_counterexamples.py::test_refusals_write_numbers_past_the_digit_limit",),
     ),
     Mutant(

@@ -73,10 +73,10 @@ def test_bound_search_requires_unique_best():
 
 def _difference_distribution(market, weights, best):
     dist = {}
-    for atom in market.atoms:
-        value = sum(w * x for w, x in zip(weights, atom.outcomes))
-        diff = value - atom.outcomes[best]
-        dist[diff] = dist.get(diff, F(0)) + atom.probability
+    for p, outcomes in market.atoms:
+        value = sum(w * x for w, x in zip(weights, outcomes))
+        diff = value - outcomes[best]
+        dist[diff] = dist.get(diff, F(0)) + p
     return dist
 
 

@@ -3,7 +3,7 @@
 import random
 import re
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -18,6 +18,7 @@ from bonuslab import (
     ConstantPlan,
     CoordinateViolation,
     Direction,
+    FloatRejected,
     GridCapExceeded,
     LoserTakeAllPlan,
     MixedAction,
@@ -241,7 +242,7 @@ def test_decrease_builder_rewards_the_drop_with_certainty():
     violation = probe_pairs(LoserTakeAllPlan(2), ("0", "1"))[0]
     ce = pair_decrease_counterexample(LoserTakeAllPlan(2), violation)
     assert len(ce.market.atoms) == 1
-    assert ce.market.atoms[0].outcomes == (F(1), F(0))
+    assert ce.market.atoms[0][1] == (F(1), F(0))
     assert ce.gain == F(1, 2)
     assert [s.pure_action for s in ce.profile.strategies] == [0, 0]
     assert ce.deviation == 1
@@ -252,9 +253,9 @@ def test_increase_builder_on_winner_take_all():
     violation = probe_pairs(WinnerTakeAllPlan(2), ("0", "1"))[0]
     ce = pair_increase_counterexample(WinnerTakeAllPlan(2), violation)
     assert ce.params == {"p": F(5, 6), "z": F(6), "iterations": 0}
-    assert [a.probability for a in ce.market.atoms] == [F(5, 6), F(1, 6)]
-    assert ce.market.atoms[0].outcomes == (F(0), F(1))
-    assert ce.market.atoms[1].outcomes == (F(6), F(0))
+    assert [p for p, _ in ce.market.atoms] == [F(5, 6), F(1, 6)]
+    assert ce.market.atoms[0][1] == (F(0), F(1))
+    assert ce.market.atoms[1][1] == (F(6), F(0))
     assert ce.gain == F(1, 3)
     # the safe action stays ahead in expectation by construction
     assert ce.certificate == (("X1", F(1)), ("X2", F(5, 6)))
@@ -271,6 +272,54 @@ def test_builders_reject_mismatched_violations():
     backwards = PairViolation(Direction.INCREASE, F(1), F(0), 0, F(1, 2))
     with pytest.raises(StaleViolation):
         pair_increase_counterexample(wta, backwards)
+
+
+@dataclass(frozen=True)
+class _OffSimplexPlan(BonusPlan):
+    """Two-player winner-take-all, except that equal results above 2 pay
+    player 1 a share of 100 and player 2 one of -99: off the simplex."""
+
+    kind = "off-simplex"
+
+    def kernel(self, scale):
+        def shares(v):
+            if v[0] == v[1]:
+                return (200, -198) if v[0] > 2 * scale else (1, 1)
+            return (2, 0) if v[0] > v[1] else (0, 2)
+
+        return Kernel(2, shares)
+
+
+def test_pair_increase_builder_refuses_a_nonpositive_recomputed_gain():
+    """Off the simplex the rare case can cost more than a share of 1: the
+    increase builder states no gain, and the one it recomputes,
+    5/6 * 1/2 + 1/6 * (0 - 100), is refused."""
+    plan = _OffSimplexPlan(2)
+    violation = probe_pairs(plan, ("0", "1"))[0]
+    assert (violation.direction, violation.player, violation.deficit) == (
+        Direction.INCREASE, 0, F(1, 2)
+    )
+    with pytest.raises(StaleViolation, match=re.escape("gain -65/4 is not positive")):
+        pair_increase_counterexample(plan, violation)
+
+
+def test_builders_refuse_a_deficit_that_is_not_exact():
+    """A float deficit is refused even where it equals the exact one, which
+    the builder would otherwise have computed its gain with; a None, a
+    string or a bool ends in StaleViolation, not in a bare TypeError."""
+    lta, lta3 = LoserTakeAllPlan(2), LoserTakeAllPlan(3)
+    cases = [
+        (pair_decrease_counterexample, lta, probe_pairs(lta, ("0", "1"))[0]),
+        (coordinate_decrease_counterexample, lta3, probe_own_coordinate(lta3, ("0", "1", "2"))[0]),
+    ]
+    for build, plan, violation in cases:
+        assert violation.deficit == float(violation.deficit) == F(1, 2)
+        with pytest.raises(FloatRejected, match="refusing float deficit 0.5"):
+            build(plan, replace(violation, deficit=0.5))
+        for bad in (None, "1/2", True):
+            with pytest.raises(StaleViolation, match="is not an int or a Fraction"):
+                build(plan, replace(violation, deficit=bad))
+        assert type(build(plan, violation).gain) is Fraction
 
 
 def test_pair_builders_are_for_two_player_plans():
@@ -308,10 +357,10 @@ def test_coordinate_decrease_gain_recomputes_atomwise():
     plan = LoserTakeAllPlan(3)
     ce = coordinate_decrease_counterexample(plan, lta_drop_violation())
     gain = F(0)
-    for atom in ce.market.atoms:
-        stay = plan.evaluate(atom.outcomes[:3])[0]
-        moved = plan.evaluate((atom.outcomes[3],) + atom.outcomes[1:3])[0]
-        gain += atom.probability * (moved - stay)
+    for p, outcomes in ce.market.atoms:
+        stay = plan.evaluate(outcomes[:3])[0]
+        moved = plan.evaluate((outcomes[3],) + outcomes[1:3])[0]
+        gain += p * (moved - stay)
     assert gain == ce.gain
 
 
@@ -353,6 +402,18 @@ def test_coordinate_increase_builder_frozen_values():
     assert ce.market.expectations()[0] == F(921, 512)
     assert expectation(ce.market, MixedAction.pure(3, 4)) < F(921, 512)
     assert len(ce.market.atoms) == 4**3
+
+
+def test_a_stated_gain_is_checked_not_replaced(monkeypatch):
+    """The coordinate decrease builder states its gain in closed form,
+    deficit * tuple probability; with that probability doubled the stated
+    gain is refused, not replaced by the recomputed one."""
+    tuple_probability = counterexamples.tuple_probability
+    monkeypatch.setattr(counterexamples, "tuple_probability", lambda v: 2 * tuple_probability(v))
+    with pytest.raises(
+        StaleViolation, match=re.escape("recorded gain 1/16 differs from recomputed 1/32")
+    ):
+        coordinate_decrease_counterexample(LoserTakeAllPlan(3), lta_drop_violation())
 
 
 def test_coordinate_builders_reject_stale_input():
@@ -555,7 +616,7 @@ def test_universality_verdict_interval_plan_beyond_its_interval():
     assert ce.params["z"] == F(10459, 1000)
     assert ce.gain == F(8459, 8510) * F(51, 4204)
     # the rare atom parks the safe action far outside the plan's interval
-    assert ce.market.atoms[1].outcomes[0] > plan.hi
+    assert ce.market.atoms[1][1][0] > plan.hi
 
 
 def test_universality_verdict_three_player_winner_take_all():
@@ -653,11 +714,21 @@ def validation_cases():
     return cases
 
 
+def reference_exact(value, name):
+    """A recorded number must be an int or a Fraction, a float refused as
+    FloatRejected, where it may compare equal to the exact value."""
+    if isinstance(value, float):
+        raise FloatRejected(f"refusing float {name} {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise StaleViolation(f"{name} {value!r} is not an int or a Fraction")
+
+
 def reference_validation(plan, ce):
     """The reference validation: every check of validate_counterexample,
     then ce.player's pure-only best response against the others must gain
     at least ce.gain, a search the gain check already decides."""
     market, k = ce.market, plan.players
+    reference_exact(ce.gain, "gain")
     as_count(ce.player, "player", None, StaleViolation)
     as_count(ce.deviation, "deviation", None, StaleViolation)
     if not (ce.profile.players == k and 0 <= ce.player < k and 0 <= ce.deviation < market.n):
@@ -669,6 +740,8 @@ def reference_validation(plan, ce):
     exps = market.expectations()
     if ce.certificate != tuple(zip(market.actions, exps)):
         raise StaleViolation("certificate expectations do not match the market")
+    for _, value in ce.certificate:
+        reference_exact(value, "certificate value")
     mu = max(exps)
     actions = tuple(s.pure_action for s in ce.profile.strategies)
     if any(a is None or exps[a] != mu for a in actions):
@@ -697,9 +770,12 @@ def tampered(ce):
     yield replace(ce, gain=ce.gain + F(1, 10**6))
     yield replace(ce, gain=ce.gain - F(1, 10**6))
     yield replace(ce, gain=F(0))
+    yield from (replace(ce, gain=value) for value in (float(ce.gain), None, str(ce.gain)))
     for j, (label, value) in enumerate(ce.certificate):
         certificate = list(ce.certificate)
         certificate[j] = (label, value + F(1, 10**6))
+        yield replace(ce, certificate=tuple(certificate))
+        certificate[j] = (label, float(value))
         yield replace(ce, certificate=tuple(certificate))
     off = actions[: ce.player] + [ce.deviation] + actions[ce.player + 1 :]
     yield replace(ce, profile=Profile.pure(tuple(off), n))
@@ -744,7 +820,7 @@ def test_validation_matches_the_search_it_dropped():
                 assert forged.player != ce.player
             else:
                 refusals.add(got[0])
-    assert refusals == {StaleViolation, ArityMismatch}
+    assert refusals == {StaleViolation, ArityMismatch, FloatRejected}
 
 
 def test_validation_finds_the_gain_check_nash_finds():
@@ -783,6 +859,53 @@ def test_validation_computes_the_players_cells_only(monkeypatch):
     p = ce.player
     assert len(game.cells) == 2
     assert set(game.cells) == {actions, actions[:p] + (ce.deviation,) + actions[p + 1 :]}
+
+
+@pytest.mark.parametrize(
+    "plan,grid",
+    [(WinnerTakeAllPlan(3), ("0", "1", "2")), (WinnerTakeAllPlan(2), ("0", "1"))],
+    ids=["wta3", "wta2"],
+)
+def test_an_increase_counterexample_induces_one_game(monkeypatch, plan, grid):
+    """The coordinate (WTA(3)) and the pair (WTA(2)) increase builders state
+    no gain: the verdict induces one game, holding the profile's and the
+    deviation's cells, and records the gain read from them."""
+    games = []
+
+    def capturing(market, plan, earnings_weight=0):
+        games.append(induce_game(market, plan, earnings_weight))
+        return games[-1]
+
+    monkeypatch.setattr(counterexamples, "induce_game", capturing)
+    report = universality_verdict(plan, grid)
+    assert report.violation.direction is Direction.INCREASE
+    ce = report.counterexample
+    (game,) = games
+    actions = tuple(s.pure_action for s in ce.profile.strategies)
+    p = ce.player
+    moved = actions[:p] + (ce.deviation,) + actions[p + 1 :]
+    assert set(game.cells) == {actions, moved}
+    assert ce.gain == game.payoff(moved)[p] - game.payoff(actions)[p] > 0
+
+
+def test_a_verdict_refuses_floats_that_equal_its_exact_values():
+    """The two-player loser-take-all counterexample over (0, 1/2, 1) has
+    gain 1/2 and a certificate of dyadic expectations: validation refuses
+    each as a float, though the float compares equal, and a gain of None or
+    of a string ends in StaleViolation, not in a bare TypeError."""
+    plan = LoserTakeAllPlan(2)
+    ce = universality_verdict(plan, ("0", "1/2", "1")).counterexample
+    assert ce.gain == 0.5
+    certificate = tuple((label, float(value)) for label, value in ce.certificate)
+    assert certificate == ce.certificate
+    with pytest.raises(FloatRejected, match="refusing float gain 0.5"):
+        validate_counterexample(plan, replace(ce, gain=0.5))
+    with pytest.raises(FloatRejected, match="refusing float certificate value"):
+        validate_counterexample(plan, replace(ce, certificate=certificate))
+    for gain in (None, "1/2"):
+        with pytest.raises(StaleViolation, match="is not an int or a Fraction"):
+            validate_counterexample(plan, replace(ce, gain=gain))
+    validate_counterexample(plan, ce)
 
 
 def test_refusals_write_numbers_past_the_digit_limit():

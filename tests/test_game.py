@@ -385,12 +385,12 @@ def test_fixed_sum_on_random_markets(rng):
 
 
 def fraction_cell(plan, w, rows):
-    """Oracle: expected payoffs over (atom, result-vector) rows, in Fractions."""
+    """Oracle: expected payoffs over (probability, result-vector) rows, in Fractions."""
     totals = [F(0)] * plan.players
-    for atom, results in rows:
+    for p, results in rows:
         shares = fraction_allocation(plan, results)
         for i in range(plan.players):
-            totals[i] += atom.probability * ((1 - w) * shares[i] + w * results[i])
+            totals[i] += p * ((1 - w) * shares[i] + w * results[i])
     return tuple(totals)
 
 
@@ -398,7 +398,7 @@ def eager_tensor(market, plan, w):
     """Reference: every pure profile tabulated up front, atom by atom."""
     return {
         combo: fraction_cell(
-            plan, w, ((atom, tuple(atom.outcomes[a] for a in combo)) for atom in market.atoms)
+            plan, w, ((p, tuple(row[a] for a in combo)) for p, row in market.atoms)
         )
         for combo in product(range(market.n), repeat=plan.players)
     }
@@ -407,8 +407,8 @@ def eager_tensor(market, plan, w):
 def pointwise_payoffs(market, plan, w, profile):
     """Reference: a mixed profile's payoffs, portfolios realized per atom."""
     rows = (
-        (atom, tuple(fraction_value(s, atom) for s in profile.strategies))
-        for atom in market.atoms
+        (p, tuple(fraction_value(s, row) for s in profile.strategies))
+        for p, row in market.atoms
     )
     return fraction_cell(plan, w, rows)
 
@@ -478,7 +478,7 @@ def test_cells_hold_numerators_over_the_game_denominator(market, k):
             denominator = game._scoring(market.integer_view.scale).denominator
             for combo, numerators in game.cells.items():
                 assert all(type(x) is int for x in numerators)
-                rows = ((atom, tuple(atom.outcomes[a] for a in combo)) for atom in market.atoms)
+                rows = ((p, tuple(row[a] for a in combo)) for p, row in market.atoms)
                 assert tuple(F(x, denominator) for x in numerators) == fraction_cell(plan, w, rows)
 
 

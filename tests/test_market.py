@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import bonuslab
 from bonuslab import (
     ArityMismatch,
-    Atom,
     AtomCapExceeded,
     BonusLabError,
     FloatRejected,
@@ -114,13 +113,13 @@ def test_atoms_coerce_their_numbers():
     than read one outcome per character."""
     with pytest.raises(FloatRejected):
         build_market(("a", "b"), [(0.5, (1, 2)), (0.5, (2, 1))])
-    atom = Atom(Fraction(1), ("1", 2))
-    assert atom == Atom(Fraction(1), (Fraction(1), Fraction(2)))
     market = build_market(("a", "b"), [(Fraction(1), ("1", 2))])
     assert market.expectations() == (Fraction(1), Fraction(2))
-    assert market.atoms == (atom,)
+    ((probability, outcomes),) = market.atoms
+    assert (probability, outcomes) == (Fraction(1), (Fraction(1), Fraction(2)))
+    assert {type(x) for x in (probability, *outcomes)} == {Fraction}
     with pytest.raises(ArityMismatch):
-        Atom(1, "12")
+        build_market(("a", "b"), [(1, "12")])
 
 
 def test_action_labels_must_be_distinct():
@@ -168,7 +167,7 @@ def test_portfolio_value_is_pointwise():
     """A half-and-half portfolio averages outcomes inside each atom."""
     market = two_action_market()
     q = MixedAction(("1/2", "1/2"))
-    values = [fraction_value(q, atom) for atom in market.atoms]
+    values = [fraction_value(q, outcomes) for _, outcomes in market.atoms]
     assert values == [Fraction(1), Fraction(0)]
     assert expectation(market, q) == Fraction(1, 4)
 
@@ -181,8 +180,7 @@ def test_portfolio_expectation_is_weighted_average():
 
 def test_outcomes_coerce_to_exact_rationals():
     market = build_market(["A"], [("0.6", ("1.051",)), ("0.4", ("1",))])
-    assert market.atoms[0].probability == Fraction(3, 5)
-    assert market.atoms[0].outcomes == (Fraction(1051, 1000),)
+    assert market.atoms[0] == (Fraction(3, 5), (Fraction(1051, 1000),))
 
 
 def test_mixed_action_weights_validate():
@@ -310,7 +308,7 @@ def test_support_stats_match_the_fraction_outcomes(seed, outlier):
     """Read from the integer view once per market: the least and largest
     values, and the largest magnitude, of the atoms' Fraction outcomes."""
     market = random_market(random.Random(seed), outlier=outlier)
-    values = sorted({x for atom in market.atoms for x in atom.outcomes})
+    values = sorted({x for _, outcomes in market.atoms for x in outcomes})
     stats = support_stats(market)
     assert (stats.lo, stats.hi) == (values[0], values[-1])
     assert stats.max_abs == max(abs(x) for x in values)
@@ -340,21 +338,17 @@ def test_product_market_is_iid():
     market = product_market(marginal, 3)
     assert market.actions == ("X1", "X2", "X3")
     assert len(market.atoms) == 27
-    assert sum(atom.probability for atom in market.atoms) == 1
+    assert sum(p for p, _ in market.atoms) == 1
     assert market.expectations() == (Fraction(2),) * 3
     # independence: P(X1=2, X2=1) factors
-    mass = sum(
-        atom.probability
-        for atom in market.atoms
-        if atom.outcomes[0] == 2 and atom.outcomes[1] == 1
-    )
+    mass = sum(p for p, outcomes in market.atoms if outcomes[0] == 2 and outcomes[1] == 1)
     assert mass == Fraction(1, 2) * Fraction(1, 4)
 
 
 def test_product_market_merges_duplicate_marginal_values():
     market = product_market([("1", "1/2"), ("1", "1/2")], 2)
     assert len(market.atoms) == 1
-    assert market.atoms[0].probability == 1
+    assert market.atoms[0][0] == 1
 
 
 def test_product_market_extra_actions():
@@ -371,8 +365,8 @@ def test_product_market_extra_actions():
     market = product_market(marginal, 2, extra_actions=[("sum", total)])
     assert market.actions == ("X1", "X2", "sum")
     assert seen == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for atom in market.atoms:
-        assert atom.outcomes[2] == atom.outcomes[0] + atom.outcomes[1]
+    for _, outcomes in market.atoms:
+        assert outcomes[2] == outcomes[0] + outcomes[1]
 
 
 def test_product_market_atom_cap():
@@ -494,7 +488,7 @@ def test_product_market_atoms_match_the_fraction_products(data, marginal, copies
     market = raised(lambda: product_market(marginal, copies, rules))
     oracle = raised(lambda: fraction_product_atoms(marginal, copies, rules))
     if isinstance(market, Market):
-        assert [(a.probability, a.outcomes) for a in market.atoms] == oracle
+        assert list(market.atoms) == oracle
     else:
         assert market == oracle
 
@@ -502,8 +496,8 @@ def test_product_market_atoms_match_the_fraction_products(data, marginal, copies
 @settings(max_examples=150, deadline=None)
 @given(product_markets())
 def test_product_markets_rebuild_from_their_atoms(market):
-    """Built on its integer view, with no `Atom`: the market that
-    `build_market` makes of the atoms derived from it."""
+    """Built on its integer view: the market that `build_market` makes of
+    the atoms derived from it."""
     assert_rebuilds_from_its_atoms(market)
 
 
@@ -512,9 +506,8 @@ def format_rational_document(market: Market) -> dict:
     return {
         "actions": list(market.actions),
         "atoms": [
-            {"p": format_rational(a.probability),
-             "outcomes": [format_rational(x) for x in a.outcomes]}
-            for a in market.atoms
+            {"p": format_rational(p), "outcomes": [format_rational(x) for x in outcomes]}
+            for p, outcomes in market.atoms
         ],
     }
 
@@ -625,20 +618,20 @@ def atom_lists(draw):
         fault = draw(st.sampled_from(FAULTS))
         p = {"zero": 0, "negative": Fraction(-w, total)}.get(fault, Fraction(w, total))
         arity = n + draw(st.sampled_from((-1, 1))) if fault == "arity" else n
-        atoms.append(Atom(p, tuple(draw(outcome) for _ in range(arity))))
+        atoms.append((p, tuple(draw(outcome) for _ in range(arity))))
     return tuple(f"A{i}" for i in range(n)), tuple(atoms)
 
 
 def lcm_integer_view(atoms) -> IntegerView:
     """Reference, in `Fraction` arithmetic: one lcm over every denominator
     of a kind, then each number times it."""
-    scale = lcm(*(x.denominator for a in atoms for x in a.outcomes))
-    mass = lcm(*(a.probability.denominator for a in atoms))
+    scale = lcm(*(x.denominator for _, outcomes in atoms for x in outcomes))
+    mass = lcm(*(p.denominator for p, _ in atoms))
     return IntegerView(
         scale,
         mass,
-        tuple(int(a.probability * mass) for a in atoms),
-        tuple(tuple(int(x * scale) for x in a.outcomes) for a in atoms),
+        tuple(int(p * mass) for p, _ in atoms),
+        tuple(tuple(int(x * scale) for x in outcomes) for _, outcomes in atoms),
     )
 
 
@@ -651,7 +644,7 @@ def test_integer_view_matches_the_lcm_construction(market):
 
 
 def assert_market_matches_the_oracle(actions, atoms):
-    market = raised(lambda: build_market(actions, [(a.probability, a.outcomes) for a in atoms]))
+    market = raised(lambda: build_market(actions, atoms))
     oracle = raised(lambda: fraction_market_check(actions, atoms))
     if oracle is None:
         assert market.integer_view == fraction_integer_view(atoms)
@@ -671,9 +664,8 @@ def test_market_checks_match_the_fraction_oracle(case):
 def test_market_faults_keep_their_order():
     """Per atom in order, a probability <= 0 and then a wrong outcome count;
     the mass last."""
-    half, short, zero, negative = (
-        Atom("1/2", ("1",)), Atom("1/2", ()), Atom(0, ("1",)), Atom("-1/2", ("1",))
-    )
+    p, row = Fraction(1, 2), (Fraction(1),)
+    half, short, zero, negative = ((p, row), (p, ()), (0, row), (-p, row))
     cases = [
         ((zero, half, half), NonPositiveProbability),
         ((short, zero, half), ArityMismatch),
