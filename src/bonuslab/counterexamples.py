@@ -22,26 +22,35 @@ Violation directions, shared by the two-player and many-player probes:
 Every builder re-evaluates its violation against the plan first: one
 own-move deficit, evaluate(bent)[player] - evaluate(base)[player], backs
 the pair and the coordinate checks (StaleViolation on mismatch), and the
-builder computes with it.  The decrease builders state their gains in
-closed form, the increase builders none.  All four return through one
-path, which reads the certificate from the market's expectations and makes
+builder computes with it.  Before any arithmetic the checks read the
+violation's fields: its direction must be a `Direction`, a coordinate
+violation's base a tuple, and each point, coordinate and witness an int or
+a Fraction.  The decrease builders state their gains in closed form, the
+increase builders none.  All four return through one path, which reads
+the certificate from the market's expectations and makes
 `validate_counterexample`'s checks on the one game it induces (two pure
 cells at earnings weight 0), recording the recomputed gain where none is
-stated.  The increase builder's escape and validation ask the same question
-of `Market.best_actions`: the profile's actions are best and the deviation
-is not.  A recorded deficit, gain or certificate value is an int or a
-Fraction, compared and never parsed: a float is FloatRejected even where it
-equals the exact value.
+stated.  The increase builder's escape asks in closed form what validation
+asks of the built market's `Market.best_actions`: the profile's actions
+are best and the deviation is not; so a wrong closed form ends in
+StaleViolation, never in a wrong counterexample.  A recorded deficit, gain
+or certificate value is an int or a Fraction, compared and never parsed: a
+float is FloatRejected even where it equals the exact value.
 
-The two coordinate builders share one market design, `_coordinate_market`:
-k draws from a marginal, and a deviation action that realizes the witness
-on the base tuple and the violating player's draw elsewhere, except, for
-the increase builder, a low value wherever a draw is its high escape.  Its
-rule reads support indices, as every `product_market` rule does: each atom
-comes to it as its tuple of indices into the sorted support, one per
-player, and the base atom is named by the base point's indices.  No atom's
-`Fraction`s are built or compared; the market derives them only when a
-reader asks for its atoms.
+The two coordinate builders share one market design, `_coordinate_market`,
+written in integers: k draws from a marginal held as integer weights, and
+a deviation action "dev" that realizes the witness on the base tuple and
+the violating player's draw elsewhere, except, for the increase builder, a
+low value, minus its high escape, wherever a draw is that escape.  The base
+point and the witness go over one scale, the lcm of their denominators,
+which the integer escape keeps; "dev" is written as one column of integers
+in product order, with no rule and no coercion per atom; and
+`market._product_of`, which `product_market` calls too, assembles the
+atoms.  The increase builder decides its escape before any of that: the
+copy actions' expectations and the deviation's are affine in the escape,
+so each doubling compares integers (`_escape_line`), and the market is
+built once a verdict.  No atom's `Fraction`s are built or compared; the
+market derives them only when a reader asks for its atoms.
 """
 
 from __future__ import annotations
@@ -49,8 +58,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import prod
+from itertools import combinations, permutations, product
+from math import gcd, prod
+from operator import mul
 from typing import Sequence
 
 from .errors import ArityMismatch, FloatRejected, GridCapExceeded, SearchExhausted, StaleViolation
@@ -60,12 +70,20 @@ from .market import (
     Market,
     Profile,
     build_market,
-    product_market,
+    _check_atom_cap,
     _multisets_exceed,
     _power_exceeds,
+    _product_of,
 )
 from .plans import BonusPlan
-from .rational import as_count, as_rational, input_text, rational_text, rationals
+from .rational import (
+    as_count,
+    as_rational,
+    input_text,
+    rational_text,
+    rationals,
+    ratios_over_lcm,
+)
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -262,7 +280,7 @@ def pair_increase_counterexample(plan: BonusPlan, violation: PairViolation) -> C
 def _check_pair(plan: BonusPlan, violation: PairViolation, direction: Direction) -> Fraction:
     if plan.players != 2:
         raise ArityMismatch("pair violations are for two-player plans")
-    x, y = violation.x, violation.y
+    x, y = _exact(violation.x, "x"), _exact(violation.y, "y")
     # a decrease drops the player from (y, y) to x; an increase lifts it from (x, x) to y
     if direction is Direction.DECREASE:
         return _check_own_move(plan, violation, direction, (y, y), x)
@@ -278,7 +296,10 @@ def _check_own_move(
 ) -> Fraction:
     """The deficit: StaleViolation unless moving the violation's player from
     its base coordinate to witness, against fixed others, is a `direction`
-    move that raises its share by exactly the recorded deficit > 0."""
+    move that raises its share by exactly the recorded deficit > 0.  The
+    caller has read base and witness through `_exact`."""
+    if not isinstance(violation.direction, Direction):
+        raise StaleViolation(f"direction {input_text(violation.direction)} is not a Direction")
     if violation.direction is not direction:
         raise StaleViolation(
             f"expected a {direction.value} violation, got {violation.direction.value}"
@@ -322,52 +343,77 @@ def _check_coordinate(
     plan: BonusPlan, violation: CoordinateViolation, direction: Direction
 ) -> Fraction:
     base = violation.base
+    if type(base) is not tuple:
+        raise StaleViolation(f"base point {input_text(base)} is not a tuple")
     if len(base) != plan.players:
         raise ArityMismatch(f"base point {rational_text(base)} is not a {plan.players}-vector")
+    for value in base:
+        _exact(value, "base coordinate")
+    witness = _exact(violation.witness, "witness")
     if len(set(base)) != len(base):
         raise StaleViolation(f"base point {rational_text(base)} has repeated coordinates")
-    return _check_own_move(plan, violation, direction, base, violation.witness)
+    return _check_own_move(plan, violation, direction, base, witness)
 
 
-def _base_marginal(violation: CoordinateViolation) -> list[tuple[Fraction, Fraction]]:
-    """Half the mass on the violating player's coordinate, the rest split evenly."""
-    base, player = violation.base, violation.player
-    others_share = Fraction(1, 2 * (len(base) - 1))
-    return [
-        (value, HALF if j == player else others_share) for j, value in enumerate(base)
-    ]
+def _base_weights(k: int, player: int) -> list[int]:
+    """The base marginal's integer weights over 2(k - 1), in base order: half
+    the mass on the violating player's coordinate, the rest split evenly."""
+    return [k - 1 if j == player else 1 for j in range(k)]
+
+
+def _coordinate_ints(violation: CoordinateViolation) -> tuple[int, list[int], int]:
+    """(scale, base, witness): the base point's coordinates, in base order,
+    and the witness as integers over the lcm of their denominators."""
+    ratios = [v.as_integer_ratio() for v in (*violation.base, violation.witness)]
+    scale, (ints,) = ratios_over_lcm([ratios])
+    return scale, list(ints[:-1]), ints[-1]
 
 
 def _coordinate_market(
     violation: CoordinateViolation,
-    marginal: list[tuple[Fraction, Fraction]],
-    low: Fraction | None = None,
+    ints: tuple[int, list[int], int],
+    weights: list[int],
+    escape: int | None = None,
 ) -> Market:
-    """The product market of k draws from the marginal, plus the deviation
-    action "dev": the witness on the base tuple, `low` (when given) wherever
-    a draw is the escape, the marginal's largest value, and the violating
-    player's draw elsewhere.  The marginal's values are distinct, so the
-    rule names the base atom by the base point's indices into the sorted
-    support, and the escape by the last index."""
-    player, witness = violation.player, violation.witness
-    support = sorted(v for v, _ in marginal)
-    base_ix = tuple(map(support.index, violation.base))
-    top = len(support) - 1
-
-    def deviation(ix: tuple[int, ...]) -> Fraction:
-        if ix == base_ix:
-            return witness
-        if low is not None and top in ix:
-            return low
-        return support[ix[player]]
-
-    return product_market(marginal, len(base_ix), [("dev", deviation)])
+    """The product market of k draws from a marginal, plus the deviation
+    action "dev", written in integers.  `ints` is `_coordinate_ints`; the
+    marginal puts weights[j] on base coordinate j and, with an escape,
+    weights[k] on the high value `escape`, an integer above every base
+    coordinate.  In product order of the sorted support, "dev" realizes the
+    witness at the base atom, -escape at every atom where some draw is the
+    escape, and the violating player's draw elsewhere.  The scale is the lcm
+    over the support, the witness and -escape: an integer escape leaves
+    `_coordinate_ints`' scale as it is."""
+    scale, values, witness = ints
+    player, k = violation.player, len(values)
+    order = sorted(range(k), key=values.__getitem__)
+    support = [values[j] for j in order]
+    marginal = [weights[j] for j in order]
+    base_ix = tuple(map(support.index, values))
+    if escape is None:
+        top = low = None  # no draw is an escape
+    else:
+        support.append(escape * scale)
+        marginal.append(weights[k])
+        top, low = k, -escape * scale
+    n = len(support)
+    _check_atom_cap(n, k)
+    dev = [low if top in ix else support[ix[player]] for ix in product(range(n), repeat=k)]
+    position = 0
+    for i in base_ix:
+        position = position * n + i
+    dev[position] = witness
+    mass = sum(marginal)
+    g = gcd(mass, *marginal)
+    marginal = [w // g for w in marginal]
+    return _product_of(k, scale, support, mass // g, marginal, ("dev",), zip(dev))
 
 
 def tuple_probability(violation: CoordinateViolation) -> Fraction:
     """Probability that k independent draws from the base marginal hit the base
     point coordinate-for-coordinate."""
-    return prod(p for _, p in _base_marginal(violation))
+    k = len(violation.base)
+    return Fraction(prod(_base_weights(k, violation.player)), (2 * (k - 1)) ** k)
 
 
 def coordinate_decrease_counterexample(
@@ -382,7 +428,8 @@ def coordinate_decrease_counterexample(
     """
     deficit = _check_coordinate(plan, violation, Direction.DECREASE)
     k = plan.players
-    market = _coordinate_market(violation, _base_marginal(violation))
+    weights = _base_weights(k, violation.player)
+    market = _coordinate_market(violation, _coordinate_ints(violation), weights)
     pi_base = tuple_probability(violation)
     gain, params = deficit * pi_base, {"tuple_probability": pi_base}
     return _certified(plan, market, tuple(range(k)), violation.player, k, gain, params)
@@ -402,6 +449,28 @@ def _probability_step(k: int, weighted_deficit: Fraction) -> tuple[Fraction, int
     raise SearchExhausted(f"guaranteed gain still negative after {ESCALATIONS} probability steps")
 
 
+def _escape_line(
+    ints: tuple[int, list[int], int], weights: list[int], player: int
+) -> tuple[int, int]:
+    """(slope, offset): with the escape at e, each copy action's expectation
+    exceeds the deviation's by slope * e * scale + offset, over
+    mass^k * scale, in `_coordinate_market(violation, ints, weights, e)`
+    (mass = sum(weights)).  With kept the base coordinates' weight and t
+    their weighted values, a copy expects mass^(k-1) (t + weights[k] e scale);
+    the deviation expects kept^(k-1) t, plus the base atom's weight times
+    (witness - the player's coordinate), less (mass^k - kept^k) e scale on
+    the atoms where some draw is the escape."""
+    scale, values, witness = ints
+    k = len(values)
+    kept, mass = sum(weights[:k]), sum(weights)
+    total = sum(map(mul, weights[:k], values))
+    slope = mass ** (k - 1) * weights[k] + mass**k - kept**k
+    offset = total * (mass ** (k - 1) - kept ** (k - 1)) - prod(weights[:k]) * (
+        witness - values[player]
+    )
+    return slope, offset
+
+
 def coordinate_increase_counterexample(
     plan: BonusPlan, violation: CoordinateViolation
 ) -> Counterexample:
@@ -410,42 +479,44 @@ def coordinate_increase_counterexample(
     The marginal is the base marginal scaled by p plus a high escape value
     with the rare mass 1 - p.  The deviation action raises the violating
     player's draw to the witness exactly on the base tuple and crashes to a
-    low escape value whenever any player draws the high escape.  p climbs
-    the schedule 1 - 2^-t until the guaranteed gain
+    low escape value, minus the high one, whenever any player draws the high
+    escape.  p climbs the schedule 1 - 2^-t until the guaranteed gain
 
         deficit * p^k * (base tuple probability)  -  (1 - p^k)
 
     turns positive (a rare-case bonus loss is at most 1), a test each step
-    makes by comparing integers (`_probability_step`); then the escape
-    values double outward until the deviation's expectation drops strictly
-    below the common one.  The reported gain is recomputed exactly.
+    makes by comparing integers (`_probability_step`).  The escape starts at
+    the least power of two above every coordinate's magnitude and doubles
+    until the deviation's expectation drops strictly below the common one.
+    No market is built for that test: with m the base marginal's mean, pi
+    the base tuple's probability and e the escape, each copy action expects
+    p m + (1 - p) e and the deviation p^k (m + pi (witness - base[player]))
+    - (1 - p^k) e, both affine in e, so each doubling compares two integers.
+    The market is then built once, and the reported gain recomputed on it
+    exactly; `_certified` checks the ranking again on the built market.
     """
     deficit = _check_coordinate(plan, violation, Direction.INCREASE)
-    base, player, witness = violation.base, violation.player, violation.witness
-    k = plan.players
-    pi_base = tuple_probability(violation)
+    player, k = violation.player, plan.players
+    p, schedule_steps = _probability_step(k, deficit * tuple_probability(violation))
 
-    p, schedule_steps = _probability_step(k, deficit * pi_base)
-
-    magnitude = max(max(abs(v) for v in base), abs(witness))
-    escape = ONE
-    while escape <= magnitude:
-        escape *= 2
-
-    actions = tuple(range(k))
-    scaled = [(v, p * q) for v, q in _base_marginal(violation)]
+    ints = scale, values, witness = _coordinate_ints(violation)
+    # p q_j = num w_j / (den 2(k - 1)) and 1 - p = (den - num) 2(k - 1) / (den 2(k - 1))
+    num, den = p.as_integer_ratio()
+    weights = [num * w for w in _base_weights(k, player)]
+    weights.append((den - num) * 2 * (k - 1))
+    slope, offset = _escape_line(ints, weights, player)
+    escape = 1 << (max(map(abs, (*values, witness))) // scale).bit_length()
     for doubling in range(ESCALATIONS):
-        high, low = escape, -escape  # the high escape lies above every base value
-        market = _coordinate_market(violation, scaled + [(high, ONE - p)], low)
-        if market.best_actions == actions:  # the deviation k ranks below them
+        if slope * escape * scale + offset > 0:  # the deviation k ranks below the copies
+            market = _coordinate_market(violation, ints, weights, escape)
             params = {
                 "p": p,
-                "escape_high": high,
-                "escape_low": low,
+                "escape_high": Fraction(escape),
+                "escape_low": Fraction(-escape),
                 "probability_steps": schedule_steps,
                 "escape_doublings": doubling,
             }
-            return _certified(plan, market, actions, player, k, None, params)
+            return _certified(plan, market, tuple(range(k)), player, k, None, params)
         escape *= 2
     raise SearchExhausted(
         f"deviation expectation still not below after {ESCALATIONS} escape doublings"

@@ -17,15 +17,18 @@ outcomes are integers over one common denominator, probabilities over
 another, each the least.  `build_market` reads its atoms' numbers as
 integer ratios (`rational.integer_ratio`) and writes them so with
 `ratios_over_lcm`; `product_market` reads its rules' values the same way
-and hands its view over directly.  A market's `atoms`, the (probability,
-outcomes) pairs `build_market` reads, are derived from the view on first
-read, one `Fraction` per distinct integer, so a verdict that never reads
-them never builds them.  `market_to_dict`
-writes a document from the view itself, one string per distinct integer by
-`format_ratio`, with no `Fraction`: a document in canonical form goes to
-the view and back with no `Fraction` either way.  Action a's
-expectation is one integer sum, sum_t weight_t * value_t[a], over mass *
-scale, kept once per market in `expectation_sums`.  Those sums are the one
+and hands its view over directly.  A product market's atoms are assembled
+in one place, `_product_of`, from a marginal and extra rows already in
+integers: `product_market` calls it, and so do the coordinate
+counterexamples, which design their market in integers with no rule.  A
+market's `atoms`, the (probability, outcomes) pairs `build_market` reads,
+are derived from the view on first read, one `Fraction` per distinct
+integer, so a verdict that never reads them never builds them.
+`market_to_dict` writes a document from the view itself, one string per
+distinct integer by `format_ratio`, with no `Fraction`: a document in
+canonical form goes to the view and back with no `Fraction` either way.
+Action a's expectation is one integer sum, sum_t weight_t * value_t[a],
+over mass * scale, kept once per market in `expectation_sums`.  Those sums are the one
 ranking of expectations: `best_actions`, the indices of the largest in
 index order, is the set every best-action test reads, and no `Fraction` is
 compared to rank actions.  `expectations()` builds `Fraction`s from the
@@ -387,11 +390,9 @@ def product_market(
 
     The market's integer view is handed over as built, and no atom is
     derived from it.  The merged marginal is held as integer weights over
-    `mass`, the lcm of its denominators; an atom's weight is the product of
-    its draws' weights over mass^copies, and its row the support's integers
-    plus the rules' values, over one scale that `ratios_over_lcm` takes, as
-    `build_market` does.  Both are in lowest terms: a prime that divides the
-    mass misses some weight, and so the product of `copies` of it.
+    `mass`, the lcm of its denominators, and the support's integers and the
+    rules' values over one scale that `ratios_over_lcm` takes, as
+    `build_market` does; `_product_of` assembles the atoms from them.
     """
     as_count(copies, "copy count", 1, ArityMismatch)
     merged: dict[Fraction, Fraction] = {}
@@ -407,8 +408,7 @@ def product_market(
     if sum(weights) != mass:
         total_text = rational_text(Fraction(sum(weights), mass))
         raise NonUnitMass(f"marginal probabilities sum to {total_text}, not 1")
-    if atoms := _power_exceeds(len(support), copies, ATOM_CAP):
-        raise AtomCapExceeded(f"{atoms} atoms exceed cap {ATOM_CAP}")
+    _check_atom_cap(len(support), copies)
 
     rules = []
     for label, rule in _pairs(extra_actions, "extra action", "(label, rule)"):
@@ -422,12 +422,44 @@ def product_market(
     extras = [integer_ratios([rule(ix) for _, rule in rules]) for ix in draws]
     support_ratios = [v.as_integer_ratio() for v in support]
     scale, (ints, *extra_ints) = ratios_over_lcm([support_ratios, *extras])
-    labels = tuple(f"X{j + 1}" for j in range(copies)) + tuple(label for label, _ in rules)
+    labels = [label for label, _ in rules]
+    return _product_of(copies, scale, ints, mass, weights, labels, extra_ints)
+
+
+def _check_atom_cap(values: int, copies: int) -> None:
+    """AtomCapExceeded when `copies` draws from `values` support values make
+    more than ATOM_CAP atoms; the count itself is never built."""
+    if atoms := _power_exceeds(values, copies, ATOM_CAP):
+        raise AtomCapExceeded(f"{atoms} atoms exceed cap {ATOM_CAP}")
+
+
+def _product_of(
+    copies: int,
+    scale: int,
+    ints: Sequence[int],
+    mass: int,
+    weights: Sequence[int],
+    extra_labels: Sequence[str],
+    extra_rows: Iterable[tuple[int, ...]],
+) -> Market:
+    """The product market of `copies` draws from a marginal already in
+    integers: the sorted, distinct support `ints` over `scale` and its
+    `weights` over `mass`, each denominator the least.  The atoms run in
+    product order of the support; coordinate action j realizes component
+    j, and the extra actions, labelled in order, realize `extra_rows`, one
+    row of integers over `scale` per atom in that order.  An atom's weight
+    is the product of its draws' weights over mass^copies, still in lowest
+    terms: a prime that divides the mass misses some weight, and so the
+    product of `copies` of it.  The scale is least when the caller took it
+    as the lcm of the reduced denominators of every value the view holds,
+    as `product_market` and the coordinate counterexamples do; `Market`
+    checks both."""
+    labels = tuple(f"X{j + 1}" for j in range(copies)) + tuple(extra_labels)
     view = IntegerView(
         scale,
         mass**copies,
         tuple(map(prod, product(weights, repeat=copies))),
-        tuple(map(add, product(ints, repeat=copies), extra_ints)),
+        tuple(map(add, product(ints, repeat=copies), extra_rows)),
     )
     return Market(labels, view)
 

@@ -1,7 +1,7 @@
 """Shared fixtures: seeded and hypothesis market generators, plans of every
 kind for a market, reference market and portfolio checks, integer views, portfolio values and
-expectations, product markets, allocation rule and dominance relation, and
-the acceptance summary.
+expectations, product markets, the coordinate counterexamples' index-rule
+market, allocation rule and dominance relation, and the acceptance summary.
 
 Tests marked ``@pytest.mark.criterion(n, "...")`` are tallied and reported
 as one PASS/FAIL line per criterion id at the end of the run.
@@ -37,6 +37,7 @@ from bonuslab import (
     build_market,
     market_from_dict,
     market_to_dict,
+    product_market,
 )
 from bonuslab.game import Elimination
 from bonuslab.market import IntegerView
@@ -278,6 +279,29 @@ def fraction_product_atoms(marginal, copies: int, rules=()) -> list[tuple[Fracti
             probability *= merged[v]
         atoms.append((probability, combo + extras))
     return atoms
+
+
+def index_rule_market(violation, marginal, low=None) -> Market:
+    """Reference: a coordinate counterexample's market as `product_market`
+    builds it from a rule on support indices, the way the coordinate
+    builders once did.  `marginal` lists (value, probability) pairs, one per
+    base coordinate and, with a `low` value, the high escape last.  The
+    deviation "dev" realizes the witness on the base atom, `low` wherever a
+    draw is the escape, the last support index, and the violating player's
+    draw elsewhere."""
+    player, witness = violation.player, violation.witness
+    support = sorted(v for v, _ in marginal)
+    base_ix = tuple(map(support.index, violation.base))
+    top = len(support) - 1
+
+    def deviation(ix):
+        if ix == base_ix:
+            return witness
+        if low is not None and top in ix:
+            return low
+        return support[ix[player]]
+
+    return product_market(marginal, len(base_ix), [("dev", deviation)])
 
 
 def fraction_allocation(plan: BonusPlan, results) -> tuple[Fraction, ...]:

@@ -361,9 +361,16 @@ MUTANTS = (
     Mutant(
         "the escape loop stops while the deviation still ties",
         "src/bonuslab/counterexamples.py",
-        "if market.best_actions == actions:",
-        "if market.best_actions[:k] == actions:",
+        "if slope * escape * scale + offset > 0:",
+        "if slope * escape * scale + offset >= 0:",
         ("tests/test_counterexamples.py::test_coordinate_increase_escape_passes_a_tie",),
+    ),
+    Mutant(
+        "the escape's mass taken as p instead of 1 - p",
+        "src/bonuslab/counterexamples.py",
+        "weights.append((den - num) * 2 * (k - 1))",
+        "weights.append(num * 2 * (k - 1))",
+        ("tests/test_counterexamples.py::test_coordinate_increase_builder_frozen_values",),
     ),
     Mutant(
         "the player cap dropped",
@@ -573,26 +580,40 @@ MUTANTS = (
     Mutant(
         "base_ix taken from the wrong player's index",
         "src/bonuslab/counterexamples.py",
-        "base_ix = tuple(map(support.index, violation.base))",
-        "base_ix = tuple(map(support.index, violation.base[1:] + violation.base[:1]))",
+        "base_ix = tuple(map(support.index, values))",
+        "base_ix = tuple(map(support.index, values[1:] + values[:1]))",
         (
             "tests/test_counterexamples.py::test_coordinate_decrease_builder_frozen_values",
             "tests/test_counterexamples.py::test_coordinate_increase_builder_frozen_values",
+            "tests/test_counterexamples.py::test_integer_coordinate_market_matches_the_index_rule",
         ),
     ),
     Mutant(
         "the escape's index taken as the first support index, not the last",
         "src/bonuslab/counterexamples.py",
-        "top = len(support) - 1",
-        "top = 0",
-        ("tests/test_counterexamples.py::test_coordinate_increase_builder_frozen_values",),
+        "top, low = k, -escape * scale",
+        "top, low = 0, -escape * scale",
+        (
+            "tests/test_counterexamples.py::test_coordinate_increase_builder_frozen_values",
+            "tests/test_counterexamples.py::test_integer_coordinate_market_matches_the_index_rule",
+        ),
     ),
     Mutant(
         "the escape branch taken without a low value",
         "src/bonuslab/counterexamples.py",
-        "if low is not None and top in ix:",
-        "if top in ix:",
+        "top = low = None  # no draw is an escape",
+        "top, low = k - 1, None",
         ("tests/test_counterexamples.py::test_coordinate_decrease_builder_frozen_values",),
+    ),
+    Mutant(
+        "the dev column read at the wrong player's digit",
+        "src/bonuslab/counterexamples.py",
+        "else support[ix[player]] for ix in",
+        "else support[ix[player - 1]] for ix in",
+        (
+            "tests/test_counterexamples.py::test_coordinate_decrease_builder_frozen_values",
+            "tests/test_counterexamples.py::test_integer_coordinate_market_matches_the_index_rule",
+        ),
     ),
     Mutant(
         "a non-callable rule accepted",

@@ -1,5 +1,6 @@
 """Monotonicity probes and the markets that turn violations into refutations."""
 
+import math
 import random
 import re
 import sys
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from bonuslab import (
     ArityMismatch,
+    AtomCapExceeded,
     BonusLabError,
     BoundedLinearPlan,
     ConstantPlan,
@@ -50,7 +52,7 @@ from bonuslab import (
 import bonuslab.counterexamples as counterexamples
 from bonuslab.plans import BonusPlan, Kernel
 from bonuslab.rational import as_count, rational_text
-from conftest import assert_rebuilds_from_its_atoms, fraction_allocation
+from conftest import assert_rebuilds_from_its_atoms, fraction_allocation, index_rule_market
 
 F = Fraction
 
@@ -322,6 +324,47 @@ def test_builders_refuse_a_deficit_that_is_not_exact():
         assert type(build(plan, violation).gain) is Fraction
 
 
+# (id, builder, plan, changed fields of the plan's first probed violation,
+# error type, message): a violation's points, base and direction are read
+# before any arithmetic, so each ends in a BonusLabError, not a bare
+# TypeError or AttributeError
+REJECTED_VIOLATIONS = [
+    ("pair-x-and-y-strings", pair_increase_counterexample, WinnerTakeAllPlan(2),
+     {"x": "0", "y": "1"}, StaleViolation, "x '0' is not an int or a Fraction"),
+    ("pair-y-none", pair_increase_counterexample, WinnerTakeAllPlan(2),
+     {"y": None}, StaleViolation, "y None is not an int or a Fraction"),
+    ("pair-x-float", pair_increase_counterexample, WinnerTakeAllPlan(2),
+     {"x": 0.0}, FloatRejected, "refusing float x 0.0"),
+    ("pair-direction-string", pair_increase_counterexample, WinnerTakeAllPlan(2),
+     {"direction": "increase"}, StaleViolation, "direction 'increase' is not a Direction"),
+    ("coordinate-witness-string", coordinate_increase_counterexample, WinnerTakeAllPlan(3),
+     {"witness": "2"}, StaleViolation, "witness '2' is not an int or a Fraction"),
+    ("coordinate-base-string", coordinate_increase_counterexample, WinnerTakeAllPlan(3),
+     {"base": ("0", F(1), F(2))}, StaleViolation, "base coordinate '0' is not an int or a Fraction"),
+    ("coordinate-base-none", coordinate_increase_counterexample, WinnerTakeAllPlan(3),
+     {"base": None}, StaleViolation, "base point None is not a tuple"),
+    ("coordinate-base-list", coordinate_increase_counterexample, WinnerTakeAllPlan(3),
+     {"base": [F(0), F(1), F(2)]}, StaleViolation,
+     "base point [Fraction(0, 1), Fraction(1, 1), Fraction(2, 1)] is not a tuple"),
+    ("coordinate-direction-string", coordinate_increase_counterexample, WinnerTakeAllPlan(3),
+     {"direction": "increase"}, StaleViolation, "direction 'increase' is not a Direction"),
+]
+
+
+@pytest.mark.parametrize(
+    "build,plan,changes,error,message",
+    [case[1:] for case in REJECTED_VIOLATIONS],
+    ids=[case[0] for case in REJECTED_VIOLATIONS],
+)
+def test_builders_refuse_violations_of_the_wrong_types(build, plan, changes, error, message):
+    probe = probe_pairs if plan.players == 2 else probe_own_coordinate
+    violation = probe(plan, ("0", "1", "2"))[0]
+    assert violation.direction is Direction.INCREASE
+    with pytest.raises(error) as exc:
+        build(plan, replace(violation, **changes))
+    assert str(exc.value) == message
+
+
 def test_pair_builders_are_for_two_player_plans():
     decrease = PairViolation(Direction.DECREASE, F(0), F(1), 0, F(1, 2))
     with pytest.raises(ArityMismatch, match="two-player"):
@@ -366,19 +409,20 @@ def test_coordinate_decrease_gain_recomputes_atomwise():
 
 def test_coordinate_increase_escape_passes_a_tie():
     """At the first escape value, 16, this witness makes the deviation tie
-    the coordinate actions exactly; validation would refuse that market, so
-    the escape doubles once more."""
+    the coordinate actions exactly: the integer escape line reads 0 there,
+    and the market the index rule builds ranks all three actions best.
+    Validation would refuse that market, so the escape doubles once more,
+    where the line turns positive."""
     violation = CoordinateViolation(Direction.INCREASE, 0, (F(1), F(2)), F(3323, 225), F(1))
     p, high = F(15, 16), F(16)
-
-    support = (F(1), F(2), high)  # the base point is the draw (0, 1), the escape index 2
-
-    def chase(ix):
-        return violation.witness if ix == (0, 1) else (-high if 2 in ix else support[ix[0]])
-
     marginal = [(F(1), p / 2), (F(2), p / 2), (high, 1 - p)]
-    tied = product_market(marginal, 2, [("dev", chase)])
+    tied = index_rule_market(violation, marginal, -high)
     assert tied.best_actions == (0, 1, 2)
+    ints = counterexamples._coordinate_ints(violation)
+    weights = [15, 15, 2]  # p/2, p/2 and 1 - p over 32
+    slope, offset = counterexamples._escape_line(ints, weights, 0)
+    assert slope * 16 * ints[0] + offset == 0
+    assert slope * 32 * ints[0] + offset > 0
     ce = coordinate_increase_counterexample(WinnerTakeAllPlan(2), violation)
     assert (ce.params["p"], ce.params["escape_doublings"]) == (p, 1)
     assert ce.market.best_actions == (0, 1)
@@ -402,6 +446,126 @@ def test_coordinate_increase_builder_frozen_values():
     assert ce.market.expectations()[0] == F(921, 512)
     assert expectation(ce.market, MixedAction.pure(3, 4)) < F(921, 512)
     assert len(ce.market.atoms) == 4**3
+
+
+def random_design(rng, k, escaped):
+    """A coordinate market's design: a violation at k distinct coordinates
+    of mixed denominators, with a witness that may equal one of them, and
+    positive integer weights, one per coordinate and, when escaped, one for
+    an escape that is a power of two above every magnitude, doubled 0-2
+    times."""
+    values = rng.sample([F(n, d) for d in (1, 2, 3, 4, 6) for n in range(-12, 13)], 40)
+    base = tuple(dict.fromkeys(values))[:k]
+    witness = rng.choice((rng.choice(base), F(rng.randint(-12, 12), rng.choice((1, 5, 7)))))
+    player = rng.randrange(k)
+    violation = CoordinateViolation(Direction.INCREASE, player, base, witness, F(1))
+    weights = [rng.randint(1, 9) for _ in range(k + escaped)]
+    escape = None
+    if escaped:
+        magnitude = max(map(abs, (*base, witness)))
+        escape = 1
+        while escape <= magnitude:
+            escape *= 2
+        escape <<= rng.randint(0, 2)
+    return violation, weights, escape
+
+
+def market_or_error(call):
+    """The call's market, or the type and message of the BonusLabError it
+    raises."""
+    try:
+        return call()
+    except BonusLabError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("escaped", [False, True], ids=["no-low", "low"])
+@pytest.mark.parametrize("k,cases", [(3, 12), (4, 8), (5, 3), (6, 1)])
+def test_integer_coordinate_market_matches_the_index_rule(k, cases, escaped):
+    """The coordinate market written from integers is the market
+    `product_market` builds from the index rule, atom for atom: the same
+    labels and the same integer view, for random violations at k = 3-6 with
+    and without a low value.  At k = 6 with an escape both refuse the 7^6
+    atoms with the same AtomCapExceeded."""
+    rng = random.Random(100 * k + escaped)
+    for _ in range(cases):
+        violation, weights, escape = random_design(rng, k, escaped)
+        total = sum(weights)
+        values = violation.base + ((F(escape),) if escaped else ())
+        marginal = [(v, F(w, total)) for v, w in zip(values, weights)]
+        low = -F(escape) if escaped else None
+        expected = market_or_error(lambda: index_rule_market(violation, marginal, low))
+        ints = counterexamples._coordinate_ints(violation)
+        got = market_or_error(
+            lambda: counterexamples._coordinate_market(violation, ints, weights, escape)
+        )
+        assert got == expected
+        if isinstance(got, tuple):
+            assert got[0] is AtomCapExceeded
+        else:
+            assert got.integer_view == expected.integer_view
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_integer_escape_decision_matches_the_built_ranking(k):
+    """At every escape doubling the integer line decides what the built
+    market's `best_actions` decides: the copies rank best and the deviation
+    below them exactly when slope * e * scale + offset > 0.  The designs are
+    the increase builder's: the base marginal scaled by p = 1 - 2^-t, the
+    rest on the escape, which starts at the least power of two above every
+    magnitude, and a witness above the base.  The line is the copies' lead
+    itself, the market's expectation sums times g^k where g reduces the
+    weights."""
+    rng = random.Random(7 + k)
+    decided = set()
+    for _ in range(16 if k < 5 else 4):
+        violation, _, escape = random_design(rng, k, True)
+        witness = max(violation.base) + F(rng.randint(1, 24), rng.choice((1, 2, 3)))
+        violation = replace(violation, witness=witness)
+        escape = 1 << int(max(map(abs, (*violation.base, witness)))).bit_length()
+        t = rng.randint(4, 4 * k + 6)
+        weights = [(2**t - 1) * w for w in counterexamples._base_weights(k, violation.player)]
+        weights.append(2 * (k - 1))
+        ints = counterexamples._coordinate_ints(violation)
+        slope, offset = counterexamples._escape_line(ints, weights, violation.player)
+        g = math.gcd(*weights)
+        for _ in range(3):
+            market = counterexamples._coordinate_market(violation, ints, weights, escape)
+            sums = market.expectation_sums
+            assert len(set(sums[:k])) == 1
+            line = slope * escape * ints[0] + offset
+            assert (sums[0] - sums[k]) * g**k == line
+            ranked = market.best_actions == tuple(range(k))
+            assert ranked == (line > 0)
+            decided.add(ranked)
+            escape *= 2
+    assert decided == {True, False}
+
+
+@pytest.mark.parametrize(
+    "plan,grid,doublings,atoms",
+    [(WinnerTakeAllPlan(4), range(4), 1, 625), (WinnerTakeAllPlan(3), range(3), 0, 64)],
+    ids=["wta4", "wta3"],
+)
+def test_an_increase_verdict_assembles_one_product(monkeypatch, plan, grid, doublings, atoms):
+    """The escape is decided before any market is built: WTA(4) on
+    {0, ..., 3} doubles its escape once and WTA(3) on {0, 1, 2} not at all,
+    and each verdict assembles exactly one product market."""
+    import bonuslab.market as market_module
+
+    calls = []
+    assemble = market_module._product_of
+
+    def counting(*args):
+        calls.append(args[0])
+        return assemble(*args)
+
+    monkeypatch.setattr(market_module, "_product_of", counting)
+    monkeypatch.setattr(counterexamples, "_product_of", counting)
+    ce = universality_verdict(plan, grid).counterexample
+    assert ce.params["escape_doublings"] == doublings
+    assert calls == [plan.players]
+    assert len(ce.market.integer_view.weights) == atoms
 
 
 def test_a_stated_gain_is_checked_not_replaced(monkeypatch):
