@@ -77,7 +77,6 @@ from .market import (
     load_market,
     market_from_dict,
     market_to_dict,
-    product_market,
     profile_from_list,
     profile_to_list,
     two_bond_market,

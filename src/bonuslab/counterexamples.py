@@ -38,19 +38,19 @@ or certificate value is an int or a Fraction, compared and never parsed: a
 float is FloatRejected even where it equals the exact value.
 
 The two coordinate builders share one market design, `_coordinate_market`,
-written in integers: k draws from a marginal held as integer weights, and
-a deviation action "dev" that realizes the witness on the base tuple and
-the violating player's draw elsewhere, except, for the increase builder, a
-low value, minus its high escape, wherever a draw is that escape.  The base
-point and the witness go over one scale, the lcm of their denominators,
-which the integer escape keeps; "dev" is written as one column of integers
-in product order, with no rule and no coercion per atom; and
-`market._product_of`, which `product_market` calls too, assembles the
-atoms.  The increase builder decides its escape before any of that: the
-copy actions' expectations and the deviation's are affine in the escape,
-so each doubling compares integers (`_escape_line`), and the market is
-built once a verdict.  No atom's `Fraction`s are built or compared; the
-market derives them only when a reader asks for its atoms.
+the one place a product market is laid out: k draws from a marginal held
+as integer weights, one action X1..Xk per draw, and a deviation action
+"dev" that realizes the witness on the base tuple and the violating
+player's draw elsewhere, except, for the increase builder, a low value,
+minus its high escape, wherever a draw is that escape.  The base point and
+the witness go over one scale, the lcm of their denominators, which the
+integer escape keeps; the atoms' rows and weights are written in product
+order as integers, with no rule and no coercion per atom, and handed to
+`Market` as its view.  The increase builder decides its escape before any
+of that: the copy actions' expectations and the deviation's are affine in
+the escape, so each doubling compares integers (`_escape_line`), and the
+market is built once a verdict.  No atom's `Fraction`s are built or
+compared; the market derives them only when a reader asks for its atoms.
 """
 
 from __future__ import annotations
@@ -63,17 +63,23 @@ from math import gcd, prod
 from operator import mul
 from typing import Sequence
 
-from .errors import ArityMismatch, FloatRejected, GridCapExceeded, SearchExhausted, StaleViolation
+from .errors import (
+    ArityMismatch,
+    AtomCapExceeded,
+    FloatRejected,
+    GridCapExceeded,
+    SearchExhausted,
+    StaleViolation,
+)
 from .game import induce_game
 from .market import (
     GRID_CAP,
+    IntegerView,
     Market,
     Profile,
     build_market,
-    _check_atom_cap,
     _multisets_exceed,
     _power_exceeds,
-    _product_of,
 )
 from .plans import BonusPlan
 from .rational import (
@@ -87,6 +93,7 @@ from .rational import (
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+ATOM_CAP = 100_000  # atoms of a coordinate market, checked before any is built
 ESCALATIONS = 64  # the coordinate increase builder's probability steps and escape doublings
 
 
@@ -379,34 +386,47 @@ def _coordinate_market(
     action "dev", written in integers.  `ints` is `_coordinate_ints`; the
     marginal puts weights[j] on base coordinate j and, with an escape,
     weights[k] on the high value `escape`, an integer above every base
-    coordinate.  In product order of the sorted support, "dev" realizes the
-    witness at the base atom, -escape at every atom where some draw is the
-    escape, and the violating player's draw elsewhere.  The scale is the lcm
-    over the support, the witness and -escape: an integer escape leaves
-    `_coordinate_ints`' scale as it is."""
+    coordinate.  The atoms run in product order of the sorted support:
+    coordinate action Xj realizes draw j, and "dev" the witness at the base
+    atom, -escape at every atom where some draw is the escape, and the
+    violating player's draw elsewhere.  An atom's weight is the product of
+    its draws' weights over mass^k, in lowest terms once the marginal's are:
+    a prime that divides the mass misses some weight, and so the product of
+    k of them.  The scale is the lcm over the support, the witness and
+    -escape: an integer escape leaves `_coordinate_ints`' scale as it is.
+    More than ATOM_CAP atoms raise AtomCapExceeded before any is built."""
     scale, values, witness = ints
     player, k = violation.player, len(values)
+    n = k + (escape is not None)
+    if atoms := _power_exceeds(n, k, ATOM_CAP):
+        raise AtomCapExceeded(f"{atoms} atoms exceed cap {ATOM_CAP}")
     order = sorted(range(k), key=values.__getitem__)
     support = [values[j] for j in order]
     marginal = [weights[j] for j in order]
     base_ix = tuple(map(support.index, values))
     if escape is None:
-        top = low = None  # no draw is an escape
+        high = None  # no draw is an escape
     else:
-        support.append(escape * scale)
+        high = escape * scale
+        support.append(high)
         marginal.append(weights[k])
-        top, low = k, -escape * scale
-    n = len(support)
-    _check_atom_cap(n, k)
-    dev = [low if top in ix else support[ix[player]] for ix in product(range(n), repeat=k)]
+    rows = [
+        draw + (-high if high in draw else draw[player],)
+        for draw in product(support, repeat=k)
+    ]
     position = 0
     for i in base_ix:
         position = position * n + i
-    dev[position] = witness
-    mass = sum(marginal)
-    g = gcd(mass, *marginal)
+    rows[position] = (*values, witness)
+    g = gcd(*marginal)
     marginal = [w // g for w in marginal]
-    return _product_of(k, scale, support, mass // g, marginal, ("dev",), zip(dev))
+    view = IntegerView(
+        scale,
+        sum(marginal) ** k,
+        tuple(map(prod, product(marginal, repeat=k))),
+        tuple(rows),
+    )
+    return Market(tuple(f"X{j + 1}" for j in range(k)) + ("dev",), view)
 
 
 def tuple_probability(violation: CoordinateViolation) -> Fraction:

@@ -46,7 +46,7 @@ class NonSimplexWeights(BonusLabError):
 
 
 class AtomCapExceeded(BonusLabError):
-    """A product market would have more atoms than market.ATOM_CAP."""
+    """A product market would have more atoms than counterexamples.ATOM_CAP."""
 
 
 class NonSimplexTable(BonusLabError):

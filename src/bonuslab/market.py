@@ -16,11 +16,8 @@ A market is kept as its `integer_view`, the one form `Market` checks:
 outcomes are integers over one common denominator, probabilities over
 another, each the least.  `build_market` reads its atoms' numbers as
 integer ratios (`rational.integer_ratio`) and writes them so with
-`ratios_over_lcm`; `product_market` reads its rules' values the same way
-and hands its view over directly.  A product market's atoms are assembled
-in one place, `_product_of`, from a marginal and extra rows already in
-integers: `product_market` calls it, and so do the coordinate
-counterexamples, which design their market in integers with no rule.  A
+`ratios_over_lcm`; a caller that has its numbers in integers already, as
+the coordinate counterexamples do, hands `Market` its view directly.  A
 market's `atoms`, the (probability, outcomes) pairs `build_market` reads,
 are derived from the view on first read, one `Fraction` per distinct
 integer, so a verdict that never reads them never builds them.
@@ -43,14 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
-from math import gcd, prod
-from operator import add, mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from math import gcd
+from operator import mul
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ArityMismatch,
-    AtomCapExceeded,
     BonusLabError,
     GridCapExceeded,
     InvalidParameter,
@@ -60,12 +56,12 @@ from .errors import (
 )
 from .rational import (
     as_count,
-    as_rational,
     format_rational,
     format_ratio,
     input_text,
     integer_ratio,
     integer_ratios,
+    items_of,
     load_json,
     over_lcm,
     ratios_over_lcm,
@@ -73,7 +69,6 @@ from .rational import (
     rationals,
 )
 
-ATOM_CAP = 100_000  # atoms of a product market, checked before any is built
 GRID_CAP = 200_000  # simplex grid points, probed base points, a pure portfolio's actions
 
 ZERO = Fraction(0)
@@ -276,8 +271,11 @@ class Profile:
 
 
 def check_arity(strategies: Iterable[MixedAction], n: int) -> None:
-    """ArityMismatch unless every strategy has one weight per action."""
+    """ArityMismatch unless every strategy is a `MixedAction` with one
+    weight per action."""
     for s in strategies:
+        if not isinstance(s, MixedAction):
+            raise ArityMismatch(f"a strategy must be a MixedAction, got {input_text(s)}")
         if len(s.weights) != n:
             raise ArityMismatch(f"strategy over {len(s.weights)} actions on a market with {n}")
 
@@ -308,29 +306,22 @@ def build_market(actions: Sequence[str], atoms: Iterable[tuple]) -> Market:
     `integer_ratio`, with the errors `as_rational` raises, and the market is
     checked on the view `ratios_over_lcm` writes them in: no `Fraction` is
     built for a string in canonical form.
-    A string of labels is refused rather than read one label per character,
-    and an atom that is not a pair as ArityMismatch.
+    The labels and the atoms are each read as a list by `items_of`, so a
+    string is refused rather than read one item per character, and so is a
+    value that is not iterable; an atom that is not a pair is ArityMismatch.
     """
-    if isinstance(actions, (str, bytes)):
-        raise ArityMismatch(f"expected a list of action labels, got {input_text(actions)}")
-    pairs = _pairs(atoms, "atom", "(probability, outcomes)")
+    labels = tuple(items_of(actions, "action labels"))
     probabilities, outcomes = [], []
-    for p, row in pairs:
+    for i, atom in enumerate(items_of(atoms, "(probability, outcomes) pairs")):
+        try:
+            p, row = atom
+        except (TypeError, ValueError) as exc:
+            raise ArityMismatch(f"atom {i} is not a (probability, outcomes) pair: {exc}") from exc
         probabilities.append(integer_ratio(p))
         outcomes.append(integer_ratios(row))
     mass, (weights,) = ratios_over_lcm([probabilities])
     scale, values = ratios_over_lcm(outcomes)
-    return Market(tuple(actions), IntegerView(scale, mass, weights, tuple(values)))
-
-
-def _pairs(items: Iterable, what: str, shape: str) -> Iterator[tuple]:
-    """Each item as a pair; ArityMismatch names the first that is not one."""
-    for i, item in enumerate(items):
-        try:
-            first, second = item
-        except (TypeError, ValueError) as exc:
-            raise ArityMismatch(f"{what} {i} is not a {shape} pair: {exc}") from exc
-        yield first, second
+    return Market(labels, IntegerView(scale, mass, weights, tuple(values)))
 
 
 def expectation(market: Market, strategy: MixedAction) -> Fraction:
@@ -361,107 +352,6 @@ def two_bond_market() -> Market:
             ("2/5", ("21/20", "1")),
         ],
     )
-
-
-def product_market(
-    marginal: Iterable[tuple],
-    copies: int,
-    extra_actions: Sequence[tuple[str, Callable[[tuple[int, ...]], object]]] = (),
-) -> Market:
-    """Market of `copies` i.i.d. draws from a marginal, one action per copy.
-
-    marginal: (value, probability) pairs; duplicate values merge their mass.
-    extra_actions: (label, rule) pairs.  A rule is a callable on an atom's
-        tuple of indices into the sorted, merged support, one index per
-        copy, and returns the extra action's outcome there, read by
-        `integer_ratio` with its errors, as `build_market` reads an
-        outcome; an exception the rule raises is not wrapped.
-
-    The atoms are all value tuples in support^copies with product
-    probabilities, in product order of the sorted support; coordinate
-    action j realizes component j.  Before any atom is read, the copy
-    count, then the marginal (each entry a pair, each probability positive,
-    then a mass of 1), then the atom cap (more than ATOM_CAP atoms raise
-    AtomCapExceeded), then each extra action in turn are checked: an entry
-    that is not a pair, or whose rule is not callable, raises
-    ArityMismatch.  At each atom in that order every rule is read, then its
-    values are read as integer ratios, so the first atom at which a rule
-    fails names the error.
-
-    The market's integer view is handed over as built, and no atom is
-    derived from it.  The merged marginal is held as integer weights over
-    `mass`, the lcm of its denominators, and the support's integers and the
-    rules' values over one scale that `ratios_over_lcm` takes, as
-    `build_market` does; `_product_of` assembles the atoms from them.
-    """
-    as_count(copies, "copy count", 1, ArityMismatch)
-    merged: dict[Fraction, Fraction] = {}
-    for value, prob in _pairs(marginal, "marginal entry", "(value, probability)"):
-        v, p = as_rational(value), as_rational(prob)
-        if p <= 0:
-            raise NonPositiveProbability(
-                f"marginal probability {rational_text(p)} is not positive"
-            )
-        merged[v] = merged.get(v, ZERO) + p
-    support = sorted(merged)
-    mass, (weights,) = over_lcm(map(merged.__getitem__, support))
-    if sum(weights) != mass:
-        total_text = rational_text(Fraction(sum(weights), mass))
-        raise NonUnitMass(f"marginal probabilities sum to {total_text}, not 1")
-    _check_atom_cap(len(support), copies)
-
-    rules = []
-    for label, rule in _pairs(extra_actions, "extra action", "(label, rule)"):
-        if not callable(rule):
-            raise ArityMismatch(
-                f"extra action {input_text(label)} has a rule of type {type(rule).__name__},"
-                " not a callable"
-            )
-        rules.append((label, rule))
-    draws = product(range(len(support)), repeat=copies)
-    extras = [integer_ratios([rule(ix) for _, rule in rules]) for ix in draws]
-    support_ratios = [v.as_integer_ratio() for v in support]
-    scale, (ints, *extra_ints) = ratios_over_lcm([support_ratios, *extras])
-    labels = [label for label, _ in rules]
-    return _product_of(copies, scale, ints, mass, weights, labels, extra_ints)
-
-
-def _check_atom_cap(values: int, copies: int) -> None:
-    """AtomCapExceeded when `copies` draws from `values` support values make
-    more than ATOM_CAP atoms; the count itself is never built."""
-    if atoms := _power_exceeds(values, copies, ATOM_CAP):
-        raise AtomCapExceeded(f"{atoms} atoms exceed cap {ATOM_CAP}")
-
-
-def _product_of(
-    copies: int,
-    scale: int,
-    ints: Sequence[int],
-    mass: int,
-    weights: Sequence[int],
-    extra_labels: Sequence[str],
-    extra_rows: Iterable[tuple[int, ...]],
-) -> Market:
-    """The product market of `copies` draws from a marginal already in
-    integers: the sorted, distinct support `ints` over `scale` and its
-    `weights` over `mass`, each denominator the least.  The atoms run in
-    product order of the support; coordinate action j realizes component
-    j, and the extra actions, labelled in order, realize `extra_rows`, one
-    row of integers over `scale` per atom in that order.  An atom's weight
-    is the product of its draws' weights over mass^copies, still in lowest
-    terms: a prime that divides the mass misses some weight, and so the
-    product of `copies` of it.  The scale is least when the caller took it
-    as the lcm of the reduced denominators of every value the view holds,
-    as `product_market` and the coordinate counterexamples do; `Market`
-    checks both."""
-    labels = tuple(f"X{j + 1}" for j in range(copies)) + tuple(extra_labels)
-    view = IntegerView(
-        scale,
-        mass**copies,
-        tuple(map(prod, product(weights, repeat=copies))),
-        tuple(map(add, product(ints, repeat=copies), extra_rows)),
-    )
-    return Market(labels, view)
 
 
 def _power_exceeds(n: int, k: int, cap: int) -> str | None:

@@ -212,22 +212,28 @@ def approx_decimal(value: Fraction) -> str:
     return f"{sign}{format_rational(whole)}.{frac:06d}"
 
 
-def rationals(values) -> tuple[Fraction, ...]:
-    """Coerce an iterable of rational-likes to a tuple of Fractions.
+def items_of(values, what: str):
+    """An iterator over `values`, a list of `what`; ArityMismatch for a
+    value that is not iterable, and for a string, which is refused rather
+    than read one item per character."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            return iter(values)
+        except TypeError:
+            pass
+    raise ArityMismatch(f"expected a list of {what}, got {input_text(values)}")
 
-    A string is refused rather than read one character per number.
-    """
-    if isinstance(values, (str, bytes)):
-        raise ArityMismatch(f"expected a list of numbers, got {input_text(values)}")
-    return tuple(map(as_rational, values))
+
+def rationals(values) -> tuple[Fraction, ...]:
+    """Coerce an iterable of rational-likes to a tuple of Fractions; a
+    string or a non-iterable is refused by `items_of`."""
+    return tuple(map(as_rational, items_of(values, "numbers")))
 
 
 def integer_ratios(values) -> list[tuple[int, int]]:
-    """Each of an iterable of rational-likes as its `integer_ratio`; a
-    string is refused as `rationals` refuses it."""
-    if isinstance(values, (str, bytes)):
-        raise ArityMismatch(f"expected a list of numbers, got {input_text(values)}")
-    return list(map(integer_ratio, values))
+    """Each of an iterable of rational-likes as its `integer_ratio`,
+    refused as `rationals` refuses it."""
+    return list(map(integer_ratio, items_of(values, "numbers")))
 
 
 def load_json(text: str):

@@ -1,6 +1,6 @@
 """Shared fixtures: seeded and hypothesis market generators, plans of every
 kind for a market, reference market and portfolio checks, integer views, portfolio values and
-expectations, product markets, the coordinate counterexamples' index-rule
+expectations, product atoms, the coordinate counterexamples' index-rule
 market, allocation rule and dominance relation, and the acceptance summary.
 
 Tests marked ``@pytest.mark.criterion(n, "...")`` are tallied and reported
@@ -37,7 +37,6 @@ from bonuslab import (
     build_market,
     market_from_dict,
     market_to_dict,
-    product_market,
 )
 from bonuslab.game import Elimination
 from bonuslab.market import IntegerView
@@ -252,43 +251,32 @@ def assert_rebuilds_from_its_atoms(market: Market) -> None:
 
 def fraction_product_atoms(marginal, copies: int, rules=()) -> list[tuple[Fraction, tuple]]:
     """Reference: (probability, outcomes) of each atom of `copies` i.i.d.
-    draws, in product order of the sorted merged support, the probability a
-    product of Fraction marginal masses and the outcomes the draw's values
-    then each rule's value there.
-
-    It checks the marginal the way `product_market` did in Fractions, with
-    the same errors and messages: a probability <= 0, then a merged mass
-    other than 1.  Each rule is read on the draw's indices into the sorted
-    support, and its value is coerced as soon as it is read."""
-    merged: dict[Fraction, Fraction] = {}
-    for value, prob in marginal:
-        v, p = as_rational(value), as_rational(prob)
-        if p <= 0:
-            raise NonPositiveProbability(f"marginal probability {p} is not positive")
-        merged[v] = merged.get(v, Fraction(0)) + p
-    if sum(merged.values()) != 1:
-        raise NonUnitMass(f"marginal probabilities sum to {sum(merged.values())}, not 1")
-
-    support = sorted(merged)
+    draws from a marginal of (value, probability) pairs with distinct
+    values, in product order of the sorted support: the probability a
+    product of Fraction masses, and the outcomes the draw's values, then
+    each rule's value there, read on the draw's indices into the sorted
+    support."""
+    support = sorted(marginal)
     atoms = []
     for ix in product(range(len(support)), repeat=copies):
-        combo = tuple(support[i] for i in ix)
-        extras = tuple(as_rational(rule(ix)) for _, rule in rules)
         probability = Fraction(1)
-        for v in combo:
-            probability *= merged[v]
+        for i in ix:
+            probability *= support[i][1]
+        combo = tuple(support[i][0] for i in ix)
+        extras = tuple(as_rational(rule(ix)) for _, rule in rules)
         atoms.append((probability, combo + extras))
     return atoms
 
 
 def index_rule_market(violation, marginal, low=None) -> Market:
-    """Reference: a coordinate counterexample's market as `product_market`
-    builds it from a rule on support indices, the way the coordinate
-    builders once did.  `marginal` lists (value, probability) pairs, one per
-    base coordinate and, with a `low` value, the high escape last.  The
-    deviation "dev" realizes the witness on the base atom, `low` wherever a
-    draw is the escape, the last support index, and the violating player's
-    draw elsewhere."""
+    """Reference: a coordinate counterexample's market built in Fractions
+    from a rule on support indices, the way the coordinate builders once
+    did, with no atom cap.  `marginal` lists (value, probability) pairs, one
+    per base coordinate and, with a `low` value, the high escape last.  The
+    actions are X1..Xk, one per draw, and the deviation "dev", which
+    realizes the witness on the base atom, `low` wherever a draw is the
+    escape, the last support index, and the violating player's draw
+    elsewhere."""
     player, witness = violation.player, violation.witness
     support = sorted(v for v, _ in marginal)
     base_ix = tuple(map(support.index, violation.base))
@@ -301,7 +289,9 @@ def index_rule_market(violation, marginal, low=None) -> Market:
             return low
         return support[ix[player]]
 
-    return product_market(marginal, len(base_ix), [("dev", deviation)])
+    k = len(base_ix)
+    labels = tuple(f"X{j + 1}" for j in range(k)) + ("dev",)
+    return build_market(labels, fraction_product_atoms(marginal, k, [("dev", deviation)]))
 
 
 def fraction_allocation(plan: BonusPlan, results) -> tuple[Fraction, ...]:

@@ -74,11 +74,11 @@ MUTANTS = (
         ("tests/test_market.py::test_expectations_match_the_fraction_oracle",),
     ),
     Mutant(
-        "product-market total mass, not mass**copies",
-        "src/bonuslab/market.py",
-        "        mass**copies,\n",
-        "        mass,\n",
-        ("tests/test_market.py::test_product_market_atoms_match_the_fraction_products",),
+        "product-market total mass, not mass**k",
+        "src/bonuslab/counterexamples.py",
+        "        sum(marginal) ** k,\n",
+        "        sum(marginal),\n",
+        ("tests/test_counterexamples.py::test_integer_coordinate_market_matches_the_index_rule",),
     ),
     Mutant(
         "market positivity check lets a zero weight through",
@@ -93,13 +93,6 @@ MUTANTS = (
         "(total := sum(view.weights)) != view.mass",
         "(total := sum(view.weights)) != view.scale",
         ("tests/test_market.py::test_market_checks_match_the_fraction_oracle",),
-    ),
-    Mutant(
-        "marginal mass check inverted",
-        "src/bonuslab/market.py",
-        "if sum(weights) != mass:",
-        "if sum(weights) == mass:",
-        ("tests/test_market.py::test_product_market_atoms_match_the_fraction_products",),
     ),
     Mutant(
         "portfolio check lets a negative count through",
@@ -489,7 +482,10 @@ MUTANTS = (
         "src/bonuslab/market.py",
         'return f"{rational_text(n)}^{rational_text(k)}"',
         "return rational_text(n**k)",
-        ("tests/test_market.py::test_product_market_cap_on_huge_copy_counts",),
+        (
+            "tests/test_market.py::test_product_market_atom_cap",
+            "tests/test_market.py::test_product_market_cap_on_huge_copy_counts",
+        ),
     ),
     Mutant(
         "grid cap message formats the count",
@@ -571,11 +567,11 @@ MUTANTS = (
         ("tests/test_counterexamples.py::test_validation_matches_the_search_it_dropped",),
     ),
     Mutant(
-        "product-market probabilities keyed by the first index's weight",
-        "src/bonuslab/market.py",
-        "tuple(map(prod, product(weights, repeat=copies)))",
-        "tuple(draw[0] for draw in product(weights, repeat=copies))",
-        ("tests/test_market.py::test_product_market_atoms_match_the_fraction_products",),
+        "product-market probabilities keyed by the first draw's weight",
+        "src/bonuslab/counterexamples.py",
+        "tuple(map(prod, product(marginal, repeat=k)))",
+        "tuple(draw[0] for draw in product(marginal, repeat=k))",
+        ("tests/test_counterexamples.py::test_integer_coordinate_market_matches_the_index_rule",),
     ),
     Mutant(
         "base_ix taken from the wrong player's index",
@@ -589,10 +585,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the escape's index taken as the first support index, not the last",
+        "the escape taken as the least support value, not the high one",
         "src/bonuslab/counterexamples.py",
-        "top, low = k, -escape * scale",
-        "top, low = 0, -escape * scale",
+        "-high if high in draw",
+        "-high if support[0] in draw",
         (
             "tests/test_counterexamples.py::test_coordinate_increase_builder_frozen_values",
             "tests/test_counterexamples.py::test_integer_coordinate_market_matches_the_index_rule",
@@ -601,26 +597,40 @@ MUTANTS = (
     Mutant(
         "the escape branch taken without a low value",
         "src/bonuslab/counterexamples.py",
-        "top = low = None  # no draw is an escape",
-        "top, low = k - 1, None",
+        "high = None  # no draw is an escape",
+        "high = support[-1]",
         ("tests/test_counterexamples.py::test_coordinate_decrease_builder_frozen_values",),
     ),
     Mutant(
         "the dev column read at the wrong player's digit",
         "src/bonuslab/counterexamples.py",
-        "else support[ix[player]] for ix in",
-        "else support[ix[player - 1]] for ix in",
+        "else draw[player],)",
+        "else draw[player - 1],)",
         (
             "tests/test_counterexamples.py::test_coordinate_decrease_builder_frozen_values",
             "tests/test_counterexamples.py::test_integer_coordinate_market_matches_the_index_rule",
         ),
     ),
     Mutant(
-        "a non-callable rule accepted",
+        "a value that is not iterable left to the TypeError of iterating it",
+        "src/bonuslab/rational.py",
+        "        except TypeError:\n            pass",
+        "        except KeyError:\n            pass",
+        ("tests/test_rational.py::test_rationals_refuses_what_is_not_iterable",),
+    ),
+    Mutant(
+        "a market's atoms iterated without the list check",
         "src/bonuslab/market.py",
-        "if not callable(rule):",
+        'enumerate(items_of(atoms, "(probability, outcomes) pairs"))',
+        "enumerate(atoms)",
+        ("tests/test_market.py::test_a_value_that_is_not_a_list_is_refused_as_a_string_is",),
+    ),
+    Mutant(
+        "a strategy's weights read without checking it is a MixedAction",
+        "src/bonuslab/market.py",
+        "if not isinstance(s, MixedAction):",
         "if False:",
-        ("tests/test_market.py::test_malformed_pairs_are_refused",),
+        ("tests/test_market.py::test_a_strategy_that_is_not_a_mixed_action_is_refused",),
     ),
     Mutant(
         "a derived atom's probability taken over view.scale instead of view.mass",
@@ -629,7 +639,7 @@ MUTANTS = (
         "Fraction(w, view.scale) for w in dict.fromkeys(view.weights)",
         (
             "tests/test_market.py::test_product_markets_rebuild_from_their_atoms",
-            "tests/test_market.py::test_product_market_atoms_match_the_fraction_products",
+            "tests/test_market.py::test_documents_match_the_format_rational_oracle",
         ),
     ),
     Mutant(

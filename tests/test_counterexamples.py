@@ -43,7 +43,6 @@ from bonuslab import (
     pair_increase_counterexample,
     probe_own_coordinate,
     probe_pairs,
-    product_market,
     two_bond_market,
     universality_verdict,
     validate_counterexample,
@@ -470,40 +469,30 @@ def random_design(rng, k, escaped):
     return violation, weights, escape
 
 
-def market_or_error(call):
-    """The call's market, or the type and message of the BonusLabError it
-    raises."""
-    try:
-        return call()
-    except BonusLabError as exc:
-        return type(exc), str(exc)
-
-
 @pytest.mark.parametrize("escaped", [False, True], ids=["no-low", "low"])
 @pytest.mark.parametrize("k,cases", [(3, 12), (4, 8), (5, 3), (6, 1)])
 def test_integer_coordinate_market_matches_the_index_rule(k, cases, escaped):
-    """The coordinate market written from integers is the market
-    `product_market` builds from the index rule, atom for atom: the same
-    labels and the same integer view, for random violations at k = 3-6 with
-    and without a low value.  At k = 6 with an escape both refuse the 7^6
-    atoms with the same AtomCapExceeded."""
+    """The coordinate market written from integers is the market the index
+    rule builds in Fractions, atom for atom: the same labels and the same
+    integer view, for random violations at k = 3-6 with and without a low
+    value.  The reference has no atom cap: at k = 6 with an escape the
+    builder refuses the 7^6 atoms itself."""
     rng = random.Random(100 * k + escaped)
     for _ in range(cases):
         violation, weights, escape = random_design(rng, k, escaped)
+        ints = counterexamples._coordinate_ints(violation)
+        if k == 6 and escaped:
+            with pytest.raises(AtomCapExceeded, match=re.escape("7^6 atoms exceed cap 100000")):
+                counterexamples._coordinate_market(violation, ints, weights, escape)
+            continue
         total = sum(weights)
         values = violation.base + ((F(escape),) if escaped else ())
         marginal = [(v, F(w, total)) for v, w in zip(values, weights)]
         low = -F(escape) if escaped else None
-        expected = market_or_error(lambda: index_rule_market(violation, marginal, low))
-        ints = counterexamples._coordinate_ints(violation)
-        got = market_or_error(
-            lambda: counterexamples._coordinate_market(violation, ints, weights, escape)
-        )
+        expected = index_rule_market(violation, marginal, low)
+        got = counterexamples._coordinate_market(violation, ints, weights, escape)
         assert got == expected
-        if isinstance(got, tuple):
-            assert got[0] is AtomCapExceeded
-        else:
-            assert got.integer_view == expected.integer_view
+        assert got.integer_view == expected.integer_view
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
@@ -550,18 +539,15 @@ def test_integer_escape_decision_matches_the_built_ranking(k):
 def test_an_increase_verdict_assembles_one_product(monkeypatch, plan, grid, doublings, atoms):
     """The escape is decided before any market is built: WTA(4) on
     {0, ..., 3} doubles its escape once and WTA(3) on {0, 1, 2} not at all,
-    and each verdict assembles exactly one product market."""
-    import bonuslab.market as market_module
-
+    and each verdict lays out exactly one coordinate market."""
     calls = []
-    assemble = market_module._product_of
+    layout = counterexamples._coordinate_market
 
-    def counting(*args):
-        calls.append(args[0])
-        return assemble(*args)
+    def counting(violation, *args):
+        calls.append(len(violation.base))
+        return layout(violation, *args)
 
-    monkeypatch.setattr(market_module, "_product_of", counting)
-    monkeypatch.setattr(counterexamples, "_product_of", counting)
+    monkeypatch.setattr(counterexamples, "_coordinate_market", counting)
     ce = universality_verdict(plan, grid).counterexample
     assert ce.params["escape_doublings"] == doublings
     assert calls == [plan.players]

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from bonuslab import (
     ArityMismatch,
-    AtomCapExceeded,
     BonusLabError,
     BoundedLinearPlan,
     ConstantPlan,
@@ -49,7 +48,6 @@ from bonuslab import (
     induce_game,
     principal_value,
     probe_own_coordinate,
-    product_market,
     two_bond_market,
     simplex_grid,
     strict_dominance,
@@ -913,10 +911,6 @@ def test_messages_write_ints_past_the_digit_limit():
             GridCapExceeded, f"C(1 + {over} - 1, 1) grid points over {over} actions",
         ),
         (
-            lambda: product_market([("0", "1/2"), ("1", "1/2")], huge),
-            AtomCapExceeded, f"2^{over} atoms",
-        ),
-        (
             lambda: induce_game(two_bond_market(), WinnerTakeAllPlan(huge)).payoffs,
             ArityMismatch, f"{over} players exceed cap {PLAYER_CAP}",
         ),
@@ -979,10 +973,6 @@ def test_messages_write_rationals_past_the_digit_limit():
          NonPositiveProbability, f"atom probability {negative}"),
         (lambda: build_market(["A"], [(tiny, ["1"]), ("1", ["1"])]),
          NonUnitMass, f"atom probabilities sum to {over}, not 1"),
-        (lambda: product_market([("0", f"-{big}")], 2),
-         NonPositiveProbability, f"marginal probability {negative}"),
-        (lambda: product_market([("0", tiny), ("1", "1")], 2),
-         NonUnitMass, f"marginal probabilities sum to {over}, not 1"),
         (lambda: induce_game(two_bond_market(), wta, f"-{big}"),
          InvalidParameter, f"got {negative}"),
         (lambda: BoundedLinearPlan(2, f"-{big}"), InvalidParameter, f"got {negative}"),

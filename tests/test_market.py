@@ -5,7 +5,6 @@ import json
 import random
 import re
 from fractions import Fraction
-from itertools import product
 from math import lcm
 from pathlib import Path
 
@@ -14,22 +13,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bonuslab
+import bonuslab.counterexamples as counterexamples
 from bonuslab import (
     ArityMismatch,
     AtomCapExceeded,
     BonusLabError,
+    CoordinateViolation,
+    Direction,
     FloatRejected,
     InvalidParameter,
+    LoserTakeAllPlan,
     Market,
     MixedAction,
     NonPositiveProbability,
     NonSimplexWeights,
     NonUnitMass,
     Profile,
-    UnparsableNumber,
+    TabulatedPlan,
     WinnerTakeAllPlan,
     best_response,
     build_market,
+    check_nash,
+    coordinate_decrease_counterexample,
+    coordinate_increase_counterexample,
     expectation,
     format_rational,
     induce_game,
@@ -37,12 +43,13 @@ from bonuslab import (
     load_plan,
     market_from_dict,
     market_to_dict,
-    product_market,
+    principal_value,
     profile_from_list,
     profile_to_list,
     simplex_grid,
     two_bond_market,
     support_stats,
+    universality_verdict,
 )
 from bonuslab.market import IntegerView
 from conftest import (
@@ -51,7 +58,6 @@ from conftest import (
     fraction_integer_view,
     fraction_market_check,
     fraction_mixed_check,
-    fraction_product_atoms,
     fraction_value,
     markets,
     outcome,
@@ -87,23 +93,53 @@ def test_outcome_rows_must_match_actions():
 
 
 def test_malformed_pairs_are_refused():
-    """An atom, a marginal entry or an extra action that is not a pair is
-    refused by its place, before anything is read from it, and so is a rule
-    that is not callable, a mapping too."""
-    marginal = [("0", "1/2"), ("1", "1/2")]
+    """An atom that is not a pair is refused by its place, before anything
+    is read from it."""
     cases = [
         (lambda: build_market(["a"], [("1",)]), "atom 0 is not a (probability, outcomes) pair"),
         (lambda: build_market(["a"], [("1", ("1",), "2")]), "atom 0 is not"),
         (lambda: build_market(["a"], [5]), "atom 0 is not"),
-        (lambda: product_market([("1",)], 2), "marginal entry 0 is not a (value, probability)"),
-        (lambda: product_market(marginal + [7], 2), "marginal entry 2 is not"),
-        (lambda: product_market(marginal, 2, [("dev",)]), "extra action 0 is not a (label, rule)"),
-        (lambda: product_market(marginal, 2, [("dev", 3)]), "extra action 'dev' has a rule of"),
-        (lambda: product_market(marginal, 2, [("dev", {(0, 0): "1"})]),
-         "extra action 'dev' has a rule of type dict, not a callable"),
     ]
     for call, text in cases:
         with pytest.raises(ArityMismatch, match=re.escape(text)):
+            call()
+
+
+def test_a_value_that_is_not_a_list_is_refused_as_a_string_is():
+    """Where a list of numbers, of labels or of atoms belongs, a value that
+    is not iterable ends in ArityMismatch, as a string does, and not in the
+    bare TypeError of iterating it."""
+    cases = [
+        (lambda: build_market(("a",), [(1, 5)]), "expected a list of numbers, got 5"),
+        (lambda: build_market(("a",), 5), "expected a list of (probability, outcomes) pairs, got 5"),
+        (lambda: build_market(("a",), "1"), "expected a list of (probability, outcomes) pairs"),
+        (lambda: build_market(5, [(1, (1,))]), "expected a list of action labels, got 5"),
+        (lambda: MixedAction(5), "expected a list of numbers, got 5"),
+        (lambda: TabulatedPlan(2, {5: ("1", "0")}, ("1/2", "1/2")),
+         "expected a list of numbers, got 5"),
+        (lambda: universality_verdict(WinnerTakeAllPlan(3), 5), "expected a list of numbers, got 5"),
+        (lambda: market_from_dict({"actions": ["a"], "atoms": [{"p": "1", "outcomes": 5}]}),
+         "expected a list of numbers, got 5"),
+    ]
+    for call, text in cases:
+        with pytest.raises(ArityMismatch, match=re.escape(text)):
+            call()
+
+
+def test_a_strategy_that_is_not_a_mixed_action_is_refused():
+    """Every arity check reads a strategy's weights, so a strategy that is
+    not a `MixedAction` ends in ArityMismatch, not in a bare AttributeError."""
+    market = two_action_market()
+    game = induce_game(market, WinnerTakeAllPlan(2), 0)
+    calls = [
+        lambda: check_nash(game, Profile((1, 2))),
+        lambda: principal_value(market, Profile((1, 2))),
+        lambda: expectation(market, 5),
+        lambda: best_response(game, 0, [5]),
+        lambda: Profile((MixedAction.pure(0, 2), "1/2")).check_arity(market),
+    ]
+    for call in calls:
+        with pytest.raises(ArityMismatch, match="a strategy must be a MixedAction, got"):
             call()
 
 
@@ -135,8 +171,6 @@ def test_action_labels_are_strings():
             build_market(labels, [("1", ("1", "2"))])
     with pytest.raises(ArityMismatch):
         build_market("AB", [("1", ("1", "2"))])
-    with pytest.raises(ArityMismatch):
-        product_market([("0", "1/2"), ("1", "1/2")], 2, [(3, lambda ix: ix[0])])
 
 
 def test_action_labels_are_utf8_text():
@@ -152,15 +186,6 @@ def test_documents_that_are_not_json_are_bonuslab_errors():
             load_market(text)
         with pytest.raises(ArityMismatch):
             load_plan(text)
-
-
-def test_copy_counts_are_ints():
-    marginal = [("0", "1/2"), ("1", "1/2")]
-    # 2.5, True, "2" and Fraction(2): tests/test_public_ints.py
-    for copies, error in ((2.0, FloatRejected), (None, ArityMismatch)):
-        with pytest.raises(error):
-            product_market(marginal, copies)
-    assert product_market(marginal, 2).n == 2
 
 
 def test_portfolio_value_is_pointwise():
@@ -271,6 +296,20 @@ def test_no_value_object_has_a_second_constructor():
     assert users == []
 
 
+def test_no_module_reads_the_derived_atoms():
+    """A verdict reads a market's integer view, never the `Fraction` atoms
+    derived from it: no module under src/bonuslab reads an attribute named
+    `atoms`."""
+    package = Path(bonuslab.__file__).parent
+    readers = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text(), str(p)))
+        if isinstance(node, ast.Attribute) and node.attr == "atoms"
+    ]
+    assert readers == []
+
+
 def test_the_package_holds_no_assert():
     """`python -O` drops assert statements, so no check of the package may be
     one: no module under src/bonuslab parses to an Assert node."""
@@ -334,93 +373,66 @@ def test_profile_json_round_trip():
 
 
 def test_product_market_is_iid():
-    marginal = [("2", "1/2"), ("1", "1/4"), ("3", "1/4")]
-    market = product_market(marginal, 3)
-    assert market.actions == ("X1", "X2", "X3")
+    """A coordinate counterexample's market is k i.i.d. draws from the base
+    marginal, one action per draw: here 2 with mass 1/2, and 1 and 3 with
+    1/4 each."""
+    violation = CoordinateViolation(
+        Direction.DECREASE, 0, (Fraction(2), Fraction(1), Fraction(3)), Fraction(0), Fraction(1)
+    )
+    market = coordinate_decrease_counterexample(LoserTakeAllPlan(3), violation).market
+    assert market.actions == ("X1", "X2", "X3", "dev")
     assert len(market.atoms) == 27
     assert sum(p for p, _ in market.atoms) == 1
-    assert market.expectations() == (Fraction(2),) * 3
+    assert market.expectations()[:3] == (Fraction(2),) * 3
     # independence: P(X1=2, X2=1) factors
     mass = sum(p for p, outcomes in market.atoms if outcomes[0] == 2 and outcomes[1] == 1)
     assert mass == Fraction(1, 2) * Fraction(1, 4)
 
 
-def test_product_market_merges_duplicate_marginal_values():
-    market = product_market([("1", "1/2"), ("1", "1/2")], 2)
-    assert len(market.atoms) == 1
-    assert market.atoms[0][0] == 1
+def test_product_market_atom_cap(monkeypatch):
+    """WTA(6) at six distinct coordinates, with an escape: 7^6 = 117 649
+    atoms, over the cap, refused before any atom is built."""
+    violation = CoordinateViolation(
+        Direction.INCREASE, 0, tuple(map(Fraction, range(6))), Fraction(6), Fraction(1)
+    )
+    built = []
+    monkeypatch.setattr(counterexamples, "product", lambda *args, **kw: built.append(args))
+    with pytest.raises(AtomCapExceeded, match=re.escape("7^6 atoms exceed cap 100000")):
+        coordinate_increase_counterexample(WinnerTakeAllPlan(6), violation)
+    assert built == []
 
 
-def test_product_market_extra_actions():
-    """A rule reads each atom's indices into the sorted support, in product
-    order, and its value is the extra action's outcome there."""
-    marginal = [("3", "1/2"), ("1/2", "1/2")]
-    support = (Fraction(1, 2), Fraction(3))
-    seen = []
-
-    def total(ix):
-        seen.append(ix)
-        return sum(map(support.__getitem__, ix))
-
-    market = product_market(marginal, 2, extra_actions=[("sum", total)])
-    assert market.actions == ("X1", "X2", "sum")
-    assert seen == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for _, outcomes in market.atoms:
-        assert outcomes[2] == outcomes[0] + outcomes[1]
-
-
-def test_product_market_atom_cap():
-    """317^2 = 100 489 atoms, over the cap: refused before any atom is built."""
-    marginal = [(Fraction(v), Fraction(1, 317)) for v in range(317)]
-    seen = []
-    with pytest.raises(AtomCapExceeded):
-        product_market(marginal, 2, [("dev", lambda ix: seen.append(ix) or ix[0])])
-    assert seen == []
-
-
-def test_product_market_cap_on_huge_copy_counts():
-    """2^20 000 atoms: refused without building or printing the power."""
-    seen = []
-    with pytest.raises(AtomCapExceeded, match=r"2\^20000 atoms"):
-        product_market(
-            [("1", "1/2"), ("2", "1/2")],
-            20_000,
-            [("dev", lambda ix: seen.append(ix) or ix[0])],
-        )
-    assert seen == []
+def test_product_market_cap_on_huge_copy_counts(monkeypatch):
+    """20 000 draws from 20 000 values, 20000^20000 atoms: refused without
+    building or printing the power."""
+    base = tuple(map(Fraction, range(20_000)))
+    violation = CoordinateViolation(Direction.DECREASE, 0, base, Fraction(-1), Fraction(1))
+    ints = counterexamples._coordinate_ints(violation)
+    built = []
+    monkeypatch.setattr(counterexamples, "product", lambda *args, **kw: built.append(args))
+    with pytest.raises(AtomCapExceeded, match=r"^20000\^20000 atoms exceed cap 100000$"):
+        counterexamples._coordinate_market(violation, ints, [1] * 20_000)
+    assert built == []
 
 
 # ---------------------------------------------------------------------
-# Integer expectations and product weights: differential tests against the
-# Fraction sums and products (`conftest.fraction_expectation`,
-# `conftest.fraction_product_atoms`)
+# Integer expectations: differential tests against the Fraction sums
+# (`conftest.fraction_expectation`), on drawn markets and on product
+# markets, whose view is handed to `Market` directly
 # ---------------------------------------------------------------------
-
-
-@st.composite
-def marginals(draw, faulty=False):
-    """(value, probability) pairs with repeated values, so mass merges; if
-    `faulty`, a probability may be 0 or negative and the mass other than 1."""
-    values = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
-    low = -1 if faulty else 1
-    weights = draw(st.lists(st.integers(low, 7), min_size=len(values), max_size=len(values)))
-    scale = draw(st.sampled_from((1, 2, 3, 10)))
-    mass = draw(st.sampled_from((1, Fraction(1, 2), Fraction(9, 8)))) if faulty else 1
-    total = sum(map(abs, weights)) or 1
-    return [(Fraction(v, scale), Fraction(w, total) * mass) for v, w in zip(values, weights)]
 
 
 @st.composite
 def product_markets(draw):
-    marginal = draw(marginals())
-    copies = draw(st.integers(1, 3))
-    lift = draw(st.fractions(min_value=-2, max_value=2, max_denominator=5))
-    support = sorted({v for v, _ in marginal})
-    extras = [
-        ("top", lambda ix: support[max(ix)] + lift),
-        ("spread", lambda ix: support[ix[-1]] - support[ix[0]]),
-    ][: draw(st.integers(0, 2))]
-    return product_market(marginal, copies, extras)
+    """Coordinate counterexample markets as `universality_verdict` builds
+    them, k = 3-4: WTA(k) refuted by the increase builder, with an escape,
+    and LTA(k) by the decrease builder, on k or k + 1 distinct points of
+    small denominators."""
+    k = draw(st.integers(3, 4))
+    kind = draw(st.sampled_from((WinnerTakeAllPlan, LoserTakeAllPlan)))
+    point = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    points = draw(st.lists(point, min_size=k, max_size=k + 1, unique=True))
+    return universality_verdict(kind(k), points).counterexample.market
 
 
 def assert_expectations_match_the_oracle(market, resolution):
@@ -453,44 +465,6 @@ def raised(call):
         return call()
     except BonusLabError as exc:
         return type(exc), str(exc)
-
-
-@st.composite
-def odd_rules(draw, marginal):
-    """An extra action's index rule that may fail where the last draw's
-    value is positive: a float or a None, both refused by coercion, or a
-    string, good or not; drawn in front of or behind a sum rule."""
-    kind = draw(st.sampled_from(("float", "None", "string", "garbage")))
-    support = sorted({v for v, _ in marginal})
-
-    def first_unless_last_positive(odd):
-        return lambda ix: odd if support[ix[-1]] > 0 else support[ix[0]]
-
-    rule = {
-        "float": first_unless_last_positive(0.5),
-        "None": first_unless_last_positive(None),
-        "string": lambda ix: f"{support[ix[0]]}/3",
-        "garbage": first_unless_last_positive("x"),
-    }[kind]
-    rules = [("sum", lambda ix: sum(map(support.__getitem__, ix))), (kind, rule)]
-    return rules[:: draw(st.sampled_from((1, -1)))]
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data(), marginals(faulty=True), st.integers(1, 3))
-def test_product_market_atoms_match_the_fraction_products(data, marginal, copies):
-    """The same atoms in the same order: integer weights over mass^copies
-    give the probabilities the Fraction products give, and each rule's
-    values follow the draw.  A marginal with a probability <= 0 or a mass
-    other than 1, and a rule with a value that is not a number, a None
-    too, raise the reference's error with its message."""
-    rules = data.draw(odd_rules(marginal))
-    market = raised(lambda: product_market(marginal, copies, rules))
-    oracle = raised(lambda: fraction_product_atoms(marginal, copies, rules))
-    if isinstance(market, Market):
-        assert list(market.atoms) == oracle
-    else:
-        assert market == oracle
 
 
 @settings(max_examples=150, deadline=None)
@@ -547,39 +521,6 @@ def test_a_canonical_document_reaches_its_view_and_back_with_no_fraction(monkeyp
     monkeypatch.undo()
     assert market == expected
     assert written == document
-
-
-def test_the_first_failing_atom_names_the_rule_error():
-    """Two extra rules that fail at different atoms, one with a float and
-    one with an unparsable string: the error is the one at the earlier atom
-    in product order, whichever rule is listed first.  At one atom every
-    rule is read before any value is coerced, so an exception a rule raises
-    there comes, unwrapped, before an earlier rule's float."""
-    marginal = [("0", "1/2"), ("1", "1/2")]
-    draws = list(product(range(2), repeat=2))
-    early, late = draws[1], draws[2]
-
-    def floated(at):
-        return lambda ix: 0.5 if ix == at else ix[0]
-
-    def garbled(at):
-        return lambda ix: "x" if ix == at else ix[0]
-
-    for rules in (
-        [("text", garbled(late)), ("float", floated(early))],
-        [("float", floated(early)), ("text", garbled(late))],
-        [("text", garbled(early)), ("float", floated(late))],
-        [("float", floated(late)), ("text", garbled(early))],
-    ):
-        error = raised(lambda: product_market(marginal, 2, rules))
-        assert error == raised(lambda: fraction_product_atoms(marginal, 2, rules))
-        assert error[0] in (FloatRejected, UnparsableNumber)
-
-    def lookup(ix):
-        return {draw: 0 for draw in draws if draw != early}[ix]
-
-    with pytest.raises(KeyError):
-        product_market(marginal, 2, [("float", floated(early)), ("gap", lookup)])
 
 
 def test_a_view_off_its_least_denominators_is_refused():

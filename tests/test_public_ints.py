@@ -50,7 +50,6 @@ from bonuslab import (
     induce_game,
     pair_increase_counterexample,
     probe_pairs,
-    product_market,
     simplex_grid,
     two_bond_market,
     universality_verdict,
@@ -73,7 +72,6 @@ class Row(NamedTuple):
 MARKET = two_bond_market()
 GAME = induce_game(MARKET, WinnerTakeAllPlan(2), 0)
 PURE = MixedAction.pure(0, 2)
-MARGINAL = [("0", "1/2"), ("1", "1/2")]
 WTA2 = WinnerTakeAllPlan(2)
 COUNTEREXAMPLE = universality_verdict(WTA2, ("0", "1")).counterexample
 INCREASE = next(v for v in probe_pairs(WTA2, ("0", "1")) if v.direction is Direction.INCREASE)
@@ -115,7 +113,6 @@ ROWS = (
     Row("MixedAction.pure", "arity", lambda v: MixedAction.pure(0, v), 2, ArityMismatch),
     Row("Profile.pure", "actions", lambda v: Profile.pure((0, v), 2), 1, ArityMismatch),
     Row("Profile.pure", "arity", lambda v: Profile.pure((0, 0), v), 2, ArityMismatch),
-    Row("product_market", "copies", lambda v: product_market(MARGINAL, v), 2, ArityMismatch),
     Row("BonusPlan", "players", BonusPlan, 2, ArityMismatch),
     Row("ConstantPlan", "players", ConstantPlan, 2, ArityMismatch),
     Row("WinnerTakeAllPlan", "players", WinnerTakeAllPlan, 2, ArityMismatch),

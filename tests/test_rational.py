@@ -20,6 +20,7 @@ from bonuslab.rational import (
     format_ratio,
     input_text,
     integer_ratio,
+    integer_ratios,
     load_json,
     over_lcm,
     rational_text,
@@ -142,6 +143,24 @@ def test_rationals_refuses_strings():
     for text in ("12", b"12", ""):
         with pytest.raises(ArityMismatch):
             rationals(text)
+
+
+def test_rationals_refuses_what_is_not_iterable():
+    """A number, a None or an object where a list belongs is refused as a
+    string is, not left to the TypeError of iterating it; an iterator is
+    read, and a TypeError raised while it is read is not taken for one."""
+    for value in (5, Fraction(1, 2), None, object()):
+        for read in (rationals, integer_ratios):
+            with pytest.raises(ArityMismatch, match="expected a list of numbers, got"):
+                read(value)
+    assert integer_ratios(iter(["1/2", 3])) == [(1, 2), (3, 1)]
+
+    def failing():
+        yield 1
+        raise TypeError("inside")
+
+    with pytest.raises(TypeError, match="inside"):
+        rationals(failing())
 
 
 def test_rational_text_writes_an_int_within_the_digit_limit():
