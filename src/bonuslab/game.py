@@ -129,7 +129,7 @@ a point costs one add per atom and no multiplication; it is a loop, not a
 recursion, so a d = 1 grid over any number of actions walks.  The plan's
 `response` at each atom, built once from the opponents' results there,
 maps the deviator's result to its share, without a kernel call for the wta
-kind.  The vertices are scored first, then, for d > 1, the walk's other
+and lta kinds.  The vertices are scored first, then, for d > 1, the walk's other
 points, and only a strictly larger score replaces the best, so pure
 actions win ties by index and grid points by order.  The search compares
 integers and builds one `Fraction` and one `MixedAction`, for the winner.

@@ -250,12 +250,14 @@ class MixedAction:
 
 @dataclass(frozen=True)
 class Profile:
-    """One mixed action per player (player count >= 2)."""
+    """One `MixedAction` per player (player count >= 2), kept as a tuple."""
 
     strategies: tuple[MixedAction, ...]
 
     def __post_init__(self) -> None:
-        if len(self.strategies) < 2:
+        strategies = tuple(map(_mixed_action, items_of(self.strategies, "strategies")))
+        object.__setattr__(self, "strategies", strategies)
+        if len(strategies) < 2:
             raise ArityMismatch("a profile needs at least 2 players")
 
     @property
@@ -273,11 +275,15 @@ class Profile:
 def check_arity(strategies: Iterable[MixedAction], n: int) -> None:
     """ArityMismatch unless every strategy is a `MixedAction` with one
     weight per action."""
-    for s in strategies:
-        if not isinstance(s, MixedAction):
-            raise ArityMismatch(f"a strategy must be a MixedAction, got {input_text(s)}")
+    for s in map(_mixed_action, strategies):
         if len(s.weights) != n:
             raise ArityMismatch(f"strategy over {len(s.weights)} actions on a market with {n}")
+
+
+def _mixed_action(strategy) -> MixedAction:
+    if not isinstance(strategy, MixedAction):
+        raise ArityMismatch(f"a strategy must be a MixedAction, got {input_text(strategy)}")
+    return strategy
 
 
 @dataclass(frozen=True)

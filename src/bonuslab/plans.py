@@ -27,11 +27,11 @@ Payoff cells, grid searches and probes run kernels; `evaluate` runs the
 kernel at one result vector's least common denominator.  A deviation
 search asks `BonusPlan.response` for one player's share at one atom, as a
 function of that player's result against fixed opponents: by default the
-kernel's entry, in closed form for the wta kind.  A payoff cell asks
-`BonusPlan.share_sums` for each player's share numerators summed against
-the atoms' probability weights: by default the kernel's shares at every
-atom, summed column by column; the wta and lta kinds count each atom's
-winners in one pass and build no share row.
+kernel's entry, in closed form for the wta and lta kinds.  A payoff cell
+asks `BonusPlan.share_sums` for each player's share numerators summed
+against the atoms' probability weights: by default the kernel's shares at
+every atom, summed column by column; the wta and lta kinds, one split rule
+whose `pick` is max or min, count each atom's picked players in one pass.
 
 A kind's pure-sufficiency rule is `BonusPlan.linear_form(market)`: the
 pair (equal, slope) over the market's `integer_view.scale`, with player
@@ -39,7 +39,7 @@ i's share numerator equal + slope * (k * v_i - sum v), when the kind's gate
 is open at every atom of every pure profile on that market, and None
 otherwise.  The constant kind states (1, 0) on every market, and the two
 linear kinds state (2(k-1) * num(M) * scale, den(M)), the pair their
-kernels are built from; wta, lta and tabulated state none.
+kernels are built from; the wta, lta and tabulated kinds state none.
 `bonuslab.game` gives the argument that makes the form sufficient.
 """
 
@@ -198,63 +198,58 @@ class ConstantPlan(BonusPlan):
 
 
 @dataclass(frozen=True)
-class WinnerTakeAllPlan(BonusPlan):
-    kind = "wta"
+class _SplitPlan(BonusPlan):
+    """Everything to the players whose result is pick(results), split
+    equally; a subclass names its `kind` and its `pick`, max or min."""
+
     anonymous = True
 
     def kernel(self, scale):
-        return _split_kernel(self.players, max)
+        pick = self.pick
+        denominator = lcm(*range(1, self.players + 1))
+
+        def shares(v):
+            best = pick(v)
+            share = denominator // v.count(best)
+            return [share if x == best else 0 for x in v]
+
+        return Kernel(denominator, shares)
 
     def response(self, kernel, player, others):
         full = kernel.denominator
-        top = max(others)
-        tie = full // (others.count(top) + 1)  # split with the opponents at the top
-        return lambda x: full if x > top else tie if x == top else 0
+        best = self.pick(others)
+        tie = full // (others.count(best) + 1)  # split with the opponents at best
+        below, above = (full, 0) if self.pick is min else (0, full)
+        return lambda x: above if x > best else tie if x == best else below
 
     def share_sums(self, kernel, rows, weights):
-        return _split_sums(self.players, kernel.denominator, rows, weights, max)
+        """One pass over the atoms with no share row: a lone pick(v) gets
+        p * denominator, each of `count` tied ones p * (denominator // count)."""
+        pick, denominator = self.pick, kernel.denominator
+        sums = [0] * self.players
+        for v, p in zip(rows, weights):
+            best = pick(v)
+            count = v.count(best)
+            if count == 1:
+                sums[v.index(best)] += p * denominator
+            else:
+                tied = p * (denominator // count)
+                for i, x in enumerate(v):
+                    if x == best:
+                        sums[i] += tied
+        return sums
 
 
 @dataclass(frozen=True)
-class LoserTakeAllPlan(BonusPlan):
+class WinnerTakeAllPlan(_SplitPlan):
+    kind = "wta"
+    pick = staticmethod(max)
+
+
+@dataclass(frozen=True)
+class LoserTakeAllPlan(_SplitPlan):
     kind = "lta"
-    anonymous = True
-
-    def kernel(self, scale):
-        return _split_kernel(self.players, min)
-
-    def share_sums(self, kernel, rows, weights):
-        return _split_sums(self.players, kernel.denominator, rows, weights, min)
-
-
-def _split_kernel(players: int, pick) -> Kernel:
-    """Everything to the players whose result is pick(results), split equally."""
-    denominator = lcm(*range(1, players + 1))
-
-    def shares(v):
-        best = pick(v)
-        share = denominator // v.count(best)
-        return [share if x == best else 0 for x in v]
-
-    return Kernel(denominator, shares)
-
-
-def _split_sums(players: int, denominator: int, rows, weights, pick) -> list[int]:
-    """`_split_kernel`'s shares summed against the weights, one pass over the
-    atoms with no share row: a lone pick(v) gets p * denominator, and each
-    of `count` tied ones p * (denominator // count)."""
-    sums = [0] * players
-    for v, p in zip(rows, weights):
-        best = pick(v)
-        count = v.count(best)
-        if count == 1:
-            sums[v.index(best)] += p * denominator
-        else:
-            tied = p * (denominator // count)
-            for i, x in enumerate(v):
-                if x == best:
-                    sums[i] += tied
-    return sums
+    pick = staticmethod(min)
 
 
 @dataclass(frozen=True)

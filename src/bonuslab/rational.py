@@ -179,24 +179,20 @@ def ratios_over_lcm(ratios: list) -> tuple[int, list[tuple[int, ...]]]:
 def format_rational(value: Fraction) -> str:
     """Canonical string form: "a" for integers, reduced "a/b" otherwise;
     UnwritableNumber past the digit limit."""
-    try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    except ValueError as exc:
-        raise UnwritableNumber(f"a report cannot write {rational_text(value)} exactly") from exc
+    return format_ratio(value.numerator, value.denominator)
 
 
 def format_ratio(numerator: int, denominator: int) -> str:
-    """format_rational(Fraction(numerator, denominator)), denominator > 0,
+    """The canonical form of numerator / denominator, denominator > 0,
     written from the integers by one gcd, with no Fraction but on the way to
     its UnwritableNumber."""
     g = gcd(numerator, denominator)
     numerator, denominator = numerator // g, denominator // g
     try:
         return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
-    except ValueError:
-        return format_rational(Fraction(numerator, denominator))
+    except ValueError as exc:
+        value = Fraction(numerator, denominator)
+        raise UnwritableNumber(f"a report cannot write {rational_text(value)} exactly") from exc
 
 
 def approx_decimal(value: Fraction) -> str:

@@ -195,8 +195,15 @@ MUTANTS = (
     Mutant(
         "WTA response gives a tie to the player whole",
         "src/bonuslab/plans.py",
-        "full if x > top else tie if x == top else 0",
-        "full if x >= top else 0",
+        "above if x > best else tie if x == best else below",
+        "above if x >= best else below",
+        ("tests/test_plans.py::test_responses_match_the_kernel",),
+    ),
+    Mutant(
+        "split response: below and above swapped",
+        "src/bonuslab/plans.py",
+        "below, above = (full, 0) if self.pick is min else (0, full)",
+        "above, below = (full, 0) if self.pick is min else (0, full)",
         ("tests/test_plans.py::test_responses_match_the_kernel",),
     ),
     Mutant(
@@ -235,11 +242,11 @@ MUTANTS = (
         ("tests/test_plans.py::test_share_sums_match_the_kernel",),
     ),
     Mutant(
-        "LTA share sums pick the largest result",
+        "LTA picks the largest result",
         "src/bonuslab/plans.py",
-        "_split_sums(self.players, kernel.denominator, rows, weights, min)",
-        "_split_sums(self.players, kernel.denominator, rows, weights, max)",
-        ("tests/test_plans.py::test_share_sums_match_the_kernel",),
+        "pick = staticmethod(min)",
+        "pick = staticmethod(max)",
+        ("tests/test_plans.py::test_kernels_match_evaluate",),
     ),
     Mutant(
         "probability schedule passes a zero guaranteed gain",
@@ -628,9 +635,16 @@ MUTANTS = (
     Mutant(
         "a strategy's weights read without checking it is a MixedAction",
         "src/bonuslab/market.py",
-        "if not isinstance(s, MixedAction):",
+        "if not isinstance(strategy, MixedAction):",
         "if False:",
         ("tests/test_market.py::test_a_strategy_that_is_not_a_mixed_action_is_refused",),
+    ),
+    Mutant(
+        "a profile keeps its strategies unread",
+        "src/bonuslab/market.py",
+        'strategies = tuple(map(_mixed_action, items_of(self.strategies, "strategies")))',
+        "strategies = self.strategies",
+        ("tests/test_market.py::test_a_profile_checks_its_strategies_when_it_is_built",),
     ),
     Mutant(
         "a derived atom's probability taken over view.scale instead of view.mass",

@@ -617,6 +617,14 @@ REJECTED = [
      ["find-m", "--market", "M", "--grid", "2"], "ArityMismatch"),
     ("find-m-no-actions", {"M": {"actions": [], "atoms": [{"p": "1", "outcomes": []}]}},
      ["find-m", "--market", "M", "--grid", "2"], "ArityMismatch"),
+    ("find-m-atom-is-a-string", {"M": {"actions": ["A"], "atoms": ["x"]}},
+     ["find-m", "--market", "M", "--grid", "2"], "ArityMismatch"),
+    ("find-m-market-is-a-list", {"M": [{"p": "1", "outcomes": ["1"]}]},
+     ["find-m", "--market", "M", "--grid", "2"], "ArityMismatch"),
+    ("find-m-atom-without-outcomes", {"M": {"actions": ["A"], "atoms": [{"p": "1"}]}},
+     ["find-m", "--market", "M", "--grid", "2"], "ArityMismatch"),
+    ("find-m-market-without-atoms", {"M": {"actions": ["A", "B"]}},
+     ["find-m", "--market", "M", "--grid", "2"], "ArityMismatch"),
     ("find-m-no-atoms", {"M": {"actions": ["A", "B"], "atoms": []}},
      ["find-m", "--market", "M", "--grid", "2"], "NonUnitMass"),
     ("check-eq-profile-is-an-object", {"M": MARKET, "P": WTA, "Q": {"0": ["1", "0"]}},
@@ -842,6 +850,29 @@ def test_a_table_of_the_wrong_share_count_is_refused(tmp_path, capsys, case, mes
     ((documents, argv, _),) = [c[1:] for c in REJECTED if c[0] == case]
     assert main(["--json", *_materialize(tmp_path, documents, argv)]) == 1
     assert json.loads(capsys.readouterr().err)["error"]["message"] == message
+
+
+MALFORMED_MARKETS = [
+    "find-m-atom-is-a-string",
+    "find-m-market-is-a-list",
+    "find-m-atom-without-outcomes",
+    "find-m-market-without-atoms",
+]
+
+
+@pytest.mark.parametrize("case", MALFORMED_MARKETS)
+def test_a_market_document_of_the_wrong_shape_is_refused(tmp_path, capsys, case):
+    """A market document that is not an object of actions and atoms, each
+    atom an object with "p" and "outcomes", is refused as malformed.  Only
+    the prefix is matched: the text Python's own error adds after it
+    differs between versions."""
+    ((documents, argv, error_type),) = [c[1:] for c in REJECTED if c[0] == case]
+    assert main(["--json", *_materialize(tmp_path, documents, argv)]) == 1
+    err = capsys.readouterr().err
+    error = json.loads(err)["error"]
+    assert error["type"] == error_type
+    assert error["message"].startswith("malformed market document: ")
+    assert len(err) < 512
 
 
 LONG_INPUTS = [

@@ -336,6 +336,23 @@ def test_profile_needs_two_players():
         Profile((MixedAction.pure(0, 2),))
 
 
+def test_a_profile_checks_its_strategies_when_it_is_built():
+    """A profile holds a tuple of `MixedAction`s: a list is kept as a tuple,
+    so the profile hashes, and anything else is refused before a document
+    or a verdict reads it."""
+    a, b = MixedAction.pure(0, 2), MixedAction(("1/2", "1/2"))
+    profile = Profile([a, b])
+    assert profile.strategies == (a, b)
+    assert hash(profile) == hash(Profile((a, b)))
+    assert profile_to_list(profile) == [["1", "0"], ["1/2", "1/2"]]
+    with pytest.raises(ArityMismatch, match="a strategy must be a MixedAction, got 1"):
+        profile_to_list(Profile((1, 2)))
+    with pytest.raises(ArityMismatch, match="a strategy must be a MixedAction, got \\['1', '0'\\]"):
+        Profile((a, ["1", "0"]))
+    with pytest.raises(ArityMismatch, match="expected a list of strategies, got 'ab'"):
+        Profile("ab")
+
+
 def test_support_stats():
     stats = support_stats(two_action_market())
     assert (stats.lo, stats.hi, stats.max_abs) == (Fraction(-1), Fraction(2), Fraction(2))

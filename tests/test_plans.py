@@ -345,16 +345,24 @@ def test_linear_forms_match_the_kernel_where_the_gate_is_open(market, k):
 
 def test_responses_match_the_kernel():
     """Each kind's `response` is the player's entry of its kernel, the
-    tabulated default included: random opponents, results that tie them,
-    and the linear gates both open and closed."""
+    tabulated default included: random opponents, opponents tied at their
+    top and at their bottom, results that tie them, and the linear gates
+    both open and closed."""
     rng = random.Random(18)
     gates = {"m_linear": set(), "bounded_linear": set()}  # seen open, closed
     table_hits = 0
+    wide_ties = set()  # split kinds seen tied three or more ways at their pick
     for _ in range(300):
-        k, scale = rng.randint(2, 4), rng.randint(1, 12)
+        k, scale = rng.randint(2, 7), rng.randint(1, 12)
         player = rng.randrange(k)
         spread = rng.choice((1, 3))  # narrow draws tie often and open the gates
-        others = tuple(rng.randint(-spread * scale, spread * scale) for _ in range(k - 1))
+        others = [rng.randint(-spread * scale, spread * scale) for _ in range(k - 1)]
+        shape = rng.choice(("free", "top", "bottom"))
+        if shape != "free":
+            level = max(others) if shape == "top" else min(others)
+            for i in rng.sample(range(k - 1), rng.randint(1, k - 1)):
+                others[i] = level
+        others = tuple(others)
         xs = {*others, *(o + 1 for o in others), *(o - 1 for o in others), 0, 4 * scale}
         xs.add(rng.randint(-4 * scale, 4 * scale))
         # the table holds the vector where the player ties the first opponent
@@ -373,12 +381,15 @@ def test_responses_match_the_kernel():
                 v = others[:player] + (x,) + others[player:]
                 shares = list(kernel.shares(v))
                 assert response(x) == shares[player], (plan, player, v)
+                if plan.kind in ("wta", "lta") and 0 < shares[player] < kernel.denominator // 2:
+                    wide_ties.add(plan.kind)
                 if plan.kind in gates and len(set(v)) > 1:
                     # unequal results: the linear form is not the equal split
                     gates[plan.kind].add(shares != equal)
                 table_hits += plan.kind == "tabulated" and v == row
     assert gates == {"m_linear": {True, False}, "bounded_linear": {True, False}}
     assert table_hits
+    assert wide_ties == {"wta", "lta"}
 
 
 @dataclass(frozen=True)
