@@ -18,7 +18,7 @@ from bonuslab import (
     check_optimal,
     find_bounding_m,
     format_rational,
-    support_stats,
+    market_to_dict,
     two_bond_market,
 )
 
@@ -45,7 +45,7 @@ def show(market, players=2, grid=10):
 
 
 print("Two-bond market (support bound "
-      f"{format_rational(support_stats(two_bond_market()).max_abs)}):")
+      f"{format_rational(build_m_linear(two_bond_market(), 2).bound)}):")
 show(two_bond_market())
 
 print()
@@ -57,12 +57,9 @@ outliers = build_market(
         ("1/1000000", ("1000000", "9999999/10")),
     ],
 )
-for probability, row in outliers.atoms:
-    print(
-        f"  p = {format_rational(probability)}: "
-        + ", ".join(format_rational(x) for x in row)
-    )
-print(f"  support bound: {format_rational(support_stats(outliers).max_abs)}")
+for atom in market_to_dict(outliers)["atoms"]:
+    print(f"  p = {atom['p']}: " + ", ".join(atom["outcomes"]))
+print(f"  support bound: {format_rational(build_m_linear(outliers, 2).bound)}")
 show(outliers, grid=6)
 print(
     "\nBoth actions blow up on the same rare atom, so their *differences*"

@@ -14,6 +14,7 @@ from bonuslab import (
     LoserTakeAllPlan,
     WinnerTakeAllPlan,
     format_rational,
+    market_to_dict,
     universality_verdict,
 )
 
@@ -30,11 +31,11 @@ def describe(name, plan, grid):
     print(f"  violation: player {v.player + 1} is paid "
           f"{format_rational(v.deficit)} more for a {moved} own result")
     print("  counterexample market:")
-    for probability, outcomes in ce.market.atoms[:4]:
-        row = ", ".join(format_rational(x) for x in outcomes)
-        print(f"    p = {format_rational(probability)}: ({row})")
-    if len(ce.market.atoms) > 4:
-        print(f"    ... {len(ce.market.atoms) - 4} more atoms")
+    atoms = market_to_dict(ce.market)["atoms"]
+    for atom in atoms[:4]:
+        print(f"    p = {atom['p']}: ({', '.join(atom['outcomes'])})")
+    if len(atoms) > 4:
+        print(f"    ... {len(atoms) - 4} more atoms")
     spoiler = ce.market.actions[ce.deviation]
     print(
         f"  player {ce.player + 1} abandons the best action for {spoiler} "

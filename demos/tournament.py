@@ -17,6 +17,7 @@ from bonuslab import (
     check_nash,
     format_rational,
     induce_game,
+    market_to_dict,
     principal_value,
     two_bond_market,
     strict_dominance,
@@ -26,12 +27,11 @@ market = two_bond_market()
 plan = WinnerTakeAllPlan(2)
 
 print("The market:")
-for probability, row in market.atoms:
+for atom in market_to_dict(market)["atoms"]:
     outcomes = ", ".join(
-        f"{label} = {format_rational(x)}"
-        for label, x in zip(market.actions, row)
+        f"{label} = {x}" for label, x in zip(market.actions, atom["outcomes"])
     )
-    print(f"  with probability {format_rational(probability)}: {outcomes}")
+    print(f"  with probability {atom['p']}: {outcomes}")
 print(
     "Expectations:",
     ", ".join(

@@ -71,7 +71,6 @@ from .market import (
     Market,
     MixedAction,
     Profile,
-    SupportStats,
     build_market,
     expectation,
     load_market,
@@ -80,7 +79,6 @@ from .market import (
     profile_from_list,
     profile_to_list,
     two_bond_market,
-    support_stats,
 )
 from .plans import (
     BonusPlan,

@@ -1,14 +1,15 @@
 """Builders for provably optimal linear bonus plans.
 
 Both builders target markets with a unique best-expectation action and
-earnings weight 0.  The interval-gated plan scales by the largest outcome
-magnitude.  The output-gated plan scales by the largest pointwise
-difference |q - X*| between a portfolio q and the best action X*: at each
-atom q - X* is linear in q, so |q - X*| is convex and peaks at a vertex,
-and the bound is the largest |x_j - x*| over atoms and actions j.  With it
-no atom's result spread exceeds twice the bound, the built plan's output
-gate never closes, and the pure-deviation scan of game.check_nash is
-complete.
+earnings weight 0.  The interval-gated plan is active on the support
+interval, the least and largest outcome, read off the integer view, and
+scales by the larger of their magnitudes.  The output-gated plan scales by
+the largest pointwise difference |q - X*| between a portfolio q and the
+best action X*: at each atom q - X* is linear in q, so |q - X*| is convex
+and peaks at a vertex, and the bound is the largest |x_j - x*| over atoms
+and actions j.  With it no atom's result spread exceeds twice the bound,
+the built plan's output gate never closes, and the pure-deviation scan of
+game.check_nash is complete.
 
 find_bounding_m certifies the bound on a simplex grid of resolution d.
 Each portfolio q gets its gap c_q = E[X*] - E[q] > 0 and the smallest
@@ -50,7 +51,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DegenerateSupport, ExpectationNotUnique
 from .game import _walk, check_simplex_grid
-from .market import Market, support_stats
+from .market import Market
 from .plans import BoundedLinearPlan, MLinearPlan
 from .rational import rational_text
 
@@ -58,14 +59,17 @@ from .rational import rational_text
 def build_m_linear(market: Market, players: int) -> MLinearPlan:
     """Interval-gated linear plan scaled by the support bound.
 
-    The bound is the largest outcome magnitude, `support_stats(m).max_abs`.
-    The interval is the market's support interval, whose width never
-    exceeds twice the bound, so active shares stay within [0, 2/k].
+    The interval is the market's support interval, its least and largest
+    outcome, read as integers off the integer view; the bound is the larger
+    of their magnitudes.  The interval's width never exceeds twice the
+    bound, so active shares stay within [0, 2/k].
     """
-    stats = support_stats(market)
-    if stats.max_abs == 0:
+    view = market.integer_view
+    lo, hi = min(map(min, view.values)), max(map(max, view.values))
+    if lo == hi == 0:
         raise DegenerateSupport("every outcome is 0; no scale for a linear plan")
-    return MLinearPlan(players, stats.max_abs, stats.lo, stats.hi)
+    bound, lo, hi = (Fraction(x, view.scale) for x in (max(-lo, hi), lo, hi))
+    return MLinearPlan(players, bound, lo, hi)
 
 
 class GridWitness(NamedTuple):

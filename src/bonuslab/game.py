@@ -162,11 +162,12 @@ from .market import (
     Profile,
     _multisets_exceed,
     _power_exceeds,
+    _profile,
     check_arity,
     expectation,
 )
 from .plans import BonusPlan, Kernel
-from .rational import as_count, as_rational, rational_text
+from .rational import as_count, as_rational, items_of, rational_text
 
 TENSOR_CAP = 200_000  # a full tensor, check_optimal's scan, or dominance's cells x players
 GRID_WEIGHT_CAP = 4_000_000  # a simplex grid's points x arity: 2 000 actions at d = 1
@@ -194,7 +195,8 @@ class Game:
     denominator, `_scoring(integer_view.scale).denominator`, so rankings
     compare them directly.  A cell is added on first read; `payoff` turns
     one into `Fraction`s.  Only `payoffs` materializes the full n^k tensor.
-    `kernels` keeps the plan's kernel per result scale.  Both start empty,
+    `kernels` keeps a `_Scoring` per result scale: the plan's kernel and
+    the payoff's integer weights.  Both start empty,
     so `replace` gives a game fresh memos; so do the affine form and the
     way a pure cell is computed, each decided on first use and kept on the
     game.  The earnings weight is coerced
@@ -223,7 +225,9 @@ class Game:
 
     def payoff(self, combo: tuple[int, ...]) -> tuple[Fraction, ...]:
         """Exact payoffs at one pure profile, computed on first read."""
-        combo = tuple(as_count(a, "action", None, ArityMismatch) for a in combo)
+        combo = tuple(
+            as_count(a, "action", None, ArityMismatch) for a in items_of(combo, "actions")
+        )
         scoring = self._scoring(self.market.integer_view.scale)
         return _fractions(self._numerators(combo), scoring.denominator)
 
@@ -391,7 +395,7 @@ def induce_game(market: Market, plan: BonusPlan, earnings_weight=0) -> Game:
 def expected_payoffs(game: Game, profile: Profile) -> tuple[Fraction, ...]:
     """Exact expected payoff per player, portfolios evaluated pointwise."""
     market, plan = game.market, game.plan
-    if profile.players != plan.players:
+    if _profile(profile).players != plan.players:
         raise ArityMismatch(
             f"{profile.players} strategies for a {plan.players}-player plan"
         )
@@ -407,7 +411,7 @@ def expected_payoffs(game: Game, profile: Profile) -> tuple[Fraction, ...]:
 
 def principal_value(market: Market, profile: Profile) -> Fraction:
     """Total expected earnings across the profile — the plan designer's objective."""
-    profile.check_arity(market)
+    _profile(profile).check_arity(market)
     return sum((expectation(market, s) for s in profile.strategies), start=ZERO)
 
 
@@ -520,6 +524,7 @@ def best_response(
     k, n = game.players, game.actions
     if not 0 <= as_count(player, "player", None, ArityMismatch) < k:
         raise ArityMismatch(f"player {rational_text(player)} out of range for {k}")
+    opponents = tuple(items_of(opponents, "strategies"))
     if len(opponents) != k - 1:
         raise ArityMismatch(f"expected {k - 1} opponents, got {len(opponents)}")
     check_arity(opponents, n)

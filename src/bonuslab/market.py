@@ -31,8 +31,8 @@ index order, is the set every best-action test reads, and no `Fraction` is
 compared to rank actions.  `expectations()` builds `Fraction`s from the
 sums for reports and certificates, and `expectation` gives a portfolio's as
 one `Fraction`, its counts' integer dot with the sums over unit * mass *
-scale.  `support_stats` is kept the same way, from the view's least and
-largest integers.
+scale.  A market keeps no other summary: a reader of its support interval
+takes the view's least and largest integers.
 """
 
 from __future__ import annotations
@@ -192,13 +192,6 @@ class Market:
         denominator = view.mass * view.scale
         return tuple(Fraction(s, denominator) for s in self.expectation_sums)
 
-    @cached_property
-    def _support_stats(self) -> SupportStats:
-        view = self.integer_view
-        lo = Fraction(min(map(min, view.values)), view.scale)
-        hi = Fraction(max(map(max, view.values)), view.scale)
-        return SupportStats(lo, hi, max(abs(lo), abs(hi)))
-
 
 @dataclass(frozen=True)
 class MixedAction:
@@ -286,17 +279,10 @@ def _mixed_action(strategy) -> MixedAction:
     return strategy
 
 
-@dataclass(frozen=True)
-class SupportStats:
-    """Summary of a market's outcome values.
-
-    lo/hi: the support interval endpoints, the least and the largest outcome.
-    max_abs: the largest magnitude, i.e. max(|lo|, |hi|).
-    """
-
-    lo: Fraction
-    hi: Fraction
-    max_abs: Fraction
+def _profile(profile) -> Profile:
+    if not isinstance(profile, Profile):
+        raise ArityMismatch(f"a profile must be a Profile, got {input_text(profile)}")
+    return profile
 
 
 # =====================================================================
@@ -336,12 +322,6 @@ def expectation(market: Market, strategy: MixedAction) -> Fraction:
     view = market.integer_view
     dot = sum(map(mul, strategy.counts, market.expectation_sums))
     return Fraction(dot, strategy.unit * view.mass * view.scale)
-
-
-def support_stats(market: Market) -> SupportStats:
-    """Distinct outcome values, support interval, and max magnitude;
-    computed on the integer view once per market."""
-    return market._support_stats
 
 
 def two_bond_market() -> Market:

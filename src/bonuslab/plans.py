@@ -59,7 +59,7 @@ from .errors import (
     InvalidParameter,
     NonSimplexTable,
 )
-from .market import Market, support_stats
+from .market import Market
 from .rational import (
     as_count,
     as_rational,
@@ -326,15 +326,21 @@ class MLinearPlan(_LinearPlan):
 
     kind = "m_linear"
 
-    def kernel(self, scale):
+    def _interval(self, scale: int) -> tuple[int, int]:
+        """(ceil(lo * scale), floor(hi * scale)): a result v / scale lies in
+        the interval exactly when the integer v lies between them."""
         lo, hi = self.lo * scale, self.hi * scale
-        lo, hi = -(-lo.numerator // lo.denominator), hi.numerator // hi.denominator
+        return -(-lo.numerator // lo.denominator), hi.numerator // hi.denominator
+
+    def kernel(self, scale):
+        lo, hi = self._interval(scale)
         return self._linear_kernel(scale, lambda v, shares: lo <= min(v) and max(v) <= hi)
 
     def linear_form(self, market):
-        stats = support_stats(market)
-        if self.lo <= stats.lo and stats.hi <= self.hi:
-            return self._scaled_form(market.integer_view.scale)
+        view = market.integer_view
+        lo, hi = self._interval(view.scale)
+        if lo <= min(map(min, view.values)) and max(map(max, view.values)) <= hi:
+            return self._scaled_form(view.scale)
         return None
 
     def probes(self):
@@ -399,6 +405,10 @@ class TabulatedPlan(BonusPlan):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if not isinstance(self.points, Mapping):
+            raise ArityMismatch(
+                f"expected a mapping of result vectors to shares, got {input_text(self.points)}"
+            )
         frozen = {}
         for key, shares in self.points.items():
             k = rationals(key)

@@ -214,11 +214,18 @@ MUTANTS = (
         ("tests/test_plans.py::test_linear_sufficiency_matches_the_fraction_rule",),
     ),
     Mutant(
-        "support statistics from one atom's row only",
-        "src/bonuslab/market.py",
+        "m_linear's support interval from one atom's row only",
+        "src/bonuslab/construct.py",
         "min(map(min, view.values))",
         "min(view.values[0])",
-        ("tests/test_market.py::test_support_stats_match_the_fraction_outcomes",),
+        ("tests/test_construct.py::test_interval_plan_matches_the_fraction_outcomes",),
+    ),
+    Mutant(
+        "m_linear's integer interval rounds lo down, not up",
+        "src/bonuslab/plans.py",
+        "-(-lo.numerator // lo.denominator)",
+        "lo.numerator // lo.denominator",
+        ("tests/test_plans.py::test_linear_sufficiency_matches_the_fraction_rule",),
     ),
     Mutant(
         "WTA/LTA ties not split",
@@ -640,6 +647,34 @@ MUTANTS = (
         ("tests/test_market.py::test_a_strategy_that_is_not_a_mixed_action_is_refused",),
     ),
     Mutant(
+        "a profile read without checking it is a Profile",
+        "src/bonuslab/market.py",
+        "if not isinstance(profile, Profile):",
+        "if False:",
+        ("tests/test_market.py::test_a_profile_that_is_not_a_profile_is_refused",),
+    ),
+    Mutant(
+        "a best response's opponents read without the list check",
+        "src/bonuslab/game.py",
+        'opponents = tuple(items_of(opponents, "strategies"))',
+        "opponents = tuple(opponents)",
+        ("tests/test_market.py::test_opponents_that_are_not_a_list_are_refused",),
+    ),
+    Mutant(
+        "a pure profile's actions read without the list check",
+        "src/bonuslab/game.py",
+        'for a in items_of(combo, "actions")',
+        "for a in combo",
+        ("tests/test_market.py::test_a_pure_profile_that_is_not_a_list_is_refused",),
+    ),
+    Mutant(
+        "a table read without checking it is a mapping",
+        "src/bonuslab/plans.py",
+        "if not isinstance(self.points, Mapping):",
+        "if False:",
+        ("tests/test_plans.py::test_a_table_that_is_not_a_mapping_is_refused",),
+    ),
+    Mutant(
         "a profile keeps its strategies unread",
         "src/bonuslab/market.py",
         'strategies = tuple(map(_mixed_action, items_of(self.strategies, "strategies")))',
@@ -758,7 +793,7 @@ MUTANTS = (
     Mutant(
         "m_linear states its form on a market its interval does not cover",
         "src/bonuslab/plans.py",
-        "if self.lo <= stats.lo and stats.hi <= self.hi:",
+        "if lo <= min(map(min, view.values)) and max(map(max, view.values)) <= hi:",
         "if True:",
         (
             "tests/test_plans.py::test_linear_forms_match_the_kernel_where_the_gate_is_open",

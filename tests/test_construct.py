@@ -1,5 +1,6 @@
 """Plan builders: the support-interval plan and the certified-bound plan."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from bonuslab import (
     check_optimal,
     find_bounding_m,
     simplex_grid,
-    support_stats,
     two_bond_market,
 )
 from conftest import random_market
@@ -32,7 +32,7 @@ F = Fraction
 
 def test_support_bound():
     market = build_market(["A", "B"], [("1/2", ("-3", "1")), ("1/2", ("2", "0"))])
-    assert support_stats(market).max_abs == F(3)
+    assert build_m_linear(market, 2).bound == F(3)
 
 
 def test_interval_plan_uses_support_interval_and_bound():
@@ -45,6 +45,24 @@ def test_interval_plan_handles_negative_support():
     market = build_market(["A", "B"], [("1/2", ("-5", "-1")), ("1/2", ("-2", "-4"))])
     plan = build_m_linear(market, 3)
     assert (plan.bound, plan.lo, plan.hi) == (F(5), F(-5), F(-1))
+
+
+def test_interval_plan_reads_the_least_and_largest_outcome():
+    market = build_market(["A", "B"], [("1/4", ("2", "0")), ("3/4", ("-1", "1"))])
+    plan = build_m_linear(market, 2)
+    assert (plan.lo, plan.hi, plan.bound) == (F(-1), F(2), F(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_interval_plan_matches_the_fraction_outcomes(seed, outlier):
+    """Read from the integer view: the interval is the least and largest of
+    the atoms' Fraction outcomes, and the bound their largest magnitude."""
+    market = random_market(random.Random(seed), outlier=outlier)
+    values = sorted({x for _, outcomes in market.atoms for x in outcomes})
+    plan = build_m_linear(market, 2)
+    assert (plan.lo, plan.hi) == (values[0], values[-1])
+    assert plan.bound == max(abs(x) for x in values)
 
 
 def test_interval_plan_needs_a_scale():
@@ -169,7 +187,7 @@ def test_certified_bound_can_be_far_below_the_support_bound():
             ("1/1000000", ("1000000", "9999999/10")),
         ],
     )
-    assert support_stats(market).max_abs == F(1000000)
+    assert build_m_linear(market, 2).bound == F(1000000)
     result = find_bounding_m(market, 6)
     assert result.bound == F(1, 10)
     plan = build_bounded_linear(market, 2, 6)

@@ -37,6 +37,7 @@ from bonuslab import (
     coordinate_decrease_counterexample,
     coordinate_increase_counterexample,
     expectation,
+    expected_payoffs,
     format_rational,
     induce_game,
     load_market,
@@ -48,7 +49,6 @@ from bonuslab import (
     profile_to_list,
     simplex_grid,
     two_bond_market,
-    support_stats,
     universality_verdict,
 )
 from bonuslab.market import IntegerView
@@ -141,6 +141,32 @@ def test_a_strategy_that_is_not_a_mixed_action_is_refused():
     for call in calls:
         with pytest.raises(ArityMismatch, match="a strategy must be a MixedAction, got"):
             call()
+
+
+def test_a_profile_that_is_not_a_profile_is_refused():
+    """A list or tuple where a `Profile` belongs ends in ArityMismatch, not
+    in a bare AttributeError on `.players` or `.check_arity`."""
+    market = two_action_market()
+    game = induce_game(market, WinnerTakeAllPlan(2), 0)
+    a = MixedAction.pure(0, 2)
+    with pytest.raises(ArityMismatch, match="a profile must be a Profile, got a list of 2 items"):
+        check_nash(game, [a, a])
+    with pytest.raises(ArityMismatch, match=re.escape("a profile must be a Profile, got (0, 0)")):
+        expected_payoffs(game, (0, 0))
+    with pytest.raises(ArityMismatch, match=re.escape("a profile must be a Profile, got [1, 2]")):
+        principal_value(market, [1, 2])
+
+
+def test_opponents_that_are_not_a_list_are_refused():
+    game = induce_game(two_action_market(), WinnerTakeAllPlan(2), 0)
+    with pytest.raises(ArityMismatch, match="expected a list of strategies, got 5"):
+        best_response(game, 0, 5)
+
+
+def test_a_pure_profile_that_is_not_a_list_is_refused():
+    game = induce_game(two_action_market(), WinnerTakeAllPlan(2), 0)
+    with pytest.raises(ArityMismatch, match="expected a list of actions, got 5"):
+        game.payoff(5)
 
 
 def test_atoms_coerce_their_numbers():
@@ -298,12 +324,13 @@ def test_no_value_object_has_a_second_constructor():
 
 def test_no_module_reads_the_derived_atoms():
     """A verdict reads a market's integer view, never the `Fraction` atoms
-    derived from it: no module under src/bonuslab reads an attribute named
-    `atoms`."""
+    derived from it, and a demo prints a market from its document: no module
+    under src/bonuslab or demos/ reads an attribute named `atoms`."""
     package = Path(bonuslab.__file__).parent
+    demos = Path(__file__).resolve().parent.parent / "demos"
     readers = [
         f"{p.name}:{node.lineno}"
-        for p in sorted(package.glob("*.py"))
+        for p in sorted(package.glob("*.py")) + sorted(demos.glob("*.py"))
         for node in ast.walk(ast.parse(p.read_text(), str(p)))
         if isinstance(node, ast.Attribute) and node.attr == "atoms"
     ]
@@ -351,24 +378,6 @@ def test_a_profile_checks_its_strategies_when_it_is_built():
         Profile((a, ["1", "0"]))
     with pytest.raises(ArityMismatch, match="expected a list of strategies, got 'ab'"):
         Profile("ab")
-
-
-def test_support_stats():
-    stats = support_stats(two_action_market())
-    assert (stats.lo, stats.hi, stats.max_abs) == (Fraction(-1), Fraction(2), Fraction(2))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_support_stats_match_the_fraction_outcomes(seed, outlier):
-    """Read from the integer view once per market: the least and largest
-    values, and the largest magnitude, of the atoms' Fraction outcomes."""
-    market = random_market(random.Random(seed), outlier=outlier)
-    values = sorted({x for _, outcomes in market.atoms for x in outcomes})
-    stats = support_stats(market)
-    assert (stats.lo, stats.hi) == (values[0], values[-1])
-    assert stats.max_abs == max(abs(x) for x in values)
-    assert support_stats(market) is stats
 
 
 def test_market_json_round_trip():

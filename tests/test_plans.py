@@ -1,6 +1,7 @@
 """Plan allocations: frozen values, the simplex contract, serialization."""
 
 import random
+import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,6 +137,17 @@ def test_tabulated_rejects_off_simplex_rows():
         TabulatedPlan(2, {("0", "0"): ("1/2", "1/4")}, ("1/2", "1/2"))
     with pytest.raises(NonSimplexTable):
         TabulatedPlan(2, {}, ("2", "-1"))
+
+
+def test_a_table_that_is_not_a_mapping_is_refused():
+    """A table given as a number or as a list of pairs ends in
+    ArityMismatch, not in a bare AttributeError on `.items`."""
+    refused = "expected a mapping of result vectors to shares, got "
+    with pytest.raises(ArityMismatch, match=refused + "5"):
+        TabulatedPlan(2, 5, ("1/2", "1/2"))
+    pairs = [(("0", "1"), ("1/4", "3/4"))]
+    with pytest.raises(ArityMismatch, match=re.escape(refused + repr(pairs))):
+        TabulatedPlan(2, pairs, ("1/2", "1/2"))
 
 
 def test_tabulated_lists_each_result_vector_once():
