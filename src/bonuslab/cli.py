@@ -220,10 +220,22 @@ def _combo_label(market: Market, combo) -> str:
 
 
 def _payoff_dict(market: Market, game: Game) -> dict:
+    """The game's full payoff tensor as a document.  Each payoff `Fraction`
+    is written once: under an anonymous plan the permuted cells share their
+    `Fraction` objects, so a text is kept per object, by its id; the tensor
+    keeps every object alive while the document is written."""
+    texts: dict[int, str] = {}
+
+    def text(value: Fraction) -> str:
+        written = texts.get(id(value))
+        if written is None:
+            written = texts[id(value)] = format_rational(value)
+        return written
+
     return {
         "lambda": format_rational(game.earnings_weight),
         "payoffs": {
-            _combo_label(market, combo): [format_rational(v) for v in values]
+            _combo_label(market, combo): list(map(text, values))
             for combo, values in game.payoffs.items()
         },
     }
@@ -280,7 +292,7 @@ def _cmd_replicate(args, lam) -> dict:
     equilibrium = None
     if dominance.unique_profile is not None:
         equilibrium = check_nash(
-            at_lam, Profile.pure(dominance.unique_profile, market.n), None
+            at_lam, Profile(tuple(map(market._vertex, dominance.unique_profile))), None
         )
 
     return {

@@ -2,14 +2,14 @@
 
 Both builders target markets with a unique best-expectation action and
 earnings weight 0.  The interval-gated plan is active on the support
-interval, the least and largest outcome, read off the integer view, and
-scales by the larger of their magnitudes.  The output-gated plan scales by
-the largest pointwise difference |q - X*| between a portfolio q and the
-best action X*: at each atom q - X* is linear in q, so |q - X*| is convex
-and peaks at a vertex, and the bound is the largest |x_j - x*| over atoms
-and actions j.  With it no atom's result spread exceeds twice the bound,
-the built plan's output gate never closes, and the pure-deviation scan of
-game.check_nash is complete.
+interval, the least and largest outcome, read off the market's integer
+bounds summary, and scales by the larger of their magnitudes.  The
+output-gated plan scales by the largest pointwise difference |q - X*|
+between a portfolio q and the best action X*: at each atom q - X* is
+linear in q, so |q - X*| is convex and peaks at a vertex, and the bound is
+the largest |x_j - x*| over atoms and actions j.  With it no atom's result
+spread exceeds twice the bound, the built plan's output gate never closes,
+and the pure-deviation scan of game.check_nash is complete.
 
 find_bounding_m certifies the bound on a simplex grid of resolution d.
 Each portfolio q gets its gap c_q = E[X*] - E[q] > 0 and the smallest
@@ -53,19 +53,20 @@ from .errors import DegenerateSupport, ExpectationNotUnique
 from .game import _walk, check_simplex_grid
 from .market import Market
 from .plans import BoundedLinearPlan, MLinearPlan
-from .rational import rational_text
+from .rational import instance_of, rational_text
 
 
 def build_m_linear(market: Market, players: int) -> MLinearPlan:
     """Interval-gated linear plan scaled by the support bound.
 
     The interval is the market's support interval, its least and largest
-    outcome, read as integers off the integer view; the bound is the larger
-    of their magnitudes.  The interval's width never exceeds twice the
-    bound, so active shares stay within [0, 2/k].
+    outcome, read as integers from the market's bounds summary
+    (`Market._bounds`, one pass over the integer view, kept per market);
+    the bound is the larger of their magnitudes.  The interval's width never
+    exceeds twice the bound, so active shares stay within [0, 2/k].
     """
-    view = market.integer_view
-    lo, hi = min(map(min, view.values)), max(map(max, view.values))
+    view = instance_of(market, Market, "a market").integer_view
+    lo, hi, _ = market._bounds
     if lo == hi == 0:
         raise DegenerateSupport("every outcome is 0; no scale for a linear plan")
     bound, lo, hi = (Fraction(x, view.scale) for x in (max(-lo, hi), lo, hi))
@@ -125,7 +126,8 @@ def _vertex_bound(market: Market, grid_resolution: int) -> tuple[int, Fraction, 
     """Best action, scale bound and least grid gap, in closed form.  Raises
     ExpectationNotUnique for a tied best, then check_simplex_grid's errors,
     then DegenerateSupport for a one-action market."""
-    view, sums, argmax = market.integer_view, market.expectation_sums, market.best_actions
+    view = instance_of(market, Market, "a market").integer_view
+    sums, argmax = market.expectation_sums, market.best_actions
     denominator = view.mass * view.scale  # of the expectation sums
     if len(argmax) != 1:
         mu = rational_text(Fraction(sums[argmax[0]], denominator))

@@ -86,6 +86,7 @@ from .rational import (
     as_count,
     as_rational,
     input_text,
+    instance_of,
     rational_text,
     rationals,
     ratios_over_lcm,
@@ -163,7 +164,7 @@ def probe_pairs(plan: BonusPlan, points: Sequence) -> tuple[PairViolation, ...]:
 
 
 def _pair_violations(plan: BonusPlan, points: Sequence):
-    if plan.players != 2:
+    if instance_of(plan, BonusPlan, "a plan").players != 2:
         raise ArityMismatch("pair probing is for two-player plans")
     grid = sorted(set(rationals(points)))
     # the pairs x < y of m points are the multisets of 2 out of m - 1
@@ -189,6 +190,7 @@ def _pair_violations(plan: BonusPlan, points: Sequence):
 def four_point_shares_equal(plan: BonusPlan, x, y) -> bool:
     """Whether the plan is constant across {x,y}^2 (forced when no violation:
     the four inequalities plus shares-sum-to-1 collapse to equalities)."""
+    instance_of(plan, BonusPlan, "a plan")
     x, y = as_rational(x), as_rational(y)
     reference = plan.evaluate((x, x))
     return all(
@@ -211,8 +213,8 @@ def probe_own_coordinate(
 
 
 def _coordinate_violations(plan: BonusPlan, points: Sequence):
+    k = instance_of(plan, BonusPlan, "a plan").players
     grid = sorted(set(rationals(points)))
-    k = plan.players
     if len(grid) < k:
         raise ArityMismatch(
             f"need at least {k} distinct points for distinct-coordinate probing"
@@ -285,7 +287,7 @@ def pair_increase_counterexample(plan: BonusPlan, violation: PairViolation) -> C
 
 
 def _check_pair(plan: BonusPlan, violation: PairViolation, direction: Direction) -> Fraction:
-    if plan.players != 2:
+    if instance_of(plan, BonusPlan, "a plan").players != 2:
         raise ArityMismatch("pair violations are for two-player plans")
     x, y = _exact(violation.x, "x"), _exact(violation.y, "y")
     # a decrease drops the player from (y, y) to x; an increase lifts it from (x, x) to y
@@ -349,11 +351,12 @@ def _exact(value, name: str):
 def _check_coordinate(
     plan: BonusPlan, violation: CoordinateViolation, direction: Direction
 ) -> Fraction:
+    k = instance_of(plan, BonusPlan, "a plan").players
     base = violation.base
     if type(base) is not tuple:
         raise StaleViolation(f"base point {input_text(base)} is not a tuple")
-    if len(base) != plan.players:
-        raise ArityMismatch(f"base point {rational_text(base)} is not a {plan.players}-vector")
+    if len(base) != k:
+        raise ArityMismatch(f"base point {rational_text(base)} is not a {k}-vector")
     for value in base:
         _exact(value, "base coordinate")
     witness = _exact(violation.witness, "witness")
@@ -561,7 +564,7 @@ def _certified(
     from the market, checked by `_recomputed_gain` before it is returned: a
     stated gain as it is, None as the gain recomputed there."""
     certificate = tuple(zip(market.actions, market.expectations()))
-    profile = Profile.pure(actions, market.n)
+    profile = Profile(tuple(map(market._vertex, actions)))
     ce = Counterexample(market, profile, player, deviation, gain, certificate, params)
     recomputed = _recomputed_gain(plan, ce)
     return ce if gain is not None else replace(ce, gain=recomputed)
@@ -577,8 +580,11 @@ def validate_counterexample(plan: BonusPlan, ce: Counterexample) -> None:
     player to the deviation action gains exactly ce.gain > 0, read from two
     cells of a game induced here, not by the builders.  A strictly positive
     exact gain from a unilateral switch is the refutation.  The gain and the
-    certificate values are ints or Fractions: a float is FloatRejected.
+    certificate values are ints or Fractions: a float is FloatRejected.  A
+    plan, a counterexample, or its market or profile of the wrong type is
+    ArityMismatch.
     """
+    instance_of(ce, Counterexample, "a counterexample")
     _exact(ce.gain, "gain")
     _recomputed_gain(plan, ce)
 
@@ -586,7 +592,9 @@ def validate_counterexample(plan: BonusPlan, ce: Counterexample) -> None:
 def _recomputed_gain(plan: BonusPlan, ce: Counterexample) -> Fraction:
     """The switch's exact gain, read from two cells of a game induced here,
     once every claim holds; a gain of None claims only that it is positive."""
-    market, k = ce.market, plan.players
+    market = instance_of(ce.market, Market, "a market")
+    k = instance_of(plan, BonusPlan, "a plan").players
+    instance_of(ce.profile, Profile, "a profile")
     as_count(ce.player, "player", None, StaleViolation)
     as_count(ce.deviation, "deviation", None, StaleViolation)
     if not (ce.profile.players == k and 0 <= ce.player < k and 0 <= ce.deviation < market.n):
@@ -642,7 +650,7 @@ def universality_verdict(plan: BonusPlan, points: Sequence) -> UniversalityRepor
     Three or more: own-coordinate probing at distinct-coordinate points; no
     violations means every probed own-coordinate move was weakly losing.
     """
-    if plan.players == 2:
+    if instance_of(plan, BonusPlan, "a plan").players == 2:
         violations = _pair_violations
         decrease, increase = pair_decrease_counterexample, pair_increase_counterexample
     else:

@@ -132,7 +132,10 @@ maps the deviator's result to its share, without a kernel call for the wta
 and lta kinds.  The vertices are scored first, then, for d > 1, the walk's other
 points, and only a strictly larger score replaces the best, so pure
 actions win ties by index and grid points by order.  The search compares
-integers and builds one `Fraction` and one `MixedAction`, for the winner.
+integers and builds one `Fraction`, for the winner's value, and a
+`MixedAction` only for a winner off the vertices.  Every pure strategy a
+search hands back or checks is the market's own vertex, `Market._vertex`,
+built once per market.
 `find_bounding_m` and `simplex_grid` walk the same way.  `Fraction` stays
 at the interface.
 """
@@ -162,12 +165,11 @@ from .market import (
     Profile,
     _multisets_exceed,
     _power_exceeds,
-    _profile,
     check_arity,
     expectation,
 )
 from .plans import BonusPlan, Kernel
-from .rational import as_count, as_rational, items_of, rational_text
+from .rational import as_count, as_rational, instance_of, items_of, rational_text
 
 TENSOR_CAP = 200_000  # a full tensor, check_optimal's scan, or dominance's cells x players
 GRID_WEIGHT_CAP = 4_000_000  # a simplex grid's points x arity: 2 000 actions at d = 1
@@ -199,8 +201,9 @@ class Game:
     the payoff's integer weights.  Both start empty,
     so `replace` gives a game fresh memos; so do the affine form and the
     way a pure cell is computed, each decided on first use and kept on the
-    game.  The earnings weight is coerced
-    by as_rational and must lie in [0, 1).
+    game.  The market and the plan must be a `Market` and a `BonusPlan`,
+    else ArityMismatch, and the earnings weight is coerced by as_rational
+    and must lie in [0, 1).
     """
 
     market: Market
@@ -210,6 +213,8 @@ class Game:
     kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        instance_of(self.market, Market, "a market")
+        instance_of(self.plan, BonusPlan, "a plan")
         w = as_rational(self.earnings_weight)
         if not ZERO <= w < 1:
             raise InvalidParameter(f"earnings weight must lie in [0, 1), got {rational_text(w)}")
@@ -394,8 +399,8 @@ def induce_game(market: Market, plan: BonusPlan, earnings_weight=0) -> Game:
 
 def expected_payoffs(game: Game, profile: Profile) -> tuple[Fraction, ...]:
     """Exact expected payoff per player, portfolios evaluated pointwise."""
-    market, plan = game.market, game.plan
-    if _profile(profile).players != plan.players:
+    market, plan = instance_of(game, Game, "a game").market, game.plan
+    if instance_of(profile, Profile, "a profile").players != plan.players:
         raise ArityMismatch(
             f"{profile.players} strategies for a {plan.players}-player plan"
         )
@@ -411,7 +416,7 @@ def expected_payoffs(game: Game, profile: Profile) -> tuple[Fraction, ...]:
 
 def principal_value(market: Market, profile: Profile) -> Fraction:
     """Total expected earnings across the profile — the plan designer's objective."""
-    _profile(profile).check_arity(market)
+    instance_of(profile, Profile, "a profile").check_arity(market)
     return sum((expectation(market, s) for s in profile.strategies), start=ZERO)
 
 
@@ -521,7 +526,7 @@ def best_response(
     vertices.  Candidates are compared as integers; only the best value
     becomes a Fraction.
     """
-    k, n = game.players, game.actions
+    k, n = instance_of(game, Game, "a game").players, game.actions
     if not 0 <= as_count(player, "player", None, ArityMismatch) < k:
         raise ArityMismatch(f"player {rational_text(player)} out of range for {k}")
     opponents = tuple(items_of(opponents, "strategies"))
@@ -558,12 +563,15 @@ def best_response(
             top = max(values)
             best = values.index(top)
         denominator = game._scoring(game.market.integer_view.scale).denominator
-        return BestResponse(player, MixedAction.pure(best, n), Fraction(top, denominator), method)
+        return BestResponse(player, game.market._vertex(best), Fraction(top, denominator), method)
     d = resolution if grid else 1
     if grid:
         check_simplex_grid(n, d)
-    counts, value = _deviation_scan(game, player, opponents, d)
-    best = MixedAction(tuple(Fraction(c, d) for c in counts))
+    winner, value = _deviation_scan(game, player, opponents, d)
+    if type(winner) is int:
+        best = game.market._vertex(winner)
+    else:
+        best = MixedAction(tuple(Fraction(c, d) for c in winner))
     return BestResponse(player, best, value, method)
 
 
@@ -572,12 +580,13 @@ def _deviation_scan(
     player: int,
     opponents: Sequence[MixedAction],
     d: int,
-) -> tuple[tuple[int, ...], Fraction]:
+) -> tuple[int | tuple[int, ...], Fraction]:
     """The earliest candidate of strictly largest payoff, and its value.
 
     A candidate is a count vector over d, the portfolio counts / d: the
     pure actions, as the vertices d * e_a in index order, then, for d > 1,
-    the grid's other points in `_walk` order.  The opponents are realized
+    the grid's other points in `_walk` order.  A vertex winner is returned
+    as its action index, any other as its counts.  The opponents are realized
     once, over a scale every candidate shares, and each atom's action
     values are scaled to it once, so `_walk` gives a candidate's result at
     every atom as an integer.  The plan's `response` at each atom turns it
@@ -592,8 +601,7 @@ def _deviation_scan(
     responses = [game.plan.response(scoring.kernel, player, rest) for rest in others]
     weights = view.weights
     columns = [[v * step for v in column] for column in zip(*view.values)]
-    n = len(columns)
-    # a vertex is named by its action index: only the winner's counts are built
+    # a vertex is named by its action index: only a grid winner's counts are built
     points = ((a, [d * v for v in column]) for a, column in enumerate(columns))
     if d > 1:
         points = chain(points, ((c, xs) for c, xs in _walk(columns, d) if d not in c))
@@ -607,8 +615,6 @@ def _deviation_scan(
             score += scoring.result_weight * sum(map(mul, weights, results))
         if top is None or score > top:
             winner, top = counts, score
-    if type(winner) is int:
-        winner = (0,) * winner + (d,) + (0,) * (n - 1 - winner)
     return winner, Fraction(top, scoring.denominator)
 
 
@@ -707,7 +713,7 @@ def strict_dominance(game: Game) -> DominanceReport:
     anonymous plan the n * C(n + k - 2, k - 1) cells the relation may read,
     times the k players each cell sums; otherwise the n^k tensor.
     """
-    k, n = game.players, game.actions
+    k, n = instance_of(game, Game, "a game").players, game.actions
     shared = game.plan.anonymous
     affine = game._affine
     if affine is not None:
@@ -825,11 +831,10 @@ def check_optimal(
         candidates = combinations_with_replacement(argmax, k)
     else:
         candidates = product(argmax, repeat=k)
-    vertices = {a: MixedAction.pure(a, market.n) for a in argmax}  # built once, not per profile
     checked = []
     witness = None
     for combo in candidates:
-        report = check_nash(game, Profile(tuple(map(vertices.__getitem__, combo))), resolution)
+        report = check_nash(game, Profile(tuple(map(market._vertex, combo))), resolution)
         checked.append((combo, report))
         if report.verdict is Verdict.EQUILIBRIUM:
             witness = combo

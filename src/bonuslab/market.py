@@ -31,8 +31,17 @@ index order, is the set every best-action test reads, and no `Fraction` is
 compared to rank actions.  `expectations()` builds `Fraction`s from the
 sums for reports and certificates, and `expectation` gives a portfolio's as
 one `Fraction`, its counts' integer dot with the sums over unit * mass *
-scale.  A market keeps no other summary: a reader of its support interval
-takes the view's least and largest integers.
+scale.
+
+Two more things a market fixes are built once, on first read, and shared
+by every reader.  `Market._bounds` is the view's integer bounds summary,
+from one pass over the atoms: the least value, the largest value and the
+widest atom spread (an atom's largest value less its least), all over the
+scale.  The interval-gated plan and its builder read the least and the
+largest, the output-gated plan the spread; no `Fraction` summary of a
+market is built.  `Market._vertex(a)` is action a's pure strategy, built by
+`MixedAction.pure` on its first read and handed out as that one object to
+every search that names a pure strategy on the market.
 """
 
 from __future__ import annotations
@@ -42,8 +51,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd
-from operator import mul
-from typing import Iterable, Mapping, Sequence
+from operator import mul, sub
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -59,6 +68,7 @@ from .rational import (
     format_rational,
     format_ratio,
     input_text,
+    instance_of,
     integer_ratio,
     integer_ratios,
     items_of,
@@ -93,6 +103,14 @@ class IntegerView:
     mass: int
     weights: tuple[int, ...]
     values: tuple[tuple[int, ...], ...]
+
+
+class _Bounds(NamedTuple):
+    """A market's integer bounds summary, every value over the view's scale."""
+
+    least: int
+    largest: int
+    spread: int  # the widest atom's largest value less its least
 
 
 @dataclass(frozen=True)
@@ -192,6 +210,25 @@ class Market:
         denominator = view.mass * view.scale
         return tuple(Fraction(s, denominator) for s in self.expectation_sums)
 
+    @cached_property
+    def _bounds(self) -> _Bounds:
+        """The view's least value, largest value and widest atom spread, from
+        one pass over the atoms."""
+        lows, highs = zip(*((min(row), max(row)) for row in self.integer_view.values))
+        return _Bounds(min(lows), max(highs), max(map(sub, highs, lows)))
+
+    @cached_property
+    def _vertices(self) -> dict[int, MixedAction]:
+        return {}
+
+    def _vertex(self, action: int) -> MixedAction:
+        """Action `action`'s pure strategy, built by `MixedAction.pure` on its
+        first read; every later read returns that one object."""
+        vertex = self._vertices.get(action)
+        if vertex is None:
+            vertex = self._vertices[action] = MixedAction.pure(action, self.n)
+        return vertex
+
 
 @dataclass(frozen=True)
 class MixedAction:
@@ -248,7 +285,10 @@ class Profile:
     strategies: tuple[MixedAction, ...]
 
     def __post_init__(self) -> None:
-        strategies = tuple(map(_mixed_action, items_of(self.strategies, "strategies")))
+        strategies = tuple(
+            instance_of(s, MixedAction, "a strategy")
+            for s in items_of(self.strategies, "strategies")
+        )
         object.__setattr__(self, "strategies", strategies)
         if len(strategies) < 2:
             raise ArityMismatch("a profile needs at least 2 players")
@@ -262,27 +302,15 @@ class Profile:
         return cls(tuple(MixedAction.pure(a, arity) for a in actions))
 
     def check_arity(self, market: Market) -> None:
-        check_arity(self.strategies, market.n)
+        check_arity(self.strategies, instance_of(market, Market, "a market").n)
 
 
 def check_arity(strategies: Iterable[MixedAction], n: int) -> None:
     """ArityMismatch unless every strategy is a `MixedAction` with one
     weight per action."""
-    for s in map(_mixed_action, strategies):
-        if len(s.weights) != n:
+    for s in strategies:
+        if len(instance_of(s, MixedAction, "a strategy").weights) != n:
             raise ArityMismatch(f"strategy over {len(s.weights)} actions on a market with {n}")
-
-
-def _mixed_action(strategy) -> MixedAction:
-    if not isinstance(strategy, MixedAction):
-        raise ArityMismatch(f"a strategy must be a MixedAction, got {input_text(strategy)}")
-    return strategy
-
-
-def _profile(profile) -> Profile:
-    if not isinstance(profile, Profile):
-        raise ArityMismatch(f"a profile must be a Profile, got {input_text(profile)}")
-    return profile
 
 
 # =====================================================================
@@ -318,7 +346,7 @@ def build_market(actions: Sequence[str], atoms: Iterable[tuple]) -> Market:
 
 def expectation(market: Market, strategy: MixedAction) -> Fraction:
     """Expected value of a portfolio: its counts dotted with the expectation sums."""
-    check_arity((strategy,), market.n)
+    check_arity((strategy,), instance_of(market, Market, "a market").n)
     view = market.integer_view
     dot = sum(map(mul, strategy.counts, market.expectation_sums))
     return Fraction(dot, strategy.unit * view.mass * view.scale)
@@ -376,7 +404,7 @@ def market_to_dict(market: Market) -> dict:
     """The market's document, written from its integer view: each distinct
     integer once, over its denominator by `format_ratio`, with no
     `Fraction`."""
-    view = market.integer_view
+    view = instance_of(market, Market, "a market").integer_view
     probability = {w: format_ratio(w, view.mass) for w in dict.fromkeys(view.weights)}
     values = dict.fromkeys(chain.from_iterable(view.values))
     outcome = {x: format_ratio(x, view.scale) for x in values}
@@ -405,7 +433,8 @@ def load_market(text: str) -> Market:
 
 
 def profile_to_list(profile: Profile) -> list[list[str]]:
-    return [[format_rational(w) for w in s.weights] for s in profile.strategies]
+    strategies = instance_of(profile, Profile, "a profile").strategies
+    return [[format_rational(w) for w in s.weights] for s in strategies]
 
 
 def profile_from_list(rows: Sequence[Sequence]) -> Profile:

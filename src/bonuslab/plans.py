@@ -37,7 +37,11 @@ A kind's pure-sufficiency rule is `BonusPlan.linear_form(market)`: the
 pair (equal, slope) over the market's `integer_view.scale`, with player
 i's share numerator equal + slope * (k * v_i - sum v), when the kind's gate
 is open at every atom of every pure profile on that market, and None
-otherwise.  The constant kind states (1, 0) on every market, and the two
+otherwise.  The two linear kinds decide it from the market's integer
+bounds summary (`Market._bounds`), computed once per market: the
+interval-gated kind compares the least and largest value with its
+interval's ends over the scale, the output-gated kind the widest atom
+spread with twice its bound.  The constant kind states (1, 0) on every market, and the two
 linear kinds state (2(k-1) * num(M) * scale, den(M)), the pair their
 kernels are built from; the wta, lta and tabulated kinds state none.
 `bonuslab.game` gives the argument that makes the form sufficient.
@@ -65,6 +69,7 @@ from .rational import (
     as_rational,
     format_rational,
     input_text,
+    instance_of,
     load_json,
     over_lcm,
     rational_text,
@@ -327,20 +332,22 @@ class MLinearPlan(_LinearPlan):
     kind = "m_linear"
 
     def _interval(self, scale: int) -> tuple[int, int]:
-        """(ceil(lo * scale), floor(hi * scale)): a result v / scale lies in
-        the interval exactly when the integer v lies between them."""
-        lo, hi = self.lo * scale, self.hi * scale
-        return -(-lo.numerator // lo.denominator), hi.numerator // hi.denominator
+        """(ceil(lo * scale), floor(hi * scale)), from the ends' integer
+        ratios: a result v / scale lies in the interval exactly when the
+        integer v lies between them."""
+        (lo, lo_den), (hi, hi_den) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
+        return -(-lo * scale // lo_den), hi * scale // hi_den
 
     def kernel(self, scale):
         lo, hi = self._interval(scale)
         return self._linear_kernel(scale, lambda v, shares: lo <= min(v) and max(v) <= hi)
 
     def linear_form(self, market):
-        view = market.integer_view
-        lo, hi = self._interval(view.scale)
-        if lo <= min(map(min, view.values)) and max(map(max, view.values)) <= hi:
-            return self._scaled_form(view.scale)
+        scale = market.integer_view.scale
+        lo, hi = self._interval(scale)
+        least, largest, _ = market._bounds
+        if lo <= least and largest <= hi:
+            return self._scaled_form(scale)
         return None
 
     def probes(self):
@@ -376,9 +383,9 @@ class BoundedLinearPlan(_LinearPlan):
         )
 
     def linear_form(self, market):
-        # the largest spread is over view.scale: spread / scale <= 2 * bound
+        # the widest atom spread is over view.scale: spread / scale <= 2 * bound
         view = market.integer_view
-        spread = max(max(values) - min(values) for values in view.values)
+        spread = market._bounds.spread
         if spread * self.bound.denominator <= 2 * self.bound.numerator * view.scale:
             return self._scaled_form(view.scale)
         return None
@@ -489,7 +496,7 @@ _KINDS = {
 
 def zero_sum_shares(plan: BonusPlan, results: Sequence) -> tuple[Fraction, ...]:
     """The allocation recentered by -1/k per player; sums to exactly 0."""
-    base = Fraction(1, plan.players)
+    base = Fraction(1, instance_of(plan, BonusPlan, "a plan").players)
     return tuple(s - base for s in plan.evaluate(results))
 
 
@@ -530,6 +537,7 @@ def validate_simplex(
     refused before the first.  Reports the first vector whose allocation
     leaves the simplex, if any.
     """
+    instance_of(plan, BonusPlan, "a plan")
     as_count(count, "sample count", 1, InvalidParameter)
     if count * plan.players > SAMPLE_CAP:
         raise InvalidParameter(
@@ -578,6 +586,7 @@ def _random_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction
 
 
 def plan_to_dict(plan: BonusPlan) -> dict:
+    instance_of(plan, BonusPlan, "a plan")
     return {"players": plan.players, "kind": plan.kind, **plan.document_fields()}
 
 

@@ -36,7 +36,9 @@ A message quotes an input read from outside (a label, a plan kind, a
 string where a number or a list belongs) with `input_text`: its repr up to
 QUOTE_LIMIT characters, and past that its kind and size ("a string of
 100000 characters", "a list of 300 items"), so that a message stays short
-however long the input.
+however long the input.  `instance_of` refuses an object argument of the
+wrong type as ArityMismatch ("a market must be a Market, got 'm'"),
+quoting it the same way.
 """
 
 from __future__ import annotations
@@ -218,6 +220,14 @@ def items_of(values, what: str):
         except TypeError:
             pass
     raise ArityMismatch(f"expected a list of {what}, got {input_text(values)}")
+
+
+def instance_of(value, cls: type, what: str):
+    """`value`, when it is an instance of `cls`; ArityMismatch otherwise,
+    "<what> must be a <cls>", quoting the value by `input_text`."""
+    if not isinstance(value, cls):
+        raise ArityMismatch(f"{what} must be a {cls.__name__}, got {input_text(value)}")
+    return value
 
 
 def rationals(values) -> tuple[Fraction, ...]:

@@ -215,17 +215,53 @@ MUTANTS = (
     ),
     Mutant(
         "m_linear's support interval from one atom's row only",
-        "src/bonuslab/construct.py",
-        "min(map(min, view.values))",
-        "min(view.values[0])",
-        ("tests/test_construct.py::test_interval_plan_matches_the_fraction_outcomes",),
+        "src/bonuslab/market.py",
+        "return _Bounds(min(lows), max(highs), max(map(sub, highs, lows)))",
+        "return _Bounds(lows[0], max(highs), max(map(sub, highs, lows)))",
+        (
+            "tests/test_construct.py::test_interval_plan_matches_the_fraction_outcomes",
+            "tests/test_market.py::test_bounds_summary_matches_a_scan_of_the_fraction_outcomes",
+        ),
+    ),
+    Mutant(
+        "the bounds summary's largest value taken with min",
+        "src/bonuslab/market.py",
+        "return _Bounds(min(lows), max(highs), max(map(sub, highs, lows)))",
+        "return _Bounds(min(lows), min(highs), max(map(sub, highs, lows)))",
+        (
+            "tests/test_construct.py::test_interval_plan_matches_the_fraction_outcomes",
+            "tests/test_market.py::test_bounds_summary_matches_a_scan_of_the_fraction_outcomes",
+        ),
+    ),
+    Mutant(
+        "the widest spread taken over the whole support instead of per atom",
+        "src/bonuslab/market.py",
+        "return _Bounds(min(lows), max(highs), max(map(sub, highs, lows)))",
+        "return _Bounds(min(lows), max(highs), max(highs) - min(lows))",
+        (
+            "tests/test_plans.py::test_linear_sufficiency_matches_the_fraction_rule",
+            "tests/test_market.py::test_bounds_summary_matches_a_scan_of_the_fraction_outcomes",
+        ),
+    ),
+    Mutant(
+        "a vertex of the wrong action",
+        "src/bonuslab/market.py",
+        "MixedAction.pure(action, self.n)",
+        "MixedAction.pure(self.n - 1 - action, self.n)",
+        (
+            "tests/test_market.py::test_vertices_are_built_once_per_market",
+            "tests/test_game.py::test_reports_on_shared_vertices_match_fresh_pure_strategies",
+        ),
     ),
     Mutant(
         "m_linear's integer interval rounds lo down, not up",
         "src/bonuslab/plans.py",
-        "-(-lo.numerator // lo.denominator)",
-        "lo.numerator // lo.denominator",
-        ("tests/test_plans.py::test_linear_sufficiency_matches_the_fraction_rule",),
+        "-(-lo * scale // lo_den)",
+        "lo * scale // lo_den",
+        (
+            "tests/test_plans.py::test_linear_sufficiency_matches_the_fraction_rule",
+            "tests/test_plans.py::test_integer_interval_matches_the_fraction_products",
+        ),
     ),
     Mutant(
         "WTA/LTA ties not split",
@@ -642,16 +678,37 @@ MUTANTS = (
     Mutant(
         "a strategy's weights read without checking it is a MixedAction",
         "src/bonuslab/market.py",
-        "if not isinstance(strategy, MixedAction):",
-        "if False:",
+        'len(instance_of(s, MixedAction, "a strategy").weights)',
+        "len(s.weights)",
         ("tests/test_market.py::test_a_strategy_that_is_not_a_mixed_action_is_refused",),
     ),
     Mutant(
         "a profile read without checking it is a Profile",
-        "src/bonuslab/market.py",
-        "if not isinstance(profile, Profile):",
-        "if False:",
+        "src/bonuslab/game.py",
+        'instance_of(profile, Profile, "a profile").players != plan.players',
+        "profile.players != plan.players",
         ("tests/test_market.py::test_a_profile_that_is_not_a_profile_is_refused",),
+    ),
+    Mutant(
+        "a game built without checking its market",
+        "src/bonuslab/game.py",
+        '        instance_of(self.market, Market, "a market")\n',
+        "",
+        ("tests/test_game.py::test_a_game_checks_its_market_and_plan",),
+    ),
+    Mutant(
+        "an object argument of the wrong type let through",
+        "src/bonuslab/rational.py",
+        "if not isinstance(value, cls):",
+        "if False:",
+        ("tests/test_public_objects.py::test_object_parameters_refuse_a_wrong_object",),
+    ),
+    Mutant(
+        "every payoff written as the first one's text",
+        "src/bonuslab/cli.py",
+        "written = texts.get(id(value))",
+        "written = next(iter(texts.values()), None)",
+        ("tests/test_cli.py::test_induce_document_byte_for_byte",),
     ),
     Mutant(
         "a best response's opponents read without the list check",
@@ -677,8 +734,19 @@ MUTANTS = (
     Mutant(
         "a profile keeps its strategies unread",
         "src/bonuslab/market.py",
-        'strategies = tuple(map(_mixed_action, items_of(self.strategies, "strategies")))',
+        "strategies = tuple(\n"
+        '            instance_of(s, MixedAction, "a strategy")\n'
+        '            for s in items_of(self.strategies, "strategies")\n'
+        "        )",
         "strategies = self.strategies",
+        ("tests/test_market.py::test_a_profile_checks_its_strategies_when_it_is_built",),
+    ),
+    Mutant(
+        "a profile keeps its strategies without checking each is a MixedAction",
+        "src/bonuslab/market.py",
+        '            instance_of(s, MixedAction, "a strategy")\n'
+        '            for s in items_of(self.strategies, "strategies")',
+        '            s\n            for s in items_of(self.strategies, "strategies")',
         ("tests/test_market.py::test_a_profile_checks_its_strategies_when_it_is_built",),
     ),
     Mutant(
@@ -713,10 +781,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "deviation scan builds the winning vertex from the other end",
+        "deviation scan hands back the winning vertex from the other end",
         "src/bonuslab/game.py",
-        "winner = (0,) * winner + (d,) + (0,) * (n - 1 - winner)",
-        "winner = (0,) * (n - 1 - winner) + (d,) + (0,) * winner",
+        "best = game.market._vertex(winner)",
+        "best = game.market._vertex(n - 1 - winner)",
         ("tests/test_game.py::test_walks_go_past_the_recursion_limit",),
     ),
     Mutant(
@@ -793,7 +861,7 @@ MUTANTS = (
     Mutant(
         "m_linear states its form on a market its interval does not cover",
         "src/bonuslab/plans.py",
-        "if lo <= min(map(min, view.values)) and max(map(max, view.values)) <= hi:",
+        "if lo <= least and largest <= hi:",
         "if True:",
         (
             "tests/test_plans.py::test_linear_forms_match_the_kernel_where_the_gate_is_open",

@@ -1178,3 +1178,44 @@ def test_published_table_follows_from_the_opponent_result_variant():
     for tenths in range(10):
         lam = F(tenths, 10)
         assert all(variant((1, b), lam) > variant((0, b), lam) for b in (0, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    markets(max_actions=3) | tied_markets(max_actions=3),
+    st.integers(2, 3),
+    st.sampled_from((None, 2)),
+)
+def test_reports_on_shared_vertices_match_fresh_pure_strategies(market, k, resolution):
+    """`check_optimal` checks, and `best_response` hands back, the market's
+    own vertex objects (`Market._vertex`); every report equals the one
+    built on a fresh `MixedAction.pure` profile in a fresh game."""
+    n = market.n
+    for plan in every_kind(market, k):
+        report = check_optimal(market, plan, resolution)
+        for combo, checked in report.checked:
+            assert all(s is market._vertex(a) for s, a in zip(checked.profile.strategies, combo))
+            fresh = check_nash(induce_game(market, plan, 0), Profile.pure(combo, n), resolution)
+            assert checked == fresh
+            for br in checked.deviations:
+                a = br.strategy.pure_action
+                if a is not None:
+                    assert br.strategy is market._vertex(a)
+                    assert br.strategy == MixedAction.pure(a, n)
+
+
+def test_a_game_checks_its_market_and_plan():
+    """`Game` refuses a market or a plan of the wrong type, naming the input,
+    so every call that builds a game refuses it too."""
+    market, plan = two_bond_market(), WinnerTakeAllPlan(2)
+    for call in (lambda: induce_game("m", plan), lambda: Game("m", plan, 0),
+                 lambda: check_optimal("m", plan)):
+        with pytest.raises(ArityMismatch, match=re.escape("a market must be a Market, got 'm'")):
+            call()
+    with pytest.raises(ArityMismatch, match=re.escape("a plan must be a BonusPlan, got [1, 2]")):
+        induce_game(market, [1, 2])
+    game = induce_game(market, plan)
+    for call in (strict_dominance, lambda g: best_response(g, 0, [MixedAction.pure(0, 2)])):
+        with pytest.raises(ArityMismatch, match=re.escape("a game must be a Game, got (1, 2)")):
+            call((1, 2))
+    assert strict_dominance(game).unique_profile == (1, 1)  # the risky bond, at L = 0

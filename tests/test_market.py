@@ -484,6 +484,46 @@ def test_product_market_expectations_match_the_fraction_oracle(market, resolutio
     assert_expectations_match_the_oracle(market, resolution)
 
 
+# ---------------------------------------------------------------------
+# What a market fixes, built once: the integer bounds summary and the
+# vertices
+# ---------------------------------------------------------------------
+
+
+def fraction_bounds(market: Market) -> tuple[int, int, int]:
+    """Reference: the least and largest outcome and the widest atom spread
+    over the derived atoms' Fractions, as integers over the view's scale."""
+    scale = market.integer_view.scale
+    outcomes = [x for _, row in market.atoms for x in row]
+    spread = max(max(row) - min(row) for _, row in market.atoms)
+    integers = [x * scale for x in (min(outcomes), max(outcomes), spread)]
+    assert all(x.denominator == 1 for x in integers)
+    return tuple(int(x) for x in integers)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(markets(max_actions=4), tied_markets(), product_markets()))
+def test_bounds_summary_matches_a_scan_of_the_fraction_outcomes(market):
+    """`Market._bounds` is the least value, the largest value and the widest
+    atom spread, each over the scale, computed once per market."""
+    bounds = market._bounds
+    assert (bounds.least, bounds.largest, bounds.spread) == fraction_bounds(market)
+    assert market._bounds is bounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(markets(max_actions=4), tied_markets()))
+def test_vertices_are_built_once_per_market(market):
+    """`Market._vertex(a)` is action a's pure strategy as `MixedAction.pure`
+    builds it, and every later read hands out that one object."""
+    n = market.n
+    for a in range(n):
+        vertex = market._vertex(a)
+        assert vertex == MixedAction.pure(a, n)
+        assert vertex.pure_action == a
+        assert market._vertex(a) is vertex
+
+
 def raised(call):
     """The call's result, or the type and message of the BonusLabError it
     raises."""

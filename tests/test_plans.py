@@ -1,5 +1,6 @@
 """Plan allocations: frozen values, the simplex contract, serialization."""
 
+import math
 import random
 import re
 import time
@@ -735,3 +736,17 @@ def test_linear_sufficiency_matches_the_fraction_rule(seed, outlier, nudge):
         if bound > 0:
             plan = BoundedLinearPlan(3, bound)
             assert (plan.linear_form(market) is not None) == (spread <= 2 * bound)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=60), min_size=2, max_size=2),
+    st.integers(1, 10**12),
+)
+def test_integer_interval_matches_the_fraction_products(ends, scale):
+    """`MLinearPlan._interval(scale)`, computed from the ends' integer
+    ratios, is the ceiling of lo * scale and the floor of hi * scale, for
+    negative ends too and at scales above 1."""
+    lo, hi = sorted(ends)
+    plan = MLinearPlan(2, max(hi - lo, F(1)), lo, hi)
+    assert plan._interval(scale) == (math.ceil(lo * scale), math.floor(hi * scale))

@@ -176,17 +176,26 @@ _INT = re.compile(r"(?:int|(?:tuple|Sequence)\[int(?:, \.\.\.)?\])(?: \| None)?"
 
 def int_parameters(namespace) -> set[tuple[str, str]]:
     """(callable, parameter) for every int-annotated parameter of the
-    exported functions and of the exported classes' constructors, public
-    methods and classmethods; an inherited method counts once, under the
-    class that defines it."""
+    exported surface, as `surface_parameters` walks it."""
+    return surface_parameters(namespace, lambda annotation: bool(_INT.fullmatch(annotation)))
+
+
+def surface_parameters(namespace, wanted) -> set[tuple[str, str]]:
+    """(callable, parameter) for every parameter whose annotation, as text,
+    `wanted` accepts, over the exported functions and the exported classes'
+    constructors, public methods and classmethods; an inherited method
+    counts once, under the class that defines it.  A parameter with no
+    annotation is passed as "" and `self` and `cls` are skipped."""
     found = set()
 
     def scan(key: str, function) -> None:
         for p in inspect.signature(function).parameters.values():
             annotation = p.annotation
-            if not isinstance(annotation, str):
+            if annotation is inspect.Parameter.empty:
+                annotation = ""
+            elif not isinstance(annotation, str):
                 annotation = inspect.formatannotation(annotation)
-            if _INT.fullmatch(annotation):
+            if p.name not in ("self", "cls") and wanted(annotation):
                 found.add((key, p.name))
 
     def ours(function) -> bool:
