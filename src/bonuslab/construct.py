@@ -28,9 +28,21 @@ down them from the largest, where the tail is empty, finds m exactly.  It
 compares integers on the market's integer view (differences over d times
 the outcome denominator, probabilities over theirs).  The grid points come
 from `game._walk` over the columns x_j - x*, which carries each atom's
-difference l as a prefix sum, so a point costs one add per atom.  No
-threshold exceeds its largest |l| and every vertex is a grid point, so the
-largest is the vertex bound; the gap is linear in q, so the least is
+difference l as a prefix sum, so a point costs one add per atom.  Each
+column ends in one more row, S* - S_j from the integer `expectation_sums`,
+so the walk's last dot is the point's gap numerator, one add more.
+
+Each grid point then takes one pass over its atoms, which finds the widest
+|l| and its probability mass.  When twice the widest magnitude's tail,
+2 * widest * mass, reaches the gap, the sweep stops at its first check:
+the threshold is the widest magnitude.  Only otherwise are the atoms sorted
+by magnitude, and the sweep runs down them one atom at a time.  Atoms of
+equal magnitude need no merging: a stop inside a tie leaves that magnitude
+as the threshold, as a stop after it would.  No atom of l = 0 is reached,
+as the whole tail, sum |l| * p >= c_q, stops the sweep before it.
+
+No threshold exceeds its largest |l| and every vertex is a grid point, so
+the largest is the vertex bound; the gap is linear in q, so the least is
 (E[X*] - mu_2) / d, mu_2 the second-best expectation.  The best action
 and the tie are read off `Market.best_actions`, the runner-up off the
 integer `expectation_sums`; a `Fraction` is built only for a returned value
@@ -47,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import DegenerateSupport, ExpectationNotUnique
 from .game import _walk, check_simplex_grid
@@ -96,26 +108,49 @@ def find_bounding_m(market: Market, grid_resolution: int) -> BoundSearchResult:
     the best action's vertex.  Errors as _vertex_bound."""
     best, bound, min_gap = _vertex_bound(market, grid_resolution)
     view = market.integer_view
+    weights, sums = view.weights, market.expectation_sums
     d = grid_resolution
     length = d * view.scale  # a difference l of q - X* stands for l / length
     gap_denominator = length * view.mass
     # a grid point's counts sum to d, so l = sum_j count_j * (x_j - x*) at
-    # each atom: the walk's dot products over the columns x_j - x*
+    # each atom: the walk's dot products over the columns x_j - x*; the
+    # row S* - S_j after the atoms makes the last dot the gap's numerator
     columns = [
-        [values[j] - values[best] for values in view.values] for j in range(market.n)
+        [values[j] - values[best] for values in view.values] + [sums[best] - sums[j]]
+        for j in range(market.n)
     ]
     by_count = tuple(Fraction(c, d) for c in range(d + 1))
     witnesses = []
-    for counts, differences in _walk(columns, d):
+    for counts, dots in _walk(columns, d):
         if counts[best] == d:
             continue
-        gap, threshold, widest = _witness_for(view.weights, differences)
+        # another action has a count > 0 and the best expectation is the
+        # unique largest, so gap > 0: some l is not 0, and widest > 0
+        gap = dots[-1]
+        widest = mass = 0  # the widest |l| and its probability weight
+        for p, l in zip(weights, dots):
+            if l < 0:
+                l = -l
+            if l > widest:
+                widest, mass = l, p
+            elif l == widest:
+                mass += p
         tail_empty_at = Fraction(widest, length)
+        if 2 * widest * mass >= gap:  # the widest magnitude alone covers half the gap
+            threshold = tail_empty_at
+        else:
+            # down the atoms by magnitude, ties unmerged (module docstring)
+            tail = 0
+            for m, p in sorted(zip(map(abs, dots), weights), reverse=True):
+                if 2 * tail >= gap:  # tail >= gap/2, doubled to stay in integers
+                    break
+                low, tail = m, tail + m * p
+            threshold = Fraction(low, length)
         witnesses.append(
             GridWitness(
                 tuple(map(by_count.__getitem__, counts)),
                 Fraction(gap, gap_denominator),
-                tail_empty_at if threshold == widest else Fraction(threshold, length),
+                threshold,
                 tail_empty_at,
             )
         )
@@ -142,40 +177,6 @@ def _vertex_bound(market: Market, grid_resolution: int) -> tuple[int, Fraction, 
     runner_up, top = sorted(sums)[-2:]
     min_gap = Fraction(top - runner_up, denominator * grid_resolution)
     return best, Fraction(spread, view.scale), min_gap
-
-
-def _witness_for(
-    weights: Sequence[int], differences: Sequence[int]
-) -> tuple[int, int, int]:
-    """Gap, threshold and largest |l| of q - X*, in integers.
-
-    `weights` holds each atom's probability weight p (over view.mass) and
-    `differences` the value l of q - X* there, over d * view.scale for a
-    portfolio q of weights counts / d; the gap is over that times
-    view.mass.  One sweep down the magnitudes.
-
-    The caller passes no q with gap <= 0: E[q] is a convex combination of
-    the actions' expectations, the best action's is the unique largest, and
-    the best vertex is excluded, so some other action has weight > 0 and
-    E[q] < E[X*].  So gap > 0, some l is not 0, and `mass` is not empty.
-    """
-    mass: dict[int, int] = {}  # magnitude -> sum of p over l = +-magnitude
-    gap = 0
-    for p, l in zip(weights, differences):
-        if l:
-            gap -= l * p
-            magnitude = abs(l)
-            mass[magnitude] = mass.get(magnitude, 0) + p
-
-    magnitudes = sorted(mass, reverse=True)
-    tail = 0
-    threshold = magnitudes[0]  # the tail is empty there
-    for m in magnitudes:
-        if 2 * tail >= gap:  # tail >= gap/2, doubled to stay in integers
-            break
-        threshold = m
-        tail += m * mass[m]
-    return gap, threshold, magnitudes[0]
 
 
 def build_bounded_linear(

@@ -255,7 +255,7 @@ class Game:
         """The payoff's affine form (see the module docstring), decided once
         per game from the plan's `linear_form(market)`; not None exactly when
         the plan is pure-sufficient on the market."""
-        form = self.plan.linear_form(self.market)
+        form = self.plan._linear_form(self.market)  # Game has checked its market
         if form is None:
             return None
         equal, slope = form
@@ -322,7 +322,7 @@ class Game:
         """The plan's kernel at a result scale, with the payoff's integer weights."""
         scoring = self.kernels.get(scale)
         if scoring is None:
-            kernel = self.plan.kernel(scale)
+            kernel = self.plan._kernel(scale)
             w = self.earnings_weight
             scoring = self.kernels[scale] = _Scoring(
                 kernel,
@@ -459,9 +459,10 @@ def _walk(
     the others leave, so the dots are total * last + the sum over the other
     counts c_j of c_j * (columns[j] - last): raising c_j by one adds column
     j's differences, so a point costs one add per atom.  The next-to-last
-    count, the inner one, runs over what the outer counts before it leave;
-    then the outer counts step to their next value in lexicographic order,
-    which raises one of them by one and drops at most one after it to 0.
+    count, the inner one, runs over what the outer counts before it leave,
+    with no step past its last point; then the outer counts step to their
+    next value in lexicographic order, which raises one of them by one and
+    drops at most one after it to 0.
     The walk is a loop, not a recursion, so any number of actions fits.
     `starts` holds, for each outer count, the dots from just before it last
     rose from 0: the dots to go back to when it drops.
@@ -479,9 +480,10 @@ def _walk(
     left = total  # what the outer counts leave to the inner and the last
     while True:
         prefix, start = tuple(counts), dots
-        for c in range(left + 1):
+        for c in range(left):
             yield (*prefix, c, left - c), dots
             dots = list(map(add, dots, inner))
+        yield (*prefix, left, 0), dots  # the run's last point: no step past it
         if left and outer:  # the last outer count rises
             j, left = len(outer) - 1, left - 1
         elif deepest > 0:  # the last nonzero one drops to 0, the one before rises

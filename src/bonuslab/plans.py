@@ -20,7 +20,8 @@ The linear form for player i with scale bound M is
     1/k + sum_j (r_i - r_j) / (2 k (k-1) M)
 so a result one market-spread above the field earns at most 2/k.
 
-A kind states its allocation once, as an integer kernel (`BonusPlan.kernel`)
+A kind states its allocation once, as an integer kernel (`_kernel`, read
+through `BonusPlan.kernel`, which refuses a scale that is not an int >= 1)
 for results that are integers over a fixed scale: the allocation as integer
 numerators over one denominator, with every gate an integer comparison.
 Payoff cells, grid searches and probes run kernels; `evaluate` runs the
@@ -33,8 +34,9 @@ against the atoms' probability weights: by default the kernel's shares at
 every atom, summed column by column; the wta and lta kinds, one split rule
 whose `pick` is max or min, count each atom's picked players in one pass.
 
-A kind's pure-sufficiency rule is `BonusPlan.linear_form(market)`: the
-pair (equal, slope) over the market's `integer_view.scale`, with player
+A kind's pure-sufficiency rule is `BonusPlan.linear_form(market)`, which
+refuses a market that is not a `Market` and asks the kind's `_linear_form`:
+the pair (equal, slope) over the market's `integer_view.scale`, with player
 i's share numerator equal + slope * (k * v_i - sum v), when the kind's gate
 is open at every atom of every pure profile on that market, and None
 otherwise.  The two linear kinds decide it from the market's integer
@@ -95,13 +97,14 @@ class Kernel(NamedTuple):
 class BonusPlan:
     """Shared base: number of players and the allocation contract.
 
-    A kind defines its allocation once, in `kernel`; `evaluate` runs that
-    kernel at the results' least common denominator.  Each kind also owns
-    its share at one atom as a function of one player's result (`response`),
-    its share numerators summed over a market's atoms (`share_sums`), its
-    document fields, its construction from a document, the result
-    vectors `validate_simplex` always probes, its pure-sufficiency rule (its
-    `linear_form` on a market) and whether it is anonymous.  The defaults
+    A kind defines its allocation once, in `_kernel`; `kernel` checks the
+    scale and runs it, and `evaluate` runs it at the results' least common
+    denominator.  Each kind also owns its share at one atom as a function
+    of one player's result (`response`), its share numerators summed over a
+    market's atoms (`share_sums`), its document fields, its construction
+    from a document, the result vectors `validate_simplex` always probes,
+    its pure-sufficiency rule (its `_linear_form` on a market, read through
+    the checked `linear_form`) and whether it is anonymous.  The defaults
     here fit a kind with no parameters, no sufficiency argument and no
     symmetry.  A plan has 2 to PLAYER_CAP players, checked before any
     kernel is built.
@@ -129,7 +132,12 @@ class BonusPlan:
         return tuple(Fraction(s, denominator) for s in shares(v))
 
     def kernel(self, scale: int) -> Kernel:
-        """This plan for results given as integers over `scale`."""
+        """This plan for results given as integers over `scale`, an int >= 1
+        (ArityMismatch otherwise): the kind's `_kernel`."""
+        return self._kernel(as_count(scale, "kernel scale", 1, ArityMismatch))
+
+    def _kernel(self, scale: int) -> Kernel:
+        """The kind's allocation for results given as integers over `scale`."""
         raise NotImplementedError
 
     def response(
@@ -165,13 +173,18 @@ class BonusPlan:
         """The kernel at the values' least common denominator, and the values
         as integers over it."""
         scale, (ints,) = over_lcm(values)
-        return self.kernel(scale), ints
+        return self._kernel(scale), ints
 
     def linear_form(self, market: Market) -> tuple[int, int] | None:
         """(equal, slope) with `kernel(scale).shares(v)[i] == equal + slope *
         (k * v[i] - sum(v))` at every atom of every pure profile on the
         market, scale its `integer_view.scale`; None when the kind's gate
-        may close there, or it has no such form."""
+        may close there, or it has no such form.  ArityMismatch for a
+        market that is not a Market; the kind's `_linear_form` decides."""
+        return self._linear_form(instance_of(market, Market, "a market"))
+
+    def _linear_form(self, market: Market) -> tuple[int, int] | None:
+        """The kind's linear form on a market; by default none."""
         return None
 
     def probes(self) -> Iterable[tuple[Fraction, ...]]:
@@ -194,11 +207,11 @@ class ConstantPlan(BonusPlan):
     kind = "constant"
     anonymous = True
 
-    def kernel(self, scale):
+    def _kernel(self, scale):
         equal = (1,) * self.players
         return Kernel(self.players, lambda v: equal)
 
-    def linear_form(self, market):
+    def _linear_form(self, market):
         return 1, 0
 
 
@@ -209,7 +222,7 @@ class _SplitPlan(BonusPlan):
 
     anonymous = True
 
-    def kernel(self, scale):
+    def _kernel(self, scale):
         pick = self.pick
         denominator = lcm(*range(1, self.players + 1))
 
@@ -338,11 +351,11 @@ class MLinearPlan(_LinearPlan):
         (lo, lo_den), (hi, hi_den) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
         return -(-lo * scale // lo_den), hi * scale // hi_den
 
-    def kernel(self, scale):
+    def _kernel(self, scale):
         lo, hi = self._interval(scale)
         return self._linear_kernel(scale, lambda v, shares: lo <= min(v) and max(v) <= hi)
 
-    def linear_form(self, market):
+    def _linear_form(self, market):
         scale = market.integer_view.scale
         lo, hi = self._interval(scale)
         least, largest, _ = market._bounds
@@ -376,13 +389,13 @@ class BoundedLinearPlan(_LinearPlan):
 
     kind = "bounded_linear"
 
-    def kernel(self, scale):
+    def _kernel(self, scale):
         cap = 4 * (self.players - 1) * self.bound.numerator * scale  # a share of 2/k
         return self._linear_kernel(
             scale, lambda v, shares: min(shares) >= 0 and max(shares) <= cap
         )
 
-    def linear_form(self, market):
+    def _linear_form(self, market):
         # the widest atom spread is over view.scale: spread / scale <= 2 * bound
         view = market.integer_view
         spread = market._bounds.spread
@@ -436,7 +449,7 @@ class TabulatedPlan(BonusPlan):
         table = dict(zip(frozen, rows))
         object.__setattr__(self, "_table", (denominator, table, fallback_ints))
 
-    def kernel(self, scale):
+    def _kernel(self, scale):
         denominator, table, fallback = self._table
 
         def shares(v):

@@ -308,8 +308,8 @@ MUTANTS = (
     Mutant(
         "grid compositions in reversed order",
         "src/bonuslab/game.py",
-        "for c in range(left + 1):",
-        "for c in reversed(range(left + 1)):",
+        "for c in range(left):",
+        "for c in reversed(range(left)):",
         ("tests/test_game.py::test_compositions_follow_the_old_grid_order",),
     ),
     Mutant(
@@ -832,9 +832,9 @@ MUTANTS = (
     Mutant(
         "a game takes a linear kind's form without its gate test on the market",
         "src/bonuslab/game.py",
-        "form = self.plan.linear_form(self.market)",
+        "form = self.plan._linear_form(self.market)",
         "form = (self.plan._scaled_form(self.market.integer_view.scale)"
-        " if hasattr(self.plan, '_scaled_form') else self.plan.linear_form(self.market))",
+        " if hasattr(self.plan, '_scaled_form') else self.plan._linear_form(self.market))",
         ("tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",),
     ),
     Mutant(
@@ -943,8 +943,8 @@ MUTANTS = (
     Mutant(
         "the widest magnitude's Fraction shared when the threshold lies below it",
         "src/bonuslab/construct.py",
-        "tail_empty_at if threshold == widest else Fraction(threshold, length)",
-        "tail_empty_at",
+        "threshold = Fraction(low, length)",
+        "threshold = tail_empty_at",
         ("tests/test_construct.py::test_sweep_matches_the_rescan",),
     ),
     Mutant(
@@ -959,7 +959,35 @@ MUTANTS = (
         "src/bonuslab/construct.py",
         "if 2 * tail >= gap:",
         "if 2 * tail > gap:",
-        ("tests/test_construct.py::test_a_tail_of_exactly_half_the_gap_fails_the_test",),
+        ("tests/test_construct.py::test_one_pass_witnesses_on_hand_cases",),
+    ),
+    Mutant(
+        "the widest mass taken from one atom only",
+        "src/bonuslab/construct.py",
+        "                mass += p\n",
+        "                pass\n",
+        ("tests/test_construct.py::test_one_pass_witnesses_on_hand_cases",),
+    ),
+    Mutant(
+        "the fast case written >, so a widest tail of exactly half the gap takes the sort",
+        "src/bonuslab/construct.py",
+        "if 2 * widest * mass >= gap:",
+        "if 2 * widest * mass > gap:",
+        ("tests/test_construct.py::test_one_pass_witnesses_on_hand_cases",),
+    ),
+    Mutant(
+        "the gap row written S_j - S*",
+        "src/bonuslab/construct.py",
+        "[sums[best] - sums[j]]",
+        "[sums[j] - sums[best]]",
+        ("tests/test_construct.py::test_sweep_matches_the_rescan",),
+    ),
+    Mutant(
+        "the last point of an inner walk run dropped",
+        "src/bonuslab/game.py",
+        "        yield (*prefix, left, 0), dots",
+        "        pass",
+        ("tests/test_game.py::test_compositions_follow_the_old_grid_order",),
     ),
     Mutant(
         "main reads the plan before the market",
@@ -1109,14 +1137,6 @@ EQUIVALENTS = (
         "counts.index(unit) if unit in counts else None",
         "counts are >= 0 and sum to the unit, so a count equal to the unit leaves 0 to the"
         " others; the unit, the least common denominator, is then 1, and the count is the 1",
-    ),
-    Equivalent(
-        "threshold sweep starts from 0, not from the largest magnitude",
-        "src/bonuslab/construct.py",
-        "threshold = magnitudes[0]  # the tail is empty there",
-        "threshold = 0",
-        "the sweep's first step sets threshold = magnitudes[0] anyway: the tail is 0"
-        " there and the gap positive, so the start value is never read",
     ),
 )
 

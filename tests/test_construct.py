@@ -288,3 +288,71 @@ def test_sweep_matches_the_rescan_on_seeded_outlier_markets(rng):
     for _ in range(20):
         market = random_market(rng, outlier=True)
         assert find_bounding_m(market, 5) == rescan_bounding_m(market, 5)
+
+
+# ---------------------------------------------------------------------
+# The one-pass sweep: the widest magnitude first, the sort only below it
+# ---------------------------------------------------------------------
+
+
+def _one_witness(rows):
+    """The single witness of a two-action market at d = 1: q is action A's
+    vertex, so q - X* at each atom is A's outcome there (X* pays 0)."""
+    market = build_market(["best", "A"], [(p, ("0", l)) for p, l in rows])
+    (witness,) = find_bounding_m(market, 1).witnesses
+    assert find_bounding_m(market, 1) == rescan_bounding_m(market, 1)
+    return witness
+
+
+@pytest.mark.parametrize(
+    "rows,gap,threshold,widest",
+    [
+        # 3 and -3 tie at the widest magnitude: 3/10 each is short of half the
+        # gap, 4/10, and together, 6/10, they cover it
+        ([("1/10", "3"), ("1/10", "-3"), ("8/10", "-1")], F(4, 5), F(3), F(3)),
+        # the widest tail, 26/100, is one hundredth short of half the gap,
+        # 53/200; the sweep goes on to magnitude 1 and never reads the 0 atom
+        ([("13/100", "2"), ("79/100", "-1"), ("8/100", "0")], F(53, 100), F(1), F(2)),
+        # a tail of exactly half the gap at magnitude 1: the widest covers it
+        ([("6/7", "-1"), ("1/7", "2")], F(4, 7), F(2), F(2)),
+        # one nonzero magnitude covers the whole gap
+        ([("1/2", "0"), ("1/4", "-2"), ("1/4", "-2")], F(1), F(2), F(2)),
+        # below the widest: the tail down to magnitude 2, 5/17, is exactly
+        # half the gap, 10/17, so the strict test fails at magnitude 1
+        ([("1/17", "3"), ("1/17", "2"), ("15/17", "-1")], F(10, 17), F(2), F(3)),
+    ],
+    ids=["opposite-tie", "just-short", "exactly-half", "one-magnitude", "exactly-half-below"],
+)
+def test_one_pass_witnesses_on_hand_cases(rows, gap, threshold, widest):
+    """Hand cases at the fast test, 2 * widest * mass >= gap: where it holds,
+    the threshold is the widest magnitude, the same Fraction as
+    tail_empty_at; where it fails, the sweep down the atoms finds a lower
+    one, and stops where the tail reaches half the gap."""
+    witness = _one_witness(rows)
+    assert (witness.gap, witness.threshold, witness.tail_empty_at) == (gap, threshold, widest)
+    assert (witness.threshold is witness.tail_empty_at) == (threshold == widest)
+
+
+def test_sweep_matches_the_rescan_where_magnitudes_tie():
+    """Seeded markets with outcomes in {-3, ..., 3}, where atoms of one
+    magnitude, of either sign, are common: identical witnesses, and a
+    threshold at the widest magnitude shares its Fraction."""
+    rng = random.Random(3)
+    checked = 0
+    while checked < 40:
+        n, atoms = rng.randint(2, 5), rng.randint(1, 8)
+        rows = [
+            (F(rng.randint(1, 9)), tuple(F(rng.randint(-3, 3)) for _ in range(n)))
+            for _ in range(atoms)
+        ]
+        total = sum(p for p, _ in rows)
+        market = build_market([f"A{i}" for i in range(n)], [(p / total, v) for p, v in rows])
+        exps = market.expectations()
+        if exps.count(max(exps)) != 1:
+            continue
+        checked += 1
+        resolution = rng.randint(1, 6)
+        result = find_bounding_m(market, resolution)
+        assert result == rescan_bounding_m(market, resolution)
+        for w in result.witnesses:
+            assert (w.threshold is w.tail_empty_at) == (w.threshold == w.tail_empty_at)

@@ -282,7 +282,7 @@ class _OffSimplexPlan(BonusPlan):
 
     kind = "off-simplex"
 
-    def kernel(self, scale):
+    def _kernel(self, scale):
         def shares(v):
             if v[0] == v[1]:
                 return (200, -198) if v[0] > 2 * scale else (1, 1)

@@ -412,7 +412,7 @@ class _FirstLeaderPlan(BonusPlan):
 
     kind = "first-leader"
 
-    def kernel(self, scale):
+    def _kernel(self, scale):
         def shares(v):
             first = v.index(max(v))
             return [self.players if i == first else 0 for i in range(len(v))]
@@ -616,7 +616,7 @@ def test_table_keys_over_many_coprime_denominators():
 class _LeakyPlan(BonusPlan):
     kind = "leaky"
 
-    def kernel(self, scale):
+    def _kernel(self, scale):
         return Kernel(1, lambda v: (2, -1))
 
 
@@ -632,7 +632,7 @@ def test_validate_simplex_reports_first_failure():
 class _RaisingPlan(BonusPlan):
     kind = "raising"
 
-    def kernel(self, scale):
+    def _kernel(self, scale):
         raise ZeroDivisionError("no kernel")
 
 
@@ -640,7 +640,7 @@ class _RaisingPlan(BonusPlan):
 class _ShortPlan(BonusPlan):
     kind = "short"
 
-    def kernel(self, scale):
+    def _kernel(self, scale):
         return Kernel(1, lambda v: (1,))
 
 
@@ -648,7 +648,7 @@ class _ShortPlan(BonusPlan):
 class _OverfullPlan(BonusPlan):
     kind = "overfull"
 
-    def kernel(self, scale):
+    def _kernel(self, scale):
         return Kernel(2, lambda v: (1, 2))
 
 
@@ -750,3 +750,19 @@ def test_integer_interval_matches_the_fraction_products(ends, scale):
     lo, hi = sorted(ends)
     plan = MLinearPlan(2, max(hi - lo, F(1)), lo, hi)
     assert plan._interval(scale) == (math.ceil(lo * scale), math.floor(hi * scale))
+
+
+@pytest.mark.parametrize("plan", plans_for(2), ids=lambda plan: plan.kind)
+def test_kernel_and_linear_form_refuse_bad_arguments(plan):
+    """Every kind's kernel refuses a scale that is not an int >= 1, and its
+    linear form a market that is not a Market, as ArityMismatch: the checks
+    sit in BonusPlan.kernel and BonusPlan.linear_form, before the kind's own
+    `_kernel` and `_linear_form`."""
+    for scale in (0, -3, "x", True, F(2)):
+        with pytest.raises(ArityMismatch, match="kernel scale must be an int >= 1"):
+            plan.kernel(scale)
+    with pytest.raises(FloatRejected):
+        plan.kernel(2.0)
+    with pytest.raises(ArityMismatch, match="a market must be a Market, got 'm'"):
+        plan.linear_form("m")
+    assert plan.kernel(1).denominator >= 1

@@ -77,6 +77,7 @@ WTA2 = WinnerTakeAllPlan(2)
 LTA2 = LoserTakeAllPlan(2)
 LTA3 = LoserTakeAllPlan(3)
 GAME = induce_game(MARKET, WTA2, 0)
+M_LINEAR2 = build_m_linear(MARKET, 2)  # pure-sufficient on MARKET: its form is not None
 PURE = MixedAction.pure(0, 2)
 PROFILE = Profile.pure((0, 0), 2)
 COUNTEREXAMPLE = universality_verdict(WTA2, ("0", "1")).counterexample
@@ -117,6 +118,7 @@ ROWS = (
     Row("Profile.check_arity", "market", PROFILE.check_arity, MARKET),
     Row("profile_to_list", "profile", profile_to_list, PROFILE),
     Row("plan_to_dict", "plan", plan_to_dict, WTA2),
+    Row("BonusPlan.linear_form", "market", M_LINEAR2.linear_form, MARKET),
     Row("zero_sum_shares", "plan", lambda v: zero_sum_shares(v, (0, 1)), WTA2),
     Row("validate_simplex", "plan", lambda v: validate_simplex(v, 2), WTA2),
     Row("universality_verdict", "plan", lambda v: universality_verdict(v, ("0", "1")), WTA2),
@@ -172,16 +174,6 @@ EXEMPT = {
     ("EquilibriumReport", None): "an output record of check_nash; no function reads one back",
     ("UniversalityReport", None): "an output record of universality_verdict; no function"
     " reads one back",
-    ("BonusPlan.linear_form", None): "the sufficiency rule the game reads; Game._affine passes"
-    " it the game's market, which Game has checked",
-    ("MLinearPlan.linear_form", None): "an override of BonusPlan.linear_form",
-    ("BoundedLinearPlan.linear_form", None): "an override of BonusPlan.linear_form",
-    ("ConstantPlan.linear_form", None): "an override of BonusPlan.linear_form",
-    ("MLinearPlan.kernel", None): "an override of BonusPlan.kernel, the internal integer path",
-    ("BoundedLinearPlan.kernel", None): "an override of BonusPlan.kernel",
-    ("ConstantPlan.kernel", None): "an override of BonusPlan.kernel",
-    ("TabulatedPlan.kernel", None): "an override of BonusPlan.kernel",
-    ("_SplitPlan.kernel", None): "an override of BonusPlan.kernel",
     ("_SplitPlan.response", None): "an override of BonusPlan.response, the internal"
     " integer path of the deviation scan",
     ("_SplitPlan.share_sums", None): "an override of BonusPlan.share_sums, the internal"
