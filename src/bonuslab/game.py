@@ -107,15 +107,23 @@ denominator and every probability over another.  A portfolio keeps its
 weights as integer counts c_j over its unit d; scaled to a unit all the
 strategies share, they realize sum_j c_j * outcome-numerator_j over d times
 that denominator, and the plan's `kernel` for that scale returns
-integer share numerators, its gates compared as integers.  A cell hands
-every atom's result row to the plan's `share_sums`, which sums each
-player's shares against the probability weights (by default the kernel's
-shares at every atom, column by column; the wta and lta kinds count each
-atom's winners in one pass), and sums each player's column of results
-when the earnings weight w is not 0; under a linear form a pure cell
-skips the atoms (above), and portfolios keep the atom rows.  A cell holds
-integer payoff numerators over one denominator, the same for every cell of the game, so
-comparing two numerators compares the two payoffs: `strict_dominance` and the pure scan
+integer share numerators, its gates compared as integers.  Over the
+game's one denominator a player's payoff numerator is
+
+    bonus_weight * B + result_weight * E
+
+with the weights of `_Scoring`: B sums the player's share numerators
+against the atoms' probability weights, and E is its expected result over
+mass * scale, read from the market's `expectation_sums`, S[a] for a pure
+action and sum_j c_j * S_j over the shared unit for a portfolio, so no
+result is summed over the atoms.  A cell hands every atom's result row to
+the plan's `share_sums` for B (by default the kernel's shares at every
+atom, column by column; the wta and lta kinds count each atom's winners in
+one pass), and reads E only when the earnings weight w is not 0; under a
+linear form a pure cell skips the atoms (above), and portfolios keep the
+atom rows.  A cell holds integer payoff numerators over one denominator,
+the same for every cell of the game, so comparing two numerators compares
+the two payoffs: `strict_dominance` and the pure scan
 of `best_response` rank cells as integers and build no `Fraction` while
 they do.  `Game.payoff` is where a cell's `Fraction`s are built, one per
 distinct numerator, shared by the players that have it.  A deviation
@@ -129,9 +137,11 @@ a point costs one add per atom and no multiplication; it is a loop, not a
 recursion, so a d = 1 grid over any number of actions walks.  The plan's
 `response` at each atom, built once from the opponents' results there,
 maps the deviator's result to its share, without a kernel call for the wta
-and lta kinds.  The vertices are scored first, then, for d > 1, the walk's other
-points, and only a strictly larger score replaces the best, so pure
-actions win ties by index and grid points by order.  The search compares
+and lta kinds.  When w is not 0 each action's column ends in one more row,
+its expectation sum, so the walk's last dot is the candidate's E.  The
+vertices are scored first, then, for d > 1, the walk's other points, and
+only a strictly larger score replaces the best, so pure actions win ties
+by index and grid points by order.  The search compares
 integers and builds one `Fraction`, for the winner's value, and a
 `MixedAction` only for a winner off the vertices.  Every pure strategy a
 search hands back or checks is the market's own vertex, `Market._vertex`,
@@ -166,7 +176,6 @@ from .market import (
     _multisets_exceed,
     _power_exceeds,
     check_arity,
-    expectation,
 )
 from .plans import BonusPlan, Kernel
 from .rational import as_count, as_rational, instance_of, items_of, rational_text
@@ -272,12 +281,19 @@ class Game:
     def _pure_cell(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
         """How this game computes a pure cell, chosen once, at its first cell:
         from the expectation sums by the affine form, else by the kernel on
-        every atom's row."""
+        every atom's row, with the earnings term from the sums."""
         affine = self._affine
         if affine is None:
             view = self.market.integer_view
             values, scale = view.values, view.scale
-            return lambda combo: _cell(self, list(map(itemgetter(*combo), values)), scale)
+            # the earnings term's sums, only when w is not 0: () is never read
+            sums = self.market.expectation_sums if self._scoring(scale).result_weight else ()
+
+            def atom_cell(combo):
+                get = itemgetter(*combo)
+                return _cell(self, list(map(get, values)), scale, sums and get(sums))
+
+            return atom_cell
         base, c, d = affine
         sums = self.market.expectation_sums
 
@@ -334,11 +350,9 @@ class Game:
 
 
 class _Scoring(NamedTuple):
-    """Payoff = (bonus_weight * B + result_weight * R) / denominator.
-
-    B sums probability weight times share numerator over the atoms and R
-    sums probability weight times result; that is
-    (1 - w) * E[share] + w * E[own result], exactly.
+    """The payoff's integer weights at one result scale: payoff =
+    (bonus_weight * B + result_weight * E) / denominator, B and E as in the
+    module docstring; that is (1 - w) * E[share] + w * E[own result], exactly.
     """
 
     kernel: Kernel
@@ -356,21 +370,20 @@ class _Affine(NamedTuple):
     d: int
 
 
-def _cell(game: Game, rows: Sequence[tuple[int, ...]], scale: int) -> tuple[int, ...]:
+def _cell(
+    game: Game, rows: Sequence[tuple[int, ...]], scale: int, expectations: Sequence[int]
+) -> tuple[int, ...]:
     """Expected payoff numerators from one integer result vector per atom,
-    over `scale`: each player's shares summed against the atoms' probability
-    weights, by the plan's `share_sums`, then each player's column of
-    results."""
+    over `scale`: B, each player's shares summed against the atoms'
+    probability weights by the plan's `share_sums`, and E, each player's
+    expected result over mass * scale from `expectations`, read only when
+    w is not 0 (module docstring)."""
     scoring = game._scoring(scale)
-    weights = game.market.integer_view.weights
-    sums = game.plan.share_sums(scoring.kernel, rows, weights)
+    sums = game.plan.share_sums(scoring.kernel, rows, game.market.integer_view.weights)
     bonus = [scoring.bonus_weight * s for s in sums]
     if not scoring.result_weight:
         return tuple(bonus)
-    return tuple(
-        b + scoring.result_weight * sum(map(mul, weights, column))
-        for b, column in zip(bonus, zip(*rows))
-    )
+    return tuple(b + scoring.result_weight * e for b, e in zip(bonus, expectations))
 
 
 def _fractions(numerators: Sequence[int], denominator: int) -> tuple[Fraction, ...]:
@@ -392,6 +405,13 @@ def _unit(strategies: Sequence[MixedAction]) -> int:
     return lcm(*(s.unit for s in strategies))
 
 
+def _expectations(market: Market, strategies: Sequence[MixedAction], unit: int) -> list[int]:
+    """Each strategy's expected result over unit * mass * scale: its counts,
+    scaled to `unit`, a multiple of its own, dotted with the expectation sums."""
+    sums = market.expectation_sums
+    return [(unit // s.unit) * sum(map(mul, s.counts, sums)) for s in strategies]
+
+
 def induce_game(market: Market, plan: BonusPlan, earnings_weight=0) -> Game:
     """The game of a market and a plan; cells are computed as they are read."""
     return Game(market, plan, earnings_weight)
@@ -411,13 +431,19 @@ def expected_payoffs(game: Game, profile: Profile) -> tuple[Fraction, ...]:
     view, unit = market.integer_view, _unit(profile.strategies)
     columns = [_realize(view, s, unit) for s in profile.strategies]
     scale = view.scale * unit
-    return _fractions(_cell(game, list(zip(*columns)), scale), game._scoring(scale).denominator)
+    scoring = game._scoring(scale)
+    expectations = _expectations(market, profile.strategies, unit) if scoring.result_weight else ()
+    return _fractions(_cell(game, list(zip(*columns)), scale, expectations), scoring.denominator)
 
 
 def principal_value(market: Market, profile: Profile) -> Fraction:
-    """Total expected earnings across the profile — the plan designer's objective."""
+    """Total expected earnings across the profile — the plan designer's
+    objective: one integer dot per strategy over the profile's unit, and
+    one Fraction."""
     instance_of(profile, Profile, "a profile").check_arity(market)
-    return sum((expectation(market, s) for s in profile.strategies), start=ZERO)
+    view, unit = market.integer_view, _unit(profile.strategies)
+    total = sum(_expectations(market, profile.strategies, unit))
+    return Fraction(total, unit * view.mass * view.scale)
 
 
 def check_simplex_grid(arity: int, denominator: int) -> None:
@@ -592,17 +618,22 @@ def _deviation_scan(
     once, over a scale every candidate shares, and each atom's action
     values are scaled to it once, so `_walk` gives a candidate's result at
     every atom as an integer.  The plan's `response` at each atom turns it
-    into the player's share, and the payoff numerator over the common
-    denominator sums them against the probability weights.
+    into the player's share, and B sums them against the probability
+    weights.  When w is not 0 each column ends in step * S_j, so the last
+    dot is E: unit * S[a] at a vertex, step * sum_j c_j * S_j at a grid point.
     """
     view = game.market.integer_view
     unit = lcm(_unit(opponents), d)
     step = unit // d
     scoring = game._scoring(view.scale * unit)
+    bonus_weight, result_weight = scoring.bonus_weight, scoring.result_weight
     others = zip(*(_realize(view, s, unit) for s in opponents))
     responses = [game.plan.response(scoring.kernel, player, rest) for rest in others]
     weights = view.weights
     columns = [[v * step for v in column] for column in zip(*view.values)]
+    if result_weight:  # the expectation row: the walk's last dot is E
+        for column, s in zip(columns, game.market.expectation_sums):
+            column.append(step * s)
     # a vertex is named by its action index: only a grid winner's counts are built
     points = ((a, [d * v for v in column]) for a, column in enumerate(columns))
     if d > 1:
@@ -610,11 +641,11 @@ def _deviation_scan(
     winner = top = None
     for counts, results in points:
         bonus = 0
-        for p, share, x in zip(weights, responses, results):
+        for p, share, x in zip(weights, responses, results):  # stops at the atoms
             bonus += p * share(x)
-        score = scoring.bonus_weight * bonus
-        if scoring.result_weight:
-            score += scoring.result_weight * sum(map(mul, weights, results))
+        score = bonus_weight * bonus
+        if result_weight:
+            score += result_weight * results[-1]
         if top is None or score > top:
             winner, top = counts, score
     return winner, Fraction(top, scoring.denominator)

@@ -126,11 +126,25 @@ def tied_markets(draw, max_actions=4):
     return build_market([f"A{i}" for i in range(n)], atoms)
 
 
+def fraction_atoms(market: Market) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
+    """Reference: a market's (probability, outcomes) pairs in Fractions, each
+    weight of its integer view over the mass and each value over the scale.
+
+    Tests read a market's content through this oracle, not through the
+    derived `Market.atoms`, which only its own tests read."""
+    view = market.integer_view
+    return [
+        (Fraction(weight, view.mass), tuple(Fraction(x, view.scale) for x in row))
+        for weight, row in zip(view.weights, view.values)
+    ]
+
+
 def every_kind(market, k):
     """One plan of each kind; the gated and tabulated ones bite on this market."""
-    values = sorted({x for _, row in market.atoms for x in row})
+    atoms = fraction_atoms(market)
+    values = sorted({x for _, row in atoms for x in row})
     lo, hi = values[0], values[len(values) // 2]
-    first = market.atoms[0][1]
+    first = atoms[0][1]
     favoured = (Fraction(1),) + (Fraction(0),) * (k - 1)
     return [
         ConstantPlan(k),
@@ -145,9 +159,10 @@ def every_kind(market, k):
 def plans_with_a_form(market, k):
     """The constant plan, and each linear kind once with a gate that covers
     the market and, where the market allows, once with one that does not."""
-    values = sorted({x for _, row in market.atoms for x in row})
+    atoms = fraction_atoms(market)
+    values = sorted({x for _, row in atoms for x in row})
     lo, hi = values[0], values[-1]
-    spread = max(max(row) - min(row) for _, row in market.atoms)
+    spread = max(max(row) - min(row) for _, row in atoms)
     plans = [
         ConstantPlan(k),
         MLinearPlan(k, max(hi - lo, Fraction(1)), lo, hi),
@@ -175,7 +190,7 @@ def fraction_expectation(market: Market, strategy: MixedAction) -> Fraction:
     independent computations.
     """
     return sum(
-        (p * fraction_value(strategy, outcomes) for p, outcomes in market.atoms),
+        (p * fraction_value(strategy, outcomes) for p, outcomes in fraction_atoms(market)),
         start=Fraction(0),
     )
 

@@ -165,11 +165,42 @@ MUTANTS = (
         ("tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",),
     ),
     Mutant(
-        "column-wise cell drops the earnings term",
+        "a cell drops its earnings term",
         "src/bonuslab/game.py",
-        "b + scoring.result_weight * sum(map(mul, weights, column))",
-        "b",
+        "b + scoring.result_weight * e for b, e in zip(bonus, expectations)",
+        "b for b in bonus",
         ("tests/test_game.py::test_cells_hold_numerators_over_the_game_denominator",),
+    ),
+    Mutant(
+        "a pure cell hands the first player's expectation sum to every player",
+        "src/bonuslab/game.py",
+        "sums and get(sums)",
+        "sums and (sums[combo[0]],) * len(combo)",
+        ("tests/test_game.py::test_lazy_cells_match_the_eager_tensor",),
+    ),
+    Mutant(
+        "a portfolio's expectation taken over its own unit, not the profile's",
+        "src/bonuslab/game.py",
+        "(unit // s.unit) * sum(map(mul, s.counts, sums))",
+        "1 * sum(map(mul, s.counts, sums))",
+        (
+            "tests/test_game.py::test_lazy_cells_match_the_eager_tensor",
+            "tests/test_game.py::test_principal_value_matches_the_fraction_oracle",
+        ),
+    ),
+    Mutant(
+        "the deviation scan's expectation row left unscaled by step",
+        "src/bonuslab/game.py",
+        "column.append(step * s)",
+        "column.append(s)",
+        ("tests/test_game.py::test_grid_best_response_matches_the_fraction_oracle",),
+    ),
+    Mutant(
+        "the deviation scan reads its earnings term from the first atom's dot",
+        "src/bonuslab/game.py",
+        "score += result_weight * results[-1]",
+        "score += result_weight * results[0]",
+        ("tests/test_game.py::test_grid_best_response_matches_the_fraction_oracle",),
     ),
     Mutant(
         "deviation scan scores the own action unscaled",

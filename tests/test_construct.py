@@ -25,7 +25,7 @@ from bonuslab import (
     simplex_grid,
     two_bond_market,
 )
-from conftest import random_market
+from conftest import fraction_atoms, random_market
 
 F = Fraction
 
@@ -59,7 +59,7 @@ def test_interval_plan_matches_the_fraction_outcomes(seed, outlier):
     """Read from the integer view: the interval is the least and largest of
     the atoms' Fraction outcomes, and the bound their largest magnitude."""
     market = random_market(random.Random(seed), outlier=outlier)
-    values = sorted({x for _, outcomes in market.atoms for x in outcomes})
+    values = sorted({x for _, outcomes in fraction_atoms(market) for x in outcomes})
     plan = build_m_linear(market, 2)
     assert (plan.lo, plan.hi) == (values[0], values[-1])
     assert plan.bound == max(abs(x) for x in values)
@@ -91,7 +91,7 @@ def test_bound_search_requires_unique_best():
 
 def _difference_distribution(market, weights, best):
     dist = {}
-    for p, outcomes in market.atoms:
+    for p, outcomes in fraction_atoms(market):
         value = sum(w * x for w, x in zip(weights, outcomes))
         diff = value - outcomes[best]
         dist[diff] = dist.get(diff, F(0)) + p

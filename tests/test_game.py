@@ -8,6 +8,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +66,8 @@ from bonuslab.plans import PLAYER_CAP
 from conftest import (
     every_kind,
     fraction_allocation,
+    fraction_atoms,
+    fraction_expectation,
     fraction_value,
     markets,
     plans_with_a_form,
@@ -394,10 +397,9 @@ def fraction_cell(plan, w, rows):
 
 def eager_tensor(market, plan, w):
     """Reference: every pure profile tabulated up front, atom by atom."""
+    atoms = fraction_atoms(market)
     return {
-        combo: fraction_cell(
-            plan, w, ((p, tuple(row[a] for a in combo)) for p, row in market.atoms)
-        )
+        combo: fraction_cell(plan, w, ((p, tuple(row[a] for a in combo)) for p, row in atoms))
         for combo in product(range(market.n), repeat=plan.players)
     }
 
@@ -406,7 +408,7 @@ def pointwise_payoffs(market, plan, w, profile):
     """Reference: a mixed profile's payoffs, portfolios realized per atom."""
     rows = (
         (p, tuple(fraction_value(s, row) for s in profile.strategies))
-        for p, row in market.atoms
+        for p, row in fraction_atoms(market)
     )
     return fraction_cell(plan, w, rows)
 
@@ -446,7 +448,7 @@ def mixed_profiles(draw, n, k):
 @given(markets(), st.integers(2, 3), st.data())
 def test_lazy_cells_match_the_eager_tensor(market, k, data):
     for plan in every_kind(market, k):
-        for w in (F(0), F(1, 2)):
+        for w in (F(0), F(1, 3), F(9, 10)):
             oracle = eager_tensor(market, plan, w)
             game = induce_game(market, plan, w)
             # read a few cells first, so the memo is partly filled out of order
@@ -465,6 +467,17 @@ def test_lazy_cells_match_the_eager_tensor(market, k, data):
 
 
 @settings(max_examples=40, deadline=None)
+@given(markets(), st.integers(2, 3), st.data())
+def test_principal_value_matches_the_fraction_oracle(market, k, data):
+    """Portfolios of unlike units, each scaled to the profile's unit: the
+    total equals the Fraction expectations summed atom by atom."""
+    profile = data.draw(mixed_profiles(market.n, k))
+    assert principal_value(market, profile) == sum(
+        (fraction_expectation(market, s) for s in profile.strategies), start=F(0)
+    )
+
+
+@settings(max_examples=40, deadline=None)
 @given(markets(), st.integers(2, 3))
 def test_cells_hold_numerators_over_the_game_denominator(market, k):
     """Each memoized cell is a tuple of ints over one denominator per game,
@@ -474,9 +487,10 @@ def test_cells_hold_numerators_over_the_game_denominator(market, k):
             game = induce_game(market, plan, w)
             game.payoffs  # fills every cell
             denominator = game._scoring(market.integer_view.scale).denominator
+            atoms = fraction_atoms(market)
             for combo, numerators in game.cells.items():
                 assert all(type(x) is int for x in numerators)
-                rows = ((p, tuple(row[a] for a in combo)) for p, row in market.atoms)
+                rows = ((p, tuple(row[a] for a in combo)) for p, row in atoms)
                 assert tuple(F(x, denominator) for x in numerators) == fraction_cell(plan, w, rows)
 
 
@@ -487,7 +501,7 @@ def test_pure_cells_from_the_linear_form_match_the_atom_rows(market, k):
     affine form and a pure cell comes from the actions' expectation sums by
     it, running no kernel; elsewhere it runs the kernel atom by atom.
     Either way each cell, and the whole tensor, is `_cell` on the profile's
-    atom rows."""
+    atom rows, handed each player's expected result summed over those rows."""
     import bonuslab.game as game_module
 
     view, atom_cell = market.integer_view, game_module._cell
@@ -505,11 +519,11 @@ def test_pure_cells_from_the_linear_form_match_the_atom_rows(market, k):
             game = induce_game(market, plan, w)
             assert (game._affine is not None) is sufficient
             denominator = game._scoring(view.scale).denominator
-            expected = {
-                combo: atom_cell(game, [tuple(row[a] for a in combo) for row in view.values],
-                                 view.scale)
-                for combo in product(range(market.n), repeat=k)
-            }
+            expected = {}
+            for combo in product(range(market.n), repeat=k):
+                rows = [tuple(row[a] for a in combo) for row in view.values]
+                earnings = [sum(map(mul, view.weights, column)) for column in zip(*rows)]
+                expected[combo] = atom_cell(game, rows, view.scale, earnings)
             calls.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(game_module, "_cell", counting)
@@ -555,7 +569,7 @@ def test_pure_best_response_under_a_form_reads_one_cell(market, k, data):
 def test_grid_best_response_matches_the_fraction_oracle(market, k, resolution, data):
     """Same strategy and the same exact value, ties broken the same way."""
     for plan in every_kind(market, k):
-        for w in (F(0), F(1, 2)):
+        for w in (F(0), F(1, 3), F(9, 10)):
             game = induce_game(market, plan, w)
             player = data.draw(st.integers(0, k - 1))
             opponents = data.draw(mixed_profiles(market.n, k)).strategies[1:]

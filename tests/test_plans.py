@@ -37,6 +37,7 @@ from bonuslab.plans import PLAYER_CAP, SAMPLE_CAP, Kernel, _random_rational
 from conftest import (
     every_kind,
     fraction_allocation,
+    fraction_atoms,
     markets,
     plans_with_a_form,
     random_market,
@@ -724,14 +725,15 @@ def test_linear_sufficiency_matches_the_fraction_rule(seed, outlier, nudge):
     """Whether both linear kinds state a form, read from the integer view,
     against the rules on the Fraction outcomes, at and around the edges."""
     market = random_market(random.Random(seed), outlier=outlier)
-    outcomes = [x for _, row in market.atoms for x in row]
+    atoms = fraction_atoms(market)
+    outcomes = [x for _, row in atoms for x in row]
     lo, hi = min(outcomes), max(outcomes)
     step = F(nudge, 7)
     for a, b in ((lo + step, hi), (lo, hi + step), (lo - step, hi - step)):
         if a <= b:
             plan = MLinearPlan(2, max(b - a, F(1)), a, b)
             assert (plan.linear_form(market) is not None) == (a <= lo and hi <= b)
-    spread = max(max(row) - min(row) for _, row in market.atoms)
+    spread = max(max(row) - min(row) for _, row in atoms)
     for bound in (spread / 2, spread / 2 + step, F(1, 3), spread):
         if bound > 0:
             plan = BoundedLinearPlan(3, bound)
