@@ -157,7 +157,8 @@ def probe_pairs(plan: BonusPlan, points: Sequence) -> tuple[PairViolation, ...]:
     neither player may be paid more at (x, y)-type points than at the
     matching diagonal.  Every violation found is reported, in scan order
     (pairs ascending; per pair: player-1 decrease, player-2 decrease,
-    player-1 increase, player-2 increase).  GridCapExceeded when the
+    player-1 increase, player-2 increase).  ArityMismatch for fewer than 2
+    distinct points, which hold no pair; GridCapExceeded when the
     C(|grid|, 2) pairs exceed market.GRID_CAP.
     """
     return tuple(_pair_violations(plan, points))
@@ -167,6 +168,8 @@ def _pair_violations(plan: BonusPlan, points: Sequence):
     if instance_of(plan, BonusPlan, "a plan").players != 2:
         raise ArityMismatch("pair probing is for two-player plans")
     grid = sorted(set(rationals(points)))
+    if len(grid) < 2:
+        raise ArityMismatch("need at least 2 distinct points for pair probing")
     # the pairs x < y of m points are the multisets of 2 out of m - 1
     if pairs := _multisets_exceed(len(grid) - 1, 2, GRID_CAP):
         raise GridCapExceeded(f"{pairs} point pairs exceed cap {GRID_CAP}")

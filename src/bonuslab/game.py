@@ -24,29 +24,24 @@ Verdict semantics (documented once here, relied on throughout):
 
 A plan is pure-sufficient on a market exactly when it states a linear form
 there: `BonusPlan.linear_form(market)` is the pair (equal, slope) when the
-kind's gate is open at every atom of every pure profile, else None.  A
-portfolio's value at an atom lies between the actions' values there, so
-the gate stays open at every profile of portfolios too, and player i's
-share numerator is equal + slope * (k * v_i - sum v) at every atom.  By
-linearity of expectation its payoff numerator is c * E_i + g(the others'
-strategies), E_i its expected result: affine and nondecreasing in its own
-expectation.  At a pure profile a, over the game's one denominator, this
-is the affine form
-
-    base + c * S[a_i] - d * (sum_j S[a_j] - S[a_i])
-
-with S the market's `expectation_sums`, d = bonus_weight * slope,
-c = d * (k - 1) + result_weight >= 0 and base = bonus_weight * mass * equal
-(the weights of `_Scoring`).  `Game._affine` holds (base, c, d), decided
-once per game, or None when the plan states no form.  Only c * S[a_i]
-depends on the player's own action, so three things follow.  No portfolio
-beats the best pure action: the pure scan is complete (`best_response`'s
-method "pure-sufficient"), and against pure opponents the earliest action
-of largest c * S[a] is the best response, one cell read.  A pure cell is
-the form itself, O(k), not O(atoms * k).  And a dominates b exactly when
-c * (S[a] - S[b]) > 0, against every opponent profile, so
-`strict_dominance` reads no cell; with c = 0 (the constant plan at w = 0)
-no pair is strict.
+kind's gate is open at every atom of every pure profile, else None, and
+`Game._affine` holds it, decided once per game.  A portfolio's value at an
+atom lies between the actions' values there, so the gate stays open at
+every profile of portfolios too, and player i's share numerator is
+equal + slope * (k * v_i - sum v) at every atom.  By linearity of
+expectation its share sum (below) is mass * equal + slope * (k * E_i -
+sum_j E_j), E_i its expected result, S[a_i] at a pure profile a, S the
+market's `expectation_sums`: a pure cell is O(k), not O(atoms * k).
+Weighed by `_weigh`, the payoff numerator is c * E_i plus a term of the
+others' strategies alone, c = b * slope * (k - 1) + r with b > 0 and r
+the weights of `_Scoring`.  The slope is >= 0 and k >= 2, so c > 0
+exactly when the slope or the earnings weight w is, and only that sign is
+read.  No portfolio beats the best pure action: the pure scan is complete
+(`best_response`'s method "pure-sufficient"), and against pure opponents
+the best response is the earliest action of largest S[a] when c > 0, else
+action 0, one cell read.  And a dominates b exactly when c > 0 and
+S[a] > S[b], against every opponent profile, so `strict_dominance` reads
+no cell; with c = 0 (the constant plan at w = 0) no pair is strict.
 
 Searches are shared under an anonymous plan, one whose kind declares
 `anonymous`: permuting the results permutes the shares (constant, wta,
@@ -65,7 +60,7 @@ cell permuted, the player on action a the entry at a's rank in the sorted
 profile (players on one action get one payoff).
 
 Strict dominance is shared the same way.  Under an anonymous plan with
-no affine form a player's payoff is u(own action, multiset of opponent
+no linear form a player's payoff is u(own action, multiset of opponent
 actions), the same function for every player, so `strict_dominance`
 computes one relation, player 0's, u(a, rest) = payoff((a,) + rest)[0]
 with rest running over the sorted (k-1)-profiles of surviving actions,
@@ -90,7 +85,7 @@ refuses a tensor over TENSOR_CAP pure profiles before computing any.  Every
 other enumeration is capped on its own size, before any cell.  The shared
 dominance relation reads at most n * C(n+k-2, k-1) cells and each cell sums
 k shares per atom, so it is refused when cells times players exceed
-TENSOR_CAP.  Under the affine form it reads no cell, and it is refused
+TENSOR_CAP.  Under a linear form it reads no cell, and it is refused
 when the k * n^2 pairs its report may list exceed TENSOR_CAP.
 `check_optimal` scans C(|argmax|+k-1, k) sorted profiles,
 refused over TENSOR_CAP, and a simplex grid's C(d+n-1, n-1) points are
@@ -106,46 +101,45 @@ Payoffs are computed in integers and are exact all the same.  A market's
 denominator and every probability over another.  A portfolio keeps its
 weights as integer counts c_j over its unit d; scaled to a unit all the
 strategies share, they realize sum_j c_j * outcome-numerator_j over d times
-that denominator, and the plan's `kernel` for that scale returns
-integer share numerators, its gates compared as integers.  Over the
-game's one denominator a player's payoff numerator is
-
-    bonus_weight * B + result_weight * E
-
-with the weights of `_Scoring`: B sums the player's share numerators
-against the atoms' probability weights, and E is its expected result over
-mass * scale, read from the market's `expectation_sums`, S[a] for a pure
-action and sum_j c_j * S_j over the shared unit for a portfolio, so no
-result is summed over the atoms.  A cell hands every atom's result row to
-the plan's `share_sums` for B (by default the kernel's shares at every
-atom, column by column; the wta and lta kinds count each atom's winners in
-one pass), and reads E only when the earnings weight w is not 0; under a
-linear form a pure cell skips the atoms (above), and portfolios keep the
-atom rows.  A cell holds integer payoff numerators over one denominator,
+that denominator, and the plan's `kernel` for that scale returns integer
+share numerators, its gates compared as integers.  A cell starts from each
+player's share sums B, its share numerators summed against the atoms'
+probability weights, over mass * kernel denominator: B does not depend on
+w.  Under a linear form a pure cell's B is the form's (above); otherwise
+the cell hands every atom's result row to the plan's `share_sums` (by
+default the kernel's shares at every atom, column by column; the wta and
+lta kinds count each atom's winners in one pass), and portfolios keep the
+atom rows.  `_weigh` states the payoff once: over the game's one
+denominator the numerator is b * B + r * E, with E the player's expected
+result over mass * scale, read from the market's `expectation_sums`, S[a]
+for a pure action and sum_j c_j * S_j over the shared unit for a portfolio,
+so no result is summed over the atoms.  `_Scoring` keeps (b, r,
+denominator) in lowest terms, so at w = 0 they are (1, 0, mass * kernel
+denominator): E is not read, and a w = 0 game's cells are the share sums
+themselves.  A cell holds integer payoff numerators over one denominator,
 the same for every cell of the game, so comparing two numerators compares
-the two payoffs: `strict_dominance` and the pure scan
-of `best_response` rank cells as integers and build no `Fraction` while
-they do.  `Game.payoff` is where a cell's `Fraction`s are built, one per
-distinct numerator, shared by the players that have it.  A deviation
-search other than a pure one against pure opponents is one scan: the
-opponents are realized once, and each candidate, a count vector over d
-(the pure actions are the vertices, then the grid's other points in the
-order `simplex_grid` yields), is scored by its payoff numerator over a
-denominator all candidates share.  `_walk` yields the count vectors in
-lexicographic order, with every atom's result carried as a prefix sum, so
-a point costs one add per atom and no multiplication; it is a loop, not a
-recursion, so a d = 1 grid over any number of actions walks.  The plan's
-`response` at each atom, built once from the opponents' results there,
-maps the deviator's result to its share, without a kernel call for the wta
-and lta kinds.  When w is not 0 each action's column ends in one more row,
-its expectation sum, so the walk's last dot is the candidate's E.  The
-vertices are scored first, then, for d > 1, the walk's other points, and
-only a strictly larger score replaces the best, so pure actions win ties
-by index and grid points by order.  The search compares
-integers and builds one `Fraction`, for the winner's value, and a
-`MixedAction` only for a winner off the vertices.  Every pure strategy a
-search hands back or checks is the market's own vertex, `Market._vertex`,
-built once per market.
+the two payoffs: `strict_dominance` and the pure scan of `best_response`
+rank cells as integers and build no `Fraction` while they do.
+`Game.payoff` is where a cell's `Fraction`s are built, one per distinct
+numerator, shared by the players that have it.  A deviation search other
+than a pure one against pure opponents is one scan: the opponents are
+realized once, and each candidate, a count vector over d (the pure actions
+are the vertices, then the grid's other points in the order `simplex_grid`
+yields), is scored by its payoff numerator over a denominator all
+candidates share, `_weigh`'s form written inline.  `_walk` yields the count
+vectors in lexicographic order, with every atom's result carried as a
+prefix sum, so a point costs one add per atom and no multiplication; it is
+a loop, not a recursion, so a d = 1 grid over any number of actions walks.
+The plan's `response` at each atom, built once from the opponents' results
+there, maps the deviator's result to its share, without a kernel call for
+the wta and lta kinds.  When w is not 0 each action's column ends in one
+more row, its expectation sum, so the walk's last dot is the candidate's E.
+The vertices are scored first, then, for d > 1, the walk's other points,
+and only a strictly larger score replaces the best, so pure actions win
+ties by index and grid points by order.  The search compares integers and
+builds one `Fraction`, for the winner's value, and a `MixedAction` only for
+a winner off the vertices.  Every pure strategy a search hands back or
+checks is the market's own vertex, `Market._vertex`, built once per market.
 `find_bounding_m` and `simplex_grid` walk the same way.  `Fraction` stays
 at the interface.
 """
@@ -157,9 +151,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations_with_replacement, product
-from math import lcm
+from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -206,13 +200,13 @@ class Game:
     denominator, `_scoring(integer_view.scale).denominator`, so rankings
     compare them directly.  A cell is added on first read; `payoff` turns
     one into `Fraction`s.  Only `payoffs` materializes the full n^k tensor.
+    At w = 0 a cell is the players' share sums (module docstring).
     `kernels` keeps a `_Scoring` per result scale: the plan's kernel and
-    the payoff's integer weights.  Both start empty,
-    so `replace` gives a game fresh memos; so do the affine form and the
-    way a pure cell is computed, each decided on first use and kept on the
-    game.  The market and the plan must be a `Market` and a `BonusPlan`,
-    else ArityMismatch, and the earnings weight is coerced by as_rational
-    and must lie in [0, 1).
+    the payoff's integer weights in lowest terms.  Both start empty, so
+    `replace` gives a game fresh memos; so does the plan's linear form,
+    `_affine`, decided on first use and kept on the game.  The market and
+    the plan must be a `Market` and a `BonusPlan`, else ArityMismatch, and
+    the earnings weight is coerced by as_rational and must lie in [0, 1).
     """
 
     market: Market
@@ -247,7 +241,9 @@ class Game:
 
     def _numerators(self, combo: tuple[int, ...]) -> tuple[int, ...]:
         """The payoff numerators at one pure profile, over the game's
-        denominator; computed on first read and kept in `cells`."""
+        denominator; computed on first read and kept in `cells`.  The share
+        sums B come from the plan's linear form and the expectation sums
+        when it states one, else from `share_sums` on every atom's row."""
         cached = self.cells.get(combo)
         if cached is not None:
             return cached
@@ -256,53 +252,26 @@ class Game:
             raise ArityMismatch(
                 f"{rational_text(combo)} is not a {k}-player profile over {n} actions"
             )
-        value = self.cells[combo] = self._pure_cell(combo)
+        view = self.market.integer_view
+        scoring = self._scoring(view.scale)
+        get = itemgetter(*combo)
+        own = get(self.market.expectation_sums)
+        form = self._affine
+        if form is None:
+            rows = list(map(get, view.values))
+            shares = self.plan.share_sums(scoring.kernel, rows, view.weights)
+        else:
+            equal, slope = form
+            total = sum(own)
+            shares = [view.mass * equal + slope * (k * s - total) for s in own]
+        value = self.cells[combo] = _weigh(scoring, shares, own)
         return value
 
     @cached_property
-    def _affine(self) -> _Affine | None:
-        """The payoff's affine form (see the module docstring), decided once
-        per game from the plan's `linear_form(market)`; not None exactly when
-        the plan is pure-sufficient on the market."""
-        form = self.plan._linear_form(self.market)  # Game has checked its market
-        if form is None:
-            return None
-        equal, slope = form
-        view = self.market.integer_view
-        scoring = self._scoring(view.scale)
-        d = scoring.bonus_weight * slope
-        return _Affine(
-            scoring.bonus_weight * view.mass * equal,
-            d * (self.players - 1) + scoring.result_weight,
-            d,
-        )
-
-    @cached_property
-    def _pure_cell(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-        """How this game computes a pure cell, chosen once, at its first cell:
-        from the expectation sums by the affine form, else by the kernel on
-        every atom's row, with the earnings term from the sums."""
-        affine = self._affine
-        if affine is None:
-            view = self.market.integer_view
-            values, scale = view.values, view.scale
-            # the earnings term's sums, only when w is not 0: () is never read
-            sums = self.market.expectation_sums if self._scoring(scale).result_weight else ()
-
-            def atom_cell(combo):
-                get = itemgetter(*combo)
-                return _cell(self, list(map(get, values)), scale, sums and get(sums))
-
-            return atom_cell
-        base, c, d = affine
-        sums = self.market.expectation_sums
-
-        def cell(combo):
-            own = [sums[a] for a in combo]
-            total = sum(own)
-            return tuple(base + c * s - d * (total - s) for s in own)
-
-        return cell
+    def _affine(self) -> tuple[int, int] | None:
+        """The plan's linear form (equal, slope) on the market, decided once
+        per game; not None exactly when the plan is pure-sufficient there."""
+        return self.plan._linear_form(self.market)  # Game has checked its market
 
     @property
     def payoffs(self) -> dict:
@@ -335,25 +304,26 @@ class Game:
         return tensor
 
     def _scoring(self, scale: int) -> _Scoring:
-        """The plan's kernel at a result scale, with the payoff's integer weights."""
+        """The plan's kernel at a result scale, with the payoff's integer
+        weights in lowest terms."""
         scoring = self.kernels.get(scale)
         if scoring is None:
             kernel = self.plan._kernel(scale)
-            w = self.earnings_weight
-            scoring = self.kernels[scale] = _Scoring(
-                kernel,
+            w, mass = self.earnings_weight, self.market.integer_view.mass
+            weights = (
                 (w.denominator - w.numerator) * scale,
                 w.numerator * kernel.denominator,
-                w.denominator * self.market.integer_view.mass * kernel.denominator * scale,
+                w.denominator * mass * kernel.denominator * scale,
             )
+            common = gcd(*weights)
+            scoring = self.kernels[scale] = _Scoring(kernel, *(x // common for x in weights))
         return scoring
 
 
 class _Scoring(NamedTuple):
-    """The payoff's integer weights at one result scale: payoff =
-    (bonus_weight * B + result_weight * E) / denominator, B and E as in the
-    module docstring; that is (1 - w) * E[share] + w * E[own result], exactly.
-    """
+    """The payoff's integer weights at one result scale, divided by their
+    gcd: `_weigh` turns share sums into payoff numerators over
+    `denominator`.  At w = 0 they are (1, 0, mass * kernel denominator)."""
 
     kernel: Kernel
     bonus_weight: int
@@ -361,29 +331,22 @@ class _Scoring(NamedTuple):
     denominator: int
 
 
-class _Affine(NamedTuple):
-    """The affine form's integers over the game's denominator; the module
-    docstring gives the pure cell they make."""
-
-    base: int
-    c: int
-    d: int
-
-
-def _cell(
-    game: Game, rows: Sequence[tuple[int, ...]], scale: int, expectations: Sequence[int]
+def _weigh(
+    scoring: _Scoring, shares: Sequence[int], expectations: Sequence[int]
 ) -> tuple[int, ...]:
-    """Expected payoff numerators from one integer result vector per atom,
-    over `scale`: B, each player's shares summed against the atoms'
-    probability weights by the plan's `share_sums`, and E, each player's
-    expected result over mass * scale from `expectations`, read only when
-    w is not 0 (module docstring)."""
-    scoring = game._scoring(scale)
-    sums = game.plan.share_sums(scoring.kernel, rows, game.market.integer_view.weights)
-    bonus = [scoring.bonus_weight * s for s in sums]
-    if not scoring.result_weight:
-        return tuple(bonus)
-    return tuple(b + scoring.result_weight * e for b, e in zip(bonus, expectations))
+    """Payoff numerators over `scoring.denominator`, one per player:
+
+        bonus_weight * B + result_weight * E
+
+    B the player's share sums, over mass * kernel denominator, and E its
+    expected result, over mass * scale, read only when w is not 0; that is
+    (1 - w) * E[share] + w * E[own result], exactly.  At w = 0 the weights
+    are (1, 0, ...), so the numerators are the share sums themselves."""
+    result_weight = scoring.result_weight
+    if not result_weight:
+        return tuple(shares)
+    bonus_weight = scoring.bonus_weight
+    return tuple(bonus_weight * b + result_weight * e for b, e in zip(shares, expectations))
 
 
 def _fractions(numerators: Sequence[int], denominator: int) -> tuple[Fraction, ...]:
@@ -432,8 +395,9 @@ def expected_payoffs(game: Game, profile: Profile) -> tuple[Fraction, ...]:
     columns = [_realize(view, s, unit) for s in profile.strategies]
     scale = view.scale * unit
     scoring = game._scoring(scale)
+    shares = plan.share_sums(scoring.kernel, list(zip(*columns)), view.weights)
     expectations = _expectations(market, profile.strategies, unit) if scoring.result_weight else ()
-    return _fractions(_cell(game, list(zip(*columns)), scale, expectations), scoring.denominator)
+    return _fractions(_weigh(scoring, shares, expectations), scoring.denominator)
 
 
 def principal_value(market: Market, profile: Profile) -> Fraction:
@@ -547,9 +511,9 @@ def best_response(
     Deterministic tie-break: earliest candidate wins — pure actions by
     index, then grid points in lexicographic weight order.  A pure-only or
     pure-sufficient search against pure opponents reads the game's memoized
-    numerators: under the affine form one cell, the action of the earliest
-    largest c * S[a] (`best_actions[0]`, or action 0 when c = 0), else the
-    n cells of the player's actions.  Every other search is one
+    numerators: under a linear form one cell, the earliest action of
+    largest S[a] (`best_actions[0]`) when c > 0, or action 0 when c = 0,
+    else the n cells of the player's actions.  Every other search is one
     `_deviation_scan` over count vectors, pure actions as the grid's
     vertices.  Candidates are compared as integers; only the best value
     becomes a Fraction.
@@ -563,15 +527,15 @@ def best_response(
     check_arity(opponents, n)
     if resolution is not None:
         as_count(resolution, "grid denominator", 1, InvalidParameter)
-    affine = game._affine
-    if affine is not None:
+    form = game._affine
+    if form is not None:
         method = "pure-sufficient"
     elif resolution is None:
         method = "pure-only"
     else:
         method = f"grid(d={resolution})"
 
-    grid = affine is None and resolution is not None
+    grid = form is None and resolution is not None
     pure = tuple(s.pure_action for s in opponents)
     if not grid and None not in pure:
         # Cells, not the scorer: the profile's own action is a cell that
@@ -582,8 +546,9 @@ def best_response(
         # 0.383 to 0.467 ms, slower in 5 of 5 alternating pairs (2 vCPUs,
         # Python 3.11.7, --seed 0 --seconds 20; see CHANGES.md).
         before, after = pure[:player], pure[player:]
-        if affine is not None:
-            best = game.market.best_actions[0] if affine.c else 0
+        if form is not None:
+            _, slope = form  # c > 0 exactly when the slope or w is (module docstring)
+            best = game.market.best_actions[0] if slope or game.earnings_weight else 0
             top = game._numerators(before + (best,) + after)[player]
         else:
             values = [game._numerators(before + (a,) + after)[player] for a in range(n)]
@@ -621,6 +586,7 @@ def _deviation_scan(
     into the player's share, and B sums them against the probability
     weights.  When w is not 0 each column ends in step * S_j, so the last
     dot is E: unit * S[a] at a vertex, step * sum_j c_j * S_j at a grid point.
+    The score is `_weigh`'s b * B + r * E, written inline for one player.
     """
     view = game.market.integer_view
     unit = lcm(_unit(opponents), d)
@@ -736,20 +702,20 @@ def strict_dominance(game: Game) -> DominanceReport:
 
     Each round removes, for every player simultaneously, every action
     strictly dominated by a surviving action against all surviving opponent
-    profiles (order-independent for strict dominance).  Under the affine
-    form a dominates b exactly when c * (S[a] - S[b]) > 0, for every player
+    profiles (order-independent for strict dominance).  Under a linear
+    form a dominates b exactly when c > 0 and S[a] > S[b], for every player
     against every opponent profile, so no cell is read.  Otherwise, under an
     anonymous plan one relation, over sorted opponent profiles, serves every
     player; see the module docstring.  TensorCapExceeded before any work
-    when it exceeds TENSOR_CAP: under the affine form the k * n^2 pairs the
+    when it exceeds TENSOR_CAP: under a linear form the k * n^2 pairs the
     report may list, n x n for each of the k players; else under an
     anonymous plan the n * C(n + k - 2, k - 1) cells the relation may read,
     times the k players each cell sums; otherwise the n^k tensor.
     """
     k, n = instance_of(game, Game, "a game").players, game.actions
     shared = game.plan.anonymous
-    affine = game._affine
-    if affine is not None:
+    form = game._affine
+    if form is not None:
         if n * n * k > TENSOR_CAP:
             raise TensorCapExceeded(
                 f"{n} x {n} pairs x {rational_text(k)} players exceed cap {TENSOR_CAP}"
@@ -762,12 +728,13 @@ def strict_dominance(game: Game) -> DominanceReport:
 
     alive = [tuple(range(n))] * k  # surviving actions per player
 
-    if affine is not None:
-        c, sums = affine.c, game.market.expectation_sums
+    if form is not None:
+        _, slope = form
+        moves, sums = bool(slope or game.earnings_weight), game.market.expectation_sums
 
         def dominated(player: int, a: int, b: int) -> bool:
-            """Whether a beats b: by the sign of c * (S[a] - S[b]) alone."""
-            return c * (sums[a] - sums[b]) > 0
+            """Whether a beats b: by c's sign and S[a] > S[b] alone."""
+            return moves and sums[a] > sums[b]
 
     else:
         cell = game._numerators  # one denominator: numerators rank as payoffs

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -212,9 +213,10 @@ def approx_decimal(value: Fraction) -> str:
 
 def items_of(values, what: str):
     """An iterator over `values`, a list of `what`; ArityMismatch for a
-    value that is not iterable, and for a string, which is refused rather
-    than read one item per character."""
-    if not isinstance(values, (str, bytes)):
+    value that is not iterable, for a string, which is refused rather than
+    read one item per character, and for a mapping, which is refused rather
+    than read as its keys."""
+    if not isinstance(values, (str, bytes, Mapping)):
         try:
             return iter(values)
         except TypeError:

@@ -167,15 +167,15 @@ MUTANTS = (
     Mutant(
         "a cell drops its earnings term",
         "src/bonuslab/game.py",
-        "b + scoring.result_weight * e for b, e in zip(bonus, expectations)",
-        "b for b in bonus",
+        "bonus_weight * b + result_weight * e for b, e in zip(shares, expectations)",
+        "bonus_weight * b for b in shares",
         ("tests/test_game.py::test_cells_hold_numerators_over_the_game_denominator",),
     ),
     Mutant(
         "a pure cell hands the first player's expectation sum to every player",
         "src/bonuslab/game.py",
-        "sums and get(sums)",
-        "sums and (sums[combo[0]],) * len(combo)",
+        "own = get(self.market.expectation_sums)",
+        "own = (self.market.expectation_sums[combo[0]],) * k",
         ("tests/test_game.py::test_lazy_cells_match_the_eager_tensor",),
     ),
     Mutant(
@@ -863,30 +863,30 @@ MUTANTS = (
     Mutant(
         "a game takes a linear kind's form without its gate test on the market",
         "src/bonuslab/game.py",
-        "form = self.plan._linear_form(self.market)",
-        "form = (self.plan._scaled_form(self.market.integer_view.scale)"
+        "return self.plan._linear_form(self.market)",
+        "return (self.plan._scaled_form(self.market.integer_view.scale)"
         " if hasattr(self.plan, '_scaled_form') else self.plan._linear_form(self.market))",
         ("tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",),
     ),
     Mutant(
         "pure cells from a form for every anonymous kind, with or without one",
         "src/bonuslab/game.py",
-        "        if affine is None:\n            view = self.market.integer_view",
-        "        if not self.plan.anonymous:\n            view = self.market.integer_view",
+        "        if form is None:\n            rows = list(map(get, view.values))",
+        "        if not self.plan.anonymous:\n            rows = list(map(get, view.values))",
         ("tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",),
     ),
     Mutant(
-        "dominance under a form by the sign of S[a] - S[b], without c",
+        "dominance under a form by the sign of S[a] - S[b], without c's",
         "src/bonuslab/game.py",
-        "return c * (sums[a] - sums[b]) > 0",
-        "return sums[a] - sums[b] > 0",
+        "return moves and sums[a] > sums[b]",
+        "return sums[a] > sums[b]",
         ("tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",),
     ),
     Mutant(
         "dominance under a form by >= in place of >",
         "src/bonuslab/game.py",
-        "return c * (sums[a] - sums[b]) > 0",
-        "return c * (sums[a] - sums[b]) >= 0",
+        "return moves and sums[a] > sums[b]",
+        "return moves and sums[a] >= sums[b]",
         ("tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",),
     ),
     Mutant(
@@ -912,47 +912,95 @@ MUTANTS = (
     Mutant(
         "the linear-form dominance cap applied to every anonymous plan",
         "src/bonuslab/game.py",
-        "    if affine is not None:\n        if n * n * k > TENSOR_CAP:",
+        "    if form is not None:\n        if n * n * k > TENSOR_CAP:",
         "    if shared:\n        if n * n * k > TENSOR_CAP:",
         ("tests/test_game.py::test_strict_dominance_caps_the_cells_it_may_read",),
     ),
     Mutant(
         "dominance under a form reads the cells, as without one",
         "src/bonuslab/game.py",
-        "    if affine is not None:\n        c, sums = affine.c, game.market.expectation_sums",
-        "    if False:\n        c, sums = affine.c, game.market.expectation_sums",
+        "    if form is not None:\n        _, slope = form\n        moves",
+        "    if False:\n        _, slope = form\n        moves",
         (
             "tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",
             "tests/test_game.py::test_strict_dominance_in_a_separable_game_reads_no_cell",
         ),
     ),
     Mutant(
-        "pure cells from the affine form add the others' term, not subtract it",
+        "pure share sums from the form add the others' term, not subtract it",
         "src/bonuslab/game.py",
-        "base + c * s - d * (total - s)",
-        "base + c * s + d * (total - s)",
+        "slope * (k * s - total)",
+        "slope * (k * s + total)",
         ("tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",),
     ),
     Mutant(
-        "the affine form's c without the result weight",
+        "pure share sums from the form without the mass on the equal term",
         "src/bonuslab/game.py",
-        "d * (self.players - 1) + scoring.result_weight,",
-        "d * (self.players - 1),",
+        "view.mass * equal + slope",
+        "equal + slope",
         ("tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",),
     ),
     Mutant(
-        "the affine form's c without its (k - 1) factor",
+        "pure share sums from the form weigh the own sum by k - 1, not k",
         "src/bonuslab/game.py",
-        "d * (self.players - 1) + scoring.result_weight,",
-        "d + scoring.result_weight,",
+        "slope * (k * s - total)",
+        "slope * ((k - 1) * s - total)",
+        ("tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",),
+    ),
+    Mutant(
+        "pure share sums from the form take k * s as s",
+        "src/bonuslab/game.py",
+        "slope * (k * s - total)",
+        "slope * (s - total)",
         ("tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",),
     ),
     Mutant(
         "pure best response under a form reads c = 0 as c > 0",
         "src/bonuslab/game.py",
-        "best = game.market.best_actions[0] if affine.c else 0",
+        "best = game.market.best_actions[0] if slope or game.earnings_weight else 0",
         "best = game.market.best_actions[0]",
         ("tests/test_game.py::test_pure_best_response_under_a_form_reads_one_cell",),
+    ),
+    Mutant(
+        "pure best response under a form reads c's sign from the slope alone",
+        "src/bonuslab/game.py",
+        "if slope or game.earnings_weight else 0",
+        "if slope else 0",
+        ("tests/test_game.py::test_pure_best_response_under_a_form_reads_one_cell",),
+    ),
+    Mutant(
+        "dominance under a form reads c's sign from the slope alone",
+        "src/bonuslab/game.py",
+        "moves, sums = bool(slope or game.earnings_weight),",
+        "moves, sums = bool(slope),",
+        ("tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",),
+    ),
+    Mutant(
+        "the payoff weights not reduced by their gcd",
+        "src/bonuslab/game.py",
+        "common = gcd(*weights)",
+        "common = 1",
+        (
+            "tests/test_game.py::test_lazy_cells_match_the_eager_tensor",
+            "tests/test_game.py::test_cells_at_weight_zero_are_the_share_sums",
+        ),
+    ),
+    Mutant(
+        "a mapping let through where a list belongs",
+        "src/bonuslab/rational.py",
+        "isinstance(values, (str, bytes, Mapping))",
+        "isinstance(values, (str, bytes))",
+        (
+            "tests/test_rational.py::test_a_mapping_is_refused_where_a_list_belongs",
+            "tests/test_cli.py::test_malformed_input_is_a_json_error[induce-outcomes-as-object]",
+        ),
+    ),
+    Mutant(
+        "pair probing on a grid of fewer than 2 distinct points",
+        "src/bonuslab/counterexamples.py",
+        "    if len(grid) < 2:\n",
+        "    if False:\n",
+        ("tests/test_counterexamples.py::test_pair_probe_needs_two_distinct_points",),
     ),
     Mutant(
         "the constant plan states the form (0, 1)",

@@ -517,6 +517,13 @@ REJECTED = [
      ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
     ("check-optimal-bool-players", {"M": MARKET, "P": {**WTA, "players": True}},
      ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
+    ("induce-outcomes-as-object",  # read as its keys, it would load as outcomes (3, 5)
+     {"M": {**MARKET, "atoms": [{"p": "1", "outcomes": {"3": "x", "5": "y"}}]}, "P": WTA},
+     ["induce", "--market", "M", "--plan", "P"], "ArityMismatch"),
+    ("validate-plan-fallback-as-object",  # read as its keys, it would be (1/2, 1/2)
+     {"P": {"players": 2, "kind": "tabulated", "fallback": {"1/2": "a", "2/4": "b"},
+            "points": []}},
+     ["validate-plan", "--plan", "P"], "ArityMismatch"),
     ("check-optimal-short-interval",
      {"M": MARKET, "P": {**NO_INTERVAL, "interval": ["1"]}},
      ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
@@ -548,6 +555,8 @@ REJECTED = [
      "UnparsableNumber"),
     ("probe-player-mismatch", {"P": WTA},
      ["probe-universal", "--plan", "P", "--grid", "0:1:1", "--players", "3"], "BonusLabError"),
+    ("probe-pair-grid-of-one-point", {"P": WTA},  # no pair to probe
+     ["probe-universal", "--plan", "P", "--grid", "0:0:1", "--players", "2"], "ArityMismatch"),
     ("probe-pair-cap", {"P": WTA},  # C(701, 2) = 245 350 point pairs
      ["probe-universal", "--plan", "P", "--grid", "0:700:1", "--players", "2"],
      "GridCapExceeded"),

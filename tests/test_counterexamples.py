@@ -94,6 +94,17 @@ def test_pair_probe_rejects_many_player_plans():
         probe_pairs(WinnerTakeAllPlan(3), ("0", "1"))
 
 
+def test_pair_probe_needs_two_distinct_points():
+    """Fewer than 2 distinct points leave no pair to probe, so the grid is
+    refused, as fewer than k points are for k >= 3, and never read as
+    constant-on-grid."""
+    for points in ((), ("1",), ("1", "2/2", "1")):
+        for probe in (universality_verdict, probe_pairs):
+            with pytest.raises(ArityMismatch, match="need at least 2 distinct points"):
+                probe(WinnerTakeAllPlan(2), points)
+    assert universality_verdict(ConstantPlan(2), ("1", "2")).verdict == "constant-on-grid"
+
+
 def test_own_coordinate_probe_first_violations():
     increase = probe_own_coordinate(WinnerTakeAllPlan(3), ("1", "2", "3"))[0]
     assert increase.direction is Direction.INCREASE

@@ -497,43 +497,74 @@ def test_cells_hold_numerators_over_the_game_denominator(market, k):
 @settings(max_examples=30, deadline=None)
 @given(markets() | tied_markets(), st.integers(2, 5))
 def test_pure_cells_from_the_linear_form_match_the_atom_rows(market, k):
-    """Where a plan is pure-sufficient on the market, the game holds the
-    affine form and a pure cell comes from the actions' expectation sums by
-    it, running no kernel; elsewhere it runs the kernel atom by atom.
-    Either way each cell, and the whole tensor, is `_cell` on the profile's
-    atom rows, handed each player's expected result summed over those rows."""
-    import bonuslab.game as game_module
-
-    view, atom_cell = market.integer_view, game_module._cell
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return atom_cell(*args)
-
+    """Where a plan is pure-sufficient on the market, the game holds its
+    linear form and a pure cell's share sums come from the actions'
+    expectation sums by it, with no `share_sums` call; elsewhere
+    `share_sums` runs on the atom rows once per cell.  Either way each cell,
+    and the whole tensor, is the plan's share sums on the profile's atom
+    rows and each player's expected result summed over those rows, weighed
+    by the game's integer weights."""
+    view = market.integer_view
     covered = set()
     for plan in plans_with_a_form(market, k):
-        sufficient = plan.linear_form(market) is not None
-        covered.add(sufficient)
+        form = plan.linear_form(market)
+        covered.add(form is not None)
+        original = type(plan).share_sums
+        calls = []
+
+        def counting(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
         for w in (F(0), F(1, 3), F(1, 2)):
             game = induce_game(market, plan, w)
-            assert (game._affine is not None) is sufficient
-            denominator = game._scoring(view.scale).denominator
+            assert game._affine == form
+            scoring = game._scoring(view.scale)
             expected = {}
             for combo in product(range(market.n), repeat=k):
                 rows = [tuple(row[a] for a in combo) for row in view.values]
+                shares = plan.share_sums(scoring.kernel, rows, view.weights)
                 earnings = [sum(map(mul, view.weights, column)) for column in zip(*rows)]
-                expected[combo] = atom_cell(game, rows, view.scale, earnings)
+                expected[combo] = tuple(
+                    scoring.bonus_weight * b + scoring.result_weight * e
+                    for b, e in zip(shares, earnings)
+                )
             calls.clear()
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(game_module, "_cell", counting)
+                patch.setattr(type(plan), "share_sums", counting)
                 assert {combo: game._numerators(combo) for combo in expected} == expected
-            assert bool(calls) is not sufficient
+            assert len(calls) == (0 if form else len(expected))
             tensor = induce_game(market, plan, w).payoffs
             assert tensor == {
-                combo: tuple(F(x, denominator) for x in cell) for combo, cell in expected.items()
+                combo: tuple(F(x, scoring.denominator) for x in cell)
+                for combo, cell in expected.items()
             }
     assert True in covered
+
+
+@settings(max_examples=25, deadline=None)
+@given(markets() | tied_markets(), st.integers(2, 4))
+def test_cells_at_weight_zero_are_the_share_sums(market, k):
+    """A w = 0 game's cells are each player's share sums on the atom rows,
+    exactly, over mass * kernel denominator; at any w the payoff is
+    (1 - w) * B / (mass * kden) + w * E / (mass * scale), B read from those
+    cells and E from the expectation sums."""
+    view, sums = market.integer_view, market.expectation_sums
+    for plan in every_kind(market, k) + plans_with_a_form(market, k):
+        kernel = plan.kernel(view.scale)
+        shares_over = view.mass * kernel.denominator
+        game = induce_game(market, plan, 0)
+        assert game._scoring(view.scale).denominator == shares_over
+        for combo in product(range(market.n), repeat=k):
+            rows = [tuple(row[a] for a in combo) for row in view.values]
+            assert game._numerators(combo) == tuple(plan.share_sums(kernel, rows, view.weights))
+        for w in (F(1, 3), F(9, 10)):
+            weighed = induce_game(market, plan, w)
+            for combo, shares in game.cells.items():
+                assert weighed.payoff(combo) == tuple(
+                    (1 - w) * F(b, shares_over) + w * F(sums[a], view.mass * view.scale)
+                    for b, a in zip(shares, combo)
+                )
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from bonuslab import (
     ArityMismatch,
+    MixedAction,
+    Profile,
     UnparsableNumber,
     UnwritableNumber,
     as_rational,
+    build_market,
     format_rational,
 )
 from bonuslab.errors import FloatRejected
@@ -161,6 +164,23 @@ def test_rationals_refuses_what_is_not_iterable():
 
     with pytest.raises(TypeError, match="inside"):
         rationals(failing())
+
+
+def test_a_mapping_is_refused_where_a_list_belongs():
+    """A mapping is refused as a string is, not read as its keys: outcomes
+    keyed by number would load as those numbers, and a profile keyed by
+    strategy as those strategies."""
+    outcomes = {"3": "x", "5": "y"}
+    for read in (rationals, integer_ratios):
+        with pytest.raises(ArityMismatch, match="expected a list of numbers, got"):
+            read(outcomes)
+    with pytest.raises(ArityMismatch, match="expected a list of numbers, got"):
+        build_market(["A", "B"], [("1", outcomes)])
+    strategies = {MixedAction.pure(0, 2): 1, MixedAction.pure(1, 2): 2}
+    with pytest.raises(ArityMismatch, match="expected a list of strategies, got"):
+        Profile(strategies)
+    assert Profile(tuple(strategies)).players == 2
+    assert rationals(list(outcomes)) == (3, 5)
 
 
 def test_rational_text_writes_an_int_within_the_digit_limit():
