@@ -3,13 +3,14 @@
 Both builders target markets with a unique best-expectation action and
 earnings weight 0.  The interval-gated plan is active on the support
 interval, the least and largest outcome, read off the market's integer
-bounds summary, and scales by the larger of their magnitudes.  The
-output-gated plan scales by the largest pointwise difference |q - X*|
-between a portfolio q and the best action X*: at each atom q - X* is
-linear in q, so |q - X*| is convex and peaks at a vertex, and the bound is
-the largest |x_j - x*| over atoms and actions j.  With it no atom's result
-spread exceeds twice the bound, the built plan's output gate never closes,
-and the pure-deviation scan of game.check_nash is complete.
+bounds summary, and scales by the larger of their magnitudes, or by 1
+where every outcome is 0.  The output-gated plan scales by the largest
+pointwise difference |q - X*| between a portfolio q and the best action
+X*: at each atom q - X* is linear in q, so |q - X*| is convex and peaks
+at a vertex, and the bound is the largest |x_j - x*| over atoms and
+actions j.  With it no atom's result spread exceeds twice the bound, the
+built plan's output gate never closes, and the pure-deviation scan of
+game.check_nash is complete.
 
 find_bounding_m certifies the bound on a simplex grid of resolution d.
 Each portfolio q gets its gap c_q = E[X*] - E[q] > 0 and the smallest
@@ -75,13 +76,14 @@ def build_m_linear(market: Market, players: int) -> MLinearPlan:
     outcome, read as integers from the market's bounds summary
     (`Market._bounds`, one pass over the integer view, kept per market);
     the bound is the larger of their magnitudes.  The interval's width never
-    exceeds twice the bound, so active shares stay within [0, 2/k].
+    exceeds twice the bound, so active shares stay within [0, 2/k].  On a
+    market whose every outcome is 0 every plan is optimal, and the plan is
+    the interval [0, 0] with bound 1: its form is open on the whole market.
     """
     view = instance_of(market, Market, "a market").integer_view
     lo, hi, _ = market._bounds
-    if lo == hi == 0:
-        raise DegenerateSupport("every outcome is 0; no scale for a linear plan")
-    bound, lo, hi = (Fraction(x, view.scale) for x in (max(-lo, hi), lo, hi))
+    magnitude = max(-lo, hi) or view.scale  # every outcome 0: bound 1
+    bound, lo, hi = (Fraction(x, view.scale) for x in (magnitude, lo, hi))
     return MLinearPlan(players, bound, lo, hi)
 
 

@@ -437,8 +437,9 @@ def _coordinate_market(
 
 def tuple_probability(violation: CoordinateViolation) -> Fraction:
     """Probability that k independent draws from the base marginal hit the base
-    point coordinate-for-coordinate."""
-    k = len(violation.base)
+    point coordinate-for-coordinate; ArityMismatch for a value that is not a
+    CoordinateViolation."""
+    k = len(instance_of(violation, CoordinateViolation, "a violation").base)
     return Fraction(prod(_base_weights(k, violation.player)), (2 * (k - 1)) ** k)
 
 

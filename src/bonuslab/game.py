@@ -27,21 +27,28 @@ there: `BonusPlan.linear_form(market)` is the pair (equal, slope) when the
 kind's gate is open at every atom of every pure profile, else None, and
 `Game._affine` holds it, decided once per game.  A portfolio's value at an
 atom lies between the actions' values there, so the gate stays open at
-every profile of portfolios too, and player i's share numerator is
-equal + slope * (k * v_i - sum v) at every atom.  By linearity of
-expectation its share sum (below) is mass * equal + slope * (k * E_i -
-sum_j E_j), E_i its expected result, S[a_i] at a pure profile a, S the
-market's `expectation_sums`: a pure cell is O(k), not O(atoms * k).
+every profile of portfolios too.  At a profile's shared unit u, with
+results over scale * u, player i's share numerator is then
+kden / k + slope * (k * v_i - sum v) at every atom, kden the kernel's
+denominator at that scale (equal * u for the linear kinds) and the slope
+the same at every multiple of the scale.  By linearity of expectation its
+share sum (below) is mass * kden / k + slope * (k * E_i - sum_j E_j), E_i
+its expectation sum over the unit: S[a_i] at a pure profile a, S the
+market's `expectation_sums`, and sum_j c_j * S_j over u for a portfolio.
+So under a form every cell, pure or of portfolios, is O(k) and reads no
+atom.
 Weighed by `_weigh`, the payoff numerator is c * E_i plus a term of the
 others' strategies alone, c = b * slope * (k - 1) + r with b > 0 and r
 the weights of `_Scoring`.  The slope is >= 0 and k >= 2, so c > 0
 exactly when the slope or the earnings weight w is, and only that sign is
 read.  No portfolio beats the best pure action: the pure scan is complete
-(`best_response`'s method "pure-sufficient"), and against pure opponents
-the best response is the earliest action of largest S[a] when c > 0, else
-action 0, one cell read.  And a dominates b exactly when c > 0 and
-S[a] > S[b], against every opponent profile, so `strict_dominance` reads
-no cell; with c = 0 (the constant plan at w = 0) no pair is strict.
+(`best_response`'s method "pure-sufficient"), and against any opponents,
+pure or portfolios, the best response is the earliest action of largest
+S[a] when c > 0, else action 0, one cell read, the memoized one against
+pure opponents.  No search under a linear form reads an atom.  And a
+dominates b exactly when c > 0 and S[a] > S[b], against every opponent
+profile, so `strict_dominance` reads no cell; with c = 0 (the constant
+plan at w = 0) no pair is strict.
 
 Searches are shared under an anonymous plan, one whose kind declares
 `anonymous`: permuting the results permutes the shares (constant, wta,
@@ -102,46 +109,50 @@ denominator and every probability over another.  A portfolio keeps its
 weights as integer counts c_j over its unit d; scaled to a unit all the
 strategies share, they realize sum_j c_j * outcome-numerator_j over d times
 that denominator, and the plan's `kernel` for that scale returns integer
-share numerators, its gates compared as integers.  A cell starts from each
-player's share sums B, its share numerators summed against the atoms'
-probability weights, over mass * kernel denominator: B does not depend on
-w.  Under a linear form a pure cell's B is the form's (above); otherwise
-the cell hands every atom's result row to the plan's `share_sums` (by
-default the kernel's shares at every atom, column by column; the wta and
-lta kinds count each atom's winners in one pass), and portfolios keep the
-atom rows.  `_weigh` states the payoff once: over the game's one
+share numerators, its gates compared as integers.  One function,
+`Game._cell`, computes every cell, pure or of portfolios, from three
+inputs: the profile's shared unit, each player's expectation sum over it
+and the atoms' result rows.  A cell starts from each player's share sums B,
+its share numerators summed against the atoms' probability weights, over
+mass * kernel denominator: B does not depend on w.  Under a linear form B is
+the form's (above) and no row is read; otherwise the cell hands every
+atom's result row to the plan's `share_sums` (by default the kernel's
+shares at every atom, column by column; the wta and lta kinds count each
+atom's winners in one pass).  The rows are lazy: a pure cell's are the
+atoms' values at its actions, and `_rows` realizes portfolios at an atom
+only as its row is read.  `_weigh` states the payoff once: over the cell's
 denominator the numerator is b * B + r * E, with E the player's expected
 result over mass * scale, read from the market's `expectation_sums`, S[a]
 for a pure action and sum_j c_j * S_j over the shared unit for a portfolio,
-so no result is summed over the atoms.  `_Scoring` keeps (b, r,
-denominator) in lowest terms, so at w = 0 they are (1, 0, mass * kernel
-denominator): E is not read, and a w = 0 game's cells are the share sums
-themselves.  A cell holds integer payoff numerators over one denominator,
-the same for every cell of the game, so comparing two numerators compares
-the two payoffs: `strict_dominance` and the pure scan of `best_response`
-rank cells as integers and build no `Fraction` while they do.
-`Game.payoff` is where a cell's `Fraction`s are built, one per distinct
-numerator, shared by the players that have it.  A deviation search other
-than a pure one against pure opponents is one scan: the opponents are
-realized once, and each candidate, a count vector over d (the pure actions
-are the vertices, then the grid's other points in the order `simplex_grid`
-yields), is scored by its payoff numerator over a denominator all
-candidates share, `_weigh`'s form written inline.  `_walk` yields the count
-vectors in lexicographic order, with every atom's result carried as a
-prefix sum, so a point costs one add per atom and no multiplication; it is
-a loop, not a recursion, so a d = 1 grid over any number of actions walks.
-The plan's `response` at each atom, built once from the opponents' results
-there, maps the deviator's result to its share, without a kernel call for
-the wta and lta kinds.  When w is not 0 each action's column ends in one
-more row, its expectation sum, so the walk's last dot is the candidate's E.
-The vertices are scored first, then, for d > 1, the walk's other points,
-and only a strictly larger score replaces the best, so pure actions win
-ties by index and grid points by order.  The search compares integers and
-builds one `Fraction`, for the winner's value, and a `MixedAction` only for
-a winner off the vertices.  Every pure strategy a search hands back or
-checks is the market's own vertex, `Market._vertex`, built once per market.
-`find_bounding_m` and `simplex_grid` walk the same way.  `Fraction` stays
-at the interface.
+so no result is summed over the atoms.  `_Scoring` keeps (b, r, denominator)
+in lowest terms, so at w = 0 they are (1, 0, mass * kernel denominator): E
+is not read, and a w = 0 game's cells are the share sums themselves.  A cell
+holds integer payoff numerators over one denominator, the same for every
+cell of the game, so comparing two numerators compares the two payoffs:
+`strict_dominance` and the pure scan of `best_response` rank cells as
+integers and build no `Fraction` while they do.  `Game.payoff` is where a
+cell's `Fraction`s are built, one per distinct numerator, shared by the
+players that have it.  With no linear form, a deviation search other than a
+pure-only one against pure opponents is one scan: the opponents are
+realized once, by `_rows`, and each candidate, a count vector over d (the
+pure actions are the vertices, then the grid's other points in the order
+`simplex_grid` yields), is scored by its payoff numerator over a
+denominator all candidates share, `_weigh`'s form written inline.  `_walk`
+yields the count vectors in lexicographic order, with every atom's result
+carried as a prefix sum, so a point costs one add per atom and no
+multiplication; it is a loop, not a recursion, so a d = 1 grid over any
+number of actions walks.  The plan's `response` at each atom, built once
+from the opponents' results there, maps the deviator's result to its share,
+without a kernel call for the wta and lta kinds.  When w is not 0 each
+action's column ends in one more row, its expectation sum, so the walk's
+last dot is the candidate's E.  The vertices are scored first, then, for
+d > 1, the walk's other points, and only a strictly larger score replaces the
+best, so pure actions win ties by index and grid points by order.  The
+search compares integers and builds one `Fraction`, for the winner's value,
+and a `MixedAction` only for a winner off the vertices.  Every pure strategy
+a search hands back or checks is the market's own vertex, `Market._vertex`,
+built once per market.  `find_bounding_m` and `simplex_grid` walk the same
+way.  `Fraction` stays at the interface.
 """
 
 from __future__ import annotations
@@ -150,10 +161,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -195,12 +206,15 @@ class OptimalityVerdict(str, Enum):
 class Game:
     """Induced game over pure profiles, kept exact and filled in on demand.
 
-    `cells` memoizes the payoffs computed so far, keyed by action-index
-    tuple: each a tuple of integer numerators over the game's one
-    denominator, `_scoring(integer_view.scale).denominator`, so rankings
-    compare them directly.  A cell is added on first read; `payoff` turns
-    one into `Fraction`s.  Only `payoffs` materializes the full n^k tensor.
-    At w = 0 a cell is the players' share sums (module docstring).
+    `_cell` computes every payoff cell, pure or of portfolios, as integer
+    numerators over `_scoring(scale * unit).denominator`, unit the
+    profile's shared unit (module docstring).
+    `cells` memoizes the pure ones computed so far, keyed by action-index
+    tuple: each over the game's one denominator,
+    `_scoring(integer_view.scale).denominator`, so rankings compare them
+    directly.  A pure cell is added on first read; `payoff` turns one into
+    `Fraction`s.  Only `payoffs` materializes the full n^k tensor.  At
+    w = 0 a cell is the players' share sums.
     `kernels` keeps a `_Scoring` per result scale: the plan's kernel and
     the payoff's integer weights in lowest terms.  Both start empty, so
     `replace` gives a game fresh memos; so does the plan's linear form,
@@ -241,9 +255,8 @@ class Game:
 
     def _numerators(self, combo: tuple[int, ...]) -> tuple[int, ...]:
         """The payoff numerators at one pure profile, over the game's
-        denominator; computed on first read and kept in `cells`.  The share
-        sums B come from the plan's linear form and the expectation sums
-        when it states one, else from `share_sums` on every atom's row."""
+        denominator: `_cell` at unit 1 on the actions' expectation sums and
+        atom rows, computed on first read and kept in `cells`."""
         cached = self.cells.get(combo)
         if cached is not None:
             return cached
@@ -252,20 +265,41 @@ class Game:
             raise ArityMismatch(
                 f"{rational_text(combo)} is not a {k}-player profile over {n} actions"
             )
-        view = self.market.integer_view
-        scoring = self._scoring(view.scale)
         get = itemgetter(*combo)
-        own = get(self.market.expectation_sums)
+        rows = map(get, self.market.integer_view.values)
+        value = self.cells[combo] = self._cell(1, get(self.market.expectation_sums), rows)[0]
+        return value
+
+    def _cell(
+        self, unit: int, expectations: Sequence[int], rows: Iterable[tuple[int, ...]]
+    ) -> tuple[tuple[int, ...], int]:
+        """The payoff numerators at a profile, and their denominator
+        `_scoring(scale * unit).denominator`, from the profile's shared unit,
+        each player's expectation sum over unit * mass * scale, and the atoms'
+        result rows over scale * unit.  Under a linear form the share sums B
+        come from the expectation sums and no row is read (module
+        docstring); otherwise from `share_sums` on the rows."""
+        view = self.market.integer_view
+        scoring = self._scoring(view.scale * unit)
         form = self._affine
         if form is None:
-            rows = list(map(get, view.values))
             shares = self.plan.share_sums(scoring.kernel, rows, view.weights)
         else:
-            equal, slope = form
-            total = sum(own)
-            shares = [view.mass * equal + slope * (k * s - total) for s in own]
-        value = self.cells[combo] = _weigh(scoring, shares, own)
-        return value
+            k, slope, total = self.players, form[1], sum(expectations)
+            equal = view.mass * (scoring.kernel.denominator // k)
+            shares = [equal + slope * (k * s - total) for s in expectations]
+        return _weigh(scoring, shares, expectations), scoring.denominator
+
+    def _profile_cell(self, strategies: Sequence[MixedAction]) -> tuple[tuple[int, ...], int]:
+        """`_cell` at a profile of strategies: the memoized pure cell, over
+        the game's denominator, or the portfolios' cell at their shared unit."""
+        pure = tuple(s.pure_action for s in strategies)
+        if None not in pure:
+            scale = self.market.integer_view.scale
+            return self._numerators(pure), self._scoring(scale).denominator
+        market, unit = self.market, _unit(strategies)
+        expectations = _expectations(market, strategies, unit)
+        return self._cell(unit, expectations, _rows(market.integer_view, strategies, unit))
 
     @cached_property
     def _affine(self) -> tuple[int, int] | None:
@@ -356,11 +390,17 @@ def _fractions(numerators: Sequence[int], denominator: int) -> tuple[Fraction, .
     return tuple(map(fractions.__getitem__, numerators))
 
 
-def _realize(view: IntegerView, strategy: MixedAction, unit: int) -> list[int]:
-    """A portfolio's value at each atom, over view.scale * unit; `unit` is a
-    multiple of the strategy's."""
-    counts = [c * (unit // strategy.unit) for c in strategy.counts]
-    return [sum(map(mul, counts, values)) for values in view.values]
+def _rows(
+    view: IntegerView, strategies: Sequence[MixedAction], unit: int
+) -> Iterator[tuple[int, ...]]:
+    """The strategies' results at each atom, one tuple per atom over
+    view.scale * unit, `unit` a multiple of every strategy's: each
+    strategy's counts scaled to `unit` and dotted with the atom's values.
+    A row is realized only when it is read, so a cell under a linear form
+    realizes none."""
+    scaled = [[c * (unit // s.unit) for c in s.counts] for s in strategies]
+    # one lazy column per strategy: sum(map(mul, counts, values)) at each atom
+    return zip(*(map(sum, map(map, repeat(mul), repeat(c), view.values)) for c in scaled))
 
 
 def _unit(strategies: Sequence[MixedAction]) -> int:
@@ -388,16 +428,7 @@ def expected_payoffs(game: Game, profile: Profile) -> tuple[Fraction, ...]:
             f"{profile.players} strategies for a {plan.players}-player plan"
         )
     profile.check_arity(market)
-    pure = tuple(s.pure_action for s in profile.strategies)
-    if all(a is not None for a in pure):
-        return game.payoff(pure)
-    view, unit = market.integer_view, _unit(profile.strategies)
-    columns = [_realize(view, s, unit) for s in profile.strategies]
-    scale = view.scale * unit
-    scoring = game._scoring(scale)
-    shares = plan.share_sums(scoring.kernel, list(zip(*columns)), view.weights)
-    expectations = _expectations(market, profile.strategies, unit) if scoring.result_weight else ()
-    return _fractions(_weigh(scoring, shares, expectations), scoring.denominator)
+    return _fractions(*game._profile_cell(profile.strategies))
 
 
 def principal_value(market: Market, profile: Profile) -> Fraction:
@@ -509,11 +540,13 @@ def best_response(
     Searches pure actions always; with a resolution d (and no sufficiency
     argument) also every portfolio with weights in denominators of d.
     Deterministic tie-break: earliest candidate wins — pure actions by
-    index, then grid points in lexicographic weight order.  A pure-only or
-    pure-sufficient search against pure opponents reads the game's memoized
-    numerators: under a linear form one cell, the earliest action of
-    largest S[a] (`best_actions[0]`) when c > 0, or action 0 when c = 0,
-    else the n cells of the player's actions.  Every other search is one
+    index, then grid points in lexicographic weight order.  Under a linear
+    form the search is pure-sufficient against any opponents and reads one
+    cell, the earliest action of largest S[a] (`best_actions[0]`) when
+    c > 0, or action 0 when c = 0: the game's memoized cell against pure
+    opponents, else `Game._cell` at the profile's unit, with no atom read.
+    With no form, a pure-only search against pure opponents reads the n
+    memoized cells of the player's actions, and every other search is one
     `_deviation_scan` over count vectors, pure actions as the grid's
     vertices.  Candidates are compared as integers; only the best value
     becomes a Fraction.
@@ -529,42 +562,34 @@ def best_response(
         as_count(resolution, "grid denominator", 1, InvalidParameter)
     form = game._affine
     if form is not None:
-        method = "pure-sufficient"
-    elif resolution is None:
-        method = "pure-only"
-    else:
-        method = f"grid(d={resolution})"
-
-    grid = form is None and resolution is not None
+        _, slope = form  # c > 0 exactly when the slope or w is (module docstring)
+        best = game.market.best_actions[0] if slope or game.earnings_weight else 0
+        vertex = game.market._vertex(best)
+        cell, denominator = game._profile_cell(opponents[:player] + (vertex,) + opponents[player:])
+        return BestResponse(player, vertex, Fraction(cell[player], denominator), "pure-sufficient")
     pure = tuple(s.pure_action for s in opponents)
-    if not grid and None not in pure:
+    if resolution is None and None not in pure:
         # Cells, not the scorer: the profile's own action is a cell that
-        # expected_payoffs has already computed, and under a linear form a
-        # cell costs O(k), where the scan runs the plan's response at every
-        # atom for every action.  Scoring these actions with the scan cut
-        # bench/run.py's `sweep` from a median of 2 403 to 1 969 tasks/s, p50
-        # 0.383 to 0.467 ms, slower in 5 of 5 alternating pairs (2 vCPUs,
-        # Python 3.11.7, --seed 0 --seconds 20; see CHANGES.md).
+        # expected_payoffs has already computed.  Scoring these actions with
+        # the scan cut bench/run.py's `sweep` from a median of 2 403 to 1 969
+        # tasks/s, p50 0.383 to 0.467 ms, slower in 5 of 5 alternating pairs
+        # (2 vCPUs, Python 3.11.7, --seed 0 --seconds 20; see CHANGES.md).
         before, after = pure[:player], pure[player:]
-        if form is not None:
-            _, slope = form  # c > 0 exactly when the slope or w is (module docstring)
-            best = game.market.best_actions[0] if slope or game.earnings_weight else 0
-            top = game._numerators(before + (best,) + after)[player]
-        else:
-            values = [game._numerators(before + (a,) + after)[player] for a in range(n)]
-            # numerators over one denominator rank as the payoffs: the earliest largest wins
-            top = max(values)
-            best = values.index(top)
-        denominator = game._scoring(game.market.integer_view.scale).denominator
-        return BestResponse(player, game.market._vertex(best), Fraction(top, denominator), method)
-    d = resolution if grid else 1
-    if grid:
+        values = [game._numerators(before + (a,) + after)[player] for a in range(n)]
+        # numerators over one denominator rank as the payoffs: the earliest largest wins
+        top = max(values)
+        best = values.index(top)
+        value = Fraction(top, game._scoring(game.market.integer_view.scale).denominator)
+        return BestResponse(player, game.market._vertex(best), value, "pure-only")
+    d = resolution or 1
+    if resolution is not None:
         check_simplex_grid(n, d)
     winner, value = _deviation_scan(game, player, opponents, d)
     if type(winner) is int:
         best = game.market._vertex(winner)
     else:
         best = MixedAction(tuple(Fraction(c, d) for c in winner))
+    method = "pure-only" if resolution is None else f"grid(d={resolution})"
     return BestResponse(player, best, value, method)
 
 
@@ -574,17 +599,18 @@ def _deviation_scan(
     opponents: Sequence[MixedAction],
     d: int,
 ) -> tuple[int | tuple[int, ...], Fraction]:
-    """The earliest candidate of strictly largest payoff, and its value.
+    """The earliest candidate of strictly largest payoff, and its value;
+    run only for a plan with no linear form on the market.
 
     A candidate is a count vector over d, the portfolio counts / d: the
     pure actions, as the vertices d * e_a in index order, then, for d > 1,
     the grid's other points in `_walk` order.  A vertex winner is returned
-    as its action index, any other as its counts.  The opponents are realized
-    once, over a scale every candidate shares, and each atom's action
-    values are scaled to it once, so `_walk` gives a candidate's result at
-    every atom as an integer.  The plan's `response` at each atom turns it
-    into the player's share, and B sums them against the probability
-    weights.  When w is not 0 each column ends in step * S_j, so the last
+    as its action index, any other as its counts.  The opponents are
+    realized once by `_rows`, over a scale every candidate shares, and each
+    atom's action values are scaled to it once, so `_walk` gives a
+    candidate's result at every atom as an integer.  The plan's `response`
+    at each atom turns it into the player's share, and B sums them against
+    the probability weights.  When w is not 0 each column ends in step * S_j, so the last
     dot is E: unit * S[a] at a vertex, step * sum_j c_j * S_j at a grid point.
     The score is `_weigh`'s b * B + r * E, written inline for one player.
     """
@@ -593,7 +619,7 @@ def _deviation_scan(
     step = unit // d
     scoring = game._scoring(view.scale * unit)
     bonus_weight, result_weight = scoring.bonus_weight, scoring.result_weight
-    others = zip(*(_realize(view, s, unit) for s in opponents))
+    others = _rows(view, opponents, unit)
     responses = [game.plan.response(scoring.kernel, player, rest) for rest in others]
     weights = view.weights
     columns = [[v * step for v in column] for column in zip(*view.values)]

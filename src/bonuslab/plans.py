@@ -39,13 +39,15 @@ refuses a market that is not a `Market` and asks the kind's `_linear_form`:
 the pair (equal, slope) over the market's `integer_view.scale`, with player
 i's share numerator equal + slope * (k * v_i - sum v), when the kind's gate
 is open at every atom of every pure profile on that market, and None
-otherwise.  The two linear kinds decide it from the market's integer
-bounds summary (`Market._bounds`), computed once per market: the
-interval-gated kind compares the least and largest value with its
-interval's ends over the scale, the output-gated kind the widest atom
-spread with twice its bound.  The constant kind states (1, 0) on every market, and the two
-linear kinds state (2(k-1) * num(M) * scale, den(M)), the pair their
-kernels are built from; the wta, lta and tabulated kinds state none.
+otherwise; its slope holds at every multiple of that scale, with the
+kernel's denominator over k as the equal term.  The two linear kinds
+decide it from the market's integer bounds summary (`Market._bounds`),
+computed once per market: the interval-gated kind compares the least and
+largest value with its interval's ends over the scale, the output-gated
+kind the widest atom spread with twice its bound.  The constant kind
+states (1, 0) on every market, and the two linear kinds state
+(2(k-1) * num(M) * scale, den(M)), the pair their kernels are built from;
+the wta, lta and tabulated kinds state none.
 `bonuslab.game` gives the argument that makes the form sufficient.
 """
 
@@ -157,12 +159,13 @@ class BonusPlan:
         return lambda x: shares(before + (x,) + after)[player]
 
     def share_sums(
-        self, kernel: Kernel, rows: Sequence[tuple[int, ...]], weights: Sequence[int]
+        self, kernel: Kernel, rows: Iterable[tuple[int, ...]], weights: Sequence[int]
     ) -> list[int]:
         """Each player's share numerators summed against the atoms' weights.
 
-        `kernel` is this plan's kernel at some scale, `rows` holds one result
-        vector per atom, integers over that scale, and `weights` the atoms'
+        `kernel` is this plan's kernel at some scale, `rows` yields one result
+        vector per atom, integers over that scale, in atom order and once: a
+        game realizes each row as it is read.  `weights` holds the atoms'
         probability weights, one per row.  Entry i is the sum over the atoms
         of weight times entry i of the kernel's shares there.  This default
         runs the kernel at every atom and sums each player's column.
@@ -179,8 +182,15 @@ class BonusPlan:
         """(equal, slope) with `kernel(scale).shares(v)[i] == equal + slope *
         (k * v[i] - sum(v))` at every atom of every pure profile on the
         market, scale its `integer_view.scale`; None when the kind's gate
-        may close there, or it has no such form.  ArityMismatch for a
-        market that is not a Market; the kind's `_linear_form` decides."""
+        may close there, or it has no such form.  The slope holds at every
+        multiple u * scale of the market's scale too: at results over
+        u * scale, at every atom of every profile of portfolios on the
+        market, the share is kernel(u * scale).denominator / k + slope *
+        (k * v[i] - sum(v)).  Every built-in kind meets this (the linear
+        kinds' equal is linear in the scale, their slope free of it, and a
+        portfolio's result lies between the actions'), and a game's
+        portfolio cells rely on it.  ArityMismatch for a market that is not
+        a Market; the kind's `_linear_form` decides."""
         return self._linear_form(instance_of(market, Market, "a market"))
 
     def _linear_form(self, market: Market) -> tuple[int, int] | None:

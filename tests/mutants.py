@@ -174,8 +174,8 @@ MUTANTS = (
     Mutant(
         "a pure cell hands the first player's expectation sum to every player",
         "src/bonuslab/game.py",
-        "own = get(self.market.expectation_sums)",
-        "own = (self.market.expectation_sums[combo[0]],) * k",
+        "self._cell(1, get(self.market.expectation_sums), rows)",
+        "self._cell(1, (self.market.expectation_sums[combo[0]],) * k, rows)",
         ("tests/test_game.py::test_lazy_cells_match_the_eager_tensor",),
     ),
     Mutant(
@@ -871,8 +871,8 @@ MUTANTS = (
     Mutant(
         "pure cells from a form for every anonymous kind, with or without one",
         "src/bonuslab/game.py",
-        "        if form is None:\n            rows = list(map(get, view.values))",
-        "        if not self.plan.anonymous:\n            rows = list(map(get, view.values))",
+        "        if form is None:\n            shares = self.plan.share_sums(",
+        "        if not self.plan.anonymous:\n            shares = self.plan.share_sums(",
         ("tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",),
     ),
     Mutant(
@@ -936,8 +936,8 @@ MUTANTS = (
     Mutant(
         "pure share sums from the form without the mass on the equal term",
         "src/bonuslab/game.py",
-        "view.mass * equal + slope",
-        "equal + slope",
+        "equal = view.mass * (scoring.kernel.denominator // k)",
+        "equal = (scoring.kernel.denominator // k)",
         ("tests/test_game.py::test_pure_cells_from_the_linear_form_match_the_atom_rows",),
     ),
     Mutant(
@@ -958,8 +958,45 @@ MUTANTS = (
         "pure best response under a form reads c = 0 as c > 0",
         "src/bonuslab/game.py",
         "best = game.market.best_actions[0] if slope or game.earnings_weight else 0",
-        "best = game.market.best_actions[0]",
+        "best = game.market.best_actions[0] if slope or game.earnings_weight"
+        " or all(s.pure_action is not None for s in opponents) else 0",
         ("tests/test_game.py::test_pure_best_response_under_a_form_reads_one_cell",),
+    ),
+    Mutant(
+        "best response against portfolios under a form reads c = 0 as c > 0",
+        "src/bonuslab/game.py",
+        "best = game.market.best_actions[0] if slope or game.earnings_weight else 0",
+        "best = game.market.best_actions[0] if slope or game.earnings_weight"
+        " or any(s.pure_action is None for s in opponents) else 0",
+        (
+            "tests/test_game.py::"
+            "test_best_response_against_portfolios_under_a_form_matches_the_scan",
+        ),
+    ),
+    Mutant(
+        "a portfolio cell scored at the market's scale, not scale x unit",
+        "src/bonuslab/game.py",
+        "scoring = self._scoring(view.scale * unit)",
+        "scoring = self._scoring(view.scale)",
+        ("tests/test_game.py::test_portfolio_cells_from_the_linear_form_match_the_atom_rows",),
+    ),
+    Mutant(
+        "the equal share taken from the form at the market's scale,"
+        " not the kernel's denominator over k",
+        "src/bonuslab/game.py",
+        "(scoring.kernel.denominator // k)",
+        "form[0]",
+        ("tests/test_game.py::test_portfolio_cells_from_the_linear_form_match_the_atom_rows",),
+    ),
+    Mutant(
+        "the row reader leaves a strategy's counts unscaled to the shared unit",
+        "src/bonuslab/game.py",
+        "[c * (unit // s.unit) for c in s.counts]",
+        "list(s.counts)",
+        (
+            "tests/test_game.py::test_lazy_cells_match_the_eager_tensor",
+            "tests/test_game.py::test_grid_best_response_matches_the_fraction_oracle",
+        ),
     ),
     Mutant(
         "pure best response under a form reads c's sign from the slope alone",

@@ -529,8 +529,6 @@ REJECTED = [
      ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),
     ("build-linear-one-player", {"M": MARKET},
      ["build-linear", "--market", "M", "--players", "1"], "ArityMismatch"),
-    ("build-linear-flat-market", {"M": FLAT_MARKET},
-     ["build-linear", "--market", "M", "--players", "2"], "DegenerateSupport"),
     ("build-bounded-grid-zero", {"M": MARKET},
      ["build-bounded", "--market", "M", "--players", "2", "--grid", "0"], "InvalidParameter"),
     ("find-m-grid-zero", {"M": MARKET}, ["find-m", "--market", "M", "--grid", "0"],
@@ -792,6 +790,22 @@ def _materialize(tmp_path, documents, argv):
             path.write_text(data if isinstance(data, str) else json.dumps(data))
         paths[name] = str(path)
     return [paths.get(arg, arg) for arg in argv]
+
+
+def test_build_linear_on_a_flat_market(tmp_path, capsys):
+    """Where every outcome is 0 the builder returns the interval [0, 0] with
+    bound 1, and check-optimal reads that plan as a decisive optimal."""
+    market, built = tmp_path / "flat.json", tmp_path / "linear.json"
+    market.write_text(json.dumps(FLAT_MARKET))
+    argv = ["build-linear", "--market", str(market), "--players", "2", "--out", str(built)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert json.loads(built.read_text()) == {
+        "players": 2, "kind": "m_linear", "bound": "1", "interval": ["0", "0"]
+    }
+    code, data = run_json(capsys, ["check-optimal", "--market", str(market), "--plan", str(built)])
+    assert code == 0
+    assert (data["verdict"], data["witness"]) == ("optimal", ["A", "A"])
 
 
 @pytest.mark.parametrize(

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from bonuslab import (
     BoundSearchResult,
-    DegenerateSupport,
     ExpectationNotUnique,
     GridCapExceeded,
     GridWitness,
     InvalidParameter,
     MixedAction,
+    MLinearPlan,
     OptimalityVerdict,
     build_bounded_linear,
     build_m_linear,
@@ -66,9 +66,18 @@ def test_interval_plan_matches_the_fraction_outcomes(seed, outlier):
 
 
 def test_interval_plan_needs_a_scale():
+    """Where every outcome is 0 there is no magnitude to scale by, and every
+    plan is optimal: the plan is the interval [0, 0] with bound 1, its form
+    is open on the whole market, and the verdict is a decisive optimal."""
     flat = build_market(["A", "B"], [("1", ("0", "0"))])
-    with pytest.raises(DegenerateSupport):
-        build_m_linear(flat, 2)
+    for k in (2, 3, 5):
+        plan = build_m_linear(flat, k)
+        assert plan == MLinearPlan(k, 1, 0, 0)
+        assert plan.linear_form(flat) is not None
+        for resolution in (None, 4):
+            report = check_optimal(flat, plan, resolution)
+            assert report.verdict is OptimalityVerdict.OPTIMAL
+            assert report.witness == (0,) * k
 
 
 def test_bound_search_on_the_two_bond_market():

@@ -105,6 +105,16 @@ def test_pair_probe_needs_two_distinct_points():
     assert universality_verdict(ConstantPlan(2), ("1", "2")).verdict == "constant-on-grid"
 
 
+def test_tuple_probability_refuses_what_is_not_a_violation():
+    """A value that is not a CoordinateViolation ends in ArityMismatch, not
+    in a bare AttributeError on its missing base."""
+    for value in ("x", None, (F(1), F(2))):
+        with pytest.raises(ArityMismatch, match="a violation must be a CoordinateViolation"):
+            counterexamples.tuple_probability(value)
+    drop = CoordinateViolation(Direction.DECREASE, 0, (F(1), F(2)), F(0), F(1))
+    assert counterexamples.tuple_probability(drop) == F(1, 4)
+
+
 def test_own_coordinate_probe_first_violations():
     increase = probe_own_coordinate(WinnerTakeAllPlan(3), ("1", "2", "3"))[0]
     assert increase.direction is Direction.INCREASE

@@ -7,7 +7,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 from operator import mul
 
 import pytest
@@ -54,10 +54,12 @@ from bonuslab import (
     strict_dominance,
     validate_simplex,
 )
+import bonuslab.game as game_module
 from bonuslab.game import (
     GRID_WEIGHT_CAP,
     TENSOR_CAP,
     Elimination,
+    _deviation_scan,
     _walk,
     check_simplex_grid,
 )
@@ -592,6 +594,117 @@ def test_pure_best_response_under_a_form_reads_one_cell(market, k, data):
     # every action pays 1/2: action 0 wins the tie, not the best expectation
     market = build_market(["A", "B"], [("1", ("0", "1"))])
     br = best_response(induce_game(market, ConstantPlan(2), 0), 0, [MixedAction.pure(1, 2)])
+    assert (br.strategy.pure_action, br.value) == (0, F(1, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(markets() | tied_markets(), st.integers(2, 4), st.data())
+def test_portfolio_cells_from_the_linear_form_match_the_atom_rows(market, k, data):
+    """Under a linear form a cell at a profile of portfolios is the plan's
+    share sums on the atom rows at the profile's unit, and each player's
+    expected result summed over those rows, weighed by the game's weights at
+    that unit, exactly; the rows come from the Fraction values and no
+    `share_sums` call is made."""
+    view = market.integer_view
+    calls = []
+    for plan in plans_with_a_form(market, k):
+        if plan.linear_form(market) is None:
+            continue
+        original = type(plan).share_sums
+
+        def counting(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        for w in (F(0), F(1, 3)):
+            game = induce_game(market, plan, w)
+            profile = data.draw(mixed_profiles(market.n, k))
+            unit = lcm(*(s.unit for s in profile.strategies))
+            scoring = game._scoring(view.scale * unit)
+            rows = [
+                tuple(fraction_value(s, outcomes) * view.scale * unit for s in profile.strategies)
+                for _, outcomes in fraction_atoms(market)
+            ]
+            assert all(x.denominator == 1 for row in rows for x in row)
+            rows = [tuple(int(x) for x in row) for row in rows]
+            shares = plan.share_sums(scoring.kernel, rows, view.weights)
+            earnings = [sum(map(mul, view.weights, column)) for column in zip(*rows)]
+            expected = tuple(
+                scoring.bonus_weight * b + scoring.result_weight * e
+                for b, e in zip(shares, earnings)
+            )
+            calls.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(type(plan), "share_sums", counting)
+                cell = game._profile_cell(profile.strategies)
+            assert cell == (expected, scoring.denominator)
+            assert calls == []
+
+
+def refuse(*args):
+    raise AssertionError("an atom was read")
+
+
+@settings(max_examples=20, deadline=None)
+@given(markets() | tied_markets(), st.integers(2, 4), st.data())
+def test_no_search_under_a_linear_form_reads_an_atom(market, k, data):
+    """With the plan's `share_sums` and `response`, and the deviation scan,
+    all raising, every payoff, best response, equilibrium check and
+    optimality check under a linear form still runs, at pure and portfolio
+    profiles, and gives the Fraction oracle's values."""
+    n = market.n
+    for plan in plans_with_a_form(market, k):
+        if plan.linear_form(market) is None:
+            continue
+        pure = Profile.pure(tuple(data.draw(st.integers(0, n - 1)) for _ in range(k)), n)
+        mixed = data.draw(mixed_profiles(n, k))
+        expected = {
+            w: [pointwise_payoffs(market, plan, w, profile) for profile in (pure, mixed)]
+            for w in (F(0), F(1, 3))
+        }
+        optimal = check_optimal(market, plan)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(type(plan), "share_sums", refuse)
+            patch.setattr(type(plan), "response", refuse)
+            patch.setattr(game_module, "_deviation_scan", refuse)
+            for w in (F(0), F(1, 3)):
+                game = induce_game(market, plan, w)
+                for profile, payoffs in zip((pure, mixed), expected[w]):
+                    assert expected_payoffs(game, profile) == payoffs
+                    player = data.draw(st.integers(0, k - 1))
+                    others = [s for i, s in enumerate(profile.strategies) if i != player]
+                    for resolution in (None, 4):
+                        br = best_response(game, player, others, resolution)
+                        assert (br.strategy.weights, br.value) == oracle_best_response(
+                            market, plan, w, player, others, resolution
+                        )
+                        report = check_nash(game, profile, resolution)
+                        assert report.payoffs == payoffs
+                        assert report.method == "pure-sufficient"
+            for resolution in (None, 4):
+                assert check_optimal(market, plan, resolution) == optimal
+
+
+@settings(max_examples=30, deadline=None)
+@given(markets() | tied_markets(), st.integers(2, 4), st.data())
+def test_best_response_against_portfolios_under_a_form_matches_the_scan(market, k, data):
+    """Against portfolio opponents under a linear form the one cell's answer
+    is the d = 1 deviation scan's, in strategy and value: the earliest
+    action of largest expectation when c > 0, else action 0."""
+    n = market.n
+    for plan in plans_with_a_form(market, k):
+        if plan.linear_form(market) is None:
+            continue
+        for w in (F(0), F(1, 3)):
+            player = data.draw(st.integers(0, k - 1))
+            opponents = data.draw(mixed_profiles(n, k)).strategies[1:]
+            br = best_response(induce_game(market, plan, w), player, opponents)
+            winner, value = _deviation_scan(induce_game(market, plan, w), player, opponents, 1)
+            assert (br.strategy, br.value) == (market._vertex(winner), value)
+    # every action pays 1/2 against a portfolio: action 0 wins the tie
+    market = build_market(["A", "B"], [("1", ("0", "1"))])
+    half = MixedAction((F(1, 2), F(1, 2)))
+    br = best_response(induce_game(market, ConstantPlan(2), 0), 0, [half])
     assert (br.strategy.pure_action, br.value) == (0, F(1, 2))
 
 
