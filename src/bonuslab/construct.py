@@ -28,13 +28,17 @@ The tail is constant between consecutive support magnitudes, so one sweep
 down them from the largest, where the tail is empty, finds m exactly.  It
 compares integers on the market's integer view (differences over d times
 the outcome denominator, probabilities over theirs).  The grid points come
-from `game._walk` over the columns x_j - x*, which carries each atom's
-difference l as a prefix sum, so a point costs one add per atom.  Each
-column ends in one more row, S* - S_j from the integer `expectation_sums`,
-so the walk's last dot is the point's gap numerator, one add more.
+from `game._walk` over the columns x_j - x*, in runs: the walk gives each
+run's first point, with each atom's difference l, and every later point of
+the run adds the walk's inner step, one add per atom.  Each column ends in
+one more row, S* - S_j from the integer `expectation_sums`, so the last dot
+is the point's gap numerator, one add more.  A run's points share their
+outer counts, so the witness weights' outer prefix is built once per run.
+The best action's vertex is one point of one run, and is passed over.
 
-Each grid point then takes one pass over its atoms, which finds the widest
-|l| and its probability mass.  When twice the widest magnitude's tail,
+Each grid point then takes the magnitudes |l| of its atoms, and max, count
+and index over them give the widest |l| and its probability mass, the sum
+over its atoms only when it is tied.  When twice the widest magnitude's tail,
 2 * widest * mass, reaches the gap, the sweep stops at its first check:
 the threshold is the widest magnitude.  Only otherwise are the atoms sorted
 by magnitude, and the sweep runs down them one atom at a time.  Atoms of
@@ -60,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 from .errors import DegenerateSupport, ExpectationNotUnique
@@ -122,40 +127,48 @@ def find_bounding_m(market: Market, grid_resolution: int) -> BoundSearchResult:
         for j in range(market.n)
     ]
     by_count = tuple(Fraction(c, d) for c in range(d + 1))
+    inner, runs = _walk(columns, d)
+    # the best action's vertex, (*home, at, d - at), is no witness
+    home = tuple(d if j == best else 0 for j in range(market.n - 2))
+    at = d if best == market.n - 2 else 0
     witnesses = []
-    for counts, dots in _walk(columns, d):
-        if counts[best] == d:
-            continue
-        # another action has a count > 0 and the best expectation is the
-        # unique largest, so gap > 0: some l is not 0, and widest > 0
-        gap = dots[-1]
-        widest = mass = 0  # the widest |l| and its probability weight
-        for p, l in zip(weights, dots):
-            if l < 0:
-                l = -l
-            if l > widest:
-                widest, mass = l, p
-            elif l == widest:
-                mass += p
-        tail_empty_at = Fraction(widest, length)
-        if 2 * widest * mass >= gap:  # the widest magnitude alone covers half the gap
-            threshold = tail_empty_at
-        else:
-            # down the atoms by magnitude, ties unmerged (module docstring)
-            tail = 0
-            for m, p in sorted(zip(map(abs, dots), weights), reverse=True):
-                if 2 * tail >= gap:  # tail >= gap/2, doubled to stay in integers
-                    break
-                low, tail = m, tail + m * p
-            threshold = Fraction(low, length)
-        witnesses.append(
-            GridWitness(
-                tuple(map(by_count.__getitem__, counts)),
-                Fraction(gap, gap_denominator),
-                threshold,
-                tail_empty_at,
+    for outer, left, dots in runs:
+        prefix = tuple(map(by_count.__getitem__, outer))
+        vertex = at if outer == home else -1
+        for c in range(left + 1):
+            if c:
+                dots = list(map(add, dots, inner))
+            if c == vertex:
+                continue
+            # another action has a count > 0 and the best expectation is the
+            # unique largest, so gap > 0: some l is not 0, and widest > 0
+            gap = dots[-1]
+            magnitudes = list(map(abs, dots))
+            magnitudes.pop()  # the gap's row
+            widest = max(magnitudes)  # the widest |l| and its probability weight
+            if magnitudes.count(widest) == 1:
+                mass = weights[magnitudes.index(widest)]
+            else:
+                mass = sum(p for p, m in zip(weights, magnitudes) if m == widest)
+            tail_empty_at = Fraction(widest, length)
+            if 2 * widest * mass >= gap:  # the widest magnitude alone covers half the gap
+                threshold = tail_empty_at
+            else:
+                # down the atoms by magnitude, ties unmerged (module docstring)
+                tail = 0
+                for m, p in sorted(zip(magnitudes, weights), reverse=True):
+                    if 2 * tail >= gap:  # tail >= gap/2, doubled to stay in integers
+                        break
+                    low, tail = m, tail + m * p
+                threshold = Fraction(low, length)
+            witnesses.append(
+                GridWitness(
+                    (*prefix, by_count[c], by_count[left - c]),
+                    Fraction(gap, gap_denominator),
+                    threshold,
+                    tail_empty_at,
+                )
             )
-        )
     return BoundSearchResult(bound, min_gap, grid_resolution, best, tuple(witnesses))
 
 

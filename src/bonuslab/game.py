@@ -138,21 +138,26 @@ realized once, by `_rows`, and each candidate, a count vector over d (the
 pure actions are the vertices, then the grid's other points in the order
 `simplex_grid` yields), is scored by its payoff numerator over a
 denominator all candidates share, `_weigh`'s form written inline.  `_walk`
-yields the count vectors in lexicographic order, with every atom's result
-carried as a prefix sum, so a point costs one add per atom and no
-multiplication; it is a loop, not a recursion, so a d = 1 grid over any
-number of actions walks.  The plan's `response` at each atom, built once
-from the opponents' results there, maps the deviator's result to its share,
-without a kernel call for the wta and lta kinds.  When w is not 0 each
-action's column ends in one more row, its expectation sum, so the walk's
-last dot is the candidate's E.  The vertices are scored first, then, for
-d > 1, the walk's other points, and only a strictly larger score replaces the
-best, so pure actions win ties by index and grid points by order.  The
-search compares integers and builds one `Fraction`, for the winner's value,
-and a `MixedAction` only for a winner off the vertices.  Every pure strategy
-a search hands back or checks is the market's own vertex, `Market._vertex`,
-built once per market.  `find_bounding_m` and `simplex_grid` walk the same
-way.  `Fraction` stays at the interface.
+gives the count vectors in lexicographic order, in runs: a run holds the
+points that share every count but the last two, (*outer, c, left - c) for
+c = 0..left, and each point's result at every atom is the one before's plus
+one step, the next-to-last action's values less the last's.  The walk
+carries each run's first point as a prefix sum over the outer counts, one
+add per atom per run; it is a loop, not a recursion, so a d = 1 grid over any
+number of actions walks.  The plan's `run_sums`, built once from the
+opponents' results, scores a whole run: by default the plan's `response`
+at every atom of every point; the wta and lta kinds place, with one divmod
+per atom, where the deviator's result crosses the opponents' pick, and sum
+the run in O(atoms + left).  When w is not 0 each action's column ends in
+one more row, its expectation sum, so the last dot is the candidate's E.
+The vertices are scored first, each a run of one point, then, for d > 1,
+the walk's runs less the vertices in them, and only a strictly larger score
+replaces the best, so pure actions win ties by index and grid points by
+order.  The search compares integers and builds one `Fraction`, for the
+winner's value, and a `MixedAction` only for a winner off the vertices.
+Every pure strategy a search hands back or checks is the market's own
+vertex, `Market._vertex`, built once per market.  `find_bounding_m` and
+`simplex_grid` read the same runs.  `Fraction` stays at the interface.
 """
 
 from __future__ import annotations
@@ -161,7 +166,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations_with_replacement, product, repeat
+from itertools import combinations_with_replacement, product, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -465,48 +470,64 @@ def simplex_grid(arity: int, denominator: int) -> Iterator[MixedAction]:
     check_simplex_grid runs before anything is yielded."""
     check_simplex_grid(arity, denominator)
     by_count = tuple(Fraction(c, denominator) for c in range(denominator + 1))
-    for counts, _ in _walk(((),) * arity, denominator):
-        yield MixedAction(tuple(map(by_count.__getitem__, counts)))
+    _, runs = _walk(((),) * arity, denominator)
+    for outer, left, _ in runs:
+        prefix = tuple(map(by_count.__getitem__, outer))
+        for c in range(left + 1):
+            yield MixedAction((*prefix, by_count[c], by_count[left - c])[:arity])
 
 
-def _walk(
-    columns: Sequence[Sequence[int]], total: int
-) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+_Run = tuple[tuple[int, ...], int, list[int]]
+
+
+def _walk(columns: Sequence[Sequence[int]], total: int) -> tuple[list[int], Iterator[_Run]]:
     """Every count vector of len(columns) counts >= 0 summing to `total`, in
     lexicographic order, with its dot product at each atom: the list of
-    sum over j of counts[j] * columns[j][t], one entry per atom t.
+    sum over j of counts[j] * columns[j][t], one entry per atom t.  The
+    vectors come in runs, and the walk returns the inner step and the runs.
 
-    A column holds one action's value at every atom.  The last count is what
-    the others leave, so the dots are total * last + the sum over the other
-    counts c_j of c_j * (columns[j] - last): raising c_j by one adds column
-    j's differences, so a point costs one add per atom.  The next-to-last
-    count, the inner one, runs over what the outer counts before it leave,
-    with no step past its last point; then the outer counts step to their
-    next value in lexicographic order, which raises one of them by one and
-    drops at most one after it to 0.
-    The walk is a loop, not a recursion, so any number of actions fits.
-    `starts` holds, for each outer count, the dots from just before it last
-    rose from 0: the dots to go back to when it drops.
+    A column holds one action's value at every atom.  A run is (outer,
+    left, dots): the outer counts, every count but the last two, what they
+    leave to the last two, and the dots of the run's first point.  Its
+    points are (*outer, c, left - c) for c = 0..left, in that order, and
+    each point's dots are the one before's plus the inner step, the
+    next-to-last column less the last: raising the inner count by one moves
+    one unit off the last action.  A one-column walk has no last two: its
+    one run is ((total,), 0, dots) and its inner step is 0, so a run's
+    points are (*outer, c, left - c) cut to len(columns) counts, the same
+    vectors for two columns or more.
+
+    The last count is what the others leave, so the dots are total * last
+    + the sum over the other counts c_j of c_j * (columns[j] - last), and
+    the walk adds no point's dots but each run's first: `_runs` steps the
+    outer counts.
     """
     *heads, last = columns
     steps = [list(map(sub, column, last)) for column in heads]
     dots = [total * x for x in last]
     if not steps:
-        yield (total,), dots
-        return
+        return [0] * len(last), iter((((total,), 0, dots),))
     *outer, inner = steps
+    return inner, _runs(outer, dots, total)
+
+
+def _runs(outer: list[list[int]], dots: list[int], total: int) -> Iterator[_Run]:
+    """The runs of `_walk`, from the first run's dots, the outer columns'
+    steps and the total: the outer counts in lexicographic order, where
+    each step raises one of them by one and drops at most one after it to
+    0, and adds that count's step to the dots of the run it starts from.
+    It is a loop, not a recursion, so any number of actions fits.  `starts`
+    holds, for each outer count, the dots from just before it last rose
+    from 0: the dots to go back to when it drops.
+    """
     counts = [0] * len(outer)
     starts = [dots] * len(outer)
     deepest = -1  # the last nonzero outer count, -1 for none
     left = total  # what the outer counts leave to the inner and the last
     while True:
-        prefix, start = tuple(counts), dots
-        for c in range(left):
-            yield (*prefix, c, left - c), dots
-            dots = list(map(add, dots, inner))
-        yield (*prefix, left, 0), dots  # the run's last point: no step past it
+        yield tuple(counts), left, dots
         if left and outer:  # the last outer count rises
-            j, left = len(outer) - 1, left - 1
+            j, left, start = len(outer) - 1, left - 1, dots
         elif deepest > 0:  # the last nonzero one drops to 0, the one before rises
             j, left, start = deepest - 1, counts[deepest] - 1, starts[deepest]
             counts[deepest] = 0
@@ -604,15 +625,19 @@ def _deviation_scan(
 
     A candidate is a count vector over d, the portfolio counts / d: the
     pure actions, as the vertices d * e_a in index order, then, for d > 1,
-    the grid's other points in `_walk` order.  A vertex winner is returned
-    as its action index, any other as its counts.  The opponents are
-    realized once by `_rows`, over a scale every candidate shares, and each
-    atom's action values are scaled to it once, so `_walk` gives a
-    candidate's result at every atom as an integer.  The plan's `response`
-    at each atom turns it into the player's share, and B sums them against
-    the probability weights.  When w is not 0 each column ends in step * S_j, so the last
-    dot is E: unit * S[a] at a vertex, step * sum_j c_j * S_j at a grid point.
-    The score is `_weigh`'s b * B + r * E, written inline for one player.
+    the grid's other points in `_walk` order, a run at a time as
+    `_scan_runs` gives them.  A vertex winner is returned as its action
+    index, any other as its counts.  The opponents are realized once by
+    `_rows`, over a scale every candidate shares, and each atom's action
+    values are scaled to it once, so `_walk` gives a candidate's result at
+    every atom as an integer.  The plan's `run_sums`, built once from the
+    opponents' results, gives B at every point of a run, the player's
+    shares summed against the probability weights.  When w is not 0 each
+    column ends in step * S_j, so the last dot is E: unit * S[a] at a
+    vertex, step * sum_j c_j * S_j at a grid point, and along a run E moves
+    by the step's last entry per point.  The score is `_weigh`'s
+    b * B + r * E, written inline for one player, and only a strictly
+    larger score replaces the best.
     """
     view = game.market.integer_view
     unit = lcm(_unit(opponents), d)
@@ -620,27 +645,50 @@ def _deviation_scan(
     scoring = game._scoring(view.scale * unit)
     bonus_weight, result_weight = scoring.bonus_weight, scoring.result_weight
     others = _rows(view, opponents, unit)
-    responses = [game.plan.response(scoring.kernel, player, rest) for rest in others]
-    weights = view.weights
+    sums = game.plan.run_sums(scoring.kernel, player, others, view.weights)
     columns = [[v * step for v in column] for column in zip(*view.values)]
     if result_weight:  # the expectation row: the walk's last dot is E
         for column, s in zip(columns, game.market.expectation_sums):
             column.append(step * s)
-    # a vertex is named by its action index: only a grid winner's counts are built
-    points = ((a, [d * v for v in column]) for a, column in enumerate(columns))
-    if d > 1:
-        points = chain(points, ((c, xs) for c, xs in _walk(columns, d) if d not in c))
     winner = top = None
-    for counts, results in points:
-        bonus = 0
-        for p, share, x in zip(weights, responses, results):  # stops at the atoms
-            bonus += p * share(x)
-        score = bonus_weight * bonus
+    for name, first, slope, left, points in _scan_runs(columns, d):
+        bonuses = sums(first, slope, left)
         if result_weight:
-            score += result_weight * results[-1]
-        if top is None or score > top:
-            winner, top = counts, score
-    return winner, Fraction(top, scoring.denominator)
+            earned, rise = first[-1], slope[-1]
+        for c in points:
+            score = bonus_weight * bonuses[c]
+            if result_weight:
+                score += result_weight * (earned + c * rise)
+            if top is None or score > top:
+                winner, top = (name, c), score
+    name, c = winner
+    value = Fraction(top, scoring.denominator)
+    if type(name) is int:
+        return name, value
+    outer, left = name
+    return (*outer, c, left - c), value
+
+
+def _scan_runs(
+    columns: list[list[int]], d: int
+) -> Iterator[tuple[int | tuple[tuple[int, ...], int], list[int], list[int], int, range]]:
+    """The runs `_deviation_scan` scores, in its order, each as (name, the
+    first point's dots, the step, left, the points c to score).  The
+    vertices come first, each a run of one point named by its action index,
+    so only a grid winner's counts are built.  Then, for d > 1, the walk's
+    runs, named (outer, left), with the vertices left out: c = 0 and c = d
+    of the first run, the last two actions', and every run of one point
+    whose outer counts hold a d.  At d = 1 every point is a vertex."""
+    inner, runs = _walk(columns, d)
+    still = [0] * len(inner)
+    for a, column in enumerate(columns):
+        yield a, [d * v for v in column], still, 0, range(1)
+    if d > 1:
+        for outer, left, first in runs:
+            if left == d:
+                yield (outer, left), first, inner, left, range(1, d)
+            elif left or d not in outer:
+                yield (outer, left), first, inner, left, range(left + 1)
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,19 @@ for results that are integers over a fixed scale: the allocation as integer
 numerators over one denominator, with every gate an integer comparison.
 Payoff cells, grid searches and probes run kernels; `evaluate` runs the
 kernel at one result vector's least common denominator.  A deviation
-search asks `BonusPlan.response` for one player's share at one atom, as a
-function of that player's result against fixed opponents: by default the
-kernel's entry, in closed form for the wta and lta kinds.  A payoff cell
-asks `BonusPlan.share_sums` for each player's share numerators summed
-against the atoms' probability weights: by default the kernel's shares at
-every atom, summed column by column; the wta and lta kinds, one split rule
-whose `pick` is max or min, count each atom's picked players in one pass.
+search asks `BonusPlan.run_sums` for one player's share sums along a run
+of grid points against fixed opponents: at each point of the run the
+player's result at every atom is one step further along a line.  By
+default it asks `BonusPlan.response`, the player's share at one atom as a
+function of its result (the kernel's entry), at every atom of every point.
+The wta and lta kinds, one split rule whose `pick` is max or min, state it
+in closed form: along the run the player's share at an atom changes only
+where its result crosses pick(others), so one divmod per atom places the
+change and a difference list sums the whole run.  A payoff cell asks
+`BonusPlan.share_sums` for each player's share numerators summed against
+the atoms' probability weights: by default the kernel's shares at every
+atom, summed column by column; the split kinds count each atom's picked
+players in one pass.
 
 A kind's pure-sufficiency rule is `BonusPlan.linear_form(market)`, which
 refuses a market that is not a `Market` and asks the kind's `_linear_form`:
@@ -56,9 +62,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -102,7 +108,8 @@ class BonusPlan:
     A kind defines its allocation once, in `_kernel`; `kernel` checks the
     scale and runs it, and `evaluate` runs it at the results' least common
     denominator.  Each kind also owns its share at one atom as a function
-    of one player's result (`response`), its share numerators summed over a
+    of one player's result (`response`), one player's share sums along a
+    run of grid points (`run_sums`), its share numerators summed over a
     market's atoms (`share_sums`), its document fields, its construction
     from a document, the result vectors `validate_simplex` always probes,
     its pure-sufficiency rule (its `_linear_form` on a market, read through
@@ -152,11 +159,47 @@ class BonusPlan:
         player order.  The function maps the player's result x to its share
         numerator over the kernel's denominator: entry `player` of the
         kernel's shares at `others` with x put in at `player`.  This default
-        runs the kernel on that vector.
+        runs the kernel on that vector; the default `run_sums` reads it.
         """
         shares = kernel.shares
         before, after = others[:player], others[player:]
         return lambda x: shares(before + (x,) + after)[player]
+
+    def run_sums(
+        self,
+        kernel: Kernel,
+        player: int,
+        others: Iterable[tuple[int, ...]],
+        weights: Sequence[int],
+    ) -> Callable[[Sequence[int], Sequence[int], int], list[int]]:
+        """The player's share sums at every point of a run, against fixed opponents.
+
+        `kernel` is this plan's kernel at some scale; `others` yields the
+        other players' results at each atom, as `response` takes them, in
+        atom order and once; `weights` holds the atoms' probability weights,
+        one per atom.  The function takes `first`, the player's result at
+        each atom at the run's first point, `step`, what one point adds to
+        each, and `left`, and returns [B(0), ..., B(left)]: B(c) the sum
+        over the atoms of weight times the player's share numerator at
+        result first[t] + c * step[t].  Entries of `first` and `step` past
+        the atoms are not read.  This default calls `response` at every atom
+        of every point.
+        """
+        responses = [self.response(kernel, player, rest) for rest in others]
+
+        def sums(first, step, left):
+            found = []
+            results = first
+            for c in range(left + 1):
+                if c:
+                    results = list(map(add, results, step))
+                bonus = 0
+                for p, share, x in zip(weights, responses, results):  # stops at the atoms
+                    bonus += p * share(x)
+                found.append(bonus)
+            return found
+
+        return sums
 
     def share_sums(
         self, kernel: Kernel, rows: Iterable[tuple[int, ...]], weights: Sequence[int]
@@ -243,12 +286,46 @@ class _SplitPlan(BonusPlan):
 
         return Kernel(denominator, shares)
 
-    def response(self, kernel, player, others):
+    def run_sums(self, kernel, player, others, weights):
+        """In closed form.  At an atom the player's share is `below`, `tie`
+        or `above` as its result x is under, at or over best =
+        pick(others), and along a run x = first + c * step is affine in c,
+        so the share changes at most twice, where x crosses best.  One
+        divmod per atom places the crossing, and a difference list over
+        c = 0..left gives every B(c) in O(atoms + left)."""
         full = kernel.denominator
-        best = self.pick(others)
-        tie = full // (others.count(best) + 1)  # split with the opponents at best
-        below, above = (full, 0) if self.pick is min else (0, full)
-        return lambda x: above if x > best else tie if x == best else below
+        atoms = []
+        for rest, p in zip(others, weights):
+            best = self.pick(rest)
+            whole, tie = p * full, p * (full // (rest.count(best) + 1))  # split with the tied
+            below, above = (whole, 0) if self.pick is min else (0, whole)
+            atoms.append((best, below, tie, above))
+
+        def sums(first, step, left):
+            changes = [0] * (left + 2)  # B(c) - B(c - 1); the last entry is past the run
+            for (best, lo, tie, hi), x, s in zip(atoms, first, step):
+                if s < 0:  # a falling result, read negated: it rises, and the shares swap
+                    x, s, best, lo, hi = -x, -s, -best, hi, lo
+                if not s:
+                    changes[0] += hi if x > best else tie if x == best else lo
+                    continue
+                q, r = divmod(best - x, s)  # x meets best at c = q + r / s
+                if q < 0:  # over best at every point
+                    changes[0] += hi
+                elif q > left:  # under best at every point
+                    changes[0] += lo
+                else:
+                    changes[0] += lo
+                    if r:  # no point meets best: over it from q + 1 on
+                        changes[q + 1] += hi - lo
+                    else:  # the point c = q meets best and ties
+                        changes[q] += tie - lo
+                        changes[q + 1] += hi - tie
+            found = list(accumulate(changes))
+            found.pop()
+            return found
+
+        return sums
 
     def share_sums(self, kernel, rows, weights):
         """One pass over the atoms with no share row: a lone pick(v) gets

@@ -198,8 +198,8 @@ MUTANTS = (
     Mutant(
         "the deviation scan reads its earnings term from the first atom's dot",
         "src/bonuslab/game.py",
-        "score += result_weight * results[-1]",
-        "score += result_weight * results[0]",
+        "earned, rise = first[-1], slope[-1]",
+        "earned, rise = first[0], slope[0]",
         ("tests/test_game.py::test_grid_best_response_matches_the_fraction_oracle",),
     ),
     Mutant(
@@ -219,23 +219,65 @@ MUTANTS = (
     Mutant(
         "deviation scan walks the grid before the vertices: a vertex loses a tie",
         "src/bonuslab/game.py",
-        "chain(points, ((c, xs) for c, xs in _walk(columns, d) if d not in c))",
-        "chain(((c, xs) for c, xs in _walk(columns, d) if d not in c), points)",
+        "in _scan_runs(columns, d):",
+        "in sorted(_scan_runs(columns, d), key=lambda run: type(run[0]) is int):",
         ("tests/test_game.py::test_grid_ties_keep_the_earliest_candidate",),
     ),
     Mutant(
-        "WTA response gives a tie to the player whole",
+        "split run sums give a still result's tie to the player whole",
         "src/bonuslab/plans.py",
-        "above if x > best else tie if x == best else below",
-        "above if x >= best else below",
-        ("tests/test_plans.py::test_responses_match_the_kernel",),
+        "changes[0] += hi if x > best else tie if x == best else lo",
+        "changes[0] += hi if x >= best else lo",
+        ("tests/test_plans.py::test_split_run_sums_match_the_response_default",),
     ),
     Mutant(
-        "split response: below and above swapped",
+        "split run sums: below and above swapped",
         "src/bonuslab/plans.py",
-        "below, above = (full, 0) if self.pick is min else (0, full)",
-        "above, below = (full, 0) if self.pick is min else (0, full)",
-        ("tests/test_plans.py::test_responses_match_the_kernel",),
+        "below, above = (whole, 0) if self.pick is min else (0, whole)",
+        "above, below = (whole, 0) if self.pick is min else (0, whole)",
+        ("tests/test_plans.py::test_split_run_sums_match_the_response_default",),
+    ),
+    Mutant(
+        "split run sums score an exact crossing hi in place of tie",
+        "src/bonuslab/plans.py",
+        "                        changes[q] += tie - lo\n                        changes[q + 1] += hi - tie\n",
+        "                        changes[q] += hi - lo\n",
+        ("tests/test_plans.py::test_split_run_sums_match_the_response_default",),
+    ),
+    Mutant(
+        "split run sums put a crossing between two points at q, not q + 1",
+        "src/bonuslab/plans.py",
+        "changes[q + 1] += hi - lo",
+        "changes[q] += hi - lo",
+        ("tests/test_plans.py::test_split_run_sums_match_the_response_default",),
+    ),
+    Mutant(
+        "split run sums read a falling result without swapping the low and high shares",
+        "src/bonuslab/plans.py",
+        "x, s, best, lo, hi = -x, -s, -best, hi, lo",
+        "x, s, best = -x, -s, -best",
+        ("tests/test_plans.py::test_split_run_sums_match_the_response_default",),
+    ),
+    Mutant(
+        "split run sums take an exact crossing at c = 0 as before the run",
+        "src/bonuslab/plans.py",
+        "if q < 0:  # over best at every point",
+        "if q <= 0:  # over best at every point",
+        ("tests/test_plans.py::test_split_run_sums_match_the_response_default",),
+    ),
+    Mutant(
+        "split run sums take an exact crossing at c = left as past the run",
+        "src/bonuslab/plans.py",
+        "elif q > left:  # under best at every point",
+        "elif q >= left:  # under best at every point",
+        ("tests/test_plans.py::test_split_run_sums_match_the_response_default",),
+    ),
+    Mutant(
+        "the default run sums score every point of a run at its first",
+        "src/bonuslab/plans.py",
+        "                if c:\n                    results = list(map(add, results, step))\n",
+        "",
+        ("tests/test_game.py::test_grid_best_response_matches_the_fraction_oracle",),
     ),
     Mutant(
         "bounded-plan spread compared without the view's scale",
@@ -337,10 +379,10 @@ MUTANTS = (
         ("tests/test_counterexamples.py::test_integer_schedule_matches_the_fraction_schedule",),
     ),
     Mutant(
-        "grid compositions in reversed order",
+        "grid compositions in reversed order within a run",
         "src/bonuslab/game.py",
-        "for c in range(left):",
-        "for c in reversed(range(left)):",
+        "for c in range(left + 1):",
+        "for c in reversed(range(left + 1)):",
         ("tests/test_game.py::test_compositions_follow_the_old_grid_order",),
     ),
     Mutant(
@@ -1066,8 +1108,15 @@ MUTANTS = (
     Mutant(
         "the vertex exclusion keyed on action 0's count, not the best action's",
         "src/bonuslab/construct.py",
-        "if counts[best] == d:",
-        "if counts[0] == d:",
+        "home = tuple(d if j == best else 0 for j in range(market.n - 2))",
+        "home = tuple(d if j == 0 else 0 for j in range(market.n - 2))",
+        ("tests/test_construct.py::test_sweep_matches_the_rescan",),
+    ),
+    Mutant(
+        "the run's vertex skip at c = d dropped: the best vertex next to last is a witness",
+        "src/bonuslab/construct.py",
+        "at = d if best == market.n - 2 else 0",
+        "at = 0",
         ("tests/test_construct.py::test_sweep_matches_the_rescan",),
     ),
     Mutant(
@@ -1080,8 +1129,8 @@ MUTANTS = (
     Mutant(
         "the widest mass taken from one atom only",
         "src/bonuslab/construct.py",
-        "                mass += p\n",
-        "                pass\n",
+        "if magnitudes.count(widest) == 1:",
+        "if True:",
         ("tests/test_construct.py::test_one_pass_witnesses_on_hand_cases",),
     ),
     Mutant(
@@ -1099,11 +1148,11 @@ MUTANTS = (
         ("tests/test_construct.py::test_sweep_matches_the_rescan",),
     ),
     Mutant(
-        "the last point of an inner walk run dropped",
-        "src/bonuslab/game.py",
-        "        yield (*prefix, left, 0), dots",
-        "        pass",
-        ("tests/test_game.py::test_compositions_follow_the_old_grid_order",),
+        "the last point of each run dropped from the witness sweep",
+        "src/bonuslab/construct.py",
+        "        for c in range(left + 1):\n            if c:\n",
+        "        for c in range(left):\n            if c:\n",
+        ("tests/test_construct.py::test_sweep_matches_the_rescan",),
     ),
     Mutant(
         "main reads the plan before the market",
@@ -1241,10 +1290,13 @@ EQUIVALENTS = (
     Equivalent(
         "deviation scan walks the vertices a second time",
         "src/bonuslab/game.py",
-        "if d not in c))",
-        "))",
-        "the vertices are scored first, so a vertex met again in the walk scores at most"
-        " the best so far and the strict > keeps the winner",
+        "            if left == d:\n"
+        "                yield (outer, left), first, inner, left, range(1, d)\n"
+        "            elif left or d not in outer:\n",
+        "            if True:\n",
+        "the vertices are scored first, so a vertex met again in the walk, c = 0 or c = d"
+        " of the first run or a run of one point, scores at most the best so far and the"
+        " strict > keeps the winner",
     ),
     Equivalent(
         "pure action found by the count equal to the unit",

@@ -648,10 +648,10 @@ def refuse(*args):
 @settings(max_examples=20, deadline=None)
 @given(markets() | tied_markets(), st.integers(2, 4), st.data())
 def test_no_search_under_a_linear_form_reads_an_atom(market, k, data):
-    """With the plan's `share_sums` and `response`, and the deviation scan,
-    all raising, every payoff, best response, equilibrium check and
-    optimality check under a linear form still runs, at pure and portfolio
-    profiles, and gives the Fraction oracle's values."""
+    """With the plan's `share_sums`, `response` and `run_sums`, and the
+    deviation scan, all raising, every payoff, best response, equilibrium
+    check and optimality check under a linear form still runs, at pure and
+    portfolio profiles, and gives the Fraction oracle's values."""
     n = market.n
     for plan in plans_with_a_form(market, k):
         if plan.linear_form(market) is None:
@@ -666,6 +666,7 @@ def test_no_search_under_a_linear_form_reads_an_atom(market, k, data):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(type(plan), "share_sums", refuse)
             patch.setattr(type(plan), "response", refuse)
+            patch.setattr(type(plan), "run_sums", refuse)
             patch.setattr(game_module, "_deviation_scan", refuse)
             for w in (F(0), F(1, 3)):
                 game = induce_game(market, plan, w)
@@ -746,6 +747,22 @@ def test_grid_ties_keep_the_earliest_candidate():
     game = induce_game(spread, WinnerTakeAllPlan(2), 0)
     br = best_response(game, 0, (MixedAction.pure(0, 3),), resolution=6)
     assert (br.strategy.weights, br.value) == ((0, F(1, 2), F(1, 2)), F(1))
+    # under LTA against the risky bond every portfolio with safe weight in
+    # (0, 1] is alone at the bottom of the high atom, as the safe bond is:
+    # the grid points tie the safe vertex, which the walk's one run reaches
+    # last, after them, but which is scored first
+    lta = induce_game(market, LoserTakeAllPlan(2), 0)
+    br = best_response(lta, 1, (MixedAction.pure(1, 2),), resolution=6)
+    assert (br.strategy.pure_action, br.value) == (0, F(3, 5))
+    # against C's sure 1/2 only an A-B mix wins both atoms: c = 2, 3, 4 of
+    # the first run (0, c, 6 - c) tie at 1, and its earliest point wins
+    mixes = build_market(["C", "A", "B"], [("1/2", ("1/2", "2", "0")), ("1/2", ("1/2", "0", "2"))])
+    for plan in (WinnerTakeAllPlan(2), TabulatedPlan(2, {}, ("1/2", "1/2"))):
+        br = best_response(induce_game(mixes, plan, 0), 0, (MixedAction.pure(0, 3),), 6)
+        if plan.kind == "wta":
+            assert (br.strategy.weights, br.value) == ((0, F(1, 3), F(2, 3)), F(1))
+        else:  # every candidate ties under an equal split: C's vertex stays
+            assert (br.strategy.pure_action, br.value) == (0, F(1, 2))
 
 
 def test_check_nash_reads_only_the_deviation_cells():
@@ -781,19 +798,28 @@ def test_check_nash_keys_each_distinct_strategy_apart():
 
 
 def test_compositions_follow_the_old_grid_order():
-    """The walk yields the count vectors in product order, the grid's old
-    order, each with its dot products against random integer columns,
-    computed here term by term."""
+    """The walk's runs, expanded, are the count vectors in product order,
+    the grid's old order, each with its dot products against random
+    integer columns, computed here term by term.  A run (outer, left, dots)
+    holds the points (*outer, c, left - c), cut to the arity, for c = 0..left,
+    each the one before plus the inner step; one column and d = 0 are the
+    edge shapes."""
     rng = random.Random(18)
     for arity in range(1, 6):
         for d in range(0, 8):
             expected = [c for c in product(range(d + 1), repeat=arity) if sum(c) == d]
             atoms = rng.randint(0, 6)
             columns = [[rng.randint(-50, 50) for _ in range(atoms)] for _ in range(arity)]
-            got = list(_walk(columns, d))
-            assert [counts for counts, _ in got] == expected  # product order is lexicographic
-            assert len(got) == comb(d + arity - 1, arity - 1)
-            for counts, dots in got:
+            inner, runs = _walk(columns, d)
+            assert len(inner) == atoms
+            points = []
+            for outer, left, dots in runs:
+                for c in range(left + 1):
+                    points.append(((*outer, c, left - c)[:arity], dots))
+                    dots = [x + y for x, y in zip(dots, inner)]
+            assert [counts for counts, _ in points] == expected  # product order is lexicographic
+            assert len(points) == comb(d + arity - 1, arity - 1)
+            for counts, dots in points:
                 assert list(dots) == [
                     sum(c * column[t] for c, column in zip(counts, columns))
                     for t in range(atoms)

@@ -406,6 +406,62 @@ def test_responses_match_the_kernel():
     assert wide_ties == {"wta", "lta"}
 
 
+@pytest.mark.parametrize("kind", [WinnerTakeAllPlan, LoserTakeAllPlan], ids=["wta", "lta"])
+def test_split_run_sums_match_the_response_default(kind):
+    """The split kinds' closed-form `run_sums` gives what the default gives,
+    the player's `response` (its kernel entry) summed at every atom of every
+    point of the run: random rows at k = 2-7, with crossings exactly at an
+    integer c inside the run, at c = 0, at c = left and past the run,
+    crossings between two points, zero and negative steps, and opponents
+    tied at the pick.  Each row's first and step end in one more entry, as
+    a scan's expectation row does, which neither form reads."""
+    rng = random.Random(52)
+    seen = set()
+    for _ in range(600):
+        k = rng.randint(2, 7)
+        plan, scale, left = kind(k), rng.randint(1, 6), rng.randint(0, 9)
+        kernel, player = plan.kernel(scale), rng.randrange(k)
+        others, first, step = [], [], []
+        for _ in range(rng.randint(1, 6)):
+            rest = [rng.randint(-20, 20) for _ in range(k - 1)]
+            if k > 2 and rng.random() < 0.4:  # two or more opponents tied at the pick
+                best = plan.pick(rest)
+                for i in rng.sample(range(k - 1), rng.randint(1, k - 1)):
+                    rest[i] = best
+            best = plan.pick(rest)
+            s = rng.choice((0, rng.randint(-6, -1), rng.randint(1, 6)))
+            shape = rng.choice(("free", "inside", "first", "last", "past", "before"))
+            if shape == "free":
+                x = rng.randint(-60, 60)
+            else:
+                c = {
+                    "inside": rng.randint(0, left),
+                    "first": 0,
+                    "last": left,
+                    "past": left + rng.randint(1, 3),
+                    "before": -rng.randint(1, 3),
+                }[shape]
+                x = best - c * s  # the result meets best at that c
+                if s:
+                    seen.add(shape)
+            others.append(tuple(rest))
+            first.append(x)
+            step.append(s)
+            seen.add("falling" if s < 0 else "rising" if s else "still")
+            if rest.count(best) > 1:
+                seen.add("tied")
+        weights = [rng.randint(1, 9) for _ in others]
+        first.append(rng.randint(-9, 9))
+        step.append(rng.randint(-9, 9))
+        got = plan.run_sums(kernel, player, others, weights)(first, step, left)
+        want = BonusPlan.run_sums(plan, kernel, player, others, weights)(first, step, left)
+        assert got == want, (k, player, others, weights, first, step, left)
+        assert len(got) == left + 1
+    assert seen == {
+        "inside", "first", "last", "past", "before", "falling", "rising", "still", "tied"
+    }
+
+
 @dataclass(frozen=True)
 class _FirstLeaderPlan(BonusPlan):
     """A kind that states only its kernel, so `share_sums` runs the default:

@@ -167,6 +167,8 @@ EXEMPT = {
     " index it has checked and opponent results from the market's integer view",
     "BonusPlan.share_sums": "the internal integer path; a payoff cell passes it the market's"
     " integer probability weights and result rows",
+    "BonusPlan.run_sums": "the internal integer path; the deviation scan passes it a player"
+    " index it has checked, the opponents' result rows and the market's integer weights",
 }
 
 NON_INTS = (2.5, True, "2", F(2))

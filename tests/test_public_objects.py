@@ -174,7 +174,7 @@ EXEMPT = {
     ("EquilibriumReport", None): "an output record of check_nash; no function reads one back",
     ("UniversalityReport", None): "an output record of universality_verdict; no function"
     " reads one back",
-    ("_SplitPlan.response", None): "an override of BonusPlan.response, the internal"
+    ("_SplitPlan.run_sums", None): "an override of BonusPlan.run_sums, the internal"
     " integer path of the deviation scan",
     ("_SplitPlan.share_sums", None): "an override of BonusPlan.share_sums, the internal"
     " integer path of a payoff cell",
