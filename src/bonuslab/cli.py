@@ -51,6 +51,7 @@ from .market import (
     GRID_CAP,
     Market,
     Profile,
+    _vertex,
     market_from_dict,
     market_to_dict,
     profile_from_list,
@@ -292,7 +293,7 @@ def _cmd_replicate(args, lam) -> dict:
     equilibrium = None
     if dominance.unique_profile is not None:
         equilibrium = check_nash(
-            at_lam, Profile(tuple(map(market._vertex, dominance.unique_profile))), None
+            at_lam, Profile(tuple(_vertex(a, market.n) for a in dominance.unique_profile)), None
         )
 
     return {

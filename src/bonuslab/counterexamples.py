@@ -80,6 +80,7 @@ from .market import (
     build_market,
     _multisets_exceed,
     _power_exceeds,
+    _vertex,
 )
 from .plans import BonusPlan
 from .rational import (
@@ -309,7 +310,8 @@ def _check_own_move(
     """The deficit: StaleViolation unless moving the violation's player from
     its base coordinate to witness, against fixed others, is a `direction`
     move that raises its share by exactly the recorded deficit > 0.  The
-    caller has read base and witness through `_exact`."""
+    caller has read base and witness through `_exact`; both points are read
+    with one kernel, at the common denominator of base and witness."""
     if not isinstance(violation.direction, Direction):
         raise StaleViolation(f"direction {input_text(violation.direction)} is not a Direction")
     if violation.direction is not direction:
@@ -326,8 +328,12 @@ def _check_own_move(
             f"moving {rational_text(own)} to {rational_text(witness)}"
             f" is not a {direction.value} of the own result"
         )
-    bent = base[:player] + (witness,) + base[player + 1 :]
-    deficit = plan.evaluate(bent)[player] - plan.evaluate(base)[player]
+    # one kernel for both points: every kind is exact at any common multiple
+    # of the scales, so the share difference over it is the deficit
+    (denominator, shares), ints = plan.kernel_for((*base, witness))
+    at_base = ints[:-1]
+    bent = at_base[:player] + ints[-1:] + at_base[player + 1 :]
+    deficit = Fraction(shares(bent)[player] - shares(at_base)[player], denominator)
     if deficit <= 0 or deficit != recorded:
         raise StaleViolation(
             f"{violation.direction.value} violation of player {player} with deficit"
@@ -568,7 +574,7 @@ def _certified(
     from the market, checked by `_recomputed_gain` before it is returned: a
     stated gain as it is, None as the gain recomputed there."""
     certificate = tuple(zip(market.actions, market.expectations()))
-    profile = Profile(tuple(map(market._vertex, actions)))
+    profile = Profile(tuple(_vertex(a, market.n) for a in actions))
     ce = Counterexample(market, profile, player, deviation, gain, certificate, params)
     recomputed = _recomputed_gain(plan, ce)
     return ce if gain is not None else replace(ce, gain=recomputed)

@@ -155,9 +155,10 @@ the walk's runs less the vertices in them, and only a strictly larger score
 replaces the best, so pure actions win ties by index and grid points by
 order.  The search compares integers and builds one `Fraction`, for the
 winner's value, and a `MixedAction` only for a winner off the vertices.
-Every pure strategy a search hands back or checks is the market's own
-vertex, `Market._vertex`, built once per market.  `find_bounding_m` and
-`simplex_grid` read the same runs.  `Fraction` stays at the interface.
+Every pure strategy a search hands back or checks is the shared vertex
+`market._vertex(a, n)`, built once per (action, action count) in a
+process.  `find_bounding_m` and `simplex_grid` read the same runs.
+`Fraction` stays at the interface.
 """
 
 from __future__ import annotations
@@ -185,6 +186,7 @@ from .market import (
     Profile,
     _multisets_exceed,
     _power_exceeds,
+    _vertex,
     check_arity,
 )
 from .plans import BonusPlan, Kernel
@@ -585,7 +587,7 @@ def best_response(
     if form is not None:
         _, slope = form  # c > 0 exactly when the slope or w is (module docstring)
         best = game.market.best_actions[0] if slope or game.earnings_weight else 0
-        vertex = game.market._vertex(best)
+        vertex = _vertex(best, n)
         cell, denominator = game._profile_cell(opponents[:player] + (vertex,) + opponents[player:])
         return BestResponse(player, vertex, Fraction(cell[player], denominator), "pure-sufficient")
     pure = tuple(s.pure_action for s in opponents)
@@ -601,13 +603,13 @@ def best_response(
         top = max(values)
         best = values.index(top)
         value = Fraction(top, game._scoring(game.market.integer_view.scale).denominator)
-        return BestResponse(player, game.market._vertex(best), value, "pure-only")
+        return BestResponse(player, _vertex(best, n), value, "pure-only")
     d = resolution or 1
     if resolution is not None:
         check_simplex_grid(n, d)
     winner, value = _deviation_scan(game, player, opponents, d)
     if type(winner) is int:
-        best = game.market._vertex(winner)
+        best = _vertex(winner, n)
     else:
         best = MixedAction(tuple(Fraction(c, d) for c in winner))
     method = "pure-only" if resolution is None else f"grid(d={resolution})"
@@ -908,7 +910,7 @@ def check_optimal(
     checked = []
     witness = None
     for combo in candidates:
-        report = check_nash(game, Profile(tuple(map(market._vertex, combo))), resolution)
+        report = check_nash(game, Profile(tuple(_vertex(a, market.n) for a in combo)), resolution)
         checked.append((combo, report))
         if report.verdict is Verdict.EQUILIBRIUM:
             witness = combo

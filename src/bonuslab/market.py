@@ -33,15 +33,24 @@ sums for reports and certificates, and `expectation` gives a portfolio's as
 one `Fraction`, its counts' integer dot with the sums over unit * mass *
 scale.
 
-Two more things a market fixes are built once, on first read, and shared
+One more thing a market fixes is built once, on first read, and shared
 by every reader.  `Market._bounds` is the view's integer bounds summary,
 from one pass over the atoms: the least value, the largest value and the
 widest atom spread (an atom's largest value less its least), all over the
 scale.  The interval-gated plan and its builder read the least and the
 largest, the output-gated plan the spread; no `Fraction` summary of a
-market is built.  `Market._vertex(a)` is action a's pure strategy, built by
-`MixedAction.pure` on its first read and handed out as that one object to
-every search that names a pure strategy on the market.
+market is built.
+
+A pure strategy depends on its action and the action count alone, so it is
+built once per process, not once per market: `_vertex(a, n)` reads one
+table keyed by (a, n), built on a first read and handed out as that one
+object to every market of n actions and every search that names a pure
+strategy on one.  Sharing is safe because a `MixedAction` is frozen and its
+equality and hash read only its weights.  The table holds at most
+VERTEX_CAP weights over all its entries; a vertex past that is built on
+every read, the same value, and not kept.  `MixedAction.pure` checks its
+arguments as ints before it reads the table, since `True` and `1.0` hash
+as 1 does.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ from functools import cached_property
 from itertools import chain
 from math import gcd
 from operator import mul, sub
+from threading import Lock
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -80,6 +90,7 @@ from .rational import (
 )
 
 GRID_CAP = 200_000  # simplex grid points, probed base points, a pure portfolio's actions
+VERTEX_CAP = 1 << 16  # weights held by the table of pure strategies, over all its entries
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -119,7 +130,8 @@ class Market:
 
     Attributes:
         actions: distinct labels, one per action, each text that UTF-8 can
-            encode (a lone surrogate cannot be printed or written).
+            encode (a lone surrogate cannot be printed or written); read as
+            a list by `items_of` and kept as a tuple.
         integer_view: the probability space over least common denominators;
             every weight is positive and they sum to the mass, and every
             atom has one value per action.
@@ -129,6 +141,7 @@ class Market:
     integer_view: IntegerView
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "actions", tuple(items_of(self.actions, "action labels")))
         if not self.actions:
             raise ArityMismatch("market needs at least one action")
         if not all(isinstance(label, str) for label in self.actions):
@@ -217,18 +230,6 @@ class Market:
         lows, highs = zip(*((min(row), max(row)) for row in self.integer_view.values))
         return _Bounds(min(lows), max(highs), max(map(sub, highs, lows)))
 
-    @cached_property
-    def _vertices(self) -> dict[int, MixedAction]:
-        return {}
-
-    def _vertex(self, action: int) -> MixedAction:
-        """Action `action`'s pure strategy, built by `MixedAction.pure` on its
-        first read; every later read returns that one object."""
-        vertex = self._vertices.get(action)
-        if vertex is None:
-            vertex = self._vertices[action] = MixedAction.pure(action, self.n)
-        return vertex
-
 
 @dataclass(frozen=True)
 class MixedAction:
@@ -263,7 +264,8 @@ class MixedAction:
 
     @classmethod
     def pure(cls, action: int, arity: int) -> "MixedAction":
-        """The vertex of `action`; GridCapExceeded before any weight is
+        """The vertex of `action`, the table's object (`_vertex`) once both
+        arguments are checked as ints; GridCapExceeded before any weight is
         built when the arity exceeds GRID_CAP, the actions of a d = 1 grid
         at its cap."""
         as_count(arity, "arity", None, ArityMismatch)
@@ -275,7 +277,30 @@ class MixedAction:
             raise GridCapExceeded(
                 f"a portfolio over {rational_text(arity)} actions exceeds cap {GRID_CAP}"
             )
-        return cls(tuple(ONE if i == action else ZERO for i in range(arity)))
+        return _vertex(action, arity)
+
+
+_vertices: dict[tuple[int, int], MixedAction] = {}
+_vertex_weights = 0  # the weights the table holds, at most VERTEX_CAP
+_vertex_lock = Lock()  # held while a vertex is added and its weights counted
+
+
+def _vertex(action: int, n: int) -> MixedAction:
+    """Action `action`'s pure strategy over n actions, two ints in range:
+    the table's object, built on the first read and kept while the table
+    has room for its n weights."""
+    global _vertex_weights
+    key = action, n
+    vertex = _vertices.get(key)
+    if vertex is None:
+        vertex = MixedAction(tuple(ONE if i == action else ZERO for i in range(n)))
+        with _vertex_lock:
+            if key in _vertices:  # another thread added it first
+                return _vertices[key]
+            if _vertex_weights + n <= VERTEX_CAP:
+                _vertices[key] = vertex
+                _vertex_weights += n
+    return vertex
 
 
 @dataclass(frozen=True)

@@ -180,8 +180,15 @@ def ratios_over_lcm(ratios: list) -> tuple[int, list[tuple[int, ...]]]:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical string form: "a" for integers, reduced "a/b" otherwise;
-    UnwritableNumber past the digit limit."""
+    """Canonical string form of an int or a Fraction: "a" for integers,
+    reduced "a/b" otherwise; UnwritableNumber past the digit limit.
+    FloatRejected for a float, ArityMismatch for any other value, a bool or
+    a string too."""
+    if type(value) not in (Fraction, int):
+        if isinstance(value, float):
+            raise FloatRejected(f"refusing float {input_text(value)}: a report writes exact values")
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise ArityMismatch(f"expected an int or a Fraction, got {input_text(value)}")
     return format_ratio(value.numerator, value.denominator)
 
 
@@ -248,7 +255,10 @@ def load_json(text: str):
     """A JSON document whose numbers with a fraction or exponent are refused
     as written: FloatRejected quotes the literal before a float rounds it.
     An integer past the int digit limit is UnparsableNumber; text that is
-    not JSON, or nests deeper than the decoder can follow, ArityMismatch."""
+    not JSON, or nests deeper than the decoder can follow, ArityMismatch, as
+    is a value that is not str, bytes or bytearray."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ArityMismatch(f"a JSON document must be text, got {input_text(text)}")
     try:
         return json.loads(text, parse_float=_reject_float_literal, parse_int=_int_literal)
     except (json.JSONDecodeError, RecursionError) as exc:

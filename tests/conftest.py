@@ -39,6 +39,7 @@ from bonuslab import (
     market_to_dict,
 )
 from bonuslab.game import Elimination
+import bonuslab.market as market_module
 from bonuslab.market import IntegerView
 from bonuslab.rational import as_rational, rationals
 
@@ -399,6 +400,13 @@ def tensor_dominance(game) -> DominanceReport:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+@pytest.fixture
+def cold_vertices(monkeypatch):
+    """The table of pure strategies emptied for one test, restored after it."""
+    monkeypatch.setattr(market_module, "_vertices", {})
+    monkeypatch.setattr(market_module, "_vertex_weights", 0)
 
 
 # ---------------------------------------------------------------------

@@ -319,12 +319,32 @@ MUTANTS = (
     Mutant(
         "a vertex of the wrong action",
         "src/bonuslab/market.py",
-        "MixedAction.pure(action, self.n)",
-        "MixedAction.pure(self.n - 1 - action, self.n)",
-        (
-            "tests/test_market.py::test_vertices_are_built_once_per_market",
-            "tests/test_game.py::test_reports_on_shared_vertices_match_fresh_pure_strategies",
-        ),
+        "ONE if i == action else ZERO",
+        "ONE if i == n - 1 - action else ZERO",
+        ("tests/test_market.py::test_vertices_are_built_once_per_action_count",),
+    ),
+    Mutant(
+        "the vertex table read before the arguments are checked",
+        "src/bonuslab/market.py",
+        '        as_count(arity, "arity", None, ArityMismatch)\n',
+        "        if (action, arity) in _vertices:\n"
+        "            return _vertices[action, arity]\n"
+        '        as_count(arity, "arity", None, ArityMismatch)\n',
+        ("tests/test_market.py::test_a_vertex_is_read_only_after_its_arguments_are_checked",),
+    ),
+    Mutant(
+        "the vertex table keyed by the action alone",
+        "src/bonuslab/market.py",
+        "key = action, n",
+        "key = action",
+        ("tests/test_market.py::test_vertices_are_built_once_per_action_count",),
+    ),
+    Mutant(
+        "the vertex table's bound not enforced",
+        "src/bonuslab/market.py",
+        "if _vertex_weights + n <= VERTEX_CAP:",
+        "if True:",
+        ("tests/test_market.py::test_the_vertex_table_holds_at_most_its_bound",),
     ),
     Mutant(
         "m_linear's integer interval rounds lo down, not up",
@@ -856,8 +876,8 @@ MUTANTS = (
     Mutant(
         "deviation scan hands back the winning vertex from the other end",
         "src/bonuslab/game.py",
-        "best = game.market._vertex(winner)",
-        "best = game.market._vertex(n - 1 - winner)",
+        "best = _vertex(winner, n)",
+        "best = _vertex(n - 1 - winner, n)",
         ("tests/test_game.py::test_walks_go_past_the_recursion_limit",),
     ),
     Mutant(

@@ -52,6 +52,7 @@ from bonuslab import (
     two_bond_market,
     simplex_grid,
     strict_dominance,
+    universality_verdict,
     validate_simplex,
 )
 import bonuslab.game as game_module
@@ -63,7 +64,8 @@ from bonuslab.game import (
     _walk,
     check_simplex_grid,
 )
-from bonuslab.market import GRID_CAP, _multisets_exceed, _power_exceeds
+import bonuslab.market as market_module
+from bonuslab.market import GRID_CAP, _multisets_exceed, _power_exceeds, _vertex
 from bonuslab.plans import PLAYER_CAP
 from conftest import (
     every_kind,
@@ -73,6 +75,7 @@ from conftest import (
     fraction_value,
     markets,
     plans_with_a_form,
+    random_market,
     tensor_dominance,
     tied_markets,
 )
@@ -701,7 +704,7 @@ def test_best_response_against_portfolios_under_a_form_matches_the_scan(market, 
             opponents = data.draw(mixed_profiles(n, k)).strategies[1:]
             br = best_response(induce_game(market, plan, w), player, opponents)
             winner, value = _deviation_scan(induce_game(market, plan, w), player, opponents, 1)
-            assert (br.strategy, br.value) == (market._vertex(winner), value)
+            assert (br.strategy, br.value) == (_vertex(winner, n), value)
     # every action pays 1/2 against a portfolio: action 0 wins the tie
     market = build_market(["A", "B"], [("1", ("0", "1"))])
     half = MixedAction((F(1, 2), F(1, 2)))
@@ -1371,21 +1374,55 @@ def test_published_table_follows_from_the_opponent_result_variant():
     st.sampled_from((None, 2)),
 )
 def test_reports_on_shared_vertices_match_fresh_pure_strategies(market, k, resolution):
-    """`check_optimal` checks, and `best_response` hands back, the market's
-    own vertex objects (`Market._vertex`); every report equals the one
-    built on a fresh `MixedAction.pure` profile in a fresh game."""
+    """`check_optimal` checks, and `best_response` hands back, the shared
+    vertex objects (`market._vertex`); every report equals the one built on
+    a fresh `MixedAction.pure` profile in a fresh game."""
     n = market.n
     for plan in every_kind(market, k):
         report = check_optimal(market, plan, resolution)
         for combo, checked in report.checked:
-            assert all(s is market._vertex(a) for s, a in zip(checked.profile.strategies, combo))
+            assert all(s is _vertex(a, n) for s, a in zip(checked.profile.strategies, combo))
             fresh = check_nash(induce_game(market, plan, 0), Profile.pure(combo, n), resolution)
             assert checked == fresh
             for br in checked.deviations:
                 a = br.strategy.pure_action
                 if a is not None:
-                    assert br.strategy is market._vertex(a)
+                    assert br.strategy is _vertex(a, n)
                     assert br.strategy == MixedAction.pure(a, n)
+
+
+
+def _seeded_reports(seed: int) -> list:
+    """`check_optimal` on every kind at k = 2, 3, `check_nash` at resolution 2
+    and `universality_verdict` at k = 2, 3, on seeded markets and grids."""
+    rng = random.Random(seed)
+    reports = []
+    for _ in range(6):
+        market = random_market(rng, max_actions=4, max_atoms=4)
+        for k in (2, 3):
+            for plan in every_kind(market, k):
+                reports.append(check_optimal(market, plan))
+                best = market.best_actions[0]
+                game = induce_game(market, plan, 0)
+                reports.append(check_nash(game, Profile.pure((best,) * k, market.n), 2))
+        points = tuple(map(str, rng.sample(range(-3, 4), 3)))
+        for plan in (WinnerTakeAllPlan(2), LoserTakeAllPlan(2), WinnerTakeAllPlan(3)):
+            reports.append(universality_verdict(plan, points))
+    return reports
+
+
+@pytest.mark.parametrize("seed", (0, 5))
+def test_reports_match_with_the_vertex_table_cold_and_warm(seed, cold_vertices, monkeypatch):
+    """Seeded verdicts equal one another with the table of pure strategies
+    cleared, warm from the same calls, and holding nothing at all."""
+    cold = _seeded_reports(seed)
+    assert market_module._vertices  # the cold run filled the table
+    assert _seeded_reports(seed) == cold
+    monkeypatch.setattr(market_module, "VERTEX_CAP", 0)
+    monkeypatch.setattr(market_module, "_vertices", {})
+    monkeypatch.setattr(market_module, "_vertex_weights", 0)
+    assert _seeded_reports(seed) == cold
+    assert market_module._vertices == {}
 
 
 def test_a_game_checks_its_market_and_plan():

@@ -4,6 +4,8 @@ import ast
 import json
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -34,6 +36,7 @@ from bonuslab import (
     best_response,
     build_market,
     check_nash,
+    check_optimal,
     coordinate_decrease_counterexample,
     coordinate_increase_counterexample,
     expectation,
@@ -51,7 +54,8 @@ from bonuslab import (
     two_bond_market,
     universality_verdict,
 )
-from bonuslab.market import IntegerView
+import bonuslab.market as market_module
+from bonuslab.market import IntegerView, _vertex
 from conftest import (
     assert_rebuilds_from_its_atoms,
     fraction_expectation,
@@ -513,15 +517,93 @@ def test_bounds_summary_matches_a_scan_of_the_fraction_outcomes(market):
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(markets(max_actions=4), tied_markets()))
-def test_vertices_are_built_once_per_market(market):
-    """`Market._vertex(a)` is action a's pure strategy as `MixedAction.pure`
-    builds it, and every later read hands out that one object."""
+def test_vertices_are_built_once_per_action_count(market):
+    """A pure strategy is the table's object `_vertex(a, n)`: one object
+    per (action, action count), handed out on every market of n actions and
+    by `MixedAction.pure`, equal to the `MixedAction` built from its
+    weights; another action count gets other objects."""
     n = market.n
+    flat = build_market(market.actions, [(1, (0,) * n)])  # every action is best
+    for m in (market, flat):
+        for combo, checked in check_optimal(m, WinnerTakeAllPlan(2)).checked:
+            assert all(s is _vertex(a, n) for s, a in zip(checked.profile.strategies, combo))
     for a in range(n):
-        vertex = market._vertex(a)
-        assert vertex == MixedAction.pure(a, n)
+        vertex = _vertex(a, n)
+        assert vertex == MixedAction(tuple(Fraction(int(i == a)) for i in range(n)))
         assert vertex.pure_action == a
-        assert market._vertex(a) is vertex
+        assert MixedAction.pure(a, n) is vertex
+        assert all(s is vertex for s in Profile.pure((a, a), n).strategies)
+        wider = _vertex(a, n + 1)
+        assert wider is not vertex
+        assert wider == MixedAction(tuple(Fraction(int(i == a)) for i in range(n + 1)))
+
+
+def test_a_vertex_is_read_only_after_its_arguments_are_checked():
+    """`True` and `1.0` hash as 1 does, so the table is read only once both
+    arguments are checked as ints: a vertex already in the table does not
+    let a bool or a float through."""
+    assert MixedAction.pure(1, 2).pure_action == 1
+    assert MixedAction.pure(0, 1).pure_action == 0
+    assert (1, 2) in market_module._vertices and (0, 1) in market_module._vertices
+    for action, arity, error in (
+        (True, 2, ArityMismatch),
+        (1.0, 2, FloatRejected),
+        (0, True, ArityMismatch),
+        (0, 1.0, FloatRejected),
+    ):
+        with pytest.raises(error):
+            MixedAction.pure(action, arity)
+        with pytest.raises(error):
+            Profile.pure((action, action), arity)
+
+
+def test_the_vertex_table_holds_at_most_its_bound(cold_vertices, monkeypatch):
+    """A vertex that would take the table past VERTEX_CAP weights comes back
+    correct, a new object on each read, and is not kept."""
+    monkeypatch.setattr(market_module, "VERTEX_CAP", 5)
+    kept = [MixedAction.pure(a, 2) for a in range(2)]  # 4 weights
+    for _ in range(2):
+        vertex = MixedAction.pure(2, 3)
+        assert vertex == MixedAction((0, 0, 1)) and vertex.pure_action == 2
+        assert vertex is not MixedAction.pure(2, 3)
+        assert [MixedAction.pure(a, 2) for a in range(2)] == kept
+        assert all(MixedAction.pure(a, 2) is v for a, v in enumerate(kept))
+        table = market_module._vertices
+        assert set(table) == {(0, 2), (1, 2)}
+        assert market_module._vertex_weights == sum(n for _, n in table) == 4
+    assert MixedAction.pure(0, 1) is MixedAction.pure(0, 1)  # the fifth weight fits
+    assert market_module._vertex_weights == 5
+
+
+def test_threads_that_fill_the_vertex_table_keep_its_count(cold_vertices, monkeypatch):
+    """Eight threads, more than the cores, read vertices in shuffled orders
+    with a short switch interval: every vertex is right, each key is kept
+    once, and the table's weight count is the sum of its entries' action
+    counts, within its bound."""
+    monkeypatch.setattr(market_module, "VERTEX_CAP", 300)
+    keys = [(a, n) for n in range(1, 30) for a in range(n)]
+    errors = []
+
+    def read(seed):
+        order = random.Random(seed).sample(keys, len(keys))
+        for a, n in order:
+            if MixedAction.pure(a, n).pure_action != a:
+                errors.append((a, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    table = market_module._vertices
+    assert market_module._vertex_weights == sum(n for _, n in table) <= 300
 
 
 def raised(call):

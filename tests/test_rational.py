@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 from math import lcm
@@ -82,6 +83,27 @@ def test_text_that_is_not_json_is_arity_mismatch():
     for text, name in (("{", "JSONDecodeError"), ("[" * 100_000 + "]" * 100_000, "RecursionError")):
         with pytest.raises(ArityMismatch, match=name):
             load_json(text)
+
+
+def test_a_value_that_is_not_text_is_not_a_json_document():
+    """`load_json` reads str, bytes and bytearray; any other value is
+    ArityMismatch, quoted by `input_text`, never the decoder's TypeError."""
+    for text in ("[1]", b"[1]", bytearray(b"[1]")):
+        assert load_json(text) == [1]
+    for value in (None, {}, 3, ["[1]"], [0] * 200):
+        with pytest.raises(ArityMismatch, match=re.escape(f"got {input_text(value)}")):
+            load_json(value)
+
+
+def test_format_rational_writes_ints_and_fractions_only():
+    """A float is FloatRejected; any other value that is not an int or a
+    Fraction, a bool or a numeric string too, is ArityMismatch."""
+    assert format_rational(Fraction(2, 4)) == "1/2" and format_rational(-3) == "-3"
+    with pytest.raises(FloatRejected, match="1.5"):
+        format_rational(1.5)
+    for value in (True, False, None, "1/2", object()):
+        with pytest.raises(ArityMismatch, match=re.escape(f"got {input_text(value)}")):
+            format_rational(value)
 
 
 def test_format_round_trips():
