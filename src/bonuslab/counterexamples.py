@@ -174,7 +174,7 @@ def _pair_violations(plan: BonusPlan, points: Sequence):
     # the pairs x < y of m points are the multisets of 2 out of m - 1
     if pairs := _multisets_exceed(len(grid) - 1, 2, GRID_CAP):
         raise GridCapExceeded(f"{pairs} point pairs exceed cap {GRID_CAP}")
-    (denominator, shares), ints = plan.kernel_for(grid)
+    (denominator, shares), ints = plan._kernel_for(grid)
     diagonal = [shares((a, a)) for a in ints]
     for (i, x), (j, y) in combinations(enumerate(grid), 2):
         f_xx, f_yy = diagonal[i], diagonal[j]
@@ -225,7 +225,7 @@ def _coordinate_violations(plan: BonusPlan, points: Sequence):
         )
     if base_points := _power_exceeds(len(grid), k, GRID_CAP):
         raise GridCapExceeded(f"{base_points} base points exceed cap {GRID_CAP}")
-    (denominator, shares), ints = plan.kernel_for(grid)
+    (denominator, shares), ints = plan._kernel_for(grid)
     value = dict(zip(ints, grid))
     for player in range(k):
         for base in permutations(ints, k):
@@ -330,7 +330,7 @@ def _check_own_move(
         )
     # one kernel for both points: every kind is exact at any common multiple
     # of the scales, so the share difference over it is the deficit
-    (denominator, shares), ints = plan.kernel_for((*base, witness))
+    (denominator, shares), ints = plan._kernel_for((*base, witness))
     at_base = ints[:-1]
     bent = at_base[:player] + ints[-1:] + at_base[player + 1 :]
     deficit = Fraction(shares(bent)[player] - shares(at_base)[player], denominator)

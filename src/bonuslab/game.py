@@ -116,7 +116,7 @@ and the atoms' result rows.  A cell starts from each player's share sums B,
 its share numerators summed against the atoms' probability weights, over
 mass * kernel denominator: B does not depend on w.  Under a linear form B is
 the form's (above) and no row is read; otherwise the cell hands every
-atom's result row to the plan's `share_sums` (by default the kernel's
+atom's result row to the plan's `_share_sums` (by default the kernel's
 shares at every atom, column by column; the wta and lta kinds count each
 atom's winners in one pass).  The rows are lazy: a pure cell's are the
 atoms' values at its actions, and `_rows` realizes portfolios at an atom
@@ -144,8 +144,8 @@ c = 0..left, and each point's result at every atom is the one before's plus
 one step, the next-to-last action's values less the last's.  The walk
 carries each run's first point as a prefix sum over the outer counts, one
 add per atom per run; it is a loop, not a recursion, so a d = 1 grid over any
-number of actions walks.  The plan's `run_sums`, built once from the
-opponents' results, scores a whole run: by default the plan's `response`
+number of actions walks.  The plan's `_run_sums`, built once from the
+opponents' results, scores a whole run: by default the plan's kernel
 at every atom of every point; the wta and lta kinds place, with one divmod
 per atom, where the deviator's result crosses the opponents' pick, and sum
 the run in O(atoms + left).  When w is not 0 each action's column ends in
@@ -285,12 +285,12 @@ class Game:
         each player's expectation sum over unit * mass * scale, and the atoms'
         result rows over scale * unit.  Under a linear form the share sums B
         come from the expectation sums and no row is read (module
-        docstring); otherwise from `share_sums` on the rows."""
+        docstring); otherwise from `_share_sums` on the rows."""
         view = self.market.integer_view
         scoring = self._scoring(view.scale * unit)
         form = self._affine
         if form is None:
-            shares = self.plan.share_sums(scoring.kernel, rows, view.weights)
+            shares = self.plan._share_sums(scoring.kernel, rows, view.weights)
         else:
             k, slope, total = self.players, form[1], sum(expectations)
             equal = view.mass * (scoring.kernel.denominator // k)
@@ -632,7 +632,7 @@ def _deviation_scan(
     index, any other as its counts.  The opponents are realized once by
     `_rows`, over a scale every candidate shares, and each atom's action
     values are scaled to it once, so `_walk` gives a candidate's result at
-    every atom as an integer.  The plan's `run_sums`, built once from the
+    every atom as an integer.  The plan's `_run_sums`, built once from the
     opponents' results, gives B at every point of a run, the player's
     shares summed against the probability weights.  When w is not 0 each
     column ends in step * S_j, so the last dot is E: unit * S[a] at a
@@ -647,7 +647,7 @@ def _deviation_scan(
     scoring = game._scoring(view.scale * unit)
     bonus_weight, result_weight = scoring.bonus_weight, scoring.result_weight
     others = _rows(view, opponents, unit)
-    sums = game.plan.run_sums(scoring.kernel, player, others, view.weights)
+    sums = game.plan._run_sums(scoring.kernel, player, others, view.weights)
     columns = [[v * step for v in column] for column in zip(*view.values)]
     if result_weight:  # the expectation row: the walk's last dot is E
         for column, s in zip(columns, game.market.expectation_sums):

@@ -445,7 +445,7 @@ def market_to_dict(market: Market) -> dict:
 def market_from_dict(data: Mapping) -> Market:
     try:
         actions = data["actions"]
-        atoms = [(atom["p"], atom["outcomes"]) for atom in data["atoms"]]
+        atoms = [(atom["p"], atom["outcomes"]) for atom in items_of(data["atoms"], "atoms")]
         return build_market(actions, atoms)
     except BonusLabError:
         raise

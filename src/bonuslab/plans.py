@@ -20,25 +20,27 @@ The linear form for player i with scale bound M is
     1/k + sum_j (r_i - r_j) / (2 k (k-1) M)
 so a result one market-spread above the field earns at most 2/k.
 
-A kind states its allocation once, as an integer kernel (`_kernel`, read
-through `BonusPlan.kernel`, which refuses a scale that is not an int >= 1)
-for results that are integers over a fixed scale: the allocation as integer
-numerators over one denominator, with every gate an integer comparison.
-Payoff cells, grid searches and probes run kernels; `evaluate` runs the
-kernel at one result vector's least common denominator.  A deviation
-search asks `BonusPlan.run_sums` for one player's share sums along a run
-of grid points against fixed opponents: at each point of the run the
-player's result at every atom is one step further along a line.  By
-default it asks `BonusPlan.response`, the player's share at one atom as a
-function of its result (the kernel's entry), at every atom of every point.
-The wta and lta kinds, one split rule whose `pick` is max or min, state it
+A plan's public methods are `evaluate`, `kernel` and `linear_form`, and
+each checks its arguments.  The rest of a kind is a set of private hooks,
+the ones a `BonusPlan` subclass overrides.  A kind states its allocation
+once, as an integer kernel (`_kernel`, read through `BonusPlan.kernel`,
+which refuses a scale that is not an int >= 1) for results that are
+integers over a fixed scale: the allocation as integer numerators over one
+denominator, with every gate an integer comparison.  Payoff cells, grid
+searches and probes run kernels; `evaluate` runs the kernel at one result
+vector's least common denominator (`_kernel_for`).  A deviation search
+asks `_run_sums` for one player's share sums along a run of grid points
+against fixed opponents: at each point of the run the player's result at
+every atom is one step further along a line.  By default it runs the
+kernel at every atom of every point and reads the player's entry.  The
+wta and lta kinds, one split rule whose `_pick` is max or min, state it
 in closed form: along the run the player's share at an atom changes only
 where its result crosses pick(others), so one divmod per atom places the
 change and a difference list sums the whole run.  A payoff cell asks
-`BonusPlan.share_sums` for each player's share numerators summed against
-the atoms' probability weights: by default the kernel's shares at every
-atom, summed column by column; the split kinds count each atom's picked
-players in one pass.
+`_share_sums` for each player's share numerators summed against the
+atoms' probability weights: by default the kernel's shares at every atom,
+summed column by column; the split kinds count each atom's picked players
+in one pass.  `BonusPlan` lists the other hooks.
 
 A kind's pure-sufficiency rule is `BonusPlan.linear_form(market)`, which
 refuses a market that is not a `Market` and asks the kind's `_linear_form`:
@@ -80,6 +82,7 @@ from .rational import (
     format_rational,
     input_text,
     instance_of,
+    items_of,
     load_json,
     over_lcm,
     rational_text,
@@ -107,13 +110,13 @@ class BonusPlan:
 
     A kind defines its allocation once, in `_kernel`; `kernel` checks the
     scale and runs it, and `evaluate` runs it at the results' least common
-    denominator.  Each kind also owns its share at one atom as a function
-    of one player's result (`response`), one player's share sums along a
-    run of grid points (`run_sums`), its share numerators summed over a
-    market's atoms (`share_sums`), its document fields, its construction
-    from a document, the result vectors `validate_simplex` always probes,
-    its pure-sufficiency rule (its `_linear_form` on a market, read through
-    the checked `linear_form`) and whether it is anonymous.  The defaults
+    denominator.  Each kind also owns its private hooks: one player's share
+    sums along a run of grid points (`_run_sums`), its share numerators
+    summed over a market's atoms (`_share_sums`), its document fields
+    (`_document_fields`), its construction from a document
+    (`_from_document`), the result vectors `validate_simplex` always probes
+    (`_probes`), its pure-sufficiency rule (`_linear_form`, read through the
+    checked `linear_form`) and whether it is `anonymous`.  The defaults
     here fit a kind with no parameters, no sufficiency argument and no
     symmetry.  A plan has 2 to PLAYER_CAP players, checked before any
     kernel is built.
@@ -137,7 +140,7 @@ class BonusPlan:
             raise ArityMismatch(
                 f"{len(r)} results for a {self.players}-player plan"
             )
-        (denominator, shares), v = self.kernel_for(r)
+        (denominator, shares), v = self._kernel_for(r)
         return tuple(Fraction(s, denominator) for s in shares(v))
 
     def kernel(self, scale: int) -> Kernel:
@@ -149,23 +152,7 @@ class BonusPlan:
         """The kind's allocation for results given as integers over `scale`."""
         raise NotImplementedError
 
-    def response(
-        self, kernel: Kernel, player: int, others: tuple[int, ...]
-    ) -> Callable[[int], int]:
-        """The player's share at one atom as a function of its own result.
-
-        `kernel` is this plan's kernel at some scale, and `others` holds the
-        other players' results at the atom, integers over that scale in
-        player order.  The function maps the player's result x to its share
-        numerator over the kernel's denominator: entry `player` of the
-        kernel's shares at `others` with x put in at `player`.  This default
-        runs the kernel on that vector; the default `run_sums` reads it.
-        """
-        shares = kernel.shares
-        before, after = others[:player], others[player:]
-        return lambda x: shares(before + (x,) + after)[player]
-
-    def run_sums(
+    def _run_sums(
         self,
         kernel: Kernel,
         player: int,
@@ -175,17 +162,18 @@ class BonusPlan:
         """The player's share sums at every point of a run, against fixed opponents.
 
         `kernel` is this plan's kernel at some scale; `others` yields the
-        other players' results at each atom, as `response` takes them, in
-        atom order and once; `weights` holds the atoms' probability weights,
-        one per atom.  The function takes `first`, the player's result at
-        each atom at the run's first point, `step`, what one point adds to
-        each, and `left`, and returns [B(0), ..., B(left)]: B(c) the sum
-        over the atoms of weight times the player's share numerator at
-        result first[t] + c * step[t].  Entries of `first` and `step` past
-        the atoms are not read.  This default calls `response` at every atom
-        of every point.
+        other players' results at each atom, integers over that scale in
+        player order, in atom order and once; `weights` holds the atoms'
+        probability weights, one per atom.  The function takes `first`, the
+        player's result at each atom at the run's first point, `step`, what
+        one point adds to each, and `left`, and returns [B(0), ..., B(left)]:
+        B(c) the sum over the atoms of weight times the player's share
+        numerator at result first[t] + c * step[t].  Entries of `first` and
+        `step` past the atoms are not read.  This default runs the kernel at
+        every atom of every point, the player's result put in at `player`.
         """
-        responses = [self.response(kernel, player, rest) for rest in others]
+        shares = kernel.shares
+        atoms = [(rest[:player], rest[player:]) for rest in others]
 
         def sums(first, step, left):
             found = []
@@ -194,14 +182,14 @@ class BonusPlan:
                 if c:
                     results = list(map(add, results, step))
                 bonus = 0
-                for p, share, x in zip(weights, responses, results):  # stops at the atoms
-                    bonus += p * share(x)
+                for p, (before, after), x in zip(weights, atoms, results):  # stops at the atoms
+                    bonus += p * shares(before + (x,) + after)[player]
                 found.append(bonus)
             return found
 
         return sums
 
-    def share_sums(
+    def _share_sums(
         self, kernel: Kernel, rows: Iterable[tuple[int, ...]], weights: Sequence[int]
     ) -> list[int]:
         """Each player's share numerators summed against the atoms' weights.
@@ -215,7 +203,7 @@ class BonusPlan:
         """
         return [sum(map(mul, weights, column)) for column in zip(*map(kernel.shares, rows))]
 
-    def kernel_for(self, values: Sequence[Fraction]) -> tuple[Kernel, tuple[int, ...]]:
+    def _kernel_for(self, values: Sequence[Fraction]) -> tuple[Kernel, tuple[int, ...]]:
         """The kernel at the values' least common denominator, and the values
         as integers over it."""
         scale, (ints,) = over_lcm(values)
@@ -240,16 +228,16 @@ class BonusPlan:
         """The kind's linear form on a market; by default none."""
         return None
 
-    def probes(self) -> Iterable[tuple[Fraction, ...]]:
+    def _probes(self) -> Iterable[tuple[Fraction, ...]]:
         """Result vectors validate_simplex checks besides its random samples."""
         return ()
 
-    def document_fields(self) -> dict:
+    def _document_fields(self) -> dict:
         """The kind's own document fields, after "players" and "kind"."""
         return {}
 
     @classmethod
-    def from_document(cls, players: int, data: Mapping) -> BonusPlan:
+    def _from_document(cls, players: int, data: Mapping) -> BonusPlan:
         """The plan of this kind from a document; the constructor checks the
         player count."""
         return cls(players)
@@ -271,12 +259,12 @@ class ConstantPlan(BonusPlan):
 @dataclass(frozen=True)
 class _SplitPlan(BonusPlan):
     """Everything to the players whose result is pick(results), split
-    equally; a subclass names its `kind` and its `pick`, max or min."""
+    equally; a subclass names its `kind` and its `_pick`, max or min."""
 
     anonymous = True
 
     def _kernel(self, scale):
-        pick = self.pick
+        pick = self._pick
         denominator = lcm(*range(1, self.players + 1))
 
         def shares(v):
@@ -286,7 +274,7 @@ class _SplitPlan(BonusPlan):
 
         return Kernel(denominator, shares)
 
-    def run_sums(self, kernel, player, others, weights):
+    def _run_sums(self, kernel, player, others, weights):
         """In closed form.  At an atom the player's share is `below`, `tie`
         or `above` as its result x is under, at or over best =
         pick(others), and along a run x = first + c * step is affine in c,
@@ -296,9 +284,9 @@ class _SplitPlan(BonusPlan):
         full = kernel.denominator
         atoms = []
         for rest, p in zip(others, weights):
-            best = self.pick(rest)
+            best = self._pick(rest)
             whole, tie = p * full, p * (full // (rest.count(best) + 1))  # split with the tied
-            below, above = (whole, 0) if self.pick is min else (0, whole)
+            below, above = (whole, 0) if self._pick is min else (0, whole)
             atoms.append((best, below, tie, above))
 
         def sums(first, step, left):
@@ -327,10 +315,10 @@ class _SplitPlan(BonusPlan):
 
         return sums
 
-    def share_sums(self, kernel, rows, weights):
+    def _share_sums(self, kernel, rows, weights):
         """One pass over the atoms with no share row: a lone pick(v) gets
         p * denominator, each of `count` tied ones p * (denominator // count)."""
-        pick, denominator = self.pick, kernel.denominator
+        pick, denominator = self._pick, kernel.denominator
         sums = [0] * self.players
         for v, p in zip(rows, weights):
             best = pick(v)
@@ -348,13 +336,13 @@ class _SplitPlan(BonusPlan):
 @dataclass(frozen=True)
 class WinnerTakeAllPlan(_SplitPlan):
     kind = "wta"
-    pick = staticmethod(max)
+    _pick = staticmethod(max)
 
 
 @dataclass(frozen=True)
 class LoserTakeAllPlan(_SplitPlan):
     kind = "lta"
-    pick = staticmethod(min)
+    _pick = staticmethod(min)
 
 
 @dataclass(frozen=True)
@@ -398,7 +386,7 @@ class _LinearPlan(BonusPlan):
         """Every vector with coordinates in {lo, hi}; none past 10 players (1024 vectors)."""
         return product((lo, hi), repeat=self.players) if self.players <= 10 else ()
 
-    def document_fields(self) -> dict:
+    def _document_fields(self) -> dict:
         return {"bound": format_rational(self.bound)}
 
 
@@ -450,15 +438,15 @@ class MLinearPlan(_LinearPlan):
             return self._scaled_form(scale)
         return None
 
-    def probes(self):
+    def _probes(self):
         return self._corners(self.lo, self.hi)
 
-    def document_fields(self) -> dict:
+    def _document_fields(self) -> dict:
         interval = [format_rational(self.lo), format_rational(self.hi)]
-        return {**super().document_fields(), "interval": interval}
+        return {**super()._document_fields(), "interval": interval}
 
     @classmethod
-    def from_document(cls, players, data):
+    def _from_document(cls, players, data):
         lo, hi = rationals(data["interval"])
         return cls(players, as_rational(data["bound"]), lo, hi)
 
@@ -490,11 +478,11 @@ class BoundedLinearPlan(_LinearPlan):
             return self._scaled_form(view.scale)
         return None
 
-    def probes(self):
+    def _probes(self):
         return self._corners(-self.bound, self.bound)
 
     @classmethod
-    def from_document(cls, players, data):
+    def _from_document(cls, players, data):
         return cls(players, as_rational(data["bound"]))
 
 
@@ -544,10 +532,10 @@ class TabulatedPlan(BonusPlan):
 
         return Kernel(denominator, shares)
 
-    def probes(self):
+    def _probes(self):
         return self.points
 
-    def document_fields(self) -> dict:
+    def _document_fields(self) -> dict:
         points = [
             {
                 "r": [format_rational(v) for v in key],
@@ -558,9 +546,9 @@ class TabulatedPlan(BonusPlan):
         return {"points": points, "fallback": [format_rational(s) for s in self.fallback]}
 
     @classmethod
-    def from_document(cls, players, data):
+    def _from_document(cls, players, data):
         points = {}
-        for entry in data.get("points", ()):
+        for entry in items_of(data.get("points", ()), "table points"):
             r = rationals(entry["r"])
             if r in points:
                 raise _repeated_key(r)
@@ -631,7 +619,7 @@ def validate_simplex(
 
     Samples `count` vectors with coordinates in [lo, hi] and denominators up
     to SAMPLE_DENOMINATOR from a seeded generator (deterministic), after the
-    plan's own `probes()`: tabulated points, the corners of a linear plan's
+    plan's own `_probes()`: tabulated points, the corners of a linear plan's
     interval or bound.  Samples are drawn one at a time as they are
     checked; more than SAMPLE_CAP sampled coordinates, count * players, are
     refused before the first.  Reports the first vector whose allocation
@@ -656,7 +644,7 @@ def validate_simplex(
     )
 
     checked = 0
-    for r in chain(plan.probes(), samples):
+    for r in chain(plan._probes(), samples):
         try:
             shares = plan.evaluate(r)
         except Exception as exc:  # a raising plan fails validation, with the reason
@@ -687,7 +675,7 @@ def _random_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction
 
 def plan_to_dict(plan: BonusPlan) -> dict:
     instance_of(plan, BonusPlan, "a plan")
-    return {"players": plan.players, "kind": plan.kind, **plan.document_fields()}
+    return {"players": plan.players, "kind": plan.kind, **plan._document_fields()}
 
 
 def plan_from_dict(data: Mapping) -> BonusPlan:
@@ -697,7 +685,7 @@ def plan_from_dict(data: Mapping) -> BonusPlan:
             raise ArityMismatch(
                 f"unknown plan kind {input_text(kind)}; expected one of {tuple(_KINDS)}"
             )
-        return _KINDS[kind].from_document(players, data)
+        return _KINDS[kind]._from_document(players, data)
     except BonusLabError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -233,8 +233,8 @@ MUTANTS = (
     Mutant(
         "split run sums: below and above swapped",
         "src/bonuslab/plans.py",
-        "below, above = (whole, 0) if self.pick is min else (0, whole)",
-        "above, below = (whole, 0) if self.pick is min else (0, whole)",
+        "below, above = (whole, 0) if self._pick is min else (0, whole)",
+        "above, below = (whole, 0) if self._pick is min else (0, whole)",
         ("tests/test_plans.py::test_split_run_sums_match_the_response_default",),
     ),
     Mutant(
@@ -278,6 +278,13 @@ MUTANTS = (
         "                if c:\n                    results = list(map(add, results, step))\n",
         "",
         ("tests/test_game.py::test_grid_best_response_matches_the_fraction_oracle",),
+    ),
+    Mutant(
+        "the default run sums step every point one further, the first too",
+        "src/bonuslab/plans.py",
+        "                if c:\n                    results = list(map(add, results, step))\n",
+        "                results = list(map(add, results, step))\n",
+        ("tests/test_plans.py::test_responses_match_the_kernel",),
     ),
     Mutant(
         "bounded-plan spread compared without the view's scale",
@@ -380,8 +387,8 @@ MUTANTS = (
     Mutant(
         "LTA picks the largest result",
         "src/bonuslab/plans.py",
-        "pick = staticmethod(min)",
-        "pick = staticmethod(max)",
+        "_pick = staticmethod(min)",
+        "_pick = staticmethod(max)",
         ("tests/test_plans.py::test_kernels_match_evaluate",),
     ),
     Mutant(
@@ -933,8 +940,8 @@ MUTANTS = (
     Mutant(
         "pure cells from a form for every anonymous kind, with or without one",
         "src/bonuslab/game.py",
-        "        if form is None:\n            shares = self.plan.share_sums(",
-        "        if not self.plan.anonymous:\n            shares = self.plan.share_sums(",
+        "        if form is None:\n            shares = self.plan._share_sums(",
+        "        if not self.plan.anonymous:\n            shares = self.plan._share_sums(",
         ("tests/test_game.py::test_strict_dominance_matches_the_tensor_relation",),
     ),
     Mutant(
@@ -1093,6 +1100,23 @@ MUTANTS = (
             "tests/test_rational.py::test_a_mapping_is_refused_where_a_list_belongs",
             "tests/test_cli.py::test_malformed_input_is_a_json_error[induce-outcomes-as-object]",
         ),
+    ),
+    Mutant(
+        "a table's points read without the list check",
+        "src/bonuslab/plans.py",
+        'items_of(data.get("points", ()), "table points")',
+        'data.get("points", ())',
+        (
+            "tests/test_market.py::test_an_object_where_a_list_belongs_is_refused",
+            "tests/test_cli.py::test_malformed_input_is_a_json_error[validate-plan-points-as-object]",
+        ),
+    ),
+    Mutant(
+        "a market's atoms read without the list check",
+        "src/bonuslab/market.py",
+        'items_of(data["atoms"], "atoms")',
+        'data["atoms"]',
+        ("tests/test_cli.py::test_malformed_input_is_a_json_error[induce-atoms-as-object]",),
     ),
     Mutant(
         "pair probing on a grid of fewer than 2 distinct points",

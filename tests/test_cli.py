@@ -524,6 +524,12 @@ REJECTED = [
      {"P": {"players": 2, "kind": "tabulated", "fallback": {"1/2": "a", "2/4": "b"},
             "points": []}},
      ["validate-plan", "--plan", "P"], "ArityMismatch"),
+    ("validate-plan-points-as-object",  # read as its keys, it would be an empty table
+     {"P": {"players": 2, "kind": "tabulated", "fallback": ["1/2", "1/2"], "points": {}}},
+     ["validate-plan", "--plan", "P"], "ArityMismatch"),
+    ("induce-atoms-as-object",  # read as its keys, it would be a market with no atom
+     {"M": {"actions": ["A", "B"], "atoms": {}}, "P": WTA},
+     ["induce", "--market", "M", "--plan", "P"], "ArityMismatch"),
     ("check-optimal-short-interval",
      {"M": MARKET, "P": {**NO_INTERVAL, "interval": ["1"]}},
      ["check-optimal", "--market", "M", "--plan", "P"], "ArityMismatch"),

@@ -145,18 +145,18 @@ def test_pair_probe_caps_its_pairs():
 def test_universality_verdict_stops_at_the_first_violation(monkeypatch, plan, points):
     """The verdict allocates < 1/10 of the full probe's result vectors.
 
-    `kernel_for` serves the probes' scans and every `evaluate`, so its
+    `_kernel_for` serves the probes' scans and every `evaluate`, so its
     kernels count both the scan and the builder's own allocations; the
     builder's games call `kernel` directly and are not counted.
     """
     calls = []
-    kernel_for = BonusPlan.kernel_for
+    kernel_for = BonusPlan._kernel_for
 
     def counted(self, values):
         (denominator, shares), ints = kernel_for(self, values)
         return Kernel(denominator, lambda v: calls.append(v) or shares(v)), ints
 
-    monkeypatch.setattr(BonusPlan, "kernel_for", counted)
+    monkeypatch.setattr(BonusPlan, "_kernel_for", counted)
     probe = probe_pairs if plan.players == 2 else probe_own_coordinate
     first = probe(plan, points)[0]
     full_scan = len(calls)

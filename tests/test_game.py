@@ -504,8 +504,8 @@ def test_cells_hold_numerators_over_the_game_denominator(market, k):
 def test_pure_cells_from_the_linear_form_match_the_atom_rows(market, k):
     """Where a plan is pure-sufficient on the market, the game holds its
     linear form and a pure cell's share sums come from the actions'
-    expectation sums by it, with no `share_sums` call; elsewhere
-    `share_sums` runs on the atom rows once per cell.  Either way each cell,
+    expectation sums by it, with no `_share_sums` call; elsewhere
+    `_share_sums` runs on the atom rows once per cell.  Either way each cell,
     and the whole tensor, is the plan's share sums on the profile's atom
     rows and each player's expected result summed over those rows, weighed
     by the game's integer weights."""
@@ -514,7 +514,7 @@ def test_pure_cells_from_the_linear_form_match_the_atom_rows(market, k):
     for plan in plans_with_a_form(market, k):
         form = plan.linear_form(market)
         covered.add(form is not None)
-        original = type(plan).share_sums
+        original = type(plan)._share_sums
         calls = []
 
         def counting(self, *args):
@@ -528,7 +528,7 @@ def test_pure_cells_from_the_linear_form_match_the_atom_rows(market, k):
             expected = {}
             for combo in product(range(market.n), repeat=k):
                 rows = [tuple(row[a] for a in combo) for row in view.values]
-                shares = plan.share_sums(scoring.kernel, rows, view.weights)
+                shares = plan._share_sums(scoring.kernel, rows, view.weights)
                 earnings = [sum(map(mul, view.weights, column)) for column in zip(*rows)]
                 expected[combo] = tuple(
                     scoring.bonus_weight * b + scoring.result_weight * e
@@ -536,7 +536,7 @@ def test_pure_cells_from_the_linear_form_match_the_atom_rows(market, k):
                 )
             calls.clear()
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(type(plan), "share_sums", counting)
+                patch.setattr(type(plan), "_share_sums", counting)
                 assert {combo: game._numerators(combo) for combo in expected} == expected
             assert len(calls) == (0 if form else len(expected))
             tensor = induce_game(market, plan, w).payoffs
@@ -562,7 +562,7 @@ def test_cells_at_weight_zero_are_the_share_sums(market, k):
         assert game._scoring(view.scale).denominator == shares_over
         for combo in product(range(market.n), repeat=k):
             rows = [tuple(row[a] for a in combo) for row in view.values]
-            assert game._numerators(combo) == tuple(plan.share_sums(kernel, rows, view.weights))
+            assert game._numerators(combo) == tuple(plan._share_sums(kernel, rows, view.weights))
         for w in (F(1, 3), F(9, 10)):
             weighed = induce_game(market, plan, w)
             for combo, shares in game.cells.items():
@@ -607,13 +607,13 @@ def test_portfolio_cells_from_the_linear_form_match_the_atom_rows(market, k, dat
     share sums on the atom rows at the profile's unit, and each player's
     expected result summed over those rows, weighed by the game's weights at
     that unit, exactly; the rows come from the Fraction values and no
-    `share_sums` call is made."""
+    `_share_sums` call is made."""
     view = market.integer_view
     calls = []
     for plan in plans_with_a_form(market, k):
         if plan.linear_form(market) is None:
             continue
-        original = type(plan).share_sums
+        original = type(plan)._share_sums
 
         def counting(self, *args):
             calls.append(args)
@@ -630,7 +630,7 @@ def test_portfolio_cells_from_the_linear_form_match_the_atom_rows(market, k, dat
             ]
             assert all(x.denominator == 1 for row in rows for x in row)
             rows = [tuple(int(x) for x in row) for row in rows]
-            shares = plan.share_sums(scoring.kernel, rows, view.weights)
+            shares = plan._share_sums(scoring.kernel, rows, view.weights)
             earnings = [sum(map(mul, view.weights, column)) for column in zip(*rows)]
             expected = tuple(
                 scoring.bonus_weight * b + scoring.result_weight * e
@@ -638,7 +638,7 @@ def test_portfolio_cells_from_the_linear_form_match_the_atom_rows(market, k, dat
             )
             calls.clear()
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(type(plan), "share_sums", counting)
+                patch.setattr(type(plan), "_share_sums", counting)
                 cell = game._profile_cell(profile.strategies)
             assert cell == (expected, scoring.denominator)
             assert calls == []
@@ -651,8 +651,8 @@ def refuse(*args):
 @settings(max_examples=20, deadline=None)
 @given(markets() | tied_markets(), st.integers(2, 4), st.data())
 def test_no_search_under_a_linear_form_reads_an_atom(market, k, data):
-    """With the plan's `share_sums`, `response` and `run_sums`, and the
-    deviation scan, all raising, every payoff, best response, equilibrium
+    """With the plan's `_share_sums` and `_run_sums`, and the deviation
+    scan, all raising, every payoff, best response, equilibrium
     check and optimality check under a linear form still runs, at pure and
     portfolio profiles, and gives the Fraction oracle's values."""
     n = market.n
@@ -667,9 +667,8 @@ def test_no_search_under_a_linear_form_reads_an_atom(market, k, data):
         }
         optimal = check_optimal(market, plan)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(type(plan), "share_sums", refuse)
-            patch.setattr(type(plan), "response", refuse)
-            patch.setattr(type(plan), "run_sums", refuse)
+            patch.setattr(type(plan), "_share_sums", refuse)
+            patch.setattr(type(plan), "_run_sums", refuse)
             patch.setattr(game_module, "_deviation_scan", refuse)
             for w in (F(0), F(1, 3)):
                 game = induce_game(market, plan, w)

@@ -20,6 +20,8 @@ from bonuslab import (
     ArityMismatch,
     AtomCapExceeded,
     BonusLabError,
+    BoundedLinearPlan,
+    ConstantPlan,
     CoordinateViolation,
     Direction,
     FloatRejected,
@@ -27,6 +29,7 @@ from bonuslab import (
     LoserTakeAllPlan,
     Market,
     MixedAction,
+    MLinearPlan,
     NonPositiveProbability,
     NonSimplexWeights,
     NonUnitMass,
@@ -47,6 +50,8 @@ from bonuslab import (
     load_plan,
     market_from_dict,
     market_to_dict,
+    plan_from_dict,
+    plan_to_dict,
     principal_value,
     profile_from_list,
     profile_to_list,
@@ -400,6 +405,70 @@ def test_profile_json_round_trip():
     assert profile_from_list(rows) == profile
     with pytest.raises(NonSimplexWeights):
         profile_from_list([["1/2", "1/2"], ["1/2", "1/4"]])
+
+
+def _list_paths(doc, path=()):
+    """The path, as keys and indices from the root, of every list in a JSON
+    document, the document itself included."""
+    if isinstance(doc, list):
+        yield path
+        items = enumerate(doc)
+    elif isinstance(doc, dict):
+        items = doc.items()
+    else:
+        return
+    for key, value in items:
+        yield from _list_paths(value, (*path, key))
+
+
+def _replaced(doc, path, value):
+    """A copy of the JSON document with the entry at `path` replaced."""
+    if not path:
+        return value
+    copy = list(doc) if isinstance(doc, list) else dict(doc)
+    copy[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+def test_an_object_where_a_list_belongs_is_refused():
+    """Each list of a market, profile or plan document, replaced by an
+    empty object or by one whose keys are the list's items, is refused as
+    a BonusLabError, never read as the object's keys.  A table with no
+    points key still reads as an empty table."""
+    halves = (Fraction(1, 2), Fraction(1, 2))
+    table = TabulatedPlan(2, {(0, 1): (1, 0)}, halves)
+    # one document of each reader: a market, a profile and a plan of every kind
+    documents = [
+        (market_from_dict, market_to_dict(two_action_market())),
+        (profile_from_list, [["1/2", "1/2"], ["1", "0"]]),
+        *((plan_from_dict, plan_to_dict(plan)) for plan in (
+            ConstantPlan(2), WinnerTakeAllPlan(2), LoserTakeAllPlan(2),
+            MLinearPlan(2, 1, 0, 1), BoundedLinearPlan(2, Fraction(1, 2)), table,
+        )),
+    ]
+    paths = set()
+    for read, doc in documents:
+        read(doc)
+        for path in _list_paths(doc):
+            paths.add((read.__name__, *(k for k in path if type(k) is str)))
+            value = doc
+            for key in path:
+                value = value[key]
+            keyed = {x if type(x) is str else str(i): x for i, x in enumerate(value)}
+            for replacement in ({}, keyed):
+                with pytest.raises(BonusLabError):
+                    read(_replaced(doc, path, replacement))
+    assert paths == {
+        ("market_from_dict", "actions"), ("market_from_dict", "atoms"),
+        ("market_from_dict", "atoms", "outcomes"),
+        ("profile_from_list",),
+        ("plan_from_dict", "interval"), ("plan_from_dict", "fallback"),
+        ("plan_from_dict", "points"), ("plan_from_dict", "points", "r"),
+        ("plan_from_dict", "points", "shares"),
+    }
+    pointless = plan_to_dict(table)
+    del pointless["points"]
+    assert plan_from_dict(pointless) == TabulatedPlan(2, {}, halves)
 
 
 def test_product_market_is_iid():

@@ -1,5 +1,6 @@
 """Plan allocations: frozen values, the simplex contract, serialization."""
 
+import inspect
 import math
 import random
 import re
@@ -117,11 +118,11 @@ def test_linear_plans_probe_their_corners_up_to_ten_players():
         (MLinearPlan(10, F(1), F(0), F(1)), (F(0), F(1))),
         (BoundedLinearPlan(10, F(1, 2)), (F(-1, 2), F(1, 2))),
     ):
-        probes = list(plan.probes())
+        probes = list(plan._probes())
         assert len(probes) == 1024
         assert set(probes) == set(product(corner, repeat=10))
-    assert list(MLinearPlan(11, F(1), F(0), F(1)).probes()) == []
-    assert list(BoundedLinearPlan(11, F(1, 2)).probes()) == []
+    assert list(MLinearPlan(11, F(1), F(0), F(1))._probes()) == []
+    assert list(BoundedLinearPlan(11, F(1, 2))._probes()) == []
 
 
 def test_tabulated_lookup_and_fallback():
@@ -166,6 +167,18 @@ def test_tabulated_lists_each_result_vector_once():
     }
     with pytest.raises(NonSimplexTable, match="listed more than once"):
         plan_from_dict(document)
+
+
+def test_a_plan_has_three_public_methods():
+    """`evaluate`, `kernel` and `linear_form` are the only public methods of
+    `BonusPlan` and its six kinds, each checking its arguments; every hook
+    a kind overrides is private."""
+    kinds = (ConstantPlan, WinnerTakeAllPlan, LoserTakeAllPlan, MLinearPlan,
+             BoundedLinearPlan, TabulatedPlan)
+    for cls in (BonusPlan, *kinds):
+        public = {name for name, _ in inspect.getmembers(cls, inspect.isroutine)
+                  if not name.startswith("_")}
+        assert public == {"evaluate", "kernel", "linear_form"}, cls
 
 
 def test_evaluate_checks_arity():
@@ -358,10 +371,13 @@ def test_linear_forms_match_the_kernel_where_the_gate_is_open(market, k):
 
 
 def test_responses_match_the_kernel():
-    """Each kind's `response` is the player's entry of its kernel, the
-    tabulated default included: random opponents, opponents tied at their
-    top and at their bottom, results that tie them, and the linear gates
-    both open and closed."""
+    """The default `_run_sums` scores each point of a run by the kernel: for
+    every kind, over a run of one atom whose player's result steps by one,
+    each B(c) is the atom's weight times the player's entry of the kernel's
+    shares there, the other players' results in place.  The cases: random
+    opponents, opponents tied at their top and at their bottom, results
+    that tie them, a tabulated row hit, and the linear gates both open and
+    closed."""
     rng = random.Random(18)
     gates = {"m_linear": set(), "bounded_linear": set()}  # seen open, closed
     table_hits = 0
@@ -379,6 +395,8 @@ def test_responses_match_the_kernel():
         others = tuple(others)
         xs = {*others, *(o + 1 for o in others), *(o - 1 for o in others), 0, 4 * scale}
         xs.add(rng.randint(-4 * scale, 4 * scale))
+        first, left = min(xs), max(xs) - min(xs)  # the run passes every result in xs
+        weight = rng.randint(1, 9)
         # the table holds the vector where the player ties the first opponent
         row = others[:player] + (others[0],) + others[player:]
         last = (F(0),) * (k - 1) + (F(1),)
@@ -389,12 +407,14 @@ def test_responses_match_the_kernel():
         ]
         for plan in kinds:
             kernel = plan.kernel(scale)
-            response = plan.response(kernel, player, others)
+            sums = BonusPlan._run_sums(plan, kernel, player, [others], [weight])
+            got = sums([first], [1], left)
+            assert len(got) == left + 1
             equal = [kernel.denominator // k] * k
-            for x in sorted(xs):
-                v = others[:player] + (x,) + others[player:]
+            for c, bonus in enumerate(got):
+                v = others[:player] + (first + c,) + others[player:]
                 shares = list(kernel.shares(v))
-                assert response(x) == shares[player], (plan, player, v)
+                assert bonus == weight * shares[player], (plan, player, v)
                 if plan.kind in ("wta", "lta") and 0 < shares[player] < kernel.denominator // 2:
                     wide_ties.add(plan.kind)
                 if plan.kind in gates and len(set(v)) > 1:
@@ -408,9 +428,9 @@ def test_responses_match_the_kernel():
 
 @pytest.mark.parametrize("kind", [WinnerTakeAllPlan, LoserTakeAllPlan], ids=["wta", "lta"])
 def test_split_run_sums_match_the_response_default(kind):
-    """The split kinds' closed-form `run_sums` gives what the default gives,
-    the player's `response` (its kernel entry) summed at every atom of every
-    point of the run: random rows at k = 2-7, with crossings exactly at an
+    """The split kinds' closed-form `_run_sums` gives what the default gives,
+    the player's kernel entry summed at every atom of every point of the
+    run: random rows at k = 2-7, with crossings exactly at an
     integer c inside the run, at c = 0, at c = left and past the run,
     crossings between two points, zero and negative steps, and opponents
     tied at the pick.  Each row's first and step end in one more entry, as
@@ -425,10 +445,10 @@ def test_split_run_sums_match_the_response_default(kind):
         for _ in range(rng.randint(1, 6)):
             rest = [rng.randint(-20, 20) for _ in range(k - 1)]
             if k > 2 and rng.random() < 0.4:  # two or more opponents tied at the pick
-                best = plan.pick(rest)
+                best = plan._pick(rest)
                 for i in rng.sample(range(k - 1), rng.randint(1, k - 1)):
                     rest[i] = best
-            best = plan.pick(rest)
+            best = plan._pick(rest)
             s = rng.choice((0, rng.randint(-6, -1), rng.randint(1, 6)))
             shape = rng.choice(("free", "inside", "first", "last", "past", "before"))
             if shape == "free":
@@ -453,8 +473,8 @@ def test_split_run_sums_match_the_response_default(kind):
         weights = [rng.randint(1, 9) for _ in others]
         first.append(rng.randint(-9, 9))
         step.append(rng.randint(-9, 9))
-        got = plan.run_sums(kernel, player, others, weights)(first, step, left)
-        want = BonusPlan.run_sums(plan, kernel, player, others, weights)(first, step, left)
+        got = plan._run_sums(kernel, player, others, weights)(first, step, left)
+        want = BonusPlan._run_sums(plan, kernel, player, others, weights)(first, step, left)
         assert got == want, (k, player, others, weights, first, step, left)
         assert len(got) == left + 1
     assert seen == {
@@ -464,7 +484,7 @@ def test_split_run_sums_match_the_response_default(kind):
 
 @dataclass(frozen=True)
 class _FirstLeaderPlan(BonusPlan):
-    """A kind that states only its kernel, so `share_sums` runs the default:
+    """A kind that states only its kernel, so `_share_sums` runs the default:
     everything to the first player of largest result."""
 
     kind = "first-leader"
@@ -501,7 +521,7 @@ def share_rows(draw):
 @settings(max_examples=300)
 @given(share_rows())
 def test_share_sums_match_the_kernel(case):
-    """Each kind's `share_sums` is its kernel's shares summed against the
+    """Each kind's `_share_sums` is its kernel's shares summed against the
     weights row by row: the one-pass wta and lta sums, and the default for
     every other kind and for a kind that states only its kernel."""
     k, scale, rows, weights = case
@@ -511,7 +531,7 @@ def test_share_sums_match_the_kernel(case):
         for v, p in zip(rows, weights):
             for i, share in enumerate(kernel.shares(v)):
                 expected[i] += p * share
-        assert list(plan.share_sums(kernel, rows, weights)) == expected, plan
+        assert list(plan._share_sums(kernel, rows, weights)) == expected, plan
 
 
 @pytest.mark.parametrize(
@@ -528,11 +548,11 @@ def test_split_share_sums_at_the_player_cap(kind, lone):
     view = market.integer_view
     rows = [tuple(values[a] for a in combo) for values in view.values]
     kernel = plan.kernel(view.scale)
-    got = plan.share_sums(kernel, rows, view.weights)
+    got = plan._share_sums(kernel, rows, view.weights)
     tied = kernel.denominator // PLAYER_CAP  # the weight of the level atom is 1
     assert got == [tied + 3 * kernel.denominator if i == winner else tied
                    for i in range(PLAYER_CAP)]
-    assert got == BonusPlan.share_sums(plan, kernel, rows, view.weights)
+    assert got == BonusPlan._share_sums(plan, kernel, rows, view.weights)
     payoffs = induce_game(market, plan).payoff(combo)
     assert payoffs == tuple(F(1, 4 * PLAYER_CAP) + (F(3, 4) if i == winner else 0)
                             for i in range(PLAYER_CAP))

@@ -126,10 +126,6 @@ ROWS = (
         "TabulatedPlan", "players",
         lambda v: TabulatedPlan(v, {}, (F(1, 2), F(1, 2))), 2, ArityMismatch,
     ),
-    Row(
-        "BonusPlan.from_document", "players",
-        lambda v: WinnerTakeAllPlan.from_document(v, {}), 2, ArityMismatch,
-    ),
     Row("BonusPlan.kernel", "scale", WTA2.kernel, 1, ArityMismatch),
     Row("validate_simplex", "count", lambda v: validate_simplex(WTA2, v), 2, InvalidParameter),
     Row("validate_simplex", "seed", lambda v: validate_simplex(WTA2, 2, v), 2, InvalidParameter),
@@ -163,12 +159,6 @@ EXEMPT = {
     "DominanceReport": "an output record of strict_dominance; no function reads one back",
     "OptimalityReport": "an output record of check_optimal; no function reads one back",
     "DominanceReport.dominates": "a membership query over the report's own pairs",
-    "BonusPlan.response": "the internal integer path; the deviation scan passes it a player"
-    " index it has checked and opponent results from the market's integer view",
-    "BonusPlan.share_sums": "the internal integer path; a payoff cell passes it the market's"
-    " integer probability weights and result rows",
-    "BonusPlan.run_sums": "the internal integer path; the deviation scan passes it a player"
-    " index it has checked, the opponents' result rows and the market's integer weights",
 }
 
 NON_INTS = (2.5, True, "2", F(2))

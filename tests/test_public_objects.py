@@ -174,14 +174,6 @@ EXEMPT = {
     ("EquilibriumReport", None): "an output record of check_nash; no function reads one back",
     ("UniversalityReport", None): "an output record of universality_verdict; no function"
     " reads one back",
-    ("_SplitPlan.run_sums", None): "an override of BonusPlan.run_sums, the internal"
-    " integer path of the deviation scan",
-    ("_SplitPlan.share_sums", None): "an override of BonusPlan.share_sums, the internal"
-    " integer path of a payoff cell",
-    ("MLinearPlan.from_document", None): "an override of BonusPlan.from_document, an int"
-    " and a mapping; plan_from_dict calls it",
-    ("BoundedLinearPlan.from_document", None): "an override of BonusPlan.from_document",
-    ("TabulatedPlan.from_document", None): "an override of BonusPlan.from_document",
     ("as_rational", "value"): "a number in any spelling; the reader refuses what it cannot read",
     ("four_point_shares_equal", "x"): "a rational, read by as_rational",
     ("four_point_shares_equal", "y"): "a rational, read by as_rational",

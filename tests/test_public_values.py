@@ -133,8 +133,6 @@ EXEMPT = {
     ("OptimalityReport", None): "an output record of check_optimal; no function reads one back",
     ("UniversalityReport", None): "an output record of universality_verdict; no function"
     " reads one back",
-    ("BonusPlan.kernel_for", "values"): "the integer path under BonusPlan.evaluate, which"
-    " reads its results through rationals and hands them on",
 }
 
 TEXT_VALUES = (None, 3, object())
